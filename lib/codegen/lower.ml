@@ -3,31 +3,27 @@ open F90d_frontend
 open F90d_commdet
 open F90d_ir
 
-(* Fresh temporary ids, unique within one lowered unit. *)
-let temp_counter = ref 0
+(* Counters are per call, never process-global, so concurrent compiles
+   cannot interleave on them. *)
+let next counter =
+  incr counter;
+  !counter
 
-let fresh_temp () =
-  incr temp_counter;
-  !temp_counter
-
-(* Statement ids: program-unique, allocated in emission order (outer
-   statement before its body), reset per program.  sid 0 is reserved for
-   "<runtime>" — code executing outside any statement. *)
-let sid_counter = ref 0
-
-let fresh_sid () =
-  incr sid_counter;
-  !sid_counter
-
-(* Per-unit provenance/explain accumulator. *)
+(* Per-unit lowering state.  Temporary ids are unique within the unit.
+   Statement ids are program-unique, allocated in emission order (outer
+   statement before its body): [sids] is shared by every unit of one
+   program.  sid 0 is reserved for "<runtime>" — code executing outside
+   any statement. *)
 type acc = {
   uname : string;
+  temps : int ref;
+  sids : int ref;
   mutable prov : Ir.prov list;  (* reversed *)
   mutable explain : Ir.explain list;  (* reversed *)
 }
 
 let new_sid acc ~loc ~desc =
-  let sid = fresh_sid () in
+  let sid = next acc.sids in
   acc.prov <- { Ir.pv_sid = sid; pv_loc = loc; pv_unit = acc.uname; pv_desc = desc } :: acc.prov;
   sid
 
@@ -87,7 +83,7 @@ let box_dims subs classes tags =
       | _, _ -> Ir.By_sub subs.(d))
     tags
 
-let lower_ref env ~vars (r : Ast.ref_) (plan : Pattern.ref_plan) =
+let lower_ref env ~temps ~vars (r : Ast.ref_) (plan : Pattern.ref_plan) =
   let var_names = List.map fst vars in
   let lookup v = List.assoc_opt v env.Sema.uparams in
   let is_int_array n =
@@ -114,13 +110,13 @@ let lower_ref env ~vars (r : Ast.ref_) (plan : Pattern.ref_plan) =
   match plan with
   | Pattern.Direct -> ([], [ (r.Ast.rid, Ir.Acc_direct) ], [])
   | Pattern.Precomp_read ->
-      let t = fresh_temp () in
+      let t = next temps in
       ([ Ir.Precomp_read { r; itemp = t; key = None } ], [ (r.Ast.rid, Ir.Acc_flat { temp = t }) ], [])
   | Pattern.Gather ->
-      let t = fresh_temp () in
+      let t = next temps in
       ([ Ir.Gather_read { r; itemp = t; key = None } ], [ (r.Ast.rid, Ir.Acc_flat { temp = t }) ], [])
   | Pattern.Concat ->
-      let t = fresh_temp () in
+      let t = next temps in
       ([ Ir.Concat { arr = r.Ast.base; temp = t } ], [ (r.Ast.rid, Ir.Acc_global_temp { temp = t }) ], [])
   | Pattern.Structured tags ->
       let comm_dims =
@@ -142,17 +138,17 @@ let lower_ref env ~vars (r : Ast.ref_) (plan : Pattern.ref_plan) =
                 [ (r.Ast.rid, Ir.Acc_direct) ],
                 [ ghost ] )
           | Pattern.Multicast g ->
-              let t = fresh_temp () in
+              let t = next temps in
               ( [ Ir.Multicast { arr = r.Ast.base; dim = d; g; temp = t } ],
                 [ (r.Ast.rid, Ir.Acc_box { temp = t; dims = box_dims classes tags }) ],
                 [] )
           | Pattern.Transfer { src; dest } ->
-              let t = fresh_temp () in
+              let t = next temps in
               ( [ Ir.Transfer { arr = r.Ast.base; dim = d; src; dest; temp = t } ],
                 [ (r.Ast.rid, Ir.Acc_box { temp = t; dims = box_dims classes tags }) ],
                 [] )
           | Pattern.Temp_shift s ->
-              let t = fresh_temp () in
+              let t = next temps in
               ( [ Ir.Temp_shift { arr = r.Ast.base; dim = d; amount = s; temp = t } ],
                 [ (r.Ast.rid, Ir.Acc_box { temp = t; dims = box_dims classes tags }) ],
                 [] )
@@ -161,25 +157,25 @@ let lower_ref env ~vars (r : Ast.ref_) (plan : Pattern.ref_plan) =
           (* the fusable pair: one multicast + one shift *)
           match (tags.(d1), tags.(d2)) with
           | Pattern.Multicast g, Pattern.Temp_shift s ->
-              let t = fresh_temp () in
+              let t = next temps in
               ( [ Ir.Multicast_shift
                     { ms_arr = r.Ast.base; mdim = d1; ms_g = g; sdim = d2; ms_amount = s; ms_temp = t; fused = true } ],
                 [ (r.Ast.rid, Ir.Acc_box { temp = t; dims = box_dims classes tags }) ],
                 [] )
           | Pattern.Temp_shift s, Pattern.Multicast g ->
-              let t = fresh_temp () in
+              let t = next temps in
               ( [ Ir.Multicast_shift
                     { ms_arr = r.Ast.base; mdim = d2; ms_g = g; sdim = d1; ms_amount = s; ms_temp = t; fused = true } ],
                 [ (r.Ast.rid, Ir.Acc_box { temp = t; dims = box_dims classes tags }) ],
                 [] )
           | _ ->
               (* other double-communication patterns: inspector fallback *)
-              let t = fresh_temp () in
+              let t = next temps in
               ( [ Ir.Precomp_read { r; itemp = t; key = None } ],
                 [ (r.Ast.rid, Ir.Acc_flat { temp = t }) ],
                 [] ))
       | _ ->
-          let t = fresh_temp () in
+          let t = next temps in
           ( [ Ir.Precomp_read { r; itemp = t; key = None } ],
             [ (r.Ast.rid, Ir.Acc_flat { temp = t }) ],
             [] ))
@@ -324,7 +320,7 @@ let needs_snapshot (f : Ir.forall) =
   in
   List.exists hazardous refs
 
-let lower_forall_plan env ~vars ~mask ~lhs ~rhs =
+let lower_forall_plan env ~temps ~vars ~mask ~lhs ~rhs =
   let plan = Pattern.analyze_forall env ~vars ~mask ~lhs ~rhs in
   let iter, post =
     match plan.Pattern.lhs with
@@ -356,7 +352,7 @@ let lower_forall_plan env ~vars ~mask ~lhs ~rhs =
   let pre, accesses, ghosts =
     List.fold_left
       (fun (pre, accs, ghosts) (r, rplan) ->
-        let p, a, g = lower_ref env ~vars r rplan in
+        let p, a, g = lower_ref env ~temps ~vars r rplan in
         (pre @ p, accs @ a, ghosts @ g))
       ([], [], []) refs
   in
@@ -376,7 +372,7 @@ let lower_forall_plan env ~vars ~mask ~lhs ~rhs =
   ({ f with Ir.f_snapshot = needs_snapshot f }, ghosts, plan)
 
 let lower_forall env ~vars ~mask ~lhs ~rhs =
-  let f, g, _ = lower_forall_plan env ~vars ~mask ~lhs ~rhs in
+  let f, g, _ = lower_forall_plan env ~temps:(ref 0) ~vars ~mask ~lhs ~rhs in
   (f, g)
 
 let iter_name = function
@@ -488,7 +484,7 @@ let rec lower_stmt env acc ghosts (st : Ast.stmt) : Ir.stmt list =
       [ stmt ~desc:(render_ref r ^ " = ...") (Ir.Element_assign { lhs = r; rhs }) ]
   | Ast.Assign _ -> Diag.error ~loc:st.Ast.sloc "invalid assignment target"
   | Ast.Forall (vars, mask, [ { Ast.s = Ast.Assign (lhs, rhs); _ } ]) ->
-      let f, g, plan = lower_forall_plan env ~vars ~mask ~lhs ~rhs in
+      let f, g, plan = lower_forall_plan env ~temps:acc.temps ~vars ~mask ~lhs ~rhs in
       ghosts := g @ !ghosts;
       let sid = new_sid acc ~loc ~desc:("forall " ^ f.Ir.f_lhs.Ast.base) in
       explain_forall acc env ~sid ~loc ~vars f plan;
@@ -521,10 +517,9 @@ let rec lower_stmt env acc ghosts (st : Ast.stmt) : Ir.stmt list =
 
 and lower_body env acc ghosts body = List.concat_map (lower_stmt env acc ghosts) body
 
-let lower_unit env =
-  temp_counter := 0;
+let lower_unit env ~sids =
   let uname = env.Sema.usub.Ast.pname in
-  let acc = { uname; prov = []; explain = [] } in
+  let acc = { uname; temps = ref 0; sids; prov = []; explain = [] } in
   let normalized = Normalize.normalize_unit env env.Sema.usub.Ast.body in
   let ghosts = ref [] in
   let body = lower_body env acc ghosts normalized in
@@ -541,7 +536,7 @@ let lower_unit env =
      gather, argument copy-back) to the unit header's source line. *)
   let u_epilogue =
     {
-      Ir.pv_sid = fresh_sid ();
+      Ir.pv_sid = next sids;
       pv_loc = env.Sema.usub.Ast.ploc;
       pv_unit = uname;
       pv_desc = "epilogue (finals gather / copy-back)";
@@ -558,6 +553,6 @@ let lower_unit env =
   }
 
 let lower_program (penv : Sema.program_env) =
-  sid_counter := 0;
-  let units = List.map (fun (name, uenv) -> (name, lower_unit uenv)) penv.Sema.uunits in
+  let sids = ref 0 in
+  let units = List.map (fun (name, uenv) -> (name, lower_unit uenv ~sids)) penv.Sema.uunits in
   { Ir.p_env = penv; p_units = units }

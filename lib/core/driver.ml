@@ -64,11 +64,12 @@ let run ?(collect_finals = true) ?(model = Model.ideal) ?(topology = Topology.Fu
   let phys_of_rank = Topology.grid_embedding topology ~nprocs dims in
   let grid = Grid.make ?phys_of_rank dims in
   let cfg = Engine.config ~model ~topology ~tracing:trace ?poll nprocs in
-  let kcfg =
-    { Rctx.default_kcfg with Rctx.kc_blocked = compiled.c_flags.F90d_opt.Passes.blocked_kernels }
-  in
+  (* [grid] and [prepared] are shared by every rank fiber and worker
+     domain: built here, before the engine starts, and never mutated *)
+  let prepared = F90d_exec.Interp.prepare compiled.c_ir in
+  let kernels = compiled.c_flags.F90d_opt.Passes.blocked_kernels in
   let node eng =
-    let rctx = Rctx.make ~kcfg eng grid in
+    let rctx = Rctx.make ~kernels eng grid in
     (* Seed the rank's schedule cache from the persistent store (serve
        mode).  Preloading is all-or-nothing across ranks — the store
        layer guarantees it by keeping every rank's schedules in one
@@ -79,7 +80,7 @@ let run ?(collect_finals = true) ?(model = Model.ideal) ?(topology = Topology.Fu
     | None -> ());
     let outcome =
       F90d_exec.Interp.node_main ~collect_finals
-        ~coalesce:compiled.c_flags.F90d_opt.Passes.coalesce compiled.c_ir rctx
+        ~coalesce:compiled.c_flags.F90d_opt.Passes.coalesce prepared rctx
     in
     (match sched_collect with
     | Some collect -> collect (Rctx.me rctx) (Schedule.export rctx)

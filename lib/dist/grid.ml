@@ -1,21 +1,14 @@
 open F90d_base
 
-type t = { dims : int array; phys_of_rank : int array; rank_of_phys : int array }
+type t = {
+  dims : int array;
+  phys_of_rank : int array;
+  rank_of_phys : int array;
+  all : int array;
+  lines : int array array array;  (* lines.(dim).(rank): the line through rank *)
+}
 
 let size_of dims = Array.fold_left ( * ) 1 dims
-
-let make ?phys_of_rank dims =
-  Array.iter (fun d -> if d < 1 then Diag.bug "grid: dimension extent %d < 1" d) dims;
-  let n = size_of dims in
-  let phys = match phys_of_rank with Some p -> p | None -> Array.init n Fun.id in
-  if Array.length phys <> n then Diag.bug "grid: embedding size mismatch";
-  let inv = Array.make n (-1) in
-  Array.iteri
-    (fun rank node ->
-      if node < 0 || node >= n || inv.(node) <> -1 then Diag.bug "grid: embedding is not a permutation";
-      inv.(node) <- rank)
-    phys;
-  { dims; phys_of_rank = phys; rank_of_phys = inv }
 
 let dims t = t.dims
 let ndims t = Array.length t.dims
@@ -42,15 +35,41 @@ let coords_of_rank t rank =
   done;
   coords
 
+let make ?phys_of_rank dims =
+  Array.iter (fun d -> if d < 1 then Diag.bug "grid: dimension extent %d < 1" d) dims;
+  let n = size_of dims in
+  let phys = match phys_of_rank with Some p -> p | None -> Array.init n Fun.id in
+  if Array.length phys <> n then Diag.bug "grid: embedding size mismatch";
+  let inv = Array.make n (-1) in
+  Array.iteri
+    (fun rank node ->
+      if node < 0 || node >= n || inv.(node) <> -1 then Diag.bug "grid: embedding is not a permutation";
+      inv.(node) <- rank)
+    phys;
+  let t = { dims; phys_of_rank = phys; rank_of_phys = inv; all = Array.init n Fun.id; lines = [||] } in
+  (* each line is built once, at its first member, and shared by all *)
+  let lines_along dim =
+    let lines = Array.make n [||] in
+    for rank = 0 to n - 1 do
+      if Array.length lines.(rank) = 0 then begin
+        let coords = coords_of_rank t rank in
+        let line =
+          Array.init dims.(dim) (fun c ->
+              coords.(dim) <- c;
+              rank_of_coords t coords)
+        in
+        Array.iter (fun r -> lines.(r) <- line) line
+      end
+    done;
+    lines
+  in
+  { t with lines = Array.init (Array.length dims) lines_along }
+
 let phys_of_rank t rank = t.phys_of_rank.(rank)
 let rank_of_phys t node = t.rank_of_phys.(node)
 
-let ranks_along t ~rank ~dim =
-  let coords = coords_of_rank t rank in
-  Array.init t.dims.(dim) (fun c ->
-      let coords = Array.copy coords in
-      coords.(dim) <- c;
-      rank_of_coords t coords)
+let all_ranks t = t.all
+let ranks_along t ~rank ~dim = t.lines.(dim).(rank)
 
 let neighbour t ~rank ~dim ~delta =
   let coords = coords_of_rank t rank in

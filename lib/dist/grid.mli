@@ -26,10 +26,18 @@ val phys_of_rank : t -> int -> int
 val rank_of_phys : t -> int -> int
 (** φ⁻¹ *)
 
+val all_ranks : t -> int array
+(** [0..size-1]: the team of the whole grid. *)
+
 val ranks_along : t -> rank:int -> dim:int -> int array
 (** All grid ranks whose coordinates agree with [rank] except along [dim],
     ordered by that coordinate — the processor row/column used by multicast
-    and shift primitives. *)
+    and shift primitives.
+
+    {!make} builds every team once: all members of a line get the same
+    physical array, and every caller of {!all_ranks} gets the same array.
+    The grid is shared by all ranks of a run and by parallel worker
+    domains, so a returned team must never be mutated. *)
 
 val neighbour : t -> rank:int -> dim:int -> delta:int -> int option
 (** Grid rank at coordinate+delta along [dim], or [None] off the edge. *)

@@ -13,8 +13,6 @@ let log_src = Logs.Src.create "f90d.exec" ~doc:"SPMD interpreter communication t
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type temp_val = Tbox of Ndarray.t | Tflat of Ndarray.t | Tglobal of Ndarray.t
-
 (* One rank's copy of the last multicast slab of an array: the slice
    [rv_dim = rv_g0] (zero-based) as broadcast when the array's write
    version was [rv_version].  While the version is unchanged the slab
@@ -40,30 +38,37 @@ type pending_comm =
       pc_bp : Collectives.bcast_pending;
     }
 
-(* What a reference's base name denotes, resolved once per unit: element
+(* What a reference's base name denotes, resolved once per run: element
    references are the innermost loop of every compiled program, and
    re-deciding array-vs-intrinsic per access means string comparisons
    against the whole intrinsic table on the hottest path. *)
 type ref_class = Rarray | Relemental | Rtransformational
 
+(* The rank-invariant half of a program unit, built by [prepare] before
+   the engine starts and never mutated after: every rank fiber and worker
+   domain reads the same tables. *)
+type prepared_unit = {
+  pu_ir : Ir.unit_ir;
+  pu_classes : (string, ref_class) Hashtbl.t;
+      (** every name a reference may denote; a miss is an unknown name *)
+  pu_plans : (int, Kernel.plan) Hashtbl.t;  (** kernel plan of each FORALL, by sid *)
+}
+
+type prepared = (string * prepared_unit) list  (* main unit first *)
+
 type ustate = {
   ctx : Rctx.t;
-  prog : Ir.program_ir;
-  u : Ir.unit_ir;
-  ref_classes : (string, ref_class) Hashtbl.t;
+  prog : prepared;
+  u : prepared_unit;
   dads : (string, Dad.t) Hashtbl.t;
   scalars : (string, Scalar.t ref) Hashtbl.t;
   arrays : (string, Darray.t) Hashtbl.t;
   out : Buffer.t;
-  ptemps : (int, temp_val) Hashtbl.t;
+  ptemps : (int, Kernel.temp_nd) Hashtbl.t;
       (** communication temporaries produced outside any FORALL frame
           (loop pre-headers, cross-statement batches); frames fall back
           here when their own table misses *)
   replicas : (string, replica) Hashtbl.t;
-  kplans : (int, Kernel.plan) Hashtbl.t;
-      (** kernel plans keyed by statement id: the structure-only half of
-          FORALL specialization survives across executions (plans capture
-          no array storage, so the movers' rebinds cannot stale them) *)
   coalesce : bool;  (** runtime half of the coalesce pass (replica cache) *)
   pending : (int, pending_comm) Hashtbl.t;
       (** split-phase comms issued but not yet waited, keyed by the
@@ -74,7 +79,7 @@ type ustate = {
 type frame = {
   fvals : (string * int) list;  (** FORALL variable -> global value *)
   faccess : (int * Ir.access) list;
-  ftemps : (int, temp_val) Hashtbl.t;
+  ftemps : (int, Kernel.temp_nd) Hashtbl.t;
   fsnap : (string * Ndarray.t) option;
       (** pre-loop copy of the lhs local section: Acc_direct reads of the
           lhs array go here when the FORALL also writes it in place
@@ -188,13 +193,13 @@ let storage_pos st dad ~dim g =
         Diag.error "index %d of %s dim %d is not owned by this processor" g (Dad.name dad)
           (dim + 1)
 
-let version_key st name = st.u.Ir.u_name ^ ":" ^ name
+let version_key st name = st.u.pu_ir.Ir.u_name ^ ":" ^ name
 
 (* Communication temporaries normally live in the FORALL's own frame;
    hoisted and cross-statement-batched comms store theirs in the unit's
    persistent table instead. *)
-let find_temp st f temp =
-  match Hashtbl.find_opt f.ftemps temp with
+let find_temp st ftemps temp =
+  match Hashtbl.find_opt ftemps temp with
   | Some _ as v -> v
   | None -> Hashtbl.find_opt st.ptemps temp
 
@@ -279,7 +284,7 @@ and eval_var st mode loc v =
       match Hashtbl.find_opt st.scalars v with
       | Some r -> !r
       | None -> (
-          match List.assoc_opt v st.u.Ir.u_env.Sema.uparams with
+          match List.assoc_opt v st.u.pu_ir.Ir.u_env.Sema.uparams with
           | Some s -> s
           | None -> Diag.error ~loc "undefined variable '%s'" v))
 
@@ -292,18 +297,9 @@ and eval_ref st mode loc (r : Ast.ref_) =
       r.Ast.args
   in
   let cls =
-    match Hashtbl.find_opt st.ref_classes r.Ast.base with
+    match Hashtbl.find_opt st.u.pu_classes r.Ast.base with
     | Some c -> c
-    | None ->
-        (* a declared array shadows any intrinsic of the same name *)
-        let c =
-          if Sema.array_spec st.u.Ir.u_env r.Ast.base <> None then Rarray
-          else if Intrinsic_names.is_elemental r.Ast.base then Relemental
-          else if Intrinsic_names.is_transformational r.Ast.base then Rtransformational
-          else Diag.error ~loc "unknown function or array '%s'" r.Ast.base
-        in
-        Hashtbl.replace st.ref_classes r.Ast.base c;
-        c
+    | None -> Diag.error ~loc "unknown function or array '%s'" r.Ast.base
   in
   match cls with
   | Relemental -> apply_elemental r.Ast.base loc (List.map (eval st mode) (elem_args ()))
@@ -339,8 +335,8 @@ and read_element_loop st f loc (r : Ast.ref_) g =
       in
       Ndarray.get storage idx
   | Some (Ir.Acc_box { temp; dims }) -> (
-      match find_temp st f temp with
-      | Some (Tbox nd) ->
+      match find_temp st f.ftemps temp with
+      | Some (Kernel.Tbox nd) ->
           let darr = darray_of st r.Ast.base in
           let dad = darr.Darray.dad in
           let idx =
@@ -356,12 +352,12 @@ and read_element_loop st f loc (r : Ast.ref_) g =
           Ndarray.get nd idx
       | _ -> Diag.error ~loc "communication temporary missing for '%s'" r.Ast.base)
   | Some (Ir.Acc_flat { temp }) -> (
-      match find_temp st f temp with
-      | Some (Tflat nd) -> Ndarray.get_flat nd f.counter
+      match find_temp st f.ftemps temp with
+      | Some (Kernel.Tflat nd) -> Ndarray.get_flat nd f.counter
       | _ -> Diag.error ~loc "inspector temporary missing for '%s'" r.Ast.base)
   | Some (Ir.Acc_global_temp { temp }) -> (
-      match find_temp st f temp with
-      | Some (Tglobal nd) -> Ndarray.get nd g
+      match find_temp st f.ftemps temp with
+      | Some (Kernel.Tglobal nd) -> Ndarray.get nd g
       | _ -> Diag.error ~loc "concatenation temporary missing for '%s'" r.Ast.base)
 
 and eval_transformational st mode loc (r : Ast.ref_) =
@@ -377,7 +373,7 @@ and eval_transformational st mode loc (r : Ast.ref_) =
   in
   let whole_array (e : Ast.expr) =
     match e.Ast.e with
-    | Ast.Var v when Sema.array_spec st.u.Ir.u_env v <> None -> darray_of st v
+    | Ast.Var v when Sema.array_spec st.u.pu_ir.Ir.u_env v <> None -> darray_of st v
     | _ -> Diag.error ~loc "%s expects a whole array argument" r.Ast.base
   in
   match (r.Ast.base, args) with
@@ -639,10 +635,10 @@ let exec_comm_wait st hid =
   | Some p -> (
       Hashtbl.remove st.pending hid;
       match p with
-      | Pserved { pc_temp; pc_slab } -> Hashtbl.replace st.ptemps pc_temp (Tbox pc_slab)
+      | Pserved { pc_temp; pc_slab } -> Hashtbl.replace st.ptemps pc_temp (Kernel.Tbox pc_slab)
       | Pflight { pc_temp; pc_arr; pc_dim; pc_g0; pc_bp } ->
           let slab = Structured.multicast_wait st.ctx pc_bp in
-          Hashtbl.replace st.ptemps pc_temp (Tbox slab);
+          Hashtbl.replace st.ptemps pc_temp (Kernel.Tbox slab);
           if st.coalesce then
             (* The intervening statements provably did not write the
                broadcast slice (split legality), so the slab equals the
@@ -664,18 +660,18 @@ let exec_comm_simple st ftemps (c : Ir.comm) =
   match c with
   | Ir.Multicast { arr; dim; g; temp } ->
       let g0 = zero_based_sub st arr ~dim g in
-      Hashtbl.replace ftemps temp (Tbox (multicast_slab st arr ~dim ~g0))
+      Hashtbl.replace ftemps temp (Kernel.Tbox (multicast_slab st arr ~dim ~g0))
   | Ir.Transfer { arr; dim; src; dest; temp } -> (
       let s0 = zero_based_sub st arr ~dim src and d0 = zero_based_sub st arr ~dim dest in
       match Structured.transfer st.ctx (darray_of st arr) ~dim ~gsrc:s0 ~gdest:d0 with
-      | Some slab -> Hashtbl.replace ftemps temp (Tbox slab)
+      | Some slab -> Hashtbl.replace ftemps temp (Kernel.Tbox slab)
       | None -> ())
   | Ir.Overlap_shift { arr; dim; amount } ->
       Structured.overlap_shift st.ctx (darray_of st arr) ~dim ~amount
   | Ir.Temp_shift { arr; dim; amount; temp } ->
       let a = Scalar.to_int (eval st Mscalar amount) in
       let slab = Structured.temporary_shift st.ctx (darray_of st arr) ~dim ~amount:a in
-      Hashtbl.replace ftemps temp (Tbox slab)
+      Hashtbl.replace ftemps temp (Kernel.Tbox slab)
   | Ir.Multicast_shift { ms_arr; mdim; ms_g; sdim; ms_amount; ms_temp; fused } ->
       let g0 = zero_based_sub st ms_arr ~dim:mdim ms_g in
       let a = Scalar.to_int (eval st Mscalar ms_amount) in
@@ -712,9 +708,9 @@ let exec_comm_simple st ftemps (c : Ir.comm) =
           | _ -> Diag.bug "interp: multicast protocol error"
         end
       in
-      Hashtbl.replace ftemps ms_temp (Tbox slab)
+      Hashtbl.replace ftemps ms_temp (Kernel.Tbox slab)
   | Ir.Concat { arr; temp } ->
-      Hashtbl.replace ftemps temp (Tglobal (Darray.gather_global st.ctx (darray_of st arr)))
+      Hashtbl.replace ftemps temp (Kernel.Tglobal (Darray.gather_global st.ctx (darray_of st arr)))
   | Ir.Comm_batch members -> (
       (* one packed message per rank pair; members were proven homogeneous
          by the coalescing pass *)
@@ -752,10 +748,10 @@ let exec_comm_simple st ftemps (c : Ir.comm) =
             (fun (_, _, _, _, _, temp) res ->
               match res with
               | Some slab ->
-                  Hashtbl.replace ftemps temp (Tbox slab);
+                  Hashtbl.replace ftemps temp (Kernel.Tbox slab);
                   (* consumers downstream of the anchor statement read the
                      persistent table *)
-                  Hashtbl.replace st.ptemps temp (Tbox slab)
+                  Hashtbl.replace st.ptemps temp (Kernel.Tbox slab)
               | None -> ())
             items results
       | _ -> Diag.bug "interp: unsupported comm batch")
@@ -777,7 +773,7 @@ let exec_comm st (f : Ir.forall) ~ranges ~guard_vals ~frame_access ftemps (c : I
         | Some k -> Schedule.cached st.ctx ~key:(k ^ version_sig st r) build
         | None -> build ()
       in
-      Hashtbl.replace ftemps itemp (Tflat (Schedule.read st.ctx sched darr))
+      Hashtbl.replace ftemps itemp (Kernel.Tflat (Schedule.read st.ctx sched darr))
   | Ir.Gather_read { r; itemp; key } ->
       log_comm st c;
       let darr = darray_of st r.Ast.base in
@@ -790,7 +786,7 @@ let exec_comm st (f : Ir.forall) ~ranges ~guard_vals ~frame_access ftemps (c : I
         | Some k -> Schedule.cached st.ctx ~key:(k ^ version_sig st r) build
         | None -> build ()
       in
-      Hashtbl.replace ftemps itemp (Tflat (Schedule.read st.ctx sched darr))
+      Hashtbl.replace ftemps itemp (Kernel.Tflat (Schedule.read st.ctx sched darr))
   | c -> exec_comm_simple st ftemps c
 
 (* ------------------------------------------------------------------ *)
@@ -803,40 +799,19 @@ let exec_comm st (f : Ir.forall) ~ranges ~guard_vals ~frame_access ftemps (c : I
    the fuzz differential compares bit-for-bit against.  Counts a run or
    a fallback in this rank's collector — empty slabs never reach here,
    so gauss's non-owning ranks count as neither. *)
-let run_kernel st ftemps (f : Ir.forall) vv =
-  let kcfg = Rctx.kernel_cfg st.ctx in
-  if not kcfg.Rctx.kc_blocked then false
+let run_kernel st ~sid ftemps vv =
+  if not (Rctx.kernels st.ctx) then false
   else begin
     let scalar_lookup v =
       match Hashtbl.find_opt st.scalars v with
       | Some r -> Some !r
-      | None -> List.assoc_opt v st.u.Ir.u_env.Sema.uparams
+      | None -> List.assoc_opt v st.u.pu_ir.Ir.u_env.Sema.uparams
     in
-    let temp_of t =
-      let tv =
-        match Hashtbl.find_opt ftemps t with
-        | Some _ as v -> v
-        | None -> Hashtbl.find_opt st.ptemps t
-      in
-      match tv with
-      | Some (Tbox nd) -> Some (Kernel.Tbox nd)
-      | Some (Tflat nd) -> Some (Kernel.Tflat nd)
-      | Some (Tglobal nd) -> Some (Kernel.Tglobal nd)
-      | None -> None
-    in
-    let pl =
-      let sid, _ = Rctx.current_stmt st.ctx in
-      match Hashtbl.find_opt st.kplans sid with
-      | Some p -> p
-      | None ->
-          let p = Kernel.plan ~env:st.u.Ir.u_env ~scalar_lookup ~f in
-          Hashtbl.replace st.kplans sid p;
-          p
-    in
+    let pl = Hashtbl.find st.u.pu_plans sid in
     let rs = Engine.rank_stats (Rctx.engine st.ctx) in
     match
-      Kernel.execute pl ~me:(me st) ~scalar_lookup ~darr_of:(darray_of st) ~temp_of ~values:vv
-        ~blocked:true
+      Kernel.execute pl ~me:(me st) ~scalar_lookup ~darr_of:(darray_of st)
+        ~temp_of:(find_temp st ftemps) ~values:vv
     with
     | Some o ->
         Stats.record_kernel_run rs;
@@ -847,7 +822,7 @@ let run_kernel st ftemps (f : Ir.forall) vv =
         false
   end
 
-let exec_forall_body st (f : Ir.forall) =
+let exec_forall_body st ~sid (f : Ir.forall) =
   let ranges =
     List.map
       (fun (_, (rg : Ast.range)) ->
@@ -890,7 +865,7 @@ let exec_forall_body st (f : Ir.forall) =
   | Some vv when
       canonical_store && f.Ir.f_mask = None && f.Ir.f_post = None && not f.Ir.f_snapshot
       && List.for_all (fun a -> Array.length a > 0) vv
-      && run_kernel st ftemps f vv ->
+      && run_kernel st ~sid ftemps vv ->
       (* specialised kernel ran the whole nest *)
       iters := List.fold_left (fun acc a -> acc * Array.length a) 1 vv
   | Some vv ->
@@ -959,13 +934,13 @@ let exec_forall_body st (f : Ir.forall) =
 
 (* Statement-level compute span: names the FORALL by its left-hand side
    so a trace reads like the source program. *)
-let exec_forall st (f : Ir.forall) =
+let exec_forall st ~sid (f : Ir.forall) =
   let tr = Rctx.trace st.ctx in
-  if not (F90d_trace.Trace.enabled tr) then exec_forall_body st f
+  if not (F90d_trace.Trace.enabled tr) then exec_forall_body st ~sid f
   else begin
     F90d_trace.Trace.span_begin tr ~t:(Rctx.time st.ctx)
       ("forall " ^ f.Ir.f_lhs.Ast.base) ~cat:"compute";
-    exec_forall_body st f;
+    exec_forall_body st ~sid f;
     F90d_trace.Trace.span_end tr ~t:(Rctx.time st.ctx)
   end
 
@@ -1082,24 +1057,61 @@ let instantiate_dads (u : Ir.unit_ir) ~grid =
     u.Ir.u_ghosts;
   dads
 
-let fresh_ustate st (u : Ir.unit_ir) =
-  let dads = instantiate_dads u ~grid:(Rctx.grid st.ctx) in
+(* ------------------------------------------------------------------ *)
+(* Per-run preparation                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let prepare_unit (u : Ir.unit_ir) =
+  let env = u.Ir.u_env in
+  let classes = Hashtbl.create 64 in
+  let add cls names = List.iter (fun n -> Hashtbl.replace classes n cls) names in
+  add Relemental Intrinsic_names.elemental;
+  add Rtransformational Intrinsic_names.(reductions @ locations @ movers @ queries);
+  (* a declared array shadows any intrinsic of the same name *)
+  add Rarray (List.map fst env.Sema.uarrays);
+  let do_vars = ref [] and foralls = ref [] in
+  Ir.iter_stmts
+    (fun s ->
+      match s.Ir.s with
+      | Ir.Do_loop { var; _ } -> do_vars := var :: !do_vars
+      | Ir.Forall f -> foralls := (s.Ir.sid, f) :: !foralls
+      | _ -> ())
+    u.Ir.u_body;
+  (* the interpreter stores DO indices as integers whatever their
+     declaration says *)
+  let scalar_kind v =
+    if List.mem v !do_vars then Some Scalar.Kint
+    else
+      match Sema.scalar_kind env v with
+      | Some k -> Some (kind_of_decl k)
+      | None -> Option.map Scalar.kind (List.assoc_opt v env.Sema.uparams)
+  in
+  let plans = Hashtbl.create 16 in
+  List.iter (fun (sid, f) -> Hashtbl.replace plans sid (Kernel.plan ~env ~scalar_kind ~f)) !foralls;
+  { pu_ir = u; pu_classes = classes; pu_plans = plans }
+
+let prepare (prog : Ir.program_ir) = List.map (fun (n, u) -> (n, prepare_unit u)) prog.Ir.p_units
+
+let planned_sids (prog : prepared) =
+  List.concat_map (fun (_, pu) -> Hashtbl.fold (fun sid _ acc -> sid :: acc) pu.pu_plans []) prog
+  |> List.sort compare
+
+let fresh_ustate st (u : prepared_unit) =
+  let dads = instantiate_dads u.pu_ir ~grid:(Rctx.grid st.ctx) in
   let scalars = Hashtbl.create 16 in
   List.iter
     (fun (n, k) -> Hashtbl.replace scalars n (ref (Scalar.zero (kind_of_decl k))))
-    u.Ir.u_env.Sema.uscalars;
+    u.pu_ir.Ir.u_env.Sema.uscalars;
   let arrays = Hashtbl.create 8 in
   Hashtbl.iter (fun n dad -> Hashtbl.replace arrays n (Darray.create st.ctx dad)) dads;
   {
     st with
     u;
-    ref_classes = Hashtbl.create 16;
     dads;
     scalars;
     arrays;
     ptemps = Hashtbl.create 8;
     replicas = Hashtbl.create 4;
-    kplans = Hashtbl.create 16;
     pending = Hashtbl.create 4;
   }
 
@@ -1117,14 +1129,14 @@ let rec exec_stmt st (s : Ir.stmt) =
 and exec_node st (s : Ir.stmt) =
   match s.Ir.s with
   | Ir.Forall f ->
-      exec_forall st f;
+      exec_forall st ~sid:s.Ir.sid f;
       bump_written st f.Ir.f_lhs.Ast.base
   | Ir.Scalar_assign { name; rhs } -> (
       let v = eval st Mscalar rhs in
       match Hashtbl.find_opt st.scalars name with
       | Some r ->
           let kind =
-            match Sema.scalar_kind st.u.Ir.u_env name with
+            match Sema.scalar_kind st.u.pu_ir.Ir.u_env name with
             | Some k -> kind_of_decl k
             | None -> Scalar.kind v
           in
@@ -1273,9 +1285,13 @@ and split_guard_active st = function
       (stp > 0 && v' <= hi) || (stp < 0 && v' >= hi)
 
 and exec_call st ~sid ~loc sub args =
-  let callee = Ir.find_unit st.prog sub in
+  let callee =
+    match List.assoc_opt sub st.prog with
+    | Some pu -> pu
+    | None -> Diag.error "unknown subroutine '%s'" sub
+  in
   let cst = fresh_ustate st callee in
-  let dummies = callee.Ir.u_env.Sema.usub.Ast.args in
+  let dummies = callee.pu_ir.Ir.u_env.Sema.usub.Ast.args in
   if List.length dummies <> List.length args then
     Diag.error "CALL %s: expected %d arguments, got %d" sub (List.length dummies)
       (List.length args);
@@ -1303,7 +1319,7 @@ and exec_call st ~sid ~loc sub args =
           | Some r -> r := v
           | None -> Hashtbl.replace cst.scalars dummy (ref v)))
     dummies args;
-  (try List.iter (exec_stmt cst) callee.Ir.u_body with Return_unwind -> ());
+  (try List.iter (exec_stmt cst) callee.pu_ir.Ir.u_body with Return_unwind -> ());
   if Hashtbl.length cst.pending > 0 then
     Diag.bug "interp: %d split-phase comm(s) issued but never waited in %s"
       (Hashtbl.length cst.pending) sub;
@@ -1330,27 +1346,25 @@ type outcome = {
   final_scalars : (string * Scalar.t) list;
 }
 
-let node_main ?(collect_finals = true) ?(coalesce = false) (prog : Ir.program_ir) ctx =
-  let main_name = (List.hd prog.Ir.p_units |> snd).Ir.u_name in
-  let u = Ir.find_unit prog main_name in
+let node_main ?(collect_finals = true) ?(coalesce = false) (prog : prepared) ctx =
+  let main = snd (List.hd prog) in
   let proto =
     {
       ctx;
       prog;
-      u;
-      ref_classes = Hashtbl.create 1;
+      u = main;
       dads = Hashtbl.create 1;
       scalars = Hashtbl.create 1;
       arrays = Hashtbl.create 1;
       out = Buffer.create 256;
       ptemps = Hashtbl.create 1;
       replicas = Hashtbl.create 1;
-      kplans = Hashtbl.create 1;
       coalesce;
       pending = Hashtbl.create 1;
     }
   in
-  let st = fresh_ustate proto u in
+  let st = fresh_ustate proto main in
+  let u = main.pu_ir in
   (try List.iter (exec_stmt st) u.Ir.u_body with Return_unwind -> ());
   if Hashtbl.length st.pending > 0 then
     Diag.bug "interp: %d split-phase comm(s) issued but never waited" (Hashtbl.length st.pending);

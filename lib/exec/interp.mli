@@ -20,10 +20,23 @@ val log_src : Logs.src
 (** Communication trace: set to [Debug] to log every collective primitive
     with its processor and virtual time ([f90dc --trace]). *)
 
+type prepared
+(** The rank-invariant state of one run: each unit's reference classes
+    and each FORALL's kernel plan.  Built once, before the engine starts,
+    and never mutated afterwards, so every rank fiber and every worker
+    domain can read it without locks. *)
+
+val prepare : F90d_ir.Ir.program_ir -> prepared
+(** Unknown function or array names are not errors here: they raise their
+    located [Diag] error when, and only if, their statement executes. *)
+
+val planned_sids : prepared -> int list
+(** The sids that hold a kernel plan, ascending (exposed for tests). *)
+
 val node_main :
   ?collect_finals:bool ->
   ?coalesce:bool ->
-  F90d_ir.Ir.program_ir ->
+  prepared ->
   F90d_runtime.Rctx.t ->
   outcome
 (** Execute the main program unit.  When [collect_finals] (default true)

@@ -43,11 +43,6 @@ let rec ev n c1 c2 c3 =
 
 exception Fallback
 
-(* counted atomically: kernels run concurrently under Engine.run_parallel *)
-let run_count = Atomic.make 0
-let runs () = Atomic.get run_count
-let reset_runs () = Atomic.set run_count 0
-
 (* Linear form over the loop counters: value = base + sum coefs.(k)*c_k. *)
 type lin = { base : int; coefs : int array }
 
@@ -138,14 +133,15 @@ let load_node nd flat =
 
 (* Everything about a FORALL that does not depend on run-time values —
    eligibility, the operator tree, which references feed which leaves,
-   integer-vs-real division — is decided once and cached per statement.
-   Scalars stay symbolic ([Tscal], re-read every execution: gauss's pivot
-   changes each step) and references stay as slots whose flat affine
+   integer-vs-real division — is decided once per run and shared by all
+   ranks.  Scalars stay symbolic ([Tscal], re-read every execution: gauss's
+   pivot changes each step) and references stay as slots whose flat affine
    offsets are re-derived every execution (layouts, scalar subscripts and
    the iteration space all change under the statement). *)
 type tnode =
   | Tconst of float
-  | Tscal of string
+  | Tscal of string * Scalar.kind
+      (** the kind the plan assumed; a value of another kind falls back *)
   | Tcounter of int
   | Tload of int  (* slot into the plan's reference vector *)
   | Tneg of tnode
@@ -165,8 +161,6 @@ type plan = {
   p_eligible : bool;
 }
 
-let eligible p = p.p_eligible
-
 let make_var_index f =
   let var_names = List.map fst f.Ir.f_vars in
   fun v ->
@@ -180,7 +174,7 @@ let make_var_index f =
 let subscripts (r : Ast.ref_) =
   List.map (function Ast.Elem e -> e | Ast.Range _ -> raise Fallback) r.Ast.args
 
-let plan ~env ~scalar_lookup ~(f : Ir.forall) =
+let plan ~env ~scalar_kind ~(f : Ir.forall) =
   try
     if f.Ir.f_mask <> None || f.Ir.f_post <> None || f.Ir.f_snapshot then raise Fallback;
     let nvars_real = List.length f.Ir.f_vars in
@@ -191,8 +185,8 @@ let plan ~env ~scalar_lookup ~(f : Ir.forall) =
        must truncate.  MIN/MAX return one of their original operands, so a
        mixed-kind MIN is Int or Real depending on runtime values (Kmix) —
        a division involving Kmix cannot be compiled to either form.
-       Scalar kinds are declaration-stable, so deciding here (at first
-       execution) holds for every later execution of the statement. *)
+       Scalar kinds come from declarations; [execute] checks each
+       scalar's value against the kind assumed here. *)
     let join a b = if a = b then a else `Kmix in
     let rec kind_of (e : Ast.expr) =
       match e.Ast.e with
@@ -202,9 +196,9 @@ let plan ~env ~scalar_lookup ~(f : Ir.forall) =
       | Ast.Var v -> (
           if var_index v <> None then `Ki
           else
-            match scalar_lookup v with
-            | Some (Scalar.Int _) -> `Ki
-            | Some (Scalar.Real _) -> `Kr
+            match scalar_kind v with
+            | Some Scalar.Kint -> `Ki
+            | Some Scalar.Kreal -> `Kr
             | _ -> `Kmix)
       | Ast.Un (_, a) -> kind_of a
       | Ast.Bin ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div), a, b) -> (
@@ -258,8 +252,8 @@ let plan ~env ~scalar_lookup ~(f : Ir.forall) =
           match var_index v with
           | Some k -> Tcounter k
           | None -> (
-              match scalar_lookup v with
-              | Some (Scalar.Int _) | Some (Scalar.Real _) -> Tscal v
+              match scalar_kind v with
+              | Some ((Scalar.Kint | Scalar.Kreal) as k) -> Tscal (v, k)
               | _ -> raise Fallback))
       | Ast.Un (Ast.Neg, a) -> Tneg (compile a)
       | Ast.Un (Ast.Not, _) -> raise Fallback
@@ -599,7 +593,7 @@ let exec_blocked ~store ~sb ~ss1 ~ss2 ~ss3 ~lens body =
 
 type outcome = { blocked_loops : int }
 
-let execute (p : plan) ~me ~scalar_lookup ~darr_of ~temp_of ~values ~blocked =
+let execute (p : plan) ~me ~scalar_lookup ~darr_of ~temp_of ~values =
   if not p.p_eligible then None
   else
     try
@@ -623,12 +617,6 @@ let execute (p : plan) ~me ~scalar_lookup ~darr_of ~temp_of ~values ~blocked =
       let var_index = make_var_index f in
       let ilookup v =
         match scalar_lookup v with Some (Scalar.Int n) -> Some n | _ -> None
-      in
-      let flookup v =
-        match scalar_lookup v with
-        | Some (Scalar.Int n) -> Some (float_of_int n)
-        | Some (Scalar.Real r) -> Some r
-        | _ -> None
       in
       let lin_of e = lin_of ~nvars ~var_index ~progs ~ilookup e in
       (* flat linear offset of an array reference under its access *)
@@ -706,8 +694,11 @@ let execute (p : plan) ~me ~scalar_lookup ~darr_of ~temp_of ~values ~blocked =
       let rec inst t =
         match t with
         | Tconst v -> Nconst v
-        | Tscal v -> (
-            match flookup v with Some x -> Nconst x | None -> raise Fallback)
+        | Tscal (v, k) -> (
+            match (k, scalar_lookup v) with
+            | Scalar.Kint, Some (Scalar.Int n) -> Nconst (float_of_int n)
+            | Scalar.Kreal, Some (Scalar.Real r) -> Nconst r
+            | _ -> raise Fallback)
         | Tcounter k ->
             let g0, gs = progs.(k) in
             let s = Array.make nvars 0. in
@@ -733,8 +724,7 @@ let execute (p : plan) ~me ~scalar_lookup ~darr_of ~temp_of ~values ~blocked =
          element, which is written only after the read in every order) or
          disjoint from the written range. *)
       let blocked_ok =
-        blocked
-        && store_injective ~lens sflat
+        store_injective ~lens sflat
         && Array.for_all
              (fun (nd, flat) ->
                match nd.Ndarray.data with
@@ -760,6 +750,5 @@ let execute (p : plan) ~me ~scalar_lookup ~darr_of ~temp_of ~values ~blocked =
             done
           done
         done;
-      Atomic.incr run_count;
       Some { blocked_loops = (if did_block then 1 else 0) }
     with Fallback -> None

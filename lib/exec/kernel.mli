@@ -7,8 +7,8 @@
 
     - {!plan} decides everything value-independent once per statement —
       eligibility, the operator tree, which references feed which leaves,
-      integer-vs-real division — and is cached by the interpreter, so
-      re-executions under a DO loop skip AST analysis entirely;
+      integer-vs-real division — before the run starts; every rank and
+      every execution under a DO loop shares the one plan;
     - {!execute} re-derives the affine offsets against the current
       layouts, scalars and iteration sets, then runs the whole local
       nest: through strided row strips and fused multiply-update loops
@@ -28,26 +28,18 @@ type temp_nd =
   | Tflat of F90d_base.Ndarray.t
   | Tglobal of F90d_base.Ndarray.t
 
-val runs : unit -> int
-(** Number of loop nests executed by the specializer since {!reset_runs}
-    (summed over all simulated processors) — lets performance tests assert
-    that hot FORALLs actually take the fast path. *)
-
-val reset_runs : unit -> unit
-
 type plan
-(** The structure-only half of specialization for one FORALL: safe to
-    cache per statement across executions (it captures no array storage
-    and no scalar values), including across the interpreter's array
-    movers.  An ineligible plan is also cacheable — structural rejection
-    is value-independent. *)
+(** The structure-only half of specialization for one FORALL: immutable,
+    and safe to share between ranks, worker domains and executions (it
+    captures no array storage and no scalar values), including across the
+    interpreter's array movers.  An ineligible plan is shared too —
+    structural rejection is value-independent. *)
 
 val plan :
-  env:Sema.unit_env -> scalar_lookup:(string -> F90d_base.Scalar.t option) -> f:F90d_ir.Ir.forall -> plan
-(** Analyze a FORALL.  [scalar_lookup] is used only for declaration-stable
-    kind decisions (integer vs. real division), never for values. *)
-
-val eligible : plan -> bool
+  env:Sema.unit_env -> scalar_kind:(string -> F90d_base.Scalar.kind option) -> f:F90d_ir.Ir.forall -> plan
+(** Analyze a FORALL.  [scalar_kind] gives the kind of each scalar the
+    body may read (from declarations), which decides integer vs. real
+    division. *)
 
 type outcome = { blocked_loops : int  (** 1 if the nest ran blocked/fused, else 0 *) }
 
@@ -58,9 +50,8 @@ val execute :
   darr_of:(string -> F90d_runtime.Darray.t) ->
   temp_of:(int -> temp_nd option) ->
   values:int array list ->
-  blocked:bool ->
   outcome option
 (** Runs the whole local loop nest if specialization applies; [None]
     means the caller must interpret.  [values] are this processor's
-    per-variable global index values in nest order; [blocked] gates the
-    strip/fused executor (off reproduces the plain tree walk). *)
+    per-variable global index values in nest order.  A scalar whose value
+    is not of the kind the plan assumed also means [None]. *)

@@ -74,11 +74,11 @@ type program = { main : subprogram; subs : subprogram list }
 (* Constructors and helpers                                            *)
 (* ------------------------------------------------------------------ *)
 
-let next_rid = ref 0
+(* Reference ids key the IR's access tables, so they must stay unique
+   when several domains parse and normalize at once. *)
+let next_rid = Atomic.make 1
 
-let fresh_rid () =
-  incr next_rid;
-  !next_rid
+let fresh_rid () = Atomic.fetch_and_add next_rid 1
 
 let mk ?(loc = Loc.none) e = { e; loc }
 let int_lit ?loc n = mk ?loc (Int_lit n)

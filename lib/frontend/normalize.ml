@@ -1,10 +1,11 @@
 open F90d_base
 
-let counter = ref 0
-
-let fresh_var () =
-  incr counter;
-  Printf.sprintf "I__%d" !counter
+(* [vars] counts the FORALL variables made so far in one unit: the count
+   is per call, so names never depend on what else the process compiled,
+   or is compiling concurrently. *)
+let fresh_var vars =
+  incr vars;
+  Printf.sprintf "I__%d" !vars
 
 let is_array env name = Sema.array_spec env name <> None
 
@@ -130,7 +131,7 @@ let is_mover_call (e : Ast.expr) =
 
 (* Build the FORALL for an array assignment.  Returns None when the
    statement is already elemental/scalar. *)
-let forallize env ?(mask = None) ~loc lhs rhs =
+let forallize env ~vars:counter ?(mask = None) ~loc lhs rhs =
   (* normalise the lhs to a reference with explicit sections *)
   let base, secs =
     match lhs.Ast.e with
@@ -156,7 +157,7 @@ let forallize env ?(mask = None) ~loc lhs rhs =
                 let dlb, dub = dim_bounds env base d in
                 let lo = Option.value lo ~default:(Ast.int_lit dlb) in
                 let hi = Option.value hi ~default:(Ast.int_lit dub) in
-                let v = fresh_var () in
+                let v = fresh_var counter in
                 triplets := (v, { Ast.lo; hi; st = stp }) :: !triplets;
                 lhs_secs := (lo, stp) :: !lhs_secs;
                 vars := v :: !vars;
@@ -181,13 +182,13 @@ let forallize env ?(mask = None) ~loc lhs rhs =
     end
   end
 
-let rec normalize_stmt env (st : Ast.stmt) : Ast.stmt list =
+let rec normalize_stmt env vars (st : Ast.stmt) : Ast.stmt list =
   match st.Ast.s with
   | Ast.Assign (lhs, rhs) ->
       (* whole-array intrinsic movement stays a single statement *)
       if is_mover_call rhs then [ st ]
       else (
-        match forallize env ~loc:st.Ast.sloc lhs rhs with
+        match forallize env ~vars ~loc:st.Ast.sloc lhs rhs with
         | Some f -> [ f ]
         | None -> [ st ])
   | Ast.Where (mask, body, els) ->
@@ -196,7 +197,7 @@ let rec normalize_stmt env (st : Ast.stmt) : Ast.stmt list =
           (fun (s : Ast.stmt) ->
             match s.Ast.s with
             | Ast.Assign (lhs, rhs) -> (
-                match forallize env ~mask:(Some which_mask) ~loc:s.Ast.sloc lhs rhs with
+                match forallize env ~vars ~mask:(Some which_mask) ~loc:s.Ast.sloc lhs rhs with
                 | Some f -> [ f ]
                 | None ->
                     Diag.error ~loc:s.Ast.sloc "WHERE body assignment is not an array assignment")
@@ -213,20 +214,20 @@ let rec normalize_stmt env (st : Ast.stmt) : Ast.stmt list =
           | Ast.Assign _ -> { Ast.s = Ast.Forall (triplets, mask, [ s ]); sloc = st.Ast.sloc }
           | _ -> Diag.error ~loc:s.Ast.sloc "only assignments are allowed in FORALL")
         body
-  | Ast.Do (v, r, body) -> [ { st with Ast.s = Ast.Do (v, r, normalize_body env body) } ]
-  | Ast.While (c, body) -> [ { st with Ast.s = Ast.While (c, normalize_body env body) } ]
+  | Ast.Do (v, r, body) -> [ { st with Ast.s = Ast.Do (v, r, normalize_body env vars body) } ]
+  | Ast.While (c, body) -> [ { st with Ast.s = Ast.While (c, normalize_body env vars body) } ]
   | Ast.If (arms, els) ->
       [
         {
           st with
           Ast.s =
             Ast.If
-              ( List.map (fun (c, b) -> (c, normalize_body env b)) arms,
-                normalize_body env els );
+              ( List.map (fun (c, b) -> (c, normalize_body env vars b)) arms,
+                normalize_body env vars els );
         };
       ]
   | Ast.Call _ | Ast.Print _ | Ast.Return -> [ st ]
 
-and normalize_body env body = List.concat_map (normalize_stmt env) body
+and normalize_body env vars body = List.concat_map (normalize_stmt env vars) body
 
-let normalize_unit env body = normalize_body env body
+let normalize_unit env body = normalize_body env (ref 0) body

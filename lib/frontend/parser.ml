@@ -744,8 +744,18 @@ let parse_unit st ~implicit_main =
   else error st "expected END";
   { Ast.pname; args; decls = !decls; directives = List.rev !directives; body; ploc = loc }
 
+(* [Array.of_list] would build the array from its first token: a young
+   block as the initial value of an array too long for the minor heap,
+   for which the runtime forces a minor collection on every parse *)
+let no_token = (Token.Eof, Loc.none)
+
+let token_array toks =
+  let a = Array.make (List.length toks) no_token in
+  List.iteri (fun i t -> a.(i) <- t) toks;
+  a
+
 let parse ~file src =
-  let toks = Array.of_list (Lexer.tokenize ~file src) in
+  let toks = token_array (Lexer.tokenize ~file src) in
   let st = { toks; cur = 0 } in
   skip_newlines st;
   let first = parse_unit st ~implicit_main:true in
@@ -757,7 +767,7 @@ let parse ~file src =
   { Ast.main = first; subs = rest }
 
 let parse_expr_string s =
-  let toks = Array.of_list (Lexer.tokenize ~file:"<expr>" s) in
+  let toks = token_array (Lexer.tokenize ~file:"<expr>" s) in
   let st = { toks; cur = 0 } in
   let e = parse_expr st in
   e

@@ -91,13 +91,12 @@ let rec emit_comm b ind (c : Ir.comm) =
            (List.length members));
       List.iter (fun (m, _sid) -> emit_comm b (ind ^ "  ") m) members
 
-(* continuation labels for processor-masking gotos, unique per statement *)
-let label_counter = ref 0
-
-let emit_forall b ind (f : Ir.forall) =
+(* continuation labels for processor-masking gotos, unique per statement:
+   [labels] counts the FORALLs emitted so far in the unit *)
+let emit_forall b labels ind (f : Ir.forall) =
   let line s = buf_add b (ind ^ s ^ "\n") in
-  incr label_counter;
-  let label = 100 + (10 * !label_counter) in
+  incr labels;
+  let label = 100 + (10 * !labels) in
   let vars = f.Ir.f_vars in
   line
     (Printf.sprintf "C --- FORALL (%s) %s = ... ---"
@@ -186,10 +185,10 @@ let emit_forall b ind (f : Ir.forall) =
   | None -> ());
   line (Printf.sprintf "%d   continue" label)
 
-let rec emit_stmt b ind (s : Ir.stmt) =
+let rec emit_stmt b labels ind (s : Ir.stmt) =
   let line str = buf_add b (ind ^ str ^ "\n") in
   match s.Ir.s with
-  | Ir.Forall f -> emit_forall b ind f
+  | Ir.Forall f -> emit_forall b labels ind f
   | Ir.Scalar_assign { name; rhs } -> line (Printf.sprintf "%s = %s" name (expr_str rhs))
   | Ir.Element_assign { lhs; rhs } ->
       line
@@ -206,21 +205,21 @@ let rec emit_stmt b ind (s : Ir.stmt) =
       line
         (Printf.sprintf "DO %s = %s, %s%s" var (expr_str range.Ast.lo) (expr_str range.Ast.hi)
            (match range.Ast.st with Some s -> ", " ^ expr_str s | None -> ""));
-      List.iter (emit_stmt b (ind ^ "  ")) body;
+      List.iter (emit_stmt b labels (ind ^ "  ")) body;
       line "END DO"
   | Ir.While_loop { cond; body } ->
       line (Printf.sprintf "DO WHILE (%s)" (expr_str cond));
-      List.iter (emit_stmt b (ind ^ "  ")) body;
+      List.iter (emit_stmt b labels (ind ^ "  ")) body;
       line "END DO"
   | Ir.If_block { arms; els } ->
       List.iteri
         (fun i (c, body) ->
           line (Printf.sprintf "%sIF (%s) THEN" (if i = 0 then "" else "ELSE ") (expr_str c));
-          List.iter (emit_stmt b (ind ^ "  ")) body)
+          List.iter (emit_stmt b labels (ind ^ "  ")) body)
         arms;
       if els <> [] then begin
         line "ELSE";
-        List.iter (emit_stmt b (ind ^ "  ")) els
+        List.iter (emit_stmt b labels (ind ^ "  ")) els
       end;
       line "END IF"
   | Ir.Call_sub { sub; args } ->
@@ -277,8 +276,7 @@ and emit_split_guarded b ind guard body =
       line "end if"
 
 let emit_unit (u : Ir.unit_ir) =
-  label_counter := 0;
-  let b = Buffer.create 1024 in
+  let b = Buffer.create 1024 and labels = ref 0 in
   buf_add b (Printf.sprintf "C === SPMD node program for unit %s ===\n" u.Ir.u_name);
   buf_add b "C     generated Fortran 77 + message passing (paper-style)\n";
   List.iter
@@ -286,7 +284,7 @@ let emit_unit (u : Ir.unit_ir) =
       buf_add b
         (Printf.sprintf "C     overlap area: %s dim %d  ghost_lo=%d ghost_hi=%d\n" arr (dim + 1) lo hi))
     u.Ir.u_ghosts;
-  List.iter (emit_stmt b "      ") u.Ir.u_body;
+  List.iter (emit_stmt b labels "      ") u.Ir.u_body;
   buf_add b "      END\n";
   Buffer.contents b
 

@@ -214,10 +214,18 @@ let prov_table ir =
     ir.p_units;
   tbl
 
-let find_unit ir name =
-  match List.assoc_opt name ir.p_units with
-  | Some u -> u
-  | None -> F90d_base.Diag.error "unknown subroutine '%s'" name
+(** [fn] on every statement of a body, each before its nested bodies. *)
+let rec iter_stmts fn stmts =
+  List.iter
+    (fun s ->
+      fn s;
+      match s.s with
+      | Do_loop { body; _ } | While_loop { body; _ } -> iter_stmts fn body
+      | If_block { arms; els } ->
+          List.iter (fun (_, body) -> iter_stmts fn body) arms;
+          iter_stmts fn els
+      | _ -> ())
+    stmts
 
 let comm_temp = function
   | Multicast { temp; _ } | Transfer { temp; _ } | Temp_shift { temp; _ } | Concat { temp; _ } ->

@@ -133,10 +133,6 @@ val set_stmt : ctx -> sid:int -> loc:F90d_base.Loc.t -> unit
     line in {!Deadlock} payloads) and, when tracing is on, stamps every
     subsequent trace event with [sid] until the next call. *)
 
-val current_stmt : ctx -> int * F90d_base.Loc.t
-(** The provenance last declared with {!set_stmt} —
-    [(0, Loc.none)] initially. *)
-
 val check_cancel : ctx -> unit
 (** Run the config's poll hook, if any.  The interpreter calls this once
     per statement so a request-timeout can interrupt long computations

@@ -25,7 +25,7 @@ let add_comms acc sid names =
   let cur = match Hashtbl.find_opt acc sid with Some l -> l | None -> [] in
   Hashtbl.replace acc sid (cur @ names)
 
-let rec stmt_comms acc (st : Ir.stmt) =
+let stmt_comms acc (st : Ir.stmt) =
   match st.Ir.s with
   | Ir.Forall f ->
       let pre = List.map Ir.comm_name f.Ir.f_pre in
@@ -64,16 +64,11 @@ let rec stmt_comms acc (st : Ir.stmt) =
       add_comms acc hc_sid
         [ Printf.sprintf "%s (split-phase, issued at line %d)" (Ir.comm_name hc)
             st.Ir.sloc.Loc.line ]
-  | Ir.Comm_wait _ -> ()
-  | Ir.Do_loop { body; _ } | Ir.While_loop { body; _ } -> List.iter (stmt_comms acc) body
-  | Ir.If_block { arms; els } ->
-      List.iter (fun (_, b) -> List.iter (stmt_comms acc) b) arms;
-      List.iter (stmt_comms acc) els
   | _ -> ()
 
 let comm_map (ir : Ir.program_ir) =
   let acc = Hashtbl.create 32 in
-  List.iter (fun (_, u) -> List.iter (stmt_comms acc) u.Ir.u_body) ir.Ir.p_units;
+  List.iter (fun (_, u) -> Ir.iter_stmts (stmt_comms acc) u.Ir.u_body) ir.Ir.p_units;
   acc
 
 (* Emitted comms for an explain record: the final IR's when the sid still

@@ -4,29 +4,8 @@ open F90d_machine
 
 type team = int array
 
-(* Teams are a pure function of the (fixed) grid and the calling rank, so
-   they are memoized in the per-rank context: without the cache every
-   collective call allocated and recomputed an O(P) rank array, which at
-   4096 ranks dominated the broadcast it was setting up. *)
-type Rctx.cache_entry += Cached_team of team
-
-let team_all ctx =
-  let key = "team:all" in
-  match Rctx.cache_find ctx key with
-  | Some (Cached_team t) -> t
-  | _ ->
-      let t = Array.init (Rctx.nprocs ctx) Fun.id in
-      Rctx.cache_store ctx key (Cached_team t);
-      t
-
-let team_along ctx ~dim =
-  let key = "team:dim:" ^ string_of_int dim in
-  match Rctx.cache_find ctx key with
-  | Some (Cached_team t) -> t
-  | _ ->
-      let t = Grid.ranks_along (Rctx.grid ctx) ~rank:(Rctx.me ctx) ~dim in
-      Rctx.cache_store ctx key (Cached_team t);
-      t
+let team_all ctx = Grid.all_ranks (Rctx.grid ctx)
+let team_along ctx ~dim = Grid.ranks_along (Rctx.grid ctx) ~rank:(Rctx.me ctx) ~dim
 
 (* Wrap a primitive in a named trace span: [t0] at entry, [t1] when the
    last local send/receive of the tree completes.  [bytes_of] is only

@@ -18,9 +18,9 @@ type team = int array
 val team_all : Rctx.t -> team
 val team_along : Rctx.t -> dim:int -> team
 (** The grid row/column through this processor along grid dimension
-    [dim].  Both teams are memoized per rank context (the grid is fixed
-    for a run), so repeated collectives do not reallocate O(P) arrays;
-    callers must treat the returned array as read-only. *)
+    [dim].  Both teams are lookups into arrays the grid built once for the
+    whole run and shares between ranks; callers must treat the returned
+    array as read-only. *)
 
 val index_in : team -> int -> int
 (** Position of a grid rank in a team; fails if absent.  O(1) on

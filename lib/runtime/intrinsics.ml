@@ -92,7 +92,7 @@ let local_fold ctx op (darr : Darray.t) =
   let me = Rctx.me ctx in
   let acc = ref (Redop.identity op (Darray.kind darr)) in
   (if is_contributor ctx darr then
-     match ((Rctx.kernel_cfg ctx).Rctx.kc_blocked, op, darr.Darray.local.Ndarray.data) with
+     match (Rctx.kernels ctx, op, darr.Darray.local.Ndarray.data) with
      | true, (Redop.Sum | Redop.Prod | Redop.Max | Redop.Min), Ndarray.Reals d ->
          (* unboxed fold in iteration order; MAX/MIN use [compare] like
             Scalar.max2/min2 (first operand wins ties), so the result is
@@ -222,7 +222,7 @@ let dotproduct ctx (a : Darray.t) (b : Darray.t) =
   let me = Rctx.me ctx in
   let acc = ref 0. in
   (if is_contributor ctx a then
-     match ((Rctx.kernel_cfg ctx).Rctx.kc_blocked, a.Darray.local.Ndarray.data, b.Darray.local.Ndarray.data) with
+     match (Rctx.kernels ctx, a.Darray.local.Ndarray.data, b.Darray.local.Ndarray.data) with
      | true, Ndarray.Reals ad, Ndarray.Reals bd when congruent_locals a b ->
          Darray.iter_owned a ~rank:me (fun _ flat ->
              acc := !acc +. (Array.unsafe_get ad flat *. Array.unsafe_get bd flat))
@@ -423,7 +423,7 @@ let matmul_summa ctx (a : Darray.t) (b : Darray.t) ~dad =
   let crows = (Dad.local_counts dad ~rank:me).(0)
   and ccols = (Dad.local_counts dad ~rank:me).(1) in
   let acc = Array.make (crows * ccols) 0. in
-  let kb = (Rctx.kernel_cfg ctx).Rctx.kc_blocked in
+  let kb = Rctx.kernels ctx in
   for k0 = 0 to inner - 1 do
     let apanel = Structured.multicast ctx a ~dim:1 ~g:k0 in
     let bpanel = Structured.multicast ctx b ~dim:0 ~g:k0 in
@@ -460,6 +460,9 @@ let matmul_summa ctx (a : Darray.t) (b : Darray.t) ~dad =
       incr i);
   dst
 
+(* Edge of the k tiles in the tiled DGEMM below. *)
+let dgemm_tile = 64
+
 (* Fallback for arbitrary shapes/alignments: replicate both operands
    (tree-based gathers) and compute only the owned block. *)
 let matmul_replicated ctx (a : Darray.t) (b : Darray.t) ~dad =
@@ -469,8 +472,7 @@ let matmul_replicated ctx (a : Darray.t) (b : Darray.t) ~dad =
   let b0 = (Dad.dims b.Darray.dad).(0).Dad.flb in
   let dst = Darray.create ctx dad in
   let me = Rctx.me ctx in
-  let kcfg = Rctx.kernel_cfg ctx in
-  (match (kcfg.Rctx.kc_blocked, ga.Ndarray.data, gb.Ndarray.data) with
+  (match (Rctx.kernels ctx, ga.Ndarray.data, gb.Ndarray.data) with
   | true, Ndarray.Reals gad, Ndarray.Reals gbd ->
       (* k-tiled DGEMM: the accumulator for every owned C(i,j) persists
          across tiles and the k tiles run in ascending order, so each
@@ -484,10 +486,9 @@ let matmul_replicated ctx (a : Darray.t) (b : Darray.t) ~dad =
       let items = Array.of_list (List.rev !rows) in
       let n = Array.length items in
       let acc = Array.make (max 1 n) 0. in
-      let bs = max 1 kcfg.Rctx.kc_block in
       let k0 = ref 0 in
       while !k0 < inner do
-        let khi = min inner (!k0 + bs) in
+        let khi = min inner (!k0 + dgemm_tile) in
         for idx = 0 to n - 1 do
           let g0, g1, _ = Array.unsafe_get items idx in
           let abase = ((g0 - la.(0)) * sa.(0)) + ((a1 - la.(1)) * sa.(1)) in
@@ -501,7 +502,7 @@ let matmul_replicated ctx (a : Darray.t) (b : Darray.t) ~dad =
           done;
           Array.unsafe_set acc idx !s
         done;
-        k0 := !k0 + bs
+        k0 := !k0 + dgemm_tile
       done;
       Array.iteri
         (fun idx (_, _, flat) -> Ndarray.set_flat dst.Darray.local flat (Scalar.Real acc.(idx)))

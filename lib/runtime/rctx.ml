@@ -4,28 +4,16 @@ open F90d_machine
 
 type cache_entry = ..
 
-type kcfg = { kc_blocked : bool; kc_block : int }
-
-(* Block size for the tiled DGEMM kernels; overridable per-process for
-   cache-geometry experiments.  Parsed once — the env is not re-read
-   between runs. *)
-let default_block =
-  match Sys.getenv_opt "F90D_BLOCK" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some b when b > 0 -> b | _ -> 64)
-  | None -> 64
-
-let default_kcfg = { kc_blocked = true; kc_block = default_block }
-
 type t = {
   eng : Engine.ctx;
   grid : Grid.t;
   sched_cache : (string, cache_entry) Hashtbl.t;
   versions : (string, int) Hashtbl.t;
   mutable split_seq : int;
-  kcfg : kcfg;
+  kernels : bool;
 }
 
-let make ?(kcfg = default_kcfg) eng grid =
+let make ?(kernels = true) eng grid =
   if Grid.size grid <> Engine.nprocs eng then
     Diag.bug "rctx: grid size %d does not cover the machine (%d nodes)" (Grid.size grid)
       (Engine.nprocs eng);
@@ -35,10 +23,10 @@ let make ?(kcfg = default_kcfg) eng grid =
     sched_cache = Hashtbl.create 16;
     versions = Hashtbl.create 16;
     split_seq = 0;
-    kcfg;
+    kernels;
   }
 
-let kernel_cfg t = t.kcfg
+let kernels t = t.kernels
 
 let engine t = t.eng
 let grid t = t.grid
@@ -54,7 +42,6 @@ let version t key = Option.value (Hashtbl.find_opt t.versions key) ~default:0
 let bump_version t key = Hashtbl.replace t.versions key (version t key + 1)
 let trace t = Engine.trace t.eng
 let set_stmt t ~sid ~loc = Engine.set_stmt t.eng ~sid ~loc
-let current_stmt t = Engine.current_stmt t.eng
 
 let send ?parts t ~dest ~tag payload =
   Engine.send ?parts t.eng ~dest:(Grid.phys_of_rank t.grid dest) ~tag payload

@@ -14,19 +14,13 @@ type cache_entry = ..
     ranks, and back-to-back runs with different programs or machine
     sizes, can never observe each other's entries. *)
 
-type kcfg = { kc_blocked : bool; kc_block : int }
-(** Node-kernel execution configuration: [kc_blocked] enables the
-    blocked kernel layer ({!F90d_exec.Kernel} plan cache and the tiled
-    intrinsics), [kc_block] is the DGEMM tile edge. *)
-
-val default_kcfg : kcfg
-(** Kernels on; block size from [F90D_BLOCK] (default 64). *)
-
-val make : ?kcfg:kcfg -> F90d_machine.Engine.ctx -> F90d_dist.Grid.t -> t
+val make : ?kernels:bool -> F90d_machine.Engine.ctx -> F90d_dist.Grid.t -> t
 (** The grid must exactly cover the machine ([Grid.size = nprocs]).  The
-    context owns a fresh (empty) cache. *)
+    context owns a fresh (empty) cache.  [kernels] (default true) enables
+    the blocked node-kernel layer ({!F90d_exec.Kernel} and the tiled
+    intrinsics). *)
 
-val kernel_cfg : t -> kcfg
+val kernels : t -> bool
 
 val cache_find : t -> string -> cache_entry option
 val cache_store : t -> string -> cache_entry -> unit
@@ -52,8 +46,6 @@ val set_stmt : t -> sid:int -> loc:F90d_base.Loc.t -> unit
 (** Declare the statement about to execute (see
     {!F90d_machine.Engine.set_stmt}): stamps subsequent trace events and
     names the source line in deadlock diagnostics. *)
-
-val current_stmt : t -> int * F90d_base.Loc.t
 
 val engine : t -> F90d_machine.Engine.ctx
 val grid : t -> F90d_dist.Grid.t

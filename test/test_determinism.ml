@@ -98,6 +98,73 @@ let test_cache_isolated_across_distributions () =
   checkb "cyclic result" true
     (F90d_base.Ndarray.approx_equal (Driver.final rc "A") (Driver.final (reference `Cyclic) "A"))
 
+(* ------------------------------------------------------------------ *)
+(* Concurrent compiles                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The compiler keeps its counters (temporaries, sids, FORALL variables,
+   F77 labels) per call, so two domains compiling different programs at
+   once must each get exactly what a sequential compile gives: the same
+   IR (as emitted F77 and provenance), the same explain text and the same
+   run. *)
+let concurrent_sources =
+  [
+    Programs.gauss ~n:12;
+    Programs.jacobi ~n:13 ~iters:2;
+    Programs.irregular ~n:16;
+    {|
+      PROGRAM CC1
+      REAL A(12), B(12), S
+C$    DISTRIBUTE A(BLOCK)
+C$    ALIGN B(I) WITH A(I)
+      A = 1.5
+      B(2:11) = A(1:10) + A(3:12)
+      CALL TWICE(B, S)
+      END
+
+      SUBROUTINE TWICE(X, T)
+      REAL X(12), T
+C$    DISTRIBUTE X(CYCLIC)
+      X = 2*X
+      T = SUM(X)
+      END
+      |};
+  ]
+
+let fingerprint source =
+  let c = Driver.compile source in
+  let ir = c.Driver.c_ir in
+  let r = Driver.run ~nprocs:2 c in
+  let o = r.Driver.outcome in
+  let show a = Format.asprintf "%a" F90d_base.Ndarray.pp a in
+  ( F90d_ir.Emit_f77.emit_program ir,
+    F90d_report.Report.explain_text ir,
+    List.concat_map
+      (fun (_, u) ->
+        List.map (fun p -> (p.F90d_ir.Ir.pv_sid, p.F90d_ir.Ir.pv_desc)) u.F90d_ir.Ir.u_prov)
+      ir.F90d_ir.Ir.p_units,
+    ( o.F90d_exec.Interp.output,
+      List.map (fun (n, a) -> (n, show a)) o.F90d_exec.Interp.finals,
+      r.Driver.elapsed ) )
+
+let test_concurrent_compiles () =
+  let sources = Array.of_list concurrent_sources in
+  let want = Array.map fingerprint sources in
+  let n = Array.length sources in
+  let worker offset () =
+    List.init 100 (fun i ->
+        let k = (i + offset) mod n in
+        (k, fingerprint sources.(k)))
+  in
+  let domains = List.map (fun offset -> Domain.spawn (worker offset)) [ 0; 1 ] in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (k, got) ->
+          checkb (Printf.sprintf "program %d = sequential compile" k) true (got = want.(k)))
+        (Domain.join d))
+    domains
+
 let () =
   Alcotest.run "f90d_determinism"
     [
@@ -113,4 +180,6 @@ let () =
           Alcotest.test_case "repeat runs report own stats" `Quick test_cache_per_run_stats_repeat;
           Alcotest.test_case "across distributions" `Quick test_cache_isolated_across_distributions;
         ] );
+      ( "concurrent compiles",
+        [ Alcotest.test_case "2 domains x 100 = sequential" `Quick test_concurrent_compiles ] );
     ]

@@ -93,6 +93,60 @@ let test_undeclared_variable_runtime () =
     END
     |}
 
+(* Reference classes are resolved before the run, but an unknown name is
+   still an error only where, and when, its statement executes: a dead
+   branch runs clean, a live one fails at the name's line, in the main
+   program and in a subroutine. *)
+let test_unknown_function_when_executed () =
+  let src ~x =
+    Printf.sprintf
+      {|
+    PROGRAM T
+    REAL A(8), X
+C$  DISTRIBUTE A(BLOCK)
+    X = %s
+    IF (X .LT. 0.0) THEN
+      X = FOO(2.0)
+    END IF
+    FORALL (I = 1:8) A(I) = X
+    CALL S(A, X)
+    END
+
+    SUBROUTINE S(B, Y)
+    REAL B(8), Y
+C$  DISTRIBUTE B(BLOCK)
+    IF (Y .GT. 5.0) THEN
+      Y = BAR(B)
+    END IF
+    END
+    |}
+      x
+  in
+  let line_of name src =
+    let rec go i = function
+      | [] -> Alcotest.failf "no %s in source" name
+      | l :: tl -> (
+          match Str.search_forward (Str.regexp_string name) l 0 with
+          | _ -> i
+          | exception Not_found -> go (i + 1) tl)
+    in
+    go 1 (String.split_on_char '\n' src)
+  in
+  let run x = Driver.run ~nprocs:2 (Driver.compile (src ~x)) in
+  ignore (run "1.0");
+  List.iter
+    (fun (x, name) ->
+      match run x with
+      | _ -> Alcotest.failf "%s executed without an error" name
+      | exception Diag.Error (loc, msg) ->
+          checkb ("message names " ^ name) true
+            (try
+               ignore (Str.search_forward (Str.regexp_string ("unknown function or array '" ^ name)) msg 0);
+               true
+             with Not_found -> false);
+          Alcotest.(check int) (name ^ " line") (line_of name (src ~x)) loc.Loc.line)
+    [ ("-1.0", "FOO"); ("7.0", "BAR") ]
+
 let test_call_arity () =
   expect_runtime_error
     {|
@@ -158,6 +212,8 @@ let () =
         [
           Alcotest.test_case "undeclared variable" `Quick test_undeclared_variable_runtime;
           Alcotest.test_case "call arity" `Quick test_call_arity;
+          Alcotest.test_case "unknown function only when executed" `Quick
+            test_unknown_function_when_executed;
           Alcotest.test_case "reduction in forall" `Quick test_transformational_in_forall;
           Alcotest.test_case "grid size mismatch" `Quick test_grid_size_mismatch;
         ] );

@@ -151,6 +151,67 @@ let test_jobs_byte_identity () =
   let par = run ~nprocs:4 ~jobs:4 on_flags src in
   check_identical "gauss seq vs jobs=4" seq par
 
+(* ------------------------------------------------------------------ *)
+(* Per-run prepared program                                            *)
+(* ------------------------------------------------------------------ *)
+
+let prepared_src =
+  {|
+      PROGRAM PP1
+      REAL A(8), B(8), S
+C$    DISTRIBUTE A(BLOCK)
+C$    ALIGN B(I) WITH A(I)
+      FORALL (I = 1:8) A(I) = I
+      DO K = 1, 3
+        FORALL (I = 1:8) B(I) = A(I) / K
+        IF (K .EQ. 2) THEN
+          FORALL (I = 1:8) A(I) = B(I) + 1
+        ELSE
+          A = 2*B
+        END IF
+      END DO
+      CALL HALVE(A, 2)
+      S = SUM(A)
+      END
+
+      SUBROUTINE HALVE(X, D)
+      REAL X(8), D
+C$    DISTRIBUTE X(CYCLIC)
+      FORALL (I = 1:8) X(I) = X(I) / D
+      FORALL (I = 1:8) X(I) = I / D + X(I)
+      END
+      |}
+
+let test_one_plan_per_forall () =
+  (* every FORALL of every unit — nested under DO and IF, normalized from
+     an array assignment, inside a subroutine — has exactly one plan *)
+  let ir = (Driver.compile prepared_src).Driver.c_ir in
+  let sids = ref [] in
+  List.iter
+    (fun (_, u) ->
+      F90d_ir.Ir.iter_stmts
+        (fun s ->
+          match s.F90d_ir.Ir.s with
+          | F90d_ir.Ir.Forall _ -> sids := s.F90d_ir.Ir.sid :: !sids
+          | _ -> ())
+        u.F90d_ir.Ir.u_body)
+    ir.F90d_ir.Ir.p_units;
+  let sids = List.sort compare !sids in
+  checki "FORALL count" 6 (List.length sids);
+  Alcotest.(check (list int)) "one plan per FORALL sid" sids
+    (F90d_exec.Interp.planned_sids (F90d_exec.Interp.prepare ir))
+
+let test_planned_scalar_kinds () =
+  (* plans take scalar kinds from declarations: the DO index K divides as
+     an integer and runs in the kernel; the REAL dummy D is bound to an
+     INTEGER actual, so its value contradicts the planned kind and those
+     nests must fall back, never divide the wrong way *)
+  let r = kernel_on_vs_off "planned scalar kinds" prepared_src in
+  let stats = r.Driver.stats in
+  checkb "kernel ran" true (stats.F90d_machine.Stats.kernel_runs > 0);
+  checki "mismatched dummy falls back on all four ranks, twice" 8
+    stats.F90d_machine.Stats.kernel_fallbacks
+
 let () =
   Alcotest.run "kernel"
     [
@@ -164,5 +225,10 @@ let () =
           Alcotest.test_case "non-unit lower bounds" `Quick test_nonunit_lower_bounds;
           Alcotest.test_case "int/real mix" `Quick test_int_real_mix;
           Alcotest.test_case "seq vs jobs=4 byte identity" `Quick test_jobs_byte_identity;
+        ] );
+      ( "prepared program",
+        [
+          Alcotest.test_case "one plan per FORALL sid" `Quick test_one_plan_per_forall;
+          Alcotest.test_case "scalar kinds from declarations" `Quick test_planned_scalar_kinds;
         ] );
     ]

@@ -58,12 +58,10 @@ let test_gauss_cyclic_balances_load () =
 let test_kernel_specializer_engaged () =
   (* the elimination loops must take the fast path, or Table 4 at
      1023x1024 silently becomes intractable *)
-  F90d_exec.Kernel.reset_runs ();
   let n = 32 in
-  ignore (Driver.run ~nprocs:4 (Driver.compile (Programs.gauss ~n)));
+  let r = Driver.run ~nprocs:4 (Driver.compile (Programs.gauss ~n)) in
   (* at least the two elimination FORALLs per step on active processors *)
-  checkb "kernel runs" true (F90d_exec.Kernel.runs () > n);
-  F90d_exec.Kernel.reset_runs ()
+  checkb "kernel runs" true (r.Driver.stats.Stats.kernel_runs > n)
 
 let test_gauss_hand_matches_oracle () =
   let n = 40 in
