@@ -47,10 +47,9 @@ let add = num_op ( + ) ( +. )
 let sub = num_op ( - ) ( -. )
 let mul = num_op ( * ) ( *. )
 
-let div a b =
+let div ?loc a b =
   match (a, b) with
-  | Int x, Int y ->
-      if y = 0 then Diag.bug "scalar: integer division by zero" else Int (x / y)
+  | Int x, Int y -> if y = 0 then Diag.error ?loc "integer division by zero" else Int (x / y)
   | (Int _ | Real _), (Int _ | Real _) -> Real (to_real a /. to_real b)
   | _ -> Diag.bug "scalar: division on non-numeric value"
 

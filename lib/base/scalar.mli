@@ -30,7 +30,11 @@ val zero : kind -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val div : t -> t -> t
+
+val div : ?loc:Loc.t -> t -> t -> t
+(** Integer division truncates; an integer division by zero is a
+    {!Diag.error}, located at [loc] when given. *)
+
 val pow : t -> t -> t
 val neg : t -> t
 val not_ : t -> t

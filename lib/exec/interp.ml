@@ -157,6 +157,7 @@ let apply_elemental name loc args =
   | "ACOS", [ _ ] -> real1 acos
   | "ATAN", [ _ ] -> real1 atan
   | "ATAN2", [ a; b ] -> Scalar.Real (Float.atan2 (Scalar.to_real a) (Scalar.to_real b))
+  | ("MOD" | "MODULO"), [ Scalar.Int _; Scalar.Int 0 ] -> Diag.error ~loc "integer division by zero"
   | "MOD", [ Scalar.Int a; Scalar.Int b ] -> Scalar.Int (a mod b)
   | "MOD", [ a; b ] -> Scalar.Real (Float.rem (Scalar.to_real a) (Scalar.to_real b))
   | "MODULO", [ Scalar.Int a; Scalar.Int b ] -> Scalar.Int (Util.modulo a b)
@@ -259,7 +260,7 @@ let rec eval st mode (e : Ast.expr) : Scalar.t =
             | Ast.Add -> Scalar.add
             | Ast.Sub -> Scalar.sub
             | Ast.Mul -> Scalar.mul
-            | Ast.Div -> Scalar.div
+            | Ast.Div -> Scalar.div ~loc:e.Ast.loc
             | Ast.Pow -> Scalar.pow
             | Ast.Eq -> Scalar.cmp_eq
             | Ast.Ne -> Scalar.cmp_ne
@@ -797,30 +798,29 @@ let exec_comm st (f : Ir.forall) ~ranges ~guard_vals ~frame_access ftemps (c : I
    disables the layer outright — every FORALL interprets element by
    element, which is both the honest ablation baseline and the reference
    the fuzz differential compares bit-for-bit against.  Counts a run or
-   a fallback in this rank's collector — empty slabs never reach here,
-   so gauss's non-owning ranks count as neither. *)
+   a fallback (by reason) in this rank's collector; an ineligible plan
+   and an empty slab (gauss's non-owning ranks) count as neither. *)
 let run_kernel st ~sid ftemps vv =
-  if not (Rctx.kernels st.ctx) then false
-  else begin
-    let scalar_lookup v =
-      match Hashtbl.find_opt st.scalars v with
-      | Some r -> Some !r
-      | None -> List.assoc_opt v st.u.pu_ir.Ir.u_env.Sema.uparams
-    in
-    let pl = Hashtbl.find st.u.pu_plans sid in
-    let rs = Engine.rank_stats (Rctx.engine st.ctx) in
-    match
-      Kernel.execute pl ~me:(me st) ~scalar_lookup ~darr_of:(darray_of st)
-        ~temp_of:(find_temp st ftemps) ~values:vv
-    with
-    | Some o ->
-        Stats.record_kernel_run rs;
-        if o.Kernel.blocked_loops > 0 then Stats.record_kernel_blocked rs o.Kernel.blocked_loops;
-        true
-    | None ->
-        Stats.record_kernel_fallback rs;
-        false
-  end
+  Rctx.kernels st.ctx
+  && List.for_all (fun a -> Array.length a > 0) vv
+  &&
+  let scalar_lookup v =
+    match Hashtbl.find_opt st.scalars v with
+    | Some r -> Some !r
+    | None -> List.assoc_opt v st.u.pu_ir.Ir.u_env.Sema.uparams
+  in
+  let rs = Engine.rank_stats (Rctx.engine st.ctx) in
+  match
+    Kernel.execute (Hashtbl.find st.u.pu_plans sid) ~me:(me st) ~scalar_lookup
+      ~darr_of:(darray_of st) ~temp_of:(find_temp st ftemps) ~values:vv
+  with
+  | None -> false
+  | Some (Ok ()) ->
+      Stats.record_kernel_run rs;
+      true
+  | Some (Error why) ->
+      Stats.record_kernel_fallback rs why;
+      false
 
 let exec_forall_body st ~sid (f : Ir.forall) =
   let ranges =
@@ -862,11 +862,8 @@ let exec_forall_body st ~sid (f : Ir.forall) =
   let iters = ref 0 in
   (match iteration_values st f ~ranges ~guard_vals ~rank:(me st) with
   | None -> ()
-  | Some vv when
-      canonical_store && f.Ir.f_mask = None && f.Ir.f_post = None && not f.Ir.f_snapshot
-      && List.for_all (fun a -> Array.length a > 0) vv
-      && run_kernel st ~sid ftemps vv ->
-      (* specialised kernel ran the whole nest *)
+  | Some vv when run_kernel st ~sid ftemps vv ->
+      (* the kernel ran the whole nest *)
       iters := List.fold_left (fun acc a -> acc * Array.length a) 1 vv
   | Some vv ->
       let fr = { fvals = []; faccess = frame_access; ftemps; fsnap = snapshot; counter = 0 } in

@@ -1,25 +1,31 @@
-(** Blocked node-kernel specializer — the stand-in for the node Fortran
+(** Node-kernel specializer — the stand-in for the node Fortran
     compiler's scalar optimizer/vectorizer that §7 delegates to.
 
     A FORALL whose iteration sets are arithmetic progressions, whose
     references all resolve to flat offsets affine in the loop counters,
-    and whose body is real arithmetic, is specialized in two halves:
+    and whose body is arithmetic into a REAL array, runs in two halves:
 
     - {!plan} decides everything value-independent once per statement —
-      eligibility, the operator tree, which references feed which leaves,
-      integer-vs-real division — before the run starts; every rank and
-      every execution under a DO loop shares the one plan;
-    - {!execute} re-derives the affine offsets against the current
-      layouts, scalars and iteration sets, then runs the whole local
-      nest: through strided row strips and fused multiply-update loops
-      when blocked execution is legal (injective store map, self-reads
-      identity or disjoint — gauss's rank-1 update qualifies), otherwise
-      through the canonical-order tree walk.
+      eligibility, the operator tree, which references and scalars feed
+      which leaves, integer-vs-real division — before the run starts;
+      every rank and every execution under a DO loop shares the one plan.
+      Masks, write-back phases, snapshots and non-canonical stores are
+      ineligible here and nowhere else;
+    - {!execute} resolves the reference slots and scalar values once
+      against the current layouts, scalars and iteration sets, then runs
+      the whole local nest as row strips (fused multiply-update loops for
+      gauss's rank-1 body).  Row strips are the only compiled evaluator.
 
-    Anything else (masks, integer stores, indirection, write-back
-    phases) reports failure and falls back to the general interpreter;
-    results are bit-identical on every path (same per-element operations
-    in the same per-element order). *)
+    Strips may run the nest in any order because {!F90d_codegen.Lower}
+    alone decides read/write hazards: [f_snapshot = false] guarantees
+    that every direct read of the left-hand-side array is its identity
+    subscript or provably separated from every write.  The kernel keeps
+    two run-time checks of its own — an injective store map (a
+    many-to-one store is last-writer-wins, the interpreter's order) and a
+    physical-alias guard (an operand other than a direct read of the
+    left-hand-side array sharing the store's storage).  Results are
+    bit-identical to the interpreter: per element, the same operations
+    in the same order. *)
 
 open F90d_frontend
 
@@ -41,8 +47,6 @@ val plan :
     body may read (from declarations), which decides integer vs. real
     division. *)
 
-type outcome = { blocked_loops : int  (** 1 if the nest ran blocked/fused, else 0 *) }
-
 val execute :
   plan ->
   me:int ->
@@ -50,8 +54,11 @@ val execute :
   darr_of:(string -> F90d_runtime.Darray.t) ->
   temp_of:(int -> temp_nd option) ->
   values:int array list ->
-  outcome option
-(** Runs the whole local loop nest if specialization applies; [None]
-    means the caller must interpret.  [values] are this processor's
-    per-variable global index values in nest order.  A scalar whose value
-    is not of the kind the plan assumed also means [None]. *)
+  (unit, F90d_machine.Stats.kernel_fallback) result option
+(** Runs the whole local loop nest.  [None]: the plan is ineligible.
+    [Some (Error why)]: the kernel declined and the caller must
+    interpret the nest.  [values] are this processor's per-variable
+    global index values in nest order, none empty.  A zero divisor is
+    found while the strips run, after earlier strips were stored; the
+    interpreter then reports the division as an error, so those stores
+    are never observed. *)

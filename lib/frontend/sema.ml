@@ -45,7 +45,7 @@ let rec eval_const lookup (e : Ast.expr) =
         | Ast.Add -> Scalar.add
         | Ast.Sub -> Scalar.sub
         | Ast.Mul -> Scalar.mul
-        | Ast.Div -> Scalar.div
+        | Ast.Div -> Scalar.div ~loc:e.Ast.loc
         | Ast.Pow -> Scalar.pow
         | Ast.Eq -> Scalar.cmp_eq
         | Ast.Ne -> Scalar.cmp_ne

@@ -85,7 +85,7 @@ let rec eval st (fvals : (string * int) list) (e : Ast.expr) : Scalar.t =
             | Ast.Add -> Scalar.add
             | Ast.Sub -> Scalar.sub
             | Ast.Mul -> Scalar.mul
-            | Ast.Div -> Scalar.div
+            | Ast.Div -> Scalar.div ~loc:e.Ast.loc
             | Ast.Pow -> Scalar.pow
             | Ast.Eq -> Scalar.cmp_eq
             | Ast.Ne -> Scalar.cmp_ne

@@ -82,10 +82,17 @@ type forall = {
   f_post : post option;
   f_snapshot : bool;
       (** the rhs/mask reads the lhs array through {!Acc_direct} with a
-          subscript differing from the lhs subscript: the loop must read a
-          pre-loop snapshot of the local section, or in-place stores would
-          leak new values into later iterations (FORALL evaluates every
-          rhs before any write) *)
+          subscript that is neither the lhs subscript nor provably
+          separated from every write (one dimension where the lhs has a
+          bare FORALL variable and the read a loop-invariant value outside
+          that variable's range, e.g. gauss's [A(I,J)], [I = 1:K-1],
+          reading [A(K,J)]): the loop must read a pre-loop snapshot of the
+          local section, or in-place stores would leak new values into
+          later iterations (FORALL evaluates every rhs before any write).
+          Decided by [Lower.needs_snapshot] alone.  [false] is a guarantee
+          the node kernel relies on: every direct read of the lhs array is
+          the identity subscript or never reads an element the statement
+          writes, so the iterations may run in any order. *)
 }
 
 (** One communication lifted out of a loop by the hoisting pass, tagged

@@ -3,6 +3,43 @@
    mutable statistics record; [merge] folds the collectors into the
    read-only per-run view the harness and the tests consume. *)
 
+(* Why the node-kernel layer handed a FORALL nest back to the
+   interpreter; see [F90d_exec.Kernel.execute]. *)
+type kernel_fallback =
+  | Not_progression
+  | Scalar_kind
+  | Explicit_layout
+  | Out_of_bounds
+  | Not_injective
+  | Int_store
+  | Missing_temp
+  | Zero_divisor
+  | Storage_alias
+
+(* every reason with its Prometheus label, in declaration order *)
+let reasons =
+  [
+    (Not_progression, "not_progression");
+    (Scalar_kind, "scalar_kind");
+    (Explicit_layout, "explicit_layout");
+    (Out_of_bounds, "out_of_bounds");
+    (Not_injective, "store_not_injective");
+    (Int_store, "integer_store");
+    (Missing_temp, "missing_temporary");
+    (Zero_divisor, "zero_divisor");
+    (Storage_alias, "storage_alias");
+  ]
+
+let kernel_fallback_label why = List.assoc why reasons
+let nreasons = List.length reasons
+
+let reason_index why =
+  let rec go i = function
+    | [] -> assert false
+    | (r, _) :: tl -> if r = why then i else go (i + 1) tl
+  in
+  go 0 reasons
+
 type rank = {
   mutable r_messages : int;
   mutable r_bytes : int;
@@ -12,8 +49,9 @@ type rank = {
   mutable r_sched_builds : int;
   mutable r_sched_hits : int;
   mutable r_kernel_runs : int;
-  mutable r_kernel_fallbacks : int;
-  mutable r_kernel_blocked : int;
+  mutable r_kernel_fallbacks : int array;
+      (* per reason, in [reasons] order; allocated at the
+         first fallback, so ranks that never fall back carry none *)
 }
 
 type t = {
@@ -31,6 +69,7 @@ type t = {
   sched_hits : int;
   kernel_runs : int;
   kernel_fallbacks : int;
+  kernel_fallbacks_by : (kernel_fallback * int) list;
   kernel_blocked : int;
 }
 
@@ -44,8 +83,7 @@ let rank_create () =
     r_sched_builds = 0;
     r_sched_hits = 0;
     r_kernel_runs = 0;
-    r_kernel_fallbacks = 0;
-    r_kernel_blocked = 0;
+    r_kernel_fallbacks = [||];
   }
 
 let record_send ?(tag = 0) r ~bytes =
@@ -59,15 +97,18 @@ let record_wait_hidden r dt = r.r_recv_wait_hidden <- r.r_recv_wait_hidden +. dt
 let record_sched_build r = r.r_sched_builds <- r.r_sched_builds + 1
 let record_sched_hit r = r.r_sched_hits <- r.r_sched_hits + 1
 let record_kernel_run r = r.r_kernel_runs <- r.r_kernel_runs + 1
-let record_kernel_fallback r = r.r_kernel_fallbacks <- r.r_kernel_fallbacks + 1
-let record_kernel_blocked r n = r.r_kernel_blocked <- r.r_kernel_blocked + n
+
+let record_kernel_fallback r why =
+  if r.r_kernel_fallbacks = [||] then r.r_kernel_fallbacks <- Array.make nreasons 0;
+  let i = reason_index why in
+  r.r_kernel_fallbacks.(i) <- r.r_kernel_fallbacks.(i) + 1
 
 let merge ranks =
   let by_tag = Hashtbl.create 16 in
   let messages = ref 0 and bytes = ref 0 and recv_wait = ref 0. in
   let hidden = ref 0. in
   let builds = ref 0 and hits = ref 0 in
-  let kruns = ref 0 and kfalls = ref 0 and kblocked = ref 0 in
+  let kruns = ref 0 and kfalls = Array.make nreasons 0 in
   Array.iter
     (fun r ->
       messages := !messages + r.r_messages;
@@ -77,8 +118,7 @@ let merge ranks =
       builds := !builds + r.r_sched_builds;
       hits := !hits + r.r_sched_hits;
       kruns := !kruns + r.r_kernel_runs;
-      kfalls := !kfalls + r.r_kernel_fallbacks;
-      kblocked := !kblocked + r.r_kernel_blocked;
+      Array.iteri (fun i n -> kfalls.(i) <- kfalls.(i) + n) r.r_kernel_fallbacks;
       Hashtbl.iter
         (fun tag (m, b) ->
           let m0, b0 = Option.value (Hashtbl.find_opt by_tag tag) ~default:(0, 0) in
@@ -96,8 +136,10 @@ let merge ranks =
     sched_builds = !builds;
     sched_hits = !hits;
     kernel_runs = !kruns;
-    kernel_fallbacks = !kfalls;
-    kernel_blocked = !kblocked;
+    kernel_fallbacks = Array.fold_left ( + ) 0 kfalls;
+    kernel_fallbacks_by = List.mapi (fun i (why, _) -> (why, kfalls.(i))) reasons;
+    (* every kernel run executes through row strips *)
+    kernel_blocked = !kruns;
   }
 
 let per_tag t =
@@ -127,22 +169,28 @@ let pp ppf t =
    builds its counter set from this list — adding a field here is the
    single step that adds the family everywhere. *)
 let metric_families t =
+  let row name help v = (name, [], help, v) in
   [
-    ("f90d_sim_messages_total", "simulated messages sent", float_of_int t.messages);
-    ("f90d_sim_bytes_total", "simulated bytes sent", float_of_int t.bytes);
-    ("f90d_sim_recv_wait_seconds_total", "simulated time receivers spent blocked", t.recv_wait);
-    ( "f90d_sim_recv_wait_hidden_seconds_total",
-      "simulated receive latency overlapped with compute by split-phase comms",
-      t.recv_wait_hidden );
-    ("f90d_sched_builds_total", "PARTI inspector schedules built", float_of_int t.sched_builds);
-    ("f90d_sched_hits_total", "PARTI schedule-cache hits", float_of_int t.sched_hits);
-    ("f90d_kernel_runs_total", "FORALL nests executed by the node kernel layer", float_of_int t.kernel_runs);
-    ( "f90d_kernel_fallbacks_total",
-      "FORALL nests that fell back to the tree interpreter",
-      float_of_int t.kernel_fallbacks );
-    ( "f90d_kernel_blocked_loops_total",
-      "kernel nests executed through the blocked/fused fast path",
-      float_of_int t.kernel_blocked );
+    row "f90d_sim_messages_total" "simulated messages sent" (float_of_int t.messages);
+    row "f90d_sim_bytes_total" "simulated bytes sent" (float_of_int t.bytes);
+    row "f90d_sim_recv_wait_seconds_total" "simulated time receivers spent blocked" t.recv_wait;
+    row "f90d_sim_recv_wait_hidden_seconds_total"
+      "simulated receive latency overlapped with compute by split-phase comms" t.recv_wait_hidden;
+    row "f90d_sched_builds_total" "PARTI inspector schedules built" (float_of_int t.sched_builds);
+    row "f90d_sched_hits_total" "PARTI schedule-cache hits" (float_of_int t.sched_hits);
+    row "f90d_kernel_runs_total" "FORALL nests executed by the node kernel layer"
+      (float_of_int t.kernel_runs);
+    row "f90d_kernel_fallbacks_total" "FORALL nests that fell back to the tree interpreter"
+      (float_of_int t.kernel_fallbacks);
+    row "f90d_kernel_blocked_loops_total"
+      "kernel nests executed through the blocked/fused fast path" (float_of_int t.kernel_blocked);
   ]
+  @ List.map
+      (fun (why, n) ->
+        ( "f90d_kernel_fallback_reasons_total",
+          [ ("reason", kernel_fallback_label why) ],
+          "FORALL nests handed back to the tree interpreter, by reason",
+          float_of_int n ))
+      t.kernel_fallbacks_by
 
 let empty = merge [||]

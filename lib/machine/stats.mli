@@ -14,6 +14,24 @@
 type rank
 (** One processor's private statistics collector. *)
 
+(** Why the node-kernel layer handed a FORALL nest back to the
+    interpreter (see [F90d_exec.Kernel.execute]). *)
+type kernel_fallback =
+  | Not_progression  (** an iteration set is not an arithmetic progression *)
+  | Scalar_kind  (** a scalar's value is not of the kind the plan assumed *)
+  | Explicit_layout  (** a dimension's local layout is an explicit index list *)
+  | Out_of_bounds  (** a reference reaches outside the local storage *)
+  | Not_injective  (** several iterations store to one element *)
+  | Int_store  (** the left-hand side is not a REAL array *)
+  | Missing_temp  (** a communication temporary is absent or of another shape *)
+  | Zero_divisor  (** an integer division, MOD or MODULO by zero *)
+  | Storage_alias
+      (** an operand other than a direct read of the left-hand-side array
+          shares the store's storage *)
+
+val kernel_fallback_label : kernel_fallback -> string
+(** The reason's Prometheus label value, e.g. ["store_not_injective"]. *)
+
 type t = {
   messages : int;
   bytes : int;
@@ -30,7 +48,12 @@ type t = {
   sched_hits : int;  (** schedule-cache hits *)
   kernel_runs : int;  (** FORALL nests executed by the node kernel layer *)
   kernel_fallbacks : int;  (** nests the kernel layer handed back to the interpreter *)
-  kernel_blocked : int;  (** nests that went through the blocked/fused fast path *)
+  kernel_fallbacks_by : (kernel_fallback * int) list;
+      (** [kernel_fallbacks] split by reason: every reason, in
+          declaration order, zeros included *)
+  kernel_blocked : int;
+      (** nests that went through row strips — every kernel run does, so
+          this equals [kernel_runs] *)
 }
 
 val rank_create : unit -> rank
@@ -40,12 +63,7 @@ val record_wait_hidden : rank -> float -> unit
 val record_sched_build : rank -> unit
 val record_sched_hit : rank -> unit
 val record_kernel_run : rank -> unit
-val record_kernel_fallback : rank -> unit
-
-val record_kernel_blocked : rank -> int -> unit
-(** Count [n] blocked/fused loop nests (a single kernel run may execute
-    several tiles but counts once, with the nest granularity chosen by
-    the caller). *)
+val record_kernel_fallback : rank -> kernel_fallback -> unit
 
 val merge : rank array -> t
 (** Fold per-processor collectors (indexed by physical rank) into the
@@ -61,14 +79,16 @@ val breakdown : t -> name_of:(int -> string) -> (string * int * int) list
 
 val pp : Format.formatter -> t -> unit
 
-val metric_families : t -> (string * string * float) list
-(** The run's totals as [(Prometheus family name, help, value)] rows —
-    the canonical contract between a finished run and the fleet-metrics
-    layer ([f90d_sim_messages_total], [f90d_sim_bytes_total],
+val metric_families : t -> (string * (string * string) list * string * float) list
+(** The run's totals as [(Prometheus family name, labels, help, value)]
+    rows — the canonical contract between a finished run and the
+    fleet-metrics layer ([f90d_sim_messages_total], [f90d_sim_bytes_total],
     [f90d_sim_recv_wait_seconds_total],
     [f90d_sim_recv_wait_hidden_seconds_total], [f90d_sched_builds_total],
-    [f90d_sched_hits_total]).  Consumers build their counter set from
-    this list, so a new [t] field propagates by adding one row here. *)
+    [f90d_sched_hits_total], the [f90d_kernel_*] counters, and one
+    [f90d_kernel_fallback_reasons_total{reason}] row per fallback
+    reason).  Consumers build their counter set from this list, so a new
+    [t] field propagates by adding one row here. *)
 
 val empty : t
 (** An all-zero totals record ([merge] of no ranks) — the family list of

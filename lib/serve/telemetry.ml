@@ -26,7 +26,8 @@ type t = {
   durations : (string * M.Histogram.t) list;
   runs : M.Counter.t;
   sim_elapsed : M.Counter.t;
-  sim : (string * M.Counter.t) list;  (* family name -> counter *)
+  sim : ((string * (string * string) list) * M.Counter.t) list;
+      (* (family name, labels) -> counter *)
 }
 
 let other_op = "other"
@@ -83,7 +84,11 @@ let create ?(registry = M.create ()) ?cache ?store ~started ~ops () =
     counter ~help:"simulated machine seconds accumulated over all runs"
       "f90d_sim_elapsed_seconds_total"
   in
-  let sim = List.map (fun (name, help, _) -> (name, counter ~help name)) (sim_families ()) in
+  let sim =
+    List.map
+      (fun (name, labels, help, _) -> ((name, labels), counter ~labels ~help name))
+      (sim_families ())
+  in
   cb ~kind:`Gauge ~help:"seconds since the service started" "f90d_uptime_seconds" (fun () ->
       Unix.gettimeofday () -. started);
   cb
@@ -152,8 +157,8 @@ let observe_run t ~elapsed stats =
   M.Counter.inc t.runs;
   M.Counter.inc_float t.sim_elapsed elapsed;
   List.iter
-    (fun (name, _, v) ->
-      match List.assoc_opt name t.sim with
+    (fun (name, labels, _, v) ->
+      match List.assoc_opt (name, labels) t.sim with
       | Some c -> M.Counter.inc_float c v
       | None -> ())
     (F90d_machine.Stats.metric_families stats)

@@ -189,6 +189,34 @@ C$    DISTRIBUTE A(BLOCK)
            true
          with Not_found -> false)
 
+(* An integer division by zero — `/`, MOD or MODULO, in a FORALL body or
+   a scalar statement — is a located error on both execution paths: the
+   kernel hands the nest back and the interpreter reports it. *)
+let test_integer_division_by_zero () =
+  let off = { F90d_opt.Passes.all_on with F90d_opt.Passes.blocked_kernels = false } in
+  List.iter
+    (fun stmt ->
+      let src =
+        Printf.sprintf
+          "      PROGRAM T\n      REAL X(8)\n      INTEGER K, J\nC$    DISTRIBUTE X(BLOCK)\n      K = 0\n%s\n      END\n"
+          stmt
+      in
+      List.iter
+        (fun (mode, flags) ->
+          let name = Printf.sprintf "%s (kernels %s)" (String.trim stmt) mode in
+          match Driver.run ~nprocs:2 (Driver.compile ~flags src) with
+          | _ -> Alcotest.failf "%s ran without an error" name
+          | exception Diag.Error (loc, msg) ->
+              checkb (name ^ ": message") true (msg = "integer division by zero");
+              Alcotest.(check int) (name ^ ": line") 6 loc.Loc.line)
+        [ ("on", F90d_opt.Passes.all_on); ("off", off) ])
+    [
+      "      FORALL (I = 1:8) X(I) = I / K";
+      "      FORALL (I = 1:8) X(I) = MOD(I, K)";
+      "      FORALL (I = 1:8) X(I) = MODULO(I, K) + 1.0";
+      "      J = 7 / K";
+    ]
+
 let test_located_syntax_error () =
   match Driver.compile "PROGRAM T\nX = (1 +\nEND" with
   | _ -> Alcotest.fail "expected syntax error"
@@ -216,5 +244,6 @@ let () =
             test_unknown_function_when_executed;
           Alcotest.test_case "reduction in forall" `Quick test_transformational_in_forall;
           Alcotest.test_case "grid size mismatch" `Quick test_grid_size_mismatch;
+          Alcotest.test_case "integer division by zero" `Quick test_integer_division_by_zero;
         ] );
     ]

@@ -152,6 +152,88 @@ let test_jobs_byte_identity () =
   check_identical "gauss seq vs jobs=4" seq par
 
 (* ------------------------------------------------------------------ *)
+(* Row strips run every kernel nest                                    *)
+(* ------------------------------------------------------------------ *)
+
+let fallbacks_for (stats : F90d_machine.Stats.t) why =
+  List.assoc why stats.F90d_machine.Stats.kernel_fallbacks_by
+
+let test_gauss_all_blocked () =
+  (* N=23 on 4 ranks: every rank owns six columns, so the rows-above
+     update A(I,J) = A(I,J) - F(I)*A(K,J), I = 1:K-1, reads row K inside
+     the flat range it writes.  Lower proved the rows separated, and
+     the kernel trusts that proof: every run goes through row strips *)
+  let r = kernel_on_vs_off ~nprocs:4 "gauss n=23 p=4" (Programs.gauss ~n:23) in
+  let stats = r.Driver.stats in
+  checkb "gauss: kernel ran" true (stats.F90d_machine.Stats.kernel_runs > 0);
+  checki "gauss: every run blocked" stats.F90d_machine.Stats.kernel_runs
+    stats.F90d_machine.Stats.kernel_blocked;
+  checki "gauss: zero fallbacks" 0 stats.F90d_machine.Stats.kernel_fallbacks
+
+let test_many_to_one_store () =
+  (* every J writes X(I): the last writer (J = 8) wins, which only the
+     interpreter's canonical order reproduces, so the nest is handed back
+     once per rank, for its own named reason *)
+  let src =
+    {|
+      PROGRAM M21
+      REAL X(8), Y(8)
+C$    DISTRIBUTE X(BLOCK)
+      FORALL (I = 1:8) Y(I) = I
+      FORALL (I = 1:8, J = 1:8) X(I) = Y(J) + I
+      PRINT *, SUM(X)
+      END
+      |}
+  in
+  let r = kernel_on_vs_off ~nprocs:4 "many-to-one store" src in
+  let stats = r.Driver.stats in
+  Alcotest.(check string) "last writer wins" "100\n"
+    r.Driver.outcome.F90d_exec.Interp.output;
+  checki "one fallback per rank" 4 stats.F90d_machine.Stats.kernel_fallbacks;
+  checki "named store-not-injective" 4 (fallbacks_for stats F90d_machine.Stats.Not_injective);
+  checkb "exposed by reason" true
+    (List.mem
+       ( "f90d_kernel_fallback_reasons_total",
+         [ ("reason", "store_not_injective") ],
+         "FORALL nests handed back to the tree interpreter, by reason",
+         4. )
+       (F90d_machine.Stats.metric_families stats))
+
+let test_strip_node_kinds () =
+  (* single-element nests (1-D and 2-D) run as strips of length one;
+     FORALL counters, integer division and MERGE each have a strip loop
+     of their own, including a counter that is not the strip counter *)
+  let r =
+    kernel_on_vs_off ~nprocs:4 "strip node kinds"
+      {|
+      PROGRAM SK1
+      INTEGER K(12)
+      REAL A(12), B(12), C(6, 5), S
+C$    DISTRIBUTE A(BLOCK)
+C$    ALIGN B(I) WITH A(I)
+C$    ALIGN K(I) WITH A(I)
+C$    DISTRIBUTE C(*, BLOCK)
+      FORALL (I = 1:12) K(I) = 3*I - 17
+      FORALL (I = 1:12) B(I) = 0.25 * I
+      FORALL (I = 5:5) A(I) = 7.5
+      FORALL (I = 1:12) A(I) = I / 5 + K(I) / 4 + 0.5 * (I - 6)
+      FORALL (I = 1:12) B(I) = MERGE(A(I), B(I) - I, K(I) > 0) + MOD(K(I), 3)
+      FORALL (I = 1:6, J = 1:5) C(I, J) = I * 10 + J / 2 + MODULO(K(I), 4)
+      FORALL (I = 3:3, J = 4:4) C(I, J) = -C(I, J) + I / J
+      S = SUM(A) + SUM(B) + SUM(C)
+      PRINT *, S, A(5), C(3, 4)
+      END
+      |}
+  in
+  let stats = r.Driver.stats in
+  checkb "kernel ran" true (stats.F90d_machine.Stats.kernel_runs > 0);
+  checki "every run blocked" stats.F90d_machine.Stats.kernel_runs
+    stats.F90d_machine.Stats.kernel_blocked;
+  checki "only the INTEGER store of K falls back, on each rank" 4
+    (fallbacks_for stats F90d_machine.Stats.Int_store);
+  checki "no other fallback" 4 stats.F90d_machine.Stats.kernel_fallbacks
+
+(* ------------------------------------------------------------------ *)
 (* Per-run prepared program                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -225,6 +307,12 @@ let () =
           Alcotest.test_case "non-unit lower bounds" `Quick test_nonunit_lower_bounds;
           Alcotest.test_case "int/real mix" `Quick test_int_real_mix;
           Alcotest.test_case "seq vs jobs=4 byte identity" `Quick test_jobs_byte_identity;
+        ] );
+      ( "row strips",
+        [
+          Alcotest.test_case "gauss every run blocked" `Quick test_gauss_all_blocked;
+          Alcotest.test_case "many-to-one store falls back" `Quick test_many_to_one_store;
+          Alcotest.test_case "single elements, counters, idiv, merge" `Quick test_strip_node_kinds;
         ] );
       ( "prepared program",
         [
