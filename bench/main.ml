@@ -40,76 +40,16 @@ let section title =
   Printf.printf "%s\n" title;
   Printf.printf "==================================================================\n"
 
-(* ------------------------------------------------------------------ *)
-(* Machine-readable output (--json): a minimal JSON value printer so    *)
-(* perf numbers are trackable across commits without new dependencies.  *)
-(* ------------------------------------------------------------------ *)
+(* Machine-readable output (--json): the serve protocol's codec, which
+   prints floats with %.17g (bit-identity claims survive) and non-finite
+   values as strings, so every file is valid JSON. *)
+module Json = F90d_serve.Json
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let rec emit b indent = function
-    | Null -> Buffer.add_string b "null"
-    | Bool v -> Buffer.add_string b (if v then "true" else "false")
-    | Int i -> Buffer.add_string b (string_of_int i)
-    | Float f ->
-        (* %.17g round-trips doubles, keeping "bit-identical" claims honest *)
-        Buffer.add_string b (Printf.sprintf "%.17g" f)
-    | Str s ->
-        Buffer.add_char b '"';
-        Buffer.add_string b (escape s);
-        Buffer.add_char b '"'
-    | List vs ->
-        let pad = String.make indent ' ' in
-        Buffer.add_string b "[";
-        List.iteri
-          (fun k v ->
-            Buffer.add_string b (if k = 0 then "\n" else ",\n");
-            Buffer.add_string b (pad ^ "  ");
-            emit b (indent + 2) v)
-          vs;
-        if vs <> [] then Buffer.add_string b ("\n" ^ pad);
-        Buffer.add_string b "]"
-    | Obj fields ->
-        let pad = String.make indent ' ' in
-        Buffer.add_string b "{";
-        List.iteri
-          (fun k (key, v) ->
-            Buffer.add_string b (if k = 0 then "\n" else ",\n");
-            Buffer.add_string b (pad ^ "  \"" ^ escape key ^ "\": ");
-            emit b (indent + 2) v)
-          fields;
-        if fields <> [] then Buffer.add_string b ("\n" ^ pad);
-        Buffer.add_string b "}"
-
-  let write path v =
-    let b = Buffer.create 4096 in
-    emit b 0 v;
-    Buffer.add_char b '\n';
-    let oc = open_out path in
-    output_string oc (Buffer.contents b);
-    close_out oc;
-    Printf.printf "\n[wrote %s]\n" path
-end
+let write_json path v =
+  let oc = open_out path in
+  output_string oc (Json.to_string ~pretty:true v ^ "\n");
+  close_out oc;
+  Printf.printf "\n[wrote %s]\n" path
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: Gaussian elimination on 16 nodes, iPSC/860 vs nCUBE/2     *)
@@ -824,21 +764,20 @@ let json_ablation rows =
    them.  The same request list also replays against an in-process
    Service with its own store, so every daemon response can be checked
    byte-for-byte against the one-shot path at equal cache temperature. *)
-module SJ = F90d_serve.Json
 
 let serve_workload () =
   let compile demo demo_n =
-    SJ.Obj
-      [ ("op", SJ.Str "compile"); ("demo", SJ.Str demo); ("demo_n", SJ.Int demo_n) ]
+    Json.Obj
+      [ ("op", Json.Str "compile"); ("demo", Json.Str demo); ("demo_n", Json.Int demo_n) ]
   in
   let run demo demo_n nprocs =
-    SJ.Obj
+    Json.Obj
       [
-        ("op", SJ.Str "run");
-        ("demo", SJ.Str demo);
-        ("demo_n", SJ.Int demo_n);
-        ("nprocs", SJ.Int nprocs);
-        ("finals", SJ.Bool true);
+        ("op", Json.Str "run");
+        ("demo", Json.Str demo);
+        ("demo_n", Json.Int demo_n);
+        ("nprocs", Json.Int nprocs);
+        ("finals", Json.Bool true);
       ]
   in
   (* compile-heavy on purpose: a build service sees many more compile
@@ -851,14 +790,14 @@ let serve_workload () =
 
 type serve_phase = {
   sv_wall : float;
-  sv_responses : SJ.t list;
+  sv_responses : Json.t list;
   sv_sched_builds : int;  (* summed over run responses *)
   sv_sched_hits : int;
   sv_errors : int;
 }
 
 let serve_phase responses wall =
-  let geti resp key = Option.value ~default:0 (Option.bind (SJ.mem resp key) SJ.int) in
+  let geti resp key = Option.value ~default:0 (Option.bind (Json.mem resp key) Json.int) in
   {
     sv_wall = wall;
     sv_responses = responses;
@@ -866,15 +805,15 @@ let serve_phase responses wall =
     sv_sched_hits = List.fold_left (fun a r -> a + geti r "sched_hits") 0 responses;
     sv_errors =
       List.fold_left
-        (fun a r -> a + match SJ.mem r "ok" with Some (SJ.Bool true) -> 0 | _ -> 1)
+        (fun a r -> a + match Json.mem r "ok" with Some (Json.Bool true) -> 0 | _ -> 1)
         0 responses;
   }
 
 type serve_result = {
-  sr_workload : SJ.t list;
+  sr_workload : Json.t list;
   sr_cold : serve_phase;
   sr_warm : serve_phase;
-  sr_stats : SJ.t;  (* daemon stats op, after both passes *)
+  sr_stats : Json.t;  (* daemon stats op, after both passes *)
   sr_metrics_cold : string;  (* exposition scrape after the cold pass *)
   sr_metrics_warm : string;  (* ... and after the warm pass *)
   sr_identical_cold : bool;
@@ -933,7 +872,7 @@ let run_serve () =
               if debug_lat then
                 Printf.printf "%8.3f ms  %s\n%!"
                   ((Unix.gettimeofday () -. r0) *. 1000.)
-                  (String.sub (SJ.to_string req) 0 (min 60 (String.length (SJ.to_string req))));
+                  (String.sub (Json.to_string req) 0 (min 60 (String.length (Json.to_string req))));
               resp)
             workload
         in
@@ -941,17 +880,17 @@ let run_serve () =
   in
   let scrape () =
     F90d_serve.Client.with_conn sock (fun c ->
-        let r = F90d_serve.Client.request c (SJ.Obj [ ("op", SJ.Str "metrics") ]) in
-        Option.value ~default:"" (Option.bind (SJ.mem r "body") SJ.str))
+        let r = F90d_serve.Client.request c (Json.Obj [ ("op", Json.Str "metrics") ]) in
+        Option.value ~default:"" (Option.bind (Json.mem r "body") Json.str))
   in
   let cold = replay () in
   let metrics_cold = scrape () in
   let warm = replay () in
   let metrics_warm = scrape () in
   let stats = F90d_serve.Client.with_conn sock (fun c ->
-      F90d_serve.Client.request c (SJ.Obj [ ("op", SJ.Str "stats") ])) in
+      F90d_serve.Client.request c (Json.Obj [ ("op", Json.Str "stats") ])) in
   F90d_serve.Client.with_conn sock (fun c ->
-      ignore (F90d_serve.Client.request c (SJ.Obj [ ("op", SJ.Str "shutdown") ])));
+      ignore (F90d_serve.Client.request c (Json.Obj [ ("op", Json.Str "shutdown") ])));
   F90d_serve.Server.wait srv;
   (* the one-shot reference: same requests, same order, its own caches *)
   let solo =
@@ -963,8 +902,8 @@ let run_serve () =
     List.for_all2
       (fun req daemon_resp ->
         let solo_resp = F90d_serve.Service.handle solo req in
-        SJ.to_string (F90d_serve.Service.strip_volatile solo_resp)
-        = SJ.to_string (F90d_serve.Service.strip_volatile daemon_resp))
+        Json.to_string (F90d_serve.Service.strip_volatile solo_resp)
+        = Json.to_string (F90d_serve.Service.strip_volatile daemon_resp))
       workload phase.sv_responses
   in
   let identical_cold = identical cold in
@@ -1202,18 +1141,6 @@ let json_hot_statements ?(top = 5) () =
            ])
   |> fun rows -> Json.List rows
 
-(* Convert a serve-protocol JSON value into the bench's own printer type
-   so BENCH_serve.json is emitted with the same pretty-printing as every
-   other bench artifact. *)
-let rec of_sj = function
-  | SJ.Null -> Json.Null
-  | SJ.Bool b -> Json.Bool b
-  | SJ.Int n -> Json.Int n
-  | SJ.Float x -> Json.Float x
-  | SJ.Str s -> Json.Str s
-  | SJ.List l -> Json.List (List.map of_sj l)
-  | SJ.Obj fields -> Json.Obj (List.map (fun (k, v) -> (k, of_sj v)) fields)
-
 let json_serve ~host_wall res =
   let n = List.length res.sr_workload in
   let phase p =
@@ -1242,7 +1169,7 @@ let json_serve ~host_wall res =
   Json.Obj
     (("experiment", Json.Str "serve") :: version_fields
     @ [
-        ("workload", Json.List (List.map of_sj res.sr_workload));
+        ("workload", Json.List res.sr_workload);
         ("cold", phase res.sr_cold);
         ("warm", phase res.sr_warm);
         ( "warm_over_cold",
@@ -1251,7 +1178,7 @@ let json_serve ~host_wall res =
         );
         ("identical_to_oneshot_cold", Json.Bool res.sr_identical_cold);
         ("identical_to_oneshot_warm", Json.Bool res.sr_identical_warm);
-        ("daemon_stats", of_sj res.sr_stats);
+        ("daemon_stats", res.sr_stats);
         ("metrics_cold", scrape res.sr_metrics_cold);
         ("metrics_warm", scrape res.sr_metrics_warm);
         ("metrics_warm_exposition", Json.Str res.sr_metrics_warm);
@@ -1450,7 +1377,7 @@ let () =
       let rows = run_fig5 () in
       fig5 rows;
       Option.iter
-        (fun p -> Json.write p (json_fig5 ~host_wall:(Unix.gettimeofday () -. t0) rows))
+        (fun p -> write_json p (json_fig5 ~host_wall:(Unix.gettimeofday () -. t0) rows))
         !json_path
   | "table4" ->
       let rows = run_table4 ~jobs () in
@@ -1467,7 +1394,7 @@ let () =
       in
       Option.iter
         (fun p ->
-          Json.write p
+          write_json p
             (json_table4 ?ablation ~kernel ~jobs ~host_wall:(Unix.gettimeofday () -. t0) rows))
         !json_path;
       Option.iter (fun p -> table4_trace ~path:p ()) !trace_path;
@@ -1478,7 +1405,7 @@ let () =
       let res = run_serve () in
       serve_table res;
       Option.iter
-        (fun p -> Json.write p (json_serve ~host_wall:(Unix.gettimeofday () -. t0) res))
+        (fun p -> write_json p (json_serve ~host_wall:(Unix.gettimeofday () -. t0) res))
         !json_path
   | "scale" ->
       warn_trace ();
@@ -1488,7 +1415,7 @@ let () =
       scale_table rows depths;
       Option.iter
         (fun p ->
-          Json.write p (json_scale ~jobs ~host_wall:(Unix.gettimeofday () -. t0) rows depths))
+          write_json p (json_scale ~jobs ~host_wall:(Unix.gettimeofday () -. t0) rows depths))
         !json_path
   | "fig6" ->
       warn_json ();

@@ -66,7 +66,7 @@ let run ?(collect_finals = true) ?(model = Model.ideal) ?(topology = Topology.Fu
   let cfg = Engine.config ~model ~topology ~tracing:trace ?poll nprocs in
   (* [grid] and [prepared] are shared by every rank fiber and worker
      domain: built here, before the engine starts, and never mutated *)
-  let prepared = F90d_exec.Interp.prepare compiled.c_ir in
+  let prepared = F90d_exec.Interp.prepare ~grid compiled.c_ir in
   let kernels = compiled.c_flags.F90d_opt.Passes.blocked_kernels in
   let node eng =
     let rctx = Rctx.make ~kernels eng grid in

@@ -6,8 +6,8 @@ type dim = {
   align : Affine.t;
   dist : Distrib.t;
   pdim : int option;
-  mutable ghost_lo : int;
-  mutable ghost_hi : int;
+  ghost_lo : int;
+  ghost_hi : int;
 }
 
 type t = {
@@ -15,28 +15,27 @@ type t = {
   kind : Scalar.kind;
   grid : Grid.t;
   dims : dim array;
-  cache : (int * int, Layout.t) Hashtbl.t;  (* (dim, coord) -> layout *)
-  (* one-entry memo of a whole rank's layouts, one per dimension: almost
-     every query is for the fiber's own rank, and element accesses make
-     one per subscript — the tuple-keyed table above is too slow there *)
-  mutable lr_rank : int;
-  mutable lr_layouts : Layout.t array;
+  layouts : Layout.t array array;
+      (* per dimension, one layout per grid coordinate along its [pdim]
+         (a single entry when the dimension is not distributed) *)
 }
 
 let make ~name ~kind ~grid dims =
-  let seen = Hashtbl.create 4 in
-  Array.iter
-    (fun d ->
+  let used = Array.make (Grid.ndims grid) false in
+  let resolve d =
+    let coords =
       match d.pdim with
-      | None -> ()
+      | None -> 1
       | Some p ->
           if p < 0 || p >= Grid.ndims grid then
             Diag.bug "dad %s: grid dimension %d out of range" name p;
-          if Hashtbl.mem seen p then
-            Diag.bug "dad %s: two dimensions distributed over grid dim %d" name p;
-          Hashtbl.add seen p ())
-    dims;
-  { name; kind; grid; dims; cache = Hashtbl.create 16; lr_rank = -1; lr_layouts = [||] }
+          if used.(p) then Diag.bug "dad %s: two dimensions distributed over grid dim %d" name p;
+          used.(p) <- true;
+          (Grid.dims grid).(p)
+    in
+    Array.init coords (fun proc -> Layout.resolve d.dist ~align:d.align ~extent:d.extent ~proc)
+  in
+  { name; kind; grid; dims; layouts = Array.map resolve dims }
 
 let replicated_dim ~flb ~extent =
   {
@@ -63,6 +62,16 @@ let block_dim ?align ?tn ~flb ~extent ~pdim ~p () =
 let cyclic_dim ?align ?tn ~flb ~extent ~pdim ~p () =
   dist_dim Distrib.Cyclic ?align ?tn ~flb ~extent ~pdim ~p ()
 
+let collapse t ~dim =
+  let at_dim x keep = Array.mapi (fun i y -> if i = dim then x else keep y) in
+  {
+    t with
+    name = t.name ^ "#fold";
+    dims =
+      at_dim (replicated_dim ~flb:1 ~extent:1) (fun d -> { d with ghost_lo = 0; ghost_hi = 0 }) t.dims;
+    layouts = at_dim [| Layout.Prog { first = 0; step = 1; count = 1 } |] Fun.id t.layouts;
+  }
+
 let name t = t.name
 let kind t = t.kind
 let grid t = t.grid
@@ -73,35 +82,10 @@ let global_extents t = Array.map (fun d -> d.extent) t.dims
 let global_size t = Array.fold_left (fun acc d -> acc * d.extent) 1 t.dims
 let elem_bytes t = match t.kind with Scalar.Kreal -> 8 | _ -> 4
 
-(* layouts are queried in every local-bounds computation; memoise them *)
-let layout t ~dim ~coord =
-  let key = (dim, coord) in
-  match Hashtbl.find_opt t.cache key with
-  | Some l -> l
-  | None ->
-      let d = t.dims.(dim) in
-      let l = Layout.resolve d.dist ~align:d.align ~extent:d.extent ~proc:coord in
-      Hashtbl.add t.cache key l;
-      l
-
-let coord_of ~t ~rank dim_idx =
-  let d = t.dims.(dim_idx) in
-  match d.pdim with
-  | None -> 0
-  | Some p -> (Grid.coords_of_rank t.grid rank).(p)
-
-let layouts_at t ~rank =
-  if t.lr_rank = rank then t.lr_layouts
-  else begin
-    let ls =
-      Array.init (Array.length t.dims) (fun dim -> layout t ~dim ~coord:(coord_of ~t ~rank dim))
-    in
-    t.lr_rank <- rank;
-    t.lr_layouts <- ls;
-    ls
-  end
-
-let layout_at t ~dim ~rank = (layouts_at t ~rank).(dim)
+let layout_at t ~dim ~rank =
+  match t.dims.(dim).pdim with
+  | None -> t.layouts.(dim).(0)
+  | Some p -> t.layouts.(dim).(Grid.coord t.grid ~rank ~dim:p)
 
 let local_counts t ~rank =
   Array.mapi (fun i _ -> Layout.count (layout_at t ~dim:i ~rank)) t.dims

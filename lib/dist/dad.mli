@@ -15,14 +15,22 @@ type dim = {
       (** 0-based array index -> 0-based template index *)
   dist : Distrib.t;
   pdim : int option;  (** grid dimension, [None] when replicated/collapsed *)
-  mutable ghost_lo : int;
-  mutable ghost_hi : int;
+  ghost_lo : int;  (** overlap cells below the owned section *)
+  ghost_hi : int;
 }
 
 type t
+(** Immutable: built once per run and shared by every rank and worker
+    domain. *)
 
 val make : name:string -> kind:F90d_base.Scalar.kind -> grid:Grid.t -> dim array -> t
-(** Checks that no two dimensions map to the same grid dimension. *)
+(** Checks that no two dimensions map to the same grid dimension, and
+    resolves every dimension's layout on every grid coordinate up front. *)
+
+val collapse : t -> dim:int -> t
+(** [t] with dimension [dim] collapsed to a single replicated element and
+    no ghost cells, reusing [t]'s resolved layouts for the other
+    dimensions. *)
 
 val name : t -> string
 val kind : t -> F90d_base.Scalar.kind
@@ -61,12 +69,10 @@ val global_extents : t -> int array
 val global_size : t -> int
 val elem_bytes : t -> int
 
-val layout : t -> dim:int -> coord:int -> Layout.t
-(** Owned 0-based array indices of dimension [dim] on grid coordinate
-    [coord] (memoised). *)
-
 val layout_at : t -> dim:int -> rank:int -> Layout.t
-(** Same, taking a grid rank and projecting out the right coordinate. *)
+(** Owned 0-based array indices of dimension [dim] on a grid rank: a
+    lookup in the table [make] built, at the rank's coordinate along the
+    dimension's [pdim]. *)
 
 val local_counts : t -> rank:int -> int array
 (** Owned element counts per dimension on a grid rank. *)

@@ -2,6 +2,7 @@ open F90d_base
 
 type t = {
   dims : int array;
+  strides : int array;  (* rank distance between neighbours along each dimension *)
   phys_of_rank : int array;
   rank_of_phys : int array;
   all : int array;
@@ -25,15 +26,11 @@ let rank_of_coords t coords =
   done;
   !rank
 
+let coord t ~rank ~dim = (rank / t.strides.(dim)) mod t.dims.(dim)
+
 let coords_of_rank t rank =
   if rank < 0 || rank >= size t then Diag.bug "grid: rank %d out of range" rank;
-  let coords = Array.make (ndims t) 0 in
-  let r = ref rank in
-  for d = 0 to ndims t - 1 do
-    coords.(d) <- !r mod t.dims.(d);
-    r := !r / t.dims.(d)
-  done;
-  coords
+  Array.init (ndims t) (fun dim -> coord t ~rank ~dim)
 
 let make ?phys_of_rank dims =
   Array.iter (fun d -> if d < 1 then Diag.bug "grid: dimension extent %d < 1" d) dims;
@@ -46,24 +43,24 @@ let make ?phys_of_rank dims =
       if node < 0 || node >= n || inv.(node) <> -1 then Diag.bug "grid: embedding is not a permutation";
       inv.(node) <- rank)
     phys;
-  let t = { dims; phys_of_rank = phys; rank_of_phys = inv; all = Array.init n Fun.id; lines = [||] } in
-  (* each line is built once, at its first member, and shared by all *)
+  let strides = Array.make (Array.length dims) 1 in
+  for d = 1 to Array.length dims - 1 do
+    strides.(d) <- strides.(d - 1) * dims.(d - 1)
+  done;
+  (* each line is built once, at its first member, and shared by all;
+     ascending ranks meet every line first at its coordinate-0 member *)
   let lines_along dim =
     let lines = Array.make n [||] in
     for rank = 0 to n - 1 do
       if Array.length lines.(rank) = 0 then begin
-        let coords = coords_of_rank t rank in
-        let line =
-          Array.init dims.(dim) (fun c ->
-              coords.(dim) <- c;
-              rank_of_coords t coords)
-        in
+        let line = Array.init dims.(dim) (fun c -> rank + (c * strides.(dim))) in
         Array.iter (fun r -> lines.(r) <- line) line
       end
     done;
     lines
   in
-  { t with lines = Array.init (Array.length dims) lines_along }
+  let lines = Array.init (Array.length dims) lines_along in
+  { dims; strides; phys_of_rank = phys; rank_of_phys = inv; all = Array.init n Fun.id; lines }
 
 let phys_of_rank t rank = t.phys_of_rank.(rank)
 let rank_of_phys t node = t.rank_of_phys.(node)
@@ -72,14 +69,8 @@ let all_ranks t = t.all
 let ranks_along t ~rank ~dim = t.lines.(dim).(rank)
 
 let neighbour t ~rank ~dim ~delta =
-  let coords = coords_of_rank t rank in
-  let c = coords.(dim) + delta in
-  if c < 0 || c >= t.dims.(dim) then None
-  else begin
-    let coords = Array.copy coords in
-    coords.(dim) <- c;
-    Some (rank_of_coords t coords)
-  end
+  let c = coord t ~rank ~dim + delta in
+  if c < 0 || c >= t.dims.(dim) then None else Some (rank + (delta * t.strides.(dim)))
 
 let pp ppf t =
   Format.fprintf ppf "grid(%s)"

@@ -20,6 +20,9 @@ val size : t -> int
 val rank_of_coords : t -> int array -> int
 val coords_of_rank : t -> int -> int array
 
+val coord : t -> rank:int -> dim:int -> int
+(** [(coords_of_rank t rank).(dim)] without allocating. *)
+
 val phys_of_rank : t -> int -> int
 (** φ *)
 

@@ -52,6 +52,7 @@ type prepared_unit = {
   pu_classes : (string, ref_class) Hashtbl.t;
       (** every name a reference may denote; a miss is an unknown name *)
   pu_plans : (int, Kernel.plan) Hashtbl.t;  (** kernel plan of each FORALL, by sid *)
+  pu_dads : (string, Dad.t) Hashtbl.t;  (** every array's DAD, ghost widths applied *)
 }
 
 type prepared = (string * prepared_unit) list  (* main unit first *)
@@ -60,7 +61,6 @@ type ustate = {
   ctx : Rctx.t;
   prog : prepared;
   u : prepared_unit;
-  dads : (string, Dad.t) Hashtbl.t;
   scalars : (string, Scalar.t ref) Hashtbl.t;
   arrays : (string, Darray.t) Hashtbl.t;
   out : Buffer.t;
@@ -92,7 +92,7 @@ type mode = Mscalar | Mloop of frame
 let me st = Rctx.me st.ctx
 
 let dad_of st name =
-  match Hashtbl.find_opt st.dads name with
+  match Hashtbl.find_opt st.u.pu_dads name with
   | Some d -> d
   | None -> Diag.bug "interp: no DAD for '%s'" name
 
@@ -1040,25 +1040,11 @@ let exec_mover st ~target ~(call : Ast.ref_) loc =
     F90d_trace.Trace.span_end tr ~t:(Rctx.time st.ctx)
   end
 
-let instantiate_dads (u : Ir.unit_ir) ~grid =
-  let dads = Hashtbl.create 8 in
-  List.iter (fun (n, d) -> Hashtbl.replace dads n d) (Sema.instantiate u.Ir.u_env ~grid);
-  List.iter
-    (fun (arr, dim, lo, hi) ->
-      match Hashtbl.find_opt dads arr with
-      | Some dad ->
-          let d = (Dad.dims dad).(dim) in
-          d.Dad.ghost_lo <- max d.Dad.ghost_lo lo;
-          d.Dad.ghost_hi <- max d.Dad.ghost_hi hi
-      | None -> ())
-    u.Ir.u_ghosts;
-  dads
-
 (* ------------------------------------------------------------------ *)
 (* Per-run preparation                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let prepare_unit (u : Ir.unit_ir) =
+let prepare_unit ~grid (u : Ir.unit_ir) =
   let env = u.Ir.u_env in
   let classes = Hashtbl.create 64 in
   let add cls names = List.iter (fun n -> Hashtbl.replace classes n cls) names in
@@ -1085,26 +1071,35 @@ let prepare_unit (u : Ir.unit_ir) =
   in
   let plans = Hashtbl.create 16 in
   List.iter (fun (sid, f) -> Hashtbl.replace plans sid (Kernel.plan ~env ~scalar_kind ~f)) !foralls;
-  { pu_ir = u; pu_classes = classes; pu_plans = plans }
+  let dads = Hashtbl.create 8 in
+  List.iter
+    (fun (n, d) -> Hashtbl.replace dads n d)
+    (Sema.instantiate ~ghosts:u.Ir.u_ghosts env ~grid);
+  { pu_ir = u; pu_classes = classes; pu_plans = plans; pu_dads = dads }
 
-let prepare (prog : Ir.program_ir) = List.map (fun (n, u) -> (n, prepare_unit u)) prog.Ir.p_units
+let prepare ~grid (prog : Ir.program_ir) =
+  List.map (fun (n, u) -> (n, prepare_unit ~grid u)) prog.Ir.p_units
 
 let planned_sids (prog : prepared) =
   List.concat_map (fun (_, pu) -> Hashtbl.fold (fun sid _ acc -> sid :: acc) pu.pu_plans []) prog
   |> List.sort compare
 
+(* Local storage only: the DADs are shared, and array dummies are bound
+   by the CALL. *)
 let fresh_ustate st (u : prepared_unit) =
-  let dads = instantiate_dads u.pu_ir ~grid:(Rctx.grid st.ctx) in
   let scalars = Hashtbl.create 16 in
   List.iter
     (fun (n, k) -> Hashtbl.replace scalars n (ref (Scalar.zero (kind_of_decl k))))
     u.pu_ir.Ir.u_env.Sema.uscalars;
   let arrays = Hashtbl.create 8 in
-  Hashtbl.iter (fun n dad -> Hashtbl.replace arrays n (Darray.create st.ctx dad)) dads;
+  let dummies = u.pu_ir.Ir.u_env.Sema.usub.Ast.args in
+  Hashtbl.iter
+    (fun n dad ->
+      if not (List.mem n dummies) then Hashtbl.replace arrays n (Darray.create st.ctx dad))
+    u.pu_dads;
   {
     st with
     u;
-    dads;
     scalars;
     arrays;
     ptemps = Hashtbl.create 8;
@@ -1296,21 +1291,20 @@ and exec_call st ~sid ~loc sub args =
   let backs = ref [] in
   List.iter2
     (fun dummy (actual : Ast.expr) ->
-      match actual.Ast.e with
-      | Ast.Var v when Hashtbl.mem st.arrays v ->
-          let ddad =
-            match Hashtbl.find_opt cst.dads dummy with
-            | Some d -> d
-            | None -> Diag.error "CALL %s: dummy '%s' is not an array" sub dummy
-          in
+      match (Hashtbl.find_opt callee.pu_dads dummy, actual.Ast.e) with
+      | Some ddad, Ast.Var v when Hashtbl.mem st.arrays v ->
           Hashtbl.replace cst.arrays dummy (adopt st (darray_of st v) ddad);
           backs := `Array (dummy, v) :: !backs
-      | Ast.Var v when Hashtbl.mem st.scalars v ->
+      | Some _, _ ->
+          Diag.error ~loc "CALL %s: array dummy '%s' needs a whole-array actual argument" sub dummy
+      | None, Ast.Var v when Hashtbl.mem st.arrays v ->
+          Diag.error ~loc "CALL %s: dummy '%s' is not an array" sub dummy
+      | None, Ast.Var v when Hashtbl.mem st.scalars v ->
           (match Hashtbl.find_opt cst.scalars dummy with
           | Some r -> r := !(Hashtbl.find st.scalars v)
           | None -> Hashtbl.replace cst.scalars dummy (ref !(Hashtbl.find st.scalars v)));
           backs := `Scalar (dummy, v) :: !backs
-      | _ -> (
+      | None, _ -> (
           let v = eval st Mscalar actual in
           match Hashtbl.find_opt cst.scalars dummy with
           | Some r -> r := v
@@ -1350,7 +1344,6 @@ let node_main ?(collect_finals = true) ?(coalesce = false) (prog : prepared) ctx
       ctx;
       prog;
       u = main;
-      dads = Hashtbl.create 1;
       scalars = Hashtbl.create 1;
       arrays = Hashtbl.create 1;
       out = Buffer.create 256;

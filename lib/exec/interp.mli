@@ -21,14 +21,15 @@ val log_src : Logs.src
     with its processor and virtual time ([f90dc --trace]). *)
 
 type prepared
-(** The rank-invariant state of one run: each unit's reference classes
-    and each FORALL's kernel plan.  Built once, before the engine starts,
-    and never mutated afterwards, so every rank fiber and every worker
-    domain can read it without locks. *)
+(** The rank-invariant state of one run: each unit's reference classes,
+    each FORALL's kernel plan and each array's DAD.  Built once, before
+    the engine starts, and never mutated afterwards, so every rank fiber
+    and every worker domain can read it without locks. *)
 
-val prepare : F90d_ir.Ir.program_ir -> prepared
-(** Unknown function or array names are not errors here: they raise their
-    located [Diag] error when, and only if, their statement executes. *)
+val prepare : grid:F90d_dist.Grid.t -> F90d_ir.Ir.program_ir -> prepared
+(** DADs are built over [grid] with the IR's ghost widths.  Unknown
+    function or array names are not errors here: they raise their located
+    [Diag] error when, and only if, their statement executes. *)
 
 val planned_sids : prepared -> int list
 (** The sids that hold a kernel plan, ascending (exposed for tests). *)
@@ -47,11 +48,6 @@ val node_main :
     broadcasts of an unmodified slice — and remote single-element reads
     inside such a slice — locally with zero messages.  The driver sets it
     from the compiled program's pass flags. *)
-
-val instantiate_dads :
-  F90d_ir.Ir.unit_ir -> grid:F90d_dist.Grid.t -> (string, F90d_dist.Dad.t) Hashtbl.t
-(** The unit's DADs over a grid, with ghost widths applied (exposed for
-    tests). *)
 
 val ops_of_expr : Ast.expr -> int * int
 (** Static (flops, iops) estimate per evaluation, used for time charging. *)

@@ -344,12 +344,18 @@ let grid_dims env ~nprocs =
         Diag.error "PROCESSORS grid (%d) does not match the machine size (%d)" total nprocs;
       dims
 
-let instantiate uenv ~grid =
+let instantiate ~ghosts uenv ~grid =
   List.map
     (fun (name, spec) ->
+      let widest dim =
+        List.fold_left
+          (fun (wl, wh) (a, d, lo, hi) ->
+            if a = name && d = dim then (max wl lo, max wh hi) else (wl, wh))
+          (0, 0) ghosts
+      in
       let dims =
-        Array.map
-          (fun sd ->
+        Array.mapi
+          (fun dim sd ->
             let p =
               match sd.spdim with Some pd -> (Grid.dims grid).(pd) | None -> 1
             in
@@ -360,14 +366,15 @@ let instantiate uenv ~grid =
               | Ast.Dcyclic_k k -> Distrib.Block_cyclic k
               | Ast.Dstar -> Distrib.Replicated
             in
+            let ghost_lo, ghost_hi = widest dim in
             {
               Dad.flb = sd.sflb;
               extent = sd.sext;
               align = sd.salign;
               dist = Distrib.make form ~n:sd.stn ~p;
               pdim = sd.spdim;
-              ghost_lo = 0;
-              ghost_hi = 0;
+              ghost_lo;
+              ghost_hi;
             })
           spec.sdims
       in

@@ -44,8 +44,14 @@ val grid_dims : program_env -> nprocs:int -> int array
     machine when the directive is absent.  Errors if the product does not
     equal [nprocs]. *)
 
-val instantiate : unit_env -> grid:F90d_dist.Grid.t -> (string * F90d_dist.Dad.t) list
-(** Build this unit's DADs over a concrete grid. *)
+val instantiate :
+  ghosts:(string * int * int * int) list ->
+  unit_env ->
+  grid:F90d_dist.Grid.t ->
+  (string * F90d_dist.Dad.t) list
+(** Build this unit's DADs over a concrete grid.  [ghosts] lists
+    [(array, dim, lo, hi)] overlap requirements (the IR's [u_ghosts]);
+    each dimension gets the widest [lo] and [hi] asked of it. *)
 
 val array_spec : unit_env -> string -> array_spec option
 val scalar_kind : unit_env -> string -> Ast.kind option

@@ -149,28 +149,7 @@ let reduce_dim ctx op (src : Darray.t) ~dim ~dad =
         | _ -> Diag.bug "reduce_dim: protocol error")
   in
   (* an intermediate descriptor: the source with [dim] collapsed *)
-  let mid_dims =
-    Array.mapi
-      (fun d (sd : Dad.dim) ->
-        if d = dim then Dad.replicated_dim ~flb:1 ~extent:1
-        else
-          {
-            Dad.flb = sd.Dad.flb;
-            extent = sd.Dad.extent;
-            align = sd.Dad.align;
-            dist = sd.Dad.dist;
-            pdim = sd.Dad.pdim;
-            ghost_lo = 0;
-            ghost_hi = 0;
-          })
-      (Dad.dims sdad)
-  in
-  let mid_dad =
-    Dad.make
-      ~name:(Dad.name sdad ^ "#fold")
-      ~kind:(Dad.kind sdad) ~grid:(Dad.grid sdad) mid_dims
-  in
-  let mid = Darray.create ctx mid_dad in
+  let mid = Darray.create ctx (Dad.collapse sdad ~dim) in
   let i = ref 0 in
   Darray.iter_owned mid ~rank:me (fun _ flat ->
       Ndarray.set_flat mid.Darray.local flat (Ndarray.get_flat combined !i);

@@ -37,18 +37,53 @@ let same_report name (seq : Driver.run_result) (par : Driver.run_result) ~finals
         (F90d_base.Ndarray.equal (Driver.final seq arr) (Driver.final par arr)))
     finals
 
-let determinism_case source ~finals () =
+let determinism_case ?(sizes = [ 1; 4; 16 ]) source ~finals () =
   let compiled = Driver.compile source in
   List.iter
     (fun nprocs ->
       let seq = run ~jobs:1 ~nprocs compiled in
       let par = run ~jobs:4 ~nprocs compiled in
       same_report (Printf.sprintf "nprocs=%d" nprocs) seq par ~finals)
-    [ 1; 4; 16 ]
+    sizes
 
 let test_gauss = determinism_case (Programs.gauss ~n:48) ~finals:[ "A" ]
 let test_jacobi = determinism_case (Programs.jacobi ~n:37 ~iters:6) ~finals:[ "U"; "V" ]
 let test_irregular = determinism_case (Programs.irregular ~n:40) ~finals:[ "A"; "C" ]
+
+(* Worker domains share each unit's DADs: ghost-widened descriptors
+   (overlap shifts), a callee's dummy descriptor (the CALL redistributes
+   into it) and the collapsed descriptor SUM(..., DIM) folds through. *)
+let test_shared_dads =
+  determinism_case ~sizes:[ 16 ] ~finals:[ "A"; "B"; "RS" ]
+    {|
+      PROGRAM SHARE
+      INTEGER, PARAMETER :: N = 12
+      REAL A(12, 12), B(12, 12), RS(12), T
+      INTEGER K
+C$    PROCESSORS P(4, 4)
+C$    TEMPLATE TP(12, 12)
+C$    ALIGN A(I, J) WITH TP(I, J)
+C$    ALIGN B(I, J) WITH TP(I, J)
+C$    DISTRIBUTE TP(BLOCK, BLOCK)
+C$    DISTRIBUTE RS(BLOCK)
+      FORALL (I = 1:N, J = 1:N) A(I, J) = MOD(I*5 + J*3, 13)
+      DO K = 1, 2
+        FORALL (I = 2:N-1, J = 2:N-1)
+          B(I, J) = 0.25*(A(I-1, J) + A(I+1, J) + A(I, J-1) + A(I, J+1))
+        END FORALL
+        CALL SMOOTH(B, T)
+        FORALL (I = 2:N-1, J = 2:N-1) A(I, J) = B(I, J) + T
+      END DO
+      RS = SUM(A, 1)
+      END
+
+      SUBROUTINE SMOOTH(X, T)
+      REAL X(12, 12), T
+C$    DISTRIBUTE X(CYCLIC, BLOCK)
+      FORALL (I = 1:12, J = 1:12) X(I, J) = 0.5*X(I, J)
+      T = SUM(X) / 144.0
+      END
+|}
 
 (* ------------------------------------------------------------------ *)
 (* Schedule-cache isolation between consecutive runs                   *)
@@ -173,6 +208,7 @@ let () =
           Alcotest.test_case "gauss" `Quick test_gauss;
           Alcotest.test_case "jacobi (paper section 4)" `Quick test_jacobi;
           Alcotest.test_case "irregular PARTI (paper section 5.3.2)" `Quick test_irregular;
+          Alcotest.test_case "shared DADs on a 4x4 grid" `Quick test_shared_dads;
         ] );
       ( "schedule cache isolation",
         [

@@ -217,6 +217,40 @@ let test_integer_division_by_zero () =
       "      J = 7 / K";
     ]
 
+(* An array dummy bound to anything but a whole array is a located error
+   that names the subroutine and the dummy: neither a silent read of
+   zero-filled storage nor an unrelated undefined-variable error. *)
+let test_array_dummy_non_array_actual () =
+  List.iter
+    (fun actual ->
+      let src =
+        String.concat "\n"
+          [
+            "      PROGRAM T";
+            "      REAL X(8), S";
+            "C$    DISTRIBUTE X(BLOCK)";
+            "      FORALL (I = 1:8) X(I) = I";
+            "      CALL NORM(" ^ actual ^ ", S)";
+            "      PRINT *, S";
+            "      END";
+            "      SUBROUTINE NORM(A, OUT)";
+            "      REAL A(8), OUT";
+            "      REAL SQ(8)";
+            "C$    DISTRIBUTE A(BLOCK)";
+            "C$    ALIGN SQ(I) WITH A(I)";
+            "      FORALL (I = 1:8) SQ(I) = A(I)*A(I)";
+            "      OUT = SQRT(SUM(SQ))";
+            "      END";
+          ]
+      in
+      match Driver.run ~nprocs:2 (Driver.compile src) with
+      | _ -> Alcotest.failf "CALL NORM(%s, S) ran without an error" actual
+      | exception Diag.Error (loc, msg) ->
+          Alcotest.(check string) (actual ^ ": message")
+            "CALL NORM: array dummy 'A' needs a whole-array actual argument" msg;
+          Alcotest.(check int) (actual ^ ": line") 5 loc.Loc.line)
+    [ "2.0"; "X + 1.0" ]
+
 let test_located_syntax_error () =
   match Driver.compile "PROGRAM T\nX = (1 +\nEND" with
   | _ -> Alcotest.fail "expected syntax error"
@@ -245,5 +279,7 @@ let () =
           Alcotest.test_case "reduction in forall" `Quick test_transformational_in_forall;
           Alcotest.test_case "grid size mismatch" `Quick test_grid_size_mismatch;
           Alcotest.test_case "integer division by zero" `Quick test_integer_division_by_zero;
+          Alcotest.test_case "array dummy, non-array actual" `Quick
+            test_array_dummy_non_array_actual;
         ] );
     ]

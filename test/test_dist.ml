@@ -290,9 +290,12 @@ let test_dad_local_global_roundtrip () =
   done
 
 let test_dad_alloc_ghosts () =
-  let dad = mk_dad_2d ~n:8 ~m:8 ~p:2 ~q:2 (`Block, `Block) in
-  (Dad.dims dad).(0).Dad.ghost_lo <- 1;
-  (Dad.dims dad).(0).Dad.ghost_hi <- 2;
+  let grid = Grid.make [| 2; 2 |] in
+  let dim0 = Dad.block_dim ~flb:1 ~extent:8 ~pdim:0 ~p:2 () in
+  let dim1 = Dad.block_dim ~flb:1 ~extent:8 ~pdim:1 ~p:2 () in
+  let dad =
+    Dad.make ~name:"A" ~kind:Scalar.Kreal ~grid [| { dim0 with Dad.ghost_lo = 1; ghost_hi = 2 }; dim1 |]
+  in
   let local = Dad.alloc_local dad ~rank:0 in
   (* dim0: 4 owned + 3 ghost = 7, storage lb = -1 *)
   check "ghost extent" 7 (Ndarray.size local / 4);
@@ -330,6 +333,58 @@ let prop_bounds_partition =
       let expected = if gub < glb then 0 else ((gub - glb) / gst) + 1 in
       total = expected)
 
+(* The table [Dad.make] builds up front must hold exactly what the
+   resolver gives at each rank's own grid coordinate, for every form and
+   alignment (negative strides take the [Explicit] path). *)
+let dad_table_gen =
+  QCheck.Gen.(
+    let dim_gen =
+      let* fi = int_range 0 3 in
+      let* k = int_range 1 3 in
+      let* ai = int_range 0 2 in
+      let* extent = int_range 1 20 in
+      return (fi, k, ai, extent)
+    in
+    let* two_d = bool in
+    let* p = int_range 1 5 in
+    let* q = int_range 1 4 in
+    let* d0 = dim_gen in
+    let* d1 = dim_gen in
+    return ((if two_d then [| p; q |] else [| p |]), d0, d1))
+
+let prop_dad_table_matches_resolve =
+  QCheck.Test.make ~name:"DAD layout table = Layout.resolve at each rank's coordinate" ~count:500
+    (QCheck.make dad_table_gen)
+    (fun (gdims, d0, d1) ->
+      let grid = Grid.make gdims in
+      let mk (fi, k, ai, extent) pdim =
+        let form =
+          List.nth Distrib.[ Block; Cyclic; Block_cyclic k; Replicated ] fi
+        in
+        let align =
+          List.nth [ Affine.ident; Affine.make ~a:2 ~b:0; Affine.make ~a:(-1) ~b:(extent - 1) ] ai
+        in
+        match pdim with
+        | Some pd when form <> Distrib.Replicated ->
+            let tn = max (Affine.eval align 0) (Affine.eval align (extent - 1)) + 1 in
+            let dist = Distrib.make form ~n:tn ~p:gdims.(pd) in
+            { Dad.flb = 1; extent; align; dist; pdim; ghost_lo = 0; ghost_hi = 0 }
+        | _ -> Dad.replicated_dim ~flb:1 ~extent
+      in
+      let dims = [| mk d0 (Some 0); mk d1 (if Array.length gdims = 2 then Some 1 else None) |] in
+      let dad = Dad.make ~name:"T" ~kind:Scalar.Kreal ~grid dims in
+      List.for_all
+        (fun rank ->
+          let coords = Grid.coords_of_rank grid rank in
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun dim (d : Dad.dim) ->
+                 let proc = match d.Dad.pdim with Some p -> coords.(p) | None -> 0 in
+                 Dad.layout_at dad ~dim ~rank
+                 = Layout.resolve d.Dad.dist ~align:d.Dad.align ~extent:d.Dad.extent ~proc)
+               dims))
+        (Util.range 0 (Grid.size grid - 1)))
+
 let test_global_of_local_index () =
   let dad = mk_dad_2d ~n:10 ~m:10 ~p:2 ~q:1 (`Cyclic, `Repl) in
   let rank1 = Grid.rank_of_coords (Dad.grid dad) [| 1; 0 |] in
@@ -353,6 +408,7 @@ let qsuite =
       prop_set_bound_matches_brute;
       prop_set_bound_partitions;
       prop_bounds_partition;
+      prop_dad_table_matches_resolve;
     ]
 
 let () =

@@ -286,9 +286,14 @@ C$    DISTRIBUTE TT(BLOCK, CYCLIC)
   | _ -> Alcotest.fail "expected grid size mismatch error"
   | exception Diag.Error _ -> ());
   let grid = F90d_dist.Grid.make [| 2; 3 |] in
-  let dads = Sema.instantiate (Sema.main_env penv) ~grid in
+  (* each dimension takes the widest overlap asked of it *)
+  let ghosts = [ ("A", 0, 1, 2); ("A", 0, 2, 0) ] in
+  let dads = Sema.instantiate ~ghosts (Sema.main_env penv) ~grid in
   let dad = List.assoc "A" dads in
   let dims = F90d_dist.Dad.dims dad in
+  checkb "ghost widths" true
+    (dims.(0).F90d_dist.Dad.ghost_lo = 2 && dims.(0).F90d_dist.Dad.ghost_hi = 2
+    && dims.(1).F90d_dist.Dad.ghost_lo = 0 && dims.(1).F90d_dist.Dad.ghost_hi = 0);
   checkb "dim1 block" true (dims.(0).F90d_dist.Dad.dist.F90d_dist.Distrib.form = F90d_dist.Distrib.Block);
   checkb "dim2 cyclic" true (dims.(1).F90d_dist.Dad.dist.F90d_dist.Distrib.form = F90d_dist.Distrib.Cyclic);
   checkb "pdims" true (dims.(0).F90d_dist.Dad.pdim = Some 0 && dims.(1).F90d_dist.Dad.pdim = Some 1)

@@ -281,7 +281,8 @@ let test_one_plan_per_forall () =
   let sids = List.sort compare !sids in
   checki "FORALL count" 6 (List.length sids);
   Alcotest.(check (list int)) "one plan per FORALL sid" sids
-    (F90d_exec.Interp.planned_sids (F90d_exec.Interp.prepare ir))
+    (F90d_exec.Interp.planned_sids
+       (F90d_exec.Interp.prepare ~grid:(F90d_dist.Grid.make [| 4 |]) ir))
 
 let test_planned_scalar_kinds () =
   (* plans take scalar kinds from declarations: the DO index K divides as

@@ -36,6 +36,13 @@ let dad2 ?(name = "M") ~n ~m ~p ~q ~forms () =
   in
   Dad.make ~name ~kind:Scalar.Kreal ~grid [| mk f1 ~extent:n ~pdim:0 ~np:p; mk f2 ~extent:m ~pdim:1 ~np:q |]
 
+(* [dad] rebuilt with overlap cells on dimension [dim] *)
+let with_ghosts dad ~dim ~lo ~hi =
+  Dad.make ~name:(Dad.name dad) ~kind:(Dad.kind dad) ~grid:(Dad.grid dad)
+    (Array.mapi
+       (fun i d -> if i = dim then { d with Dad.ghost_lo = lo; ghost_hi = hi } else d)
+       (Dad.dims dad))
+
 let init1 g = Scalar.Real (float_of_int (10 * g.(0)))
 let init2 g = Scalar.Real (float_of_int ((100 * g.(0)) + g.(1)))
 
@@ -440,9 +447,7 @@ let test_transfer_slab () =
     (Array.to_list (results r))
 
 let test_overlap_shift () =
-  let dad = dad1 ~n:12 ~p:3 () in
-  (Dad.dims dad).(0).Dad.ghost_hi <- 1;
-  (Dad.dims dad).(0).Dad.ghost_lo <- 1;
+  let dad = with_ghosts (dad1 ~n:12 ~p:3 ()) ~dim:0 ~lo:1 ~hi:1 in
   let r =
     run_grid [| 3 |] (fun ctx ->
         let a = Darray.init_global ctx dad init1 in
@@ -464,9 +469,7 @@ let test_overlap_shift () =
 let test_overlap_shift_2d () =
   (* the non-shifted dimension must anchor at the owned origin, not the
      ghost corner (regression for a 2-D stencil bug) *)
-  let dad = dad2 ~n:4 ~m:6 ~p:1 ~q:3 ~forms:(`Repl, `Block) () in
-  (Dad.dims dad).(1).Dad.ghost_lo <- 1;
-  (Dad.dims dad).(1).Dad.ghost_hi <- 1;
+  let dad = with_ghosts (dad2 ~n:4 ~m:6 ~p:1 ~q:3 ~forms:(`Repl, `Block) ()) ~dim:1 ~lo:1 ~hi:1 in
   let r =
     run_grid [| 1; 3 |] (fun ctx ->
         let a = Darray.init_global ctx dad init2 in
