@@ -43,6 +43,18 @@ let classify_ref env ~vars (r : Ast.ref_) =
   List.map (Subscript.classify ~vars ~is_const:lookup ~is_int_array) (subscript_exprs r)
   |> Array.of_list
 
+(* Whether a subscript of [r] reads a distributed array.  Under an even
+   iteration partition such a read goes through this rank's inspector
+   temporary, which covers no other rank's iterations: the reference's
+   needs (or writes) are then not locally computable for a peer. *)
+let reads_distributed env (r : Ast.ref_) =
+  List.exists
+    (fun (ri : Ast.ref_) ->
+      match Sema.array_spec env ri.Ast.base with
+      | Some spec -> Sema.is_distributed spec
+      | None -> false)
+    (List.concat_map Ast.refs_of (subscript_exprs r))
+
 (* Can structured/local access share local indices between two dimensions?
    Requires the same template extent, alignment and distribution. *)
 let layouts_match (a : Sema.sdim) (b : Sema.sdim) =
@@ -83,6 +95,7 @@ let analyze_forall env ~vars ~mask ~lhs ~rhs =
   let lhs_classes = classify_ref env ~vars:var_names lhs_ref in
   (* ----- left-hand side ----- *)
   let lhs_distributed = Sema.is_distributed lhs_spec in
+  let postcomp_demoted = ref false in
   let lhs_kind =
     if not lhs_distributed then Lhs_replicated
     else begin
@@ -98,7 +111,12 @@ let analyze_forall env ~vars ~mask ~lhs ~rhs =
             | Subscript.Vector _ | Subscript.Unknown -> vector_write := true)
         lhs_classes;
       if !vector_write then Lhs_scatter
-      else if !bad_structured then Lhs_postcomp
+      else if !bad_structured then
+        if reads_distributed env lhs_ref then begin
+          postcomp_demoted := true;
+          Lhs_scatter
+        end
+        else Lhs_postcomp
       else begin
         let guards = ref [] in
         let var_dims =
@@ -130,6 +148,9 @@ let analyze_forall env ~vars ~mask ~lhs ~rhs =
     | Lhs_replicated ->
         Printf.sprintf "'%s' is not distributed: computation replicated on every processor"
           lhs_ref.Ast.base
+    | Lhs_scatter when !postcomp_demoted ->
+        "non-canonical subscript reading a distributed array: its writes are not locally \
+         computable, scatter write (Table 2, §4 case 4)"
     | Lhs_scatter ->
         "vector-valued subscript on a distributed lhs dimension: scatter write \
          (Table 2, §4 case 4)"
@@ -179,15 +200,20 @@ let analyze_forall env ~vars ~mask ~lhs ~rhs =
         end
         else if even_iteration then begin
           let classes = classify_ref env ~vars:var_names r in
-          let vectorish =
+          let vector =
             Array.exists
               (function Subscript.Vector _ | Subscript.Unknown -> true | _ -> false)
               classes
           in
-          if vectorish then
+          let vectorish = vector || reads_distributed env r in
+          if vector then
             say
               "iterations evenly partitioned (non-canonical lhs) and subscript is \
                vector-valued: gather (Table 2)"
+          else if vectorish then
+            say
+              "iterations evenly partitioned (non-canonical lhs) and a subscript reads a \
+               distributed array: gather (Table 2)"
           else
             say
               "iterations evenly partitioned (non-canonical lhs): nothing aligns with the \

@@ -18,7 +18,41 @@ type t = {
   layouts : Layout.t array array;
       (* per dimension, one layout per grid coordinate along its [pdim]
          (a single entry when the dimension is not distributed) *)
+  extents : int array array;
+      (* indexed like [layouts]: the storage extent, owned count plus
+         ghost cells *)
+  rstrides : int array;
+      (* per dimension, the grid-rank stride of its [pdim]; 0 when not
+         distributed *)
+  replicas : int array;
+      (* rank offsets from the home rank of every copy of an element:
+         grid dimensions no array dimension maps to replicate it *)
 }
+
+(* The lookup tables derived from resolved layouts. *)
+let with_layouts ~name ~kind ~grid dims layouts =
+  let extents =
+    Array.mapi
+      (fun i lays -> Array.map (fun l -> Layout.count l + dims.(i).ghost_lo + dims.(i).ghost_hi) lays)
+      layouts
+  in
+  let rstrides =
+    Array.map (fun d -> match d.pdim with None -> 0 | Some p -> Grid.stride grid ~dim:p) dims
+  in
+  let used = Array.make (Grid.ndims grid) false in
+  Array.iter (fun d -> Option.iter (fun p -> used.(p) <- true) d.pdim) dims;
+  (* the first unused grid dimension varies slowest *)
+  let replicas = ref [| 0 |] in
+  Array.iteri
+    (fun p n ->
+      if not used.(p) then
+        replicas :=
+          Array.concat
+            (List.map
+               (fun o -> Array.init n (fun c -> o + (c * Grid.stride grid ~dim:p)))
+               (Array.to_list !replicas)))
+    (Grid.dims grid);
+  { name; kind; grid; dims; layouts; extents; rstrides; replicas = !replicas }
 
 let make ~name ~kind ~grid dims =
   let used = Array.make (Grid.ndims grid) false in
@@ -35,7 +69,7 @@ let make ~name ~kind ~grid dims =
     in
     Array.init coords (fun proc -> Layout.resolve d.dist ~align:d.align ~extent:d.extent ~proc)
   in
-  { name; kind; grid; dims; layouts = Array.map resolve dims }
+  with_layouts ~name ~kind ~grid dims (Array.map resolve dims)
 
 let replicated_dim ~flb ~extent =
   {
@@ -64,13 +98,9 @@ let cyclic_dim ?align ?tn ~flb ~extent ~pdim ~p () =
 
 let collapse t ~dim =
   let at_dim x keep = Array.mapi (fun i y -> if i = dim then x else keep y) in
-  {
-    t with
-    name = t.name ^ "#fold";
-    dims =
-      at_dim (replicated_dim ~flb:1 ~extent:1) (fun d -> { d with ghost_lo = 0; ghost_hi = 0 }) t.dims;
-    layouts = at_dim [| Layout.Prog { first = 0; step = 1; count = 1 } |] Fun.id t.layouts;
-  }
+  with_layouts ~name:(t.name ^ "#fold") ~kind:t.kind ~grid:t.grid
+    (at_dim (replicated_dim ~flb:1 ~extent:1) (fun d -> { d with ghost_lo = 0; ghost_hi = 0 }) t.dims)
+    (at_dim [| Layout.Prog { first = 0; step = 1; count = 1 } |] Fun.id t.layouts)
 
 let name t = t.name
 let kind t = t.kind
@@ -82,10 +112,11 @@ let global_extents t = Array.map (fun d -> d.extent) t.dims
 let global_size t = Array.fold_left (fun acc d -> acc * d.extent) 1 t.dims
 let elem_bytes t = match t.kind with Scalar.Kreal -> 8 | _ -> 4
 
-let layout_at t ~dim ~rank =
-  match t.dims.(dim).pdim with
-  | None -> t.layouts.(dim).(0)
-  | Some p -> t.layouts.(dim).(Grid.coord t.grid ~rank ~dim:p)
+(* Index into a per-coordinate table of dimension [dim] for a grid rank. *)
+let coord_at t dim ~rank =
+  match t.dims.(dim).pdim with None -> 0 | Some p -> Grid.coord t.grid ~rank ~dim:p
+
+let layout_at t ~dim ~rank = t.layouts.(dim).(coord_at t dim ~rank)
 
 let local_counts t ~rank =
   Array.mapi (fun i _ -> Layout.count (layout_at t ~dim:i ~rank)) t.dims
@@ -100,41 +131,47 @@ let alloc_local t ~rank =
 
 let zero_based t idx = Array.mapi (fun i g -> g - t.dims.(i).flb) idx
 
-let owner_coords t idx =
-  let coords = Array.make (Grid.ndims t.grid) 0 in
-  Array.iteri
-    (fun i d ->
-      match d.pdim with
-      | None -> ()
-      | Some p ->
-          let a0 = idx.(i) - d.flb in
-          coords.(p) <- Distrib.owner d.dist (Affine.eval d.align a0))
-    t.dims;
-  coords
+(* 0-based index of a Fortran subscript, range-checked against the
+   declaration: everything downstream indexes tables with it. *)
+let checked_a0 t dim g =
+  let d = t.dims.(dim) in
+  let a0 = g - d.flb in
+  if a0 < 0 || a0 >= d.extent then
+    Diag.error "index %d of %s dim %d is outside the declared bounds %d:%d" g t.name (dim + 1)
+      d.flb (d.flb + d.extent - 1);
+  a0
 
-let home_rank t idx = Grid.rank_of_coords t.grid (owner_coords t idx)
+(* Grid coordinate along [pdim] owning 0-based index [a0] of a dimension. *)
+let owner_coord d a0 =
+  match d.pdim with None -> 0 | Some _ -> Distrib.owner d.dist (Affine.eval d.align a0)
+
+let home_rank t idx =
+  let home = ref 0 in
+  for i = 0 to Array.length t.dims - 1 do
+    home := !home + (owner_coord t.dims.(i) (checked_a0 t i idx.(i)) * t.rstrides.(i))
+  done;
+  !home
 
 let owning_ranks t idx =
-  let base = owner_coords t idx in
-  (* grid dims not used by this array replicate the element *)
-  let used = Array.make (Grid.ndims t.grid) false in
-  Array.iter (fun d -> match d.pdim with Some p -> used.(p) <- true | None -> ()) t.dims;
-  let rec expand dim acc =
-    if dim >= Grid.ndims t.grid then List.map (Grid.rank_of_coords t.grid) acc
-    else if used.(dim) then expand (dim + 1) acc
-    else
-      let acc =
-        List.concat_map
-          (fun coords ->
-            List.init (Grid.dims t.grid).(dim) (fun c ->
-                let coords = Array.copy coords in
-                coords.(dim) <- c;
-                coords))
-          acc
-      in
-      expand (dim + 1) acc
-  in
-  expand 0 [ base ]
+  let home = home_rank t idx in
+  Array.to_list (Array.map (fun o -> home + o) t.replicas)
+
+let copies t = Array.length t.replicas
+
+let locate t idx ~every_owner ~owners ~flats ~at =
+  let home = ref 0 and off = ref 0 and stride = ref 1 in
+  for i = 0 to Array.length t.dims - 1 do
+    let d = t.dims.(i) in
+    let a0 = checked_a0 t i idx.(i) in
+    let c = owner_coord d a0 in
+    home := !home + (c * t.rstrides.(i));
+    off := !off + ((Layout.local_of_global t.layouts.(i).(c) a0 + d.ghost_lo) * !stride);
+    stride := !stride * t.extents.(i).(c)
+  done;
+  for j = 0 to (if every_owner then Array.length t.replicas else 1) - 1 do
+    owners.(at + j) <- !home + t.replicas.(j);
+    flats.(at + j) <- !off
+  done
 
 let is_local t ~rank idx =
   let rec go i =
@@ -165,17 +202,15 @@ let global_of_local t ~rank lidx =
     lidx
 
 let storage_flat t ~rank lidx =
-  let counts = local_counts t ~rank in
   let off = ref 0 and stride = ref 1 in
-  Array.iteri
-    (fun d c ->
-      let ghost_lo = t.dims.(d).ghost_lo and ghost_hi = t.dims.(d).ghost_hi in
-      let pos = lidx.(d) + ghost_lo in
-      if pos < 0 || pos >= c + ghost_lo + ghost_hi then
-        Diag.bug "dad %s: local index %d out of storage in dim %d" t.name lidx.(d) (d + 1);
-      off := !off + (pos * !stride);
-      stride := !stride * (c + ghost_lo + ghost_hi))
-    counts;
+  for d = 0 to Array.length t.dims - 1 do
+    let ext = t.extents.(d).(coord_at t d ~rank) in
+    let pos = lidx.(d) + t.dims.(d).ghost_lo in
+    if pos < 0 || pos >= ext then
+      Diag.bug "dad %s: local index %d out of storage in dim %d" t.name lidx.(d) (d + 1);
+    off := !off + (pos * !stride);
+    stride := !stride * ext
+  done;
   !off
 
 let iter_local t ~rank f =

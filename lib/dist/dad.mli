@@ -82,14 +82,31 @@ val alloc_local : t -> rank:int -> F90d_base.Ndarray.t
     bound of each dimension is [-ghost_lo] so owned local indices start
     at 0. *)
 
-val owner_coords : t -> int array -> int array
-(** Grid coordinates owning a global (Fortran-indexed) element; grid
-    dimensions the array is not distributed over get coordinate 0. *)
-
 val home_rank : t -> int array -> int
+(** The rank owning a global (Fortran-indexed) element, at coordinate 0
+    along grid dimensions the array is not distributed over; does not
+    allocate.  Like every function here that maps a global element to
+    its owner, it raises a [Diag] error naming the array, the index and
+    the declared bounds when a subscript is outside the declaration. *)
+
 val owning_ranks : t -> int array -> int list
 (** Every rank holding the element (several when replicated along unused
-    grid dimensions). *)
+    grid dimensions): the home rank first, the first unused grid
+    dimension varying slowest. *)
+
+val copies : t -> int
+(** How many ranks hold each element: [List.length (owning_ranks t g)]
+    for every [g]. *)
+
+val locate :
+  t -> int array -> every_owner:bool -> owners:int array -> flats:int array -> at:int -> unit
+(** [locate t g ~every_owner ~owners ~flats ~at] writes the home rank of
+    global element [g] to [owners.(at)] and the element's storage flat on
+    it to [flats.(at)].  With [every_owner] it writes all {!copies}
+    entries instead, [at + j] for the [j]th rank of {!owning_ranks} (the
+    flat is equal on every copy): a write must land on each copy, a read
+    needs one.  Table lookups only, with no allocation: the inspector's
+    per-element mapping. *)
 
 val is_local : t -> rank:int -> int array -> bool
 

@@ -1,7 +1,7 @@
 open F90d_base
 
 type form = Block | Cyclic | Block_cyclic of int | Replicated
-type t = { n : int; p : int; form : form }
+type t = { n : int; p : int; form : form; chunk : int }
 
 let make form ~n ~p =
   if n < 0 then Diag.bug "distrib: negative extent %d" n;
@@ -9,7 +9,7 @@ let make form ~n ~p =
   (match form with
   | Block_cyclic k when k < 1 -> Diag.bug "distrib: CYCLIC(%d) block size < 1" k
   | _ -> ());
-  { n; p; form }
+  { n; p; form; chunk = (if n = 0 then 1 else Util.ceil_div n p) }
 
 let form_name = function
   | Block -> "BLOCK"
@@ -19,13 +19,13 @@ let form_name = function
 
 let pp ppf t = Format.fprintf ppf "%s[n=%d,p=%d]" (form_name t.form) t.n t.p
 
-let chunk t = if t.n = 0 then 1 else Util.ceil_div t.n t.p
+let chunk t = t.chunk
 
 let owner t g =
   if g < 0 || g >= t.n then Diag.bug "distrib: index %d outside [0,%d)" g t.n;
   match t.form with
   | Replicated -> 0
-  | Block -> g / chunk t
+  | Block -> g / t.chunk
   | Cyclic -> g mod t.p
   | Block_cyclic k -> g / k mod t.p
 

@@ -10,7 +10,8 @@
 
 type form = Block | Cyclic | Block_cyclic of int | Replicated
 
-type t = { n : int; p : int; form : form }
+type t = private { n : int; p : int; form : form; chunk : int }
+(** Built by {!make} only: [chunk] is derived from [n] and [p]. *)
 
 val make : form -> n:int -> p:int -> t
 (** Validates [n >= 0], [p >= 1], [k >= 1]. *)

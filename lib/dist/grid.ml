@@ -27,6 +27,7 @@ let rank_of_coords t coords =
   !rank
 
 let coord t ~rank ~dim = (rank / t.strides.(dim)) mod t.dims.(dim)
+let stride t ~dim = t.strides.(dim)
 
 let coords_of_rank t rank =
   if rank < 0 || rank >= size t then Diag.bug "grid: rank %d out of range" rank;

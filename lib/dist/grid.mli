@@ -23,6 +23,9 @@ val coords_of_rank : t -> int -> int array
 val coord : t -> rank:int -> dim:int -> int
 (** [(coords_of_rank t rank).(dim)] without allocating. *)
 
+val stride : t -> dim:int -> int
+(** Rank distance between neighbours along [dim]. *)
+
 val phys_of_rank : t -> int -> int
 (** φ *)
 

@@ -57,34 +57,34 @@ let resolve (d : Distrib.t) ~align ~extent ~proc =
   | Distrib.Cyclic when align.a > 0 -> resolve_cyclic d align extent proc
   | Distrib.Cyclic | Distrib.Block_cyclic _ -> resolve_explicit d align extent proc
 
+(* Position of [g] in the ascending array [a], or -1. *)
+let rec bisect a g lo hi =
+  if lo > hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    if a.(mid) = g then mid else if a.(mid) < g then bisect a g (mid + 1) hi else bisect a g lo (mid - 1)
+
 let is_owned t g =
   match t with
   | Prog { first; step; count } ->
       g >= first && (g - first) mod step = 0 && (g - first) / step < count
-  | Explicit a ->
-      let rec bisect lo hi =
-        if lo > hi then false
-        else
-          let mid = (lo + hi) / 2 in
-          if a.(mid) = g then true else if a.(mid) < g then bisect (mid + 1) hi else bisect lo (mid - 1)
-      in
-      bisect 0 (Array.length a - 1)
+  | Explicit a -> bisect a g 0 (Array.length a - 1) >= 0
 
 let local_of_global t g =
   match t with
+  | Prog { first; step = 1; count } ->
+      let l = g - first in
+      if l < 0 || l >= count then Diag.bug "layout: global index %d not owned" g;
+      l
   | Prog { first; step; count } ->
       let l = (g - first) / step in
       if g < first || (g - first) mod step <> 0 || l >= count then
         Diag.bug "layout: global index %d not owned" g;
       l
   | Explicit a ->
-      let rec bisect lo hi =
-        if lo > hi then Diag.bug "layout: global index %d not owned" g
-        else
-          let mid = (lo + hi) / 2 in
-          if a.(mid) = g then mid else if a.(mid) < g then bisect (mid + 1) hi else bisect lo (mid - 1)
-      in
-      bisect 0 (Array.length a - 1)
+      let l = bisect a g 0 (Array.length a - 1) in
+      if l < 0 then Diag.bug "layout: global index %d not owned" g;
+      l
 
 let global_of_local t l =
   match t with

@@ -52,6 +52,9 @@ type prepared_unit = {
   pu_classes : (string, ref_class) Hashtbl.t;
       (** every name a reference may denote; a miss is an unknown name *)
   pu_plans : (int, Kernel.plan) Hashtbl.t;  (** kernel plan of each FORALL, by sid *)
+  pu_index : (int * int, (Ast.expr * Kernel.index_plan) array) Hashtbl.t;
+      (** each inspected reference's subscripts and how the inspector
+          evaluates them, by (FORALL sid, reference id) *)
   pu_dads : (string, Dad.t) Hashtbl.t;  (** every array's DAD, ghost widths applied *)
 }
 
@@ -84,7 +87,7 @@ type frame = {
       (** pre-loop copy of the lhs local section: Acc_direct reads of the
           lhs array go here when the FORALL also writes it in place
           ([Ir.f_snapshot]), preserving evaluate-before-write semantics *)
-  mutable counter : int;
+  counter : int;  (** the iteration's position in the rank's space *)
 }
 
 type mode = Mscalar | Mloop of frame
@@ -421,122 +424,61 @@ and eval_transformational st mode loc (r : Ast.ref_) =
 (* Global values of each FORALL variable for [rank], in nest order.
    Returns None when the rank is masked out by a guard. *)
 let iteration_values st (f : Ir.forall) ~ranges ~guard_vals ~rank =
-  let full (lo, hi, stp) =
-    if stp = 0 then Diag.error "zero FORALL stride";
-    let n =
-      if stp > 0 then max 0 (((hi - lo) / stp) + 1) else max 0 (((lo - hi) / -stp) + 1)
-    in
-    Array.init n (fun k -> lo + (k * stp))
-  in
   match f.Ir.f_iter with
-  | Ir.It_replicated -> Some (List.map full ranges)
+  | Ir.It_replicated -> Some (Inspector.replicated ranges)
   | Ir.It_canonical { var_dims; guards } ->
-      let dad = dad_of st f.Ir.f_lhs.Ast.base in
-      (* constant-subscript dimensions mask processors that do not own them *)
-      let guard_ok =
-        List.for_all2
-          (fun (dim, _) gval -> Bounds.local_of_global_index dad ~dim ~rank gval <> None)
-          guards guard_vals
-      in
-      if not guard_ok then None
-      else
-        Some
-          (List.map2
-             (fun (_, dim_opt) (lo, hi, stp) ->
-               match dim_opt with
-               | None -> full (lo, hi, stp)
-               | Some dim -> (
-                   match Bounds.set_bound dad ~dim ~rank ~glb:lo ~gub:hi ~gst:stp with
-                   | None -> [||]
-                   | Some { Bounds.llb; lub; lst } ->
-                       let n = if lub < llb then 0 else ((lub - llb) / lst) + 1 in
-                       (* resolve the layout once, not per index *)
-                       let layout = Dad.layout_at dad ~dim ~rank in
-                       let flb = (Dad.dims dad).(dim).Dad.flb in
-                       Array.init n (fun k ->
-                           Layout.global_of_local layout (llb + (k * lst)) + flb)))
-             var_dims ranges)
-  | Ir.It_even ->
-      let p = Rctx.nprocs st.ctx in
-      let values = List.map full ranges in
-      (match values with
-      | first :: rest ->
-          let n = Array.length first in
-          let chunk = Util.ceil_div (max n 1) p in
-          let lo = rank * chunk and hi = min n ((rank + 1) * chunk) in
-          let mine = if lo >= n then [||] else Array.sub first lo (hi - lo) in
-          Some (mine :: rest)
-      | [] -> Some [])
+      Inspector.canonical (dad_of st f.Ir.f_lhs.Ast.base) ~var_dims:(List.map snd var_dims)
+        ~guards:(List.map2 (fun (dim, _) g -> (dim, g)) guards guard_vals)
+        ~ranges ~rank
+  | Ir.It_even -> Some (Inspector.even ~nprocs:(Rctx.nprocs st.ctx) ~rank ranges)
 
-(* Iterate the cartesian product in nest order (first variable outermost),
-   bumping the frame counter for every visited point. *)
-let iterate_space vars_values (f : int list -> unit) =
-  let arrays = Array.of_list vars_values in
-  let n = Array.length arrays in
-  if Array.for_all (fun a -> Array.length a > 0) arrays then begin
-    let idx = Array.make n 0 in
-    let rec go d =
-      if d = n then f (List.init n (fun k -> arrays.(k).(idx.(k))))
-      else
-        for i = 0 to Array.length arrays.(d) - 1 do
-          idx.(d) <- i;
-          go (d + 1)
-        done
-    in
-    if n = 0 then () else go 0
-  end
+let scalar_lookup st v =
+  match Hashtbl.find_opt st.scalars v with
+  | Some r -> Some !r
+  | None -> List.assoc_opt v st.u.pu_ir.Ir.u_env.Sema.uparams
 
 (* ------------------------------------------------------------------ *)
-(* Inspector needs                                                     *)
+(* Inspector                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* (owner, storage flat) of the element read by [r] at each iteration of
-   [rank], in nest order.  Subscripts may only mention FORALL variables,
-   parameters, scalars and replicated arrays, so any rank's needs are
-   locally computable. *)
-let needs_of_ref ?(every_owner = false) st (f : Ir.forall) ~ranges ~guard_vals ~frame_access
-    ~ftemps (r : Ast.ref_) ~rank =
-  let darr = darray_of st r.Ast.base in
-  let dad = darr.Darray.dad in
-  let acc = ref [] in
-  (match iteration_values st f ~ranges ~guard_vals ~rank with
-  | None -> ()
-  | Some values ->
-      (* subscripts may read indirection arrays through their own comm
-         temporaries (e.g. V in A(V(I)) concatenated by an earlier pre
-         op), so the frame must see the temps populated so far *)
-      let fr0 = { fvals = []; faccess = frame_access; ftemps; fsnap = None; counter = 0 } in
-      iterate_space values (fun point ->
-          let fvals = List.map2 (fun (v, _) g -> (v, g)) f.Ir.f_vars point in
-          (* the counter keeps Acc_flat subscript reads (inner inspector
-             temps) in step with the iteration they were built for *)
-          let fr = { fr0 with fvals; counter = fr0.counter } in
-          fr0.counter <- fr0.counter + 1;
-          let g =
-            List.map
-              (function
-                | Ast.Elem e -> Scalar.to_int (eval st (Mloop fr) e)
-                | Ast.Range _ -> Diag.bug "interp: section in inspector")
-              r.Ast.args
-            |> Array.of_list
-          in
-          let flat_on owner =
-            let lidx =
-              match Dad.local_indices dad ~rank:owner g with
-              | Some l -> l
-              | None -> Diag.bug "interp: home rank does not own element"
-            in
-            (owner, Dad.storage_flat dad ~rank:owner lidx)
-          in
-          if every_owner then
-            (* grid dims the array is not distributed over replicate the
-               element: a write must land on every copy, a read on one *)
-            List.iter (fun o -> acc := flat_on o :: !acc) (Dad.owning_ranks dad g)
-          else acc := flat_on (Dad.home_rank dad g) :: !acc));
-  Array.of_list (List.rev !acc)
-
-let writes_of_lhs st (f : Ir.forall) ~ranges ~guard_vals ~frame_access ~ftemps ~rank =
-  needs_of_ref ~every_owner:true st f ~ranges ~guard_vals ~frame_access ~ftemps f.Ir.f_lhs ~rank
+(* One inspector pass over reference [r] of FORALL [sid]: every rank's
+   iterations for a locally built schedule ([all_ranks]), else this
+   rank's.  This rank's subscripts may read the statement's own
+   communication temporaries (e.g. V in A(V(I)), read by an earlier pre
+   op), which cover only this rank's iterations: under an even partition
+   Pattern makes such a reference a gather, never a local build.
+   Strip-compiled subscripts run over this rank's space only, and
+   through the interpreter on another rank's. *)
+let inspect st ~sid (f : Ir.forall) ~ranges ~guard_vals ~ftemps ~every_owner ~all_ranks
+    (r : Ast.ref_) =
+  let me = me st in
+  let subs values ~mine =
+    Array.map
+      (fun (e, x) ->
+        match
+          Kernel.index x ~f ~me ~scalar_lookup:(scalar_lookup st) ~darr_of:(darray_of st)
+            ~temp_of:(find_temp st ftemps)
+            ~values:(if mine then Some values else None)
+        with
+        | Kernel.Iaffine l -> Inspector.Lin l
+        | Kernel.Ivalues a -> Inspector.Vals a
+        | Kernel.Iinterp ->
+            (* the counter keeps Acc_flat subscript reads in step with
+               the iteration they were built for *)
+            Inspector.Fn
+              (fun x counter ->
+                let fvals = List.mapi (fun k (v, _) -> (v, x.(k))) f.Ir.f_vars in
+                let fr = { fvals; faccess = f.Ir.f_access; ftemps; fsnap = None; counter } in
+                Scalar.to_int (eval st (Mloop fr) e)))
+      (Hashtbl.find st.u.pu_index (sid, r.Ast.rid))
+  in
+  let slot rank =
+    Option.map
+      (fun values -> (values, subs values ~mine:(rank = me)))
+      (iteration_values st f ~ranges ~guard_vals ~rank)
+  in
+  Inspector.run (dad_of st r.Ast.base) ~every_owner
+    (if all_ranks then Array.init (Rctx.nprocs st.ctx) slot else [| slot me |])
 
 (* ------------------------------------------------------------------ *)
 (* Schedule-reuse write versioning                                      *)
@@ -759,35 +701,36 @@ let exec_comm_simple st ftemps (c : Ir.comm) =
   | Ir.Precomp_read _ | Ir.Gather_read _ ->
       Diag.bug "interp: inspector comm outside a FORALL frame"
 
-let exec_comm st (f : Ir.forall) ~ranges ~guard_vals ~frame_access ftemps (c : Ir.comm) =
+(* A keyed schedule is reused while the index arrays [r]'s subscripts
+   read keep their write versions; the builder runs only on a miss. *)
+let cached_schedule st key (r : Ast.ref_) build =
+  match key with
+  | Some k -> Schedule.cached st.ctx ~key:(k ^ version_sig st r) build
+  | None -> build ()
+
+let exec_comm st ~sid (f : Ir.forall) ~ranges ~guard_vals ftemps (c : Ir.comm) =
   match c with
   | Ir.Precomp_read { r; itemp; key } ->
       log_comm st c;
-      let darr = darray_of st r.Ast.base in
-      let build () =
-        Schedule.build_read_local st.ctx
-          ~needs:(needs_of_ref st f ~ranges ~guard_vals ~frame_access ~ftemps r ~rank:(me st))
-          ~peer_needs:(fun peer -> needs_of_ref st f ~ranges ~guard_vals ~frame_access ~ftemps r ~rank:peer)
-      in
       let sched =
-        match key with
-        | Some k -> Schedule.cached st.ctx ~key:(k ^ version_sig st r) build
-        | None -> build ()
+        cached_schedule st key r (fun () ->
+            let p =
+              inspect st ~sid f ~ranges ~guard_vals ~ftemps ~every_owner:false ~all_ranks:true r
+            in
+            Schedule.build_read_local st.ctx ~owners:p.Inspector.owners ~flats:p.Inspector.flats
+              ~starts:p.Inspector.starts)
       in
-      Hashtbl.replace ftemps itemp (Kernel.Tflat (Schedule.read st.ctx sched darr))
+      Hashtbl.replace ftemps itemp (Kernel.Tflat (Schedule.read st.ctx sched (darray_of st r.Ast.base)))
   | Ir.Gather_read { r; itemp; key } ->
       log_comm st c;
-      let darr = darray_of st r.Ast.base in
-      let build () =
-        Schedule.build_read_comm st.ctx
-          ~needs:(needs_of_ref st f ~ranges ~guard_vals ~frame_access ~ftemps r ~rank:(me st))
-      in
       let sched =
-        match key with
-        | Some k -> Schedule.cached st.ctx ~key:(k ^ version_sig st r) build
-        | None -> build ()
+        cached_schedule st key r (fun () ->
+            let p =
+              inspect st ~sid f ~ranges ~guard_vals ~ftemps ~every_owner:false ~all_ranks:false r
+            in
+            Schedule.build_gather st.ctx ~owners:p.Inspector.owners ~flats:p.Inspector.flats)
       in
-      Hashtbl.replace ftemps itemp (Kernel.Tflat (Schedule.read st.ctx sched darr))
+      Hashtbl.replace ftemps itemp (Kernel.Tflat (Schedule.read st.ctx sched (darray_of st r.Ast.base)))
   | c -> exec_comm_simple st ftemps c
 
 (* ------------------------------------------------------------------ *)
@@ -799,28 +742,23 @@ let exec_comm st (f : Ir.forall) ~ranges ~guard_vals ~frame_access ftemps (c : I
    element, which is both the honest ablation baseline and the reference
    the fuzz differential compares bit-for-bit against.  Counts a run or
    a fallback (by reason) in this rank's collector; an ineligible plan
-   and an empty slab (gauss's non-owning ranks) count as neither. *)
+   and an empty slab (gauss's non-owning ranks) count as neither.  [None]:
+   the interpreter must run the nest. *)
 let run_kernel st ~sid ftemps vv =
-  Rctx.kernels st.ctx
-  && List.for_all (fun a -> Array.length a > 0) vv
-  &&
-  let scalar_lookup v =
-    match Hashtbl.find_opt st.scalars v with
-    | Some r -> Some !r
-    | None -> List.assoc_opt v st.u.pu_ir.Ir.u_env.Sema.uparams
-  in
-  let rs = Engine.rank_stats (Rctx.engine st.ctx) in
-  match
-    Kernel.execute (Hashtbl.find st.u.pu_plans sid) ~me:(me st) ~scalar_lookup
-      ~darr_of:(darray_of st) ~temp_of:(find_temp st ftemps) ~values:vv
-  with
-  | None -> false
-  | Some (Ok ()) ->
-      Stats.record_kernel_run rs;
-      true
-  | Some (Error why) ->
-      Stats.record_kernel_fallback rs why;
-      false
+  if not (Rctx.kernels st.ctx && List.for_all (fun a -> Array.length a > 0) vv) then None
+  else
+    let rs = Engine.rank_stats (Rctx.engine st.ctx) in
+    match
+      Kernel.execute (Hashtbl.find st.u.pu_plans sid) ~me:(me st) ~scalar_lookup:(scalar_lookup st)
+        ~darr_of:(darray_of st) ~temp_of:(find_temp st ftemps) ~values:vv
+    with
+    | None -> None
+    | Some (Ok out) ->
+        Stats.record_kernel_run rs;
+        Some out
+    | Some (Error why) ->
+        Stats.record_kernel_fallback rs why;
+        None
 
 let exec_forall_body st ~sid (f : Ir.forall) =
   let ranges =
@@ -838,9 +776,8 @@ let exec_forall_body st ~sid (f : Ir.forall) =
     | _ -> []
   in
   let ftemps = Hashtbl.create 8 in
-  let frame_access = f.Ir.f_access in
   (* phase 1: collective pre-communication *)
-  List.iter (exec_comm st f ~ranges ~guard_vals ~frame_access ftemps) f.Ir.f_pre;
+  List.iter (exec_comm st ~sid f ~ranges ~guard_vals ftemps) f.Ir.f_pre;
   (* phase 2: local loop nest *)
   let lhs_darr = darray_of st f.Ir.f_lhs.Ast.base in
   let lhs_dad = lhs_darr.Darray.dad in
@@ -857,75 +794,93 @@ let exec_forall_body st ~sid (f : Ir.forall) =
   let canonical_store =
     match f.Ir.f_iter with Ir.It_canonical _ | Ir.It_replicated -> true | Ir.It_even -> false
   in
-  let writes = ref [] and values = ref [] in
+  (* an even partition's values for the write-back phase, and, when the
+     interpreter ran the nest, the (owner, flat) of each *)
+  let scattered = ref None and writes = ref [] and values = ref [] in
   let flops_per_iter, iops_per_iter = ops_of_expr f.Ir.f_rhs in
   let iters = ref 0 in
   (match iteration_values st f ~ranges ~guard_vals ~rank:(me st) with
   | None -> ()
-  | Some vv when run_kernel st ~sid ftemps vv ->
-      (* the kernel ran the whole nest *)
-      iters := List.fold_left (fun acc a -> acc * Array.length a) 1 vv
-  | Some vv ->
-      let fr = { fvals = []; faccess = frame_access; ftemps; fsnap = snapshot; counter = 0 } in
-      iterate_space vv (fun point ->
-          let fvals = List.map2 (fun (v, _) g -> (v, g)) f.Ir.f_vars point in
-          let fr2 = { fr with fvals; counter = fr.counter } in
-          incr iters;
-          let masked =
-            match f.Ir.f_mask with
-            | None -> false
-            | Some m -> not (Scalar.to_bool (eval st (Mloop fr2) m))
-          in
-          if not masked then begin
-            let v = eval st (Mloop fr2) f.Ir.f_rhs in
-            let g =
-              List.map
-                (function
-                  | Ast.Elem e -> Scalar.to_int (eval st (Mloop fr2) e)
-                  | Ast.Range _ -> Diag.bug "interp: lhs section")
-                f.Ir.f_lhs.Ast.args
-              |> Array.of_list
-            in
-            if canonical_store then begin
-              let idx = Array.mapi (fun d gi -> storage_pos st lhs_dad ~dim:d gi) g in
-              Ndarray.set lhs_darr.Darray.local idx v
-            end
-            else
-              (* one write per owning rank, mirroring writes_of_lhs so the
-                 peer-exchange index lists line up *)
-              List.iter
-                (fun owner ->
-                  let lidx = Option.get (Dad.local_indices lhs_dad ~rank:owner g) in
-                  writes := (owner, Dad.storage_flat lhs_dad ~rank:owner lidx) :: !writes;
-                  values := v :: !values)
-                (Dad.owning_ranks lhs_dad g)
-          end;
-          fr.counter <- fr.counter + 1));
+  | Some vv -> (
+      match run_kernel st ~sid ftemps vv with
+      | Some out ->
+          (* the kernel ran the whole nest *)
+          iters := List.fold_left (fun acc a -> acc * Array.length a) 1 vv;
+          (match out with Kernel.Scattered tmp -> scattered := Some tmp | Kernel.Stored -> ())
+      | None ->
+          let copies = if canonical_store then 0 else Dad.copies lhs_dad in
+          let owners = Array.make copies 0 and flats = Array.make copies 0 in
+          Inspector.iter vv (fun x counter ->
+              let fvals = List.mapi (fun k (v, _) -> (v, x.(k))) f.Ir.f_vars in
+              let fr2 = { fvals; faccess = f.Ir.f_access; ftemps; fsnap = snapshot; counter } in
+              incr iters;
+              let masked =
+                match f.Ir.f_mask with
+                | None -> false
+                | Some m -> not (Scalar.to_bool (eval st (Mloop fr2) m))
+              in
+              if not masked then begin
+                let v = eval st (Mloop fr2) f.Ir.f_rhs in
+                let g =
+                  List.map
+                    (function
+                      | Ast.Elem e -> Scalar.to_int (eval st (Mloop fr2) e)
+                      | Ast.Range _ -> Diag.bug "interp: lhs section")
+                    f.Ir.f_lhs.Ast.args
+                  |> Array.of_list
+                in
+                if canonical_store then begin
+                  let idx = Array.mapi (fun d gi -> storage_pos st lhs_dad ~dim:d gi) g in
+                  Ndarray.set lhs_darr.Darray.local idx v
+                end
+                else begin
+                  (* one write per owning rank, in the inspector's order
+                     so the peer-exchange index lists line up *)
+                  Dad.locate lhs_dad g ~every_owner:true ~owners ~flats ~at:0;
+                  for j = 0 to copies - 1 do
+                    writes := (owners.(j), flats.(j)) :: !writes;
+                    values := v :: !values
+                  done
+                end
+              end)));
   Rctx.charge_flops st.ctx (!iters * (flops_per_iter + 1));
   Rctx.charge_iops st.ctx (!iters * (iops_per_iter + 2));
   (* phase 3: write-back *)
   match f.Ir.f_post with
   | None -> ()
   | Some post ->
-      let writes_arr = Array.of_list (List.rev !writes) in
-      let vals = Array.of_list (List.rev !values) in
-      let tmp = Ndarray.create (Darray.kind lhs_darr) [| Array.length vals |] in
-      Array.iteri (fun i v -> Ndarray.set_flat tmp i v) vals;
+      let tmp =
+        match !scattered with
+        | Some tmp -> tmp
+        | None ->
+            let vals = Array.of_list (List.rev !values) in
+            let tmp = Ndarray.create (Darray.kind lhs_darr) [| Array.length vals |] in
+            Array.iteri (fun i v -> Ndarray.set_flat tmp i v) vals;
+            tmp
+      in
+      (* the write list: the interpreter's, or, after the kernel, one
+         inspector pass — only when the schedule is not cached *)
+      let inspect = inspect st ~sid f ~ranges ~guard_vals ~ftemps ~every_owner:true f.Ir.f_lhs in
+      let my_writes () =
+        match !scattered with
+        | None ->
+            let w = Array.of_list (List.rev !writes) in
+            (Array.map fst w, Array.map snd w)
+        | Some _ ->
+            let p = inspect ~all_ranks:false in
+            (p.Inspector.owners, p.Inspector.flats)
+      in
       let sched =
-        let keyed = function
-          | Some k -> Some (k ^ version_sig st f.Ir.f_lhs)
-          | None -> None
-        in
         match post with
         | Ir.Postcomp_write { key } when f.Ir.f_mask = None ->
-            let build () =
-              Schedule.build_write_local st.ctx ~writes:writes_arr ~peer_writes:(fun peer ->
-                  writes_of_lhs st f ~ranges ~guard_vals ~frame_access ~ftemps ~rank:peer)
-            in
-            (match keyed key with Some k -> Schedule.cached st.ctx ~key:k build | None -> build ())
+            cached_schedule st key f.Ir.f_lhs (fun () ->
+                let p = inspect ~all_ranks:true in
+                Schedule.build_write_local st.ctx ~owners:p.Inspector.owners
+                  ~flats:p.Inspector.flats ~starts:p.Inspector.starts)
         | Ir.Postcomp_write { key } | Ir.Scatter_write { key } ->
-            let build () = Schedule.build_write_comm st.ctx ~writes:writes_arr in
-            (match keyed key with Some k -> Schedule.cached st.ctx ~key:k build | None -> build ())
+            cached_schedule st key f.Ir.f_lhs (fun () ->
+                let owners, flats = my_writes () in
+                Schedule.build_scatter st.ctx ~owners ~flats)
       in
       Schedule.write st.ctx sched lhs_darr tmp
 
@@ -1069,13 +1024,29 @@ let prepare_unit ~grid (u : Ir.unit_ir) =
       | Some k -> Some (kind_of_decl k)
       | None -> Option.map Scalar.kind (List.assoc_opt v env.Sema.uparams)
   in
-  let plans = Hashtbl.create 16 in
-  List.iter (fun (sid, f) -> Hashtbl.replace plans sid (Kernel.plan ~env ~scalar_kind ~f)) !foralls;
+  let plans = Hashtbl.create 16 and index = Hashtbl.create 16 in
+  List.iter
+    (fun (sid, (f : Ir.forall)) ->
+      Hashtbl.replace plans sid (Kernel.plan ~env ~scalar_kind ~f);
+      let inspected (r : Ast.ref_) =
+        Hashtbl.replace index (sid, r.Ast.rid)
+          (Array.of_list
+             (List.map
+                (function
+                  | Ast.Elem e -> (e, Kernel.plan_index ~env ~scalar_kind ~f e)
+                  | Ast.Range _ -> Diag.bug "interp: section in inspector")
+                r.Ast.args))
+      in
+      List.iter
+        (function Ir.Precomp_read { r; _ } | Ir.Gather_read { r; _ } -> inspected r | _ -> ())
+        f.Ir.f_pre;
+      if f.Ir.f_post <> None then inspected f.Ir.f_lhs)
+    !foralls;
   let dads = Hashtbl.create 8 in
   List.iter
     (fun (n, d) -> Hashtbl.replace dads n d)
     (Sema.instantiate ~ghosts:u.Ir.u_ghosts env ~grid);
-  { pu_ir = u; pu_classes = classes; pu_plans = plans; pu_dads = dads }
+  { pu_ir = u; pu_classes = classes; pu_plans = plans; pu_index = index; pu_dads = dads }
 
 let prepare ~grid (prog : Ir.program_ir) =
   List.map (fun (n, u) -> (n, prepare_unit ~grid u)) prog.Ir.p_units

@@ -25,8 +25,8 @@ let lin_sub a b = lin_add a (lin_scale (-1) b)
    FORALL variables contribute their progressions, scalars and parameters
    their current integer values.  [plan] admits only the shapes handled
    here, with one counter-free factor in every product. *)
-let rec lin_of ~nvars ~var_index ~progs ~ilookup (e : Ast.expr) =
-  let go = lin_of ~nvars ~var_index ~progs ~ilookup in
+let rec lin_of ~nvars ~var_index ~progs ~scalar_lookup (e : Ast.expr) =
+  let go = lin_of ~nvars ~var_index ~progs ~scalar_lookup in
   match e.Ast.e with
   | Ast.Int_lit n -> lin_const nvars n
   | Ast.Var v -> (
@@ -37,9 +37,9 @@ let rec lin_of ~nvars ~var_index ~progs ~ilookup (e : Ast.expr) =
           l.coefs.(k) <- gs;
           l
       | None -> (
-          match ilookup v with
-          | Some n -> lin_const nvars n
-          | None -> raise (Decline Stats.Scalar_kind)))
+          match scalar_lookup v with
+          | Some (Scalar.Int n) -> lin_const nvars n
+          | _ -> raise (Decline Stats.Scalar_kind)))
   | Ast.Un (Ast.Neg, a) -> lin_scale (-1) (go a)
   | Ast.Bin (Ast.Add, a, b) -> lin_add (go a) (go b)
   | Ast.Bin (Ast.Sub, a, b) -> lin_sub (go a) (go b)
@@ -116,16 +116,25 @@ type tnode =
   | Tfun2 of (float -> float -> float) * tnode * tnode
   | Tsel of tnode * tnode * tnode  (* MERGE: mask (last) selects t or f *)
 
-type compiled = {
-  p_f : Ir.forall;
-  p_template : tnode;
-  p_refs : Ast.ref_ array;
-  p_lhs_reads : bool array;
-      (* per slot: a direct read of the left-hand-side array, which Lower's
-         [f_snapshot = false] proves hazard-free *)
-  p_scalars : (string * Scalar.kind) array;
+(* A compiled expression: its operator tree, the references its [Tload]
+   slots read and the scalars its [Tscal] slots read. *)
+type expr_plan = {
+  x_template : tnode;
+  x_refs : Ast.ref_ array;
+  x_scalars : (string * Scalar.kind) array;
       (* per scalar slot: the kind the plan assumed; a value of another
          kind declines *)
+}
+
+type compiled = {
+  p_f : Ir.forall;
+  p_rhs : expr_plan;
+  p_lhs_reads : bool array;
+      (* per rhs slot: a direct read of the left-hand-side array, which
+         Lower's [f_snapshot = false] proves hazard-free *)
+  p_scatter : bool;
+      (* an even iteration partition: values go to a buffer in iteration
+         order, for the statement's write-back schedule *)
 }
 
 type plan = compiled option  (* [None]: ineligible *)
@@ -148,210 +157,246 @@ let direct_access (f : Ir.forall) (r : Ast.ref_) =
   | None | Some Ir.Acc_direct -> true
   | Some _ -> false
 
+(* Subscripts of the shape [lin_of] handles. *)
+let rec affine ~var_index (e : Ast.expr) =
+  let counter_free e = List.for_all (fun v -> var_index v = None) (Ast.vars_of e) in
+  match e.Ast.e with
+  | Ast.Int_lit _ | Ast.Var _ -> true
+  | Ast.Un (Ast.Neg, a) -> affine ~var_index a
+  | Ast.Bin ((Ast.Add | Ast.Sub), a, b) -> affine ~var_index a && affine ~var_index b
+  | Ast.Bin (Ast.Mul, a, b) ->
+      affine ~var_index a && affine ~var_index b && (counter_free a || counter_free b)
+  | _ -> false
+
+(* Dynamic result kind, mirroring Scalar's value dispatch: Ki means the
+   interpreter would compute this subexpression on Ints, so division
+   must truncate.  MIN/MAX return one of their original operands, so a
+   mixed-kind MIN is Int or Real depending on runtime values (Kmix) — a
+   division involving Kmix cannot be compiled to either form.  Scalar
+   kinds come from declarations; execution checks each scalar's value
+   against the kind assumed here. *)
+let kind_of ~env ~scalar_kind ~var_index =
+  let join a b = if a = b then a else `Kmix in
+  let rec kind_of (e : Ast.expr) =
+    match e.Ast.e with
+    | Ast.Int_lit _ -> `Ki
+    | Ast.Real_lit _ -> `Kr
+    | Ast.Log_lit _ | Ast.Str_lit _ -> `Kmix
+    | Ast.Var v -> (
+        if var_index v <> None then `Ki
+        else
+          match scalar_kind v with
+          | Some Scalar.Kint -> `Ki
+          | Some Scalar.Kreal -> `Kr
+          | _ -> `Kmix)
+    | Ast.Un (_, a) -> kind_of a
+    | Ast.Bin ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div), a, b) -> (
+        (* Scalar.num_op: Int op Int -> Int, any Real involved -> Real *)
+        match (kind_of a, kind_of b) with
+        | `Ki, `Ki -> `Ki
+        | `Kr, (`Ki | `Kr | `Kmix) | (`Ki | `Kmix), `Kr -> `Kr
+        | _ -> `Kmix)
+    | Ast.Bin (Ast.Pow, a, b) -> (
+        (* Int ** negative Int is Real: Ki ** Ki is value-dependent *)
+        match (kind_of a, kind_of b) with
+        | `Kr, _ | _, `Kr -> `Kr
+        | _ -> `Kmix)
+    | Ast.Bin (_, _, _) -> `Kmix
+    | Ast.Ref r -> (
+        match Sema.array_spec env r.Ast.base with
+        | Some spec -> if spec.Sema.skind = Ast.Integer then `Ki else `Kr
+        | None -> (
+            match r.Ast.base with
+            | "INT" | "NINT" -> `Ki
+            | "REAL" | "FLOAT" | "DBLE" | "SQRT" | "EXP" | "LOG" | "LOG10" | "SIN" | "COS"
+            | "TAN" | "ASIN" | "ACOS" | "ATAN" | "ATAN2" | "SIGN" ->
+                `Kr
+            | "MERGE" -> (
+                (* result is one of the first two args; the mask is logical *)
+                match r.Ast.args with
+                | [ Ast.Elem t; Ast.Elem f; _ ] -> join (kind_of t) (kind_of f)
+                | _ -> `Kmix)
+            | "ABS" | "MIN" | "MAX" | "MOD" | "MODULO" -> (
+                let ks =
+                  List.map (function Ast.Elem e -> kind_of e | Ast.Range _ -> `Kmix) r.Ast.args
+                in
+                match ks with [] -> `Kmix | k :: tl -> List.fold_left join k tl)
+            | _ -> `Kmix))
+  in
+  kind_of
+
+(* Compile an expression of a FORALL body into an operator tree over
+   reference and scalar slots; raises [Ineligible] for anything the
+   strips cannot reproduce bit for bit. *)
+let compile_expr ~env ~scalar_kind ~(f : Ir.forall) e =
+  let var_index = make_var_index f in
+  let check_affine e = if not (affine ~var_index e) then raise Ineligible in
+  let kind_of = kind_of ~env ~scalar_kind ~var_index in
+  let refs = ref [] and nrefs = ref 0 in
+  let slot r =
+    let s = !nrefs in
+    incr nrefs;
+    refs := r :: !refs;
+    Tload s
+  in
+  let scalars = ref [] and nscalars = ref 0 in
+  let scalar v k =
+    match List.assoc_opt v !scalars with
+    | Some (s, _) -> Tscal s
+    | None ->
+        let s = !nscalars in
+        incr nscalars;
+        scalars := (v, (s, k)) :: !scalars;
+        Tscal s
+  in
+  let rec compile (e : Ast.expr) =
+    match e.Ast.e with
+    | Ast.Real_lit v -> Tconst v
+    | Ast.Int_lit n -> Tconst (float_of_int n)
+    | Ast.Var v -> (
+        match var_index v with
+        | Some k -> Tcounter k
+        | None -> (
+            match scalar_kind v with
+            | Some ((Scalar.Kint | Scalar.Kreal) as k) -> scalar v k
+            | _ -> raise Ineligible))
+    | Ast.Un (Ast.Neg, a) -> Tfun1 (Float.neg, compile a)
+    | Ast.Un (Ast.Not, _) -> raise Ineligible
+    | Ast.Bin (op, a, b) -> (
+        let ca = compile a and cb = compile b in
+        match op with
+        | Ast.Add -> Tadd (ca, cb)
+        | Ast.Sub -> Tsub (ca, cb)
+        | Ast.Mul -> Tmul (ca, cb)
+        | Ast.Div -> (
+            match (kind_of a, kind_of b) with
+            | `Ki, `Ki -> Tint (Idiv, ca, cb)
+            | `Kr, _ | _, `Kr -> Tdiv (ca, cb)
+            | _ -> raise Ineligible)
+        | Ast.Pow -> Tfun2 (Float.pow, ca, cb)
+        | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
+            (* 1./0. encodes logical; [compare] mirrors Scalar.compare_num
+               on numeric values (total order: NaN and -0. included) *)
+            match (kind_of a, kind_of b) with
+            | (`Ki | `Kr), (`Ki | `Kr) ->
+                let fn =
+                  match op with
+                  | Ast.Eq -> fun (x : float) y -> if compare x y = 0 then 1. else 0.
+                  | Ast.Ne -> fun (x : float) y -> if compare x y <> 0 then 1. else 0.
+                  | Ast.Lt -> fun (x : float) y -> if compare x y < 0 then 1. else 0.
+                  | Ast.Le -> fun (x : float) y -> if compare x y <= 0 then 1. else 0.
+                  | Ast.Gt -> fun (x : float) y -> if compare x y > 0 then 1. else 0.
+                  | _ -> fun (x : float) y -> if compare x y >= 0 then 1. else 0.
+                in
+                Tfun2 (fn, ca, cb)
+            | _ -> raise Ineligible)
+        | Ast.And | Ast.Or -> raise Ineligible)
+    | Ast.Log_lit _ | Ast.Str_lit _ -> raise Ineligible
+    | Ast.Ref r when Intrinsic_names.is_elemental r.Ast.base
+                     && Sema.array_spec env r.Ast.base = None -> (
+        let sargs = subscripts r in
+        let args = List.map compile sargs in
+        let kinds () = List.map kind_of sargs in
+        match (r.Ast.base, args) with
+        | "ABS", [ a ] -> Tfun1 (Float.abs, a)
+        | "SQRT", [ a ] -> Tfun1 (Float.sqrt, a)
+        | "EXP", [ a ] -> Tfun1 (Float.exp, a)
+        | "LOG", [ a ] -> Tfun1 (Float.log, a)
+        | "SIN", [ a ] -> Tfun1 (sin, a)
+        | "COS", [ a ] -> Tfun1 (cos, a)
+        (* compare-based, not Float.min/max: Scalar.min2/max2 order -0.
+           and NaN by [compare], and return the first operand on ties *)
+        | "MIN", [ a; b ] ->
+            Tfun2 ((fun (x : float) y -> if compare x y <= 0 then x else y), a, b)
+        | "MAX", [ a; b ] ->
+            Tfun2 ((fun (x : float) y -> if compare x y >= 0 then x else y), a, b)
+        | "MOD", [ a; b ] -> (
+            match kinds () with
+            | [ `Ki; `Ki ] -> Tint (Imod, a, b)
+            | [ (`Ki | `Kr); (`Ki | `Kr) ] -> Tfun2 (Float.rem, a, b)
+            | _ -> raise Ineligible)
+        | "MODULO", [ a; b ] -> (
+            match kinds () with [ `Ki; `Ki ] -> Tint (Imodulo, a, b) | _ -> raise Ineligible)
+        | "MERGE", [ t; f; m ] -> (
+            (* the mask must compile to a relational (1./0.), never a
+               plain numeric expression *)
+            match sargs with
+            | [ _; _;
+                { Ast.e = Ast.Bin ((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), _, _); _ }
+              ] ->
+                Tsel (t, f, m)
+            | _ -> raise Ineligible)
+        | ("REAL" | "FLOAT" | "DBLE"), [ a ] -> a
+        | _ -> raise Ineligible)
+    | Ast.Ref r -> (
+        match Sema.array_spec env r.Ast.base with
+        | None -> raise Ineligible
+        | Some spec ->
+            if spec.Sema.skind = Ast.Logical then raise Ineligible;
+            (match List.assoc_opt r.Ast.rid f.Ir.f_access with
+            | None | Some Ir.Acc_direct | Some (Ir.Acc_global_temp _) ->
+                List.iter check_affine (subscripts r)
+            | Some (Ir.Acc_box { dims; _ }) ->
+                Array.iter (function Ir.By_sub e -> check_affine e | Ir.Collapsed -> ()) dims
+            | Some (Ir.Acc_flat _) -> ());
+            slot r)
+  in
+  let template = compile e in
+  {
+    x_template = template;
+    x_refs = Array.of_list (List.rev !refs);
+    x_scalars =
+      List.sort (fun (_, (a, _)) (_, (b, _)) -> compare a b) !scalars
+      |> List.map (fun (v, (_, k)) -> (v, k))
+      |> Array.of_list;
+  }
+
 let plan ~env ~scalar_kind ~(f : Ir.forall) =
   try
-    (* A snapshot, a mask, a write-back phase or a non-canonical store is
-       the interpreter's.  [f_snapshot = false] is Lower's guarantee that
-       every direct read of the lhs array is its identity subscript or
-       provably separated from every write, so the nest's iterations are
-       independent and may run in any order. *)
-    if f.Ir.f_mask <> None || f.Ir.f_post <> None || f.Ir.f_snapshot then raise Ineligible;
-    (match f.Ir.f_iter with Ir.It_even -> raise Ineligible | _ -> ());
-    let nvars_real = List.length f.Ir.f_vars in
-    if nvars_real = 0 || nvars_real > 3 then raise Ineligible;
-    let var_index = make_var_index f in
-    (* subscripts must have the shape [lin_of] handles *)
-    let counter_free e = List.for_all (fun v -> var_index v = None) (Ast.vars_of e) in
-    let rec affine (e : Ast.expr) =
-      match e.Ast.e with
-      | Ast.Int_lit _ | Ast.Var _ -> true
-      | Ast.Un (Ast.Neg, a) -> affine a
-      | Ast.Bin ((Ast.Add | Ast.Sub), a, b) -> affine a && affine b
-      | Ast.Bin (Ast.Mul, a, b) -> affine a && affine b && (counter_free a || counter_free b)
-      | _ -> false
-    in
-    let check_affine e = if not (affine e) then raise Ineligible in
-    List.iter check_affine (subscripts f.Ir.f_lhs);
-    (* dynamic result kind, mirroring Scalar's value dispatch: Ki means the
-       interpreter would compute this subexpression on Ints, so division
-       must truncate.  MIN/MAX return one of their original operands, so a
-       mixed-kind MIN is Int or Real depending on runtime values (Kmix) —
-       a division involving Kmix cannot be compiled to either form.
-       Scalar kinds come from declarations; [execute] checks each
-       scalar's value against the kind assumed here. *)
-    let join a b = if a = b then a else `Kmix in
-    let rec kind_of (e : Ast.expr) =
-      match e.Ast.e with
-      | Ast.Int_lit _ -> `Ki
-      | Ast.Real_lit _ -> `Kr
-      | Ast.Log_lit _ | Ast.Str_lit _ -> `Kmix
-      | Ast.Var v -> (
-          if var_index v <> None then `Ki
-          else
-            match scalar_kind v with
-            | Some Scalar.Kint -> `Ki
-            | Some Scalar.Kreal -> `Kr
-            | _ -> `Kmix)
-      | Ast.Un (_, a) -> kind_of a
-      | Ast.Bin ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div), a, b) -> (
-          (* Scalar.num_op: Int op Int -> Int, any Real involved -> Real *)
-          match (kind_of a, kind_of b) with
-          | `Ki, `Ki -> `Ki
-          | `Kr, (`Ki | `Kr | `Kmix) | (`Ki | `Kmix), `Kr -> `Kr
-          | _ -> `Kmix)
-      | Ast.Bin (Ast.Pow, a, b) -> (
-          (* Int ** negative Int is Real: Ki ** Ki is value-dependent *)
-          match (kind_of a, kind_of b) with
-          | `Kr, _ | _, `Kr -> `Kr
-          | _ -> `Kmix)
-      | Ast.Bin (_, _, _) -> `Kmix
-      | Ast.Ref r -> (
-          match Sema.array_spec env r.Ast.base with
-          | Some spec -> if spec.Sema.skind = Ast.Integer then `Ki else `Kr
-          | None -> (
-              match r.Ast.base with
-              | "INT" | "NINT" -> `Ki
-              | "REAL" | "FLOAT" | "DBLE" | "SQRT" | "EXP" | "LOG" | "LOG10" | "SIN"
-              | "COS" | "TAN" | "ASIN" | "ACOS" | "ATAN" | "ATAN2" | "SIGN" ->
-                  `Kr
-              | "MERGE" -> (
-                  (* result is one of the first two args; the mask is logical *)
-                  match r.Ast.args with
-                  | [ Ast.Elem t; Ast.Elem f; _ ] -> join (kind_of t) (kind_of f)
-                  | _ -> `Kmix)
-              | "ABS" | "MIN" | "MAX" | "MOD" | "MODULO" -> (
-                  let ks =
-                    List.map
-                      (function Ast.Elem e -> kind_of e | Ast.Range _ -> `Kmix)
-                      r.Ast.args
-                  in
-                  match ks with [] -> `Kmix | k :: tl -> List.fold_left join k tl)
-              | _ -> `Kmix))
-    in
-    let refs = ref [] and nrefs = ref 0 in
-    let slot r =
-      let s = !nrefs in
-      incr nrefs;
-      refs := r :: !refs;
-      Tload s
-    in
-    let scalars = ref [] and nscalars = ref 0 in
-    let scalar v k =
-      match List.assoc_opt v !scalars with
-      | Some (s, _) -> Tscal s
-      | None ->
-          let s = !nscalars in
-          incr nscalars;
-          scalars := (v, (s, k)) :: !scalars;
-          Tscal s
-    in
-    let rec compile (e : Ast.expr) =
-      match e.Ast.e with
-      | Ast.Real_lit v -> Tconst v
-      | Ast.Int_lit n -> Tconst (float_of_int n)
-      | Ast.Var v -> (
-          match var_index v with
-          | Some k -> Tcounter k
-          | None -> (
-              match scalar_kind v with
-              | Some ((Scalar.Kint | Scalar.Kreal) as k) -> scalar v k
-              | _ -> raise Ineligible))
-      | Ast.Un (Ast.Neg, a) -> Tfun1 (Float.neg, compile a)
-      | Ast.Un (Ast.Not, _) -> raise Ineligible
-      | Ast.Bin (op, a, b) -> (
-          let ca = compile a and cb = compile b in
-          match op with
-          | Ast.Add -> Tadd (ca, cb)
-          | Ast.Sub -> Tsub (ca, cb)
-          | Ast.Mul -> Tmul (ca, cb)
-          | Ast.Div -> (
-              match (kind_of a, kind_of b) with
-              | `Ki, `Ki -> Tint (Idiv, ca, cb)
-              | `Kr, _ | _, `Kr -> Tdiv (ca, cb)
-              | _ -> raise Ineligible)
-          | Ast.Pow -> Tfun2 (Float.pow, ca, cb)
-          | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
-              (* 1./0. encodes logical; [compare] mirrors Scalar.compare_num
-                 on numeric values (total order: NaN and -0. included) *)
-              match (kind_of a, kind_of b) with
-              | (`Ki | `Kr), (`Ki | `Kr) ->
-                  let fn =
-                    match op with
-                    | Ast.Eq -> fun (x : float) y -> if compare x y = 0 then 1. else 0.
-                    | Ast.Ne -> fun (x : float) y -> if compare x y <> 0 then 1. else 0.
-                    | Ast.Lt -> fun (x : float) y -> if compare x y < 0 then 1. else 0.
-                    | Ast.Le -> fun (x : float) y -> if compare x y <= 0 then 1. else 0.
-                    | Ast.Gt -> fun (x : float) y -> if compare x y > 0 then 1. else 0.
-                    | _ -> fun (x : float) y -> if compare x y >= 0 then 1. else 0.
-                  in
-                  Tfun2 (fn, ca, cb)
-              | _ -> raise Ineligible)
-          | Ast.And | Ast.Or -> raise Ineligible)
-      | Ast.Log_lit _ | Ast.Str_lit _ -> raise Ineligible
-      | Ast.Ref r when Intrinsic_names.is_elemental r.Ast.base
-                       && Sema.array_spec env r.Ast.base = None -> (
-          let sargs = subscripts r in
-          let args = List.map compile sargs in
-          let kinds () = List.map kind_of sargs in
-          match (r.Ast.base, args) with
-          | "ABS", [ a ] -> Tfun1 (Float.abs, a)
-          | "SQRT", [ a ] -> Tfun1 (Float.sqrt, a)
-          | "EXP", [ a ] -> Tfun1 (Float.exp, a)
-          | "LOG", [ a ] -> Tfun1 (Float.log, a)
-          | "SIN", [ a ] -> Tfun1 (sin, a)
-          | "COS", [ a ] -> Tfun1 (cos, a)
-          (* compare-based, not Float.min/max: Scalar.min2/max2 order -0.
-             and NaN by [compare], and return the first operand on ties *)
-          | "MIN", [ a; b ] ->
-              Tfun2 ((fun (x : float) y -> if compare x y <= 0 then x else y), a, b)
-          | "MAX", [ a; b ] ->
-              Tfun2 ((fun (x : float) y -> if compare x y >= 0 then x else y), a, b)
-          | "MOD", [ a; b ] -> (
-              match kinds () with
-              | [ `Ki; `Ki ] -> Tint (Imod, a, b)
-              | [ (`Ki | `Kr); (`Ki | `Kr) ] -> Tfun2 (Float.rem, a, b)
-              | _ -> raise Ineligible)
-          | "MODULO", [ a; b ] -> (
-              match kinds () with [ `Ki; `Ki ] -> Tint (Imodulo, a, b) | _ -> raise Ineligible)
-          | "MERGE", [ t; f; m ] -> (
-              (* the mask must compile to a relational (1./0.), never a
-                 plain numeric expression *)
-              match sargs with
-              | [ _; _;
-                  { Ast.e = Ast.Bin ((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), _, _); _ }
-                ] ->
-                  Tsel (t, f, m)
-              | _ -> raise Ineligible)
-          | ("REAL" | "FLOAT" | "DBLE"), [ a ] -> a
+    (* A snapshot or a mask is the interpreter's.  [f_snapshot = false]
+       is Lower's guarantee that every direct read of the lhs array is its
+       identity subscript or provably separated from every write, so the
+       nest's iterations are independent and may run in any order.  An
+       even iteration partition (the only one with a write-back phase)
+       computes into a value buffer, so only its REAL stores compile. *)
+    if f.Ir.f_mask <> None || f.Ir.f_snapshot then raise Ineligible;
+    let scatter =
+      match f.Ir.f_iter with
+      | Ir.It_even -> (
+          match Sema.array_spec env f.Ir.f_lhs.Ast.base with
+          | Some spec when spec.Sema.skind = Ast.Real -> true
           | _ -> raise Ineligible)
-      | Ast.Ref r -> (
-          match Sema.array_spec env r.Ast.base with
-          | None -> raise Ineligible
-          | Some spec ->
-              if spec.Sema.skind = Ast.Logical then raise Ineligible;
-              (match List.assoc_opt r.Ast.rid f.Ir.f_access with
-              | None | Some Ir.Acc_direct | Some (Ir.Acc_global_temp _) ->
-                  List.iter check_affine (subscripts r)
-              | Some (Ir.Acc_box { dims; _ }) ->
-                  Array.iter (function Ir.By_sub e -> check_affine e | Ir.Collapsed -> ()) dims
-              | Some (Ir.Acc_flat _) -> ());
-              slot r)
+      | Ir.It_canonical _ | Ir.It_replicated -> false
     in
-    let template = compile f.Ir.f_rhs in
-    let refs = Array.of_list (List.rev !refs) in
+    let nvars = List.length f.Ir.f_vars in
+    if nvars = 0 || nvars > 3 then raise Ineligible;
+    let var_index = make_var_index f in
+    if not scatter then
+      List.iter (fun e -> if not (affine ~var_index e) then raise Ineligible) (subscripts f.Ir.f_lhs);
+    let rhs = compile_expr ~env ~scalar_kind ~f f.Ir.f_rhs in
     let lhs = f.Ir.f_lhs.Ast.base in
     Some
       {
         p_f = f;
-        p_template = template;
-        p_refs = refs;
-        p_lhs_reads = Array.map (fun r -> r.Ast.base = lhs && direct_access f r) refs;
-        p_scalars =
-          List.sort (fun (_, (a, _)) (_, (b, _)) -> compare a b) !scalars
-          |> List.map (fun (v, (_, k)) -> (v, k))
-          |> Array.of_list;
+        p_rhs = rhs;
+        p_lhs_reads = Array.map (fun r -> r.Ast.base = lhs && direct_access f r) rhs.x_refs;
+        p_scatter = scatter;
       }
   with Ineligible -> None
+
+(* How the inspector evaluates one subscript of a reference, decided once
+   per run: an affine form in the FORALL variables, an integer-valued
+   expression run as strips over the iteration space, or the
+   interpreter. *)
+type index_plan = Xaffine of Ast.expr | Xstrips of expr_plan | Xinterp
+
+let plan_index ~env ~scalar_kind ~(f : Ir.forall) e =
+  let var_index = make_var_index f in
+  let nvars = List.length f.Ir.f_vars in
+  if affine ~var_index e then Xaffine e
+  else if nvars >= 1 && nvars <= 3 && kind_of ~env ~scalar_kind ~var_index e = `Ki then
+    try Xstrips (compile_expr ~env ~scalar_kind ~f e) with Ineligible -> Xinterp
+  else Xinterp
 
 (* ------------------------------------------------------------------ *)
 (* Row strips                                                          *)
@@ -617,13 +662,32 @@ let exec_strips ~slots ~svals ~progs ~store ~(sflat : lin) ~lens body =
 (* Execution: the value-dependent half                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Resolve the slots and scalars against this execution's values, then
-   run the nest; raises [Decline] before any store for every reason but a
-   zero divisor. *)
-let run_nest (p : compiled) ~me ~scalar_lookup ~darr_of ~temp_of ~values =
-  let f = p.p_f in
+(* One execution's view of the nest: per-counter lengths and
+   progressions padded to three counters, and the flat linear offset of
+   a reference under its access.  Raises [Decline] when an iteration set is not a
+   progression; [flat_of_ref] raises it for a reference it cannot
+   resolve. *)
+type nest = {
+  lens : int array;
+  progs : (int * int) array;
+  flat_of_ref : Ast.ref_ -> Ndarray.t * lin;
+}
+
+(* The iteration counter in nest order, as a linear form. *)
+let counter_lin lens =
+  let nvars = Array.length lens in
+  let counter = ref (lin_const nvars 0) in
+  let weight = ref 1 in
+  for k = nvars - 1 downto 0 do
+    let l = lin_const nvars 0 in
+    l.coefs.(k) <- !weight;
+    counter := lin_add !counter l;
+    weight := !weight * lens.(k)
+  done;
+  !counter
+
+let nest (f : Ir.forall) ~me ~scalar_lookup ~darr_of ~temp_of ~values =
   let nvars = 3 in
-  (* progressions and lengths; pad to three counters *)
   let lens = Array.make nvars 1 in
   let progs = Array.make nvars (0, 0) in
   List.iteri
@@ -638,32 +702,12 @@ let run_nest (p : compiled) ~me ~scalar_lookup ~darr_of ~temp_of ~values =
       lens.(k) <- n;
       progs.(k) <- (g0, gs))
     values;
-  let lhs_darr = darr_of f.Ir.f_lhs.Ast.base in
-  let store =
-    match lhs_darr.Darray.local.Ndarray.data with
-    | Ndarray.Reals d -> d
-    | _ -> raise (Decline Stats.Int_store)
-  in
-  let svals =
-    Array.map
-      (fun (v, k) ->
-        match (k, scalar_lookup v) with
-        | Scalar.Kint, Some (Scalar.Int n) -> float_of_int n
-        | Scalar.Kreal, Some (Scalar.Real r) -> r
-        | _ -> raise (Decline Stats.Scalar_kind))
-      p.p_scalars
-  in
-  let var_index = make_var_index f in
-  let ilookup v =
-    match scalar_lookup v with Some (Scalar.Int n) -> Some n | _ -> None
-  in
-  let lin_of e = lin_of ~nvars ~var_index ~progs ~ilookup e in
+  let lin_of e = lin_of ~nvars ~var_index:(make_var_index f) ~progs ~scalar_lookup e in
   let temp want temp =
     match (want, temp_of temp) with
     | `Box, Some (Tbox nd) | `Flat, Some (Tflat nd) | `Global, Some (Tglobal nd) -> nd
     | _ -> raise (Decline Stats.Missing_temp)
   in
-  (* flat linear offset of an array reference under its access *)
   let flat_of_ref (r : Ast.ref_) =
     let through_layout dad d e =
       let flb = (Dad.dims dad).(d).Dad.flb in
@@ -691,40 +735,103 @@ let run_nest (p : compiled) ~me ~scalar_lookup ~darr_of ~temp_of ~values =
         (nd, flat_of_positions ~lens nd positions)
     | Some (Ir.Acc_flat { temp = t }) ->
         let nd = temp `Flat t in
-        (* the iteration counter in nest order *)
-        let counter = ref (lin_const nvars 0) in
-        let weight = ref 1 in
-        for k = nvars - 1 downto 0 do
-          let l = lin_const nvars 0 in
-          l.coefs.(k) <- !weight;
-          counter := lin_add !counter l;
-          weight := !weight * lens.(k)
-        done;
-        (nd, flat_of_positions ~lens nd [ lin_add !counter (lin_const nvars 1) ])
+        (nd, flat_of_positions ~lens nd [ lin_add (counter_lin lens) (lin_const nvars 1) ])
     | Some (Ir.Acc_global_temp { temp = t }) ->
         let nd = temp `Global t in
         (nd, flat_of_positions ~lens nd (List.map lin_of (subscripts r)))
   in
-  let slots = Array.map flat_of_ref p.p_refs in
-  (* -1 rid: no access entry, so the lhs resolves Acc_direct *)
-  let _, sflat = flat_of_ref { f.Ir.f_lhs with Ast.rid = -1 } in
-  if not (store_injective ~lens sflat) then raise (Decline Stats.Not_injective);
-  (* Lower vouches for direct reads of the lhs array by name; any other
-     operand sharing the store's storage would be an alias it never saw
-     (none arises today: dummies are copied in, temporaries are fresh) *)
-  Array.iteri
-    (fun s (nd, _) ->
-      match nd.Ndarray.data with
-      | Ndarray.Reals d when d == store && not p.p_lhs_reads.(s) ->
-          raise (Decline Stats.Storage_alias)
-      | _ -> ())
-    slots;
-  exec_strips ~slots ~svals ~progs ~store ~sflat ~lens p.p_template
+  { lens; progs; flat_of_ref }
+
+let scalar_values x ~scalar_lookup =
+  Array.map
+    (fun (v, k) ->
+      match (k, scalar_lookup v) with
+      | Scalar.Kint, Some (Scalar.Int n) -> float_of_int n
+      | Scalar.Kreal, Some (Scalar.Real r) -> r
+      | _ -> raise (Decline Stats.Scalar_kind))
+    x.x_scalars
+
+type stored = Stored | Scattered of Ndarray.t
+
+(* Resolve the slots and scalars against this execution's values, then
+   run the nest; raises [Decline] before any store for every reason but a
+   zero divisor. *)
+let run_nest (p : compiled) ~me ~scalar_lookup ~darr_of ~temp_of ~values =
+  let f = p.p_f in
+  let n = nest f ~me ~scalar_lookup ~darr_of ~temp_of ~values in
+  let lhs_darr = darr_of f.Ir.f_lhs.Ast.base in
+  if p.p_scatter then begin
+    (* the write-back phase sends value [i] to the [i]th entry of the
+       statement's write list: one entry per copy of each element *)
+    let copies = Dad.copies lhs_darr.Darray.dad in
+    let points = n.lens.(0) * n.lens.(1) * n.lens.(2) in
+    let svals = scalar_values p.p_rhs ~scalar_lookup in
+    let slots = Array.map n.flat_of_ref p.p_rhs.x_refs in
+    let buf = Array.make (points * copies) 0. in
+    exec_strips ~slots ~svals ~progs:n.progs ~store:buf ~sflat:(lin_scale copies (counter_lin n.lens))
+      ~lens:n.lens p.p_rhs.x_template;
+    for i = 0 to points - 1 do
+      for j = 1 to copies - 1 do
+        buf.((i * copies) + j) <- buf.(i * copies)
+      done
+    done;
+    Scattered (Ndarray.of_reals [| points * copies |] buf)
+  end
+  else begin
+    let store =
+      match lhs_darr.Darray.local.Ndarray.data with
+      | Ndarray.Reals d -> d
+      | _ -> raise (Decline Stats.Int_store)
+    in
+    let svals = scalar_values p.p_rhs ~scalar_lookup in
+    let slots = Array.map n.flat_of_ref p.p_rhs.x_refs in
+    (* -1 rid: no access entry, so the lhs resolves Acc_direct *)
+    let _, sflat = n.flat_of_ref { f.Ir.f_lhs with Ast.rid = -1 } in
+    if not (store_injective ~lens:n.lens sflat) then raise (Decline Stats.Not_injective);
+    (* Lower vouches for direct reads of the lhs array by name; any other
+       operand sharing the store's storage would be an alias it never saw
+       (none arises today: dummies are copied in, temporaries are fresh) *)
+    Array.iteri
+      (fun s (nd, _) ->
+        match nd.Ndarray.data with
+        | Ndarray.Reals d when d == store && not p.p_lhs_reads.(s) ->
+            raise (Decline Stats.Storage_alias)
+        | _ -> ())
+      slots;
+    exec_strips ~slots ~svals ~progs:n.progs ~store ~sflat ~lens:n.lens p.p_rhs.x_template;
+    Stored
+  end
 
 let execute (p : plan) ~me ~scalar_lookup ~darr_of ~temp_of ~values =
   Option.map
     (fun p ->
       match run_nest p ~me ~scalar_lookup ~darr_of ~temp_of ~values with
-      | () -> Ok ()
+      | out -> Ok out
       | exception Decline why -> Error why)
     p
+
+type index = Iaffine of lin | Ivalues of int array | Iinterp
+
+let index (x : index_plan) ~(f : Ir.forall) ~me ~scalar_lookup ~darr_of ~temp_of ~values =
+  match (x, values) with
+  | Xinterp, _ -> Iinterp
+  | Xaffine e, _ -> (
+      (* coefficients on the variables' values, not on loop counters *)
+      let nvars = List.length f.Ir.f_vars in
+      try
+        Iaffine
+          (lin_of ~nvars ~var_index:(make_var_index f) ~progs:(Array.make nvars (0, 1))
+             ~scalar_lookup e)
+      with Decline _ -> Iinterp)
+  | Xstrips _, None -> Iinterp
+  | Xstrips _, Some values when List.exists (fun a -> Array.length a = 0) values -> Ivalues [||]
+  | Xstrips xp, Some values -> (
+      try
+        let n = nest f ~me ~scalar_lookup ~darr_of ~temp_of ~values in
+        let svals = scalar_values xp ~scalar_lookup in
+        let slots = Array.map n.flat_of_ref xp.x_refs in
+        let buf = Array.make (n.lens.(0) * n.lens.(1) * n.lens.(2)) 0. in
+        exec_strips ~slots ~svals ~progs:n.progs ~store:buf ~sflat:(counter_lin n.lens) ~lens:n.lens
+          xp.x_template;
+        Ivalues (Array.map int_of_float buf)
+      with Decline _ -> Iinterp)

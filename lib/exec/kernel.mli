@@ -9,7 +9,7 @@
       eligibility, the operator tree, which references and scalars feed
       which leaves, integer-vs-real division — before the run starts;
       every rank and every execution under a DO loop shares the one plan.
-      Masks, write-back phases, snapshots and non-canonical stores are
+      Masks, snapshots and non-REAL stores of a write-back phase are
       ineligible here and nowhere else;
     - {!execute} resolves the reference slots and scalar values once
       against the current layouts, scalars and iteration sets, then runs
@@ -47,6 +47,13 @@ val plan :
     body may read (from declarations), which decides integer vs. real
     division. *)
 
+type stored =
+  | Stored  (** the nest stored into the left-hand side's local section *)
+  | Scattered of F90d_base.Ndarray.t
+      (** a scatter plan's values: entry [i * c + j] is iteration [i]'s
+          value (nest order) for the [j]th of the [c] ranks holding its
+          element, in {!F90d_dist.Dad.owning_ranks} order *)
+
 val execute :
   plan ->
   me:int ->
@@ -54,7 +61,7 @@ val execute :
   darr_of:(string -> F90d_runtime.Darray.t) ->
   temp_of:(int -> temp_nd option) ->
   values:int array list ->
-  (unit, F90d_machine.Stats.kernel_fallback) result option
+  (stored, F90d_machine.Stats.kernel_fallback) result option
 (** Runs the whole local loop nest.  [None]: the plan is ineligible.
     [Some (Error why)]: the kernel declined and the caller must
     interpret the nest.  [values] are this processor's per-variable
@@ -62,3 +69,40 @@ val execute :
     found while the strips run, after earlier strips were stored; the
     interpreter then reports the division as an error, so those stores
     are never observed. *)
+
+(** {2 Inspector subscripts} *)
+
+type lin = { base : int; coefs : int array }
+(** [base + sum_k coefs.(k) * x_k]. *)
+
+type index_plan
+(** How one subscript expression of a FORALL is evaluated for the PARTI
+    inspector, decided once per run like {!plan}. *)
+
+val plan_index :
+  env:Sema.unit_env ->
+  scalar_kind:(string -> F90d_base.Scalar.kind option) ->
+  f:F90d_ir.Ir.forall ->
+  Ast.expr ->
+  index_plan
+
+type index =
+  | Iaffine of lin
+      (** affine in the FORALL variables' values, [x_k] being the [k]th
+          variable's value *)
+  | Ivalues of int array  (** the value at each iteration, in nest order *)
+  | Iinterp  (** neither form applies: the interpreter evaluates it *)
+
+val index :
+  index_plan ->
+  f:F90d_ir.Ir.forall ->
+  me:int ->
+  scalar_lookup:(string -> F90d_base.Scalar.t option) ->
+  darr_of:(string -> F90d_runtime.Darray.t) ->
+  temp_of:(int -> temp_nd option) ->
+  values:int array list option ->
+  index
+(** Resolves a subscript for one execution.  An affine subscript gets its
+    coefficients from the current scalar values; another integer-valued
+    one runs as strips over [values], this processor's iteration space
+    ([None] for another rank's, whose temporaries are not here). *)

@@ -79,7 +79,19 @@ type prog = {
 (* Generation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type g = { rng : Rng.t; n1 : int; n2 : int; arrays : arr list }
+type g = {
+  rng : Rng.t;
+  n1 : int;
+  n2 : int;
+  arrays : arr list;
+  srng : Rng.t;
+      (* draws for scatter writes only, so that adding them left every
+         other seed's program unchanged *)
+  scatter : bool;
+      (* FORALLs may write through the index array, X(V(I + o)): every
+         assignment to V then keeps it a permutation of [1, n1], so the
+         writes of distinct iterations stay distinct *)
+}
 
 let extent g a = if List.length a.adims = 1 then g.n1 else g.n2
 let arrays_of_rank g r = List.filter (fun a -> List.length a.adims = r) g.arrays
@@ -222,11 +234,26 @@ let gen_forall g (venv : venv) =
   let venv' = !fvenv @ venv in
   let mask = if Rng.chance g.rng 30 then Some (gen_cond g venv' ~depth:1) else None in
   let rhs = gen_expr g venv' ~depth:(Rng.range g.rng 1 3) ~want:a.akind in
-  Forall { vars = List.rev !vars; mask; lhs = a.aname; lsubs = List.rev !lsubs; rhs }
+  (* a scatter write through the permutation V: in-bounds over [vlo, vhi] *)
+  let lsubs =
+    match (index_arr g, !fvenv) with
+    | Some ia, [ (v, (vlo, vhi)) ] when g.scatter && rank = 1 && Rng.chance g.srng 50 ->
+        [ Sind (ia.aname, v, Rng.range g.srng (max (1 - vlo) (-3)) (min (g.n1 - vhi) 3)) ]
+    | _ -> List.rev !lsubs
+  in
+  Forall { vars = List.rev !vars; mask; lhs = a.aname; lsubs; rhs }
+
+(* The multiplier of an index-array assignment MODULO(c*I + d, n1) + 1:
+   under scatter writes the next one coprime with n1, which makes V a
+   permutation. *)
+let multiplier g c =
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let rec coprime c = if gcd c g.n1 = 1 then c else coprime (c + 1) in
+  if g.scatter then coprime c else c
 
 (* invariant-preserving rewrite of the index array *)
 let gen_vrewrite g ia =
-  let c1 = Rng.range g.rng 1 5 and c2 = Rng.range g.rng 0 9 in
+  let c1 = multiplier g (Rng.range g.rng 1 5) and c2 = Rng.range g.rng 0 9 in
   Forall
     {
       vars = [ ("I", 1, g.n1, 1) ];
@@ -363,7 +390,15 @@ let init_stm g (a : arr) =
   | [ e ] ->
       let rhs =
         if a.aindex then
-          B ("+", C ("MODULO", [ B ("+", B ("*", L (Rng.range g.rng 1 5), V "I"), L (Rng.range g.rng 0 7)); L g.n1 ]), L 1)
+          B
+            ( "+",
+              C
+                ( "MODULO",
+                  [
+                    B ("+", B ("*", L (multiplier g (Rng.range g.rng 1 5)), V "I"), L (Rng.range g.rng 0 7));
+                    L g.n1;
+                  ] ),
+              L 1 )
         else
           let base = B ("+", B ("*", L (Rng.range g.rng (-4) 6), V "I"), L (Rng.range g.rng (-5) 9)) in
           match a.akind with
@@ -416,7 +451,9 @@ let generate ~seed =
     match Rng.int rng 10 with 0 | 1 | 2 -> None | 3 | 4 | 5 | 6 -> Some 1 | _ -> Some 2
   in
   let grid_rank = match grid with None -> 1 | Some r -> r in
-  let g0 = { rng; n1; n2; arrays = [] } in
+  let g0 =
+    { rng; n1; n2; arrays = []; srng = Rng.make ((seed * 7919) + 0x5CA7); scatter = false }
+  in
   let n_one = Rng.range rng 2 4 and n_two = Rng.range rng 1 2 in
   let with_index = Rng.chance rng 50 in
   let arrays = ref [] in
@@ -440,7 +477,7 @@ let generate ~seed =
         aindex = true }
       :: !arrays;
   let arrays = List.rev !arrays in
-  let g = { g0 with arrays } in
+  let g = { g0 with arrays; scatter = with_index && Rng.chance g0.srng 50 } in
   let inits =
     List.map (init_stm g) arrays
     @ [

@@ -1,20 +1,25 @@
 open F90d_dist
 
-(* needs/writes list for moving [src] into [dst] where both descriptors are
-   global knowledge: for [rank]'s owned dst elements, in local order, the
-   (source owner, source storage flat) pairs. *)
-let needs_for ~(src : Darray.t) ~(dst_dad : Dad.t) ~f rank =
-  let acc = ref [] in
-  Dad.iter_local dst_dad ~rank (fun g _ ->
-      let sg = f g in
-      let owner = Dad.home_rank src.Darray.dad sg in
-      let lidx =
-        match Dad.local_indices src.Darray.dad ~rank:owner sg with
-        | Some l -> l
-        | None -> F90d_base.Diag.bug "redistribute: home rank does not own source element"
-      in
-      acc := (owner, Dad.storage_flat src.Darray.dad ~rank:owner lidx) :: !acc);
-  Array.of_list (List.rev !acc)
+(* One inspector pass for moving [src] into [dst] where both descriptors
+   are global knowledge: for each of [ranks]' owned dst elements, in local
+   order, the source owner and storage flat of its source element.  Rank
+   [ranks.(i)]'s entries are [starts.(i)] .. [starts.(i + 1) - 1]. *)
+let needs ~(src : Darray.t) ~(dst_dad : Dad.t) ~f ranks =
+  let starts = Array.make (Array.length ranks + 1) 0 in
+  Array.iteri
+    (fun i rank ->
+      starts.(i + 1) <- starts.(i) + Array.fold_left ( * ) 1 (Dad.local_counts dst_dad ~rank))
+    ranks;
+  let n = starts.(Array.length ranks) in
+  let owners = Array.make n 0 and flats = Array.make n 0 in
+  let at = ref 0 in
+  Array.iter
+    (fun rank ->
+      Dad.iter_local dst_dad ~rank (fun g _ ->
+          Dad.locate src.Darray.dad (f g) ~every_owner:false ~owners ~flats ~at:!at;
+          incr at))
+    ranks;
+  (owners, flats, starts)
 
 let store_tmp ctx ~(dst : Darray.t) tmp =
   let me = Rctx.me ctx in
@@ -26,13 +31,13 @@ let store_tmp ctx ~(dst : Darray.t) tmp =
 
 let redistribute ctx (src : Darray.t) dst_dad =
   let dst = Darray.create ctx dst_dad in
-  let me = Rctx.me ctx in
   let key = Format.asprintf "redist:%a->%a" Dad.pp src.Darray.dad Dad.pp dst_dad in
   let sched =
     Schedule.cached ctx ~key (fun () ->
-        Schedule.build_read_local ctx
-          ~needs:(needs_for ~src ~dst_dad ~f:Fun.id me)
-          ~peer_needs:(needs_for ~src ~dst_dad ~f:Fun.id))
+        let owners, flats, starts =
+          needs ~src ~dst_dad ~f:Fun.id (Grid.all_ranks (Dad.grid dst_dad))
+        in
+        Schedule.build_read_local ctx ~owners ~flats ~starts)
   in
   let tmp = Schedule.read ctx sched src in
   store_tmp ctx ~dst tmp;
@@ -40,6 +45,7 @@ let redistribute ctx (src : Darray.t) dst_dad =
 
 let remap ctx ~(dst : Darray.t) ~(src : Darray.t) ~f =
   let me = Rctx.me ctx in
-  let sched = Schedule.build_read_comm ctx ~needs:(needs_for ~src ~dst_dad:dst.Darray.dad ~f me) in
+  let owners, flats, _ = needs ~src ~dst_dad:dst.Darray.dad ~f [| me |] in
+  let sched = Schedule.build_gather ctx ~owners ~flats in
   let tmp = Schedule.read ctx sched src in
   store_tmp ctx ~dst tmp

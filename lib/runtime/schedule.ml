@@ -11,24 +11,70 @@ type t = {
   tmp_size : int;
 }
 
-(* Group (owner, remote_flat) pairs by owner in grid-rank order, keeping the
-   original (iteration) order inside each group.  [pos_of] selects whether
-   a pair contributes its sequence position or its remote flat index. *)
-let group_by_peer ctx pairs ~pos_of =
+(* A stable counting sort of entries [lo, hi) by owner rank: the
+   entries owned by rank [q] sit, in entry order, at [bstart.(q)] ..
+   [bstart.(q + 1) - 1] of [bseq] (their buffer positions, [i - lo]) and
+   of [bflat] (their storage flats on [q]). *)
+type buckets = { bstart : int array; bseq : int array; bflat : int array }
+
+let bucket ctx ~owners ~flats ~lo ~hi =
   let p = Rctx.nprocs ctx in
-  let buckets = Array.make p [] in
-  Array.iteri
-    (fun seq (owner, flat) -> buckets.(owner) <- pos_of seq flat :: buckets.(owner))
-    pairs;
+  let bstart = Array.make (p + 1) 0 in
+  for i = lo to hi - 1 do
+    bstart.(owners.(i) + 1) <- bstart.(owners.(i) + 1) + 1
+  done;
+  for q = 1 to p do
+    bstart.(q) <- bstart.(q) + bstart.(q - 1)
+  done;
+  let fill = Array.sub bstart 0 p in
+  let bseq = Array.make (hi - lo) 0 and bflat = Array.make (hi - lo) 0 in
+  for i = lo to hi - 1 do
+    let q = owners.(i) in
+    let k = fill.(q) in
+    bseq.(k) <- i - lo;
+    bflat.(k) <- flats.(i);
+    fill.(q) <- k + 1
+  done;
+  { bstart; bseq; bflat }
+
+let bucket_of b a q = Array.sub a b.bstart.(q) (b.bstart.(q + 1) - b.bstart.(q))
+
+(* One segment per peer other than me with a non-empty bucket, in
+   grid-rank order. *)
+let peer_segs ctx b a =
+  let me = Rctx.me ctx in
   let segs = ref [] in
-  for peer = p - 1 downto 0 do
-    match buckets.(peer) with
-    | [] -> ()
-    | l -> segs := { peer; positions = Array.of_list (List.rev l) } :: !segs
+  for peer = Rctx.nprocs ctx - 1 downto 0 do
+    if peer <> me && b.bstart.(peer + 1) > b.bstart.(peer) then
+      segs := { peer; positions = bucket_of b a peer } :: !segs
   done;
   !segs
 
-let seq_pos seq _flat = seq
+(* The other side of a local build, read off every peer's entries: the
+   flats each peer's entries address on me, for each peer that has any. *)
+let segs_owned_by_me ctx ~owners ~flats ~starts =
+  let me = Rctx.me ctx in
+  let segs = ref [] in
+  for peer = Rctx.nprocs ctx - 1 downto 0 do
+    if peer <> me then begin
+      let n = ref 0 in
+      for i = starts.(peer) to starts.(peer + 1) - 1 do
+        if owners.(i) = me then incr n
+      done;
+      if !n > 0 then begin
+        let positions = Array.make !n 0 in
+        let k = ref 0 in
+        for i = starts.(peer) to starts.(peer + 1) - 1 do
+          if owners.(i) = me then begin
+            positions.(!k) <- flats.(i);
+            incr k
+          end
+        done;
+        segs := { peer; positions } :: !segs
+      end
+    end
+  done;
+  !segs
 
 (* Preprocessing-loop cost: a few index operations per element inspected. *)
 let charge_inspector ctx n = Rctx.charge_iops ctx (3 * n)
@@ -49,100 +95,82 @@ let sched_bytes elem s =
   let seg_positions segs = List.fold_left (fun acc g -> acc + Array.length g.positions) 0 segs in
   elem * (seg_positions s.out_segs + seg_positions s.in_segs + Array.length s.self_src)
 
-let split_self ctx segs =
-  let me = Rctx.me ctx in
-  let self = List.find_opt (fun s -> s.peer = me) segs in
-  (List.filter (fun s -> s.peer <> me) segs, match self with Some s -> s.positions | None -> [||])
-
-let build_read_local ctx ~needs ~peer_needs =
+let build_read_local ctx ~owners ~flats ~starts =
   spanned ctx "inspector:read_local" ~cat:"inspector" ~bytes_of:(fun _ -> 0) @@ fun () ->
-  charge_inspector ctx (Array.length needs);
   let me = Rctx.me ctx in
-  let in_all = group_by_peer ctx needs ~pos_of:seq_pos in
-  let in_segs, self_dst = split_self ctx in_all in
-  let self_src =
-    Array.of_seq
-      (Seq.filter_map
-         (fun (owner, flat) -> if owner = me then Some flat else None)
-         (Array.to_seq needs))
-  in
-  (* the send side is computed locally from the inverted subscript *)
-  let out_segs = ref [] in
-  for peer = Rctx.nprocs ctx - 1 downto 0 do
-    if peer <> me then begin
-      let theirs = peer_needs peer in
-      let mine =
-        Array.to_seq theirs
-        |> Seq.filter_map (fun (owner, flat) -> if owner = me then Some flat else None)
-        |> Array.of_seq
-      in
-      if Array.length mine > 0 then out_segs := { peer; positions = mine } :: !out_segs
-    end
-  done;
-  { out_segs = !out_segs; in_segs; self_src; self_dst; tmp_size = Array.length needs }
+  let lo = starts.(me) and hi = starts.(me + 1) in
+  charge_inspector ctx (hi - lo);
+  let b = bucket ctx ~owners ~flats ~lo ~hi in
+  {
+    out_segs = segs_owned_by_me ctx ~owners ~flats ~starts;
+    in_segs = peer_segs ctx b b.bseq;
+    self_src = bucket_of b b.bflat me;
+    self_dst = bucket_of b b.bseq me;
+    tmp_size = hi - lo;
+  }
 
 (* Exchange index lists with every peer: I tell each peer which of its flat
    positions I need (or will write); each peer's reply order defines the
    packing order on its side. *)
-let exchange_index_lists ctx ~mine_for =
+let exchange_index_lists ctx b =
   let me = Rctx.me ctx and p = Rctx.nprocs ctx in
   for peer = 0 to p - 1 do
-    if peer <> me then Rctx.send ctx ~dest:peer ~tag:Tags.schedule_indices (Message.Ints (mine_for peer))
+    if peer <> me then
+      Rctx.send ctx ~dest:peer ~tag:Tags.schedule_indices (Message.Ints (bucket_of b b.bflat peer))
   done;
+  let segs = ref [] in
   let incoming = Array.make p [||] in
   for peer = 0 to p - 1 do
     if peer <> me then incoming.(peer) <- Message.ints (Rctx.recv ctx ~src:peer ~tag:Tags.schedule_indices)
   done;
-  incoming
-
-let segs_of_incoming incoming =
-  let segs = ref [] in
-  for peer = Array.length incoming - 1 downto 0 do
-    if Array.length incoming.(peer) > 0 then
-      segs := { peer; positions = incoming.(peer) } :: !segs
+  for peer = p - 1 downto 0 do
+    if Array.length incoming.(peer) > 0 then segs := { peer; positions = incoming.(peer) } :: !segs
   done;
   !segs
 
-let remote_flats_for pairs peer =
-  Array.to_seq pairs
-  |> Seq.filter_map (fun (owner, flat) -> if owner = peer then Some flat else None)
-  |> Array.of_seq
+let build_gather ctx ~owners ~flats =
+  spanned ctx "inspector:read_comm" ~cat:"inspector" ~bytes_of:(fun _ -> 0) @@ fun () ->
+  let me = Rctx.me ctx and n = Array.length owners in
+  charge_inspector ctx n;
+  let b = bucket ctx ~owners ~flats ~lo:0 ~hi:n in
+  let in_segs = peer_segs ctx b b.bseq in
+  {
+    out_segs = exchange_index_lists ctx b;
+    in_segs;
+    self_src = bucket_of b b.bflat me;
+    self_dst = bucket_of b b.bseq me;
+    tmp_size = n;
+  }
 
 let build_read_comm ctx ~needs =
-  spanned ctx "inspector:read_comm" ~cat:"inspector" ~bytes_of:(fun _ -> 0) @@ fun () ->
-  charge_inspector ctx (Array.length needs);
-  let me = Rctx.me ctx in
-  let in_all = group_by_peer ctx needs ~pos_of:seq_pos in
-  let in_segs, self_dst = split_self ctx in_all in
-  let self_src = remote_flats_for needs me in
-  let incoming = exchange_index_lists ctx ~mine_for:(remote_flats_for needs) in
-  { out_segs = segs_of_incoming incoming; in_segs; self_src; self_dst; tmp_size = Array.length needs }
+  build_gather ctx ~owners:(Array.map fst needs) ~flats:(Array.map snd needs)
 
-let build_write_local ctx ~writes ~peer_writes =
+let build_write_local ctx ~owners ~flats ~starts =
   spanned ctx "inspector:write_local" ~cat:"inspector" ~bytes_of:(fun _ -> 0) @@ fun () ->
-  charge_inspector ctx (Array.length writes);
   let me = Rctx.me ctx in
-  let out_all = group_by_peer ctx writes ~pos_of:seq_pos in
-  let out_segs, self_src = split_self ctx out_all in
-  let self_dst = remote_flats_for writes me in
-  let in_segs = ref [] in
-  for peer = Rctx.nprocs ctx - 1 downto 0 do
-    if peer <> me then begin
-      let theirs = remote_flats_for (peer_writes peer) me in
-      if Array.length theirs > 0 then in_segs := { peer; positions = theirs } :: !in_segs
-    end
-  done;
-  { out_segs; in_segs = !in_segs; self_src; self_dst; tmp_size = Array.length writes }
+  let lo = starts.(me) and hi = starts.(me + 1) in
+  charge_inspector ctx (hi - lo);
+  let b = bucket ctx ~owners ~flats ~lo ~hi in
+  {
+    out_segs = peer_segs ctx b b.bseq;
+    in_segs = segs_owned_by_me ctx ~owners ~flats ~starts;
+    self_src = bucket_of b b.bseq me;
+    self_dst = bucket_of b b.bflat me;
+    tmp_size = hi - lo;
+  }
 
-let build_write_comm ctx ~writes =
+let build_scatter ctx ~owners ~flats =
   spanned ctx "inspector:write_comm" ~cat:"inspector" ~bytes_of:(fun _ -> 0) @@ fun () ->
-  charge_inspector ctx (Array.length writes);
-  let me = Rctx.me ctx in
-  let out_all = group_by_peer ctx writes ~pos_of:seq_pos in
-  let out_segs, self_src = split_self ctx out_all in
-  let self_dst = remote_flats_for writes me in
-  let incoming = exchange_index_lists ctx ~mine_for:(remote_flats_for writes) in
-  { out_segs; in_segs = segs_of_incoming incoming; self_src; self_dst; tmp_size = Array.length writes }
+  let me = Rctx.me ctx and n = Array.length owners in
+  charge_inspector ctx n;
+  let b = bucket ctx ~owners ~flats ~lo:0 ~hi:n in
+  {
+    out_segs = peer_segs ctx b b.bseq;
+    in_segs = exchange_index_lists ctx b;
+    self_src = bucket_of b b.bseq me;
+    self_dst = bucket_of b b.bflat me;
+    tmp_size = n;
+  }
 
 let pack ctx src positions =
   let out = Ndarray.gather_flat src positions in

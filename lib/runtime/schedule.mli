@@ -10,29 +10,37 @@
 
     - {e local} builds (schedule1 of precomp_read / postcomp_write): both
       sides of every exchange are computed without communication, from an
-      invertible subscript.  The caller supplies a closure able to
-      enumerate any peer's needs/writes (cheap local arithmetic).
+      invertible subscript.  The caller supplies one inspector pass over
+      every rank's iteration space.
     - {e communicating} builds (schedule2/schedule3 of gather / scatter):
       only one side is locally known; index lists are exchanged during
       scheduling (the fan-in the paper describes).
 
-    [needs]/[writes] pair each tmp-buffer position (in iteration order)
-    with [(owner grid rank, flat storage position on the owner)]. *)
+    Entries come as two unboxed arrays: entry [i] pairs a tmp-buffer
+    position (entries in iteration order) with [owners.(i)], the owner
+    grid rank, and [flats.(i)], the flat storage position on the owner.
+    A local build's pass holds every rank's entries, rank [r]'s at
+    [starts.(r)] .. [starts.(r + 1) - 1]; a communicating build's holds
+    only the caller's.  Builders bucket entries by owner in one counting
+    sort. *)
 
 type t
 
 val build_read_local :
-  Rctx.t -> needs:(int * int) array -> peer_needs:(int -> (int * int) array) -> t
+  Rctx.t -> owners:int array -> flats:int array -> starts:int array -> t
 (** schedule1 for precomp_read. *)
 
-val build_read_comm : Rctx.t -> needs:(int * int) array -> t
+val build_gather : Rctx.t -> owners:int array -> flats:int array -> t
 (** schedule2 for gather. *)
 
+val build_read_comm : Rctx.t -> needs:(int * int) array -> t
+(** {!build_gather} from [(owner, flat)] pairs. *)
+
 val build_write_local :
-  Rctx.t -> writes:(int * int) array -> peer_writes:(int -> (int * int) array) -> t
+  Rctx.t -> owners:int array -> flats:int array -> starts:int array -> t
 (** schedule1 for postcomp_write. *)
 
-val build_write_comm : Rctx.t -> writes:(int * int) array -> t
+val build_scatter : Rctx.t -> owners:int array -> flats:int array -> t
 (** schedule3 for scatter. *)
 
 val read : Rctx.t -> t -> Darray.t -> F90d_base.Ndarray.t

@@ -217,6 +217,49 @@ let test_integer_division_by_zero () =
       "      J = 7 / K";
     ]
 
+(* An indirection subscript outside the declared bounds is a located
+   error naming the array, the index and the bounds, for a scatter write
+   and for a gather read, with and without the kernels and under the
+   parallel engine: never an internal error out of the owner mapping. *)
+let test_indirection_out_of_bounds () =
+  let off = { F90d_opt.Passes.all_on with F90d_opt.Passes.blocked_kernels = false } in
+  List.iter
+    (fun stmt ->
+      let src =
+        String.concat "\n"
+          [
+            "      PROGRAM T";
+            "      INTEGER, PARAMETER :: N = 16";
+            "      REAL A(16), C(16)";
+            "      INTEGER U(16)";
+            "C$    TEMPLATE TP(16)";
+            "C$    ALIGN A(I) WITH TP(I)";
+            "C$    ALIGN C(I) WITH TP(I)";
+            "C$    ALIGN U(I) WITH TP(I)";
+            "C$    DISTRIBUTE TP(BLOCK)";
+            "      FORALL (I = 1:N) U(I) = I + 1";
+            "      FORALL (I = 1:N) A(I) = I";
+            stmt;
+            "      END";
+            "";
+          ]
+      in
+      List.iter
+        (fun (mode, flags, jobs) ->
+          let name = Printf.sprintf "%s (%s)" (String.trim stmt) mode in
+          match Driver.run ~nprocs:4 ~jobs (Driver.compile ~flags src) with
+          | _ -> Alcotest.failf "%s ran without an error" name
+          | exception Diag.Error (loc, msg) ->
+              Alcotest.(check string)
+                (name ^ ": message") "index 17 of C dim 1 is outside the declared bounds 1:16" msg;
+              Alcotest.(check int) (name ^ ": line") 12 loc.Loc.line)
+        [
+          ("kernels on", F90d_opt.Passes.all_on, 1);
+          ("kernels off", off, 1);
+          ("jobs 4", F90d_opt.Passes.all_on, 4);
+        ])
+    [ "      FORALL (I = 1:N) C(U(I)) = A(I)"; "      FORALL (I = 1:N) A(I) = C(U(I))" ]
+
 (* An array dummy bound to anything but a whole array is a located error
    that names the subroutine and the dummy: neither a silent read of
    zero-filled storage nor an unrelated undefined-variable error. *)
@@ -281,5 +324,7 @@ let () =
           Alcotest.test_case "integer division by zero" `Quick test_integer_division_by_zero;
           Alcotest.test_case "array dummy, non-array actual" `Quick
             test_array_dummy_non_array_actual;
+          Alcotest.test_case "indirection subscript out of bounds" `Quick
+            test_indirection_out_of_bounds;
         ] );
     ]

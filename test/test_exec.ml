@@ -256,6 +256,250 @@ C$    DISTRIBUTE A(BLOCK)
      with Not_found -> false);
   checkb "two lines" true (List.length (String.split_on_char '\n' (String.trim out)) = 2)
 
+(* ------------------------------------------------------------------ *)
+(* The one-pass inspector against a per-element reference              *)
+(* ------------------------------------------------------------------ *)
+
+module Dad = F90d_dist.Dad
+module Distrib = F90d_dist.Distrib
+module Grid = F90d_dist.Grid
+module Inspector = F90d_exec.Inspector
+module Schedule = F90d_runtime.Schedule
+module Rctx = F90d_runtime.Rctx
+module Engine = F90d_machine.Engine
+
+(* A random distributed dimension: BLOCK, CYCLIC or CYCLIC(k), aligned by
+   the identity, stride 2 or a negative stride (explicit layouts). *)
+let random_dim rs ~flb ~extent ~pdim ~p =
+  let form =
+    match Random.State.int rs 3 with
+    | 0 -> Distrib.Block
+    | 1 -> Distrib.Cyclic
+    | _ -> Distrib.Block_cyclic (1 + Random.State.int rs 3)
+  in
+  let align =
+    match Random.State.int rs 3 with
+    | 0 -> Affine.ident
+    | 1 -> Affine.make ~a:2 ~b:0
+    | _ -> Affine.make ~a:(-1) ~b:(extent - 1)
+  in
+  let ghost = if form = Distrib.Block && Affine.is_identity align then Random.State.int rs 2 else 0 in
+  let tn = max (Affine.eval align 0) (Affine.eval align (extent - 1)) + 1 in
+  { Dad.flb; extent; align; dist = Distrib.make form ~n:tn ~p; pdim = Some pdim; ghost_lo = ghost; ghost_hi = ghost }
+
+(* A 1-D or 2-D array over a 1-D or 2-D grid; some dimensions are not
+   distributed, and on a 2-D grid a grid dimension may be left unused so
+   that elements have several owners. *)
+let random_dads rs =
+  let grid_dims =
+    if Random.State.bool rs then [| 1 + Random.State.int rs 5 |]
+    else [| 1 + Random.State.int rs 3; 1 + Random.State.int rs 3 |]
+  in
+  let grid = Grid.make grid_dims in
+  let rank = 1 + Random.State.int rs 2 in
+  let flbs = Array.init rank (fun _ -> Random.State.int rs 3) in
+  let extents = Array.init rank (fun _ -> 1 + Random.State.int rs 12) in
+  let pdims =
+    match (Array.length grid_dims, rank) with
+    | 1, 1 -> [| Some 0 |]
+    | 1, _ -> if Random.State.bool rs then [| Some 0; None |] else [| None; Some 0 |]
+    | _, 1 -> [| Some (Random.State.int rs 2) |]
+    | _, _ -> (
+        match Random.State.int rs 3 with
+        | 0 -> [| Some 0; Some 1 |]
+        | 1 -> [| Some 1; None |]
+        | _ -> [| None; Some 0 |])
+  in
+  let dad name =
+    Dad.make ~name ~kind:Scalar.Kreal ~grid
+      (Array.init rank (fun d ->
+           match pdims.(d) with
+           | None -> Dad.replicated_dim ~flb:flbs.(d) ~extent:extents.(d)
+           | Some p -> random_dim rs ~flb:flbs.(d) ~extent:extents.(d) ~pdim:p ~p:grid_dims.(p)))
+  in
+  (grid, dad "X", dad "LHS", flbs, extents)
+
+(* The naive reference: per-element lookups with home_rank / owning_ranks,
+   local_indices and storage_flat, over the space in nest order. *)
+let naive_entries dad ~every_owner space subscript =
+  let acc = ref [] in
+  let rec go x = function
+    | [] ->
+        let g = subscript (Array.of_list (List.rev x)) in
+        let owners = if every_owner then Dad.owning_ranks dad g else [ Dad.home_rank dad g ] in
+        List.iter
+          (fun o ->
+            acc := (o, Dad.storage_flat dad ~rank:o (Option.get (Dad.local_indices dad ~rank:o g))) :: !acc)
+          owners
+    | vals :: rest -> Array.iter (fun v -> go (v :: x) rest) vals
+  in
+  if space <> [] then go [] space;
+  List.rev !acc
+
+(* A schedule's stable encoding, built from naive per-rank entry lists
+   with the list grouping the builders replaced: positions in [mine]
+   grouped by owner, and every peer's entries that address me. *)
+let naive_blob ~nprocs ~me ~write entries =
+  let mine = List.mapi (fun i e -> (i, e)) entries.(me) in
+  let grouped =
+    List.filter_map
+      (fun peer ->
+        let pos = List.filter_map (fun (i, (o, _)) -> if o = peer then Some i else None) mine in
+        if peer = me || pos = [] then None else Some (peer, pos))
+      (List.init nprocs Fun.id)
+  in
+  let owned_by_me =
+    List.filter_map
+      (fun peer ->
+        let fl = List.filter_map (fun (o, f) -> if o = me then Some f else None) entries.(peer) in
+        if peer = me || fl = [] then None else Some (peer, fl))
+      (List.init nprocs Fun.id)
+  in
+  let self_pos = List.filter_map (fun (i, (o, _)) -> if o = me then Some i else None) mine in
+  let self_flat = List.filter_map (fun (_, (o, f)) -> if o = me then Some f else None) mine in
+  let b = Buffer.create 64 in
+  let int n = Buffer.add_int64_le b (Int64.of_int n) in
+  let arr l =
+    int (List.length l);
+    List.iter int l
+  in
+  let segs l =
+    int (List.length l);
+    List.iter
+      (fun (peer, l) ->
+        int peer;
+        arr l)
+      l
+  in
+  if write then begin
+    segs grouped;
+    segs owned_by_me;
+    arr self_pos;
+    arr self_flat
+  end
+  else begin
+    segs owned_by_me;
+    segs grouped;
+    arr self_flat;
+    arr self_pos
+  end;
+  int (List.length mine);
+  Buffer.contents b
+
+let prop_inspector_naive =
+  QCheck.Test.make ~name:"one-pass inspector = per-element reference" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let grid, dad, lhs, flbs, extents = random_dads rs in
+      let nprocs = Grid.size grid in
+      let rank = Array.length extents in
+      let even = Random.State.bool rs in
+      (* variable k runs over dimension k, possibly strided under the even
+         partition; canonical spaces take the lhs's owned iterations *)
+      let ranges =
+        List.init rank (fun k ->
+            (flbs.(k), flbs.(k) + extents.(k) - 1, if even then 1 + Random.State.int rs 2 else 1))
+      in
+      let space r =
+        if even then Some (Inspector.even ~nprocs ~rank:r ranges)
+        else
+          Inspector.canonical lhs ~var_dims:(List.init rank Option.some) ~guards:[] ~ranges ~rank:r
+      in
+      (* identity or reversed subscript per dimension, as an affine form
+         over the variables' values *)
+      let lins =
+        Array.init rank (fun d ->
+            let coefs = Array.make rank 0 in
+            if Random.State.bool rs then begin
+              coefs.(d) <- 1;
+              { F90d_exec.Kernel.base = 0; coefs }
+            end
+            else begin
+              coefs.(d) <- -1;
+              { F90d_exec.Kernel.base = (2 * flbs.(d)) + extents.(d) - 1; coefs }
+            end)
+      in
+      let eval_lin (l : F90d_exec.Kernel.lin) x =
+        Array.fold_left ( + ) l.F90d_exec.Kernel.base (Array.mapi (fun k c -> c * x.(k)) l.coefs)
+      in
+      let subscript x = Array.map (fun l -> eval_lin l x) lins in
+      let forms = Array.init rank (fun _ -> Random.State.int rs 3) in
+      let subs values =
+        Array.mapi
+          (fun d l ->
+            match forms.(d) with
+            | 0 -> Inspector.Lin l
+            | 1 ->
+                let acc = ref [] in
+                let rec go x = function
+                  | [] -> acc := eval_lin l (Array.of_list (List.rev x)) :: !acc
+                  | vals :: rest -> Array.iter (fun v -> go (v :: x) rest) vals
+                in
+                if values <> [] then go [] values;
+                Inspector.Vals (Array.of_list (List.rev !acc))
+            | _ -> Inspector.Fn (fun x _ -> eval_lin l x))
+          lins
+      in
+      let pass every_owner =
+        Inspector.run dad ~every_owner
+          (Array.init nprocs (fun r -> Option.map (fun v -> (v, subs v)) (space r)))
+      in
+      let reads = pass false and writes = pass true in
+      let naive every_owner =
+        Array.init nprocs (fun r ->
+            match space r with
+            | None -> []
+            | Some v -> naive_entries dad ~every_owner v subscript)
+      in
+      let naive_reads = naive false and naive_writes = naive true in
+      let slice (p : Inspector.pass) r =
+        List.init (p.starts.(r + 1) - p.starts.(r)) (fun i ->
+            (p.owners.(p.starts.(r) + i), p.flats.(p.starts.(r) + i)))
+      in
+      for r = 0 to nprocs - 1 do
+        if slice reads r <> naive_reads.(r) then QCheck.Test.fail_reportf "reads of rank %d differ" r;
+        if slice writes r <> naive_writes.(r) then
+          QCheck.Test.fail_reportf "writes of rank %d differ" r
+      done;
+      (* every builder's schedule equals the reference encoding; local and
+         communicating builds of the same entries agree *)
+      let mine (p : Inspector.pass) me =
+        let lo = p.starts.(me) and n = p.starts.(me + 1) - p.starts.(me) in
+        (Array.sub p.owners lo n, Array.sub p.flats lo n)
+      in
+      let cfg = Engine.config ~model:F90d_machine.Model.ideal nprocs in
+      let r =
+        Engine.run cfg (fun eng ->
+            let ctx = Rctx.make eng grid in
+            let me = Rctx.me ctx in
+            let read_local =
+              Schedule.build_read_local ctx ~owners:reads.owners ~flats:reads.flats
+                ~starts:reads.starts
+            in
+            let write_local =
+              Schedule.build_write_local ctx ~owners:writes.owners ~flats:writes.flats
+                ~starts:writes.starts
+            in
+            let gather =
+              let owners, flats = mine reads me in
+              Schedule.build_gather ctx ~owners ~flats
+            in
+            let scatter =
+              let owners, flats = mine writes me in
+              Schedule.build_scatter ctx ~owners ~flats
+            in
+            List.map Schedule.to_string [ read_local; gather; write_local; scatter ])
+      in
+      Array.iteri
+        (fun me blobs ->
+          let want_read = naive_blob ~nprocs ~me ~write:false naive_reads in
+          let want_write = naive_blob ~nprocs ~me ~write:true naive_writes in
+          if blobs <> [ want_read; want_read; want_write; want_write ] then
+            QCheck.Test.fail_reportf "rank %d: schedule blobs differ from the reference" me)
+        r.Engine.results;
+      true)
+
 let () =
   Alcotest.run "f90d_exec"
     [
@@ -278,4 +522,5 @@ let () =
           Alcotest.test_case "subroutine locals" `Quick test_subroutine_local_arrays;
           Alcotest.test_case "print" `Quick test_print_array_and_scalars;
         ] );
+      ("inspector", List.map QCheck_alcotest.to_alcotest [ prop_inspector_naive ]);
     ]

@@ -233,6 +233,40 @@ C$    DISTRIBUTE C(*, BLOCK)
     (fallbacks_for stats F90d_machine.Stats.Int_store);
   checki "no other fallback" 4 stats.F90d_machine.Stats.kernel_fallbacks
 
+(* An even iteration partition with a REAL store is a scatter plan: the
+   gather/scatter loop of the irregular demo, a scatter through a
+   permutation, and a postcomp write, on a 2-D grid whose unused
+   dimension gives every element two copies, all run as strips and
+   match the interpreter.  Only the INTEGER stores fall back. *)
+let test_scatter_plans () =
+  let r = kernel_on_vs_off ~nprocs:4 "irregular n=64" (Programs.irregular ~n:64) in
+  let stats = r.Driver.stats in
+  checki "irregular: 9 runs per rank" 36 stats.F90d_machine.Stats.kernel_runs;
+  checki "irregular: V and U fall back on each rank" 8
+    (fallbacks_for stats F90d_machine.Stats.Int_store);
+  let r =
+    kernel_on_vs_off ~nprocs:4 "scatter with copies"
+      {|
+      PROGRAM SCT
+      REAL A(12), C(12), X(24)
+      INTEGER U(12)
+C$    PROCESSORS P(2, 2)
+C$    DISTRIBUTE A(BLOCK) ONTO P
+C$    DISTRIBUTE C(CYCLIC) ONTO P
+C$    DISTRIBUTE X(BLOCK) ONTO P
+C$    DISTRIBUTE U(BLOCK) ONTO P
+      FORALL (I = 1:12) U(I) = MODULO(5*I + 3, 12) + 1
+      FORALL (I = 1:12) A(I) = 0.5 * I
+      FORALL (I = 1:12) C(U(I)) = A(I) * 2.0 + I
+      FORALL (I = 1:12) X(2*I) = C(I) - A(13 - I)
+      PRINT *, C(4), X(8), X(24)
+      END
+      |}
+  in
+  let stats = r.Driver.stats in
+  checki "copies: 3 runs per rank" 12 stats.F90d_machine.Stats.kernel_runs;
+  checki "copies: only U falls back" 4 stats.F90d_machine.Stats.kernel_fallbacks
+
 (* ------------------------------------------------------------------ *)
 (* Per-run prepared program                                            *)
 (* ------------------------------------------------------------------ *)
@@ -314,6 +348,7 @@ let () =
           Alcotest.test_case "gauss every run blocked" `Quick test_gauss_all_blocked;
           Alcotest.test_case "many-to-one store falls back" `Quick test_many_to_one_store;
           Alcotest.test_case "single elements, counters, idiv, merge" `Quick test_strip_node_kinds;
+          Alcotest.test_case "scatter and postcomp plans" `Quick test_scatter_plans;
         ] );
       ( "prepared program",
         [

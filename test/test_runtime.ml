@@ -239,6 +239,15 @@ let parti_setup n_a n_b p =
   in
   (grid_dims, dad_a, dad_b, needs_for)
 
+(* Every rank's (owner, flat) entries as one inspector pass: owners,
+   flats, and where each rank's entries start. *)
+let pass_of p entries_for =
+  let per = Array.init p entries_for in
+  let starts = Array.make (p + 1) 0 in
+  Array.iteri (fun r e -> starts.(r + 1) <- starts.(r) + Array.length e) per;
+  let all = Array.concat (Array.to_list per) in
+  (Array.map fst all, Array.map snd all, starts)
+
 let expected_parti n_a = Array.init n_a (fun l -> float_of_int (10 * ((2 * (l + 1)) + 1)))
 
 let test_precomp_read () =
@@ -247,9 +256,8 @@ let test_precomp_read () =
   let r =
     run_grid grid_dims (fun ctx ->
         let b = Darray.init_global ctx dad_b init1 in
-        let sched =
-          Schedule.build_read_local ctx ~needs:(needs_for (Rctx.me ctx)) ~peer_needs:needs_for
-        in
+        let owners, flats, starts = pass_of (Rctx.nprocs ctx) needs_for in
+        let sched = Schedule.build_read_local ctx ~owners ~flats ~starts in
         let tmp = Schedule.read ctx sched b in
         (* allgather the tmps to verify the full fetched sequence *)
         Collectives.allgather ctx (Collectives.team_all ctx) (Message.Arr tmp))
@@ -299,7 +307,9 @@ let test_scatter_roundtrip () =
               let lidx = Option.get (Dad.local_indices dad_a ~rank:owner target) in
               (owner, Dad.storage_flat dad_a ~rank:owner lidx))
         in
-        let sched = Schedule.build_write_comm ctx ~writes in
+        let sched =
+          Schedule.build_scatter ctx ~owners:(Array.map fst writes) ~flats:(Array.map snd writes)
+        in
         Schedule.write ctx sched a (Darray.pack_owned b ~rank:me);
         Darray.gather_global ctx a)
   in
@@ -330,7 +340,8 @@ let test_postcomp_write_local_build () =
         let me = Rctx.me ctx in
         let a = Darray.create ctx dad_a in
         let b = Darray.init_global ctx dad_b init1 in
-        let sched = Schedule.build_write_local ctx ~writes:(writes_for me) ~peer_writes:writes_for in
+        let owners, flats, starts = pass_of p writes_for in
+        let sched = Schedule.build_write_local ctx ~owners ~flats ~starts in
         Schedule.write ctx sched a (Darray.pack_owned b ~rank:me);
         Darray.gather_global ctx a)
   in
