@@ -1,18 +1,19 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§8), plus micro-benchmarks and optimization ablations.
+   evaluation (§8), plus optimization ablations.  Every number it reports
+   is simulated and deterministic, except the serve experiment's
+   per-phase wall clock; host cost is measured by hostbench/.
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- fig5    -- one experiment:
        fig3 | fig5 | table4 | fig6 | table1 | table2 | table3
-       ablation | dist | portability | serve | scale | micro
+       ablation | dist | portability | serve | scale
 
    Flags (after the experiment name):
      --json [PATH]   write machine-readable results to PATH (default
                      BENCH_<experiment>.json); supported for table4, fig5,
                      serve and scale
-     --jobs N        verify and time the domain-parallel engine with N
-                     worker domains (default: the F90D_JOBS environment
-                     variable, else sequential only)
+     --ablate        (table4 only) add the per-pass ablation of the 16-PE
+                     run, as a table and as the JSON "ablation" array
      --trace [PATH]  (table4 only) re-run the 16-PE Gaussian elimination
                      with tracing on and write a Chrome trace_event JSON
                      to PATH (default BENCH_table4_trace.json); load it in
@@ -27,13 +28,24 @@
    Problem sizes can be scaled down for quick runs:
      F90D_TABLE4_N=255 dune exec bench/main.exe -- table4
    (default 511; the paper's Table 4 uses 1023, which takes minutes of
-   host time per engine pass) *)
+   host time per engine pass).  The committed BENCH_table4.json is
+   F90D_TABLE4_N=127 table4 --ablate --json. *)
 
 open F90d
 open F90d_machine
 
+(* Read on first use, so experiments that never touch Table 4 ignore a
+   bad value. *)
 let table4_n =
-  match Sys.getenv_opt "F90D_TABLE4_N" with Some s -> int_of_string s | None -> 511
+  lazy
+    (match Sys.getenv_opt "F90D_TABLE4_N" with
+    | None -> 511
+    | Some s -> (
+        match int_of_string_opt (String.trim s) with
+        | Some n when n > 0 -> n
+        | _ ->
+            Printf.eprintf "bench: F90D_TABLE4_N must be a positive integer, got %S\n" s;
+            exit 2))
 
 let section title =
   Printf.printf "\n==================================================================\n";
@@ -93,34 +105,16 @@ type t4row = {
   t4_hand : float;  (* simulated, hand-written baseline *)
   t4_f90d : float;  (* simulated, compiler-generated *)
   t4_stats : Stats.t;
-  t4_wall_seq : float;  (* host seconds, sequential engine *)
-  t4_wall_par : float option;  (* host seconds, run_parallel (with --jobs) *)
-  t4_par_identical : bool;  (* parallel report bit-identical to sequential *)
 }
 
-let run_table4 ~jobs () =
-  let n = table4_n in
+let run_table4 () =
+  let n = Lazy.force table4_n in
   let compiled = Driver.compile (Programs.gauss ~n) in
-  let run ~jobs p =
-    Driver.run ~collect_finals:false ~model:Model.ipsc860 ~topology:Topology.Hypercube ~jobs
-      ~nprocs:p compiled
-  in
   List.map
     (fun p ->
-      let t0 = Unix.gettimeofday () in
-      let r = run ~jobs:1 p in
-      let wall_seq = Unix.gettimeofday () -. t0 in
-      let wall_par, identical =
-        if jobs > 1 then begin
-          let t0 = Unix.gettimeofday () in
-          let rp = run ~jobs p in
-          let wall = Unix.gettimeofday () -. t0 in
-          ( Some wall,
-            rp.Driver.elapsed = r.Driver.elapsed
-            && rp.Driver.clocks = r.Driver.clocks
-            && Stats.per_tag rp.Driver.stats = Stats.per_tag r.Driver.stats )
-        end
-        else (None, true)
+      let r =
+        Driver.run ~collect_finals:false ~model:Model.ipsc860 ~topology:Topology.Hypercube
+          ~nprocs:p compiled
       in
       let h = Baselines.run_hand_gauss ~nprocs:p ~n () in
       {
@@ -128,88 +122,16 @@ let run_table4 ~jobs () =
         t4_hand = h.Baselines.elapsed;
         t4_f90d = r.Driver.elapsed;
         t4_stats = r.Driver.stats;
-        t4_wall_seq = wall_seq;
-        t4_wall_par = wall_par;
-        t4_par_identical = identical;
       })
     [ 1; 2; 4; 8; 16 ]
 
-(* Blocked-kernel gate at the Table 4 16-PE point: the same program with
-   the node-kernel layer on and off.  The layer is a host-side execution
-   strategy, so the two runs must agree bit-for-bit on the simulated
-   report (elapsed, clocks, per-tag messages) and on the gathered final
-   arrays, while the host wall drops. *)
-type kern_gate = {
-  kg_wall_on : float;
-  kg_wall_off : float;
-  kg_runs : int;  (* kernel nests executed, kernels on *)
-  kg_fallbacks : int;
-  kg_blocked : int;
-  kg_identical : bool;
-}
-
-let run_kernel_gate () =
-  let src = Programs.gauss ~n:table4_n in
-  let run flags =
-    let compiled = Driver.compile ~flags src in
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Driver.run ~collect_finals:true ~model:Model.ipsc860 ~topology:Topology.Hypercube
-        ~jobs:1 ~nprocs:16 compiled
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let r_on, w_on = run F90d_opt.Passes.all_on in
-  let r_off, w_off =
-    run { F90d_opt.Passes.all_on with F90d_opt.Passes.blocked_kernels = false }
-  in
-  let finals r = r.Driver.outcome.F90d_exec.Interp.finals in
-  let identical =
-    r_on.Driver.elapsed = r_off.Driver.elapsed
-    && r_on.Driver.clocks = r_off.Driver.clocks
-    && Stats.per_tag r_on.Driver.stats = Stats.per_tag r_off.Driver.stats
-    && List.length (finals r_on) = List.length (finals r_off)
-    && List.for_all2
-         (fun (na, a) (nb, b) -> na = nb && F90d_base.Ndarray.equal a b)
-         (finals r_on) (finals r_off)
-  in
-  {
-    kg_wall_on = w_on;
-    kg_wall_off = w_off;
-    kg_runs = r_on.Driver.stats.Stats.kernel_runs;
-    kg_fallbacks = r_on.Driver.stats.Stats.kernel_fallbacks;
-    kg_blocked = r_on.Driver.stats.Stats.kernel_blocked;
-    kg_identical = identical;
-  }
-
-let kernel_gate_table kg =
-  Printf.printf
-    "\nblocked node kernels (16 PEs): on %.2f host-s, off %.2f host-s (%.2fx), %d runs, %d \
-     fallbacks, %d blocked, results %s\n"
-    kg.kg_wall_on kg.kg_wall_off
-    (kg.kg_wall_off /. kg.kg_wall_on)
-    kg.kg_runs kg.kg_fallbacks kg.kg_blocked
-    (if kg.kg_identical then "identical" else "DIFFER!")
-
-let json_kernel_gate kg =
-  Json.Obj
-    [
-      ("nprocs", Json.Int 16);
-      ("host_wall_on_s", Json.Float kg.kg_wall_on);
-      ("host_wall_off_s", Json.Float kg.kg_wall_off);
-      ("speedup", Json.Float (kg.kg_wall_off /. kg.kg_wall_on));
-      ("kernel_runs", Json.Int kg.kg_runs);
-      ("kernel_fallbacks", Json.Int kg.kg_fallbacks);
-      ("kernel_blocked", Json.Int kg.kg_blocked);
-      ("identical", Json.Bool kg.kg_identical);
-    ]
-
 let table4 rows4 =
   let rows = List.map (fun r -> (r.t4_p, r.t4_hand, r.t4_f90d)) rows4 in
+  let n = Lazy.force table4_n in
   section
     (Printf.sprintf
        "Table 4: hand-written vs compiler-generated Gaussian elimination\n\
-        (%dx%d, column distributed, iPSC/860, seconds)" table4_n (table4_n + 1));
+        (%dx%d, column distributed, iPSC/860, seconds)" n (n + 1));
   Printf.printf "%4s  %12s  %12s  %7s  |  %10s  %10s  %7s\n" "PEs" "hand" "Fortran90D"
     "ratio" "paper-hand" "paper-90D" "ratio";
   List.iter
@@ -226,19 +148,6 @@ let table4 rows4 =
           Printf.printf "  %-24s %8d messages  %12d bytes\n" name msgs bytes)
         (Stats.breakdown stats ~name_of:F90d_runtime.Tags.family_name)
   | [] -> ());
-  (if List.exists (fun r -> r.t4_wall_par <> None) rows4 then begin
-     Printf.printf "\ndomain-parallel engine (host seconds per run):\n";
-     Printf.printf "%4s  %10s  %10s  %8s  %s\n" "PEs" "seq wall" "par wall" "speedup" "identical";
-     List.iter
-       (fun r ->
-         match r.t4_wall_par with
-         | Some wp ->
-             Printf.printf "%4d  %10.2f  %10.2f  %8.2f  %s\n" r.t4_p r.t4_wall_seq wp
-               (r.t4_wall_seq /. wp)
-               (if r.t4_par_identical then "yes" else "NO!")
-         | None -> ())
-       rows4
-   end);
   print_newline ();
   Printf.printf
     "paper's shape: compiler-generated within ~10%% of hand-written; the gap\n\
@@ -248,7 +157,7 @@ let table4 rows4 =
    --profile-json and the hot-statement rows of --json. *)
 let traced16 =
   lazy
-    (let compiled = Driver.compile (Programs.gauss ~n:table4_n) in
+    (let compiled = Driver.compile (Programs.gauss ~n:(Lazy.force table4_n)) in
      let r =
        Driver.run ~collect_finals:false ~model:Model.ipsc860 ~topology:Topology.Hypercube
          ~trace:true ~nprocs:16 compiled
@@ -596,64 +505,6 @@ let dist_choice () =
      idles low-numbered processors), the load-balance effect §3 describes.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (host time of the compiler and runtime kernels)    *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "Micro-benchmarks (Bechamel, host nanoseconds per call)";
-  let open Bechamel in
-  let open Toolkit in
-  let layout =
-    F90d_dist.Layout.resolve
-      (F90d_dist.Distrib.make Block ~n:4096 ~p:16)
-      ~align:F90d_base.Affine.ident ~extent:4096 ~proc:7
-  in
-  let cyc =
-    F90d_dist.Layout.resolve
-      (F90d_dist.Distrib.make Cyclic ~n:4096 ~p:16)
-      ~align:F90d_base.Affine.ident ~extent:4096 ~proc:7
-  in
-  let gauss64 = Programs.gauss ~n:64 in
-  let nd = F90d_base.Ndarray.create F90d_base.Scalar.Kreal [| 64; 64 |] in
-  let tests =
-    [
-      Test.make ~name:"set_BOUND (block)"
-        (Staged.stage (fun () -> F90d_dist.Layout.set_bound layout ~glb:100 ~gub:3000 ~gst:3));
-      Test.make ~name:"set_BOUND (cyclic)"
-        (Staged.stage (fun () -> F90d_dist.Layout.set_bound cyc ~glb:100 ~gub:3000 ~gst:3));
-      Test.make ~name:"layout resolve (cyclic)"
-        (Staged.stage (fun () ->
-             F90d_dist.Layout.resolve
-               (F90d_dist.Distrib.make Cyclic ~n:4096 ~p:16)
-               ~align:(F90d_base.Affine.make ~a:2 ~b:1) ~extent:2000 ~proc:3));
-      Test.make ~name:"crt_first_ge"
-        (Staged.stage (fun () -> F90d_base.Util.crt_first_ge ~lo:37 ~r1:2 ~m1:5 ~r2:3 ~m2:8));
-      Test.make ~name:"ndarray get_box 8x8"
-        (Staged.stage (fun () -> F90d_base.Ndarray.get_box nd ~lo:[| 4; 4 |] ~extents:[| 8; 8 |]));
-      Test.make ~name:"parse gauss(64)"
-        (Staged.stage (fun () -> F90d_frontend.Parser.parse ~file:"g" gauss64));
-      Test.make ~name:"compile gauss(64)" (Staged.stage (fun () -> Driver.compile gauss64));
-    ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let m = Benchmark.run cfg instances elt in
-          let ols =
-            Analyze.one
-              (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-              Instance.monotonic_clock m
-          in
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-28s %12.1f ns/call\n%!" (Test.Elt.name elt) est
-          | _ -> Printf.printf "%-28s (no estimate)\n" (Test.Elt.name elt))
-        (Test.elements test))
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* --ablate: per-pass optimized-vs-off comparison on gauss             *)
 (* ------------------------------------------------------------------ *)
 
@@ -665,7 +516,6 @@ type ab_row = {
   ab_elapsed : float;
   ab_wait : float;
   ab_hidden : float;
-  ab_wall : float;  (* host seconds for the run *)
 }
 
 let json_pass_flags (f : F90d_opt.Passes.flags) =
@@ -686,9 +536,8 @@ let json_pass_flags (f : F90d_opt.Passes.flags) =
    on Gaussian elimination. *)
 let run_ablate () =
   let open F90d_opt in
-  let src = Programs.gauss ~n:table4_n in
+  let src = Programs.gauss ~n:(Lazy.force table4_n) in
   let run name flags =
-    let t0 = Unix.gettimeofday () in
     let r =
       Driver.run ~collect_finals:false ~model:Model.ipsc860 ~topology:Topology.Hypercube
         ~nprocs:16
@@ -702,7 +551,6 @@ let run_ablate () =
       ab_elapsed = r.Driver.elapsed;
       ab_wait = r.Driver.stats.Stats.recv_wait;
       ab_hidden = r.Driver.stats.Stats.recv_wait_hidden;
-      ab_wall = Unix.gettimeofday () -. t0;
     }
   in
   run "all_off" Passes.all_off
@@ -719,23 +567,20 @@ let run_ablate () =
          ("split_comm", { Passes.all_off with Passes.split_comm = true });
          ( "split+lookahead",
            { Passes.all_off with Passes.split_comm = true; Passes.lookahead = true } );
-         (* execution-strategy axis: identical simulated columns, the
-            host-wall column shows the node-kernel layer's contribution *)
-         ("no_blocked_kernels", { Passes.all_on with Passes.blocked_kernels = false });
        ]
   @ [ run "all_on" Passes.all_on ]
 
 let ablate_table rows =
+  let n = Lazy.force table4_n in
   section
     (Printf.sprintf
-       "Ablation on gauss (%dx%d, 16 PEs, iPSC/860): each pass alone vs all off" table4_n
-       (table4_n + 1));
-  Printf.printf "%-18s %10s %12s %12s %12s %10s %9s\n" "passes" "msgs" "bytes" "elapsed(s)"
-    "recv_wait(s)" "hidden(s)" "host(s)";
+       "Ablation on gauss (%dx%d, 16 PEs, iPSC/860): each pass alone vs all off" n (n + 1));
+  Printf.printf "%-18s %10s %12s %12s %12s %10s\n" "passes" "msgs" "bytes" "elapsed(s)"
+    "recv_wait(s)" "hidden(s)";
   List.iter
     (fun r ->
-      Printf.printf "%-18s %10d %12d %12.4f %12.4f %10.4f %9.2f\n" r.ab_name r.ab_msgs
-        r.ab_bytes r.ab_elapsed r.ab_wait r.ab_hidden r.ab_wall)
+      Printf.printf "%-18s %10d %12d %12.4f %12.4f %10.4f\n" r.ab_name r.ab_msgs r.ab_bytes
+        r.ab_elapsed r.ab_wait r.ab_hidden)
     rows
 
 let json_ablation rows =
@@ -751,7 +596,6 @@ let json_ablation rows =
              ("f90d_elapsed_s", Json.Float r.ab_elapsed);
              ("recv_wait_s", Json.Float r.ab_wait);
              ("recv_wait_hidden_s", Json.Float r.ab_hidden);
-             ("host_wall_s", Json.Float r.ab_wall);
            ])
        rows)
 
@@ -860,22 +704,10 @@ let run_serve () =
       ~workers:2 ()
   in
   let srv = F90d_serve.Server.start ~workers:2 ~service ~sock_path:sock () in
-  let debug_lat = Sys.getenv_opt "F90D_SERVE_LAT" <> None in
   let replay () =
     F90d_serve.Client.with_conn sock (fun conn ->
         let t0 = Unix.gettimeofday () in
-        let responses =
-          List.map
-            (fun req ->
-              let r0 = Unix.gettimeofday () in
-              let resp = F90d_serve.Client.request conn req in
-              if debug_lat then
-                Printf.printf "%8.3f ms  %s\n%!"
-                  ((Unix.gettimeofday () -. r0) *. 1000.)
-                  (String.sub (Json.to_string req) 0 (min 60 (String.length (Json.to_string req))));
-              resp)
-            workload
-        in
+        let responses = List.map (F90d_serve.Client.request conn) workload in
         serve_phase responses (Unix.gettimeofday () -. t0))
   in
   let scrape () =
@@ -950,7 +782,7 @@ let serve_table res =
     (if res.sr_identical_warm then "bit-identical" else "DIFFERS!")
 
 (* ------------------------------------------------------------------ *)
-(* Scale: the simulated machine at up to 4096 ranks                    *)
+(* Scale: the simulated machine at up to 1024 ranks                    *)
 (*                                                                     *)
 (* Sweeps P over powers of two on a fixed problem size, so the sweep   *)
 (* isolates the engine's own scaling (scheduler, mailboxes, routing)   *)
@@ -959,35 +791,9 @@ let serve_table res =
 (* stencil (nearest-neighbour shifts on a sqrt(P) x sqrt(P) grid).     *)
 (* ------------------------------------------------------------------ *)
 
-let scale_n =
-  match Sys.getenv_opt "F90D_SCALE_N" with Some s -> int_of_string s | None -> 256
-
-(* CI caps the sweep (F90D_SCALE_MAX_P=1024) to stay inside its wall
-   budget; the committed baseline is generated with the full sweep. *)
-let scale_max_p =
-  match Sys.getenv_opt "F90D_SCALE_MAX_P" with Some s -> int_of_string s | None -> 4096
-
-let scale_ps = List.filter (fun p -> p <= scale_max_p) [ 16; 64; 256; 1024; 4096 ]
-
-(* Host memory, from /proc/self/status (0 where the kernel interface is
-   absent): VmRSS is the resident set now, VmHWM its high-water mark. *)
-let proc_status_kb key =
-  match open_in "/proc/self/status" with
-  | exception _ -> 0
-  | ic ->
-      let rec scan () =
-        match input_line ic with
-        | exception End_of_file -> 0
-        | line ->
-            if String.length line > String.length key && String.sub line 0 (String.length key) = key
-            then
-              Scanf.sscanf (String.sub line (String.length key) (String.length line - String.length key))
-                " %d" (fun kb -> kb)
-            else scan ()
-      in
-      let kb = scan () in
-      close_in ic;
-      kb
+let scale_n = 128
+let scale_max_p = 1024
+let scale_ps = [ 16; 64; 256; scale_max_p ]
 
 type scale_row = {
   sc_program : string;
@@ -995,12 +801,6 @@ type scale_row = {
   sc_elapsed : float;  (* simulated seconds *)
   sc_messages : int;
   sc_bytes : int;
-  sc_wall_seq : float;  (* host seconds, sequential engine *)
-  sc_wall_par : float option;  (* host seconds, run_parallel (with --jobs) *)
-  sc_par_identical : bool;
-  sc_rss_kb : int;  (* resident set right after the sequential run *)
-  sc_hwm_kb : int;  (* process high-water mark so far *)
-  sc_heap_mb : float;  (* OCaml major-heap words after the run, in MB *)
   sc_kruns : int;  (* FORALL nests taken by the kernel layer *)
   sc_kfalls : int;  (* nests handed back to the interpreter *)
 }
@@ -1027,7 +827,7 @@ let run_scale_depth () =
       { dr_p = p; dr_elapsed = r.Engine.elapsed; dr_depth = r.Engine.elapsed /. t_msg })
     scale_ps
 
-let run_scale ~jobs () =
+let run_scale () =
   let gauss = lazy (Driver.compile (Programs.gauss ~n:scale_n)) in
   let programs p =
     let side = int_of_float (sqrt (float_of_int p) +. 0.5) in
@@ -1040,44 +840,16 @@ let run_scale ~jobs () =
     (fun p ->
       List.map
         (fun (name, compiled) ->
-          let run ~jobs =
+          let r =
             Driver.run ~collect_finals:false ~model:Model.ipsc860 ~topology:Topology.Hypercube
-              ~jobs ~nprocs:p compiled
+              ~nprocs:p compiled
           in
-          let t0 = Unix.gettimeofday () in
-          let r = run ~jobs:1 in
-          let wall_seq = Unix.gettimeofday () -. t0 in
-          let rss = proc_status_kb "VmRSS:" and hwm = proc_status_kb "VmHWM:" in
-          let heap_mb = float_of_int (Gc.quick_stat ()).Gc.heap_words *. 8. /. 1048576. in
-          let wall_par, identical =
-            if jobs > 1 then begin
-              let t0 = Unix.gettimeofday () in
-              let rp = run ~jobs in
-              let wall = Unix.gettimeofday () -. t0 in
-              ( Some wall,
-                rp.Driver.elapsed = r.Driver.elapsed
-                && rp.Driver.clocks = r.Driver.clocks
-                && Stats.per_tag rp.Driver.stats = Stats.per_tag r.Driver.stats )
-            end
-            else (None, true)
-          in
-          Printf.printf "  %-9s P=%-5d %10.3f sim-s  %9d msgs  %8.2f host-s%s\n%!" name p
-            r.Driver.elapsed r.Driver.stats.Stats.messages wall_seq
-            (match wall_par with
-            | Some w -> Printf.sprintf "  (par %.2f, %s)" w (if identical then "identical" else "DIFFERS!")
-            | None -> "");
           {
             sc_program = name;
             sc_p = p;
             sc_elapsed = r.Driver.elapsed;
             sc_messages = r.Driver.stats.Stats.messages;
             sc_bytes = r.Driver.stats.Stats.bytes;
-            sc_wall_seq = wall_seq;
-            sc_wall_par = wall_par;
-            sc_par_identical = identical;
-            sc_rss_kb = rss;
-            sc_hwm_kb = hwm;
-            sc_heap_mb = heap_mb;
             sc_kruns = r.Driver.stats.Stats.kernel_runs;
             sc_kfalls = r.Driver.stats.Stats.kernel_fallbacks;
           })
@@ -1088,18 +860,13 @@ let scale_table rows depths =
   section
     (Printf.sprintf
        "Scale: fixed problem size (N=%d), machine size up to %d ranks\n\
-        (event-driven scheduler: host cost tracks messages, not P^2)" scale_n scale_max_p);
-  Printf.printf "%-9s %6s  %12s  %10s  %10s  %9s  %9s  %s\n" "program" "PEs" "simulated(s)"
-    "messages" "host(s)" "RSS(MB)" "HWM(MB)" "par identical";
+        (simulated; host cost per message is measured by hostbench/)" scale_n scale_max_p);
+  Printf.printf "%-9s %6s  %12s  %10s  %12s  %8s  %9s\n" "program" "PEs" "simulated(s)"
+    "messages" "bytes" "kernels" "fallbacks";
   List.iter
     (fun r ->
-      Printf.printf "%-9s %6d  %12.3f  %10d  %10.2f  %9.1f  %9.1f  %s\n" r.sc_program r.sc_p
-        r.sc_elapsed r.sc_messages r.sc_wall_seq
-        (float_of_int r.sc_rss_kb /. 1024.)
-        (float_of_int r.sc_hwm_kb /. 1024.)
-        (match r.sc_wall_par with
-        | Some w -> Printf.sprintf "%.2fs %s" w (if r.sc_par_identical then "yes" else "NO!")
-        | None -> "-"))
+      Printf.printf "%-9s %6d  %12.3f  %10d  %12d  %8d  %9d\n" r.sc_program r.sc_p r.sc_elapsed
+        r.sc_messages r.sc_bytes r.sc_kruns r.sc_kfalls)
     rows;
   Printf.printf "\nbroadcast cascade depth (critical path / one message time):\n";
   Printf.printf "%6s  %10s  %8s  %8s\n" "PEs" "elapsed(s)" "depth" "log2 P";
@@ -1141,7 +908,7 @@ let json_hot_statements ?(top = 5) () =
            ])
   |> fun rows -> Json.List rows
 
-let json_serve ~host_wall res =
+let json_serve res =
   let n = List.length res.sr_workload in
   let phase p =
     Json.Obj
@@ -1182,38 +949,26 @@ let json_serve ~host_wall res =
         ("metrics_cold", scrape res.sr_metrics_cold);
         ("metrics_warm", scrape res.sr_metrics_warm);
         ("metrics_warm_exposition", Json.Str res.sr_metrics_warm);
-        ("host_wall_total_s", Json.Float host_wall);
       ])
 
-let json_table4 ?ablation ?kernel ~jobs ~host_wall rows4 =
+let json_table4 ?ablation rows4 =
   Json.Obj
     (("experiment", Json.Str "table4") :: version_fields
     @ [
        ("program", Json.Str "gauss");
-       ("problem_size", Json.Int table4_n);
+       ("problem_size", Json.Int (Lazy.force table4_n));
        ("model", Json.Str Model.ipsc860.Model.name);
        ("topology", Json.Str (Topology.name Topology.Hypercube));
        ("pass_flags", json_pass_flags F90d_opt.Passes.all_on);
-       ("jobs", Json.Int jobs);
-      ("host_cores", Json.Int (Domain.recommended_domain_count ()));
-      ("host_wall_total_s", Json.Float host_wall);
       ( "rows",
         Json.List
           (List.map
              (fun r ->
                Json.Obj
-                 ([
-                    ("nprocs", Json.Int r.t4_p);
-                    ("hand_elapsed_s", Json.Float r.t4_hand);
-                    ("f90d_elapsed_s", Json.Float r.t4_f90d);
-                    ("host_wall_seq_s", Json.Float r.t4_wall_seq);
-                  ]
-                 (* measured value or no key at all — never a null row *)
-                 @ (match r.t4_wall_par with
-                   | Some w -> [ ("host_wall_par_s", Json.Float w) ]
-                   | None -> [])
-                 @ [
-                   ("parallel_identical", Json.Bool r.t4_par_identical);
+                 [
+                   ("nprocs", Json.Int r.t4_p);
+                   ("hand_elapsed_s", Json.Float r.t4_hand);
+                   ("f90d_elapsed_s", Json.Float r.t4_f90d);
                    ("messages", Json.Int r.t4_stats.Stats.messages);
                    ("bytes", Json.Int r.t4_stats.Stats.bytes);
                    ("recv_wait_s", Json.Float r.t4_stats.Stats.recv_wait);
@@ -1223,14 +978,13 @@ let json_table4 ?ablation ?kernel ~jobs ~host_wall rows4 =
                    ("kernel_runs", Json.Int r.t4_stats.Stats.kernel_runs);
                    ("kernel_fallbacks", Json.Int r.t4_stats.Stats.kernel_fallbacks);
                    ("kernel_blocked", Json.Int r.t4_stats.Stats.kernel_blocked);
-                 ]))
+                 ])
              rows4) );
        ("hot_statements_16pe", json_hot_statements ());
      ]
-    @ (match kernel with Some kg -> [ ("kernel", json_kernel_gate kg) ] | None -> [])
     @ match ablation with Some rows -> [ ("ablation", json_ablation rows) ] | None -> [])
 
-let json_fig5 ~host_wall rows =
+let json_fig5 rows =
   Json.Obj
     (("experiment", Json.Str "fig5") :: version_fields
     @ [
@@ -1238,7 +992,6 @@ let json_fig5 ~host_wall rows =
       ("pass_flags", json_pass_flags F90d_opt.Passes.all_on);
       ("nprocs", Json.Int 16);
       ("topology", Json.Str (Topology.name Topology.Hypercube));
-      ("host_wall_total_s", Json.Float host_wall);
       ( "rows",
         Json.List
           (List.map
@@ -1252,7 +1005,7 @@ let json_fig5 ~host_wall rows =
              rows) );
     ])
 
-let json_scale ~jobs ~host_wall rows depths =
+let json_scale rows depths =
   Json.Obj
     (("experiment", Json.Str "scale") :: version_fields
     @ [
@@ -1260,33 +1013,20 @@ let json_scale ~jobs ~host_wall rows depths =
         ("max_p", Json.Int scale_max_p);
         ("model", Json.Str Model.ipsc860.Model.name);
         ("topology", Json.Str (Topology.name Topology.Hypercube));
-        ("jobs", Json.Int jobs);
-        ("host_cores", Json.Int (Domain.recommended_domain_count ()));
-        ("host_wall_total_s", Json.Float host_wall);
         ( "rows",
           Json.List
             (List.map
                (fun r ->
                  Json.Obj
-                   ([
-                      ("program", Json.Str r.sc_program);
-                      ("nprocs", Json.Int r.sc_p);
-                      ("elapsed_s", Json.Float r.sc_elapsed);
-                      ("messages", Json.Int r.sc_messages);
-                      ("bytes", Json.Int r.sc_bytes);
-                      ("host_wall_seq_s", Json.Float r.sc_wall_seq);
-                    ]
-                   @ (match r.sc_wall_par with
-                     | Some w -> [ ("host_wall_par_s", Json.Float w) ]
-                     | None -> [])
-                   @ [
-                       ("parallel_identical", Json.Bool r.sc_par_identical);
-                       ("rss_kb", Json.Int r.sc_rss_kb);
-                       ("hwm_kb", Json.Int r.sc_hwm_kb);
-                       ("heap_mb", Json.Float r.sc_heap_mb);
-                       ("kernel_runs", Json.Int r.sc_kruns);
-                       ("kernel_fallbacks", Json.Int r.sc_kfalls);
-                     ]))
+                   [
+                     ("program", Json.Str r.sc_program);
+                     ("nprocs", Json.Int r.sc_p);
+                     ("elapsed_s", Json.Float r.sc_elapsed);
+                     ("messages", Json.Int r.sc_messages);
+                     ("bytes", Json.Int r.sc_bytes);
+                     ("kernel_runs", Json.Int r.sc_kruns);
+                     ("kernel_fallbacks", Json.Int r.sc_kfalls);
+                   ])
                rows) );
         ( "broadcast_depth",
           Json.List
@@ -1306,6 +1046,17 @@ let json_scale ~jobs ~host_wall rows depths =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Each experiment, with the flags it reads; "all" runs every experiment
+   but the scale sweep and reads none. *)
+let experiments =
+  [
+    ("fig3", []); ("fig5", [ "--json" ]);
+    ("table4", [ "--json"; "--ablate"; "--trace"; "--profile-json" ]);
+    ("fig6", []); ("table1", []); ("table2", []); ("table3", []); ("ablation", []);
+    ("dist", []); ("portability", []); ("serve", [ "--json" ]); ("scale", [ "--json" ]);
+    ("all", []);
+  ]
+
 let () =
   let argv = Array.to_list Sys.argv in
   let what, flags =
@@ -1314,7 +1065,15 @@ let () =
     | _ :: rest -> ("all", rest)
     | [] -> ("all", [])
   in
-  let json_path = ref None and jobs = ref (Driver.default_jobs ()) and trace_path = ref None in
+  let accepted =
+    match List.assoc_opt what experiments with
+    | Some accepted -> accepted
+    | None ->
+        Printf.eprintf "unknown experiment '%s' (%s)\n" what
+          (String.concat " | " (List.map fst experiments));
+        exit 1
+  in
+  let json_path = ref None and trace_path = ref None in
   let profile_path = ref None and ablate = ref false in
   let rec parse = function
     | [] -> ()
@@ -1339,51 +1098,32 @@ let () =
     | "--profile-json" :: rest ->
         profile_path := Some "BENCH_table4_profile.json";
         parse rest
-    | "--jobs" :: n :: rest ->
-        (jobs := try max 1 (int_of_string n) with _ -> 1);
-        parse rest
     | other :: _ ->
         Printf.eprintf
-          "unknown flag '%s' (--json [PATH] | --jobs N | --trace [PATH] | --profile-json \
-           [PATH] | --ablate)\n"
+          "unknown flag '%s' (--json [PATH] | --trace [PATH] | --profile-json [PATH] | \
+           --ablate)\n"
           other;
         exit 1
   in
   parse flags;
-  let jobs = !jobs in
-  let t0 = Unix.gettimeofday () in
-  let warn_json () =
-    match !json_path with
-    | Some _ ->
-        Printf.eprintf
-          "warning: --json is only supported for table4, fig5, serve and scale; ignoring\n"
-    | None -> ()
-  in
-  let warn_trace () =
-    match !trace_path with
-    | Some _ -> Printf.eprintf "warning: --trace is only supported for table4; ignoring\n"
-    | None -> ()
-  in
-  let warn_profile () =
-    match !profile_path with
-    | Some _ ->
-        Printf.eprintf "warning: --profile-json is only supported for table4; ignoring\n"
-    | None -> ()
-  in
-  (match what with
+  List.iter
+    (fun (flag, given) ->
+      if given && not (List.mem flag accepted) then
+        Printf.eprintf "warning: %s is not supported for %s; ignoring\n" flag what)
+    [
+      ("--json", !json_path <> None);
+      ("--ablate", !ablate);
+      ("--trace", !trace_path <> None);
+      ("--profile-json", !profile_path <> None);
+    ];
+  match what with
   | "fig5" ->
-      warn_trace ();
-      warn_profile ();
       let rows = run_fig5 () in
       fig5 rows;
-      Option.iter
-        (fun p -> write_json p (json_fig5 ~host_wall:(Unix.gettimeofday () -. t0) rows))
-        !json_path
+      Option.iter (fun p -> write_json p (json_fig5 rows)) !json_path
   | "table4" ->
-      let rows = run_table4 ~jobs () in
+      let rows = run_table4 () in
       table4 rows;
-      let kernel = run_kernel_gate () in
-      kernel_gate_table kernel;
       let ablation =
         if !ablate then begin
           let ab = run_ablate () in
@@ -1392,65 +1132,36 @@ let () =
         end
         else None
       in
-      Option.iter
-        (fun p ->
-          write_json p
-            (json_table4 ?ablation ~kernel ~jobs ~host_wall:(Unix.gettimeofday () -. t0) rows))
-        !json_path;
+      Option.iter (fun p -> write_json p (json_table4 ?ablation rows)) !json_path;
       Option.iter (fun p -> table4_trace ~path:p ()) !trace_path;
       Option.iter (fun p -> table4_profile_json ~path:p ()) !profile_path
   | "serve" ->
-      warn_trace ();
-      warn_profile ();
       let res = run_serve () in
       serve_table res;
-      Option.iter
-        (fun p -> write_json p (json_serve ~host_wall:(Unix.gettimeofday () -. t0) res))
-        !json_path
+      Option.iter (fun p -> write_json p (json_serve res)) !json_path
   | "scale" ->
-      warn_trace ();
-      warn_profile ();
-      let rows = run_scale ~jobs () in
+      let rows = run_scale () in
       let depths = run_scale_depth () in
       scale_table rows depths;
-      Option.iter
-        (fun p ->
-          write_json p (json_scale ~jobs ~host_wall:(Unix.gettimeofday () -. t0) rows depths))
-        !json_path
-  | "fig6" ->
-      warn_json ();
-      warn_trace ();
-      warn_profile ();
-      fig6 (run_table4 ~jobs ())
-  | "table1" -> warn_json (); warn_trace (); warn_profile (); table1 ()
-  | "table2" -> warn_json (); warn_trace (); warn_profile (); table2 ()
-  | "table3" -> warn_json (); warn_trace (); warn_profile (); table3 ()
-  | "micro" -> warn_json (); warn_trace (); warn_profile (); micro ()
-  | "ablation" -> warn_json (); warn_trace (); warn_profile (); ablation ()
-  | "dist" -> warn_json (); warn_trace (); warn_profile (); dist_choice ()
-  | "portability" -> warn_json (); warn_trace (); warn_profile (); portability ()
-  | "fig3" -> warn_json (); warn_trace (); warn_profile (); fig3 ()
-  | "all" ->
-      warn_json ();
-      warn_trace ();
-      warn_profile ();
+      Option.iter (fun p -> write_json p (json_scale rows depths)) !json_path
+  | "fig6" -> fig6 (run_table4 ())
+  | "table1" -> table1 ()
+  | "table2" -> table2 ()
+  | "table3" -> table3 ()
+  | "ablation" -> ablation ()
+  | "dist" -> dist_choice ()
+  | "portability" -> portability ()
+  | "fig3" -> fig3 ()
+  | _ (* all *) ->
       table1 ();
       table2 ();
       table3 ();
       fig3 ();
       fig5 (run_fig5 ());
-      let rows = run_table4 ~jobs () in
+      let rows = run_table4 () in
       table4 rows;
-      kernel_gate_table (run_kernel_gate ());
       fig6 rows;
       ablation ();
       dist_choice ();
       portability ();
-      serve_table (run_serve ());
-      micro ()
-  | other ->
-      Printf.eprintf
-        "unknown experiment '%s' (fig5 | table4 | fig6 | table1 | table2 | table3 | fig3 | micro | ablation | dist | portability | serve | scale | all)\n"
-        other;
-      exit 1);
-  Printf.printf "\n[bench completed in %.1f s of host time]\n" (Unix.gettimeofday () -. t0)
+      serve_table (run_serve ())

@@ -91,9 +91,10 @@ let demo_source name ~nprocs ~n =
   | "gauss-cyclic" -> F90d.Programs.gauss_dist ~dist:`Cyclic ~n
   | "jacobi" -> F90d.Programs.jacobi ~n ~iters:10
   | "jacobi2d" ->
-      let rec split p q = if p <= q then (p, q) else split (p / 2) (q * 2) in
-      let p, q = split nprocs 1 in
-      F90d.Programs.jacobi2d ~n:30 ~iters:5 ~p ~q
+      (* p x q = nprocs with p the largest divisor <= sqrt nprocs *)
+      let rec side d = if d <= 1 then 1 else if nprocs mod d = 0 then d else side (d - 1) in
+      let p = side (int_of_float (sqrt (float_of_int nprocs))) in
+      F90d.Programs.jacobi2d ~n:30 ~iters:5 ~p ~q:(nprocs / p)
   | "irregular" -> F90d.Programs.irregular ~n
   | "fft" -> F90d.Programs.fft_butterfly ~n
   | other -> raise (Invalid_argument ("unknown demo program: " ^ other))

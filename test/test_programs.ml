@@ -120,7 +120,11 @@ let test_jacobi_grid_invariance () =
   let a41 = run (Programs.jacobi2d ~n:14 ~iters:3 ~p:4 ~q:1) 4 in
   let a12 = run (Programs.jacobi2d ~n:14 ~iters:3 ~p:1 ~q:2) 2 in
   checkb "2x2 = 4x1" true (Ndarray.approx_equal a22 a41);
-  checkb "2x2 = 1x2" true (Ndarray.approx_equal a22 a12)
+  checkb "2x2 = 1x2" true (Ndarray.approx_equal a22 a12);
+  (* the jacobi2d demo factors any machine size: 6 ranks run as 2x3 *)
+  let demo6 = run (F90d_serve.Service.demo_source "jacobi2d" ~nprocs:6 ~n:30) 6 in
+  let a11 = run (Programs.jacobi2d ~n:30 ~iters:5 ~p:1 ~q:1) 1 in
+  checkb "demo on 6 = 1x1" true (Ndarray.approx_equal demo6 a11)
 
 let test_jacobi1d_converges_correctly () =
   let n = 20 and iters = 6 in
