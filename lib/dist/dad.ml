@@ -187,7 +187,7 @@ let local_indices t ~rank idx =
     if i >= n then Some out
     else
       let l = layout_at t ~dim:i ~rank in
-      let a0 = idx.(i) - t.dims.(i).flb in
+      let a0 = checked_a0 t i idx.(i) in
       if Layout.is_owned l a0 then begin
         out.(i) <- Layout.local_of_global l a0;
         go (i + 1)

@@ -113,7 +113,8 @@ val is_local : t -> rank:int -> int array -> bool
 val local_indices : t -> rank:int -> int array -> int array option
 (** Storage indices (per-dimension local positions, valid for
     [Ndarray.get] on [alloc_local]) of a global element, or [None] if the
-    element does not live on [rank]. *)
+    element does not live on [rank].  A subscript outside the declared
+    bounds is the located [Diag] error of {!home_rank}, not [None]. *)
 
 val global_of_local : t -> rank:int -> int array -> int array
 (** Inverse of {!local_indices} for owned (non-ghost) positions, returning

@@ -38,34 +38,33 @@ type pending_comm =
       pc_bp : Collectives.bcast_pending;
     }
 
-(* What a reference's base name denotes, resolved once per run: element
-   references are the innermost loop of every compiled program, and
-   re-deciding array-vs-intrinsic per access means string comparisons
-   against the whole intrinsic table on the hottest path. *)
-type ref_class = Rarray | Relemental | Rtransformational
+(* The value of a scalar slot nothing has assigned yet, told apart by
+   physical identity: reading it is an undefined-variable error unless
+   the name is a PARAMETER. *)
+let unset = Scalar.Str "<unset>"
 
 (* The rank-invariant half of a program unit, built by [prepare] before
    the engine starts and never mutated after: every rank fiber and worker
-   domain reads the same tables. *)
+   domain runs the same compiled statements over its own [ustate]. *)
 type prepared_unit = {
   pu_ir : Ir.unit_ir;
-  pu_classes : (string, ref_class) Hashtbl.t;
-      (** every name a reference may denote; a miss is an unknown name *)
-  pu_plans : (int, Kernel.plan) Hashtbl.t;  (** kernel plan of each FORALL, by sid *)
-  pu_index : (int * int, (Ast.expr * Kernel.index_plan) array) Hashtbl.t;
-      (** each inspected reference's subscripts and how the inspector
-          evaluates them, by (FORALL sid, reference id) *)
-  pu_dads : (string, Dad.t) Hashtbl.t;  (** every array's DAD, ghost widths applied *)
+  pu_body : ustate -> unit;  (** the unit's statements, compiled *)
+  pu_slots : (string, int) Hashtbl.t;  (** scalar name -> its slot in [vals] *)
+  pu_arrays : (string * Dad.t) array;
+      (** every array in declaration order, ghost widths applied; the
+          index is the array's slot in [arrays] *)
+  pu_aslots : (string, int) Hashtbl.t;
+  pu_planned : int list;  (** the FORALL sids [compile_forall] built a kernel plan for *)
 }
 
-type prepared = (string * prepared_unit) list  (* main unit first *)
+and prepared = (string * prepared_unit) list (* main unit first *)
 
-type ustate = {
+and ustate = {
   ctx : Rctx.t;
   prog : prepared;
   u : prepared_unit;
-  scalars : (string, Scalar.t ref) Hashtbl.t;
-  arrays : (string, Darray.t) Hashtbl.t;
+  vals : Scalar.t array;  (** scalar slots, [unset] until assigned *)
+  arrays : Darray.t array;
   out : Buffer.t;
   ptemps : (int, Kernel.temp_nd) Hashtbl.t;
       (** communication temporaries produced outside any FORALL frame
@@ -79,30 +78,32 @@ type ustate = {
           issue/wait-balanced program points *)
 }
 
-type frame = {
-  fvals : (string * int) list;  (** FORALL variable -> global value *)
-  faccess : (int * Ir.access) list;
+(* One FORALL point as compiled code sees it. *)
+and frame = {
+  mutable x : int array;  (** the FORALL variables' values, in nest order *)
+  mutable counter : int;  (** the point's position in the rank's space *)
   ftemps : (int, Kernel.temp_nd) Hashtbl.t;
-  fsnap : (string * Ndarray.t) option;
+  fsnap : Ndarray.t option;
       (** pre-loop copy of the lhs local section: Acc_direct reads of the
           lhs array go here when the FORALL also writes it in place
           ([Ir.f_snapshot]), preserving evaluate-before-write semantics *)
-  counter : int;  (** the iteration's position in the rank's space *)
 }
 
-type mode = Mscalar | Mloop of frame
+(* Compiled code: a value at one point.  Scalar code reads no frame and
+   runs on [no_frame]. *)
+type 'a code = ustate -> frame -> 'a
 
+let no_frame = { x = [||]; counter = 0; ftemps = Hashtbl.create 1; fsnap = None }
 let me st = Rctx.me st.ctx
 
-let dad_of st name =
-  match Hashtbl.find_opt st.u.pu_dads name with
-  | Some d -> d
-  | None -> Diag.bug "interp: no DAD for '%s'" name
-
-let darray_of st name =
-  match Hashtbl.find_opt st.arrays name with
-  | Some a -> a
+let aslot aslots name =
+  match Hashtbl.find_opt aslots name with
+  | Some k -> k
   | None -> Diag.bug "interp: no array '%s'" name
+
+(* An array by name, for the kernel layer's callbacks; compiled code
+   reads its array slot directly. *)
+let darray_of st name = st.arrays.(aslot st.u.pu_aslots name)
 
 let kind_of_decl = function
   | Ast.Integer -> Scalar.Kint
@@ -144,39 +145,55 @@ let rec ops_of_expr (e : Ast.expr) =
 (* Elemental intrinsics                                                *)
 (* ------------------------------------------------------------------ *)
 
-let apply_elemental name loc args =
-  let real1 f = Scalar.Real (f (Scalar.to_real (List.nth args 0))) in
-  match (name, args) with
-  | "ABS", [ Scalar.Int n ] -> Scalar.Int (abs n)
-  | "ABS", [ _ ] -> real1 Float.abs
-  | "SQRT", [ _ ] -> real1 Float.sqrt
-  | "EXP", [ _ ] -> real1 Float.exp
-  | "LOG", [ _ ] -> real1 Float.log
-  | "LOG10", [ _ ] -> real1 Float.log10
-  | "SIN", [ _ ] -> real1 sin
-  | "COS", [ _ ] -> real1 cos
-  | "TAN", [ _ ] -> real1 tan
-  | "ASIN", [ _ ] -> real1 asin
-  | "ACOS", [ _ ] -> real1 acos
-  | "ATAN", [ _ ] -> real1 atan
-  | "ATAN2", [ a; b ] -> Scalar.Real (Float.atan2 (Scalar.to_real a) (Scalar.to_real b))
-  | ("MOD" | "MODULO"), [ Scalar.Int _; Scalar.Int 0 ] -> Diag.error ~loc "integer division by zero"
-  | "MOD", [ Scalar.Int a; Scalar.Int b ] -> Scalar.Int (a mod b)
-  | "MOD", [ a; b ] -> Scalar.Real (Float.rem (Scalar.to_real a) (Scalar.to_real b))
-  | "MODULO", [ Scalar.Int a; Scalar.Int b ] -> Scalar.Int (Util.modulo a b)
-  | "MIN", (_ :: _ :: _ as l) -> List.fold_left Scalar.min2 (List.hd l) (List.tl l)
-  | "MAX", (_ :: _ :: _ as l) -> List.fold_left Scalar.max2 (List.hd l) (List.tl l)
-  | "SIGN", [ a; b ] ->
-      let x = Scalar.to_real a in
-      Scalar.Real (if Scalar.to_real b >= 0. then Float.abs x else -.Float.abs x)
-  | "INT", [ a ] -> Scalar.Int (Scalar.to_int a)
-  | "NINT", [ a ] -> Scalar.Int (int_of_float (Float.round (Scalar.to_real a)))
-  | ("REAL" | "FLOAT" | "DBLE"), [ a ] -> Scalar.Real (Scalar.to_real a)
-  | "MERGE", [ t; f; m ] -> if Scalar.to_bool m then t else f
-  | _ -> Diag.error ~loc "bad arguments for intrinsic %s" name
+(* Resolved by name once: [apply_elemental name loc] applies the
+   intrinsic to evaluated arguments. *)
+let apply_elemental name loc =
+  let bad _ = Diag.error ~loc "bad arguments for intrinsic %s" name in
+  let real1 f = function [ a ] -> Scalar.Real (f (Scalar.to_real a)) | l -> bad l in
+  let real2 f = function
+    | [ a; b ] -> Scalar.Real (f (Scalar.to_real a) (Scalar.to_real b))
+    | l -> bad l
+  in
+  match name with
+  | "ABS" -> ( function [ Scalar.Int n ] -> Scalar.Int (abs n) | l -> real1 Float.abs l)
+  | "SQRT" -> real1 Float.sqrt
+  | "EXP" -> real1 Float.exp
+  | "LOG" -> real1 Float.log
+  | "LOG10" -> real1 Float.log10
+  | "SIN" -> real1 sin
+  | "COS" -> real1 cos
+  | "TAN" -> real1 tan
+  | "ASIN" -> real1 asin
+  | "ACOS" -> real1 acos
+  | "ATAN" -> real1 atan
+  | "ATAN2" -> real2 Float.atan2
+  | "MOD" | "MODULO" -> (
+      function
+      | [ Scalar.Int _; Scalar.Int 0 ] -> Diag.error ~loc "integer division by zero"
+      | [ Scalar.Int a; Scalar.Int b ] ->
+          Scalar.Int (if name = "MOD" then a mod b else Util.modulo a b)
+      | l -> if name = "MOD" then real2 Float.rem l else bad l)
+  | "MIN" | "MAX" -> (
+      let pick = if name = "MIN" then Scalar.min2 else Scalar.max2 in
+      function x :: (_ :: _ as tl) -> List.fold_left pick x tl | l -> bad l)
+  | "SIGN" -> real2 (fun x y -> if y >= 0. then Float.abs x else -.Float.abs x)
+  | "INT" -> ( function [ a ] -> Scalar.Int (Scalar.to_int a) | l -> bad l)
+  | "NINT" -> (
+      function [ a ] -> Scalar.Int (int_of_float (Float.round (Scalar.to_real a))) | l -> bad l)
+  | "REAL" | "FLOAT" | "DBLE" -> real1 Fun.id
+  | "MERGE" -> ( function [ t; f; m ] -> if Scalar.to_bool m then t else f | l -> bad l)
+  | _ -> bad
+
+let redop = function
+  | "SUM" -> Redop.Sum
+  | "PRODUCT" -> Redop.Prod
+  | "MAXVAL" -> Redop.Max
+  | "MINVAL" -> Redop.Min
+  | "ALL" -> Redop.And
+  | _ -> Redop.Or
 
 (* ------------------------------------------------------------------ *)
-(* Expression evaluation                                               *)
+(* Element access                                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Storage position (per dimension) of a global Fortran index, allowing
@@ -207,63 +224,121 @@ let find_temp st ftemps temp =
   | Some _ as v -> v
   | None -> Hashtbl.find_opt st.ptemps temp
 
-(* Serve a remote single-element read from the replica cache.  The miss
-   path ([Darray.get_global]) is a collective, so the hit/miss decision
-   must be identical on every rank: the version counter, the cached
-   (dim, g0) and the distribution are all replicated, and we only serve
-   when every *other* dimension is undistributed — then each rank's slab
-   spans those dimensions fully and all ranks agree. *)
-let replica_serve st name (darr : Darray.t) g =
+(* The replica cache's slab of slice [g0] of [arr] along [dim], while
+   still current, and its refresh.  The hit/miss decision must be
+   identical on every rank, since a miss runs a collective: the version
+   counter, the cached (dim, g0) and the distribution are all
+   replicated. *)
+let cached_slab st arr ~dim ~g0 =
   if not st.coalesce then None
   else
-    match Hashtbl.find_opt st.replicas name with
-    | None -> None
-    | Some rv ->
-        let dad = darr.Darray.dad in
-        let dims = Dad.dims dad in
-        if
-          rv.rv_version <> Rctx.version st.ctx (version_key st name)
-          || g.(rv.rv_dim) - dims.(rv.rv_dim).Dad.flb <> rv.rv_g0
-        then None
-        else begin
-          let uniform = ref true in
-          Array.iteri
-            (fun d dd -> if d <> rv.rv_dim && dd.Dad.pdim <> None then uniform := false)
-            dims;
-          if not !uniform then None
-          else begin
-            let idx =
-              Array.mapi
-                (fun d gi -> if d = rv.rv_dim then 1 else storage_pos st dad ~dim:d gi + 1)
-                g
-            in
-            Some (Ndarray.get rv.rv_slab idx)
-          end
-        end
+    match Hashtbl.find_opt st.replicas arr with
+    | Some rv
+      when rv.rv_version = Rctx.version st.ctx (version_key st arr)
+           && rv.rv_dim = dim && rv.rv_g0 = g0 ->
+        Some rv.rv_slab
+    | _ -> None
 
-let rec eval st mode (e : Ast.expr) : Scalar.t =
+let publish st arr ~dim ~g0 slab =
+  if st.coalesce then
+    let rv_version = Rctx.version st.ctx (version_key st arr) in
+    Hashtbl.replace st.replicas arr { rv_version; rv_dim = dim; rv_g0 = g0; rv_slab = slab }
+
+(* Serve a remote single-element read from the replica cache, only when
+   every dimension but the slab's is undistributed: then each rank's slab
+   spans those dimensions fully and all ranks agree. *)
+let replica_serve st name (darr : Darray.t) g =
+  match Hashtbl.find_opt st.replicas name with
+  | None -> None
+  | Some { rv_dim = dim; _ } ->
+      let dad = darr.Darray.dad in
+      let dims = Dad.dims dad in
+      if Array.exists Fun.id (Array.mapi (fun d dd -> d <> dim && dd.Dad.pdim <> None) dims)
+      then None
+      else
+        Option.map
+          (fun slab ->
+            Ndarray.get slab
+              (Array.mapi (fun d gi -> if d = dim then 1 else storage_pos st dad ~dim:d gi + 1) g))
+          (cached_slab st name ~dim ~g0:(g.(dim) - dims.(dim).Dad.flb))
+
+(* ------------------------------------------------------------------ *)
+(* Compiled expressions                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* What one unit's code is compiled against: names resolve to scalar
+   slots (allocated as they are met) and array slots once, before the
+   run.  [c_f] is the FORALL whose points the code runs at: its
+   variables read the frame, and its references resolve their access
+   kind.  A name that cannot be resolved compiles to its located error,
+   raised only if the code runs. *)
+type cctx = {
+  c_env : Sema.unit_env;
+  c_kind : string -> Scalar.kind option;  (** the kernel plans' scalar kinds *)
+  c_slots : (string, int) Hashtbl.t;
+  c_aslots : (string, int) Hashtbl.t;
+  c_dads : (string * Dad.t) array;
+  c_f : Ir.forall option;
+  c_planned : int list ref;  (** the FORALL sids compiled with a kernel plan *)
+}
+
+let slot cx v =
+  match Hashtbl.find_opt cx.c_slots v with
+  | Some k -> k
+  | None ->
+      let k = Hashtbl.length cx.c_slots in
+      Hashtbl.replace cx.c_slots v k;
+      k
+
+let caslot cx name = aslot cx.c_aslots name
+let cdad cx name = snd cx.c_dads.(caslot cx name)
+
+(* The subscripts of a reference, or [None] if one is a section. *)
+let elems (r : Ast.ref_) =
+  try Some (List.map (function Ast.Elem x -> x | Ast.Range _ -> raise Exit) r.Ast.args)
+  with Exit -> None
+
+(* A subscript list's values. *)
+let values subs : int array code = fun st fr -> Array.map (fun c -> c st fr) subs
+
+let rec cexpr cx (e : Ast.expr) : Scalar.t code =
+  let loc = e.Ast.loc in
+  let const v _ _ = v in
   match e.Ast.e with
-  | Ast.Int_lit n -> Scalar.Int n
-  | Ast.Real_lit r -> Scalar.Real r
-  | Ast.Log_lit b -> Scalar.Log b
-  | Ast.Str_lit s -> Scalar.Str s
-  | Ast.Var v -> eval_var st mode e.Ast.loc v
-  | Ast.Un (Ast.Neg, a) -> Scalar.neg (eval st mode a)
-  | Ast.Un (Ast.Not, a) -> Scalar.not_ (eval st mode a)
-  | Ast.Bin (op, a, b) ->
-      let x = eval st mode a in
+  | Ast.Int_lit n -> const (Scalar.Int n)
+  | Ast.Real_lit r -> const (Scalar.Real r)
+  | Ast.Log_lit b -> const (Scalar.Log b)
+  | Ast.Str_lit s -> const (Scalar.Str s)
+  | Ast.Var v -> (
+      match Option.bind cx.c_f (fun f -> List.find_index (fun (x, _) -> x = v) f.Ir.f_vars) with
+      | Some k -> fun _ fr -> Scalar.Int fr.x.(k)
+      | None ->
+          let k = slot cx v and param = List.assoc_opt v cx.c_env.Sema.uparams in
+          fun st _ ->
+            let x = st.vals.(k) in
+            if x != unset then x
+            else
+              match param with
+              | Some p -> p
+              | None -> Diag.error ~loc "undefined variable '%s'" v)
+  | Ast.Un (op, a) ->
+      let a = cexpr cx a and f = match op with Ast.Neg -> Scalar.neg | Ast.Not -> Scalar.not_ in
+      fun st fr -> f (a st fr)
+  | Ast.Bin (op, a, b) -> (
+      let a = cexpr cx a and b = cexpr cx b in
+      match op with
       (* short-circuit logicals to keep masks cheap *)
-      (match (op, x) with
-      | Ast.And, Scalar.Log false -> Scalar.Log false
-      | Ast.Or, Scalar.Log true -> Scalar.Log true
+      | Ast.And -> (
+          fun st fr -> match a st fr with Scalar.Log false as x -> x | x -> Scalar.and_ x (b st fr))
+      | Ast.Or -> (
+          fun st fr -> match a st fr with Scalar.Log true as x -> x | x -> Scalar.or_ x (b st fr))
       | _ ->
-          let y = eval st mode b in
           let f =
             match op with
             | Ast.Add -> Scalar.add
             | Ast.Sub -> Scalar.sub
             | Ast.Mul -> Scalar.mul
-            | Ast.Div -> Scalar.div ~loc:e.Ast.loc
+            | Ast.Div -> Scalar.div ~loc
             | Ast.Pow -> Scalar.pow
             | Ast.Eq -> Scalar.cmp_eq
             | Ast.Ne -> Scalar.cmp_ne
@@ -271,190 +346,183 @@ let rec eval st mode (e : Ast.expr) : Scalar.t =
             | Ast.Le -> Scalar.cmp_le
             | Ast.Gt -> Scalar.cmp_gt
             | Ast.Ge -> Scalar.cmp_ge
-            | Ast.And -> Scalar.and_
-            | Ast.Or -> Scalar.or_
+            | Ast.And | Ast.Or -> assert false
           in
-          f x y)
-  | Ast.Ref r -> eval_ref st mode e.Ast.loc r
+          fun st fr ->
+            let x = a st fr in
+            f x (b st fr))
+  | Ast.Ref r -> (
+      let name = r.Ast.base in
+      (* a declared array shadows any intrinsic of the same name *)
+      match (Hashtbl.find_opt cx.c_aslots name, elems r) with
+      | Some k, Some args -> carray cx loc r k (Array.of_list (List.map (cint cx) args))
+      | None, Some args when Intrinsic_names.is_elemental name ->
+          let f = apply_elemental name loc and args = List.map (cexpr cx) args in
+          fun st fr -> f (List.map (fun a -> a st fr) args)
+      | None, _ when Intrinsic_names.is_transformational name -> ctransformational cx loc r
+      | Some _, None -> fun _ _ -> Diag.error ~loc "unexpected array section"
+      | None, None when Intrinsic_names.is_elemental name ->
+          fun _ _ -> Diag.error ~loc "unexpected array section"
+      | _ -> fun _ _ -> Diag.error ~loc "unknown function or array '%s'" name)
 
-and eval_var st mode loc v =
-  (match mode with
-  | Mloop f -> (
-      match List.assoc_opt v f.fvals with Some g -> Some (Scalar.Int g) | None -> None)
-  | Mscalar -> None)
-  |> function
-  | Some s -> s
+and cint cx e =
+  let c = cexpr cx e in
+  fun st fr -> Scalar.to_int (c st fr)
+
+(* An element read.  Scalar code reads a replicated array's own copy and
+   fetches a distributed element from its owner (a collective every rank
+   runs); a FORALL point reads through the reference's access kind. *)
+and carray cx loc (r : Ast.ref_) k subs =
+  let dad = snd cx.c_dads.(k) in
+  let g = values subs in
+  match cx.c_f with
+  | None when Dad.is_replicated dad ->
+      (* every rank holds the whole array, at the home rank's flats *)
+      fun st fr ->
+        let owners = [| 0 |] and flats = [| 0 |] in
+        Dad.locate dad (g st fr) ~every_owner:false ~owners ~flats ~at:0;
+        Ndarray.get_flat st.arrays.(k).Darray.local flats.(0)
   | None -> (
-      match Hashtbl.find_opt st.scalars v with
-      | Some r -> !r
-      | None -> (
-          match List.assoc_opt v st.u.pu_ir.Ir.u_env.Sema.uparams with
-          | Some s -> s
-          | None -> Diag.error ~loc "undefined variable '%s'" v))
-
-and eval_ref st mode loc (r : Ast.ref_) =
-  let elem_args () =
-    List.map
-      (function
-        | Ast.Elem x -> x
-        | Ast.Range _ -> Diag.error ~loc "unexpected array section")
-      r.Ast.args
-  in
-  let cls =
-    match Hashtbl.find_opt st.u.pu_classes r.Ast.base with
-    | Some c -> c
-    | None -> Diag.error ~loc "unknown function or array '%s'" r.Ast.base
-  in
-  match cls with
-  | Relemental -> apply_elemental r.Ast.base loc (List.map (eval st mode) (elem_args ()))
-  | Rtransformational -> eval_transformational st mode loc r
-  | Rarray -> (
-      let subs = List.map (fun e -> Scalar.to_int (eval st mode e)) (elem_args ()) in
-      let g = Array.of_list subs in
-      match mode with
-      | Mscalar -> read_element_scalar st r.Ast.base g
-      | Mloop f -> read_element_loop st f loc r g)
-
-and read_element_scalar st name g =
-  let darr = darray_of st name in
-  if Dad.is_replicated darr.Darray.dad then
-    match Darray.get_local darr ~rank:(me st) g with
-    | Some v -> v
-    | None -> Diag.bug "interp: replicated array misses an element"
-  else
-    match replica_serve st name darr g with
-    | Some v -> v
-    | None -> Darray.get_global st.ctx darr g
-
-and read_element_loop st f loc (r : Ast.ref_) g =
-  match List.assoc_opt r.Ast.rid f.faccess with
-  | None | Some Ir.Acc_direct ->
-      let darr = darray_of st r.Ast.base in
-      let dad = darr.Darray.dad in
-      let idx = Array.mapi (fun d gi -> storage_pos st dad ~dim:d gi) g in
-      let storage =
-        match f.fsnap with
-        | Some (base, nd) when base = r.Ast.base -> nd
-        | _ -> darr.Darray.local
-      in
-      Ndarray.get storage idx
-  | Some (Ir.Acc_box { temp; dims }) -> (
-      match find_temp st f.ftemps temp with
-      | Some (Kernel.Tbox nd) ->
-          let darr = darray_of st r.Ast.base in
-          let dad = darr.Darray.dad in
-          let idx =
-            Array.mapi
-              (fun d bd ->
-                match bd with
-                | Ir.Collapsed -> 1
-                | Ir.By_sub e ->
-                    let gv = Scalar.to_int (eval st (Mloop f) e) in
-                    storage_pos st dad ~dim:d gv + 1)
-              (Array.of_list (Array.to_list dims))
+      fun st fr ->
+        let g = g st fr and darr = st.arrays.(k) in
+        match replica_serve st r.Ast.base darr g with
+        | Some v -> v
+        | None -> Darray.get_global st.ctx darr g)
+  | Some f -> (
+      let missing what = Diag.error ~loc "%s temporary missing for '%s'" what r.Ast.base in
+      match List.assoc_opt r.Ast.rid f.Ir.f_access with
+      | None | Some Ir.Acc_direct ->
+          let snap = r.Ast.base = f.Ir.f_lhs.Ast.base in
+          fun st fr ->
+            let idx = Array.mapi (fun d gi -> storage_pos st dad ~dim:d gi) (g st fr) in
+            Ndarray.get
+              (match fr.fsnap with Some nd when snap -> nd | _ -> st.arrays.(k).Darray.local)
+              idx
+      | Some (Ir.Acc_box { temp; dims }) -> (
+          let dims =
+            Array.map (function Ir.Collapsed -> None | Ir.By_sub e -> Some (cint cx e)) dims
           in
-          Ndarray.get nd idx
-      | _ -> Diag.error ~loc "communication temporary missing for '%s'" r.Ast.base)
-  | Some (Ir.Acc_flat { temp }) -> (
-      match find_temp st f.ftemps temp with
-      | Some (Kernel.Tflat nd) -> Ndarray.get_flat nd f.counter
-      | _ -> Diag.error ~loc "inspector temporary missing for '%s'" r.Ast.base)
-  | Some (Ir.Acc_global_temp { temp }) -> (
-      match find_temp st f.ftemps temp with
-      | Some (Kernel.Tglobal nd) -> Ndarray.get nd g
-      | _ -> Diag.error ~loc "concatenation temporary missing for '%s'" r.Ast.base)
+          let pos st fr d = function
+            | None -> 1
+            | Some c -> storage_pos st dad ~dim:d (c st fr) + 1
+          in
+          fun st fr ->
+            match find_temp st fr.ftemps temp with
+            | Some (Kernel.Tbox nd) -> Ndarray.get nd (Array.mapi (pos st fr) dims)
+            | _ -> missing "communication")
+      | Some (Ir.Acc_flat { temp }) -> (
+          fun st fr ->
+            match find_temp st fr.ftemps temp with
+            | Some (Kernel.Tflat nd) -> Ndarray.get_flat nd fr.counter
+            | _ -> missing "inspector")
+      | Some (Ir.Acc_global_temp { temp }) -> (
+          fun st fr ->
+            match find_temp st fr.ftemps temp with
+            | Some (Kernel.Tglobal nd) -> Ndarray.get nd (g st fr)
+            | _ -> missing "concatenation"))
 
-and eval_transformational st mode loc (r : Ast.ref_) =
-  (match mode with
-  | Mloop _ -> Diag.error ~loc "transformational intrinsic %s inside FORALL" r.Ast.base
-  | Mscalar -> ());
-  let args =
-    List.map
-      (function
-        | Ast.Elem x -> x
-        | Ast.Range _ -> Diag.error ~loc "array section argument for %s" r.Ast.base)
-      r.Ast.args
-  in
-  let whole_array (e : Ast.expr) =
-    match e.Ast.e with
-    | Ast.Var v when Sema.array_spec st.u.pu_ir.Ir.u_env v <> None -> darray_of st v
-    | _ -> Diag.error ~loc "%s expects a whole array argument" r.Ast.base
-  in
-  match (r.Ast.base, args) with
-  | ("SUM" | "PRODUCT" | "MAXVAL" | "MINVAL" | "ALL" | "ANY"), [ a ] ->
-      let op =
-        match r.Ast.base with
-        | "SUM" -> Redop.Sum
-        | "PRODUCT" -> Redop.Prod
-        | "MAXVAL" -> Redop.Max
-        | "MINVAL" -> Redop.Min
-        | "ALL" -> Redop.And
-        | _ -> Redop.Or
+and ctransformational cx loc (r : Ast.ref_) =
+  let name = r.Ast.base in
+  match (cx.c_f, elems r) with
+  | Some _, _ -> fun _ _ -> Diag.error ~loc "transformational intrinsic %s inside FORALL" name
+  | None, None -> fun _ _ -> Diag.error ~loc "array section argument for %s" name
+  | None, Some args -> (
+      let whole (e : Ast.expr) =
+        match e.Ast.e with
+        | Ast.Var v when Hashtbl.mem cx.c_aslots v ->
+            let k = caslot cx v in
+            fun st -> st.arrays.(k)
+        | _ -> fun _ -> Diag.error ~loc "%s expects a whole array argument" name
       in
-      Intrinsics.reduce st.ctx op (whole_array a)
-  | "COUNT", [ a ] -> Intrinsics.count st.ctx (whole_array a)
-  | ("DOT_PRODUCT" | "DOTPRODUCT"), [ a; b ] ->
-      Intrinsics.dotproduct st.ctx (whole_array a) (whole_array b)
-  | ("MAXLOC" | "MINLOC"), [ a ] ->
-      let darr = whole_array a in
-      if Array.length (Dad.dims darr.Darray.dad) <> 1 then
-        Diag.error ~loc "%s is supported for rank-1 arrays (assign to a scalar)" r.Ast.base;
-      let locv =
-        if r.Ast.base = "MAXLOC" then Intrinsics.maxloc st.ctx darr
-        else Intrinsics.minloc st.ctx darr
-      in
-      Scalar.Int locv.(0)
-  | "SIZE", [ a ] -> Scalar.Int (Dad.global_size (whole_array a).Darray.dad)
-  | "SIZE", [ a; d ] ->
-      let dim = Scalar.to_int (eval st Mscalar d) in
-      Scalar.Int (Dad.dims (whole_array a).Darray.dad).(dim - 1).Dad.extent
-  | "LBOUND", [ a; d ] ->
-      let dim = Scalar.to_int (eval st Mscalar d) in
-      Scalar.Int (Dad.dims (whole_array a).Darray.dad).(dim - 1).Dad.flb
-  | "UBOUND", [ a; d ] ->
-      let dim = Scalar.to_int (eval st Mscalar d) in
-      let dd = (Dad.dims (whole_array a).Darray.dad).(dim - 1) in
-      Scalar.Int (dd.Dad.flb + dd.Dad.extent - 1)
-  | _ -> Diag.error ~loc "unsupported use of intrinsic %s" r.Ast.base
+      match (name, args) with
+      | ("SUM" | "PRODUCT" | "MAXVAL" | "MINVAL" | "ALL" | "ANY"), [ a ] ->
+          let op = redop name and a = whole a in
+          fun st _ -> Intrinsics.reduce st.ctx op (a st)
+      | "COUNT", [ a ] ->
+          let a = whole a in
+          fun st _ -> Intrinsics.count st.ctx (a st)
+      | ("DOT_PRODUCT" | "DOTPRODUCT"), [ a; b ] ->
+          let a = whole a and b = whole b in
+          fun st _ -> Intrinsics.dotproduct st.ctx (a st) (b st)
+      | ("MAXLOC" | "MINLOC"), [ a ] ->
+          let a = whole a in
+          fun st _ ->
+            let darr = a st in
+            if Dad.rank darr.Darray.dad <> 1 then
+              Diag.error ~loc "%s is supported for rank-1 arrays (assign to a scalar)" name;
+            Scalar.Int
+              (if name = "MAXLOC" then Intrinsics.maxloc st.ctx darr
+               else Intrinsics.minloc st.ctx darr).(0)
+      | "SIZE", [ a ] ->
+          let a = whole a in
+          fun st _ -> Scalar.Int (Dad.global_size (a st).Darray.dad)
+      | ("SIZE" | "LBOUND" | "UBOUND"), [ a; d ] ->
+          let a = whole a and d = cint cx d in
+          fun st _ ->
+            let dim = d st no_frame in
+            let dd = (Dad.dims (a st).Darray.dad).(dim - 1) in
+            Scalar.Int
+              (match name with
+              | "SIZE" -> dd.Dad.extent
+              | "LBOUND" -> dd.Dad.flb
+              | _ -> dd.Dad.flb + dd.Dad.extent - 1)
+      | _ -> fun _ _ -> Diag.error ~loc "unsupported use of intrinsic %s" name)
 
-(* ------------------------------------------------------------------ *)
-(* Iteration spaces                                                    *)
-(* ------------------------------------------------------------------ *)
+(* An assignment's left-hand side subscripts (never a section). *)
+let csubs cx (r : Ast.ref_) =
+  Array.of_list
+    (List.map
+       (function
+         | Ast.Elem e -> cint cx e
+         | Ast.Range _ -> fun _ _ -> Diag.bug "interp: section in %s" r.Ast.base)
+       r.Ast.args)
 
-(* Global values of each FORALL variable for [rank], in nest order.
-   Returns None when the rank is masked out by a guard. *)
-let iteration_values st (f : Ir.forall) ~ranges ~guard_vals ~rank =
-  match f.Ir.f_iter with
-  | Ir.It_replicated -> Some (Inspector.replicated ranges)
-  | Ir.It_canonical { var_dims; guards } ->
-      Inspector.canonical (dad_of st f.Ir.f_lhs.Ast.base) ~var_dims:(List.map snd var_dims)
-        ~guards:(List.map2 (fun (dim, _) g -> (dim, g)) guards guard_vals)
-        ~ranges ~rank
-  | Ir.It_even -> Some (Inspector.even ~nprocs:(Rctx.nprocs st.ctx) ~rank ranges)
+(* A DO range's bounds and stride, evaluated in that order. *)
+let crange cx (rg : Ast.range) =
+  let lo = cint cx rg.Ast.lo and hi = cint cx rg.Ast.hi in
+  let stp = match rg.Ast.st with Some e -> cint cx e | None -> fun _ _ -> 1 in
+  fun st ->
+    let lo = lo st no_frame in
+    let hi = hi st no_frame in
+    (lo, hi, stp st no_frame)
 
+(* Whether a DO loop of stride [stp] up to [hi] runs an iteration at [v]. *)
+let continues ~stp ~hi v = (stp > 0 && v <= hi) || (stp < 0 && v >= hi)
+
+let do_stride stp = if stp = 0 then Diag.error "zero DO stride"
+
+(* The DO trip test: at least one iteration. *)
+let ctrip cx range =
+  let range = crange cx range in
+  fun st ->
+    let lo, hi, stp = range st in
+    do_stride stp;
+    continues ~stp ~hi lo
+
+(* The kernel layer's view of the scalar slots. *)
 let scalar_lookup st v =
-  match Hashtbl.find_opt st.scalars v with
-  | Some r -> Some !r
-  | None -> List.assoc_opt v st.u.pu_ir.Ir.u_env.Sema.uparams
+  match Hashtbl.find_opt st.u.pu_slots v with
+  | Some k when st.vals.(k) != unset -> Some st.vals.(k)
+  | _ -> List.assoc_opt v st.u.pu_ir.Ir.u_env.Sema.uparams
 
 (* ------------------------------------------------------------------ *)
 (* Inspector                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One inspector pass over reference [r] of FORALL [sid]: every rank's
-   iterations for a locally built schedule ([all_ranks]), else this
+(* One inspector pass over a reference of FORALL [f] (its DAD, and each
+   subscript's index plan and compiled code): every rank's iterations
+   ([space rank]) for a locally built schedule ([all_ranks]), else this
    rank's.  This rank's subscripts may read the statement's own
    communication temporaries (e.g. V in A(V(I)), read by an earlier pre
    op), which cover only this rank's iterations: under an even partition
    Pattern makes such a reference a gather, never a local build.
-   Strip-compiled subscripts run over this rank's space only, and
-   through the interpreter on another rank's. *)
-let inspect st ~sid (f : Ir.forall) ~ranges ~guard_vals ~ftemps ~every_owner ~all_ranks
-    (r : Ast.ref_) =
+   Strip-compiled subscripts run over this rank's space only, and as
+   compiled code per point on another rank's. *)
+let inspect st (f : Ir.forall) ~space ~ftemps ~every_owner ~all_ranks (dad, subs) =
   let me = me st in
   let subs values ~mine =
     Array.map
-      (fun (e, x) ->
+      (fun (x, c) ->
         match
           Kernel.index x ~f ~me ~scalar_lookup:(scalar_lookup st) ~darr_of:(darray_of st)
             ~temp_of:(find_temp st ftemps)
@@ -465,19 +533,18 @@ let inspect st ~sid (f : Ir.forall) ~ranges ~guard_vals ~ftemps ~every_owner ~al
         | Kernel.Iinterp ->
             (* the counter keeps Acc_flat subscript reads in step with
                the iteration they were built for *)
+            let fr = { x = [||]; counter = 0; ftemps; fsnap = None } in
             Inspector.Fn
               (fun x counter ->
-                let fvals = List.mapi (fun k (v, _) -> (v, x.(k))) f.Ir.f_vars in
-                let fr = { fvals; faccess = f.Ir.f_access; ftemps; fsnap = None; counter } in
-                Scalar.to_int (eval st (Mloop fr) e)))
-      (Hashtbl.find st.u.pu_index (sid, r.Ast.rid))
+                fr.x <- x;
+                fr.counter <- counter;
+                c st fr))
+      subs
   in
   let slot rank =
-    Option.map
-      (fun values -> (values, subs values ~mine:(rank = me)))
-      (iteration_values st f ~ranges ~guard_vals ~rank)
+    Option.map (fun values -> (values, subs values ~mine:(rank = me))) (space rank)
   in
-  Inspector.run (dad_of st r.Ast.base) ~every_owner
+  Inspector.run dad ~every_owner
     (if all_ranks then Array.init (Rctx.nprocs st.ctx) slot else [| slot me |])
 
 (* ------------------------------------------------------------------ *)
@@ -493,30 +560,33 @@ let inspect st ~sid (f : Ir.forall) ~ranges ~guard_vals ~ftemps ~every_owner ~al
    its cache key: a reuse after the index array was overwritten misses and
    rebuilds instead of serving the stale index sets. *)
 
-let bump_written st name =
-  if Hashtbl.mem st.arrays name then Rctx.bump_version st.ctx (version_key st name)
+let bump_written st name = Rctx.bump_version st.ctx (version_key st name)
 
-let version_sig st (r : Ast.ref_) =
+(* The index arrays [r]'s subscripts read are found at compile time; the
+   code yields their current write versions. *)
+let version_sig cx (r : Ast.ref_) =
   let bases =
     List.concat_map
       (function Ast.Elem e -> Ast.refs_of e | Ast.Range _ -> [])
       r.Ast.args
     |> List.filter_map (fun (ri : Ast.ref_) ->
-           if Hashtbl.mem st.arrays ri.Ast.base then Some ri.Ast.base else None)
+           if Hashtbl.mem cx.c_aslots ri.Ast.base then Some ri.Ast.base else None)
     |> List.sort_uniq compare
   in
-  String.concat ""
-    (List.map
-       (fun b -> Printf.sprintf "|%s=%d" b (Rctx.version st.ctx (version_key st b)))
-       bases)
+  fun st ->
+    String.concat ""
+      (List.map
+         (fun b -> Printf.sprintf "|%s=%d" b (Rctx.version st.ctx (version_key st b)))
+         bases)
 
 (* ------------------------------------------------------------------ *)
 (* Pre-communication                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let zero_based_sub st name ~dim e =
-  let dad = dad_of st name in
-  Scalar.to_int (eval st Mscalar e) - (Dad.dims dad).(dim).Dad.flb
+(* A comm's zero-based slice index along [dim] of [arr]. *)
+let csub cx arr ~dim e =
+  let c = cint cx e and flb = (Dad.dims (cdad cx arr)).(dim).Dad.flb in
+  fun st -> c st no_frame - flb
 
 let log_comm st (c : Ir.comm) =
   Log.debug (fun m ->
@@ -525,21 +595,14 @@ let log_comm st (c : Ir.comm) =
 
 (* The multicast slab, through the replica cache when the coalesce pass is
    on: a repeat of the same (array, dim, slice) broadcast while the array
-   is unmodified is served from the cached slab with no messages.  The
-   reuse decision is replicated (see {!replica_serve} on why), so no rank
-   skips a collective the others enter. *)
-let multicast_slab st arr ~dim ~g0 =
-  let darr = darray_of st arr in
-  if not st.coalesce then Structured.multicast st.ctx darr ~dim ~g:g0
-  else begin
-    let ver = Rctx.version st.ctx (version_key st arr) in
-    match Hashtbl.find_opt st.replicas arr with
-    | Some rv when rv.rv_version = ver && rv.rv_dim = dim && rv.rv_g0 = g0 -> rv.rv_slab
-    | _ ->
-        let slab = Structured.multicast st.ctx darr ~dim ~g:g0 in
-        Hashtbl.replace st.replicas arr { rv_version = ver; rv_dim = dim; rv_g0 = g0; rv_slab = slab };
-        slab
-  end
+   is unmodified is served from the cached slab with no messages. *)
+let multicast_slab st arr darr ~dim ~g0 =
+  match cached_slab st arr ~dim ~g0 with
+  | Some slab -> slab
+  | None ->
+      let slab = Structured.multicast st.ctx darr ~dim ~g:g0 in
+      publish st arr ~dim ~g0 slab;
+      slab
 
 (* The two halves of a split-phase multicast (pass 6).  The issue makes
    the replica-cache serve/miss decision — at issue time, with the same
@@ -548,29 +611,21 @@ let multicast_slab st arr ~dim ~g0 =
    slab into the unit's persistent temp table (split comms, like hoisted
    ones, live outside any FORALL frame) and, on the in-flight path,
    refreshes the replica cache exactly as the blocking path would. *)
-let exec_comm_issue st hid (c : Ir.comm) =
-  log_comm st c;
+let compile_issue cx hid (c : Ir.comm) =
   match c with
-  | Ir.Multicast { arr; dim; g; temp } ->
-      if Hashtbl.mem st.pending hid then Diag.bug "interp: double issue on split slot %d" hid;
-      let g0 = zero_based_sub st arr ~dim g in
-      let darr = darray_of st arr in
-      let served =
-        if not st.coalesce then None
-        else
-          let ver = Rctx.version st.ctx (version_key st arr) in
-          match Hashtbl.find_opt st.replicas arr with
-          | Some rv when rv.rv_version = ver && rv.rv_dim = dim && rv.rv_g0 = g0 ->
-              Some rv.rv_slab
-          | _ -> None
-      in
-      (match served with
-      | Some slab -> Hashtbl.replace st.pending hid (Pserved { pc_temp = temp; pc_slab = slab })
-      | None ->
-          let bp = Structured.multicast_issue st.ctx darr ~dim ~g:g0 in
-          Hashtbl.replace st.pending hid
-            (Pflight { pc_temp = temp; pc_arr = arr; pc_dim = dim; pc_g0 = g0; pc_bp = bp }))
-  | c -> Diag.bug "interp: split issue of non-multicast comm %s" (Ir.comm_name c)
+  | Ir.Multicast { arr; dim; g; temp } -> (
+      let g0 = csub cx arr ~dim g and k = caslot cx arr in
+      fun st ->
+        log_comm st c;
+        if Hashtbl.mem st.pending hid then Diag.bug "interp: double issue on split slot %d" hid;
+        let g0 = g0 st in
+        match cached_slab st arr ~dim ~g0 with
+        | Some slab -> Hashtbl.replace st.pending hid (Pserved { pc_temp = temp; pc_slab = slab })
+        | None ->
+            let bp = Structured.multicast_issue st.ctx st.arrays.(k) ~dim ~g:g0 in
+            Hashtbl.replace st.pending hid
+              (Pflight { pc_temp = temp; pc_arr = arr; pc_dim = dim; pc_g0 = g0; pc_bp = bp }))
+  | c -> fun _ -> Diag.bug "interp: split issue of non-multicast comm %s" (Ir.comm_name c)
 
 let exec_comm_wait st hid =
   match Hashtbl.find_opt st.pending hid with
@@ -582,156 +637,136 @@ let exec_comm_wait st hid =
       | Pflight { pc_temp; pc_arr; pc_dim; pc_g0; pc_bp } ->
           let slab = Structured.multicast_wait st.ctx pc_bp in
           Hashtbl.replace st.ptemps pc_temp (Kernel.Tbox slab);
-          if st.coalesce then
-            (* The intervening statements provably did not write the
-               broadcast slice (split legality), so the slab equals the
-               slice under the current version even if other parts of
-               the array changed since the issue. *)
-            Hashtbl.replace st.replicas pc_arr
-              {
-                rv_version = Rctx.version st.ctx (version_key st pc_arr);
-                rv_dim = pc_dim;
-                rv_g0 = pc_g0;
-                rv_slab = slab;
-              })
+          (* The intervening statements provably did not write the
+             broadcast slice (split legality), so the slab equals the
+             slice under the current version even if other parts of the
+             array changed since the issue. *)
+          publish st pc_arr ~dim:pc_dim ~g0:pc_g0 slab)
 
 (* Comms that do not need the FORALL frame (everything but the inspector
-   ops) — executable from a loop pre-header, where [ftemps] is the unit's
-   persistent table [st.ptemps]. *)
-let exec_comm_simple st ftemps (c : Ir.comm) =
-  log_comm st c;
-  match c with
-  | Ir.Multicast { arr; dim; g; temp } ->
-      let g0 = zero_based_sub st arr ~dim g in
-      Hashtbl.replace ftemps temp (Kernel.Tbox (multicast_slab st arr ~dim ~g0))
-  | Ir.Transfer { arr; dim; src; dest; temp } -> (
-      let s0 = zero_based_sub st arr ~dim src and d0 = zero_based_sub st arr ~dim dest in
-      match Structured.transfer st.ctx (darray_of st arr) ~dim ~gsrc:s0 ~gdest:d0 with
-      | Some slab -> Hashtbl.replace ftemps temp (Kernel.Tbox slab)
-      | None -> ())
-  | Ir.Overlap_shift { arr; dim; amount } ->
-      Structured.overlap_shift st.ctx (darray_of st arr) ~dim ~amount
-  | Ir.Temp_shift { arr; dim; amount; temp } ->
-      let a = Scalar.to_int (eval st Mscalar amount) in
-      let slab = Structured.temporary_shift st.ctx (darray_of st arr) ~dim ~amount:a in
-      Hashtbl.replace ftemps temp (Kernel.Tbox slab)
-  | Ir.Multicast_shift { ms_arr; mdim; ms_g; sdim; ms_amount; ms_temp; fused } ->
-      let g0 = zero_based_sub st ms_arr ~dim:mdim ms_g in
-      let a = Scalar.to_int (eval st Mscalar ms_amount) in
-      let darr = darray_of st ms_arr in
-      let slab =
-        if fused then Structured.multicast_shift st.ctx darr ~mdim ~g:g0 ~sdim ~amount:a
-        else begin
-          (* unfused: shift everywhere, then broadcast the slice *)
-          let shifted = Structured.temporary_shift st.ctx darr ~dim:sdim ~amount:a in
-          let dad = darr.Darray.dad in
-          let pd =
-            match (Dad.dims dad).(mdim).Dad.pdim with
-            | Some p -> p
-            | None -> Diag.bug "interp: multicast dim not distributed"
-          in
-          let team = Collectives.team_along st.ctx ~dim:pd in
-          let d = (Dad.dims dad).(mdim) in
-          let root = Distrib.owner d.Dad.dist (Affine.eval d.Dad.align g0) in
-          let payload =
-            if (Rctx.my_coords st.ctx).(pd) = root then begin
-              let pos =
-                Layout.local_of_global (Dad.layout_at dad ~dim:mdim ~rank:(me st)) g0
+   ops) — executable from a loop pre-header, where the temporaries table
+   is the unit's persistent [ptemps]. *)
+let compile_comm cx (c : Ir.comm) =
+  let run =
+    match c with
+    | Ir.Multicast { arr; dim; g; temp } ->
+        let g0 = csub cx arr ~dim g and k = caslot cx arr in
+        fun st ftemps ->
+          let slab = multicast_slab st arr st.arrays.(k) ~dim ~g0:(g0 st) in
+          Hashtbl.replace ftemps temp (Kernel.Tbox slab)
+    | Ir.Transfer { arr; dim; src; dest; temp } -> (
+        let s0 = csub cx arr ~dim src and d0 = csub cx arr ~dim dest and k = caslot cx arr in
+        fun st ftemps ->
+          let s0 = s0 st in
+          let d0 = d0 st in
+          match Structured.transfer st.ctx st.arrays.(k) ~dim ~gsrc:s0 ~gdest:d0 with
+          | Some slab -> Hashtbl.replace ftemps temp (Kernel.Tbox slab)
+          | None -> ())
+    | Ir.Overlap_shift { arr; dim; amount } ->
+        let k = caslot cx arr in
+        fun st _ -> Structured.overlap_shift st.ctx st.arrays.(k) ~dim ~amount
+    | Ir.Temp_shift { arr; dim; amount; temp } ->
+        let amount = cint cx amount and k = caslot cx arr in
+        fun st ftemps ->
+          let a = amount st no_frame in
+          let slab = Structured.temporary_shift st.ctx st.arrays.(k) ~dim ~amount:a in
+          Hashtbl.replace ftemps temp (Kernel.Tbox slab)
+    | Ir.Multicast_shift { ms_arr; mdim; ms_g; sdim; ms_amount; ms_temp; fused } ->
+        let g0 = csub cx ms_arr ~dim:mdim ms_g and amount = cint cx ms_amount in
+        let k = caslot cx ms_arr in
+        fun st ftemps ->
+          let g0 = g0 st in
+          let a = amount st no_frame in
+          let darr = st.arrays.(k) in
+          let slab =
+            if fused then Structured.multicast_shift st.ctx darr ~mdim ~g:g0 ~sdim ~amount:a
+            else begin
+              (* unfused: shift everywhere, then broadcast the slice *)
+              let shifted = Structured.temporary_shift st.ctx darr ~dim:sdim ~amount:a in
+              let dad = darr.Darray.dad in
+              let d = (Dad.dims dad).(mdim) in
+              let pd =
+                match d.Dad.pdim with
+                | Some p -> p
+                | None -> Diag.bug "interp: multicast dim not distributed"
               in
-              let lo = Array.map (fun lb -> lb) shifted.Ndarray.lb in
-              let extents = Array.copy shifted.Ndarray.extents in
-              lo.(mdim) <- lo.(mdim) + pos;
-              extents.(mdim) <- 1;
-              Message.Arr (Ndarray.get_box shifted ~lo ~extents)
+              let team = Collectives.team_along st.ctx ~dim:pd in
+              let root = Distrib.owner d.Dad.dist (Affine.eval d.Dad.align g0) in
+              let payload =
+                if (Rctx.my_coords st.ctx).(pd) <> root then Message.Empty
+                else begin
+                  let lo = Array.copy shifted.Ndarray.lb in
+                  let extents = Array.copy shifted.Ndarray.extents in
+                  let lay = Dad.layout_at dad ~dim:mdim ~rank:(me st) in
+                  lo.(mdim) <- lo.(mdim) + Layout.local_of_global lay g0;
+                  extents.(mdim) <- 1;
+                  Message.Arr (Ndarray.get_box shifted ~lo ~extents)
+                end
+              in
+              match Collectives.broadcast st.ctx team ~root payload with
+              | Message.Arr s -> s
+              | _ -> Diag.bug "interp: multicast protocol error"
             end
-            else Message.Empty
           in
-          match Collectives.broadcast st.ctx team ~root payload with
-          | Message.Arr s -> s
-          | _ -> Diag.bug "interp: multicast protocol error"
-        end
-      in
-      Hashtbl.replace ftemps ms_temp (Kernel.Tbox slab)
-  | Ir.Concat { arr; temp } ->
-      Hashtbl.replace ftemps temp (Kernel.Tglobal (Darray.gather_global st.ctx (darray_of st arr)))
-  | Ir.Comm_batch members -> (
-      (* one packed message per rank pair; members were proven homogeneous
-         by the coalescing pass *)
-      match members with
-      | [] -> ()
-      | (Ir.Overlap_shift _, _) :: _ ->
-          let items =
-            List.map
-              (function
-                | Ir.Overlap_shift { arr; dim; amount }, sid ->
-                    (darray_of st arr, dim, amount, sid)
-                | _ -> Diag.bug "interp: mixed comm batch")
-              members
-          in
-          Structured.overlap_shift_batch st.ctx items
-      | (Ir.Transfer _, _) :: _ ->
-          let items =
-            List.map
-              (function
-                | Ir.Transfer { arr; dim; src; dest; temp }, sid ->
-                    ( darray_of st arr,
-                      dim,
-                      zero_based_sub st arr ~dim src,
-                      zero_based_sub st arr ~dim dest,
-                      sid,
-                      temp )
-                | _ -> Diag.bug "interp: mixed comm batch")
-              members
-          in
-          let results =
-            Structured.transfer_batch st.ctx
-              (List.map (fun (d, dim, s0, d0, sid, _) -> (d, dim, s0, d0, sid)) items)
-          in
-          List.iter2
-            (fun (_, _, _, _, _, temp) res ->
-              match res with
-              | Some slab ->
-                  Hashtbl.replace ftemps temp (Kernel.Tbox slab);
-                  (* consumers downstream of the anchor statement read the
-                     persistent table *)
-                  Hashtbl.replace st.ptemps temp (Kernel.Tbox slab)
-              | None -> ())
-            items results
-      | _ -> Diag.bug "interp: unsupported comm batch")
-  | Ir.Precomp_read _ | Ir.Gather_read _ ->
-      Diag.bug "interp: inspector comm outside a FORALL frame"
+          Hashtbl.replace ftemps ms_temp (Kernel.Tbox slab)
+    | Ir.Concat { arr; temp } ->
+        let k = caslot cx arr in
+        fun st ftemps ->
+          Hashtbl.replace ftemps temp (Kernel.Tglobal (Darray.gather_global st.ctx st.arrays.(k)))
+    | Ir.Comm_batch members -> (
+        (* one packed message per rank pair; members were proven homogeneous
+           by the coalescing pass *)
+        match members with
+        | [] -> fun _ _ -> ()
+        | (Ir.Overlap_shift _, _) :: _ ->
+            let members =
+              List.map
+                (function
+                  | Ir.Overlap_shift { arr; dim; amount }, sid -> (caslot cx arr, dim, amount, sid)
+                  | _ -> Diag.bug "interp: mixed comm batch")
+                members
+            in
+            fun st _ ->
+              Structured.overlap_shift_batch st.ctx
+                (List.map (fun (k, dim, amount, sid) -> (st.arrays.(k), dim, amount, sid)) members)
+        | (Ir.Transfer _, _) :: _ ->
+            let members =
+              List.map
+                (function
+                  | Ir.Transfer { arr; dim; src; dest; temp }, sid ->
+                      (caslot cx arr, dim, csub cx arr ~dim src, csub cx arr ~dim dest, sid, temp)
+                  | _ -> Diag.bug "interp: mixed comm batch")
+                members
+            in
+            fun st ftemps ->
+              Structured.transfer_batch st.ctx
+                (List.map
+                   (fun (k, dim, s0, d0, sid, _) -> (st.arrays.(k), dim, s0 st, d0 st, sid))
+                   members)
+              |> List.iter2
+                   (fun (_, _, _, _, _, temp) -> function
+                     | Some slab ->
+                         Hashtbl.replace ftemps temp (Kernel.Tbox slab);
+                         (* consumers downstream of the anchor statement read
+                            the persistent table *)
+                         Hashtbl.replace st.ptemps temp (Kernel.Tbox slab)
+                     | None -> ())
+                   members
+        | _ -> fun _ _ -> Diag.bug "interp: unsupported comm batch")
+    | Ir.Precomp_read _ | Ir.Gather_read _ ->
+        fun _ _ -> Diag.bug "interp: inspector comm outside a FORALL frame"
+  in
+  fun st ftemps ->
+    log_comm st c;
+    run st ftemps
 
-(* A keyed schedule is reused while the index arrays [r]'s subscripts
-   read keep their write versions; the builder runs only on a miss. *)
-let cached_schedule st key (r : Ast.ref_) build =
+(* A keyed schedule is reused while the index arrays its reference's
+   subscripts read keep their write versions ([vsig], from
+   [version_sig]); the builder runs only on a miss. *)
+let cached_schedule st key vsig build =
   match key with
-  | Some k -> Schedule.cached st.ctx ~key:(k ^ version_sig st r) build
+  | Some k -> Schedule.cached st.ctx ~key:(k ^ vsig st) build
   | None -> build ()
-
-let exec_comm st ~sid (f : Ir.forall) ~ranges ~guard_vals ftemps (c : Ir.comm) =
-  match c with
-  | Ir.Precomp_read { r; itemp; key } ->
-      log_comm st c;
-      let sched =
-        cached_schedule st key r (fun () ->
-            let p =
-              inspect st ~sid f ~ranges ~guard_vals ~ftemps ~every_owner:false ~all_ranks:true r
-            in
-            Schedule.build_read_local st.ctx ~owners:p.Inspector.owners ~flats:p.Inspector.flats
-              ~starts:p.Inspector.starts)
-      in
-      Hashtbl.replace ftemps itemp (Kernel.Tflat (Schedule.read st.ctx sched (darray_of st r.Ast.base)))
-  | Ir.Gather_read { r; itemp; key } ->
-      log_comm st c;
-      let sched =
-        cached_schedule st key r (fun () ->
-            let p =
-              inspect st ~sid f ~ranges ~guard_vals ~ftemps ~every_owner:false ~all_ranks:false r
-            in
-            Schedule.build_gather st.ctx ~owners:p.Inspector.owners ~flats:p.Inspector.flats)
-      in
-      Hashtbl.replace ftemps itemp (Kernel.Tflat (Schedule.read st.ctx sched (darray_of st r.Ast.base)))
-  | c -> exec_comm_simple st ftemps c
 
 (* ------------------------------------------------------------------ *)
 (* FORALL execution                                                    *)
@@ -744,13 +779,13 @@ let exec_comm st ~sid (f : Ir.forall) ~ranges ~guard_vals ftemps (c : Ir.comm) =
    a fallback (by reason) in this rank's collector; an ineligible plan
    and an empty slab (gauss's non-owning ranks) count as neither.  [None]:
    the interpreter must run the nest. *)
-let run_kernel st ~sid ftemps vv =
+let run_kernel st plan ftemps vv =
   if not (Rctx.kernels st.ctx && List.for_all (fun a -> Array.length a > 0) vv) then None
   else
     let rs = Engine.rank_stats (Rctx.engine st.ctx) in
     match
-      Kernel.execute (Hashtbl.find st.u.pu_plans sid) ~me:(me st) ~scalar_lookup:(scalar_lookup st)
-        ~darr_of:(darray_of st) ~temp_of:(find_temp st ftemps) ~values:vv
+      Kernel.execute plan ~me:(me st) ~scalar_lookup:(scalar_lookup st) ~darr_of:(darray_of st)
+        ~temp_of:(find_temp st ftemps) ~values:vv
     with
     | None -> None
     | Some (Ok out) ->
@@ -760,144 +795,185 @@ let run_kernel st ~sid ftemps vv =
         Stats.record_kernel_fallback rs why;
         None
 
-let exec_forall_body st ~sid (f : Ir.forall) =
-  let ranges =
-    List.map
-      (fun (_, (rg : Ast.range)) ->
-        ( Scalar.to_int (eval st Mscalar rg.Ast.lo),
-          Scalar.to_int (eval st Mscalar rg.Ast.hi),
-          match rg.Ast.st with Some e -> Scalar.to_int (eval st Mscalar e) | None -> 1 ))
-      f.Ir.f_vars
-  in
-  let guard_vals =
-    match f.Ir.f_iter with
-    | Ir.It_canonical { guards; _ } ->
-        List.map (fun (_, e) -> Scalar.to_int (eval st Mscalar e)) guards
-    | _ -> []
-  in
-  let ftemps = Hashtbl.create 8 in
-  (* phase 1: collective pre-communication *)
-  List.iter (exec_comm st ~sid f ~ranges ~guard_vals ftemps) f.Ir.f_pre;
-  (* phase 2: local loop nest *)
-  let lhs_darr = darray_of st f.Ir.f_lhs.Ast.base in
-  let lhs_dad = lhs_darr.Darray.dad in
-  (* the rhs reads the lhs array in place with a different subscript:
-     snapshot the local section (ghosts already filled by phase 1) so the
-     loop reads pre-statement values throughout *)
-  let snapshot =
-    if f.Ir.f_snapshot then begin
-      Rctx.charge_copy_bytes st.ctx (Ndarray.bytes lhs_darr.Darray.local);
-      Some (f.Ir.f_lhs.Ast.base, Ndarray.copy lhs_darr.Darray.local)
-    end
-    else None
-  in
-  let canonical_store =
-    match f.Ir.f_iter with Ir.It_canonical _ | Ir.It_replicated -> true | Ir.It_even -> false
-  in
-  (* an even partition's values for the write-back phase, and, when the
-     interpreter ran the nest, the (owner, flat) of each *)
-  let scattered = ref None and writes = ref [] and values = ref [] in
-  let flops_per_iter, iops_per_iter = ops_of_expr f.Ir.f_rhs in
-  let iters = ref 0 in
-  (match iteration_values st f ~ranges ~guard_vals ~rank:(me st) with
-  | None -> ()
-  | Some vv -> (
-      match run_kernel st ~sid ftemps vv with
-      | Some out ->
-          (* the kernel ran the whole nest *)
-          iters := List.fold_left (fun acc a -> acc * Array.length a) 1 vv;
-          (match out with Kernel.Scattered tmp -> scattered := Some tmp | Kernel.Stored -> ())
-      | None ->
-          let copies = if canonical_store then 0 else Dad.copies lhs_dad in
-          let owners = Array.make copies 0 and flats = Array.make copies 0 in
-          Inspector.iter vv (fun x counter ->
-              let fvals = List.mapi (fun k (v, _) -> (v, x.(k))) f.Ir.f_vars in
-              let fr2 = { fvals; faccess = f.Ir.f_access; ftemps; fsnap = snapshot; counter } in
-              incr iters;
-              let masked =
-                match f.Ir.f_mask with
-                | None -> false
-                | Some m -> not (Scalar.to_bool (eval st (Mloop fr2) m))
-              in
-              if not masked then begin
-                let v = eval st (Mloop fr2) f.Ir.f_rhs in
-                let g =
-                  List.map
-                    (function
-                      | Ast.Elem e -> Scalar.to_int (eval st (Mloop fr2) e)
-                      | Ast.Range _ -> Diag.bug "interp: lhs section")
-                    f.Ir.f_lhs.Ast.args
-                  |> Array.of_list
-                in
-                if canonical_store then begin
-                  let idx = Array.mapi (fun d gi -> storage_pos st lhs_dad ~dim:d gi) g in
-                  Ndarray.set lhs_darr.Darray.local idx v
-                end
-                else begin
-                  (* one write per owning rank, in the inspector's order
-                     so the peer-exchange index lists line up *)
-                  Dad.locate lhs_dad g ~every_owner:true ~owners ~flats ~at:0;
-                  for j = 0 to copies - 1 do
-                    writes := (owners.(j), flats.(j)) :: !writes;
-                    values := v :: !values
-                  done
-                end
-              end)));
-  Rctx.charge_flops st.ctx (!iters * (flops_per_iter + 1));
-  Rctx.charge_iops st.ctx (!iters * (iops_per_iter + 2));
-  (* phase 3: write-back *)
-  match f.Ir.f_post with
-  | None -> ()
-  | Some post ->
-      let tmp =
-        match !scattered with
-        | Some tmp -> tmp
-        | None ->
-            let vals = Array.of_list (List.rev !values) in
-            let tmp = Ndarray.create (Darray.kind lhs_darr) [| Array.length vals |] in
-            Array.iteri (fun i v -> Ndarray.set_flat tmp i v) vals;
-            tmp
-      in
-      (* the write list: the interpreter's, or, after the kernel, one
-         inspector pass — only when the schedule is not cached *)
-      let inspect = inspect st ~sid f ~ranges ~guard_vals ~ftemps ~every_owner:true f.Ir.f_lhs in
-      let my_writes () =
-        match !scattered with
-        | None ->
-            let w = Array.of_list (List.rev !writes) in
-            (Array.map fst w, Array.map snd w)
-        | Some _ ->
-            let p = inspect ~all_ranks:false in
-            (p.Inspector.owners, p.Inspector.flats)
-      in
-      let sched =
-        match post with
-        | Ir.Postcomp_write { key } when f.Ir.f_mask = None ->
-            cached_schedule st key f.Ir.f_lhs (fun () ->
-                let p = inspect ~all_ranks:true in
-                Schedule.build_write_local st.ctx ~owners:p.Inspector.owners
-                  ~flats:p.Inspector.flats ~starts:p.Inspector.starts)
-        | Ir.Postcomp_write { key } | Ir.Scatter_write { key } ->
-            cached_schedule st key f.Ir.f_lhs (fun () ->
-                let owners, flats = my_writes () in
-                Schedule.build_scatter st.ctx ~owners ~flats)
-      in
-      Schedule.write st.ctx sched lhs_darr tmp
-
-(* Statement-level compute span: names the FORALL by its left-hand side
-   so a trace reads like the source program. *)
-let exec_forall st ~sid (f : Ir.forall) =
+(* Statement-level compute span, named like the source program. *)
+let spanned name run st =
   let tr = Rctx.trace st.ctx in
-  if not (F90d_trace.Trace.enabled tr) then exec_forall_body st ~sid f
+  if not (F90d_trace.Trace.enabled tr) then run st
   else begin
-    F90d_trace.Trace.span_begin tr ~t:(Rctx.time st.ctx)
-      ("forall " ^ f.Ir.f_lhs.Ast.base) ~cat:"compute";
-    exec_forall_body st ~sid f;
+    F90d_trace.Trace.span_begin tr ~t:(Rctx.time st.ctx) name ~cat:"compute";
+    run st;
     F90d_trace.Trace.span_end tr ~t:(Rctx.time st.ctx)
   end
 
+let compile_forall cx ~sid (f : Ir.forall) =
+  let env = cx.c_env and scalar_kind = cx.c_kind in
+  let ranges = List.map (fun (_, rg) -> crange cx rg) f.Ir.f_vars in
+  let guards =
+    match f.Ir.f_iter with
+    | Ir.It_canonical { guards; _ } -> List.map (fun (_, e) -> cint cx e) guards
+    | _ -> []
+  in
+  let fx = { cx with c_f = Some f } in
+  let inspected (r : Ast.ref_) =
+    ( cdad cx r.Ast.base,
+      Array.of_list
+        (List.map
+           (function
+             | Ast.Elem e -> (Kernel.plan_index ~env ~scalar_kind ~f e, cint fx e)
+             | Ast.Range _ -> Diag.bug "interp: section in inspector")
+           r.Ast.args) )
+  in
+  let pre =
+    List.map
+      (fun (c : Ir.comm) ->
+        match c with
+        | Ir.Precomp_read { r; itemp; key } | Ir.Gather_read { r; itemp; key } ->
+            let ins = inspected r and vsig = version_sig cx r and k = caslot cx r.Ast.base in
+            let local = match c with Ir.Precomp_read _ -> true | _ -> false in
+            fun st ~space ftemps ->
+              log_comm st c;
+              let sched =
+                cached_schedule st key vsig (fun () ->
+                    let p =
+                      inspect st f ~space ~ftemps ~every_owner:false ~all_ranks:local ins
+                    in
+                    if local then
+                      Schedule.build_read_local st.ctx ~owners:p.Inspector.owners
+                        ~flats:p.Inspector.flats ~starts:p.Inspector.starts
+                    else
+                      Schedule.build_gather st.ctx ~owners:p.Inspector.owners
+                        ~flats:p.Inspector.flats)
+              in
+              Hashtbl.replace ftemps itemp
+                (Kernel.Tflat (Schedule.read st.ctx sched st.arrays.(k)))
+        | c ->
+            let run = compile_comm cx c in
+            fun st ~space:_ ftemps -> run st ftemps)
+      f.Ir.f_pre
+  in
+  let mask = Option.map (cexpr fx) f.Ir.f_mask and rhs = cexpr fx f.Ir.f_rhs in
+  let lhs = values (csubs fx f.Ir.f_lhs) in
+  let post =
+    Option.map (fun post -> (post, inspected f.Ir.f_lhs, version_sig cx f.Ir.f_lhs)) f.Ir.f_post
+  in
+  let plan = Kernel.plan ~env ~scalar_kind ~f in
+  cx.c_planned := sid :: !(cx.c_planned);
+  let lk = caslot cx f.Ir.f_lhs.Ast.base in
+  let lhs_dad = snd cx.c_dads.(lk) in
+  let canonical_store = match f.Ir.f_iter with Ir.It_even -> false | _ -> true in
+  let flops_per_iter, iops_per_iter = ops_of_expr f.Ir.f_rhs in
+  spanned ("forall " ^ f.Ir.f_lhs.Ast.base) (fun st ->
+      let ranges = List.map (fun r -> r st) ranges in
+      let guard_vals = List.map (fun g -> g st no_frame) guards in
+      (* global values of each FORALL variable for [rank], in nest order;
+         [None] when a guard masks the rank out *)
+      let space rank =
+        match f.Ir.f_iter with
+        | Ir.It_replicated -> Some (Inspector.replicated ranges)
+        | Ir.It_canonical { var_dims; guards } ->
+            Inspector.canonical lhs_dad ~var_dims:(List.map snd var_dims)
+              ~guards:(List.map2 (fun (dim, _) g -> (dim, g)) guards guard_vals)
+              ~ranges ~rank
+        | Ir.It_even -> Some (Inspector.even ~nprocs:(Rctx.nprocs st.ctx) ~rank ranges)
+      in
+      let ftemps = Hashtbl.create 8 in
+      (* phase 1: collective pre-communication *)
+      List.iter (fun p -> p st ~space ftemps) pre;
+      (* phase 2: local loop nest *)
+      let lhs_darr = st.arrays.(lk) in
+      (* the rhs reads the lhs array in place with a different subscript:
+         snapshot the local section (ghosts already filled by phase 1) so
+         the loop reads pre-statement values throughout *)
+      let snapshot =
+        if f.Ir.f_snapshot then begin
+          Rctx.charge_copy_bytes st.ctx (Ndarray.bytes lhs_darr.Darray.local);
+          Some (Ndarray.copy lhs_darr.Darray.local)
+        end
+        else None
+      in
+      (* an even partition's values for the write-back phase, and, when
+         the interpreter ran the nest, the (owner, flat) of each *)
+      let scattered = ref None and writes = ref [] and values = ref [] in
+      let iters = ref 0 in
+      (match space (me st) with
+      | None -> ()
+      | Some vv -> (
+          match run_kernel st plan ftemps vv with
+          | Some out ->
+              (* the kernel ran the whole nest *)
+              iters := List.fold_left (fun acc a -> acc * Array.length a) 1 vv;
+              (match out with Kernel.Scattered tmp -> scattered := Some tmp | Kernel.Stored -> ())
+          | None ->
+              let copies = if canonical_store then 0 else Dad.copies lhs_dad in
+              let owners = Array.make copies 0 and flats = Array.make copies 0 in
+              let fr = { x = [||]; counter = 0; ftemps; fsnap = snapshot } in
+              Inspector.iter vv (fun x counter ->
+                  fr.x <- x;
+                  fr.counter <- counter;
+                  incr iters;
+                  let masked =
+                    match mask with None -> false | Some m -> not (Scalar.to_bool (m st fr))
+                  in
+                  if not masked then begin
+                    let v = rhs st fr in
+                    let g = lhs st fr in
+                    if canonical_store then begin
+                      let idx = Array.mapi (fun d gi -> storage_pos st lhs_dad ~dim:d gi) g in
+                      Ndarray.set lhs_darr.Darray.local idx v
+                    end
+                    else begin
+                      (* one write per owning rank, in the inspector's order
+                         so the peer-exchange index lists line up *)
+                      Dad.locate lhs_dad g ~every_owner:true ~owners ~flats ~at:0;
+                      for j = 0 to copies - 1 do
+                        writes := (owners.(j), flats.(j)) :: !writes;
+                        values := v :: !values
+                      done
+                    end
+                  end)));
+      Rctx.charge_flops st.ctx (!iters * (flops_per_iter + 1));
+      Rctx.charge_iops st.ctx (!iters * (iops_per_iter + 2));
+      (* phase 3: write-back *)
+      match post with
+      | None -> ()
+      | Some (post, ins, vsig) ->
+          let tmp =
+            match !scattered with
+            | Some tmp -> tmp
+            | None ->
+                let vals = Array.of_list (List.rev !values) in
+                let tmp = Ndarray.create (Darray.kind lhs_darr) [| Array.length vals |] in
+                Array.iteri (fun i v -> Ndarray.set_flat tmp i v) vals;
+                tmp
+          in
+          (* the write list: the interpreter's, or, after the kernel, one
+             inspector pass — only when the schedule is not cached *)
+          let inspect = inspect st f ~space ~ftemps ~every_owner:true in
+          let my_writes () =
+            match !scattered with
+            | None ->
+                let w = Array.of_list (List.rev !writes) in
+                (Array.map fst w, Array.map snd w)
+            | Some _ ->
+                let p = inspect ~all_ranks:false ins in
+                (p.Inspector.owners, p.Inspector.flats)
+          in
+          let sched =
+            match post with
+            | Ir.Postcomp_write { key } when f.Ir.f_mask = None ->
+                cached_schedule st key vsig (fun () ->
+                    let p = inspect ~all_ranks:true ins in
+                    Schedule.build_write_local st.ctx ~owners:p.Inspector.owners
+                      ~flats:p.Inspector.flats ~starts:p.Inspector.starts)
+            | Ir.Postcomp_write { key } | Ir.Scatter_write { key } ->
+                cached_schedule st key vsig (fun () ->
+                    let owners, flats = my_writes () in
+                    Schedule.build_scatter st.ctx ~owners ~flats)
+          in
+          Schedule.write st.ctx sched lhs_darr tmp)
+
 (* ------------------------------------------------------------------ *)
-(* Statements                                                          *)
+(* Movers and calls                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let coerce kind v =
@@ -932,356 +1008,103 @@ let adopt st (src : Darray.t) dad =
   end
   else Redistribute.redistribute st.ctx src dad
 
-let exec_mover_body st ~target ~(call : Ast.ref_) loc =
-  let args =
-    List.map
-      (function
-        | Ast.Elem x -> x
-        | Ast.Range _ -> Diag.error ~loc "array section argument for %s" call.Ast.base)
-      call.Ast.args
-  in
-  let arr_arg (e : Ast.expr) =
-    match e.Ast.e with
-    | Ast.Var v when Hashtbl.mem st.arrays v -> darray_of st v
-    | _ -> Diag.error ~loc "%s expects whole-array arguments" call.Ast.base
-  in
-  let int_arg e = Scalar.to_int (eval st Mscalar e) in
-  let target_dad = dad_of st target in
-  let result =
-    match (call.Ast.base, args) with
-    | "CSHIFT", [ a; s ] -> Intrinsics.cshift st.ctx (arr_arg a) ~dim:0 ~shift:(int_arg s)
-    | "CSHIFT", [ a; s; d ] ->
-        Intrinsics.cshift st.ctx (arr_arg a) ~dim:(int_arg d - 1) ~shift:(int_arg s)
-    | "EOSHIFT", [ a; s ] ->
-        let src = arr_arg a in
-        Intrinsics.eoshift st.ctx src ~dim:0 ~shift:(int_arg s)
-          ~boundary:(Scalar.zero (Darray.kind src))
-    | "EOSHIFT", [ a; s; b ] ->
-        Intrinsics.eoshift st.ctx (arr_arg a) ~dim:0 ~shift:(int_arg s)
-          ~boundary:(eval st Mscalar b)
-    | "EOSHIFT", [ a; s; b; d ] ->
-        Intrinsics.eoshift st.ctx (arr_arg a) ~dim:(int_arg d - 1) ~shift:(int_arg s)
-          ~boundary:(eval st Mscalar b)
-    | "TRANSPOSE", [ a ] -> Intrinsics.transpose st.ctx (arr_arg a) ~dad:target_dad
-    | "SPREAD", [ a; d; _n ] ->
-        Intrinsics.spread st.ctx (arr_arg a) ~dim:(int_arg d - 1) ~dad:target_dad
-    | "RESHAPE", (a :: _) -> Intrinsics.reshape st.ctx (arr_arg a) ~dad:target_dad
-    | "MATMUL", [ a; b ] -> Intrinsics.matmul st.ctx (arr_arg a) (arr_arg b) ~dad:target_dad
-    | ("SUM" | "PRODUCT" | "MAXVAL" | "MINVAL" | "ALL" | "ANY"), [ a; d ] ->
-        let op =
-          match call.Ast.base with
-          | "SUM" -> Redop.Sum
-          | "PRODUCT" -> Redop.Prod
-          | "MAXVAL" -> Redop.Max
-          | "MINVAL" -> Redop.Min
-          | "ALL" -> Redop.And
-          | _ -> Redop.Or
-        in
-        Intrinsics.reduce_dim st.ctx op (arr_arg a) ~dim:(int_arg d - 1) ~dad:target_dad
-    | "PACK", [ a; m ] -> fst (Intrinsics.pack st.ctx (arr_arg a) ~mask:(arr_arg m) ~dad:target_dad)
-    | "UNPACK", [ v; m; fl ] ->
-        Intrinsics.unpack st.ctx (arr_arg v) ~mask:(arr_arg m) ~field:(arr_arg fl)
-    | _ -> Diag.error ~loc "unsupported intrinsic call %s" call.Ast.base
-  in
-  Hashtbl.replace st.arrays target (adopt st result target_dad)
-
-let exec_mover st ~target ~(call : Ast.ref_) loc =
-  let tr = Rctx.trace st.ctx in
-  if not (F90d_trace.Trace.enabled tr) then exec_mover_body st ~target ~call loc
-  else begin
-    F90d_trace.Trace.span_begin tr ~t:(Rctx.time st.ctx)
-      (call.Ast.base ^ " -> " ^ target) ~cat:"compute";
-    exec_mover_body st ~target ~call loc;
-    F90d_trace.Trace.span_end tr ~t:(Rctx.time st.ctx)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Per-run preparation                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let prepare_unit ~grid (u : Ir.unit_ir) =
-  let env = u.Ir.u_env in
-  let classes = Hashtbl.create 64 in
-  let add cls names = List.iter (fun n -> Hashtbl.replace classes n cls) names in
-  add Relemental Intrinsic_names.elemental;
-  add Rtransformational Intrinsic_names.(reductions @ locations @ movers @ queries);
-  (* a declared array shadows any intrinsic of the same name *)
-  add Rarray (List.map fst env.Sema.uarrays);
-  let do_vars = ref [] and foralls = ref [] in
-  Ir.iter_stmts
-    (fun s ->
-      match s.Ir.s with
-      | Ir.Do_loop { var; _ } -> do_vars := var :: !do_vars
-      | Ir.Forall f -> foralls := (s.Ir.sid, f) :: !foralls
-      | _ -> ())
-    u.Ir.u_body;
-  (* the interpreter stores DO indices as integers whatever their
-     declaration says *)
-  let scalar_kind v =
-    if List.mem v !do_vars then Some Scalar.Kint
-    else
-      match Sema.scalar_kind env v with
-      | Some k -> Some (kind_of_decl k)
-      | None -> Option.map Scalar.kind (List.assoc_opt v env.Sema.uparams)
-  in
-  let plans = Hashtbl.create 16 and index = Hashtbl.create 16 in
-  List.iter
-    (fun (sid, (f : Ir.forall)) ->
-      Hashtbl.replace plans sid (Kernel.plan ~env ~scalar_kind ~f);
-      let inspected (r : Ast.ref_) =
-        Hashtbl.replace index (sid, r.Ast.rid)
-          (Array.of_list
-             (List.map
-                (function
-                  | Ast.Elem e -> (e, Kernel.plan_index ~env ~scalar_kind ~f e)
-                  | Ast.Range _ -> Diag.bug "interp: section in inspector")
-                r.Ast.args))
+let compile_mover cx ~target ~(call : Ast.ref_) loc =
+  let name = call.Ast.base and tk = caslot cx target in
+  let target_dad = snd cx.c_dads.(tk) in
+  match elems call with
+  | None -> fun _ -> Diag.error ~loc "array section argument for %s" name
+  | Some args ->
+      let arg (e : Ast.expr) =
+        ((match e.Ast.e with Ast.Var v -> Hashtbl.find_opt cx.c_aslots v | _ -> None), cexpr cx e)
       in
-      List.iter
-        (function Ir.Precomp_read { r; _ } | Ir.Gather_read { r; _ } -> inspected r | _ -> ())
-        f.Ir.f_pre;
-      if f.Ir.f_post <> None then inspected f.Ir.f_lhs)
-    !foralls;
-  let dads = Hashtbl.create 8 in
-  List.iter
-    (fun (n, d) -> Hashtbl.replace dads n d)
-    (Sema.instantiate ~ghosts:u.Ir.u_ghosts env ~grid);
-  { pu_ir = u; pu_classes = classes; pu_plans = plans; pu_index = index; pu_dads = dads }
-
-let prepare ~grid (prog : Ir.program_ir) =
-  List.map (fun (n, u) -> (n, prepare_unit ~grid u)) prog.Ir.p_units
-
-let planned_sids (prog : prepared) =
-  List.concat_map (fun (_, pu) -> Hashtbl.fold (fun sid _ acc -> sid :: acc) pu.pu_plans []) prog
-  |> List.sort compare
-
-(* Local storage only: the DADs are shared, and array dummies are bound
-   by the CALL. *)
-let fresh_ustate st (u : prepared_unit) =
-  let scalars = Hashtbl.create 16 in
-  List.iter
-    (fun (n, k) -> Hashtbl.replace scalars n (ref (Scalar.zero (kind_of_decl k))))
-    u.pu_ir.Ir.u_env.Sema.uscalars;
-  let arrays = Hashtbl.create 8 in
-  let dummies = u.pu_ir.Ir.u_env.Sema.usub.Ast.args in
-  Hashtbl.iter
-    (fun n dad ->
-      if not (List.mem n dummies) then Hashtbl.replace arrays n (Darray.create st.ctx dad))
-    u.pu_dads;
-  {
-    st with
-    u;
-    scalars;
-    arrays;
-    ptemps = Hashtbl.create 8;
-    replicas = Hashtbl.create 4;
-    pending = Hashtbl.create 4;
-  }
-
-(* Every statement stamps its provenance into the engine before running:
-   trace events recorded during it carry its sid, and a deadlock or a
-   location-less runtime error is reported against its source line. *)
-let rec exec_stmt st (s : Ir.stmt) =
-  Engine.check_cancel (Rctx.engine st.ctx);
-  Rctx.set_stmt st.ctx ~sid:s.Ir.sid ~loc:s.Ir.sloc;
-  try exec_node st s with
-  | Diag.Error (loc, msg) when loc.Loc.line = 0 ->
-      raise (Diag.Error (s.Ir.sloc, msg))
-  | Failure msg -> raise (Diag.Error (s.Ir.sloc, msg))
-
-and exec_node st (s : Ir.stmt) =
-  match s.Ir.s with
-  | Ir.Forall f ->
-      exec_forall st ~sid:s.Ir.sid f;
-      bump_written st f.Ir.f_lhs.Ast.base
-  | Ir.Scalar_assign { name; rhs } -> (
-      let v = eval st Mscalar rhs in
-      match Hashtbl.find_opt st.scalars name with
-      | Some r ->
-          let kind =
-            match Sema.scalar_kind st.u.pu_ir.Ir.u_env name with
-            | Some k -> kind_of_decl k
-            | None -> Scalar.kind v
+      let args = List.map arg args in
+      spanned (name ^ " -> " ^ target) (fun st ->
+          let arr_arg = function
+            | Some k, _ -> st.arrays.(k)
+            | None, _ -> Diag.error ~loc "%s expects whole-array arguments" name
           in
-          r := coerce kind v
-      | None ->
-          (* implicitly declared integer (DO indices etc.) *)
-          Hashtbl.replace st.scalars name (ref v))
-  | Ir.Element_assign { lhs; rhs } ->
-      let v = eval st Mscalar rhs in
-      let g =
-        List.map
-          (function
-            | Ast.Elem e -> Scalar.to_int (eval st Mscalar e)
-            | Ast.Range _ -> Diag.bug "interp: section in element assignment")
-          lhs.Ast.args
-        |> Array.of_list
-      in
-      let darr = darray_of st lhs.Ast.base in
-      ignore (Darray.set_local darr ~rank:(me st) g (coerce (Darray.kind darr) v));
-      bump_written st lhs.Ast.base
-  | Ir.Mover { target; call } ->
-      exec_mover st ~target ~call s.Ir.sloc;
-      bump_written st target
-  | Ir.Do_loop { var; range; body } ->
-      let lo = Scalar.to_int (eval st Mscalar range.Ast.lo) in
-      let hi = Scalar.to_int (eval st Mscalar range.Ast.hi) in
-      let stp =
-        match range.Ast.st with Some e -> Scalar.to_int (eval st Mscalar e) | None -> 1
-      in
-      if stp = 0 then Diag.error "zero DO stride";
-      let cell =
-        match Hashtbl.find_opt st.scalars var with
-        | Some r -> r
-        | None ->
-            let r = ref (Scalar.Int lo) in
-            Hashtbl.replace st.scalars var r;
-            r
-      in
-      let i = ref lo in
-      while (stp > 0 && !i <= hi) || (stp < 0 && !i >= hi) do
-        cell := Scalar.Int !i;
-        List.iter (exec_stmt st) body;
-        i := !i + stp
-      done
-  | Ir.While_loop { cond; body } ->
-      (* re-stamp before each condition eval: the body left its last
-         statement's sid current *)
-      let restamp () = Rctx.set_stmt st.ctx ~sid:s.Ir.sid ~loc:s.Ir.sloc in
-      while
-        restamp ();
-        Scalar.to_bool (eval st Mscalar cond)
-      do
-        List.iter (exec_stmt st) body
-      done
-  | Ir.If_block { arms; els } ->
-      let rec go = function
-        | [] -> List.iter (exec_stmt st) els
-        | (c, body) :: rest ->
-            if Scalar.to_bool (eval st Mscalar c) then List.iter (exec_stmt st) body
-            else go rest
-      in
-      go arms
-  | Ir.Call_sub { sub; args } -> exec_call st ~sid:s.Ir.sid ~loc:s.Ir.sloc sub args
-  | Ir.Print_stmt args ->
-      let line = Buffer.create 64 in
-      List.iter
-        (fun (e : Ast.expr) ->
-          if Buffer.length line > 0 then Buffer.add_char line ' ';
-          match e.Ast.e with
-          | Ast.Var v when Hashtbl.mem st.arrays v ->
-              let g = Darray.gather_global st.ctx (darray_of st v) in
-              Buffer.add_string line (Format.asprintf "%a" Ndarray.pp g)
-          | _ -> Buffer.add_string line (Format.asprintf "%a" Scalar.pp (eval st Mscalar e)))
-        args;
-      if Rctx.me st.ctx = 0 then begin
-        Buffer.add_buffer st.out line;
-        Buffer.add_char st.out '\n'
-      end
-  | Ir.Return_stmt -> raise Return_unwind
-  | Ir.Comm_block { cb_members; cb_guard; cb_loop = _ } ->
-      (* loop pre-header: run the hoisted comms once, iff the loop will
-         execute at least one iteration (a zero-trip loop must not
-         communicate).  The guard re-evaluates the loop's own bounds /
-         condition, which hoisting legality proved invariant up to here. *)
-      let active =
-        match cb_guard with
-        | Ir.Guard_do range ->
-            let lo = Scalar.to_int (eval st Mscalar range.Ast.lo) in
-            let hi = Scalar.to_int (eval st Mscalar range.Ast.hi) in
-            let stp =
-              match range.Ast.st with Some e -> Scalar.to_int (eval st Mscalar e) | None -> 1
-            in
-            if stp = 0 then Diag.error "zero DO stride";
-            (stp > 0 && lo <= hi) || (stp < 0 && lo >= hi)
-        | Ir.Guard_while cond -> Scalar.to_bool (eval st Mscalar cond)
-      in
-      if active then
-        List.iter
-          (fun { Ir.hc; hc_sid; hc_loc } ->
-            (* traffic stays attributed to the statement it was lifted
-               from, not to the pre-header *)
-            Rctx.set_stmt st.ctx ~sid:hc_sid ~loc:hc_loc;
-            exec_comm_simple st st.ptemps hc)
-          cb_members;
-      Rctx.set_stmt st.ctx ~sid:s.Ir.sid ~loc:s.Ir.sloc
-  | Ir.Comm_issue { sp_hid; sp_comm; sp_guard } ->
-      if split_guard_active st sp_guard then begin
-        Rctx.set_stmt st.ctx ~sid:sp_comm.Ir.hc_sid ~loc:sp_comm.Ir.hc_loc;
-        exec_comm_issue st sp_hid sp_comm.Ir.hc;
-        Rctx.set_stmt st.ctx ~sid:s.Ir.sid ~loc:s.Ir.sloc
-      end
-  | Ir.Comm_wait { sp_hid; sp_comm; sp_guard } ->
-      if split_guard_active st sp_guard then begin
-        Rctx.set_stmt st.ctx ~sid:sp_comm.Ir.hc_sid ~loc:sp_comm.Ir.hc_loc;
-        exec_comm_wait st sp_hid;
-        Rctx.set_stmt st.ctx ~sid:s.Ir.sid ~loc:s.Ir.sloc
-      end
+          let int_arg (_, c) = Scalar.to_int (c st no_frame) in
+          let result =
+            match (name, args) with
+            | "CSHIFT", [ a; s ] -> Intrinsics.cshift st.ctx (arr_arg a) ~dim:0 ~shift:(int_arg s)
+            | "CSHIFT", [ a; s; d ] ->
+                Intrinsics.cshift st.ctx (arr_arg a) ~dim:(int_arg d - 1) ~shift:(int_arg s)
+            | "EOSHIFT", [ a; s ] ->
+                let src = arr_arg a in
+                Intrinsics.eoshift st.ctx src ~dim:0 ~shift:(int_arg s)
+                  ~boundary:(Scalar.zero (Darray.kind src))
+            | "EOSHIFT", [ a; s; (_, b) ] ->
+                Intrinsics.eoshift st.ctx (arr_arg a) ~dim:0 ~shift:(int_arg s)
+                  ~boundary:(b st no_frame)
+            | "EOSHIFT", [ a; s; (_, b); d ] ->
+                Intrinsics.eoshift st.ctx (arr_arg a) ~dim:(int_arg d - 1) ~shift:(int_arg s)
+                  ~boundary:(b st no_frame)
+            | "TRANSPOSE", [ a ] -> Intrinsics.transpose st.ctx (arr_arg a) ~dad:target_dad
+            | "SPREAD", [ a; d; _n ] ->
+                Intrinsics.spread st.ctx (arr_arg a) ~dim:(int_arg d - 1) ~dad:target_dad
+            | "RESHAPE", a :: _ -> Intrinsics.reshape st.ctx (arr_arg a) ~dad:target_dad
+            | "MATMUL", [ a; b ] ->
+                Intrinsics.matmul st.ctx (arr_arg a) (arr_arg b) ~dad:target_dad
+            | ("SUM" | "PRODUCT" | "MAXVAL" | "MINVAL" | "ALL" | "ANY"), [ a; d ] ->
+                Intrinsics.reduce_dim st.ctx (redop name) (arr_arg a) ~dim:(int_arg d - 1)
+                  ~dad:target_dad
+            | "PACK", [ a; m ] ->
+                fst (Intrinsics.pack st.ctx (arr_arg a) ~mask:(arr_arg m) ~dad:target_dad)
+            | "UNPACK", [ v; m; fl ] ->
+                Intrinsics.unpack st.ctx (arr_arg v) ~mask:(arr_arg m) ~field:(arr_arg fl)
+            | _ -> Diag.error ~loc "unsupported intrinsic call %s" name
+          in
+          st.arrays.(tk) <- adopt st result target_dad)
 
-(* Whether a split-phase half executes.  [Sg_trip] re-evaluates the
-   loop's own trip test (as [Guard_do] does); [Sg_next] asks whether the
-   surrounding DO loop — whose variable holds the current iteration —
-   has another iteration coming, using the same continuation test as the
-   loop itself so an issue for step k+1 never runs on the last step. *)
-and split_guard_active st = function
-  | Ir.Sg_always -> true
-  | Ir.Sg_trip range ->
-      let lo = Scalar.to_int (eval st Mscalar range.Ast.lo) in
-      let hi = Scalar.to_int (eval st Mscalar range.Ast.hi) in
-      let stp =
-        match range.Ast.st with Some e -> Scalar.to_int (eval st Mscalar e) | None -> 1
-      in
-      if stp = 0 then Diag.error "zero DO stride";
-      (stp > 0 && lo <= hi) || (stp < 0 && lo >= hi)
-  | Ir.Sg_next { var; range } ->
-      let v =
-        match Hashtbl.find_opt st.scalars var with
-        | Some r -> Scalar.to_int !r
-        | None -> Diag.bug "interp: split guard reads unset loop variable %s" var
-      in
-      let hi = Scalar.to_int (eval st Mscalar range.Ast.hi) in
-      let stp =
-        match range.Ast.st with Some e -> Scalar.to_int (eval st Mscalar e) | None -> 1
-      in
-      if stp = 0 then Diag.error "zero DO stride";
-      let v' = v + stp in
-      (stp > 0 && v' <= hi) || (stp < 0 && v' >= hi)
-
-and exec_call st ~sid ~loc sub args =
-  let callee =
-    match List.assoc_opt sub st.prog with
-    | Some pu -> pu
-    | None -> Diag.error "unknown subroutine '%s'" sub
+(* A unit's local state: declared scalars start at zero, the rest unset;
+   arrays are fresh local sections, except the dummies [bound] by the
+   CALL. *)
+let unit_state ~ctx ~prog ~coalesce ~out (u : prepared_unit) ~bound =
+  let vals = Array.make (Hashtbl.length u.pu_slots) unset in
+  List.iter
+    (fun (n, k) -> vals.(Hashtbl.find u.pu_slots n) <- Scalar.zero (kind_of_decl k))
+    u.pu_ir.Ir.u_env.Sema.uscalars;
+  let arrays =
+    Array.mapi
+      (fun k (_, dad) ->
+        match List.assoc_opt k bound with Some d -> d | None -> Darray.create ctx dad)
+      u.pu_arrays
   in
-  let cst = fresh_ustate st callee in
+  let ptemps = Hashtbl.create 8 and replicas = Hashtbl.create 4 and pending = Hashtbl.create 4 in
+  { ctx; prog; u; vals; arrays; out; ptemps; replicas; coalesce; pending }
+
+(* [actuals]: each argument with its array slot or scalar slot, when it
+   is a bare name, and its code. *)
+let exec_call st ~sid ~loc sub actuals =
+  let callee =
+    try List.assoc sub st.prog with Not_found -> Diag.error "unknown subroutine '%s'" sub
+  in
   let dummies = callee.pu_ir.Ir.u_env.Sema.usub.Ast.args in
-  if List.length dummies <> List.length args then
+  if List.length dummies <> List.length actuals then
     Diag.error "CALL %s: expected %d arguments, got %d" sub (List.length dummies)
-      (List.length args);
+      (List.length actuals);
   (* bind arguments; remember what to copy back *)
-  let backs = ref [] in
+  let bound = ref [] and scalars = ref [] and backs = ref [] in
   List.iter2
-    (fun dummy (actual : Ast.expr) ->
-      match (Hashtbl.find_opt callee.pu_dads dummy, actual.Ast.e) with
-      | Some ddad, Ast.Var v when Hashtbl.mem st.arrays v ->
-          Hashtbl.replace cst.arrays dummy (adopt st (darray_of st v) ddad);
-          backs := `Array (dummy, v) :: !backs
+    (fun dummy actual ->
+      match (Hashtbl.find_opt callee.pu_aslots dummy, actual) with
+      | Some d, (`Array k, _) ->
+          bound := (d, adopt st st.arrays.(k) (snd callee.pu_arrays.(d))) :: !bound;
+          backs := `Array (d, k) :: !backs
       | Some _, _ ->
           Diag.error ~loc "CALL %s: array dummy '%s' needs a whole-array actual argument" sub dummy
-      | None, Ast.Var v when Hashtbl.mem st.arrays v ->
-          Diag.error ~loc "CALL %s: dummy '%s' is not an array" sub dummy
-      | None, Ast.Var v when Hashtbl.mem st.scalars v ->
-          (match Hashtbl.find_opt cst.scalars dummy with
-          | Some r -> r := !(Hashtbl.find st.scalars v)
-          | None -> Hashtbl.replace cst.scalars dummy (ref !(Hashtbl.find st.scalars v)));
-          backs := `Scalar (dummy, v) :: !backs
-      | None, _ -> (
-          let v = eval st Mscalar actual in
-          match Hashtbl.find_opt cst.scalars dummy with
-          | Some r -> r := v
-          | None -> Hashtbl.replace cst.scalars dummy (ref v)))
-    dummies args;
-  (try List.iter (exec_stmt cst) callee.pu_ir.Ir.u_body with Return_unwind -> ());
+      | None, (`Array _, _) -> Diag.error ~loc "CALL %s: dummy '%s' is not an array" sub dummy
+      | None, (`Var k, _) when st.vals.(k) != unset ->
+          let d = Hashtbl.find callee.pu_slots dummy in
+          scalars := (d, st.vals.(k)) :: !scalars;
+          backs := `Scalar (d, k) :: !backs
+      | None, (_, c) -> scalars := (Hashtbl.find callee.pu_slots dummy, c st no_frame) :: !scalars)
+    dummies actuals;
+  let cst =
+    unit_state ~ctx:st.ctx ~prog:st.prog ~coalesce:st.coalesce ~out:st.out callee ~bound:!bound
+  in
+  List.iter (fun (d, v) -> cst.vals.(d) <- v) !scalars;
+  (try callee.pu_body cst with Return_unwind -> ());
   if Hashtbl.length cst.pending > 0 then
     Diag.bug "interp: %d split-phase comm(s) issued but never waited in %s"
       (Hashtbl.length cst.pending) sub;
@@ -1291,12 +1114,221 @@ and exec_call st ~sid ~loc sub args =
   (* copy back (Fortran reference semantics) *)
   List.iter
     (function
-      | `Array (dummy, v) ->
-          let caller_dad = (darray_of st v).Darray.dad in
-          Hashtbl.replace st.arrays v (adopt st (darray_of cst dummy) caller_dad);
-          bump_written st v
-      | `Scalar (dummy, v) -> Hashtbl.find st.scalars v := !(Hashtbl.find cst.scalars dummy))
+      | `Array (d, k) ->
+          let name, caller_dad = st.u.pu_arrays.(k) in
+          st.arrays.(k) <- adopt st cst.arrays.(d) caller_dad;
+          bump_written st name
+      | `Scalar (d, k) -> st.vals.(k) <- cst.vals.(d))
     (List.rev !backs)
+
+(* ------------------------------------------------------------------ *)
+(* Statements                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every statement stamps its provenance into the engine and polls for
+   cancellation before running: trace events recorded during it carry
+   its sid, and a deadlock or a location-less runtime error is reported
+   against its source line. *)
+let rec cstmt cx (s : Ir.stmt) =
+  let sid = s.Ir.sid and loc = s.Ir.sloc in
+  let run = cnode cx s in
+  fun st ->
+    Engine.check_cancel (Rctx.engine st.ctx);
+    Rctx.set_stmt st.ctx ~sid ~loc;
+    try run st with
+    | Diag.Error (l, msg) when l.Loc.line = 0 -> raise (Diag.Error (loc, msg))
+    | Failure msg -> raise (Diag.Error (loc, msg))
+
+and cbody cx stmts =
+  let body = Array.of_list (List.map (cstmt cx) stmts) in
+  fun st -> Array.iter (fun s -> s st) body
+
+and cnode cx (s : Ir.stmt) : ustate -> unit =
+  let sid = s.Ir.sid and loc = s.Ir.sloc in
+  let bumping name run st =
+    run st;
+    bump_written st name
+  in
+  (* a pre-header or split half runs its comm under the provenance of
+     the statement it was lifted from, then restores its own *)
+  let as_origin (h : Ir.hoisted) run st =
+    Rctx.set_stmt st.ctx ~sid:h.Ir.hc_sid ~loc:h.Ir.hc_loc;
+    run st
+  in
+  match s.Ir.s with
+  | Ir.Forall f -> bumping f.Ir.f_lhs.Ast.base (compile_forall cx ~sid f)
+  | Ir.Scalar_assign { name; rhs } ->
+      let k = slot cx name and rhs = cexpr cx rhs in
+      (* an implicitly declared name keeps the value's kind *)
+      let store =
+        match Sema.scalar_kind cx.c_env name with Some d -> coerce (kind_of_decl d) | None -> Fun.id
+      in
+      fun st -> st.vals.(k) <- store (rhs st no_frame)
+  | Ir.Element_assign { lhs; rhs } ->
+      let rhs = cexpr cx rhs and k = caslot cx lhs.Ast.base and g = values (csubs cx lhs) in
+      let kind = Dad.kind (snd cx.c_dads.(k)) in
+      bumping lhs.Ast.base (fun st ->
+          let v = rhs st no_frame in
+          let g = g st no_frame in
+          ignore (Darray.set_local st.arrays.(k) ~rank:(me st) g (coerce kind v)))
+  | Ir.Mover { target; call } -> bumping target (compile_mover cx ~target ~call loc)
+  | Ir.Do_loop { var; range; body } ->
+      let k = slot cx var and range = crange cx range and body = cbody cx body in
+      fun st ->
+        let lo, hi, stp = range st in
+        do_stride stp;
+        (* an implicit index exists from the loop on, even zero-trip *)
+        if st.vals.(k) == unset then st.vals.(k) <- Scalar.Int lo;
+        let i = ref lo in
+        while continues ~stp ~hi !i do
+          st.vals.(k) <- Scalar.Int !i;
+          body st;
+          i := !i + stp
+        done
+  | Ir.While_loop { cond; body } ->
+      let cond = cexpr cx cond and body = cbody cx body in
+      fun st ->
+        (* re-stamp before each condition eval: the body left its last
+           statement's sid current *)
+        while
+          Rctx.set_stmt st.ctx ~sid ~loc;
+          Scalar.to_bool (cond st no_frame)
+        do
+          body st
+        done
+  | Ir.If_block { arms; els } ->
+      List.fold_right
+        (fun (c, body) rest ->
+          let c = cexpr cx c and body = cbody cx body in
+          fun st -> if Scalar.to_bool (c st no_frame) then body st else rest st)
+        arms (cbody cx els)
+  | Ir.Call_sub { sub; args } ->
+      let actuals =
+        List.map
+          (fun (e : Ast.expr) ->
+            ( (match e.Ast.e with
+              | Ast.Var v when Hashtbl.mem cx.c_aslots v -> `Array (caslot cx v)
+              | Ast.Var v -> `Var (slot cx v)
+              | _ -> `Expr),
+              cexpr cx e ))
+          args
+      in
+      fun st -> exec_call st ~sid ~loc sub actuals
+  | Ir.Print_stmt args ->
+      let items =
+        List.map
+          (fun (e : Ast.expr) ->
+            match e.Ast.e with
+            | Ast.Var v when Hashtbl.mem cx.c_aslots v ->
+                let k = caslot cx v in
+                fun st ->
+                  Format.asprintf "%a" Ndarray.pp (Darray.gather_global st.ctx st.arrays.(k))
+            | _ ->
+                let c = cexpr cx e in
+                fun st -> Format.asprintf "%a" Scalar.pp (c st no_frame))
+          args
+      in
+      fun st ->
+        let line = String.concat " " (List.map (fun item -> item st) items) in
+        if Rctx.me st.ctx = 0 then Buffer.add_string st.out (line ^ "\n")
+  | Ir.Return_stmt -> fun _ -> raise Return_unwind
+  | Ir.Comm_block { cb_members; cb_guard; cb_loop = _ } ->
+      (* loop pre-header: run the hoisted comms once, iff the loop will
+         execute at least one iteration (a zero-trip loop must not
+         communicate).  The guard re-evaluates the loop's own bounds /
+         condition, which hoisting legality proved invariant up to here. *)
+      let active =
+        match cb_guard with
+        | Ir.Guard_do range -> ctrip cx range
+        | Ir.Guard_while cond ->
+            let cond = cexpr cx cond in
+            fun st -> Scalar.to_bool (cond st no_frame)
+      in
+      let members =
+        List.map
+          (fun (h : Ir.hoisted) ->
+            let run = compile_comm cx h.Ir.hc in
+            as_origin h (fun st -> run st st.ptemps))
+          cb_members
+      in
+      fun st ->
+        if active st then List.iter (fun m -> m st) members;
+        Rctx.set_stmt st.ctx ~sid ~loc
+  | (Ir.Comm_issue { sp_hid; sp_comm; sp_guard } | Ir.Comm_wait { sp_hid; sp_comm; sp_guard }) as n
+    ->
+      let active = csplit_guard cx sp_guard in
+      let run =
+        as_origin sp_comm
+          (match n with
+          | Ir.Comm_issue _ -> compile_issue cx sp_hid sp_comm.Ir.hc
+          | _ -> fun st -> exec_comm_wait st sp_hid)
+      in
+      fun st ->
+        if active st then begin
+          run st;
+          Rctx.set_stmt st.ctx ~sid ~loc
+        end
+
+(* Whether a split-phase half executes.  [Sg_trip] re-evaluates the
+   loop's own trip test (as [Guard_do] does); [Sg_next] asks whether the
+   surrounding DO loop — whose variable holds the current iteration —
+   has another iteration coming, using the same continuation test as the
+   loop itself so an issue for step k+1 never runs on the last step. *)
+and csplit_guard cx = function
+  | Ir.Sg_always -> fun _ -> true
+  | Ir.Sg_trip range -> ctrip cx range
+  | Ir.Sg_next { var; range } ->
+      let k = slot cx var and hi = cint cx range.Ast.hi in
+      let stp = match range.Ast.st with Some e -> cint cx e | None -> fun _ _ -> 1 in
+      fun st ->
+        let v = st.vals.(k) in
+        if v == unset then Diag.bug "interp: split guard reads unset loop variable %s" var;
+        let hi = hi st no_frame in
+        let stp = stp st no_frame in
+        do_stride stp;
+        continues ~stp ~hi (Scalar.to_int v + stp)
+
+(* ------------------------------------------------------------------ *)
+(* Per-run preparation                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let prepare_unit ~grid (u : Ir.unit_ir) =
+  let env = u.Ir.u_env in
+  let arrays = Array.of_list (Sema.instantiate ~ghosts:u.Ir.u_ghosts env ~grid) in
+  let aslots = Hashtbl.create 8 in
+  Array.iteri (fun k (n, _) -> Hashtbl.replace aslots n k) arrays;
+  let do_vars = ref [] in
+  Ir.iter_stmts
+    (fun s ->
+      match s.Ir.s with
+      | Ir.Do_loop { var; _ } -> do_vars := var :: !do_vars
+      | _ -> ())
+    u.Ir.u_body;
+  (* DO indices are stored as integers whatever their declaration says *)
+  let c_kind v =
+    if List.mem v !do_vars then Some Scalar.Kint
+    else
+      match Sema.scalar_kind env v with
+      | Some k -> Some (kind_of_decl k)
+      | None -> Option.map Scalar.kind (List.assoc_opt v env.Sema.uparams)
+  in
+  let c_slots = Hashtbl.create 16 in
+  let cx =
+    { c_env = env; c_kind; c_slots; c_aslots = aslots; c_dads = arrays; c_f = None;
+      c_planned = ref [] }
+  in
+  (* declared scalars and scalar dummies hold a slot even when unused *)
+  List.iter (fun (n, _) -> ignore (slot cx n)) env.Sema.uscalars;
+  List.iter (fun n -> if not (Hashtbl.mem aslots n) then ignore (slot cx n)) env.Sema.usub.Ast.args;
+  let body = cbody cx u.Ir.u_body in
+  { pu_ir = u; pu_body = body; pu_slots = cx.c_slots; pu_arrays = arrays; pu_aslots = aslots;
+    pu_planned = !(cx.c_planned) }
+
+let prepare ~grid (prog : Ir.program_ir) =
+  List.map (fun (n, u) -> (n, prepare_unit ~grid u)) prog.Ir.p_units
+
+let planned_sids (prog : prepared) =
+  List.concat_map (fun (_, pu) -> pu.pu_planned) prog |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
 (* Entry                                                               *)
@@ -1310,23 +1342,9 @@ type outcome = {
 
 let node_main ?(collect_finals = true) ?(coalesce = false) (prog : prepared) ctx =
   let main = snd (List.hd prog) in
-  let proto =
-    {
-      ctx;
-      prog;
-      u = main;
-      scalars = Hashtbl.create 1;
-      arrays = Hashtbl.create 1;
-      out = Buffer.create 256;
-      ptemps = Hashtbl.create 1;
-      replicas = Hashtbl.create 1;
-      coalesce;
-      pending = Hashtbl.create 1;
-    }
-  in
-  let st = fresh_ustate proto main in
+  let st = unit_state ~ctx ~prog ~coalesce ~out:(Buffer.create 256) main ~bound:[] in
   let u = main.pu_ir in
-  (try List.iter (exec_stmt st) u.Ir.u_body with Return_unwind -> ());
+  (try main.pu_body st with Return_unwind -> ());
   if Hashtbl.length st.pending > 0 then
     Diag.bug "interp: %d split-phase comm(s) issued but never waited" (Hashtbl.length st.pending);
   (* the finals gather below is real communication: attribute it to the
@@ -1334,13 +1352,14 @@ let node_main ?(collect_finals = true) ?(coalesce = false) (prog : prepared) ctx
   Rctx.set_stmt ctx ~sid:u.Ir.u_epilogue.Ir.pv_sid ~loc:u.Ir.u_epilogue.Ir.pv_loc;
   let finals =
     if collect_finals then
-      List.map
-        (fun (name, _) -> (name, Darray.gather_global ctx (darray_of st name)))
-        u.Ir.u_env.Sema.uarrays
+      Array.to_list
+        (Array.mapi (fun k (n, _) -> (n, Darray.gather_global ctx st.arrays.(k))) main.pu_arrays)
     else []
   in
   let final_scalars =
-    Hashtbl.fold (fun n r acc -> (n, !r) :: acc) st.scalars []
+    Hashtbl.fold
+      (fun n k acc -> if st.vals.(k) != unset then (n, st.vals.(k)) :: acc else acc)
+      main.pu_slots []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   { output = Buffer.contents st.out; finals; final_scalars }

@@ -21,10 +21,11 @@ val log_src : Logs.src
     with its processor and virtual time ([f90dc --trace]). *)
 
 type prepared
-(** The rank-invariant state of one run: each unit's reference classes,
-    each FORALL's kernel plan and each array's DAD.  Built once, before
-    the engine starts, and never mutated afterwards, so every rank fiber
-    and every worker domain can read it without locks. *)
+(** The rank-invariant state of one run: each unit's statements compiled
+    to closures (FORALLs with their kernel plans), its scalar and array
+    slot tables, and each array's DAD.  Built once, before the engine
+    starts, and never mutated afterwards, so every rank fiber and every
+    worker domain can run it without locks. *)
 
 val prepare : grid:F90d_dist.Grid.t -> F90d_ir.Ir.program_ir -> prepared
 (** DADs are built over [grid] with the IR's ghost widths.  Unknown

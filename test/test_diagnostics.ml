@@ -93,6 +93,64 @@ let test_undeclared_variable_runtime () =
     END
     |}
 
+(* Scalar names are resolved to slots before the run, but reading one
+   that nothing has assigned yet is still an error only when executed;
+   and the final scalars keep the names, kinds and values of a
+   name-by-name walk: implicit DO indices (a zero-trip loop's included),
+   implicitly declared names and CALL copy-back. *)
+let scalar_names_when_executed () =
+  let src ~x =
+    Printf.sprintf
+      {|
+      PROGRAM T
+      INTEGER, PARAMETER :: M = 3
+      REAL X, A(4)
+      INTEGER N
+C$    DISTRIBUTE A(BLOCK)
+      N = M
+      IF (N .GT. %s) THEN
+        X = Z + 1.0
+      END IF
+      DO K = 1, N
+        X = X + K
+      END DO
+      DO L = 5, 1
+        X = X + 100.0
+      END DO
+      Z = 2.5
+      Q = 7
+      CALL S(X, Q, N + 1)
+      END
+
+      SUBROUTINE S(Y, J, P)
+      REAL Y
+      INTEGER J, P
+      Y = Y * 2.0
+      J = J + P
+      END
+      |}
+      x
+  in
+  let r = Driver.run ~nprocs:2 (Driver.compile (src ~x:"5")) in
+  Alcotest.(check (list string)) "final scalar names" [ "K"; "L"; "N"; "Q"; "X"; "Z" ]
+    (List.map fst r.Driver.outcome.F90d_exec.Interp.final_scalars);
+  List.iter
+    (fun (name, v) ->
+      checkb (name ^ " kind and value") true (Scalar.equal v (Driver.final_scalar r name)))
+    [
+      ("K", Scalar.Int 3);
+      ("L", Scalar.Int 5);
+      ("N", Scalar.Int 3);
+      ("Q", Scalar.Int 11);
+      ("X", Scalar.Real 12.);
+      ("Z", Scalar.Real 2.5);
+    ];
+  match Driver.run ~nprocs:2 (Driver.compile (src ~x:"0")) with
+  | _ -> Alcotest.fail "reading Z before its assignment ran without an error"
+  | exception Diag.Error (loc, msg) ->
+      Alcotest.(check string) "message" "undefined variable 'Z'" msg;
+      Alcotest.(check int) "line" 9 loc.Loc.line
+
 (* Reference classes are resolved before the run, but an unknown name is
    still an error only where, and when, its statement executes: a dead
    branch runs clean, a live one fails at the name's line, in the main
@@ -145,7 +203,38 @@ C$  DISTRIBUTE B(BLOCK)
                true
              with Not_found -> false);
           Alcotest.(check int) (name ^ " line") (line_of name (src ~x)) loc.Loc.line)
-    [ ("-1.0", "FOO"); ("7.0", "BAR") ]
+    [ ("-1.0", "FOO"); ("7.0", "BAR") ];
+  scalar_names_when_executed ()
+
+(* A scalar statement's element subscript outside the declared bounds is
+   the located error a FORALL's gets, for a store into a replicated and
+   into a distributed array and for a read of a replicated one: never a
+   silently dropped store or an internal error. *)
+let test_scalar_element_out_of_bounds () =
+  List.iter
+    (fun (stmt, i, arr) ->
+      let src =
+        String.concat "\n"
+          [
+            "      PROGRAM T";
+            "      REAL W(8), A(8), X";
+            "      INTEGER I";
+            "C$    DISTRIBUTE A(BLOCK)";
+            Printf.sprintf "      I = %d" i;
+            stmt;
+            "      PRINT *, X";
+            "      END";
+            "";
+          ]
+      in
+      match Driver.run ~nprocs:4 (Driver.compile src) with
+      | _ -> Alcotest.failf "%s with I = %d ran without an error" (String.trim stmt) i
+      | exception Diag.Error (loc, msg) ->
+          Alcotest.(check string) (stmt ^ ": message")
+            (Printf.sprintf "index %d of %s dim 1 is outside the declared bounds 1:8" i arr)
+            msg;
+          Alcotest.(check int) (stmt ^ ": line") 6 loc.Loc.line)
+    [ ("      W(I) = 1.0", 0, "W"); ("      A(I) = 1.0", 9, "A"); ("      X = W(I)", 9, "W") ]
 
 let test_call_arity () =
   expect_runtime_error
@@ -326,5 +415,7 @@ let () =
             test_array_dummy_non_array_actual;
           Alcotest.test_case "indirection subscript out of bounds" `Quick
             test_indirection_out_of_bounds;
+          Alcotest.test_case "scalar element out of bounds" `Quick
+            test_scalar_element_out_of_bounds;
         ] );
     ]

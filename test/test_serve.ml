@@ -276,6 +276,38 @@ let test_service_timeout () =
   Alcotest.(check bool) "alive after timeout" true (ok resp2);
   Alcotest.(check string) "aborted run persisted nothing" "miss" (cache_temp resp2 "l3")
 
+(* Compiled scalar code still polls once per executed statement: a run
+   that is one scalar DO loop, with no FORALL and no receive, ends early
+   when the engine's poll hook raises, and a serve request for it times
+   out without taking the service down. *)
+let test_cancel_scalar_loop () =
+  let src =
+    "      PROGRAM T\n      INTEGER I\n      REAL X\n      DO I = 1, 1000000\n        X = X + 1.0\n      END DO\n      END\n"
+  in
+  let calls = ref 0 in
+  let poll () =
+    incr calls;
+    if !calls > 1000 then raise Exit
+  in
+  (match F90d.Driver.run ~poll ~nprocs:2 (F90d.Driver.compile src) with
+  | _ -> Alcotest.fail "the poll hook's exception did not end the run"
+  | exception Exit -> ());
+  Alcotest.(check bool) "ended early" true (!calls < 10_000);
+  let svc = Service.create ~store:(Store.create ~dir:(tmp_dir ())) () in
+  let req =
+    Json.Obj
+      [
+        ("op", Json.Str "run");
+        ("source", Json.Str src);
+        ("nprocs", Json.Int 2);
+        ("timeout_s", Json.Float 0.005);
+      ]
+  in
+  let resp = Service.handle svc req in
+  Alcotest.(check bool) "timed out" false (ok resp);
+  Alcotest.(check bool) "flagged as timeout" true (Json.mem resp "timeout" = Some (Json.Bool true));
+  Alcotest.(check bool) "alive after timeout" true (ok (Service.handle svc (run_req "jacobi" 32)))
+
 let test_service_store_corruption_rebuild () =
   let store = Store.create ~dir:(tmp_dir ()) in
   let svc = Service.create ~store () in
@@ -586,6 +618,8 @@ let () =
           Alcotest.test_case "malformed requests rejected, service lives" `Quick
             test_service_rejects;
           Alcotest.test_case "request timeout" `Quick test_service_timeout;
+          Alcotest.test_case "cancellation reaches compiled scalar code" `Quick
+            test_cancel_scalar_loop;
           Alcotest.test_case "metrics op: families, warm-pass deltas" `Quick
             test_service_metrics;
           Alcotest.test_case "store corruption mid-service" `Quick
