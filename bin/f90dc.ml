@@ -105,7 +105,7 @@ let metrics_cmd sock =
 (* One-shot mode                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_cmd source demo nprocs jobs machine emit explain explain_json profile_json no_opt
+let run_cmd source demo nprocs machine emit explain explain_json profile_json no_opt
     no_passes show_finals trace profile log_comm serve client cache_dir no_cache
     request_timeout serve_workers metrics_sock metrics_out log_file log_level log_slow =
   try
@@ -174,7 +174,7 @@ let run_cmd source demo nprocs jobs machine emit explain explain_json profile_js
             | _ -> None
           in
           let result =
-            F90d.Driver.run ~collect_finals:show_finals ~model ~topology ?jobs ~trace:tracing
+            F90d.Driver.run ~collect_finals:show_finals ~model ~topology ~trace:tracing
               ?poll ?sched_preload:sio.F90d_serve.Service.sio_preload
               ?sched_collect:sio.F90d_serve.Service.sio_collect ~nprocs compiled
           in
@@ -277,13 +277,6 @@ let demo =
 let nprocs =
   let doc = "Number of simulated processors." in
   Arg.(value & opt int 4 & info [ "p"; "nprocs" ] ~docv:"P" ~doc)
-
-let jobs =
-  let doc =
-    "Worker domains for the host-parallel engine (results are bit-identical to the \
-     sequential engine).  Defaults to the F90D_JOBS environment variable, else 1."
-  in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let machine =
   let doc = "Machine model: ipsc860, ncube2 or ideal." in
@@ -457,7 +450,7 @@ let cmd =
   Cmd.v info
     Term.(
       ret
-        (const run_cmd $ source $ demo $ nprocs $ jobs $ machine $ emit $ explain
+        (const run_cmd $ source $ demo $ nprocs $ machine $ emit $ explain
        $ explain_json $ profile_json $ no_opt $ no_passes $ show_finals $ trace $ profile
        $ log_comm $ serve $ client $ cache_dir $ no_cache $ request_timeout $ serve_workers
        $ metrics_sock $ metrics_out $ log_file $ log_level $ log_slow))

@@ -1,7 +1,7 @@
 (* Differential fuzzing driver.
 
    Generates seeded random programs, runs each through the full compiler
-   at every (nprocs, jobs, passes) configuration, and diffs final array
+   at every (nprocs, passes) configuration, and diffs final array
    and scalar state bit-for-bit against the sequential reference
    evaluator.  On divergence the failing program is (optionally) shrunk
    and written out as a standalone .f90d repro. *)
@@ -15,7 +15,6 @@ let do_shrink = ref false
 let out_dir = ref "fuzz-repros"
 let emit = ref (-1)
 let ranks = ref Diff.default_ranks
-let jobs = ref Diff.default_jobs
 let flag_sets = ref Diff.default_flag_sets
 let quiet = ref false
 let replay = ref ""
@@ -45,7 +44,6 @@ let spec =
     ("--out", Arg.Set_string out_dir, "DIR  directory for shrunk repros (default fuzz-repros)");
     ("--emit", Arg.Set_int emit, "K  print the program for seed K and exit");
     ("--ranks", Arg.String (fun s -> ranks := parse_csv s), "CSV  rank axis (default 1,2,4)");
-    ("--jobs", Arg.String (fun s -> jobs := parse_csv s), "CSV  jobs axis (default 1,4)");
     ( "--flags",
       Arg.String (fun s -> flag_sets := parse_flag_sets s),
       "CSV  pass-flag axis: on, off, hoist, coalesce, split, lookahead, no-hoist, \
@@ -60,7 +58,7 @@ let spec =
 
 let usage = "fuzz/main.exe [--seeds N] [--start S] [--shrink] ..."
 
-let check p = Diff.check_prog ~ranks:!ranks ~jobs:!jobs ~flag_sets:!flag_sets p
+let check p = Diff.check_prog ~ranks:!ranks ~flag_sets:!flag_sets p
 
 let report_failure seed (p : Gen.prog) (failures : Diff.failure list) =
   Printf.printf "seed %d: FAILED\n" seed;
@@ -175,7 +173,7 @@ let () =
             Format.printf "  %s = %a@." name F90d_base.Ndarray.pp nd)
           r.Refeval.r_finals
     | exception e -> Printf.printf "reference evaluator failed: %s\n" (Printexc.to_string e));
-    match Diff.check_source ~ranks:!ranks ~jobs:!jobs ~flag_sets:!flag_sets source with
+    match Diff.check_source ~ranks:!ranks ~flag_sets:!flag_sets source with
     | [] ->
         Printf.printf "OK: no divergence\n";
         exit 0
@@ -207,7 +205,7 @@ let () =
     if not !quiet then
       Printf.printf "OK: %d seeds, zero divergences across %d configurations each\n"
         (List.length todo)
-        (List.length (Diff.matrix ~ranks:!ranks ~jobs:!jobs ~flag_sets:!flag_sets ()));
+        (List.length (Diff.matrix ~ranks:!ranks ~flag_sets:!flag_sets ()));
     exit 0
   end
   else begin

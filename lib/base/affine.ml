@@ -15,7 +15,6 @@ let apply_inverse f t =
     if d mod f.a = 0 then Some (d / f.a) else None
 
 let compose f g = { a = f.a * g.a; b = (f.a * g.b) + f.b }
-let add_const f c = { f with b = f.b + c }
 let equal f g = f.a = g.a && f.b = g.b
 
 let pp ppf f =

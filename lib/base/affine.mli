@@ -26,6 +26,5 @@ val apply_inverse : t -> int -> int option
 val compose : t -> t -> t
 (** [compose f g] is [fun i -> f (g i)]. *)
 
-val add_const : t -> int -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -37,13 +37,6 @@ let of_reals ?lb extents a =
     Diag.bug "ndarray: payload size mismatch";
   { lb; extents; data = Reals a }
 
-let of_ints ?lb extents a =
-  let lb = match lb with Some l -> l | None -> default_lb extents in
-  check_shape lb extents;
-  if Array.length a <> Array.fold_left ( * ) 1 extents then
-    Diag.bug "ndarray: payload size mismatch";
-  { lb; extents; data = Ints a }
-
 let strides t =
   let r = rank t in
   let s = Array.make r 1 in
@@ -83,7 +76,6 @@ let set t idx v = set_flat t (offset t idx) v
 
 let reals t = match t.data with Reals a -> a | _ -> Diag.bug "ndarray: expected REAL payload"
 let ints t = match t.data with Ints a -> a | _ -> Diag.bug "ndarray: expected INTEGER payload"
-let logs t = match t.data with Logs a -> a | _ -> Diag.bug "ndarray: expected LOGICAL payload"
 
 let fill t v =
   match t.data with

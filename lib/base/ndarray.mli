@@ -28,7 +28,6 @@ val create : Scalar.kind -> ?lb:int array -> int array -> t
     zero-initialised. *)
 
 val of_reals : ?lb:int array -> int array -> float array -> t
-val of_ints : ?lb:int array -> int array -> int array -> t
 
 val strides : t -> int array
 (** Column-major strides (first dimension contiguous). *)
@@ -46,7 +45,6 @@ val reals : t -> float array
 (** Underlying payload; errors if the array is not real (resp. below). *)
 
 val ints : t -> int array
-val logs : t -> bool array
 
 val fill : t -> Scalar.t -> unit
 val copy : t -> t

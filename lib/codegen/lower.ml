@@ -371,10 +371,6 @@ let lower_forall_plan env ~temps ~vars ~mask ~lhs ~rhs =
   in
   ({ f with Ir.f_snapshot = needs_snapshot f }, ghosts, plan)
 
-let lower_forall env ~vars ~mask ~lhs ~rhs =
-  let f, g, _ = lower_forall_plan env ~temps:(ref 0) ~vars ~mask ~lhs ~rhs in
-  (f, g)
-
 let iter_name = function
   | Ir.It_canonical _ -> "canonical (owner computes)"
   | Ir.It_even -> "even iteration partition"

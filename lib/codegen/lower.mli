@@ -11,13 +11,3 @@ open F90d_frontend
 
 val lower_program : Sema.program_env -> F90d_ir.Ir.program_ir
 (** @raise F90d_base.Diag.Error on constructs outside the supported subset. *)
-
-val lower_forall :
-  Sema.unit_env ->
-  vars:(string * Ast.range) list ->
-  mask:Ast.expr option ->
-  lhs:Ast.expr ->
-  rhs:Ast.expr ->
-  F90d_ir.Ir.forall * (string * int * int * int) list
-(** The lowered statement plus its ghost-cell requirements (exposed for
-    tests). *)

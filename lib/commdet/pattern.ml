@@ -358,16 +358,3 @@ let plan_name = function
   | Gather -> "gather"
   | Concat -> "concatenation"
 
-let pp_plan ppf plan =
-  let lhs_name =
-    match plan.lhs with
-    | Lhs_canonical _ -> "canonical"
-    | Lhs_replicated -> "replicated"
-    | Lhs_postcomp -> "postcomp_write"
-    | Lhs_scatter -> "scatter"
-  in
-  Format.fprintf ppf "@[<v>lhs %s: %s@," plan.lhs_ref.Ast.base lhs_name;
-  List.iter
-    (fun ((r : Ast.ref_), p) -> Format.fprintf ppf "rhs %s: %s@," r.Ast.base (plan_name p))
-    plan.refs;
-  Format.fprintf ppf "@]"

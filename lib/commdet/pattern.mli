@@ -73,5 +73,3 @@ val plan_name : ref_plan -> string
 val classify_pair : Subscript.t -> Subscript.t -> string
 (** Table 1/2 row name for an (lhs, rhs) subscript pair assuming aligned
     block-distributed dimensions — used to regenerate the paper's tables. *)
-
-val pp_plan : Format.formatter -> plan -> unit

@@ -10,12 +10,6 @@ type t =
   | Vector of string * Ast.expr
   | Unknown
 
-let uses_var = function
-  | Canonical v | Var_const (v, _) | Var_scalar (v, _) | Affine (v, _) | Vector (v, _) ->
-      (* Vector's variable comes from its inner subscript *)
-      Some v
-  | Const _ | Unknown -> None
-
 (* i + s / s + i / i - s with [s] free of FORALL variables. *)
 let var_plus_scalar ~vars (e : Ast.expr) =
   let no_forall_vars x = not (List.exists (fun v -> List.mem v vars) (Ast.vars_of x)) in

@@ -22,7 +22,4 @@ val classify :
   Ast.expr ->
   t
 
-val uses_var : t -> string option
-(** The FORALL variable a classification depends on, if any. *)
-
 val pp : Format.formatter -> t -> unit

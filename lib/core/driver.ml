@@ -41,31 +41,15 @@ type run_result = {
   trace : F90d_trace.Trace.t option;
 }
 
-let parse_jobs s =
-  match int_of_string_opt (String.trim s) with
-  | Some n when n >= 1 -> Ok n
-  | Some _ -> Error (Printf.sprintf "F90D_JOBS=%S is not positive; using 1" s)
-  | None -> Error (Printf.sprintf "F90D_JOBS=%S is not an integer; using 1" s)
-
-let default_jobs () =
-  match Sys.getenv_opt "F90D_JOBS" with
-  | None -> 1
-  | Some s -> (
-      match parse_jobs s with
-      | Ok n -> n
-      | Error msg ->
-          Printf.eprintf "f90d: warning: %s\n%!" msg;
-          1)
-
-let run ?(collect_finals = true) ?(model = Model.ideal) ?(topology = Topology.Full) ?jobs
+let run ?(collect_finals = true) ?(model = Model.ideal) ?(topology = Topology.Full) ?(jobs = 1)
     ?(trace = false) ?poll ?sched_preload ?sched_collect ~nprocs compiled =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+  if jobs <> 1 then invalid_arg (Printf.sprintf "Driver.run: ~jobs:%d (only 1 is accepted)" jobs);
   let dims = Sema.grid_dims compiled.c_env ~nprocs in
   let phys_of_rank = Topology.grid_embedding topology ~nprocs dims in
   let grid = Grid.make ?phys_of_rank dims in
   let cfg = Engine.config ~model ~topology ~tracing:trace ?poll nprocs in
-  (* [grid] and [prepared] are shared by every rank fiber and worker
-     domain: built here, before the engine starts, and never mutated *)
+  (* [grid] and [prepared] are shared by every rank fiber of this run and
+     belong to it: built here, before the engine starts *)
   let prepared = F90d_exec.Interp.prepare ~grid compiled.c_ir in
   let kernels = compiled.c_flags.F90d_opt.Passes.blocked_kernels in
   let node eng =
@@ -87,7 +71,7 @@ let run ?(collect_finals = true) ?(model = Model.ideal) ?(topology = Topology.Fu
     | None -> ());
     outcome
   in
-  let report = if jobs > 1 then Engine.run_parallel ~jobs cfg node else Engine.run cfg node in
+  let report = Engine.run cfg node in
   (* rank 0 of the grid carries the program output *)
   let root_phys = Grid.phys_of_rank grid 0 in
   {

@@ -46,15 +46,6 @@ type run_result = {
   trace : F90d_trace.Trace.t option;  (** [Some] iff [run ~trace:true] *)
 }
 
-val parse_jobs : string -> (int, string) result
-(** Parse an [F90D_JOBS] value: [Ok n] for an integer [>= 1], otherwise
-    [Error msg] where [msg] is a one-line warning naming the bad value. *)
-
-val default_jobs : unit -> int
-(** Worker-domain count from the [F90D_JOBS] environment variable; 1 —
-    the sequential engine — when unset.  An unparsable or non-positive
-    value emits a one-line warning on stderr and falls back to 1. *)
-
 val run :
   ?collect_finals:bool ->
   ?model:Model.t ->
@@ -69,13 +60,15 @@ val run :
   run_result
 (** Instantiate the processor grid (PROCESSORS directive, or a 1-D grid of
     the whole machine), embed it in the topology, and execute.  Defaults:
-    ideal model, fully connected.  [jobs] selects the execution engine:
-    [jobs > 1] runs node programs on that many worker domains
-    ({!F90d_machine.Engine.run_parallel} — reports are bit-identical to
-    the sequential engine); the default comes from the [F90D_JOBS]
-    environment variable, falling back to the sequential engine.  Run-time
-    state (mailboxes, statistics, schedule caches) is per-run, so
-    consecutive runs are fully independent.
+    ideal model, fully connected.  Every rank fiber runs on the calling
+    domain ({!F90d_machine.Engine.run}).  Run-time state (mailboxes,
+    statistics, schedule caches) is per-run, so consecutive runs are
+    fully independent.
+
+    [jobs] is kept only because the host benchmark ([hostbench/]) passes
+    [~jobs:1], and that directory changes only together with the
+    benchmark definition; 1 (the default) is the only accepted value.
+    @raise Invalid_argument for any other [jobs].
 
     [poll] is the engine's cooperative-cancellation hook (see
     {!F90d_machine.Engine.config}): serve mode raises from it to enforce
@@ -85,9 +78,7 @@ val run :
     {!F90d_runtime.Schedule.export} pairs) to seed that grid rank's cache
     before its node program starts; [sched_collect rank entries] receives
     the rank's cache contents when its node program finishes.  Both are
-    called from the node's fiber — under [jobs > 1] that means
-    concurrently from worker domains, so callers must touch only
-    rank-private state (e.g. one array slot per rank). *)
+    called from the node's fiber, on the calling domain. *)
 
 val final : run_result -> string -> F90d_base.Ndarray.t
 (** A gathered final array by name (requires [collect_finals]). *)

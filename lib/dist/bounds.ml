@@ -7,10 +7,6 @@ let set_bound dad ~dim ~rank ~glb ~gub ~gst =
   | None -> None
   | Some (llb, lub, lst) -> Some { llb; lub; lst }
 
-let full_range dad ~dim ~rank =
-  let d = (Dad.dims dad).(dim) in
-  set_bound dad ~dim ~rank ~glb:d.Dad.flb ~gub:(d.Dad.flb + d.Dad.extent - 1) ~gst:1
-
 let global_of_local_index dad ~dim ~rank l =
   let d = (Dad.dims dad).(dim) in
   Layout.global_of_local (Dad.layout_at dad ~dim ~rank) l + d.Dad.flb

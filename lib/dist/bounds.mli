@@ -11,9 +11,6 @@ val set_bound :
 (** Local (0-based storage, ghost-offset excluded) bounds on [rank] of the
     global Fortran range [glb:gub:gst] over dimension [dim]. *)
 
-val full_range : Dad.t -> dim:int -> rank:int -> triplet option
-(** [set_bound] over the whole declared dimension. *)
-
 val global_of_local_index : Dad.t -> dim:int -> rank:int -> int -> int
 (** Fortran global index corresponding to a local position — the
     [global_to_local]⁻¹ used inside generated loops. *)

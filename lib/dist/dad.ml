@@ -129,8 +129,6 @@ let alloc_local t ~rank =
   let lb = Array.map (fun d -> -d.ghost_lo) t.dims in
   Ndarray.create t.kind ~lb extents
 
-let zero_based t idx = Array.mapi (fun i g -> g - t.dims.(i).flb) idx
-
 (* 0-based index of a Fortran subscript, range-checked against the
    declaration: everything downstream indexes tables with it. *)
 let checked_a0 t dim g =

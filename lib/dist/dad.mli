@@ -20,8 +20,8 @@ type dim = {
 }
 
 type t
-(** Immutable: built once per run and shared by every rank and worker
-    domain. *)
+(** Immutable: built once per run and shared by every rank fiber of that
+    run. *)
 
 val make : name:string -> kind:F90d_base.Scalar.kind -> grid:Grid.t -> dim array -> t
 (** Checks that no two dimensions map to the same grid dimension, and
@@ -119,9 +119,6 @@ val local_indices : t -> rank:int -> int array -> int array option
 val global_of_local : t -> rank:int -> int array -> int array
 (** Inverse of {!local_indices} for owned (non-ghost) positions, returning
     Fortran global indices. *)
-
-val zero_based : t -> int array -> int array
-(** Fortran indices -> 0-based indices. *)
 
 val storage_flat : t -> rank:int -> int array -> int
 (** Flat position of per-dimension local indices within [rank]'s local

@@ -42,8 +42,8 @@ val ranks_along : t -> rank:int -> dim:int -> int array
 
     {!make} builds every team once: all members of a line get the same
     physical array, and every caller of {!all_ranks} gets the same array.
-    The grid is shared by all ranks of a run and by parallel worker
-    domains, so a returned team must never be mutated. *)
+    The grid is shared by all ranks of a run, so a returned team must
+    never be mutated. *)
 
 val neighbour : t -> rank:int -> dim:int -> delta:int -> int option
 (** Grid rank at coordinate+delta along [dim], or [None] off the edge. *)

@@ -44,8 +44,8 @@ type pending_comm =
 let unset = Scalar.Str "<unset>"
 
 (* The rank-invariant half of a program unit, built by [prepare] before
-   the engine starts and never mutated after: every rank fiber and worker
-   domain runs the same compiled statements over its own [ustate]. *)
+   the engine starts: every rank fiber of the run, all on one domain,
+   runs the same compiled statements over its own [ustate]. *)
 type prepared_unit = {
   pu_ir : Ir.unit_ir;
   pu_body : ustate -> unit;  (** the unit's statements, compiled *)
@@ -298,6 +298,16 @@ let elems (r : Ast.ref_) =
   try Some (List.map (function Ast.Elem x -> x | Ast.Range _ -> raise Exit) r.Ast.args)
   with Exit -> None
 
+(* The zero-based dimension of intrinsic [name]'s DIM argument [dim] over
+   [darr]: 1..rank, or 1..rank+1 for SPREAD, whose DIM may name the new
+   dimension after the last. *)
+let dim_index ?(spread = false) ~loc name (darr : Darray.t) dim =
+  let hi = Dad.rank darr.Darray.dad + if spread then 1 else 0 in
+  if dim < 1 || dim > hi then
+    Diag.error ~loc "DIM=%d of %s is outside the range 1:%d of array %s" dim name hi
+      (Dad.name darr.Darray.dad);
+  dim - 1
+
 (* A subscript list's values. *)
 let values subs : int array code = fun st fr -> Array.map (fun c -> c st fr) subs
 
@@ -459,8 +469,8 @@ and ctransformational cx loc (r : Ast.ref_) =
       | ("SIZE" | "LBOUND" | "UBOUND"), [ a; d ] ->
           let a = whole a and d = cint cx d in
           fun st _ ->
-            let dim = d st no_frame in
-            let dd = (Dad.dims (a st).Darray.dad).(dim - 1) in
+            let darr = a st in
+            let dd = (Dad.dims darr.Darray.dad).(dim_index ~loc name darr (d st no_frame)) in
             Scalar.Int
               (match name with
               | "SIZE" -> dd.Dad.extent
@@ -1024,11 +1034,16 @@ let compile_mover cx ~target ~(call : Ast.ref_) loc =
             | None, _ -> Diag.error ~loc "%s expects whole-array arguments" name
           in
           let int_arg (_, c) = Scalar.to_int (c st no_frame) in
+          let dim_arg ?spread a d =
+            let darr = arr_arg a in
+            (darr, dim_index ?spread ~loc name darr (int_arg d))
+          in
           let result =
             match (name, args) with
             | "CSHIFT", [ a; s ] -> Intrinsics.cshift st.ctx (arr_arg a) ~dim:0 ~shift:(int_arg s)
             | "CSHIFT", [ a; s; d ] ->
-                Intrinsics.cshift st.ctx (arr_arg a) ~dim:(int_arg d - 1) ~shift:(int_arg s)
+                let src, dim = dim_arg a d in
+                Intrinsics.cshift st.ctx src ~dim ~shift:(int_arg s)
             | "EOSHIFT", [ a; s ] ->
                 let src = arr_arg a in
                 Intrinsics.eoshift st.ctx src ~dim:0 ~shift:(int_arg s)
@@ -1037,17 +1052,18 @@ let compile_mover cx ~target ~(call : Ast.ref_) loc =
                 Intrinsics.eoshift st.ctx (arr_arg a) ~dim:0 ~shift:(int_arg s)
                   ~boundary:(b st no_frame)
             | "EOSHIFT", [ a; s; (_, b); d ] ->
-                Intrinsics.eoshift st.ctx (arr_arg a) ~dim:(int_arg d - 1) ~shift:(int_arg s)
-                  ~boundary:(b st no_frame)
+                let src, dim = dim_arg a d in
+                Intrinsics.eoshift st.ctx src ~dim ~shift:(int_arg s) ~boundary:(b st no_frame)
             | "TRANSPOSE", [ a ] -> Intrinsics.transpose st.ctx (arr_arg a) ~dad:target_dad
             | "SPREAD", [ a; d; _n ] ->
-                Intrinsics.spread st.ctx (arr_arg a) ~dim:(int_arg d - 1) ~dad:target_dad
+                let src, dim = dim_arg ~spread:true a d in
+                Intrinsics.spread st.ctx src ~dim ~dad:target_dad
             | "RESHAPE", a :: _ -> Intrinsics.reshape st.ctx (arr_arg a) ~dad:target_dad
             | "MATMUL", [ a; b ] ->
                 Intrinsics.matmul st.ctx (arr_arg a) (arr_arg b) ~dad:target_dad
             | ("SUM" | "PRODUCT" | "MAXVAL" | "MINVAL" | "ALL" | "ANY"), [ a; d ] ->
-                Intrinsics.reduce_dim st.ctx (redop name) (arr_arg a) ~dim:(int_arg d - 1)
-                  ~dad:target_dad
+                let src, dim = dim_arg a d in
+                Intrinsics.reduce_dim st.ctx (redop name) src ~dim ~dad:target_dad
             | "PACK", [ a; m ] ->
                 fst (Intrinsics.pack st.ctx (arr_arg a) ~mask:(arr_arg m) ~dad:target_dad)
             | "UNPACK", [ v; m; fl ] ->

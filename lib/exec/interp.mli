@@ -24,8 +24,8 @@ type prepared
 (** The rank-invariant state of one run: each unit's statements compiled
     to closures (FORALLs with their kernel plans), its scalar and array
     slot tables, and each array's DAD.  Built once, before the engine
-    starts, and never mutated afterwards, so every rank fiber and every
-    worker domain can run it without locks. *)
+    starts, and shared by every rank fiber of the run; one domain runs
+    all of them, so it needs no lock. *)
 
 val prepare : grid:F90d_dist.Grid.t -> F90d_ir.Ir.program_ir -> prepared
 (** DADs are built over [grid] with the IR's ghost widths.  Unknown

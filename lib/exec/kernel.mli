@@ -36,8 +36,8 @@ type temp_nd =
 
 type plan
 (** The structure-only half of specialization for one FORALL: immutable,
-    and safe to share between ranks, worker domains and executions (it
-    captures no array storage and no scalar values), including across the
+    and safe to share between a run's ranks and executions (it captures
+    no array storage and no scalar values), including across the
     interpreter's array movers.  An ineligible plan is shared too —
     structural rejection is value-independent. *)
 

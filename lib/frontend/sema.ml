@@ -325,11 +325,6 @@ let analyze (prog : Ast.program) =
   in
   { uprog = prog; uunits = units }
 
-let find_unit env name =
-  match List.assoc_opt name env.uunits with
-  | Some u -> u
-  | None -> Diag.error "unknown subroutine '%s'" name
-
 let main_env env =
   match env.uunits with
   | (_, u) :: _ -> u

@@ -36,7 +36,6 @@ val analyze : Ast.program -> program_env
 (** @raise Diag.Error on semantic errors (unknown template, non-affine
     alignment, more distributed dimensions than grid dimensions, ...). *)
 
-val find_unit : program_env -> string -> unit_env
 val main_env : program_env -> unit_env
 
 val grid_dims : program_env -> nprocs:int -> int array

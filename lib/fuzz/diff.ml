@@ -3,15 +3,14 @@
 
 open F90d_base
 
-type cfg = { nprocs : int; jobs : int; passes : string * F90d_opt.Passes.flags }
+type cfg = { nprocs : int; passes : string * F90d_opt.Passes.flags }
 
 type failure =
   | Ref_error of string  (* the reference evaluator itself failed: generator bug *)
   | Config_error of cfg * string  (* compile or run crashed under this config *)
   | Mismatch of cfg * string  (* first bit-level difference found *)
 
-let pp_cfg { nprocs; jobs; passes = pname, _ } =
-  Printf.sprintf "nprocs=%d jobs=%d passes=%s" nprocs jobs pname
+let pp_cfg { nprocs; passes = pname, _ } = Printf.sprintf "nprocs=%d passes=%s" nprocs pname
 
 let pp_failure = function
   | Ref_error m -> "reference evaluator failed: " ^ m
@@ -19,7 +18,6 @@ let pp_failure = function
   | Mismatch (c, m) -> Printf.sprintf "[%s] diverged: %s" (pp_cfg c) m
 
 let default_ranks = [ 1; 2; 4 ]
-let default_jobs = [ 1; 4 ]
 
 (* Named pass-flag sets for the matrix: "on"/"off" exercise everything
    against nothing (the default axis); the single-pass and all-but-one
@@ -46,13 +44,9 @@ let flag_set name =
 let default_flag_sets =
   [ ("on", F90d_opt.Passes.all_on); ("off", F90d_opt.Passes.all_off) ]
 
-let matrix ?(ranks = default_ranks) ?(jobs = default_jobs)
-    ?(flag_sets = default_flag_sets) () =
+let matrix ?(ranks = default_ranks) ?(flag_sets = default_flag_sets) () =
   List.concat_map
-    (fun nprocs ->
-      List.concat_map
-        (fun j -> List.map (fun passes -> { nprocs; jobs = j; passes }) flag_sets)
-        jobs)
+    (fun nprocs -> List.map (fun passes -> { nprocs; passes }) flag_sets)
     ranks
 
 let scalar_str s = Format.asprintf "%a" Scalar.pp s
@@ -98,7 +92,7 @@ let describe_exn = function
 
 (* [print ~nprocs] yields the source for a machine size: the PROCESSORS
    directive, when present, must name the machine it runs on *)
-let check ?ranks ?jobs ?flag_sets (print : nprocs:int -> string) : failure list =
+let check ?ranks ?flag_sets (print : nprocs:int -> string) : failure list =
   match
     (try Ok (Refeval.run (print ~nprocs:1)) with e -> Error (describe_exn e))
   with
@@ -109,17 +103,17 @@ let check ?ranks ?jobs ?flag_sets (print : nprocs:int -> string) : failure list 
           let _, flags = cfg.passes in
           match
             let compiled = F90d.Driver.compile ~flags (print ~nprocs:cfg.nprocs) in
-            F90d.Driver.run ~nprocs:cfg.nprocs ~jobs:cfg.jobs compiled
+            F90d.Driver.run ~nprocs:cfg.nprocs compiled
           with
           | result -> (
               match compare_outcomes reference result.F90d.Driver.outcome with
               | None -> None
               | Some msg -> Some (Mismatch (cfg, msg)))
           | exception e -> Some (Config_error (cfg, describe_exn e)))
-        (matrix ?ranks ?jobs ?flag_sets ())
+        (matrix ?ranks ?flag_sets ())
 
-let check_prog ?ranks ?jobs ?flag_sets (p : Gen.prog) =
-  check ?ranks ?jobs ?flag_sets (fun ~nprocs -> Gen.print ~nprocs p)
+let check_prog ?ranks ?flag_sets (p : Gen.prog) =
+  check ?ranks ?flag_sets (fun ~nprocs -> Gen.print ~nprocs p)
 
 (* fixed source text (corpus replay): the PROCESSORS directive, if any,
    pins the machine size, so restrict the rank axis to its grid product *)
@@ -131,10 +125,10 @@ let processors_product source =
     Some (List.fold_left (fun acc d -> acc * int_of_string (String.trim d)) 1 dims)
   with Not_found -> None
 
-let check_source ?ranks ?jobs ?flag_sets source =
+let check_source ?ranks ?flag_sets source =
   let ranks =
     match processors_product source with
     | Some p -> [ p ]
     | None -> ( match ranks with Some r -> r | None -> default_ranks)
   in
-  check ~ranks ?jobs ?flag_sets (fun ~nprocs:_ -> source)
+  check ~ranks ?flag_sets (fun ~nprocs:_ -> source)

@@ -21,13 +21,12 @@ let config ?(model = Model.ideal) ?(topology = Topology.Full) ?(tracing = false)
 
 exception Deadlock of string
 
-(* Shared machine state, laid out so that a rank's fiber slice only ever
-   touches rank-private slots: clocks.(me), rank_stats.(me) and
+(* Machine state for one run; every fiber of the run executes on the
+   calling domain, so none of it needs a lock.  A rank's fiber slice
+   touches only rank-private slots: clocks.(me), rank_stats.(me) and
    outboxes.(me).  Mailboxes are sharded by destination rank and keyed by
-   (src, tag) channel; they are mutated exclusively by the (sequential)
-   scheduler when it drains outboxes and pops messages for delivery, so
-   the same state supports both the sequential and the domain-parallel
-   engine without locks on the data path.
+   (src, tag) channel; only the scheduler mutates them, when it drains
+   outboxes and pops messages for delivery.
 
    Mailbox memory is O(active channels), not O(channels ever used): a
    channel's queue is detached from the table the moment its last
@@ -46,7 +45,7 @@ type shared = {
   (* outboxes.(src): (dest, msg) sends not yet moved into a mailbox *)
   mutable free_queues : Message.t Queue.t list;
   (* drained channel queues, recycled by [channel]; touched only by the
-     scheduler/coordinator, like the mailboxes themselves *)
+     scheduler, like the mailboxes themselves *)
   touched_scratch : bool array;
   (* per-destination dedup flags for [drain_outbox]; scheduler-private,
      always all-false between calls *)
@@ -67,8 +66,8 @@ type shared = {
 
 (* A posted (nonblocking) receive.  The message itself stays in the
    mailbox until [wait] consumes it through the same Wait_recv effect a
-   blocking receive uses, so channel FIFO pairing — and therefore
-   bit-identity between engines — is unaffected by splitting.  Only the
+   blocking receive uses, so channel FIFO pairing is unaffected by
+   splitting.  Only the
    cost accounting changes: latency that elapsed between [h_posted] and
    the wait is counted as hidden rather than charged as blocking time. *)
 and handle = {
@@ -165,8 +164,7 @@ let relay ctx ~from_t ~dest ~tag payload =
 (* Cooperative cancellation: the poll hook (when configured) runs inside
    the calling fiber, so raising from it unwinds that rank's node program
    like any other node failure — the scheduler keeps delivering until no
-   runnable fiber remains, worker domains are joined, and [finish]
-   re-raises the poll's exception.  Called at every receive point and by
+   runnable fiber remains, and [finish] re-raises the poll's exception.  Called at every receive point and by
    the interpreter once per statement. *)
 let check_cancel ctx = match ctx.sh.cfg.poll with Some f -> f () | None -> ()
 
@@ -466,106 +464,3 @@ let run cfg main =
     consider me
   done;
   finish sh states
-
-(* ------------------------------------------------------------------ *)
-(* Domain-parallel execution                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* A minimal blocking queue: the only synchronization in the parallel
-   engine.  Pushes and pops establish the happens-before edges that make
-   a rank's private slots (clocks, stats, outbox, fiber state) visible to
-   the coordinator after each slice and back. *)
-module Bqueue = struct
-  type 'a t = { q : 'a Queue.t; m : Mutex.t; c : Condition.t }
-
-  let create () = { q = Queue.create (); m = Mutex.create (); c = Condition.create () }
-
-  let push t x =
-    Mutex.lock t.m;
-    Queue.add x t.q;
-    Condition.signal t.c;
-    Mutex.unlock t.m
-
-  let pop t =
-    Mutex.lock t.m;
-    while Queue.is_empty t.q do
-      Condition.wait t.c t.m
-    done;
-    let x = Queue.pop t.q in
-    Mutex.unlock t.m;
-    x
-end
-
-type job = Slice of (unit -> unit) | Stop
-
-(* Loosely synchronous SPMD execution (§2, §8): between communication
-   points node programs are independent, so each slice — resume until the
-   fiber blocks on a receive or finishes — runs on a pool of worker
-   domains.  The coordinator alone moves messages from outboxes into the
-   sharded mailboxes and decides which blocked fiber a message unblocks;
-   like the sequential scheduler it is event-driven, re-examining only
-   the completed rank and the destinations its drain touched.  Channels
-   are exact-match (src, tag) FIFOs with a single producer and a single
-   consumer, so every receive consumes the same message as under the
-   sequential engine regardless of slice interleaving; clocks and
-   statistics are rank-private; hence reports are bit-identical. *)
-let run_parallel ?jobs cfg main =
-  let jobs =
-    match jobs with Some j -> j | None -> Domain.recommended_domain_count ()
-  in
-  if jobs <= 1 || cfg.nprocs <= 1 then run cfg main
-  else begin
-    let sh = make_shared cfg in
-    let states = Array.make cfg.nprocs Not_started in
-    let tasks = Bqueue.create () in
-    let completions = Bqueue.create () in
-    let nworkers = min jobs cfg.nprocs in
-    let worker () =
-      let rec loop () =
-        match Bqueue.pop tasks with
-        | Stop -> ()
-        | Slice f ->
-            f ();
-            loop ()
-      in
-      loop ()
-    in
-    let domains = Array.init nworkers (fun _ -> Domain.spawn worker) in
-    let running = Array.make cfg.nprocs false in
-    let in_flight = ref 0 in
-    let dispatch me f =
-      running.(me) <- true;
-      incr in_flight;
-      Bqueue.push tasks
-        (Slice
-           (fun () ->
-             f ();
-             Bqueue.push completions me))
-    in
-    let consider me =
-      if not running.(me) then
-        match states.(me) with
-        | Blocked (key, k) -> (
-            match take sh key with
-            | Some msg -> dispatch me (fun () -> continue k msg)
-            | None -> ())
-        | _ -> ()
-    in
-    for me = 0 to cfg.nprocs - 1 do
-      let ctx = { me; sh } in
-      dispatch me (fun () -> match_with (fun () -> main ctx) () (handler states me))
-    done;
-    while !in_flight > 0 do
-      let me = Bqueue.pop completions in
-      running.(me) <- false;
-      decr in_flight;
-      let touched = drain_outbox sh me in
-      consider me;
-      List.iter (fun dest -> if dest <> me then consider dest) touched
-    done;
-    for _ = 1 to nworkers do
-      Bqueue.push tasks Stop
-    done;
-    Array.iter Domain.join domains;
-    finish sh states
-  end

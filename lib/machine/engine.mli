@@ -22,7 +22,7 @@ type config = {
       (** cooperative-cancellation hook, called inside node fibers at
           every receive point (and by the interpreter per statement);
           raise from it to abort the run — the engine unwinds every
-          fiber, joins its worker domains and re-raises *)
+          fiber and re-raises *)
 }
 
 val config :
@@ -118,9 +118,7 @@ val live_channels : ctx -> int
     in this processor's mailbox.  Drained channels are dropped from the
     table eagerly, so this is the sparse-mailbox invariant made
     observable: after a completed broadcast it returns to 0 no matter
-    how many ranks took part.  A debugging/test probe — meaningful from
-    inside a node program only under the sequential engine (the
-    parallel coordinator may be mid-drain elsewhere). *)
+    how many ranks took part.  A debugging/test probe. *)
 
 val trace : ctx -> F90d_trace.Trace.handle
 (** This processor's private trace recorder ({!F90d_trace.Trace.disabled}
@@ -150,9 +148,9 @@ type 'a report = {
 }
 
 val run : config -> (ctx -> 'a) -> 'a report
-(** Runs the SPMD program to completion.  Any exception raised by a node
-    program is re-raised after the machine stops; unsatisfiable receives
-    raise {!Deadlock}.
+(** Runs the SPMD program to completion, every fiber on the calling
+    domain.  Any exception raised by a node program is re-raised after
+    the machine stops; unsatisfiable receives raise {!Deadlock}.
 
     Scheduling is event-driven: a ready queue holds exactly the fibers
     that can make progress (not yet started, or blocked on a channel
@@ -162,13 +160,3 @@ val run : config -> (ctx -> 'a) -> 'a report
     single-producer single-consumer exact-match FIFO and all clocks and
     statistics are rank-private, so the report is a function of the
     node programs alone. *)
-
-val run_parallel : ?jobs:int -> config -> (ctx -> 'a) -> 'a report
-(** Like {!run}, but executes fiber slices — from resume until the fiber
-    blocks on a receive or finishes — on a pool of [jobs] worker domains
-    ([Domain.recommended_domain_count] by default; [jobs <= 1] falls back
-    to {!run}).  A sequential coordinator performs all message delivery
-    and unblocking decisions, and every (src, tag) channel is an
-    exact-match FIFO with one producer and one consumer, so the report
-    (results, [elapsed], [clocks], [stats]) is bit-identical to the
-    sequential engine's. *)

@@ -1,7 +1,6 @@
-(* Each simulated processor accumulates into its own [rank] collector, so
-   node programs running concurrently on real domains never share a
-   mutable statistics record; [merge] folds the collectors into the
-   read-only per-run view the harness and the tests consume. *)
+(* Each simulated processor accumulates into its own [rank] collector;
+   [merge] folds the collectors into the read-only per-run view the
+   harness and the tests consume. *)
 
 (* Why the node-kernel layer handed a FORALL nest back to the
    interpreter; see [F90d_exec.Kernel.execute]. *)

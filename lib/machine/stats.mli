@@ -3,10 +3,9 @@
     schedule reuse removes preprocessing messages).
 
     Recording is sharded: each simulated processor owns a private {!rank}
-    collector (written only by that processor's fiber, so the parallel
-    engine needs no locking around statistics), and the engine {!merge}s
-    the collectors into the read-only totals record {!t} when the run
-    completes.
+    collector, written only by that processor's fiber, and the engine
+    {!merge}s the collectors into the read-only totals record {!t} when
+    the run completes.
 
     Sends are also accounted per message-tag family so benches can print
     a breakdown by communication primitive. *)

@@ -3,7 +3,6 @@ let broadcast = 200
 let reduce = 300
 let gatherv = 400
 let shift = 500
-let schedule_counts = 600
 let schedule_indices = 700
 let exec_data = 800
 let redistribute = 900

@@ -13,7 +13,6 @@ val broadcast : int
 val reduce : int
 val gatherv : int
 val shift : int
-val schedule_counts : int
 val schedule_indices : int
 val exec_data : int
 val redistribute : int

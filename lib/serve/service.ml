@@ -276,7 +276,6 @@ let sched_io store ~use ~source ~flags ~nprocs =
 
 let run_like t req ~op =
   let nprocs, source, flags, use, compiled, l1, l2 = compile_common t req in
-  let jobs = max 1 (field_int req "jobs" ~default:1) in
   let machine = Option.value (field_str req "machine") ~default:"ipsc860" in
   let model = model_of_name machine in
   let show_finals = field_bool req "finals" ~default:false in
@@ -296,7 +295,7 @@ let run_like t req ~op =
   in
   let t0 = Unix.gettimeofday () in
   let result =
-    F90d.Driver.run ~collect_finals:show_finals ~model ~topology ~jobs ~trace:tracing ?poll
+    F90d.Driver.run ~collect_finals:show_finals ~model ~topology ~trace:tracing ?poll
       ?sched_preload:sio.sio_preload ?sched_collect:sio.sio_collect ~nprocs compiled
   in
   let host_ms = (Unix.gettimeofday () -. t0) *. 1000. in
@@ -307,7 +306,6 @@ let run_like t req ~op =
   let body =
     [
       ("nprocs", Json.Int nprocs);
-      ("jobs", Json.Int jobs);
       ("machine", Json.Str machine);
       ("elapsed_s", Json.Float result.F90d.Driver.elapsed);
       ("messages", Json.Int stats.F90d_machine.Stats.messages);

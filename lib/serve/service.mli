@@ -15,7 +15,7 @@
 
     Request fields (all optional unless noted):
     - [op] (required), [source] or [demo] (+[demo_n]) for program ops;
-    - [nprocs] (default 4), [jobs] (1), [machine] ("ipsc860");
+    - [nprocs] (default 4), [machine] ("ipsc860");
     - [no_opt] (false), [fno] (list of pass names as in [f90dc --fno-*]);
     - [cache] (true) — set false to bypass all three cache levels;
     - [timeout_s] — overrides the service default for this request;

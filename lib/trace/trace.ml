@@ -38,9 +38,8 @@ type event = { t0 : float; t1 : float; kind : kind }
 
 (* One processor's private recorder.  Events land in a ring that doubles
    when full; the ring, the open-span stack and the compute accumulator
-   are written only by the owning fiber, so the domain-parallel engine
-   records without locks and the per-rank streams are independent of
-   slice interleaving. *)
+   are written only by the owning fiber, so the per-rank streams are
+   independent of slice interleaving. *)
 type rank = {
   me : int;
   mutable ring : event array;
@@ -61,7 +60,6 @@ let rank_create ~me : handle =
 
 let enabled = Option.is_some
 let set_stmt h ~sid = match h with None -> () | Some r -> r.sid <- sid
-let current_sid h = match h with None -> 0 | Some r -> r.sid
 
 let push r ev =
   if r.len = Array.length r.ring then begin

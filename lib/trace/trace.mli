@@ -2,11 +2,10 @@
     clock.
 
     Each simulated processor owns a private {!handle} — a ring of events
-    written only by that processor's fiber (so the domain-parallel engine
-    records without locks) — threaded through [Engine.ctx] alongside the
-    [Stats.rank] collector.  Because recording is rank-private and the
-    simulation is deterministic, the merged event streams are
-    byte-identical between the sequential and domain-parallel engines.
+    written only by that processor's fiber — threaded through
+    [Engine.ctx] alongside the [Stats.rank] collector.  Because recording
+    is rank-private and the simulation is deterministic, the merged event
+    streams are byte-identical from run to run.
 
     Recording through a [disabled] handle is a no-op: no allocation, no
     event, no change to any statistic, so tracing is zero-cost when off.
@@ -68,9 +67,6 @@ val enabled : handle -> bool
 val set_stmt : handle -> sid:int -> unit
 (** Set the current statement id; subsequent events are stamped with it
     until the next call.  No-op on [disabled]. *)
-
-val current_sid : handle -> int
-(** The sid last set with {!set_stmt} (0 initially or on [disabled]). *)
 
 val send :
   ?parts:(int * int) array ->

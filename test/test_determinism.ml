@@ -1,66 +1,27 @@
-(* The domain-parallel engine must be an observational no-op: between
-   communication points node programs are independent (the paper's loosely
-   synchronous model, §2), every (src, tag) channel is a single-producer
-   single-consumer FIFO, and all delivery decisions are made by the
-   sequential coordinator — so reports are bit-identical to the
-   sequential engine.  These tests pin that, plus the per-run isolation
-   of the schedule cache. *)
+(* Every rank fiber of a run executes on the domain that called
+   [Driver.run], so the state the fibers share (the grid, the prepared
+   program and its DADs) belongs to that run and needs no lock.  These
+   tests pin that contract and the per-run isolation of the schedule
+   cache. *)
 
 open F90d
 open F90d_machine
 
 let checkb = Alcotest.(check bool)
-let checkf = Alcotest.(check (float 0.))
-(* eps 0.: bit-identical, not approximately equal *)
 
-let run ~jobs ~nprocs compiled =
-  Driver.run ~jobs ~model:Model.ipsc860 ~topology:Topology.Hypercube ~nprocs compiled
-
-let same_report name (seq : Driver.run_result) (par : Driver.run_result) ~finals =
-  checkf (name ^ ": elapsed") seq.Driver.elapsed par.Driver.elapsed;
-  Alcotest.(check (array (float 0.))) (name ^ ": clocks") seq.Driver.clocks par.Driver.clocks;
-  Alcotest.(check int) (name ^ ": messages") seq.Driver.stats.Stats.messages
-    par.Driver.stats.Stats.messages;
-  Alcotest.(check int) (name ^ ": bytes") seq.Driver.stats.Stats.bytes
-    par.Driver.stats.Stats.bytes;
-  checkf (name ^ ": recv_wait") seq.Driver.stats.Stats.recv_wait
-    par.Driver.stats.Stats.recv_wait;
-  checkb
-    (name ^ ": per-tag message counts")
-    true
-    (Stats.per_tag seq.Driver.stats = Stats.per_tag par.Driver.stats);
-  List.iter
-    (fun arr ->
-      checkb
-        (name ^ ": gathered " ^ arr)
-        true
-        (F90d_base.Ndarray.equal (Driver.final seq arr) (Driver.final par arr)))
-    finals
-
-let determinism_case ?(sizes = [ 1; 4; 16 ]) source ~finals () =
-  let compiled = Driver.compile source in
-  List.iter
-    (fun nprocs ->
-      let seq = run ~jobs:1 ~nprocs compiled in
-      let par = run ~jobs:4 ~nprocs compiled in
-      same_report (Printf.sprintf "nprocs=%d" nprocs) seq par ~finals)
-    sizes
-
-let test_gauss = determinism_case (Programs.gauss ~n:48) ~finals:[ "A" ]
-let test_jacobi = determinism_case (Programs.jacobi ~n:37 ~iters:6) ~finals:[ "U"; "V" ]
-let test_irregular = determinism_case (Programs.irregular ~n:40) ~finals:[ "A"; "C" ]
-
-(* Worker domains share each unit's DADs: ghost-widened descriptors
+(* The rank fibers share each unit's DADs: ghost-widened descriptors
    (overlap shifts), a callee's dummy descriptor (the CALL redistributes
-   into it) and the collapsed descriptor SUM(..., DIM) folds through. *)
-let test_shared_dads =
-  determinism_case ~sizes:[ 16 ] ~finals:[ "A"; "B"; "RS" ]
+   into it) and the collapsed descriptor SUM(..., DIM) folds through.
+   The 16-rank run on a 4x4 grid must match the same program on one
+   rank. *)
+let shared_dads_source grid =
+  Printf.sprintf
     {|
       PROGRAM SHARE
       INTEGER, PARAMETER :: N = 12
       REAL A(12, 12), B(12, 12), RS(12), T
       INTEGER K
-C$    PROCESSORS P(4, 4)
+C$    PROCESSORS P(%s)
 C$    TEMPLATE TP(12, 12)
 C$    ALIGN A(I, J) WITH TP(I, J)
 C$    ALIGN B(I, J) WITH TP(I, J)
@@ -84,6 +45,27 @@ C$    DISTRIBUTE X(CYCLIC, BLOCK)
       T = SUM(X) / 144.0
       END
 |}
+    grid
+
+let test_shared_dads () =
+  let run nprocs grid =
+    Driver.run ~model:Model.ipsc860 ~topology:Topology.Hypercube ~nprocs
+      (Driver.compile (shared_dads_source grid))
+  in
+  let r16 = run 16 "4, 4" and r1 = run 1 "1, 1" in
+  List.iter
+    (fun arr ->
+      checkb ("gathered " ^ arr) true
+        (F90d_base.Ndarray.approx_equal (Driver.final r16 arr) (Driver.final r1 arr)))
+    [ "A"; "B"; "RS" ]
+
+let test_jobs_only_one () =
+  let compiled = Driver.compile (Programs.gauss ~n:8) in
+  (match Driver.run ~jobs:2 ~nprocs:4 compiled with
+  | _ -> Alcotest.fail "~jobs:2 should raise Invalid_argument"
+  | exception Invalid_argument _ -> ());
+  let r = Driver.run ~jobs:1 ~nprocs:4 compiled in
+  checkb "~jobs:1 runs" true (r.Driver.elapsed > 0.)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule-cache isolation between consecutive runs                   *)
@@ -203,12 +185,10 @@ let test_concurrent_compiles () =
 let () =
   Alcotest.run "f90d_determinism"
     [
-      ( "parallel engine = sequential engine",
+      ( "one domain runs all fibers of a run",
         [
-          Alcotest.test_case "gauss" `Quick test_gauss;
-          Alcotest.test_case "jacobi (paper section 4)" `Quick test_jacobi;
-          Alcotest.test_case "irregular PARTI (paper section 5.3.2)" `Quick test_irregular;
           Alcotest.test_case "shared DADs on a 4x4 grid" `Quick test_shared_dads;
+          Alcotest.test_case "Driver.run accepts only ~jobs:1" `Quick test_jobs_only_one;
         ] );
       ( "schedule cache isolation",
         [

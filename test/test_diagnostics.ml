@@ -236,6 +236,45 @@ let test_scalar_element_out_of_bounds () =
           Alcotest.(check int) (stmt ^ ": line") 6 loc.Loc.line)
     [ ("      W(I) = 1.0", 0, "W"); ("      A(I) = 1.0", 9, "A"); ("      X = W(I)", 9, "W") ]
 
+(* A DIM argument outside 1..rank (1..rank+1 for SPREAD) is a located
+   error naming the intrinsic, the value, the range and the array: not an
+   unlocated index-out-of-bounds, and not a SPREAD that silently runs. *)
+let test_dim_out_of_range () =
+  List.iter
+    (fun (stmt, intrinsic, dim, hi) ->
+      let src =
+        String.concat "\n"
+          [
+            "      PROGRAM T";
+            "      REAL A(8), B(8), C(8, 8)";
+            "      INTEGER K";
+            "C$    DISTRIBUTE A(BLOCK)";
+            "      A = 1.0";
+            "      " ^ stmt;
+            "      END";
+            "";
+          ]
+      in
+      match Driver.run ~nprocs:4 (Driver.compile src) with
+      | _ -> Alcotest.failf "%s ran without an error" stmt
+      | exception Diag.Error (loc, msg) ->
+          Alcotest.(check string) (stmt ^ ": message")
+            (Printf.sprintf "DIM=%d of %s is outside the range 1:%d of array A" dim intrinsic hi)
+            msg;
+          Alcotest.(check int) (stmt ^ ": line") 6 loc.Loc.line)
+    [
+      ("K = SIZE(A, 3)", "SIZE", 3, 1);
+      ("K = LBOUND(A, 0)", "LBOUND", 0, 1);
+      ("K = UBOUND(A, 2)", "UBOUND", 2, 1);
+      ("B = CSHIFT(A, 1, 3)", "CSHIFT", 3, 1);
+      ("B = CSHIFT(A, 1, 0)", "CSHIFT", 0, 1);
+      ("B = EOSHIFT(A, 1, 0.0, 2)", "EOSHIFT", 2, 1);
+      ("B = SUM(A, 2)", "SUM", 2, 1);
+      ("B = SUM(A, 0)", "SUM", 0, 1);
+      ("C = SPREAD(A, 0, 8)", "SPREAD", 0, 2);
+      ("C = SPREAD(A, 3, 8)", "SPREAD", 3, 2);
+    ]
+
 let test_call_arity () =
   expect_runtime_error
     {|
@@ -308,8 +347,8 @@ let test_integer_division_by_zero () =
 
 (* An indirection subscript outside the declared bounds is a located
    error naming the array, the index and the bounds, for a scatter write
-   and for a gather read, with and without the kernels and under the
-   parallel engine: never an internal error out of the owner mapping. *)
+   and for a gather read, with and without the kernels: never an
+   internal error out of the owner mapping. *)
 let test_indirection_out_of_bounds () =
   let off = { F90d_opt.Passes.all_on with F90d_opt.Passes.blocked_kernels = false } in
   List.iter
@@ -334,19 +373,15 @@ let test_indirection_out_of_bounds () =
           ]
       in
       List.iter
-        (fun (mode, flags, jobs) ->
+        (fun (mode, flags) ->
           let name = Printf.sprintf "%s (%s)" (String.trim stmt) mode in
-          match Driver.run ~nprocs:4 ~jobs (Driver.compile ~flags src) with
+          match Driver.run ~nprocs:4 (Driver.compile ~flags src) with
           | _ -> Alcotest.failf "%s ran without an error" name
           | exception Diag.Error (loc, msg) ->
               Alcotest.(check string)
                 (name ^ ": message") "index 17 of C dim 1 is outside the declared bounds 1:16" msg;
               Alcotest.(check int) (name ^ ": line") 12 loc.Loc.line)
-        [
-          ("kernels on", F90d_opt.Passes.all_on, 1);
-          ("kernels off", off, 1);
-          ("jobs 4", F90d_opt.Passes.all_on, 4);
-        ])
+        [ ("kernels on", F90d_opt.Passes.all_on); ("kernels off", off) ])
     [ "      FORALL (I = 1:N) C(U(I)) = A(I)"; "      FORALL (I = 1:N) A(I) = C(U(I))" ]
 
 (* An array dummy bound to anything but a whole array is a located error
@@ -417,5 +452,6 @@ let () =
             test_indirection_out_of_bounds;
           Alcotest.test_case "scalar element out of bounds" `Quick
             test_scalar_element_out_of_bounds;
+          Alcotest.test_case "DIM argument out of range" `Quick test_dim_out_of_range;
         ] );
     ]

@@ -1,5 +1,5 @@
 (* Differential-fuzzing regression suite: replay the shrunk corpus
-   repros against the full rank/jobs/passes matrix, pin the generator's
+   repros against the full rank/passes matrix, pin the generator's
    determinism, and unit-test the compiler fixes the fuzzer flushed out
    (zero-amount shift union, descending strides, stale gather
    schedules). *)

@@ -13,7 +13,7 @@ let checki = Alcotest.(check int)
 let on_flags = F90d_opt.Passes.all_on
 let off_flags = { F90d_opt.Passes.all_on with F90d_opt.Passes.blocked_kernels = false }
 
-let run ?(nprocs = 4) ?jobs flags src = Driver.run ~nprocs ?jobs (Driver.compile ~flags src)
+let run ?(nprocs = 4) flags src = Driver.run ~nprocs (Driver.compile ~flags src)
 
 (* Exact (bitwise) agreement of two runs: program output, every final
    array, every final scalar, and the simulated clock. *)
@@ -142,14 +142,6 @@ C$    ALIGN A(I) WITH K(I)
       FORALL (I = 1:9) A(I) = K(I) / 4.0 + MERGE(1.0, 0.0, I == 5)
       END
       |})
-
-let test_jobs_byte_identity () =
-  (* the kernel layer must be deterministic under real parallelism:
-     sequential and --jobs 4 runs of the same program agree bitwise *)
-  let src = Programs.gauss ~n:23 in
-  let seq = run ~nprocs:4 ~jobs:1 on_flags src in
-  let par = run ~nprocs:4 ~jobs:4 on_flags src in
-  check_identical "gauss seq vs jobs=4" seq par
 
 (* ------------------------------------------------------------------ *)
 (* Row strips run every kernel nest                                    *)
@@ -341,7 +333,6 @@ let () =
           Alcotest.test_case "dot product and folds" `Quick test_dot_product_and_folds;
           Alcotest.test_case "non-unit lower bounds" `Quick test_nonunit_lower_bounds;
           Alcotest.test_case "int/real mix" `Quick test_int_real_mix;
-          Alcotest.test_case "seq vs jobs=4 byte identity" `Quick test_jobs_byte_identity;
         ] );
       ( "row strips",
         [

@@ -209,114 +209,31 @@ let test_charges () =
     report.Engine.results.(0)
 
 (* ------------------------------------------------------------------ *)
-(* Domain-parallel engine                                              *)
+(* One domain per run                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_parallel_matches_sequential () =
-  (* an all-to-all with rank-dependent compute: every clock, stat and
-     result must be bit-identical to the sequential engine *)
+let test_fibers_on_calling_domain () =
+  (* state shared by a run's fibers needs no lock because every fiber
+     executes on the domain that called [Engine.run] *)
   let p = 8 in
-  let program ctx =
-    let me = Engine.rank ctx in
-    Engine.charge_flops ctx (100 * (me + 1));
-    for d = 0 to p - 1 do
-      if d <> me then Engine.send ctx ~dest:d ~tag:me (Message.Scalar (Scalar.Int (100 + me)))
-    done;
-    let acc = ref 0 in
-    for s = 0 to p - 1 do
-      if s <> me then acc := !acc + Scalar.to_int (Message.scalar (Engine.recv ctx ~src:s ~tag:s))
-    done;
-    !acc
-  in
-  let cfg () = Engine.config ~model:Model.ipsc860 ~topology:Hypercube p in
-  let seq = Engine.run (cfg ()) program in
-  let par = Engine.run_parallel ~jobs:4 (cfg ()) program in
-  Alcotest.(check (array int)) "results" seq.Engine.results par.Engine.results;
-  Alcotest.(check (array (float 0.))) "clocks" seq.Engine.clocks par.Engine.clocks;
-  checkf "elapsed" seq.Engine.elapsed par.Engine.elapsed;
-  check "messages" seq.Engine.stats.Stats.messages par.Engine.stats.Stats.messages;
-  checkb "per-tag" true (Stats.per_tag seq.Engine.stats = Stats.per_tag par.Engine.stats);
-  Alcotest.(check (float 0.)) "recv_wait" seq.Engine.stats.Stats.recv_wait
-    par.Engine.stats.Stats.recv_wait
-
-let test_parallel_fifo_and_tags () =
-  let cfg = Engine.config 2 in
+  let caller = (Domain.self () :> int) in
   let report =
-    Engine.run_parallel ~jobs:2 cfg (fun ctx ->
-        match Engine.rank ctx with
-        | 0 ->
-            List.iter
-              (fun i -> Engine.send ctx ~dest:1 ~tag:3 (Message.Scalar (Scalar.Int i)))
-              [ 1; 2; 3 ];
-            Engine.send ctx ~dest:1 ~tag:9 (Message.Scalar (Scalar.Int 99));
-            []
-        | _ ->
-            let nine = Scalar.to_int (Message.scalar (Engine.recv ctx ~src:0 ~tag:9)) in
-            nine
-            :: List.map
-                 (fun _ -> Scalar.to_int (Message.scalar (Engine.recv ctx ~src:0 ~tag:3)))
-                 [ (); (); () ])
-  in
-  Alcotest.(check (list int)) "tag 9 first, then FIFO" [ 99; 1; 2; 3 ] report.Engine.results.(1)
-
-let test_parallel_deadlock () =
-  let cfg = Engine.config 3 in
-  match
-    Engine.run_parallel ~jobs:3 cfg (fun ctx ->
-        ignore (Engine.recv ctx ~src:(Engine.rank ctx) ~tag:9))
-  with
-  | _ -> Alcotest.fail "expected deadlock"
-  | exception Engine.Deadlock _ -> ()
-
-let test_parallel_exception () =
-  let cfg = Engine.config 4 in
-  match
-    Engine.run_parallel ~jobs:2 cfg (fun ctx ->
-        if Engine.rank ctx = 2 then failwith "node crash" else ())
-  with
-  | _ -> Alcotest.fail "expected failure"
-  | exception Failure msg -> Alcotest.(check string) "message" "node crash" msg
-
-let test_parallel_jobs_one_is_sequential () =
-  let cfg = Engine.config 2 in
-  let r =
-    Engine.run_parallel ~jobs:1 cfg (fun ctx ->
-        if Engine.rank ctx = 0 then
-          Engine.send ctx ~dest:1 ~tag:1 (Message.Scalar (Scalar.Int 5));
-        if Engine.rank ctx = 1 then
-          Scalar.to_int (Message.scalar (Engine.recv ctx ~src:0 ~tag:1))
-        else 0)
-  in
-  check "value" 5 r.Engine.results.(1)
-
-let prop_parallel_matches_sequential =
-  QCheck.Test.make ~name:"run_parallel: report bit-identical to run" ~count:40
-    (* log2 of the machine size: hypercubes only exist at powers of two *)
-    QCheck.(triple (int_range 0 3) (int_range 0 30) (int_range 2 4))
-    (fun (logp, work, jobs) ->
-      let p = 1 lsl logp in
-      let program ctx =
+    Engine.run (Engine.config p) (fun ctx ->
         let me = Engine.rank ctx in
-        Engine.charge_flops ctx (work * (1 + me));
-        if me > 0 then begin
-          Engine.send ctx ~dest:0 ~tag:1 (Message.Scalar (Scalar.Int me));
-          0
-        end
-        else begin
-          let acc = ref 0 in
-          for s = 1 to p - 1 do
-            acc := !acc + Scalar.to_int (Message.scalar (Engine.recv ctx ~src:s ~tag:1))
-          done;
-          !acc
-        end
-      in
-      let cfg () = Engine.config ~model:Model.ipsc860 ~topology:Topology.Hypercube p in
-      let seq = Engine.run (cfg ()) program in
-      let par = Engine.run_parallel ~jobs (cfg ()) program in
-      seq.Engine.results = par.Engine.results
-      && seq.Engine.clocks = par.Engine.clocks
-      && seq.Engine.elapsed = par.Engine.elapsed
-      && Stats.per_tag seq.Engine.stats = Stats.per_tag par.Engine.stats)
+        let on_entry = (Domain.self () :> int) in
+        for d = 0 to p - 1 do
+          if d <> me then Engine.send ctx ~dest:d ~tag:me (Message.Scalar (Scalar.Int me))
+        done;
+        for s = 0 to p - 1 do
+          if s <> me then ignore (Engine.recv ctx ~src:s ~tag:s)
+        done;
+        (on_entry, (Domain.self () :> int)))
+  in
+  Array.iter
+    (fun (a, b) ->
+      check "domain at fiber start" caller a;
+      check "domain after receives" caller b)
+    report.Engine.results
 
 let prop_arrival_monotone =
   QCheck.Test.make ~name:"elapsed >= each processor clock >= 0" ~count:100
@@ -363,19 +280,19 @@ let collective_program p ctx =
   (v, s)
 
 let test_large_p_bit_identity () =
-  (* the scheduler rewrite changes fiber visit order; at P=1024 the
-     sequential and 4-worker reports must still agree bit for bit *)
+  (* the event-driven scheduler's visit order depends on mailbox state;
+     two runs of the same program at P=1024 must still agree bit for bit *)
   let p = 1024 in
   let cfg () = Engine.config ~model:Model.ipsc860 ~topology:Hypercube p in
-  let seq = Engine.run (cfg ()) (collective_program p) in
-  let par = Engine.run_parallel ~jobs:4 (cfg ()) (collective_program p) in
+  let r1 = Engine.run (cfg ()) (collective_program p) in
+  let r2 = Engine.run (cfg ()) (collective_program p) in
   let expect = (4242, p * (p + 1) / 2) in
-  Array.iter (fun r -> checkb "values" true (r = expect)) seq.Engine.results;
-  checkb "results" true (seq.Engine.results = par.Engine.results);
-  checkb "clocks" true (seq.Engine.clocks = par.Engine.clocks);
-  checkf "elapsed" seq.Engine.elapsed par.Engine.elapsed;
-  check "messages" seq.Engine.stats.Stats.messages par.Engine.stats.Stats.messages;
-  checkb "per-tag" true (Stats.per_tag seq.Engine.stats = Stats.per_tag par.Engine.stats)
+  Array.iter (fun r -> checkb "values" true (r = expect)) r1.Engine.results;
+  checkb "results" true (r1.Engine.results = r2.Engine.results);
+  checkb "clocks" true (r1.Engine.clocks = r2.Engine.clocks);
+  checkf "elapsed" r1.Engine.elapsed r2.Engine.elapsed;
+  check "messages" r1.Engine.stats.Stats.messages r2.Engine.stats.Stats.messages;
+  checkb "per-tag" true (Stats.per_tag r1.Engine.stats = Stats.per_tag r2.Engine.stats)
 
 let test_mailbox_sparse_after_broadcast () =
   (* drained channels must leave the mailbox table entirely: after the
@@ -440,7 +357,7 @@ let test_deadlock_truncated () =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_arrival_monotone; prop_parallel_matches_sequential ]
+    [ prop_arrival_monotone ]
 
 let () =
   Alcotest.run "f90d_machine"
@@ -466,14 +383,8 @@ let () =
           Alcotest.test_case "all-to-all" `Quick test_all_to_all;
           Alcotest.test_case "compute charges" `Quick test_charges;
         ] );
-      ( "parallel engine",
-        [
-          Alcotest.test_case "bit-identical report" `Quick test_parallel_matches_sequential;
-          Alcotest.test_case "FIFO and tag matching" `Quick test_parallel_fifo_and_tags;
-          Alcotest.test_case "deadlock detection" `Quick test_parallel_deadlock;
-          Alcotest.test_case "exception propagation" `Quick test_parallel_exception;
-          Alcotest.test_case "jobs=1 falls back" `Quick test_parallel_jobs_one_is_sequential;
-        ] );
+      ( "domain affinity",
+        [ Alcotest.test_case "every fiber on the calling domain" `Quick test_fibers_on_calling_domain ] );
       ( "scale",
         [
           Alcotest.test_case "bit-identical at P=1024" `Quick test_large_p_bit_identity;

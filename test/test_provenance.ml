@@ -22,7 +22,7 @@ let cases =
 
 let run ~nprocs compiled =
   Driver.run ~collect_finals:false ~model:Model.ipsc860 ~topology:Topology.Hypercube
-    ~jobs:1 ~trace:true ~nprocs compiled
+    ~trace:true ~nprocs compiled
 
 let trace_of (r : Driver.run_result) =
   match r.Driver.trace with

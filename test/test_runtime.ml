@@ -146,7 +146,7 @@ let test_transfer_between_columns () =
 
 (* Teams are built once per grid and shared: on an 8x8 grid every rank's
    [team_all] is one physical array, and so is every rank's [team_along]
-   within one line — sequentially and under parallel worker domains. *)
+   within one line. *)
 let test_teams_shared () =
   let grid = Grid.make [| 8; 8 |] in
   let cfg = Engine.config ~model:Model.ideal (Grid.size grid) in
@@ -157,28 +157,25 @@ let test_teams_shared () =
       Collectives.team_along ctx ~dim:0,
       Collectives.team_along ctx ~dim:1 )
   in
-  List.iter
-    (fun jobs ->
-      let r = if jobs > 1 then Engine.run_parallel ~jobs cfg node else Engine.run cfg node in
-      let teams = Array.make 64 ([||], [||], [||]) in
-      Array.iter (fun (me, all, d0, d1) -> teams.(me) <- (all, d0, d1)) r.Engine.results;
-      let all0, _, _ = teams.(0) in
-      Array.iteri
-        (fun rank (all, d0, d1) ->
-          checkb "team_all shared" true (all == all0);
-          Array.iter
-            (fun peer ->
-              let _, p0, _ = teams.(peer) in
-              checkb "dim-0 line shared" true (p0 == d0))
-            d0;
-          Array.iter
-            (fun peer ->
-              let _, _, p1 = teams.(peer) in
-              checkb "dim-1 line shared" true (p1 == d1))
-            d1;
-          checkb "rank in its lines" true (Array.mem rank d0 && Array.mem rank d1))
-        teams)
-    [ 1; 4 ]
+  let r = Engine.run cfg node in
+  let teams = Array.make 64 ([||], [||], [||]) in
+  Array.iter (fun (me, all, d0, d1) -> teams.(me) <- (all, d0, d1)) r.Engine.results;
+  let all0, _, _ = teams.(0) in
+  Array.iteri
+    (fun rank (all, d0, d1) ->
+      checkb "team_all shared" true (all == all0);
+      Array.iter
+        (fun peer ->
+          let _, p0, _ = teams.(peer) in
+          checkb "dim-0 line shared" true (p0 == d0))
+        d0;
+      Array.iter
+        (fun peer ->
+          let _, _, p1 = teams.(peer) in
+          checkb "dim-1 line shared" true (p1 == d1))
+        d1;
+      checkb "rank in its lines" true (Array.mem rank d0 && Array.mem rank d1))
+    teams
 
 (* ------------------------------------------------------------------ *)
 (* Darray                                                              *)
