@@ -82,6 +82,11 @@ val alloc_local : t -> rank:int -> F90d_base.Ndarray.t
     bound of each dimension is [-ghost_lo] so owned local indices start
     at 0. *)
 
+val checked_a0 : t -> int -> int -> int
+(** [checked_a0 t dim g]: the 0-based position of Fortran subscript [g]
+    in dimension [dim], or the located [Diag] error naming the array, the
+    index and the declared bounds when [g] is outside the declaration. *)
+
 val home_rank : t -> int array -> int
 (** The rank owning a global (Fortran-indexed) element, at coordinate 0
     along grid dimensions the array is not distributed over; does not

@@ -687,36 +687,8 @@ let compile_comm cx (c : Ir.comm) =
         fun st ftemps ->
           let g0 = g0 st in
           let a = amount st no_frame in
-          let darr = st.arrays.(k) in
           let slab =
-            if fused then Structured.multicast_shift st.ctx darr ~mdim ~g:g0 ~sdim ~amount:a
-            else begin
-              (* unfused: shift everywhere, then broadcast the slice *)
-              let shifted = Structured.temporary_shift st.ctx darr ~dim:sdim ~amount:a in
-              let dad = darr.Darray.dad in
-              let d = (Dad.dims dad).(mdim) in
-              let pd =
-                match d.Dad.pdim with
-                | Some p -> p
-                | None -> Diag.bug "interp: multicast dim not distributed"
-              in
-              let team = Collectives.team_along st.ctx ~dim:pd in
-              let root = Distrib.owner d.Dad.dist (Affine.eval d.Dad.align g0) in
-              let payload =
-                if (Rctx.my_coords st.ctx).(pd) <> root then Message.Empty
-                else begin
-                  let lo = Array.copy shifted.Ndarray.lb in
-                  let extents = Array.copy shifted.Ndarray.extents in
-                  let lay = Dad.layout_at dad ~dim:mdim ~rank:(me st) in
-                  lo.(mdim) <- lo.(mdim) + Layout.local_of_global lay g0;
-                  extents.(mdim) <- 1;
-                  Message.Arr (Ndarray.get_box shifted ~lo ~extents)
-                end
-              in
-              match Collectives.broadcast st.ctx team ~root payload with
-              | Message.Arr s -> s
-              | _ -> Diag.bug "interp: multicast protocol error"
-            end
+            Structured.multicast_shift st.ctx st.arrays.(k) ~fused ~mdim ~g:g0 ~sdim ~amount:a
           in
           Hashtbl.replace ftemps ms_temp (Kernel.Tbox slab)
     | Ir.Concat { arr; temp } ->

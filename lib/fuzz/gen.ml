@@ -30,6 +30,7 @@ type sub =
   | Stwo of string * int  (* 2*var + off *)
   | Sconst of int
   | Sind of string * string * int  (* V(var + off): indirection *)
+  | Sscal of string * string  (* var + scalar *)
 
 type expr =
   | L of int
@@ -91,6 +92,9 @@ type g = {
       (* FORALLs may write through the index array, X(V(I + o)): every
          assignment to V then keeps it a permutation of [1, n1], so the
          writes of distinct iterations stay distinct *)
+  crng : Rng.t;
+      (* draws for the inserted comm shapes only ({!comm_shapes}), for the
+         same reason *)
 }
 
 let extent g a = if List.length a.adims = 1 then g.n1 else g.n2
@@ -443,6 +447,106 @@ let gen_dists g ~grid_rank ~rank =
         else Dstar)
       forms
 
+(* Comm shapes that random bodies almost never reach, drawn from
+   [g.crng] only and inserted at a random top-level position:
+   - a coalescable FORALL pair: two same-direction shifts of BLOCK 1-D
+     arrays, or two transfers between the same rows of 2-D arrays, the
+     first not writing the second's source;
+   - on a 2-D grid, the multicast_shift read X(I, J) = Y(c, J + S2)
+     (§5.3.1, example 3), after an assignment of its shift to S2. *)
+(* (lhs, source) pairs a copy FORALL may assign: same kind and layout *)
+let moves arrays =
+  List.concat_map
+    (fun y ->
+      List.filter_map
+        (fun x ->
+          if x.aindex || x.akind <> y.akind || x.adist <> y.adist then None else Some (x, y))
+        arrays)
+    arrays
+
+let copy_pairs g arrays =
+  let moves = moves arrays in
+  List.concat_map
+    (fun (x, y) ->
+      List.filter_map
+        (fun (z, w) -> if w.aname = x.aname then None else Some ((x, y), (z, w)))
+        moves)
+    moves
+  |> function
+  | [] -> None
+  | l -> Some (Rng.pickl g.crng l)
+
+let shift_pair g =
+  match copy_pairs g (List.filter (fun a -> a.adist = [ Dblock ]) (arrays_of_rank g 1)) with
+  | None -> []
+  | Some (m1, m2) ->
+      let sign = if Rng.bool g.crng then 1 else -1 in
+      let member (x, y) =
+        let o = sign * Rng.range g.crng 1 3 in
+        Forall
+          {
+            vars = [ ("I", max 1 (1 - o), min g.n1 (g.n1 - o), 1) ];
+            mask = None;
+            lhs = x.aname;
+            lsubs = [ Splus ("I", 0) ];
+            rhs = A (y.aname, [ Splus ("I", o) ]);
+          }
+      in
+      let first = member m1 in
+      [ first; member m2 ]
+
+let transfer_pair g =
+  match copy_pairs g (List.filter (fun a -> List.hd a.adist <> Dstar) (arrays_of_rank g 2)) with
+  | None -> []
+  | Some (m1, m2) ->
+      let dest = Rng.range g.crng 1 g.n2 in
+      let src = Rng.range g.crng 1 g.n2 in
+      let member (x, y) =
+        Forall
+          {
+            vars = [ ("J", 1, g.n2, 1) ];
+            mask = None;
+            lhs = x.aname;
+            lsubs = [ Sconst dest; Splus ("J", 0) ];
+            rhs = A (y.aname, [ Sconst src; Splus ("J", 0) ]);
+          }
+      in
+      [ member m1; member m2 ]
+
+let mshift_read g ~grid =
+  let full = List.filter (fun a -> not (List.mem Dstar a.adist)) (arrays_of_rank g 2) in
+  match (grid, moves full) with
+  | Some 2, (_ :: _ as l) ->
+      let x, y = Rng.pickl g.crng l in
+      let c = Rng.range g.crng 1 g.n2 in
+      let o = Rng.range g.crng (1 - g.n2) (g.n2 - 1) in
+      [
+        SAssign ("S2", L o);
+        Forall
+          {
+            vars = [ ("I", 1, g.n2, 1); ("J", max 1 (1 - o), min g.n2 (g.n2 - o), 1) ];
+            mask = None;
+            lhs = x.aname;
+            lsubs = [ Splus ("I", 0); Splus ("J", 0) ];
+            rhs = A (y.aname, [ Sconst c; Sscal ("J", "S2") ]);
+          };
+      ]
+  | _ -> []
+
+let insert g stmts body =
+  if stmts = [] then body
+  else
+    let at = Rng.range g.crng 0 (List.length body) in
+    List.filteri (fun i _ -> i < at) body @ stmts @ List.filteri (fun i _ -> i >= at) body
+
+let comm_shapes g ~grid body =
+  let body =
+    if Rng.chance g.crng 30 then
+      insert g (if Rng.bool g.crng then shift_pair g else transfer_pair g) body
+    else body
+  in
+  if Rng.chance g.crng 30 then insert g (mshift_read g ~grid) body else body
+
 let generate ~seed =
   let rng = Rng.make seed in
   let n1 = Rng.range rng 6 12 in
@@ -452,7 +556,15 @@ let generate ~seed =
   in
   let grid_rank = match grid with None -> 1 | Some r -> r in
   let g0 =
-    { rng; n1; n2; arrays = []; srng = Rng.make ((seed * 7919) + 0x5CA7); scatter = false }
+    {
+      rng;
+      n1;
+      n2;
+      arrays = [];
+      srng = Rng.make ((seed * 7919) + 0x5CA7);
+      scatter = false;
+      crng = Rng.make ((seed * 6151) + 0xC0A1);
+    }
   in
   let n_one = Rng.range rng 2 4 and n_two = Rng.range rng 1 2 in
   let with_index = Rng.chance rng 50 in
@@ -488,6 +600,7 @@ let generate ~seed =
       ]
   in
   let body = List.init (Rng.range rng 4 10) (fun _ -> gen_stm g [] ~depth:0) in
+  let body = comm_shapes g ~grid body in
   {
     pseed = seed;
     n1;
@@ -515,6 +628,7 @@ let pp_sub = function
   | Sind (va, v, 0) -> Printf.sprintf "%s(%s)" va v
   | Sind (va, v, o) when o > 0 -> Printf.sprintf "%s(%s + %d)" va v o
   | Sind (va, v, o) -> Printf.sprintf "%s(%s - %d)" va v (-o)
+  | Sscal (v, s) -> Printf.sprintf "%s + %s" v s
 
 let pp_float x =
   if Float.is_integer x then Printf.sprintf "%.1f" x else Printf.sprintf "%.2f" x

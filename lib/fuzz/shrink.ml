@@ -12,7 +12,7 @@ open Gen
 (* every array name a statement mentions *)
 let rec sub_arrays = function
   | Sind (v, _, _) -> [ v ]
-  | Splus _ | Sminus _ | Stwo _ | Sconst _ -> []
+  | Splus _ | Sminus _ | Stwo _ | Sconst _ | Sscal _ -> []
 
 and expr_arrays = function
   | L _ | F _ | V _ -> []
@@ -56,7 +56,7 @@ let simpler_exprs e =
 let simpler_sub = function
   | Splus (_, 0) -> []
   | Splus (v, _) -> [ Splus (v, 0) ]
-  | Sminus (v, _) | Stwo (v, _) | Sind (_, v, _) -> [ Splus (v, 0) ]
+  | Sminus (v, _) | Stwo (v, _) | Sind (_, v, _) | Sscal (v, _) -> [ Splus (v, 0) ]
   | Sconst 1 -> []
   | Sconst _ -> [ Sconst 1 ]
 

@@ -9,7 +9,9 @@
     its local loop indices.
 
     Global indices ([g], [gsrc], ...) are 0-based positions in the array
-    dimension (the caller converts from Fortran indices). *)
+    dimension (the caller converts from Fortran indices).  A slice index
+    outside the declared bounds is the located [Diag] error of
+    {!F90d_dist.Dad.checked_a0}. *)
 
 open F90d_base
 
@@ -53,21 +55,26 @@ val temporary_shift : Rctx.t -> Darray.t -> dim:int -> amount:int -> Ndarray.t
     shift amount; one vectorized message per communicating pair. *)
 
 val multicast_shift :
-  Rctx.t -> Darray.t -> mdim:int -> g:int -> sdim:int -> amount:int -> Ndarray.t
-(** Fused multicast + shift (§5.3.1, example 3): the owner row performs the
-    shift among itself, then broadcasts — saving the temporary copies and
-    message unpacking of running the two primitives over the full grid. *)
+  Rctx.t -> Darray.t -> fused:bool -> mdim:int -> g:int -> sdim:int -> amount:int -> Ndarray.t
+(** Multicast of a shifted slice: the result of {!multicast} on
+    [dim = mdim] of {!temporary_shift} along [sdim].  Unfused, every
+    processor shifts and the owner row broadcasts its slice.  Fused
+    (§5.3.1, example 3), only the owner row shifts among itself before
+    the broadcast — saving the temporary copies and message unpacking of
+    running the two primitives over the full grid. *)
 
 val concat : Rctx.t -> Darray.t -> Ndarray.t
 (** The concatenation primitive: the full global array, replicated. *)
 
 (** {2 Coalesced batches}
 
-    Batched variants pack every member slab bound for the same rank pair
-    into one [Message.List] (member order), charging one latency per
-    pair instead of one per member.  Members carry the sid of the
-    statement whose traffic they perform; each packed send is traced
-    with the per-member (sid, bytes) split. *)
+    A batch is another transport for the same peer plans: each member
+    computes exactly the plan its single primitive would, and every
+    member slab bound for the same rank pair travels in one
+    [Message.List] (member order) instead of one [Message.Arr] each,
+    charging one latency per pair instead of one per member.  Members
+    carry the sid of the statement whose traffic they perform; each
+    packed send is traced with the per-member (sid, bytes) split. *)
 
 val overlap_shift_batch : Rctx.t -> (Darray.t * int * int * int) list -> unit
 (** Members are [(darr, dim, amount, sid)]; semantics of each member are

@@ -196,6 +196,46 @@ let test_coalesce_refused_when_interleaved_write () =
   let r_plain = messages (Driver.compile ~flags:Passes.all_off src) in
   checkb "finals bit-identical" true (nd_eq (Driver.final r_opt "U") (Driver.final r_plain "U"))
 
+(* The batch wire format, pinned on the two coalescing corpus programs:
+   exact message and byte totals, the number of packed sends (traced
+   with a per-member [parts] split), and finals equal to the run with
+   every pass off. *)
+let test_batch_wire_format () =
+  List.iter
+    (fun (file, kind, finals, (msgs, bytes, packed)) ->
+      let src = In_channel.with_open_bin (Filename.concat "corpus" file) In_channel.input_all in
+      let compiled = Driver.compile ~flags:coalesce_only src in
+      (match comm_batches compiled.Driver.c_ir with
+      | [ ((c, _) :: _ as members) ] ->
+          Alcotest.(check string) (file ^ ": batch kind") kind (Ir.comm_name c);
+          Alcotest.(check int) (file ^ ": batch of two") 2 (List.length members)
+      | l -> Alcotest.failf "%s: expected one Comm_batch, found %d" file (List.length l));
+      let r = messages ~trace:true compiled in
+      let r_off = messages (Driver.compile ~flags:Passes.all_off src) in
+      Alcotest.(check int) (file ^ ": messages") msgs r.Driver.stats.Stats.messages;
+      Alcotest.(check int) (file ^ ": bytes") bytes r.Driver.stats.Stats.bytes;
+      let tr = Option.get r.Driver.trace in
+      let sends_with_parts =
+        List.init (F90d_trace.Trace.nprocs tr) (fun rank ->
+            Array.to_list (F90d_trace.Trace.events tr ~rank)
+            |> List.filter (fun (e : F90d_trace.Trace.event) ->
+                   match e.F90d_trace.Trace.kind with
+                   | F90d_trace.Trace.Send { parts; _ } -> Array.length parts > 0
+                   | _ -> false)
+            |> List.length)
+        |> List.fold_left ( + ) 0
+      in
+      Alcotest.(check int) (file ^ ": packed sends") packed sends_with_parts;
+      List.iter
+        (fun a ->
+          checkb (file ^ ": " ^ a ^ " = all_off") true
+            (nd_eq (Driver.final r a) (Driver.final r_off a)))
+        finals)
+    [
+      ("batch_shift_mixed.f90d", "overlap_shift", [ "B"; "D" ], (39, 9408, 3));
+      ("batch_transfer.f90d", "transfer", [ "A"; "C" ], (38, 49408, 2));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* The replica cache on Gaussian elimination                           *)
 (* ------------------------------------------------------------------ *)
@@ -462,6 +502,7 @@ let () =
           Alcotest.test_case "batches same-direction shifts" `Quick test_coalesce_batches;
           Alcotest.test_case "refuses interleaved write" `Quick
             test_coalesce_refused_when_interleaved_write;
+          Alcotest.test_case "batch wire format" `Quick test_batch_wire_format;
           Alcotest.test_case "gauss >= 20% fewer messages" `Quick
             test_gauss_message_reduction;
           Alcotest.test_case "replica cache invalidates on write" `Quick

@@ -236,6 +236,66 @@ let test_scalar_element_out_of_bounds () =
           Alcotest.(check int) (stmt ^ ": line") 6 loc.Loc.line)
     [ ("      W(I) = 1.0", 0, "W"); ("      A(I) = 1.0", 9, "A"); ("      X = W(I)", 9, "W") ]
 
+(* A comm's slice index outside the declared bounds (a run-time scalar
+   subscript in a multicast, transfer or multicast_shift reference) is
+   the located error of the declaration on the referencing statement's
+   line, on every path that builds the peer plan: not an internal error
+   from the owner lookup. *)
+let test_comm_slice_out_of_bounds () =
+  List.iter
+    (fun (k, body, path) ->
+      let src =
+        String.concat "\n"
+          ([
+             "      PROGRAM T";
+             "      INTEGER K, S";
+             "      REAL A(8, 8), B(8, 8), C(8, 8), D(8, 8)";
+             "C$    PROCESSORS P(2, 2)";
+             "C$    TEMPLATE TT(8, 8)";
+             "C$    ALIGN A(I, J) WITH TT(I, J)";
+             "C$    ALIGN B(I, J) WITH TT(I, J)";
+             "C$    ALIGN C(I, J) WITH TT(I, J)";
+             "C$    ALIGN D(I, J) WITH TT(I, J)";
+             "C$    DISTRIBUTE TT(BLOCK, BLOCK)";
+             "      S = 1";
+             Printf.sprintf "      K = %d" k;
+           ]
+          @ body @ [ "      END"; "" ])
+      in
+      let compiled = Driver.compile ~flags:F90d_opt.Passes.all_on src in
+      let explain = F90d_report.Report.explain_text compiled.Driver.c_ir in
+      checkb (path ^ ": takes the path") true
+        (try
+           ignore (Str.search_forward (Str.regexp_string path) explain 0);
+           true
+         with Not_found -> false);
+      match Driver.run ~nprocs:4 compiled with
+      | _ -> Alcotest.failf "%s with K = %d ran without an error" path k
+      | exception Diag.Error (loc, msg) ->
+          Alcotest.(check string) (path ^ ": message")
+            (Printf.sprintf "index %d of B dim 1 is outside the declared bounds 1:8" k)
+            msg;
+          (* the last body statement reads B(K, ...), except in the
+             batch, which runs at its first member's statement *)
+          let line = if path = "transfer[batch of 2]" then 13 else 12 + List.length body in
+          Alcotest.(check int) (path ^ ": line") line loc.Loc.line)
+    [
+      (12, [ "      FORALL (I = 1:8, J = 1:8) A(I, J) = B(K, J)" ], "communication: multicast\n");
+      (0, [ "      FORALL (J = 1:8) A(3, J) = B(K, J)" ], "communication: transfer\n");
+      ( 12,
+        [ "      FORALL (I = 1:8, J = 1:7) A(I, J) = B(K, J+S)" ],
+        "communication: multicast_shift" );
+      ( 12,
+        [
+          "      FORALL (I = 1:8, J = 1:8) C(I, J) = 2.0 * D(I, J)";
+          "      FORALL (I = 1:8, J = 1:8) A(I, J) = A(I, J) + B(K, J)";
+        ],
+        "multicast (split-phase" );
+      ( 12,
+        [ "      FORALL (J = 1:8) A(3, J) = B(K, J)"; "      FORALL (J = 1:8) C(3, J) = D(K, J)" ],
+        "transfer[batch of 2]" );
+    ]
+
 (* A DIM argument outside 1..rank (1..rank+1 for SPREAD) is a located
    error naming the intrinsic, the value, the range and the array: not an
    unlocated index-out-of-bounds, and not a SPREAD that silently runs. *)
@@ -453,5 +513,7 @@ let () =
           Alcotest.test_case "scalar element out of bounds" `Quick
             test_scalar_element_out_of_bounds;
           Alcotest.test_case "DIM argument out of range" `Quick test_dim_out_of_range;
+          Alcotest.test_case "comm slice index out of bounds" `Quick
+            test_comm_slice_out_of_bounds;
         ] );
     ]

@@ -521,15 +521,9 @@ let test_temporary_shift () =
   Alcotest.(check (array (float 1e-9))) "temporary shift" expected whole
 
 let test_multicast_shift () =
-  (* tmp(j) = M(3, j+2) broadcast along dim 0 with shift along dim 1 *)
+  (* tmp(j) = M(3, j+2) broadcast along dim 0 with shift along dim 1,
+     fused and unfused *)
   let dad = dad2 ~n:4 ~m:6 ~p:2 ~q:3 ~forms:(`Block, `Block) () in
-  let r =
-    run_grid [| 2; 3 |] (fun ctx ->
-        let a = Darray.init_global ctx dad init2 in
-        let tmp = Structured.multicast_shift ctx a ~mdim:0 ~g:2 ~sdim:1 ~amount:2 in
-        Array.init (tmp.Ndarray.extents.(1)) (fun j ->
-            Scalar.to_real (Ndarray.get tmp [| 1; j + 1 |])))
-  in
   (* each proc's row slab: for its owned columns j (global), value M(3, j+2) *)
   let expected_for coords =
     let layout = Distrib.make Block ~n:6 ~p:3 in
@@ -539,11 +533,23 @@ let test_multicast_shift () =
         if j + 2 < 6 then float_of_int ((100 * 3) + (j + 2 + 1)) else 0.)
   in
   let grid = Grid.make [| 2; 3 |] in
-  Array.iteri
-    (fun rank got ->
-      let coords = Grid.coords_of_rank grid rank in
-      Alcotest.(check (array (float 1e-9))) "multicast_shift" (expected_for coords.(1)) got)
-    (results r)
+  List.iter
+    (fun fused ->
+      let r =
+        run_grid [| 2; 3 |] (fun ctx ->
+            let a = Darray.init_global ctx dad init2 in
+            let tmp = Structured.multicast_shift ctx a ~fused ~mdim:0 ~g:2 ~sdim:1 ~amount:2 in
+            Array.init (tmp.Ndarray.extents.(1)) (fun j ->
+                Scalar.to_real (Ndarray.get tmp [| 1; j + 1 |])))
+      in
+      Array.iteri
+        (fun rank got ->
+          let coords = Grid.coords_of_rank grid rank in
+          Alcotest.(check (array (float 1e-9)))
+            (Printf.sprintf "multicast_shift fused=%b" fused)
+            (expected_for coords.(1)) got)
+        (results r))
+    [ true; false ]
 
 let test_concat () =
   let dad = dad1 ~form:`Cyclic ~n:9 ~p:3 () in
