@@ -162,41 +162,6 @@ let pp ppf t =
   if size t > n then Format.fprintf ppf ";@ ...";
   Format.fprintf ppf "]@]"
 
-let iter_box extents f =
-  let nd = Array.length extents in
-  let total = Array.fold_left ( * ) 1 extents in
-  if total > 0 then begin
-    let idx = Array.make nd 0 in
-    for _ = 1 to total do
-      f idx;
-      let rec bump d =
-        if d < nd then
-          if idx.(d) < extents.(d) - 1 then idx.(d) <- idx.(d) + 1
-          else begin
-            idx.(d) <- 0;
-            bump (d + 1)
-          end
-      in
-      bump 0
-    done
-  end
-
-let get_box t ~lo ~extents =
-  let out = create (kind t) extents in
-  let src_idx = Array.make (rank t) 0 in
-  iter_box extents (fun idx ->
-      Array.iteri (fun d i -> src_idx.(d) <- lo.(d) + i) idx;
-      let dst_idx = Array.map (( + ) 1) idx in
-      set out dst_idx (get t src_idx));
-  out
-
-let set_box t ~lo box =
-  let dst_idx = Array.make (rank t) 0 in
-  iter_box box.extents (fun idx ->
-      Array.iteri (fun d i -> dst_idx.(d) <- lo.(d) + i) idx;
-      let src_idx = Array.map (( + ) 1) idx in
-      set t dst_idx (get box src_idx))
-
 let slice_flat t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > size t then Diag.bug "ndarray: slice out of range";
   let data =

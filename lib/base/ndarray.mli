@@ -63,14 +63,6 @@ val approx_equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit
 (** Compact rendering for diagnostics and tests. *)
 
-val get_box : t -> lo:int array -> extents:int array -> t
-(** Copy of the rectangular sub-box starting at index [lo] (in the array's
-    own index space) with the given extents; the result has lower bounds
-    all 1. *)
-
-val set_box : t -> lo:int array -> t -> unit
-(** Write a box (shaped like a {!get_box} result) back at [lo]. *)
-
 val slice_flat : t -> pos:int -> len:int -> t
 (** One-dimensional window over the flat payload (copies). *)
 

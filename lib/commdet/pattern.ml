@@ -80,7 +80,28 @@ let classify_pair lhs_cls rhs_cls =
   | _, Subscript.Vector _ -> "gather / scatter"
   | _, _ -> "gather / scatter (unknown)"
 
+(* Normalization turns the sections of an array assignment into FORALL
+   indices, so a section still here was written inside a FORALL or as an
+   intrinsic's argument: each iteration reads and assigns one element. *)
+let rec reject_sections (e : Ast.expr) =
+  match e.Ast.e with
+  | Ast.Ref r ->
+      List.iter
+        (function
+          | Ast.Elem x -> reject_sections x
+          | Ast.Range _ ->
+              Diag.error ~loc:e.Ast.loc
+                "array section of '%s' where a FORALL assignment needs one element"
+                r.Ast.base)
+        r.Ast.args
+  | Ast.Bin (_, a, b) ->
+      reject_sections a;
+      reject_sections b
+  | Ast.Un (_, a) -> reject_sections a
+  | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Log_lit _ | Ast.Str_lit _ | Ast.Var _ -> ()
+
 let analyze_forall env ~vars ~mask ~lhs ~rhs =
+  List.iter reject_sections (lhs :: rhs :: Option.to_list mask);
   let var_names = List.map fst vars in
   let lhs_ref =
     match lhs.Ast.e with

@@ -700,33 +700,39 @@ let compile_comm cx (c : Ir.comm) =
            by the coalescing pass *)
         match members with
         | [] -> fun _ _ -> ()
-        | (Ir.Overlap_shift _, _) :: _ ->
+        | { Ir.hc = Ir.Overlap_shift _; _ } :: _ ->
             let members =
               List.map
                 (function
-                  | Ir.Overlap_shift { arr; dim; amount }, sid -> (caslot cx arr, dim, amount, sid)
+                  | { Ir.hc = Ir.Overlap_shift { arr; dim; amount }; hc_sid; _ } ->
+                      (caslot cx arr, dim, amount, hc_sid)
                   | _ -> Diag.bug "interp: mixed comm batch")
                 members
             in
             fun st _ ->
               Structured.overlap_shift_batch st.ctx
                 (List.map (fun (k, dim, amount, sid) -> (st.arrays.(k), dim, amount, sid)) members)
-        | (Ir.Transfer _, _) :: _ ->
+        | { Ir.hc = Ir.Transfer _; _ } :: _ ->
             let members =
               List.map
                 (function
-                  | Ir.Transfer { arr; dim; src; dest; temp }, sid ->
-                      (caslot cx arr, dim, csub cx arr ~dim src, csub cx arr ~dim dest, sid, temp)
+                  | { Ir.hc = Ir.Transfer { arr; dim; src; dest; temp }; hc_sid = sid; hc_loc } ->
+                      let k = caslot cx arr and s0 = csub cx arr ~dim src in
+                      let d0 = csub cx arr ~dim dest in
+                      (* the member's slices belong to its own statement *)
+                      let plan st =
+                        Rctx.at_stmt st.ctx ~sid ~loc:hc_loc (fun () ->
+                            Structured.transfer_member st.ctx st.arrays.(k) ~dim ~gsrc:(s0 st)
+                              ~gdest:(d0 st) ~sid)
+                      in
+                      (plan, temp)
                   | _ -> Diag.bug "interp: mixed comm batch")
                 members
             in
             fun st ftemps ->
-              Structured.transfer_batch st.ctx
-                (List.map
-                   (fun (k, dim, s0, d0, sid, _) -> (st.arrays.(k), dim, s0 st, d0 st, sid))
-                   members)
+              Structured.transfer_batch st.ctx (List.map (fun (plan, _) -> plan st) members)
               |> List.iter2
-                   (fun (_, _, _, _, _, temp) -> function
+                   (fun (_, temp) -> function
                      | Some slab ->
                          Hashtbl.replace ftemps temp (Kernel.Tbox slab);
                          (* consumers downstream of the anchor statement read
@@ -1140,8 +1146,7 @@ and cnode cx (s : Ir.stmt) : ustate -> unit =
   (* a pre-header or split half runs its comm under the provenance of
      the statement it was lifted from, then restores its own *)
   let as_origin (h : Ir.hoisted) run st =
-    Rctx.set_stmt st.ctx ~sid:h.Ir.hc_sid ~loc:h.Ir.hc_loc;
-    run st
+    Rctx.at_stmt st.ctx ~sid:h.Ir.hc_sid ~loc:h.Ir.hc_loc (fun () -> run st)
   in
   match s.Ir.s with
   | Ir.Forall f -> bumping f.Ir.f_lhs.Ast.base (compile_forall cx ~sid f)
@@ -1239,9 +1244,7 @@ and cnode cx (s : Ir.stmt) : ustate -> unit =
             as_origin h (fun st -> run st st.ptemps))
           cb_members
       in
-      fun st ->
-        if active st then List.iter (fun m -> m st) members;
-        Rctx.set_stmt st.ctx ~sid ~loc
+      fun st -> if active st then List.iter (fun m -> m st) members
   | (Ir.Comm_issue { sp_hid; sp_comm; sp_guard } | Ir.Comm_wait { sp_hid; sp_comm; sp_guard }) as n
     ->
       let active = csplit_guard cx sp_guard in
@@ -1251,11 +1254,7 @@ and cnode cx (s : Ir.stmt) : ustate -> unit =
           | Ir.Comm_issue _ -> compile_issue cx sp_hid sp_comm.Ir.hc
           | _ -> fun st -> exec_comm_wait st sp_hid)
       in
-      fun st ->
-        if active st then begin
-          run st;
-          Rctx.set_stmt st.ctx ~sid ~loc
-        end
+      fun st -> if active st then run st
 
 (* Whether a split-phase half executes.  [Sg_trip] re-evaluates the
    loop's own trip test (as [Guard_do] does); [Sg_next] asks whether the

@@ -130,6 +130,18 @@ let check_strides lookup (body : Ast.stmt list) =
   in
   List.iter stmt body
 
+(* Constant bounds of a declared shape.  An upper bound below the lower
+   bound minus one would give a negative extent. *)
+let extents_checked lookup ~loc ~what name dims =
+  List.mapi
+    (fun d (lo, hi) ->
+      let lo = eval_int lookup lo and hi = eval_int lookup hi in
+      if hi < lo - 1 then
+        Diag.error ~loc "%s '%s' dimension %d has bounds %d:%d, a negative extent" what name
+          (d + 1) lo hi;
+      (lo, hi))
+    dims
+
 let analyze_unit (sub : Ast.subprogram) =
   let params = Hashtbl.create 8 in
   let lookup v = Hashtbl.find_opt params v in
@@ -142,9 +154,7 @@ let analyze_unit (sub : Ast.subprogram) =
       | Some _, _ -> Diag.error ~loc:d.Ast.dloc "PARAMETER arrays are not supported"
       | None, [] -> scalars := (d.Ast.dname, d.Ast.dkind) :: !scalars
       | None, dims ->
-          let bounds =
-            List.map (fun (lo, hi) -> (eval_int lookup lo, eval_int lookup hi)) dims
-          in
+          let bounds = extents_checked lookup ~loc:d.Ast.dloc ~what:"array" d.Ast.dname dims in
           array_decls := (d.Ast.dname, d.Ast.dkind, bounds, d.Ast.dloc) :: !array_decls)
     sub.Ast.decls;
   let array_decls = List.rev !array_decls in
@@ -159,11 +169,9 @@ let analyze_unit (sub : Ast.subprogram) =
           if !grid <> None then Diag.error ~loc "duplicate PROCESSORS directive";
           grid := Some (Array.of_list (List.map (eval_int lookup) pdims))
       | Ast.Template { tname; tdims } ->
-          let flbs = Array.of_list (List.map (fun (lo, _) -> eval_int lookup lo) tdims) in
-          let ext =
-            Array.of_list
-              (List.map (fun (lo, hi) -> eval_int lookup hi - eval_int lookup lo + 1) tdims)
-          in
+          let bounds = extents_checked lookup ~loc ~what:"template" tname tdims in
+          let flbs = Array.of_list (List.map fst bounds) in
+          let ext = Array.of_list (List.map (fun (lo, hi) -> hi - lo + 1) bounds) in
           Hashtbl.replace templates tname
             {
               text = ext;
@@ -296,6 +304,15 @@ let analyze_unit (sub : Ast.subprogram) =
                             Affine.make ~a:f.Affine.a
                               ~b:(Affine.eval f lo - t.tflb.(td))
                           in
+                          (* an affine map sends the array's ends to
+                             the ends of its image *)
+                          let t0 = Affine.eval f lo and t1 = Affine.eval f hi in
+                          let tlo = t.tflb.(td) and thi = t.tflb.(td) + t.text.(td) - 1 in
+                          if hi >= lo && (min t0 t1 < tlo || max t0 t1 > thi) then
+                            Diag.error ~loc:aloc
+                              "ALIGN maps %s(%d:%d) to %s(%d:%d), outside the template's \
+                               bounds %d:%d in dimension %d"
+                              name lo hi target (min t0 t1) (max t0 t1) tlo thi (td + 1);
                           {
                             sflb = lo;
                             sext = hi - lo + 1;

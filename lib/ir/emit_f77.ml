@@ -89,7 +89,7 @@ let rec emit_comm b ind (c : Ir.comm) =
       line
         (Printf.sprintf "C     coalesced: %d messages packed into one per processor pair"
            (List.length members));
-      List.iter (fun (m, _sid) -> emit_comm b (ind ^ "  ") m) members
+      List.iter (fun (m : Ir.hoisted) -> emit_comm b (ind ^ "  ") m.Ir.hc) members
 
 (* continuation labels for processor-masking gotos, unique per statement:
    [labels] counts the FORALLs emitted so far in the unit *)

@@ -34,14 +34,20 @@ type comm =
   | Precomp_read of inspector
       (** schedule1 inspector over the reference's subscripts *)
   | Gather_read of inspector
-  | Comm_batch of (comm * int) list
+  | Comm_batch of hoisted list
       (** cross-statement coalesced batch: structurally-compatible
           members (same-direction overlap shifts, same-endpoint
-          transfers) in program order, each tagged with the sid of the
-          statement whose traffic it performs.  The runtime packs all
+          transfers) in program order, each tagged with the provenance of
+          the statement whose traffic it performs.  The runtime packs all
           members bound for the same rank pair into one message, so the
           engine charges one latency [alpha] per pair instead of one per
           member. *)
+
+(** One communication moved away from the statement it was lifted from
+    (into a loop pre-header, a split half or a coalesced batch), tagged
+    with that statement's provenance so traces, profiles and located
+    errors still name the originating line. *)
+and hoisted = { hc : comm; hc_sid : int; hc_loc : F90d_base.Loc.t }
 
 (** Post-communication (non-canonical lhs). *)
 type post =
@@ -94,11 +100,6 @@ type forall = {
           the identity subscript or never reads an element the statement
           writes, so the iterations may run in any order. *)
 }
-
-(** One communication lifted out of a loop by the hoisting pass, tagged
-    with the provenance of the statement it was lifted from so traces
-    and profiles still attribute the traffic to the originating line. *)
-type hoisted = { hc : comm; hc_sid : int; hc_loc : F90d_base.Loc.t }
 
 (** Pre-header guard: hoisted comms may only run when the loop body
     would execute at least once (a zero-trip loop must communicate
@@ -251,7 +252,7 @@ let rec comm_name = function
   | Precomp_read _ -> "precomp_read"
   | Gather_read _ -> "gather"
   | Comm_batch [] -> "comm_batch"
-  | Comm_batch ((c, _) :: _ as members) ->
+  | Comm_batch ({ hc = c; _ } :: _ as members) ->
       Printf.sprintf "%s[batch of %d]" (comm_name c) (List.length members)
 
 (** The array whose data a comm moves (None for batches, which carry

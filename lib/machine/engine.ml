@@ -97,6 +97,7 @@ let set_stmt ctx ~sid ~loc =
   ctx.sh.cur_loc.(ctx.me) <- loc;
   Trace.set_stmt ctx.sh.traces.(ctx.me) ~sid
 
+let current_stmt ctx = (ctx.sh.cur_sid.(ctx.me), ctx.sh.cur_loc.(ctx.me))
 
 let advance ctx dt =
   if dt < 0. then Diag.bug "engine: negative time advance";

@@ -131,6 +131,9 @@ val set_stmt : ctx -> sid:int -> loc:F90d_base.Loc.t -> unit
     line in {!Deadlock} payloads) and, when tracing is on, stamps every
     subsequent trace event with [sid] until the next call. *)
 
+val current_stmt : ctx -> int * F90d_base.Loc.t
+(** The pair last given to {!set_stmt} on this processor. *)
+
 val check_cancel : ctx -> unit
 (** Run the config's poll hook, if any.  The interpreter calls this once
     per statement so a request-timeout can interrupt long computations

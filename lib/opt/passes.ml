@@ -329,7 +329,11 @@ let batch_run (run : Ir.stmt list) =
           if eligible <> [] then begin
             let all = (key, i0, j0) :: eligible in
             let batch =
-              List.map (fun (_, i, j) -> (Option.get pres.(i).(j), stmts.(i).Ir.sid)) all
+              List.map
+                (fun (_, i, j) ->
+                  { Ir.hc = Option.get pres.(i).(j); hc_sid = stmts.(i).Ir.sid;
+                    hc_loc = stmts.(i).Ir.sloc })
+                all
             in
             List.iter (fun (_, i, j) -> pres.(i).(j) <- None) all;
             pres.(i0).(j0) <- Some (Ir.Comm_batch batch)

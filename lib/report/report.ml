@@ -42,10 +42,10 @@ let stmt_comms acc (st : Ir.stmt) =
         (function
           | Ir.Comm_batch members ->
               List.iter
-                (fun (c, sid) ->
-                  if sid <> st.Ir.sid then
-                    add_comms acc sid
-                      [ Printf.sprintf "%s (coalesced into stmt %d)" (Ir.comm_name c) st.Ir.sid ])
+                (fun { Ir.hc; hc_sid; _ } ->
+                  if hc_sid <> st.Ir.sid then
+                    add_comms acc hc_sid
+                      [ Printf.sprintf "%s (coalesced into stmt %d)" (Ir.comm_name hc) st.Ir.sid ])
                 members
           | _ -> ())
         f.Ir.f_pre

@@ -3,12 +3,14 @@ open F90d_dist
 open F90d_machine
 
 type cache_entry = ..
+type plan = ..
 
 type t = {
   eng : Engine.ctx;
   grid : Grid.t;
   sched_cache : (string, cache_entry) Hashtbl.t;
   versions : (string, int) Hashtbl.t;
+  mutable plans : plan list;
   mutable split_seq : int;
   kernels : bool;
 }
@@ -22,6 +24,7 @@ let make ?(kernels = true) eng grid =
     grid;
     sched_cache = Hashtbl.create 16;
     versions = Hashtbl.create 16;
+    plans = [];
     split_seq = 0;
     kernels;
   }
@@ -38,10 +41,21 @@ let time t = Engine.time t.eng
 let cache_find t key = Hashtbl.find_opt t.sched_cache key
 let cache_store t key entry = Hashtbl.replace t.sched_cache key entry
 let cache_fold t f acc = Hashtbl.fold f t.sched_cache acc
+let plans t = t.plans
+let add_plan t p = t.plans <- p :: t.plans
 let version t key = Option.value (Hashtbl.find_opt t.versions key) ~default:0
 let bump_version t key = Hashtbl.replace t.versions key (version t key + 1)
 let trace t = Engine.trace t.eng
 let set_stmt t ~sid ~loc = Engine.set_stmt t.eng ~sid ~loc
+
+let at_stmt t ~sid ~loc f =
+  let sid0, loc0 = Engine.current_stmt t.eng in
+  set_stmt t ~sid ~loc;
+  match f () with
+  | r ->
+      set_stmt t ~sid:sid0 ~loc:loc0;
+      r
+  | exception Diag.Error (l, msg) when l.Loc.line = 0 -> raise (Diag.Error (loc, msg))
 
 let send ?parts t ~dest ~tag payload =
   Engine.send ?parts t.eng ~dest:(Grid.phys_of_rank t.grid dest) ~tag payload

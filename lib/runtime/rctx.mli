@@ -29,6 +29,17 @@ val cache_fold : t -> (string -> cache_entry -> 'a -> 'a) -> 'a -> 'a
 (** Iterate the cache (order unspecified).  {!F90d_runtime.Schedule}
     uses this to export its entries for cross-process persistence. *)
 
+type plan = ..
+(** A peer plan of a structured primitive ({!Structured} extends this
+    variant).  The table is per rank and per run like the schedule cache,
+    but holds typed entries keyed by the caller, with no string keys.
+    One domain runs all of a run's fibers, so it needs no lock. *)
+
+val plans : t -> plan list
+(** The plans added so far, newest first. *)
+
+val add_plan : t -> plan -> unit
+
 val version : t -> string -> int
 (** Monotonic write-version counter under a caller-chosen key (0 until the
     first {!bump_version}).  The interpreter bumps one counter per array
@@ -46,6 +57,12 @@ val set_stmt : t -> sid:int -> loc:F90d_base.Loc.t -> unit
 (** Declare the statement about to execute (see
     {!F90d_machine.Engine.set_stmt}): stamps subsequent trace events and
     names the source line in deadlock diagnostics. *)
+
+val at_stmt : t -> sid:int -> loc:F90d_base.Loc.t -> (unit -> 'a) -> 'a
+(** [at_stmt t ~sid ~loc f] runs [f] as part of the statement [sid] at
+    [loc] (a communication lifted from it), then restores the current
+    statement.  A location-less [Diag] error from [f] is reported at
+    [loc]. *)
 
 val engine : t -> F90d_machine.Engine.ctx
 val grid : t -> F90d_dist.Grid.t

@@ -22,44 +22,46 @@ let team_of ctx darr dim = Collectives.team_along ctx ~dim:(pdim_of darr dim)
 
 let nd_of = function Message.Arr a -> a | _ -> Diag.bug "structured: protocol error"
 
-(* Copy the slices of [local] at the given storage positions along [dim]
-   into a fresh array whose [dim] extent is the number of slices. *)
-let gather_dim_slices ctx local ~dim ~counts positions =
-  let extents = Array.copy counts in
-  extents.(dim) <- Array.length positions;
-  let out = Ndarray.create (Ndarray.kind local) extents in
-  Array.iteri
-    (fun i pos ->
-      let lo = Array.make (Array.length counts) 0 in
-      lo.(dim) <- pos;
-      let box_extents = Array.copy counts in
-      box_extents.(dim) <- 1;
-      let slab = Ndarray.get_box local ~lo ~extents:box_extents in
-      let dst_lo = Array.make (Array.length counts) 1 in
-      dst_lo.(dim) <- i + 1;
-      Ndarray.set_box out ~lo:dst_lo slab)
-    positions;
-  Rctx.charge_copy_bytes ctx (Ndarray.bytes out);
+(* The flat offsets in [a] of the box spanning [counts] from [origin] in
+   every dimension but [dim], and [positions] along [dim] (both in [a]'s
+   index space), in the box's column-major order: how every structured
+   primitive addresses a slab, so packing and unpacking are
+   [Ndarray.gather_flat] and [Ndarray.scatter_flat]. *)
+let box_offsets (a : Ndarray.t) ~counts ~origin ~dim positions =
+  let strides = Ndarray.strides a in
+  let n = ref (Array.length positions) in
+  Array.iteri (fun d c -> if d <> dim then n := !n * c) counts;
+  let out = Array.make !n 0 and k = ref 0 in
+  let rec go d base =
+    if d < 0 then begin
+      out.(!k) <- base;
+      incr k
+    end
+    else
+      let at i = go (d - 1) (base + ((i - a.Ndarray.lb.(d)) * strides.(d))) in
+      if d = dim then Array.iter at positions
+      else for i = origin to origin + counts.(d) - 1 do at i done
+  in
+  go (Array.length counts - 1) 0;
   out
 
-(* Place the [dim] slices of [src] (in order) at the given positions of
-   [dst] along [dim].  [origin] is the index where the owned box starts in
-   the non-shifted dimensions: 0 for local sections (whose lower bound is
-   the ghost corner), 1 for fresh temporaries. *)
-let scatter_dim_slices ctx ~dst ~dim ~origin positions src =
-  let nd = Ndarray.rank dst in
-  let box_extents = Array.copy src.Ndarray.extents in
-  box_extents.(dim) <- 1;
-  Array.iteri
-    (fun i pos ->
-      let src_lo = Array.make nd 1 in
-      src_lo.(dim) <- i + 1;
-      let slab = Ndarray.get_box src ~lo:src_lo ~extents:box_extents in
-      let dst_lo = Array.make nd origin in
-      dst_lo.(dim) <- pos;
-      Ndarray.set_box dst ~lo:dst_lo slab)
-    positions;
-  Rctx.charge_copy_bytes ctx (Ndarray.bytes src)
+(* A fresh copy of the one-slice slab at [pos] along [dim] (the box from
+   [origin] elsewhere), shaped like the box with lower bounds 1. *)
+let slice_slab a ~counts ~origin ~dim pos =
+  let extents = Array.copy counts in
+  extents.(dim) <- 1;
+  let slab = Ndarray.gather_flat a (box_offsets a ~counts ~origin ~dim [| pos |]) in
+  { slab with Ndarray.lb = Array.make (Array.length extents) 1; extents }
+
+(* Message pack and unpack, each charged as one copy of the slab. *)
+let pack ctx a offsets =
+  let slab = Ndarray.gather_flat a offsets in
+  Rctx.charge_copy_bytes ctx (Ndarray.bytes slab);
+  slab
+
+let unpack ctx dst offsets slab =
+  Ndarray.scatter_flat dst offsets slab;
+  Rctx.charge_copy_bytes ctx (Ndarray.bytes slab)
 
 (* ------------------------------------------------------------------ *)
 (* Peer plans                                                          *)
@@ -85,7 +87,10 @@ let owner_payload ?slab ctx (darr : Darray.t) ~dim g =
   let pos = Layout.local_of_global (Dad.layout_at darr.Darray.dad ~dim ~rank:(Rctx.me ctx)) g in
   match slab with
   | Some slab -> slab pos
-  | None -> gather_dim_slices ctx darr.Darray.local ~dim ~counts:(my_counts ctx darr) [| pos |]
+  | None ->
+      let slab = slice_slab darr.Darray.local ~counts:(my_counts ctx darr) ~origin:0 ~dim pos in
+      Rctx.charge_copy_bytes ctx (Ndarray.bytes slab);
+      slab
 
 (* The multicast plan: the team, the root coordinate, and the root's slab
    (empty elsewhere). *)
@@ -107,20 +112,29 @@ let transfer_plan ctx darr ~dim ~gsrc ~gdest =
   in
   (team_of ctx darr dim, src, dest, payload)
 
-(* A shift plan: for each peer rank, the storage positions of mine it
-   gets (in its order), and the slots its slices fill here (in its
-   order).  Peers appear in team order; empty pairs are left out. *)
+(* A shift plan: for each peer rank, the flat offsets of the slab it
+   gets from the source array (in its order), and the flat offsets its
+   slab fills in the destination (in its order).  Peers appear in team
+   order; empty pairs are left out. *)
 type shift_plan = { sends : (int * int array) list; recvs : (int * int array) list }
 
-let pairs team lists =
-  let acc = ref [] in
-  for c = Array.length team - 1 downto 0 do
-    match lists c with [||] -> () | l -> acc := (team.(c), l) :: !acc
-  done;
-  !acc
+(* [(coord, x)] pairs grouped per peer rank in team order, each peer's
+   [x]s in their original order and passed to [f] as an array. *)
+let group team f pairs =
+  List.stable_sort (fun (a, _) (b, _) -> compare a b) pairs
+  |> List.fold_left
+       (fun acc (c, x) ->
+         match acc with
+         | (c', xs) :: rest when c' = c -> (c, x :: xs) :: rest
+         | _ -> (c, [ x ]) :: acc)
+       []
+  |> List.rev_map (fun (c, xs) -> (team.(c), f (Array.of_list (List.rev xs))))
 
-(* overlap_shift's ghost-cell plan. *)
-let ghost_plan ctx (darr : Darray.t) ~dim ~amount =
+(* overlap_shift's ghost-cell plan, derived from the owners of at most
+   [w] cells on each side: a peer's ghost range lies just past its own
+   block, so it reaches into mine only if the peer owns one of the [w]
+   cells before my block ([amount > 0]) or after it ([amount < 0]). *)
+let build_ghost_plan ctx (darr : Darray.t) ~dim ~amount =
   let dad = darr.Darray.dad in
   let d = (Dad.dims dad).(dim) in
   let w = abs amount in
@@ -132,56 +146,80 @@ let ghost_plan ctx (darr : Darray.t) ~dim ~amount =
     | _ ->
         Diag.bug "overlap_shift: layout of %s dim %d is not contiguous" (Dad.name dad) (dim + 1)
   in
-  let my_first, _ = range coord in
+  let my_first, my_count = range coord in
   if (amount > 0 && d.Dad.ghost_hi < w) || (amount < 0 && d.Dad.ghost_lo < w) then
     Diag.bug "overlap_shift: ghost area of %s dim %d narrower than shift %d" (Dad.name dad)
       (dim + 1) amount;
+  let in_array g = g >= 0 && g < d.Dad.extent in
   (* The ghost globals coordinate c must fill, each with its ghost slot
      (storage position relative to the owned origin).  Blocks shorter
      than the shift make the ghost range span several owners, so both
-     sides enumerate the owners of each ghost cell instead of assuming
-     the adjacent neighbour supplies them all. *)
+     sides look up the owner of each ghost cell instead of assuming the
+     adjacent neighbour supplies them all. *)
   let ghosts c =
     let first, cnt = range c in
     if cnt = 0 then []
-    else if amount > 0 then
-      List.init w (fun i -> (first + cnt + i, cnt + i))
-      |> List.filter (fun (g, _) -> g < d.Dad.extent)
-    else List.init w (fun i -> (first - w + i, -w + i)) |> List.filter (fun (g, _) -> g >= 0)
+    else
+      List.init w (fun i ->
+          if amount > 0 then (first + cnt + i, cnt + i) else (first - w + i, i - w))
+      |> List.filter (fun (g, _) -> in_array g)
   in
   let owner g = owner_coord darr dim g in
-  let from_peer = Array.make (Array.length team) [] in
-  List.iter
-    (fun (g, slot) ->
-      let c = owner g in
-      if c <> coord then from_peer.(c) <- slot :: from_peer.(c))
-    (ghosts coord);
+  let peers =
+    if my_count = 0 then []
+    else
+      let edge = if amount > 0 then my_first - w else my_first + my_count in
+      List.init w (( + ) edge) |> List.filter in_array |> List.map owner
+      |> List.sort_uniq compare
+  in
+  let offsets = box_offsets darr.Darray.local ~counts:(my_counts ctx darr) ~origin:0 ~dim in
   {
     sends =
-      pairs team (fun c ->
-          if c = coord then [||]
-          else
-            ghosts c
-            |> List.filter_map (fun (g, _) -> if owner g = coord then Some (g - my_first) else None)
-            |> Array.of_list);
-    recvs = pairs team (fun c -> Array.of_list (List.rev from_peer.(c)));
+      List.concat_map
+        (fun c ->
+          List.filter_map
+            (fun (g, _) -> if owner g = coord then Some (c, g - my_first) else None)
+            (ghosts c))
+        peers
+      |> group team offsets;
+    recvs =
+      List.filter_map
+        (fun (g, slot) ->
+          let c = owner g in
+          if c <> coord then Some (c, slot) else None)
+        (ghosts coord)
+      |> group team offsets;
   }
 
+(* One plan per (array, dim, amount) per run, in the rank's plan table:
+   DADs are built once per run, so the table is keyed by their physical
+   identity and stays bounded by the declared arrays. *)
+type Rctx.plan += Ghost of { dad : Dad.t; dim : int; amount : int; plan : shift_plan }
+
+let ghost_plan ctx (darr : Darray.t) ~dim ~amount =
+  let dad = darr.Darray.dad in
+  let rec find = function
+    | Ghost g :: _ when g.dad == dad && g.dim = dim && g.amount = amount -> g.plan
+    | _ :: rest -> find rest
+    | [] ->
+        let plan = build_ghost_plan ctx darr ~dim ~amount in
+        Rctx.add_plan ctx (Ghost { dad; dim; amount; plan });
+        plan
+  in
+  find (Rctx.plans ctx)
+
 (* The single transport of a shift plan: one [Message.Arr] per pair,
-   each slab gathered just before its send. *)
-let send_pairs ctx (darr : Darray.t) ~dim plan =
-  let counts = my_counts ctx darr in
+   each slab packed just before its send. *)
+let send_pairs ctx src plan =
   List.iter
-    (fun (dest, positions) ->
-      Rctx.send ctx ~dest ~tag:Tags.shift
-        (Message.Arr (gather_dim_slices ctx darr.Darray.local ~dim ~counts positions)))
+    (fun (dest, offsets) ->
+      Rctx.send ctx ~dest ~tag:Tags.shift (Message.Arr (pack ctx src offsets)))
     plan.sends
 
-let recv_pairs ctx ~dst ~dim ~origin plan =
+let recv_pairs ctx dst plan =
   List.iter
-    (fun (src, slots) ->
-      let msg = Rctx.recv ctx ~src ~tag:Tags.shift in
-      scatter_dim_slices ctx ~dst ~dim ~origin slots (Message.arr msg))
+    (fun (src, offsets) ->
+      unpack ctx dst offsets (Message.arr (Rctx.recv ctx ~src ~tag:Tags.shift)))
     plan.recvs
 
 (* ------------------------------------------------------------------ *)
@@ -210,8 +248,8 @@ let transfer ctx darr ~dim ~gsrc ~gdest =
 let overlap_shift ctx (darr : Darray.t) ~dim ~amount =
   if amount <> 0 then begin
     let plan = ghost_plan ctx darr ~dim ~amount in
-    send_pairs ctx darr ~dim plan;
-    recv_pairs ctx ~dst:darr.Darray.local ~dim ~origin:0 plan
+    send_pairs ctx darr.Darray.local plan;
+    recv_pairs ctx darr.Darray.local plan
   end
 
 (* Exchange along one grid dimension: every coordinate wants the global
@@ -229,44 +267,45 @@ let exchange_wants ctx (darr : Darray.t) ~dim ~wants =
   Rctx.charge_iops ctx (3 * Array.length my_wants);
   let owner_of g = if g >= 0 && g < d.Dad.extent then Some (owner_coord darr dim g) else None in
   let mylay = Dad.layout_at darr.Darray.dad ~dim ~rank:(Rctx.me ctx) in
-  (* 1-based slots of my wants, by owner; the ones I own myself are
+  let local = darr.Darray.local in
+  (* the result temporary, filled locally and then from incoming messages *)
+  let extents = Array.copy counts in
+  extents.(dim) <- Array.length my_wants;
+  let tmp = Ndarray.create (Ndarray.kind local) extents in
+  let at_local = box_offsets local ~counts ~origin:0 ~dim in
+  let at_tmp = box_offsets tmp ~counts:extents ~origin:1 ~dim in
+  (* 1-based slots of my wants by owner; the ones I own myself are
      copied locally from their storage positions *)
-  let local_positions = ref [] and local_sources = ref [] in
-  let from_peer = Array.make (Array.length team) [] in
+  let mine = ref [] and theirs = ref [] in
   Array.iteri
     (fun i g ->
       match owner_of g with
-      | Some c when c = coord ->
-          local_positions := (i + 1) :: !local_positions;
-          local_sources := Layout.local_of_global mylay g :: !local_sources
-      | Some c -> from_peer.(c) <- (i + 1) :: from_peer.(c)
+      | Some c when c = coord -> mine := (i + 1, Layout.local_of_global mylay g) :: !mine
+      | Some c -> theirs := (c, i + 1) :: !theirs
       | None -> ())
     my_wants;
+  let sends =
+    List.init (Array.length team) (fun c ->
+        if c = coord then []
+        else
+          Array.to_list (wants c)
+          |> List.filter_map (fun g ->
+                 if owner_of g <> Some coord then None
+                 else Some (c, Layout.local_of_global mylay g)))
+  in
   let plan =
     {
-      sends =
-        pairs team (fun c ->
-            if c = coord then [||]
-            else
-              Array.to_seq (wants c)
-              |> Seq.filter_map (fun g ->
-                     if owner_of g = Some coord then Some (Layout.local_of_global mylay g)
-                     else None)
-              |> Array.of_seq);
-      recvs = pairs team (fun c -> Array.of_list (List.rev from_peer.(c)));
+      sends = List.concat sends |> group team at_local;
+      recvs = List.rev !theirs |> group team at_tmp;
     }
   in
-  send_pairs ctx darr ~dim plan;
-  (* result temporary, filled locally then from incoming messages *)
-  let extents = Array.copy counts in
-  extents.(dim) <- Array.length my_wants;
-  let tmp = Ndarray.create (Ndarray.kind darr.Darray.local) extents in
-  if !local_positions <> [] then
-    scatter_dim_slices ctx ~dst:tmp ~dim ~origin:1
-      (Array.of_list (List.rev !local_positions))
-      (gather_dim_slices ctx darr.Darray.local ~dim ~counts
-         (Array.of_list (List.rev !local_sources)));
-  recv_pairs ctx ~dst:tmp ~dim ~origin:1 plan;
+  send_pairs ctx local plan;
+  if !mine <> [] then begin
+    let slots, sources = List.split (List.rev !mine) in
+    let slab = pack ctx local (at_local (Array.of_list sources)) in
+    unpack ctx tmp (at_tmp (Array.of_list slots)) slab
+  end;
+  recv_pairs ctx tmp plan;
   tmp
 
 let temporary_shift ctx (darr : Darray.t) ~dim ~amount =
@@ -288,11 +327,7 @@ let multicast_shift ctx (darr : Darray.t) ~fused ~mdim ~g ~sdim ~amount =
       match everywhere with Some s -> s | None -> temporary_shift ctx darr ~dim:sdim ~amount
     in
     (* restrict the shifted temporary to the broadcast slice *)
-    let lo = Array.copy shifted.Ndarray.lb in
-    let extents = Array.copy shifted.Ndarray.extents in
-    lo.(mdim) <- lo.(mdim) + pos;
-    extents.(mdim) <- 1;
-    Ndarray.get_box shifted ~lo ~extents
+    slice_slab shifted ~counts:shifted.Ndarray.extents ~origin:1 ~dim:mdim (1 + pos)
   in
   let team, root, payload = multicast_plan ~slab ctx darr ~dim:mdim ~g in
   nd_of (Collectives.broadcast ctx team ~root payload)
@@ -347,37 +382,32 @@ let recv_grouped ctx ~tag ins consume =
 let overlap_shift_batch ctx members =
   let plans =
     List.filter_map
-      (fun (darr, dim, amount, sid) ->
-        if amount = 0 then None else Some (darr, dim, sid, ghost_plan ctx darr ~dim ~amount))
+      (fun ((darr : Darray.t), dim, amount, sid) ->
+        if amount = 0 then None
+        else Some (darr.Darray.local, sid, ghost_plan ctx darr ~dim ~amount))
       members
   in
   send_grouped ctx ~tag:Tags.shift
     (List.concat_map
-       (fun ((darr : Darray.t), dim, sid, plan) ->
-         let counts = my_counts ctx darr in
+       (fun (local, sid, plan) ->
          List.map
-           (fun (dest, positions) ->
-             let slab = gather_dim_slices ctx darr.Darray.local ~dim ~counts positions in
-             (dest, sid, Message.Arr slab))
+           (fun (dest, offsets) -> (dest, sid, Message.Arr (pack ctx local offsets)))
            plan.sends)
        plans);
   recv_grouped ctx ~tag:Tags.shift
     (List.concat_map
-       (fun (darr, dim, _, plan) ->
-         List.map (fun (src, slots) -> (src, (darr, dim, slots))) plan.recvs)
+       (fun (local, _, plan) -> List.map (fun (src, offsets) -> (src, (local, offsets))) plan.recvs)
        plans)
-    (fun ((darr : Darray.t), dim, slots) p ->
-      scatter_dim_slices ctx ~dst:darr.Darray.local ~dim ~origin:0 slots (nd_of p))
+    (fun (local, offsets) p -> unpack ctx local offsets (nd_of p))
 
-let transfer_batch ctx members =
+type transfer_member = int * int * int * Message.payload option
+
+let transfer_member ctx darr ~dim ~gsrc ~gdest ~sid =
+  let team, src, dest, payload = transfer_plan ctx darr ~dim ~gsrc ~gdest in
+  (sid, team.(src), team.(dest), payload)
+
+let transfer_batch ctx plans =
   let me = Rctx.me ctx in
-  let plans =
-    List.map
-      (fun (darr, dim, gsrc, gdest, sid) ->
-        let team, src, dest, payload = transfer_plan ctx darr ~dim ~gsrc ~gdest in
-        (sid, team.(src), team.(dest), payload))
-      members
-  in
   let results = Array.make (List.length plans) None in
   let outs = ref [] and ins = ref [] in
   List.iteri

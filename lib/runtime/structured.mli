@@ -39,6 +39,22 @@ val overlap_shift : Rctx.t -> Darray.t -> dim:int -> amount:int -> unit
     from the next coordinate).  Requires a BLOCK-contiguous layout and
     ghost widths of at least [|amount|] — the compiler guarantees both. *)
 
+(** {2 Ghost plans} *)
+
+type shift_plan = { sends : (int * int array) list; recvs : (int * int array) list }
+(** Per peer rank, in team order: the flat storage offsets of the slab
+    sent to it (in [darr.local], in the order the peer unpacks them) and
+    of the ghost cells its slab fills here. *)
+
+type Rctx.plan += Ghost of { dad : F90d_dist.Dad.t; dim : int; amount : int; plan : shift_plan }
+(** The rank's plan-table entry of one overlap shift. *)
+
+val ghost_plan : Rctx.t -> Darray.t -> dim:int -> amount:int -> shift_plan
+(** The {!overlap_shift} plan ([amount <> 0]), built on first use from
+    the owners of the [|amount|] cells next to this rank's block and kept
+    in the rank's plan table ({!Rctx.plans}) under the DAD's physical
+    identity, [dim] and [amount] for the rest of the run. *)
+
 val exchange_wants :
   Rctx.t -> Darray.t -> dim:int -> wants:(int -> int array) -> Ndarray.t
 (** Generic exchange along the grid dimension of [dim]: coordinate [c]
@@ -78,9 +94,17 @@ val concat : Rctx.t -> Darray.t -> Ndarray.t
 
 val overlap_shift_batch : Rctx.t -> (Darray.t * int * int * int) list -> unit
 (** Members are [(darr, dim, amount, sid)]; semantics of each member are
-    exactly {!overlap_shift}.  Arrays may have different distributions —
-    pair membership is derived per member from the layouts. *)
+    exactly {!overlap_shift}, through the same {!ghost_plan}.  Arrays may
+    have different distributions — pair membership is derived per member
+    from the layouts. *)
 
-val transfer_batch : Rctx.t -> (Darray.t * int * int * int * int) list -> Ndarray.t option list
-(** Members are [(darr, dim, gsrc, gdest, sid)]; returns each member's
-    {!transfer} result in order. *)
+type transfer_member
+(** One member's {!transfer} plan, with the slab on its source. *)
+
+val transfer_member :
+  Rctx.t -> Darray.t -> dim:int -> gsrc:int -> gdest:int -> sid:int -> transfer_member
+(** The plan of a batch member [sid]; a slice outside the declared
+    bounds is its located error, as for {!transfer}. *)
+
+val transfer_batch : Rctx.t -> transfer_member list -> Ndarray.t option list
+(** Returns each member's {!transfer} result in order. *)

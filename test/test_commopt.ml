@@ -206,7 +206,7 @@ let test_batch_wire_format () =
       let src = In_channel.with_open_bin (Filename.concat "corpus" file) In_channel.input_all in
       let compiled = Driver.compile ~flags:coalesce_only src in
       (match comm_batches compiled.Driver.c_ir with
-      | [ ((c, _) :: _ as members) ] ->
+      | [ ({ Ir.hc = c; _ } :: _ as members) ] ->
           Alcotest.(check string) (file ^ ": batch kind") kind (Ir.comm_name c);
           Alcotest.(check int) (file ^ ": batch of two") 2 (List.length members)
       | l -> Alcotest.failf "%s: expected one Comm_batch, found %d" file (List.length l));
@@ -293,7 +293,8 @@ let test_profile_reconciles_with_batches () =
     r.Driver.stats.Stats.bytes bytes;
   (* both batch member statements are attributed traffic *)
   let batch_sids =
-    List.concat_map (List.map snd) (comm_batches compiled.Driver.c_ir)
+    comm_batches compiled.Driver.c_ir
+    |> List.concat_map (List.map (fun (h : Ir.hoisted) -> h.Ir.hc_sid))
     |> List.sort_uniq compare
   in
   List.iter

@@ -249,14 +249,18 @@ let test_comm_slice_out_of_bounds () =
           ([
              "      PROGRAM T";
              "      INTEGER K, S";
-             "      REAL A(8, 8), B(8, 8), C(8, 8), D(8, 8)";
+             "      REAL A(8, 8), B(8, 8), C(8, 8), D(8, 8), E(12, 8), F(12, 8)";
              "C$    PROCESSORS P(2, 2)";
              "C$    TEMPLATE TT(8, 8)";
+             "C$    TEMPLATE TE(12, 8)";
              "C$    ALIGN A(I, J) WITH TT(I, J)";
              "C$    ALIGN B(I, J) WITH TT(I, J)";
              "C$    ALIGN C(I, J) WITH TT(I, J)";
              "C$    ALIGN D(I, J) WITH TT(I, J)";
+             "C$    ALIGN E(I, J) WITH TE(I, J)";
+             "C$    ALIGN F(I, J) WITH TE(I, J)";
              "C$    DISTRIBUTE TT(BLOCK, BLOCK)";
+             "C$    DISTRIBUTE TE(BLOCK, BLOCK)";
              "      S = 1";
              Printf.sprintf "      K = %d" k;
            ]
@@ -275,10 +279,15 @@ let test_comm_slice_out_of_bounds () =
           Alcotest.(check string) (path ^ ": message")
             (Printf.sprintf "index %d of B dim 1 is outside the declared bounds 1:8" k)
             msg;
-          (* the last body statement reads B(K, ...), except in the
-             batch, which runs at its first member's statement *)
-          let line = if path = "transfer[batch of 2]" then 13 else 12 + List.length body in
-          Alcotest.(check int) (path ^ ": line") line loc.Loc.line)
+          (* the error is on the line reading B(K, ...), also when its
+             comm runs in a loop pre-header or in a batch anchored at an
+             earlier statement *)
+          let rec line n = function
+            | l :: rest ->
+                if Str.string_match (Str.regexp ".*B(K, J") l 0 then n else line (n + 1) rest
+            | [] -> Alcotest.fail "no body line reads B(K, ...)"
+          in
+          Alcotest.(check int) (path ^ ": line") (line 17 body) loc.Loc.line)
     [
       (12, [ "      FORALL (I = 1:8, J = 1:8) A(I, J) = B(K, J)" ], "communication: multicast\n");
       (0, [ "      FORALL (J = 1:8) A(3, J) = B(K, J)" ], "communication: transfer\n");
@@ -291,9 +300,16 @@ let test_comm_slice_out_of_bounds () =
           "      FORALL (I = 1:8, J = 1:8) A(I, J) = A(I, J) + B(K, J)";
         ],
         "multicast (split-phase" );
-      ( 12,
-        [ "      FORALL (J = 1:8) A(3, J) = B(K, J)"; "      FORALL (J = 1:8) C(3, J) = D(K, J)" ],
+      ( 10,
+        [ "      FORALL (J = 1:8) F(3, J) = E(K, J)"; "      FORALL (J = 1:8) A(3, J) = B(K, J)" ],
         "transfer[batch of 2]" );
+      ( 12,
+        [
+          "      DO S = 1, 2";
+          "        FORALL (I = 1:8, J = 1:8) A(I, J) = B(K, J)";
+          "      END DO";
+        ],
+        "multicast (hoisted out of DO S" );
     ]
 
 (* A DIM argument outside 1..rank (1..rank+1 for SPREAD) is a located
@@ -478,6 +494,30 @@ let test_array_dummy_non_array_actual () =
           Alcotest.(check int) (actual ^ ": line") 5 loc.Loc.line)
     [ "2.0"; "X + 1.0" ]
 
+(* Repros in corpus/errors/ that used to end in an internal error (or,
+   for the alignment, in a silently wrong SUM): each is now the located
+   compile-time error of its declaration, directive or statement. *)
+let test_corpus_errors () =
+  List.iter
+    (fun (file, line, expected) ->
+      let src =
+        In_channel.with_open_bin (Filename.concat "corpus/errors" file) In_channel.input_all
+      in
+      match Driver.compile ~file src with
+      | _ -> Alcotest.failf "%s compiled without an error" file
+      | exception Diag.Error (loc, msg) ->
+          Alcotest.(check string) (file ^ ": message") expected msg;
+          Alcotest.(check int) (file ^ ": line") line loc.Loc.line)
+    [
+      ("negative_extent.f90d", 5, "array 'B1' dimension 1 has bounds 1:-6, a negative extent");
+      ( "align_outside_template.f90d",
+        8,
+        "ALIGN maps A(1:48) to T1(1:48), outside the template's bounds 1:8 in dimension 1" );
+      ( "forall_section.f90d",
+        12,
+        "array section of 'A2' where a FORALL assignment needs one element" );
+    ]
+
 let test_located_syntax_error () =
   match Driver.compile "PROGRAM T\nX = (1 +\nEND" with
   | _ -> Alcotest.fail "expected syntax error"
@@ -496,6 +536,7 @@ let () =
           Alcotest.test_case "where body" `Quick test_where_non_assignment;
           Alcotest.test_case "non-conforming section" `Quick test_nonconforming_section;
           Alcotest.test_case "located syntax error" `Quick test_located_syntax_error;
+          Alcotest.test_case "corpus errors" `Quick test_corpus_errors;
         ] );
       ( "run-time",
         [

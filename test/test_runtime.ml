@@ -899,9 +899,164 @@ let prop_reduce_matches_fold =
       done;
       Array.for_all (fun got -> Float.abs (got -. !seq) < 1e-9) (results r))
 
+(* Each rank's ghost-plan table after running a compiled program the way
+   [Driver.run] does: (array, dim, amount) per entry, sorted, so a
+   rebuilt plan shows up as a duplicate. *)
+let ghost_plan_keys ~flags ~nprocs src =
+  let compiled = F90d.Driver.compile ~flags src in
+  let grid = Grid.make (F90d_frontend.Sema.grid_dims compiled.F90d.Driver.c_env ~nprocs) in
+  let prepared = F90d_exec.Interp.prepare ~grid compiled.F90d.Driver.c_ir in
+  let r =
+    Engine.run (Engine.config nprocs) (fun eng ->
+        let ctx = Rctx.make eng grid in
+        ignore (F90d_exec.Interp.node_main ~coalesce:flags.F90d_opt.Passes.coalesce prepared ctx);
+        List.filter_map
+          (function Structured.Ghost g -> Some (Dad.name g.dad, g.dim, g.amount) | _ -> None)
+          (Rctx.plans ctx)
+        |> List.sort compare)
+  in
+  (compiled, results r)
+
+let test_ghost_plans_once_per_run () =
+  let keys = Alcotest.(array (list (triple string int int))) in
+  let on = F90d_opt.Passes.all_on in
+  (* 4 steps of 2-D jacobi: four shifts of A per step, one plan each *)
+  let _, got =
+    ghost_plan_keys ~flags:on ~nprocs:4 (F90d.Programs.jacobi2d ~n:8 ~iters:4 ~p:2 ~q:2)
+  in
+  Alcotest.check keys "jacobi2d: one plan per (rank, array, dim, amount)"
+    (Array.make 4 [ ("A", 0, -1); ("A", 0, 1); ("A", 1, -1); ("A", 1, 1) ])
+    got;
+  (* a coalesced batch in a 4-step loop: its members look up the same
+     table as the single primitive *)
+  let src =
+    String.concat "\n"
+      [
+        "      PROGRAM JB";
+        "      REAL A(16), B(16), C(16), D(16)";
+        "      INTEGER T";
+        "C$    TEMPLATE T1(16)";
+        "C$    ALIGN A(I) WITH T1(I)";
+        "C$    ALIGN B(I) WITH T1(I)";
+        "C$    ALIGN C(I) WITH T1(I)";
+        "C$    ALIGN D(I) WITH T1(I)";
+        "C$    DISTRIBUTE T1(BLOCK)";
+        "      FORALL (I = 1:16) A(I) = I";
+        "      FORALL (I = 1:16) C(I) = 2 * I";
+        "      DO T = 1, 4";
+        "        FORALL (I = 1:15) B(I) = A(I + 1)";
+        "        FORALL (I = 1:15) D(I) = C(I + 1)";
+        "        FORALL (I = 1:16) A(I) = B(I) + 1";
+        "        FORALL (I = 1:16) C(I) = D(I) + 1";
+        "      END DO";
+        "      PRINT *, A, C";
+        "      END";
+        "";
+      ]
+  in
+  let batched, got = ghost_plan_keys ~flags:on ~nprocs:4 src in
+  let explain = F90d_report.Report.explain_text batched.F90d.Driver.c_ir in
+  checkb "the shifts run as one batch" true
+    (try
+       ignore (Str.search_forward (Str.regexp_string "overlap_shift[batch of 2]") explain 0);
+       true
+     with Not_found -> false);
+  let expected = Array.make 4 [ ("A", 0, 1); ("C", 0, 1) ] in
+  Alcotest.check keys "batched members: one plan each" expected got;
+  let _, single = ghost_plan_keys ~flags:{ on with coalesce = false } ~nprocs:4 src in
+  Alcotest.check keys "the same plans without coalescing" expected single
+
+(* overlap_shift's plan against an O(team) reference: every coordinate
+   of the grid line enumerates its ghost cells, and owners are found by
+   scanning every coordinate's layout.  The array is 2-D (a BLOCK dim
+   with ghosts of its own, then the shifted dim), so the flat offsets
+   also cover the other dimension's ghost origin. *)
+let prop_ghost_plan_matches_team_scan =
+  QCheck.Test.make ~name:"ghost plan equals the O(team) enumeration" ~count:200
+    QCheck.(
+      pair
+        (quad (int_range 1 20) (int_range 1 8) (int_range 0 4) (int_range 0 6))
+        (quad (int_range 0 3) (int_range 0 3) bool (int_range 1 4)))
+    (fun ((n, p, k, spare), (glo, ghi, up, mag)) ->
+      let ghi = if ghi = glo then glo + 1 else ghi in
+      let width = if up then ghi else glo in
+      let up = if width = 0 then not up else up in
+      let width = if up then ghi else glo in
+      let amount = (if up then 1 else -1) * (1 + ((mag - 1) mod width)) in
+      let grid = Grid.make [| 2; p |] in
+      let d0 = { (Dad.block_dim ~flb:1 ~extent:3 ~pdim:0 ~p:2 ()) with Dad.ghost_lo = 1 } in
+      let d1 =
+        Dad.block_dim ~align:(Affine.make ~a:1 ~b:k) ~tn:(n + k + spare) ~flb:1 ~extent:n
+          ~pdim:1 ~p ()
+      in
+      let d1 = { d1 with Dad.ghost_lo = glo; ghost_hi = ghi } in
+      let dad = Dad.make ~name:"G" ~kind:Scalar.Kreal ~grid [| d0; d1 |] in
+      let reference me =
+        let team = Grid.ranks_along grid ~rank:me ~dim:1 in
+        let range c =
+          match Dad.layout_at dad ~dim:1 ~rank:team.(c) with
+          | Layout.Prog { first; count; _ } -> (first, count)
+          | Layout.Explicit _ -> assert false
+        in
+        let owner g =
+          let rec scan c =
+            let first, count = range c in
+            if g >= first && g < first + count then c else scan (c + 1)
+          in
+          scan 0
+        in
+        let w = abs amount in
+        let ghosts c =
+          let first, count = range c in
+          if count = 0 then []
+          else
+            List.init w (fun i ->
+                if amount > 0 then (first + count + i, count + i) else (first - w + i, i - w))
+            |> List.filter (fun (g, _) -> g >= 0 && g < n)
+        in
+        let coord = (Grid.coords_of_rank grid me).(1) in
+        let my_first, _ = range coord in
+        let local = Dad.alloc_local dad ~rank:me in
+        let rows = (Dad.local_counts dad ~rank:me).(0) in
+        let offsets positions =
+          Array.of_list
+            (List.concat_map
+               (fun pos -> List.init rows (fun i -> Ndarray.offset local [| i; pos |]))
+               positions)
+        in
+        let per_peer f =
+          List.concat
+            (List.init (Array.length team) (fun c ->
+                 if c = coord then []
+                 else match f c with [] -> [] | l -> [ (team.(c), offsets l) ]))
+        in
+        {
+          Structured.sends =
+            per_peer (fun c ->
+                List.filter_map
+                  (fun (g, _) -> if owner g = coord then Some (g - my_first) else None)
+                  (ghosts c));
+          recvs =
+            per_peer (fun c ->
+                List.filter_map (fun (g, slot) -> if owner g = c then Some slot else None)
+                  (ghosts coord));
+        }
+      in
+      let r =
+        run_grid [| 2; p |] (fun ctx ->
+            let a = Darray.create ctx dad in
+            Structured.ghost_plan ctx a ~dim:1 ~amount = reference (Rctx.me ctx))
+      in
+      Array.for_all Fun.id (results r))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_redistribute_roundtrip; prop_cshift_inverse; prop_reduce_matches_fold ]
+    [
+      prop_redistribute_roundtrip;
+      prop_cshift_inverse;
+      prop_reduce_matches_fold;
+      prop_ghost_plan_matches_team_scan;
+    ]
 
 let () =
   Alcotest.run "f90d_runtime"
@@ -938,6 +1093,7 @@ let () =
           Alcotest.test_case "transfer slab" `Quick test_transfer_slab;
           Alcotest.test_case "overlap_shift" `Quick test_overlap_shift;
           Alcotest.test_case "overlap_shift 2d" `Quick test_overlap_shift_2d;
+          Alcotest.test_case "ghost plans once per run" `Quick test_ghost_plans_once_per_run;
           Alcotest.test_case "temporary_shift" `Quick test_temporary_shift;
           Alcotest.test_case "multicast_shift" `Quick test_multicast_shift;
           Alcotest.test_case "concat" `Quick test_concat;
