@@ -92,12 +92,6 @@ let copy t =
   in
   { t with data }
 
-let map_into src f dst =
-  if size src <> size dst then Diag.bug "ndarray: map_into size mismatch";
-  for i = 0 to size src - 1 do
-    set_flat dst i (f (get_flat src i))
-  done
-
 let iteri t f =
   let r = rank t in
   if size t = 0 then ()

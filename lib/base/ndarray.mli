@@ -48,8 +48,6 @@ val ints : t -> int array
 
 val fill : t -> Scalar.t -> unit
 val copy : t -> t
-val map_into : t -> (Scalar.t -> Scalar.t) -> t -> unit
-(** [map_into src f dst] writes [f src.(i)] to [dst.(i)] flat-wise. *)
 
 val iteri : t -> (int array -> Scalar.t -> unit) -> unit
 (** Iterates in column-major order with full multi-indices. *)

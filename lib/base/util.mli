@@ -38,7 +38,6 @@ val popcount : int -> int
 val range : int -> int -> int list
 (** [range a b] is [[a; a+1; ...; b]] (empty if [a > b]). *)
 
-val sum_floats : float list -> float
 val mean : float list -> float
 
 val package_version : string

@@ -543,6 +543,7 @@ let lower_unit env ~sids =
     u_env = env;
     u_body = body;
     u_ghosts;
+    u_ntemps = !(acc.temps) + 1;
     u_prov = List.rev acc.prov;
     u_explain = List.rev acc.explain;
     u_epilogue;

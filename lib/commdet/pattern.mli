@@ -65,7 +65,6 @@ val analyze_forall :
   rhs:Ast.expr ->
   plan
 
-val tag_name : dim_tag -> string
 val plan_name : ref_plan -> string
 (** Short names for explain reports ("multicast", "structured[...]",
     ...). *)

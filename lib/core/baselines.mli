@@ -19,10 +19,6 @@ type gauss_run = {
   solution : float array;  (** replicated solution vector *)
 }
 
-val hand_gauss_node : F90d_runtime.Rctx.t -> n:int -> float array
-(** The SPMD node program (exposed so tests can run it on custom
-    machines); returns the solution vector on every processor. *)
-
 val run_hand_gauss :
   ?model:Model.t -> ?topology:Topology.t -> nprocs:int -> n:int -> unit -> gauss_run
 (** Set up the machine and grid and run the baseline. *)

@@ -23,66 +23,64 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    serve decision can never diverge across ranks. *)
 type replica = { rv_version : int; rv_dim : int; rv_g0 : int; rv_slab : Ndarray.t }
 
-(* A split-phase pre-communication between its issue and its wait.
-   [Pserved]: the issue was answered from the replica cache, nothing in
-   flight — the wait just publishes the slab.  [Pflight]: the broadcast
-   tree is running; the wait completes it and (like the blocking path)
+(* A split-phase multicast between its issue and its wait.  [Pserved]:
+   the issue was answered from the replica cache, nothing in flight — the
+   wait just stores the slab.  [Pflight]: the broadcast tree of slice
+   [g0] is running; the wait completes it and (like the blocking path)
    publishes the received slab to the replica cache. *)
-type pending_comm =
-  | Pserved of { pc_temp : int; pc_slab : Ndarray.t }
-  | Pflight of {
-      pc_temp : int;
-      pc_arr : string;
-      pc_dim : int;
-      pc_g0 : int;
-      pc_bp : Collectives.bcast_pending;
-    }
+type pending_comm = Pserved of Ndarray.t | Pflight of int * Collectives.bcast_pending
 
-(* The value of a scalar slot nothing has assigned yet, told apart by
-   physical identity: reading it is an undefined-variable error unless
-   the name is a PARAMETER. *)
-let unset = Scalar.Str "<unset>"
+(* The value of a scalar slot nothing has assigned yet: reading it is an
+   undefined-variable error unless the name is a PARAMETER. *)
+let unset = Kernel.unset
 
 (* The rank-invariant half of a program unit, built by [prepare] before
    the engine starts: every rank fiber of the run, all on one domain,
    runs the same compiled statements over its own [ustate]. *)
 type prepared_unit = {
   pu_ir : Ir.unit_ir;
+  pu_index : int;  (** the unit's position in [prepared] *)
   pu_body : ustate -> unit;  (** the unit's statements, compiled *)
   pu_slots : (string, int) Hashtbl.t;  (** scalar name -> its slot in [vals] *)
+  pu_vals : Scalar.t array;  (** a new instance's scalar slots *)
   pu_arrays : (string * Dad.t) array;
       (** every array in declaration order, ghost widths applied; the
           index is the array's slot in [arrays] *)
-  pu_aslots : (string, int) Hashtbl.t;
+  pu_nsplits : int;  (** one more than the largest split-phase slot id *)
   pu_planned : int list;  (** the FORALL sids [compile_forall] built a kernel plan for *)
 }
 
-and prepared = (string * prepared_unit) list (* main unit first *)
+and prepared = prepared_unit array (* main unit first *)
 
+(* One instance of a unit on one rank: everything is indexed by a slot
+   resolved when the unit was compiled. *)
 and ustate = {
   ctx : Rctx.t;
   prog : prepared;
   u : prepared_unit;
   vals : Scalar.t array;  (** scalar slots, [unset] until assigned *)
   arrays : Darray.t array;
-  out : Buffer.t;
-  ptemps : (int, Kernel.temp_nd) Hashtbl.t;
-      (** communication temporaries produced outside any FORALL frame
-          (loop pre-headers, cross-statement batches); frames fall back
-          here when their own table misses *)
-  replicas : (string, replica) Hashtbl.t;
-  coalesce : bool;  (** runtime half of the coalesce pass (replica cache) *)
-  pending : (int, pending_comm) Hashtbl.t;
-      (** split-phase comms issued but not yet waited, keyed by the
+  versions : int array;
+      (** each array slot's write version: this rank's counters for the
+          unit, shared by all its instances *)
+  unit_versions : int array array;  (** every unit's [versions], by [pu_index] *)
+  replicas : replica option array;  (** the replica cache, by array slot *)
+  temps : Ndarray.t option array;
+      (** communication temporaries by id: a FORALL's own, until it
+          finishes, and those of loop pre-headers, cross-statement
+          batches and split-phase waits *)
+  pending : pending_comm option array;
+      (** split-phase comms issued but not yet waited, by the
           pass-assigned slot id ([Ir.split.sp_hid]); empty between any
           issue/wait-balanced program points *)
+  out : Buffer.t;
+  coalesce : bool;  (** runtime half of the coalesce pass (replica cache) *)
 }
 
 (* One FORALL point as compiled code sees it. *)
 and frame = {
   mutable x : int array;  (** the FORALL variables' values, in nest order *)
   mutable counter : int;  (** the point's position in the rank's space *)
-  ftemps : (int, Kernel.temp_nd) Hashtbl.t;
   fsnap : Ndarray.t option;
       (** pre-loop copy of the lhs local section: Acc_direct reads of the
           lhs array go here when the FORALL also writes it in place
@@ -93,17 +91,8 @@ and frame = {
    runs on [no_frame]. *)
 type 'a code = ustate -> frame -> 'a
 
-let no_frame = { x = [||]; counter = 0; ftemps = Hashtbl.create 1; fsnap = None }
+let no_frame = { x = [||]; counter = 0; fsnap = None }
 let me st = Rctx.me st.ctx
-
-let aslot aslots name =
-  match Hashtbl.find_opt aslots name with
-  | Some k -> k
-  | None -> Diag.bug "interp: no array '%s'" name
-
-(* An array by name, for the kernel layer's callbacks; compiled code
-   reads its array slot directly. *)
-let darray_of st name = st.arrays.(aslot st.u.pu_aslots name)
 
 let kind_of_decl = function
   | Ast.Integer -> Scalar.Kint
@@ -214,44 +203,34 @@ let storage_pos st dad ~dim g =
         Diag.error "index %d of %s dim %d is not owned by this processor" g (Dad.name dad)
           (dim + 1)
 
-let version_key st name = st.u.pu_ir.Ir.u_name ^ ":" ^ name
+let set_temp st temp nd = st.temps.(temp) <- Some nd
 
-(* Communication temporaries normally live in the FORALL's own frame;
-   hoisted and cross-statement-batched comms store theirs in the unit's
-   persistent table instead. *)
-let find_temp st ftemps temp =
-  match Hashtbl.find_opt ftemps temp with
-  | Some _ as v -> v
-  | None -> Hashtbl.find_opt st.ptemps temp
-
-(* The replica cache's slab of slice [g0] of [arr] along [dim], while
-   still current, and its refresh.  The hit/miss decision must be
+(* The replica cache's slab of slice [g0] of array slot [k] along [dim],
+   while still current, and its refresh.  The hit/miss decision must be
    identical on every rank, since a miss runs a collective: the version
    counter, the cached (dim, g0) and the distribution are all
    replicated. *)
-let cached_slab st arr ~dim ~g0 =
+let cached_slab st k ~dim ~g0 =
   if not st.coalesce then None
   else
-    match Hashtbl.find_opt st.replicas arr with
-    | Some rv
-      when rv.rv_version = Rctx.version st.ctx (version_key st arr)
-           && rv.rv_dim = dim && rv.rv_g0 = g0 ->
+    match st.replicas.(k) with
+    | Some rv when rv.rv_version = st.versions.(k) && rv.rv_dim = dim && rv.rv_g0 = g0 ->
         Some rv.rv_slab
     | _ -> None
 
-let publish st arr ~dim ~g0 slab =
+let publish st k ~dim ~g0 slab =
   if st.coalesce then
-    let rv_version = Rctx.version st.ctx (version_key st arr) in
-    Hashtbl.replace st.replicas arr { rv_version; rv_dim = dim; rv_g0 = g0; rv_slab = slab }
+    st.replicas.(k) <-
+      Some { rv_version = st.versions.(k); rv_dim = dim; rv_g0 = g0; rv_slab = slab }
 
 (* Serve a remote single-element read from the replica cache, only when
    every dimension but the slab's is undistributed: then each rank's slab
    spans those dimensions fully and all ranks agree. *)
-let replica_serve st name (darr : Darray.t) g =
-  match Hashtbl.find_opt st.replicas name with
+let replica_serve st k g =
+  match st.replicas.(k) with
   | None -> None
   | Some { rv_dim = dim; _ } ->
-      let dad = darr.Darray.dad in
+      let dad = st.arrays.(k).Darray.dad in
       let dims = Dad.dims dad in
       if Array.exists Fun.id (Array.mapi (fun d dd -> d <> dim && dd.Dad.pdim <> None) dims)
       then None
@@ -260,7 +239,7 @@ let replica_serve st name (darr : Darray.t) g =
           (fun slab ->
             Ndarray.get slab
               (Array.mapi (fun d gi -> if d = dim then 1 else storage_pos st dad ~dim:d gi + 1) g))
-          (cached_slab st name ~dim ~g0:(g.(dim) - dims.(dim).Dad.flb))
+          (cached_slab st k ~dim ~g0:(g.(dim) - dims.(dim).Dad.flb))
 
 (* ------------------------------------------------------------------ *)
 (* Compiled expressions                                                *)
@@ -268,18 +247,21 @@ let replica_serve st name (darr : Darray.t) g =
 
 (* What one unit's code is compiled against: names resolve to scalar
    slots (allocated as they are met) and array slots once, before the
-   run.  [c_f] is the FORALL whose points the code runs at: its
-   variables read the frame, and its references resolve their access
-   kind.  A name that cannot be resolved compiles to its located error,
-   raised only if the code runs. *)
+   run, and a CALL to its callee's index in [c_units] and dummy slots.
+   [c_f] is the FORALL whose points the code runs at: its variables read
+   the frame, and its references resolve their access kind.  A name that
+   cannot be resolved compiles to its located error, raised only if the
+   code runs. *)
 type cctx = {
   c_env : Sema.unit_env;
   c_kind : string -> Scalar.kind option;  (** the kernel plans' scalar kinds *)
   c_slots : (string, int) Hashtbl.t;
   c_aslots : (string, int) Hashtbl.t;
   c_dads : (string * Dad.t) array;
+  c_units : (string * cctx) array;  (** every unit of the program, main first *)
   c_f : Ir.forall option;
   c_planned : int list ref;  (** the FORALL sids compiled with a kernel plan *)
+  c_nsplits : int ref;  (** one more than the largest split-phase slot id *)
 }
 
 let slot cx v =
@@ -290,7 +272,11 @@ let slot cx v =
       Hashtbl.replace cx.c_slots v k;
       k
 
-let caslot cx name = aslot cx.c_aslots name
+let caslot cx name =
+  match Hashtbl.find_opt cx.c_aslots name with
+  | Some k -> k
+  | None -> Diag.bug "interp: no array '%s'" name
+
 let cdad cx name = snd cx.c_dads.(caslot cx name)
 
 (* The subscripts of a reference, or [None] if one is a section. *)
@@ -394,10 +380,10 @@ and carray cx loc (r : Ast.ref_) k subs =
         Ndarray.get_flat st.arrays.(k).Darray.local flats.(0)
   | None -> (
       fun st fr ->
-        let g = g st fr and darr = st.arrays.(k) in
-        match replica_serve st r.Ast.base darr g with
+        let g = g st fr in
+        match replica_serve st k g with
         | Some v -> v
-        | None -> Darray.get_global st.ctx darr g)
+        | None -> Darray.get_global st.ctx st.arrays.(k) g)
   | Some f -> (
       let missing what = Diag.error ~loc "%s temporary missing for '%s'" what r.Ast.base in
       match List.assoc_opt r.Ast.rid f.Ir.f_access with
@@ -417,18 +403,18 @@ and carray cx loc (r : Ast.ref_) k subs =
             | Some c -> storage_pos st dad ~dim:d (c st fr) + 1
           in
           fun st fr ->
-            match find_temp st fr.ftemps temp with
-            | Some (Kernel.Tbox nd) -> Ndarray.get nd (Array.mapi (pos st fr) dims)
+            match st.temps.(temp) with
+            | Some nd -> Ndarray.get nd (Array.mapi (pos st fr) dims)
             | _ -> missing "communication")
       | Some (Ir.Acc_flat { temp }) -> (
           fun st fr ->
-            match find_temp st fr.ftemps temp with
-            | Some (Kernel.Tflat nd) -> Ndarray.get_flat nd fr.counter
+            match st.temps.(temp) with
+            | Some nd -> Ndarray.get_flat nd fr.counter
             | _ -> missing "inspector")
       | Some (Ir.Acc_global_temp { temp }) -> (
           fun st fr ->
-            match find_temp st fr.ftemps temp with
-            | Some (Kernel.Tglobal nd) -> Ndarray.get nd (g st fr)
+            match st.temps.(temp) with
+            | Some nd -> Ndarray.get nd (g st fr)
             | _ -> missing "concatenation"))
 
 and ctransformational cx loc (r : Ast.ref_) =
@@ -509,12 +495,6 @@ let ctrip cx range =
     do_stride stp;
     continues ~stp ~hi lo
 
-(* The kernel layer's view of the scalar slots. *)
-let scalar_lookup st v =
-  match Hashtbl.find_opt st.u.pu_slots v with
-  | Some k when st.vals.(k) != unset -> Some st.vals.(k)
-  | _ -> List.assoc_opt v st.u.pu_ir.Ir.u_env.Sema.uparams
-
 (* ------------------------------------------------------------------ *)
 (* Inspector                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -528,14 +508,13 @@ let scalar_lookup st v =
    Pattern makes such a reference a gather, never a local build.
    Strip-compiled subscripts run over this rank's space only, and as
    compiled code per point on another rank's. *)
-let inspect st (f : Ir.forall) ~space ~ftemps ~every_owner ~all_ranks (dad, subs) =
+let inspect st ~space ~every_owner ~all_ranks (dad, subs) =
   let me = me st in
   let subs values ~mine =
     Array.map
       (fun (x, c) ->
         match
-          Kernel.index x ~f ~me ~scalar_lookup:(scalar_lookup st) ~darr_of:(darray_of st)
-            ~temp_of:(find_temp st ftemps)
+          Kernel.index x ~me ~arrays:st.arrays ~scalars:st.vals ~temps:st.temps
             ~values:(if mine then Some values else None)
         with
         | Kernel.Iaffine l -> Inspector.Lin l
@@ -543,7 +522,7 @@ let inspect st (f : Ir.forall) ~space ~ftemps ~every_owner ~all_ranks (dad, subs
         | Kernel.Iinterp ->
             (* the counter keeps Acc_flat subscript reads in step with
                the iteration they were built for *)
-            let fr = { x = [||]; counter = 0; ftemps; fsnap = None } in
+            let fr = { x = [||]; counter = 0; fsnap = None } in
             Inspector.Fn
               (fun x counter ->
                 fr.x <- x;
@@ -564,13 +543,16 @@ let inspect st (f : Ir.forall) ~space ~ftemps ~every_owner ~all_ranks (dad, subs
 (* [Passes.key_schedules] proves a schedule's index sets depend only on
    named constants, the FORALL variables — and the *contents* of any index
    arrays in the subscripts (e.g. V in B(V(I))), which it cannot see
-   change.  Every array assignment bumps a per-unit write counter
-   (identically on every rank, so collective rebuilds stay consistent),
-   and the current counters of a schedule's index arrays are appended to
-   its cache key: a reuse after the index array was overwritten misses and
-   rebuilds instead of serving the stale index sets. *)
+   change.  Every array slot has a write version: every assignment to the
+   array bumps it (identically on every rank, so collective rebuilds stay
+   consistent), and the current versions of a schedule's index arrays are
+   appended to its cache key, so a reuse after the index array was
+   overwritten misses and rebuilds instead of serving the stale index
+   sets.  A unit's versions persist across its CALL instances on the rank,
+   as its keyed schedules do, and binding an array dummy at a CALL bumps
+   the dummy's version: the actual may hold new contents. *)
 
-let bump_written st name = Rctx.bump_version st.ctx (version_key st name)
+let bump_written st k = st.versions.(k) <- st.versions.(k) + 1
 
 (* The index arrays [r]'s subscripts read are found at compile time; the
    code yields their current write versions. *)
@@ -582,12 +564,9 @@ let version_sig cx (r : Ast.ref_) =
     |> List.filter_map (fun (ri : Ast.ref_) ->
            if Hashtbl.mem cx.c_aslots ri.Ast.base then Some ri.Ast.base else None)
     |> List.sort_uniq compare
+    |> List.map (fun b -> ("|" ^ b ^ "=", caslot cx b))
   in
-  fun st ->
-    String.concat ""
-      (List.map
-         (fun b -> Printf.sprintf "|%s=%d" b (Rctx.version st.ctx (version_key st b)))
-         bases)
+  fun st -> String.concat "" (List.map (fun (b, k) -> b ^ string_of_int st.versions.(k)) bases)
 
 (* ------------------------------------------------------------------ *)
 (* Pre-communication                                                   *)
@@ -606,100 +585,98 @@ let log_comm st (c : Ir.comm) =
 (* The multicast slab, through the replica cache when the coalesce pass is
    on: a repeat of the same (array, dim, slice) broadcast while the array
    is unmodified is served from the cached slab with no messages. *)
-let multicast_slab st arr darr ~dim ~g0 =
-  match cached_slab st arr ~dim ~g0 with
+let multicast_slab st k ~dim ~g0 =
+  match cached_slab st k ~dim ~g0 with
   | Some slab -> slab
   | None ->
-      let slab = Structured.multicast st.ctx darr ~dim ~g:g0 in
-      publish st arr ~dim ~g0 slab;
+      let slab = Structured.multicast st.ctx st.arrays.(k) ~dim ~g:g0 in
+      publish st k ~dim ~g0 slab;
       slab
 
 (* The two halves of a split-phase multicast (pass 6).  The issue makes
    the replica-cache serve/miss decision — at issue time, with the same
    replicated inputs as {!multicast_slab}, so no rank diverges — and on a
-   miss starts the nonblocking broadcast tree.  The wait publishes the
-   slab into the unit's persistent temp table (split comms, like hoisted
-   ones, live outside any FORALL frame) and, on the in-flight path,
-   refreshes the replica cache exactly as the blocking path would. *)
-let compile_issue cx hid (c : Ir.comm) =
+   miss starts the nonblocking broadcast tree.  The wait stores the slab
+   in its temporary, which (like a hoisted comm's) outlives the FORALL
+   reading it, and, on the in-flight path, refreshes the replica cache
+   exactly as the blocking path would. *)
+let compile_split cx ~issue hid (c : Ir.comm) =
+  cx.c_nsplits := max !(cx.c_nsplits) (hid + 1);
   match c with
-  | Ir.Multicast { arr; dim; g; temp } -> (
+  | Ir.Multicast { arr; dim; g; _ } when issue -> (
       let g0 = csub cx arr ~dim g and k = caslot cx arr in
       fun st ->
         log_comm st c;
-        if Hashtbl.mem st.pending hid then Diag.bug "interp: double issue on split slot %d" hid;
+        if Option.is_some st.pending.(hid) then
+          Diag.bug "interp: double issue on split slot %d" hid;
         let g0 = g0 st in
-        match cached_slab st arr ~dim ~g0 with
-        | Some slab -> Hashtbl.replace st.pending hid (Pserved { pc_temp = temp; pc_slab = slab })
-        | None ->
-            let bp = Structured.multicast_issue st.ctx st.arrays.(k) ~dim ~g:g0 in
-            Hashtbl.replace st.pending hid
-              (Pflight { pc_temp = temp; pc_arr = arr; pc_dim = dim; pc_g0 = g0; pc_bp = bp }))
-  | c -> fun _ -> Diag.bug "interp: split issue of non-multicast comm %s" (Ir.comm_name c)
-
-let exec_comm_wait st hid =
-  match Hashtbl.find_opt st.pending hid with
-  | None -> Diag.bug "interp: wait on empty split slot %d" hid
-  | Some p -> (
-      Hashtbl.remove st.pending hid;
-      match p with
-      | Pserved { pc_temp; pc_slab } -> Hashtbl.replace st.ptemps pc_temp (Kernel.Tbox pc_slab)
-      | Pflight { pc_temp; pc_arr; pc_dim; pc_g0; pc_bp } ->
-          let slab = Structured.multicast_wait st.ctx pc_bp in
-          Hashtbl.replace st.ptemps pc_temp (Kernel.Tbox slab);
-          (* The intervening statements provably did not write the
-             broadcast slice (split legality), so the slab equals the
-             slice under the current version even if other parts of the
-             array changed since the issue. *)
-          publish st pc_arr ~dim:pc_dim ~g0:pc_g0 slab)
+        st.pending.(hid) <-
+          Some
+            (match cached_slab st k ~dim ~g0 with
+            | Some slab -> Pserved slab
+            | None -> Pflight (g0, Structured.multicast_issue st.ctx st.arrays.(k) ~dim ~g:g0)))
+  | Ir.Multicast { arr; dim; temp; _ } -> (
+      let k = caslot cx arr in
+      fun st ->
+        match st.pending.(hid) with
+        | None -> Diag.bug "interp: wait on empty split slot %d" hid
+        | Some (Pserved slab) ->
+            st.pending.(hid) <- None;
+            set_temp st temp slab
+        | Some (Pflight (g0, bp)) ->
+            st.pending.(hid) <- None;
+            let slab = Structured.multicast_wait st.ctx bp in
+            set_temp st temp slab;
+            (* The intervening statements provably did not write the
+               broadcast slice (split legality), so the slab equals the
+               slice under the current version even if other parts of the
+               array changed since the issue. *)
+            publish st k ~dim ~g0 slab)
+  | c -> fun _ -> Diag.bug "interp: split half of non-multicast comm %s" (Ir.comm_name c)
 
 (* Comms that do not need the FORALL frame (everything but the inspector
-   ops) — executable from a loop pre-header, where the temporaries table
-   is the unit's persistent [ptemps]. *)
+   ops) — executable from a loop pre-header too. *)
 let compile_comm cx (c : Ir.comm) =
   let run =
     match c with
     | Ir.Multicast { arr; dim; g; temp } ->
         let g0 = csub cx arr ~dim g and k = caslot cx arr in
-        fun st ftemps ->
-          let slab = multicast_slab st arr st.arrays.(k) ~dim ~g0:(g0 st) in
-          Hashtbl.replace ftemps temp (Kernel.Tbox slab)
+        fun st -> set_temp st temp (multicast_slab st k ~dim ~g0:(g0 st))
     | Ir.Transfer { arr; dim; src; dest; temp } -> (
         let s0 = csub cx arr ~dim src and d0 = csub cx arr ~dim dest and k = caslot cx arr in
-        fun st ftemps ->
+        fun st ->
           let s0 = s0 st in
           let d0 = d0 st in
           match Structured.transfer st.ctx st.arrays.(k) ~dim ~gsrc:s0 ~gdest:d0 with
-          | Some slab -> Hashtbl.replace ftemps temp (Kernel.Tbox slab)
+          | Some slab -> set_temp st temp slab
           | None -> ())
     | Ir.Overlap_shift { arr; dim; amount } ->
         let k = caslot cx arr in
-        fun st _ -> Structured.overlap_shift st.ctx st.arrays.(k) ~dim ~amount
+        fun st -> Structured.overlap_shift st.ctx st.arrays.(k) ~dim ~amount
     | Ir.Temp_shift { arr; dim; amount; temp } ->
         let amount = cint cx amount and k = caslot cx arr in
-        fun st ftemps ->
+        fun st ->
           let a = amount st no_frame in
           let slab = Structured.temporary_shift st.ctx st.arrays.(k) ~dim ~amount:a in
-          Hashtbl.replace ftemps temp (Kernel.Tbox slab)
+          set_temp st temp slab
     | Ir.Multicast_shift { ms_arr; mdim; ms_g; sdim; ms_amount; ms_temp; fused } ->
         let g0 = csub cx ms_arr ~dim:mdim ms_g and amount = cint cx ms_amount in
         let k = caslot cx ms_arr in
-        fun st ftemps ->
+        fun st ->
           let g0 = g0 st in
           let a = amount st no_frame in
           let slab =
             Structured.multicast_shift st.ctx st.arrays.(k) ~fused ~mdim ~g:g0 ~sdim ~amount:a
           in
-          Hashtbl.replace ftemps ms_temp (Kernel.Tbox slab)
+          set_temp st ms_temp slab
     | Ir.Concat { arr; temp } ->
         let k = caslot cx arr in
-        fun st ftemps ->
-          Hashtbl.replace ftemps temp (Kernel.Tglobal (Darray.gather_global st.ctx st.arrays.(k)))
+        fun st -> set_temp st temp (Darray.gather_global st.ctx st.arrays.(k))
     | Ir.Comm_batch members -> (
         (* one packed message per rank pair; members were proven homogeneous
            by the coalescing pass *)
         match members with
-        | [] -> fun _ _ -> ()
+        | [] -> fun _ -> ()
         | { Ir.hc = Ir.Overlap_shift _; _ } :: _ ->
             let members =
               List.map
@@ -709,7 +686,7 @@ let compile_comm cx (c : Ir.comm) =
                   | _ -> Diag.bug "interp: mixed comm batch")
                 members
             in
-            fun st _ ->
+            fun st ->
               Structured.overlap_shift_batch st.ctx
                 (List.map (fun (k, dim, amount, sid) -> (st.arrays.(k), dim, amount, sid)) members)
         | { Ir.hc = Ir.Transfer _; _ } :: _ ->
@@ -729,24 +706,18 @@ let compile_comm cx (c : Ir.comm) =
                   | _ -> Diag.bug "interp: mixed comm batch")
                 members
             in
-            fun st ftemps ->
+            fun st ->
               Structured.transfer_batch st.ctx (List.map (fun (plan, _) -> plan st) members)
               |> List.iter2
-                   (fun (_, temp) -> function
-                     | Some slab ->
-                         Hashtbl.replace ftemps temp (Kernel.Tbox slab);
-                         (* consumers downstream of the anchor statement read
-                            the persistent table *)
-                         Hashtbl.replace st.ptemps temp (Kernel.Tbox slab)
-                     | None -> ())
+                   (fun (_, temp) -> Option.iter (set_temp st temp))
                    members
-        | _ -> fun _ _ -> Diag.bug "interp: unsupported comm batch")
+        | _ -> fun _ -> Diag.bug "interp: unsupported comm batch")
     | Ir.Precomp_read _ | Ir.Gather_read _ ->
-        fun _ _ -> Diag.bug "interp: inspector comm outside a FORALL frame"
+        fun _ -> Diag.bug "interp: inspector comm outside a FORALL frame"
   in
-  fun st ftemps ->
+  fun st ->
     log_comm st c;
-    run st ftemps
+    run st
 
 (* A keyed schedule is reused while the index arrays its reference's
    subscripts read keep their write versions ([vsig], from
@@ -767,13 +738,13 @@ let cached_schedule st key vsig build =
    a fallback (by reason) in this rank's collector; an ineligible plan
    and an empty slab (gauss's non-owning ranks) count as neither.  [None]:
    the interpreter must run the nest. *)
-let run_kernel st plan ftemps vv =
+let run_kernel st plan vv =
   if not (Rctx.kernels st.ctx && List.for_all (fun a -> Array.length a > 0) vv) then None
   else
     let rs = Engine.rank_stats (Rctx.engine st.ctx) in
     match
-      Kernel.execute plan ~me:(me st) ~scalar_lookup:(scalar_lookup st) ~darr_of:(darray_of st)
-        ~temp_of:(find_temp st ftemps) ~values:vv
+      Kernel.execute plan ~me:(me st) ~arrays:st.arrays ~scalars:st.vals ~temps:st.temps
+        ~values:vv
     with
     | None -> None
     | Some (Ok out) ->
@@ -794,7 +765,10 @@ let spanned name run st =
   end
 
 let compile_forall cx ~sid (f : Ir.forall) =
-  let env = cx.c_env and scalar_kind = cx.c_kind in
+  let scope =
+    { Kernel.env = cx.c_env; scalar_kind = cx.c_kind; scalar_slot = slot cx;
+      array_slot = caslot cx }
+  in
   let ranges = List.map (fun (_, rg) -> crange cx rg) f.Ir.f_vars in
   let guards =
     match f.Ir.f_iter with
@@ -807,7 +781,7 @@ let compile_forall cx ~sid (f : Ir.forall) =
       Array.of_list
         (List.map
            (function
-             | Ast.Elem e -> (Kernel.plan_index ~env ~scalar_kind ~f e, cint fx e)
+             | Ast.Elem e -> (Kernel.plan_index scope ~f e, cint fx e)
              | Ast.Range _ -> Diag.bug "interp: section in inspector")
            r.Ast.args) )
   in
@@ -818,13 +792,11 @@ let compile_forall cx ~sid (f : Ir.forall) =
         | Ir.Precomp_read { r; itemp; key } | Ir.Gather_read { r; itemp; key } ->
             let ins = inspected r and vsig = version_sig cx r and k = caslot cx r.Ast.base in
             let local = match c with Ir.Precomp_read _ -> true | _ -> false in
-            fun st ~space ftemps ->
+            fun st ~space ->
               log_comm st c;
               let sched =
                 cached_schedule st key vsig (fun () ->
-                    let p =
-                      inspect st f ~space ~ftemps ~every_owner:false ~all_ranks:local ins
-                    in
+                    let p = inspect st ~space ~every_owner:false ~all_ranks:local ins in
                     if local then
                       Schedule.build_read_local st.ctx ~owners:p.Inspector.owners
                         ~flats:p.Inspector.flats ~starts:p.Inspector.starts
@@ -832,19 +804,20 @@ let compile_forall cx ~sid (f : Ir.forall) =
                       Schedule.build_gather st.ctx ~owners:p.Inspector.owners
                         ~flats:p.Inspector.flats)
               in
-              Hashtbl.replace ftemps itemp
-                (Kernel.Tflat (Schedule.read st.ctx sched st.arrays.(k)))
+              set_temp st itemp (Schedule.read st.ctx sched st.arrays.(k))
         | c ->
             let run = compile_comm cx c in
-            fun st ~space:_ ftemps -> run st ftemps)
+            fun st ~space:_ -> run st)
       f.Ir.f_pre
   in
+  (* the statement's own temporaries do not outlive it *)
+  let own_temps = List.filter_map Ir.comm_temp f.Ir.f_pre in
   let mask = Option.map (cexpr fx) f.Ir.f_mask and rhs = cexpr fx f.Ir.f_rhs in
   let lhs = values (csubs fx f.Ir.f_lhs) in
   let post =
     Option.map (fun post -> (post, inspected f.Ir.f_lhs, version_sig cx f.Ir.f_lhs)) f.Ir.f_post
   in
-  let plan = Kernel.plan ~env ~scalar_kind ~f in
+  let plan = Kernel.plan scope ~f in
   cx.c_planned := sid :: !(cx.c_planned);
   let lk = caslot cx f.Ir.f_lhs.Ast.base in
   let lhs_dad = snd cx.c_dads.(lk) in
@@ -864,9 +837,8 @@ let compile_forall cx ~sid (f : Ir.forall) =
               ~ranges ~rank
         | Ir.It_even -> Some (Inspector.even ~nprocs:(Rctx.nprocs st.ctx) ~rank ranges)
       in
-      let ftemps = Hashtbl.create 8 in
       (* phase 1: collective pre-communication *)
-      List.iter (fun p -> p st ~space ftemps) pre;
+      List.iter (fun p -> p st ~space) pre;
       (* phase 2: local loop nest *)
       let lhs_darr = st.arrays.(lk) in
       (* the rhs reads the lhs array in place with a different subscript:
@@ -886,7 +858,7 @@ let compile_forall cx ~sid (f : Ir.forall) =
       (match space (me st) with
       | None -> ()
       | Some vv -> (
-          match run_kernel st plan ftemps vv with
+          match run_kernel st plan vv with
           | Some out ->
               (* the kernel ran the whole nest *)
               iters := List.fold_left (fun acc a -> acc * Array.length a) 1 vv;
@@ -894,7 +866,7 @@ let compile_forall cx ~sid (f : Ir.forall) =
           | None ->
               let copies = if canonical_store then 0 else Dad.copies lhs_dad in
               let owners = Array.make copies 0 and flats = Array.make copies 0 in
-              let fr = { x = [||]; counter = 0; ftemps; fsnap = snapshot } in
+              let fr = { x = [||]; counter = 0; fsnap = snapshot } in
               Inspector.iter vv (fun x counter ->
                   fr.x <- x;
                   fr.counter <- counter;
@@ -922,7 +894,7 @@ let compile_forall cx ~sid (f : Ir.forall) =
       Rctx.charge_flops st.ctx (!iters * (flops_per_iter + 1));
       Rctx.charge_iops st.ctx (!iters * (iops_per_iter + 2));
       (* phase 3: write-back *)
-      match post with
+      (match post with
       | None -> ()
       | Some (post, ins, vsig) ->
           let tmp =
@@ -936,7 +908,7 @@ let compile_forall cx ~sid (f : Ir.forall) =
           in
           (* the write list: the interpreter's, or, after the kernel, one
              inspector pass — only when the schedule is not cached *)
-          let inspect = inspect st f ~space ~ftemps ~every_owner:true in
+          let inspect = inspect st ~space ~every_owner:true in
           let my_writes () =
             match !scattered with
             | None ->
@@ -958,7 +930,8 @@ let compile_forall cx ~sid (f : Ir.forall) =
                     let owners, flats = my_writes () in
                     Schedule.build_scatter st.ctx ~owners ~flats)
           in
-          Schedule.write st.ctx sched lhs_darr tmp)
+          Schedule.write st.ctx sched lhs_darr tmp);
+      List.iter (fun t -> st.temps.(t) <- None) own_temps)
 
 (* ------------------------------------------------------------------ *)
 (* Movers and calls                                                    *)
@@ -1050,70 +1023,89 @@ let compile_mover cx ~target ~(call : Ast.ref_) loc =
           in
           st.arrays.(tk) <- adopt st result target_dad)
 
-(* A unit's local state: declared scalars start at zero, the rest unset;
+(* A unit's instance: declared scalars start at zero, the rest unset;
    arrays are fresh local sections, except the dummies [bound] by the
-   CALL. *)
-let unit_state ~ctx ~prog ~coalesce ~out (u : prepared_unit) ~bound =
-  let vals = Array.make (Hashtbl.length u.pu_slots) unset in
-  List.iter
-    (fun (n, k) -> vals.(Hashtbl.find u.pu_slots n) <- Scalar.zero (kind_of_decl k))
-    u.pu_ir.Ir.u_env.Sema.uscalars;
+   CALL, each of which gets a fresh write version (the actual may hold
+   new contents). *)
+let unit_state ~ctx ~prog ~coalesce ~out ~unit_versions (u : prepared_unit) ~bound =
+  let versions = unit_versions.(u.pu_index) in
   let arrays =
     Array.mapi
       (fun k (_, dad) ->
-        match List.assoc_opt k bound with Some d -> d | None -> Darray.create ctx dad)
+        match bound.(k) with
+        | Some d ->
+            versions.(k) <- versions.(k) + 1;
+            d
+        | None -> Darray.create ctx dad)
       u.pu_arrays
   in
-  let ptemps = Hashtbl.create 8 and replicas = Hashtbl.create 4 and pending = Hashtbl.create 4 in
-  { ctx; prog; u; vals; arrays; out; ptemps; replicas; coalesce; pending }
+  { ctx; prog; u; vals = Array.copy u.pu_vals; arrays; versions; unit_versions; out; coalesce;
+    replicas = Array.make (Array.length arrays) None; temps = Array.make u.pu_ir.Ir.u_ntemps None;
+    pending = Array.make u.pu_nsplits None }
 
-(* [actuals]: each argument with its array slot or scalar slot, when it
-   is a bare name, and its code. *)
-let exec_call st ~sid ~loc sub actuals =
-  let callee =
-    try List.assoc sub st.prog with Not_found -> Diag.error "unknown subroutine '%s'" sub
-  in
-  let dummies = callee.pu_ir.Ir.u_env.Sema.usub.Ast.args in
-  if List.length dummies <> List.length actuals then
-    Diag.error "CALL %s: expected %d arguments, got %d" sub (List.length dummies)
-      (List.length actuals);
-  (* bind arguments; remember what to copy back *)
-  let bound = ref [] and scalars = ref [] and backs = ref [] in
-  List.iter2
-    (fun dummy actual ->
-      match (Hashtbl.find_opt callee.pu_aslots dummy, actual) with
-      | Some d, (`Array k, _) ->
-          bound := (d, adopt st st.arrays.(k) (snd callee.pu_arrays.(d))) :: !bound;
-          backs := `Array (d, k) :: !backs
-      | Some _, _ ->
-          Diag.error ~loc "CALL %s: array dummy '%s' needs a whole-array actual argument" sub dummy
-      | None, (`Array _, _) -> Diag.error ~loc "CALL %s: dummy '%s' is not an array" sub dummy
-      | None, (`Var k, _) when st.vals.(k) != unset ->
-          let d = Hashtbl.find callee.pu_slots dummy in
-          scalars := (d, st.vals.(k)) :: !scalars;
-          backs := `Scalar (d, k) :: !backs
-      | None, (_, c) -> scalars := (Hashtbl.find callee.pu_slots dummy, c st no_frame) :: !scalars)
-    dummies actuals;
-  let cst =
-    unit_state ~ctx:st.ctx ~prog:st.prog ~coalesce:st.coalesce ~out:st.out callee ~bound:!bound
-  in
-  List.iter (fun (d, v) -> cst.vals.(d) <- v) !scalars;
-  (try callee.pu_body cst with Return_unwind -> ());
-  if Hashtbl.length cst.pending > 0 then
-    Diag.bug "interp: %d split-phase comm(s) issued but never waited in %s"
-      (Hashtbl.length cst.pending) sub;
-  (* copy-back redistribution belongs to the CALL statement, not to
-     whatever the callee executed last *)
-  Rctx.set_stmt st.ctx ~sid ~loc;
-  (* copy back (Fortran reference semantics) *)
-  List.iter
-    (function
-      | `Array (d, k) ->
-          let name, caller_dad = st.u.pu_arrays.(k) in
-          st.arrays.(k) <- adopt st cst.arrays.(d) caller_dad;
-          bump_written st name
-      | `Scalar (d, k) -> st.vals.(k) <- cst.vals.(d))
-    (List.rev !backs)
+let in_flight st = Array.exists Option.is_some st.pending
+
+(* A CALL site resolves its callee and each argument's dummy slot when
+   the caller is compiled. *)
+let compile_call cx ~sid ~loc sub args =
+  match Array.find_index (fun (n, _) -> n = sub) cx.c_units with
+  | None -> fun _ -> Diag.error "unknown subroutine '%s'" sub
+  | Some i ->
+      let ccx = snd cx.c_units.(i) in
+      let dummies = ccx.c_env.Sema.usub.Ast.args in
+      let bind dummy (e : Ast.expr) =
+        let actual = match e.Ast.e with Ast.Var v -> Hashtbl.find_opt cx.c_aslots v | _ -> None in
+        match (Hashtbl.find_opt ccx.c_aslots dummy, actual, e.Ast.e) with
+        | Some d, Some k, _ -> `Array (d, k)
+        | Some _, None, _ ->
+            `Error (fun () ->
+                Diag.error ~loc "CALL %s: array dummy '%s' needs a whole-array actual argument" sub
+                  dummy)
+        | None, Some _, _ ->
+            `Error (fun () -> Diag.error ~loc "CALL %s: dummy '%s' is not an array" sub dummy)
+        | None, None, Ast.Var v -> `Var (Hashtbl.find ccx.c_slots dummy, slot cx v, cexpr cx e)
+        | None, None, _ -> `Value (Hashtbl.find ccx.c_slots dummy, cexpr cx e)
+      in
+      if List.length dummies <> List.length args then fun _ ->
+        Diag.error "CALL %s: expected %d arguments, got %d" sub (List.length dummies)
+          (List.length args)
+      else
+        let actuals = List.map2 bind dummies args in
+        fun st ->
+          let callee = st.prog.(i) in
+          (* bind arguments in order; remember what to copy back *)
+          let bound = Array.make (Array.length callee.pu_arrays) None in
+          let scalars = ref [] and backs = ref [] in
+          List.iter
+            (function
+              | `Array (d, k) ->
+                  bound.(d) <- Some (adopt st st.arrays.(k) (snd callee.pu_arrays.(d)));
+                  backs := `Array (d, k) :: !backs
+              | `Var (d, k, _) when st.vals.(k) != unset ->
+                  scalars := (d, st.vals.(k)) :: !scalars;
+                  backs := `Scalar (d, k) :: !backs
+              | `Var (d, _, c) | `Value (d, c) -> scalars := (d, c st no_frame) :: !scalars
+              | `Error raise_it -> raise_it ())
+            actuals;
+          let cst =
+            unit_state ~ctx:st.ctx ~prog:st.prog ~coalesce:st.coalesce ~out:st.out
+              ~unit_versions:st.unit_versions callee ~bound
+          in
+          List.iter (fun (d, v) -> cst.vals.(d) <- v) !scalars;
+          (try callee.pu_body cst with Return_unwind -> ());
+          if in_flight cst then
+            Diag.bug "interp: split-phase comm issued but never waited in %s" sub;
+          (* copy-back redistribution belongs to the CALL statement, not to
+             whatever the callee executed last *)
+          Rctx.set_stmt st.ctx ~sid ~loc;
+          (* copy back (Fortran reference semantics) *)
+          List.iter
+            (function
+              | `Array (d, k) ->
+                  st.arrays.(k) <- adopt st cst.arrays.(d) (snd st.u.pu_arrays.(k));
+                  bump_written st k
+              | `Scalar (d, k) -> st.vals.(k) <- cst.vals.(d))
+            (List.rev !backs)
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -1139,9 +1131,11 @@ and cbody cx stmts =
 
 and cnode cx (s : Ir.stmt) : ustate -> unit =
   let sid = s.Ir.sid and loc = s.Ir.sloc in
-  let bumping name run st =
-    run st;
-    bump_written st name
+  let bumping name run =
+    let k = caslot cx name in
+    fun st ->
+      run st;
+      bump_written st k
   in
   (* a pre-header or split half runs its comm under the provenance of
      the statement it was lifted from, then restores its own *)
@@ -1195,18 +1189,7 @@ and cnode cx (s : Ir.stmt) : ustate -> unit =
           let c = cexpr cx c and body = cbody cx body in
           fun st -> if Scalar.to_bool (c st no_frame) then body st else rest st)
         arms (cbody cx els)
-  | Ir.Call_sub { sub; args } ->
-      let actuals =
-        List.map
-          (fun (e : Ast.expr) ->
-            ( (match e.Ast.e with
-              | Ast.Var v when Hashtbl.mem cx.c_aslots v -> `Array (caslot cx v)
-              | Ast.Var v -> `Var (slot cx v)
-              | _ -> `Expr),
-              cexpr cx e ))
-          args
-      in
-      fun st -> exec_call st ~sid ~loc sub actuals
+  | Ir.Call_sub { sub; args } -> compile_call cx ~sid ~loc sub args
   | Ir.Print_stmt args ->
       let items =
         List.map
@@ -1240,20 +1223,15 @@ and cnode cx (s : Ir.stmt) : ustate -> unit =
       let members =
         List.map
           (fun (h : Ir.hoisted) ->
-            let run = compile_comm cx h.Ir.hc in
-            as_origin h (fun st -> run st st.ptemps))
+            as_origin h (compile_comm cx h.Ir.hc))
           cb_members
       in
       fun st -> if active st then List.iter (fun m -> m st) members
   | (Ir.Comm_issue { sp_hid; sp_comm; sp_guard } | Ir.Comm_wait { sp_hid; sp_comm; sp_guard }) as n
     ->
       let active = csplit_guard cx sp_guard in
-      let run =
-        as_origin sp_comm
-          (match n with
-          | Ir.Comm_issue _ -> compile_issue cx sp_hid sp_comm.Ir.hc
-          | _ -> fun st -> exec_comm_wait st sp_hid)
-      in
+      let issue = match n with Ir.Comm_issue _ -> true | _ -> false in
+      let run = as_origin sp_comm (compile_split cx ~issue sp_hid sp_comm.Ir.hc) in
       fun st -> if active st then run st
 
 (* Whether a split-phase half executes.  [Sg_trip] re-evaluates the
@@ -1279,7 +1257,10 @@ and csplit_guard cx = function
 (* Per-run preparation                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let prepare_unit ~grid (u : Ir.unit_ir) =
+(* A unit's names: its arrays' slots and DADs, and its declared scalars'
+   and scalar dummies' slots (which hold one even when unused, so a CALL
+   site can bind them before the callee is compiled). *)
+let unit_scope ~grid (u : Ir.unit_ir) =
   let env = u.Ir.u_env in
   let arrays = Array.of_list (Sema.instantiate ~ghosts:u.Ir.u_ghosts env ~grid) in
   let aslots = Hashtbl.create 8 in
@@ -1299,23 +1280,31 @@ let prepare_unit ~grid (u : Ir.unit_ir) =
       | Some k -> Some (kind_of_decl k)
       | None -> Option.map Scalar.kind (List.assoc_opt v env.Sema.uparams)
   in
-  let c_slots = Hashtbl.create 16 in
   let cx =
-    { c_env = env; c_kind; c_slots; c_aslots = aslots; c_dads = arrays; c_f = None;
-      c_planned = ref [] }
+    { c_env = env; c_kind; c_slots = Hashtbl.create 16; c_aslots = aslots; c_dads = arrays;
+      c_units = [||]; c_f = None; c_planned = ref []; c_nsplits = ref 0 }
   in
-  (* declared scalars and scalar dummies hold a slot even when unused *)
   List.iter (fun (n, _) -> ignore (slot cx n)) env.Sema.uscalars;
   List.iter (fun n -> if not (Hashtbl.mem aslots n) then ignore (slot cx n)) env.Sema.usub.Ast.args;
-  let body = cbody cx u.Ir.u_body in
-  { pu_ir = u; pu_body = body; pu_slots = cx.c_slots; pu_arrays = arrays; pu_aslots = aslots;
-    pu_planned = !(cx.c_planned) }
+  cx
 
 let prepare ~grid (prog : Ir.program_ir) =
-  List.map (fun (n, u) -> (n, prepare_unit ~grid u)) prog.Ir.p_units
+  let units = Array.of_list prog.Ir.p_units in
+  let scopes = Array.map (fun (n, u) -> (n, unit_scope ~grid u)) units in
+  Array.mapi
+    (fun i (_, (u : Ir.unit_ir)) ->
+      let cx = { (snd scopes.(i)) with c_units = scopes } in
+      let body = cbody cx u.Ir.u_body in
+      let vals = Array.make (Hashtbl.length cx.c_slots) unset in
+      List.iter
+        (fun (n, k) -> vals.(Hashtbl.find cx.c_slots n) <- Scalar.zero (kind_of_decl k))
+        u.Ir.u_env.Sema.uscalars;
+      { pu_ir = u; pu_index = i; pu_body = body; pu_slots = cx.c_slots; pu_vals = vals;
+        pu_arrays = cx.c_dads; pu_nsplits = !(cx.c_nsplits); pu_planned = !(cx.c_planned) })
+    units
 
 let planned_sids (prog : prepared) =
-  List.concat_map (fun (_, pu) -> pu.pu_planned) prog |> List.sort compare
+  Array.to_list prog |> List.concat_map (fun pu -> pu.pu_planned) |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
 (* Entry                                                               *)
@@ -1328,12 +1317,15 @@ type outcome = {
 }
 
 let node_main ?(collect_finals = true) ?(coalesce = false) (prog : prepared) ctx =
-  let main = snd (List.hd prog) in
-  let st = unit_state ~ctx ~prog ~coalesce ~out:(Buffer.create 256) main ~bound:[] in
+  let main = prog.(0) in
+  let unit_versions = Array.map (fun pu -> Array.make (Array.length pu.pu_arrays) 0) prog in
+  let st =
+    unit_state ~ctx ~prog ~coalesce ~out:(Buffer.create 256) ~unit_versions main
+      ~bound:(Array.make (Array.length main.pu_arrays) None)
+  in
   let u = main.pu_ir in
   (try main.pu_body st with Return_unwind -> ());
-  if Hashtbl.length st.pending > 0 then
-    Diag.bug "interp: %d split-phase comm(s) issued but never waited" (Hashtbl.length st.pending);
+  if in_flight st then Diag.bug "interp: split-phase comm issued but never waited";
   (* the finals gather below is real communication: attribute it to the
      unit's epilogue sid so no event is left on the last body statement *)
   Rctx.set_stmt ctx ~sid:u.Ir.u_epilogue.Ir.pv_sid ~loc:u.Ir.u_epilogue.Ir.pv_loc;

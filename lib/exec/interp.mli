@@ -7,8 +7,6 @@
     static per-iteration operation counts, so the simulated clock reflects
     the machine model rather than host speed. *)
 
-open F90d_frontend
-
 type outcome = {
   output : string;  (** rank-0 PRINT output *)
   finals : (string * F90d_base.Ndarray.t) list;
@@ -49,9 +47,6 @@ val node_main :
     broadcasts of an unmodified slice — and remote single-element reads
     inside such a slice — locally with zero messages.  The driver sets it
     from the compiled program's pass flags. *)
-
-val ops_of_expr : Ast.expr -> int * int
-(** Static (flops, iops) estimate per evaluation, used for time charging. *)
 
 val apply_elemental :
   string -> F90d_base.Loc.t -> F90d_base.Scalar.t list -> F90d_base.Scalar.t

@@ -5,8 +5,6 @@ open F90d_frontend
 open F90d_ir
 module Stats = F90d_machine.Stats
 
-type temp_nd = Tbox of Ndarray.t | Tflat of Ndarray.t | Tglobal of Ndarray.t
-
 (* [plan] rejects a FORALL for good; [execute] hands one nest back to the
    interpreter, for a named reason. *)
 exception Ineligible
@@ -21,32 +19,42 @@ let lin_add a b = { base = a.base + b.base; coefs = Array.map2 ( + ) a.coefs b.c
 let lin_scale k a = { base = k * a.base; coefs = Array.map (( * ) k) a.coefs }
 let lin_sub a b = lin_add a (lin_scale (-1) b)
 
-(* Extract a linear form in the loop counters from an index expression:
-   FORALL variables contribute their progressions, scalars and parameters
-   their current integer values.  [plan] admits only the shapes handled
-   here, with one counter-free factor in every product. *)
-let rec lin_of ~nvars ~var_index ~progs ~scalar_lookup (e : Ast.expr) =
-  let go = lin_of ~nvars ~var_index ~progs ~scalar_lookup in
-  match e.Ast.e with
-  | Ast.Int_lit n -> lin_const nvars n
-  | Ast.Var v -> (
-      match var_index v with
-      | Some k ->
-          let g0, gs = progs.(k) in
-          let l = lin_const nvars g0 in
-          l.coefs.(k) <- gs;
-          l
-      | None -> (
-          match scalar_lookup v with
-          | Some (Scalar.Int n) -> lin_const nvars n
-          | _ -> raise (Decline Stats.Scalar_kind)))
-  | Ast.Un (Ast.Neg, a) -> lin_scale (-1) (go a)
-  | Ast.Bin (Ast.Add, a, b) -> lin_add (go a) (go b)
-  | Ast.Bin (Ast.Sub, a, b) -> lin_sub (go a) (go b)
-  | Ast.Bin (Ast.Mul, a, b) ->
+(* The value of a scalar slot nothing has assigned yet, told apart by
+   physical identity. *)
+let unset = Scalar.Str "<unset>"
+
+(* A scalar a plan reads: its slot, and the PARAMETER value an unassigned
+   slot stands for. *)
+type scalar = { slot : int; param : Scalar.t option }
+
+let read_scalar scalars s =
+  let x = scalars.(s.slot) in
+  if x != unset then Some x else s.param
+
+(* An affine subscript with its names resolved: FORALL variables by their
+   position in the nest, scalars by slot.  [-a] is [-1 * a]. *)
+type aff = Aint of int | Avar of int | Ascal of scalar | Aadd of aff * aff | Amul of aff * aff
+
+(* A linear form in the loop counters: FORALL variables contribute their
+   progressions, scalars their current integer values.  [plan] admits
+   only one counter-free factor in every product. *)
+let rec lin_of ~nvars ~progs ~scalars a =
+  let go = lin_of ~nvars ~progs ~scalars in
+  match a with
+  | Aint n -> lin_const nvars n
+  | Avar k ->
+      let g0, gs = progs.(k) in
+      let l = lin_const nvars g0 in
+      l.coefs.(k) <- gs;
+      l
+  | Ascal s -> (
+      match read_scalar scalars s with
+      | Some (Scalar.Int n) -> lin_const nvars n
+      | _ -> raise (Decline Stats.Scalar_kind))
+  | Aadd (a, b) -> lin_add (go a) (go b)
+  | Amul (a, b) ->
       let la = go a and lb = go b in
       if Array.for_all (( = ) 0) la.coefs then lin_scale la.base lb else lin_scale lb.base la
-  | _ -> assert false
 
 (* Storage position (per dimension) as a linear form, through a layout. *)
 let pos_through_layout layout ~flb (v : lin) =
@@ -94,10 +102,11 @@ let flat_of_positions ~lens nd positions =
 (* Everything about a FORALL that does not depend on run-time values —
    eligibility, the operator tree, which references feed which leaves,
    integer-vs-real division — is decided once per run and shared by all
-   ranks.  Scalars stay symbolic ([Tscal] slots, read once per execution:
-   gauss's pivot changes each step) and references stay as slots whose
-   flat affine offsets are re-derived every execution (layouts, scalar
-   subscripts and the iteration space all change under the statement). *)
+   ranks.  Names resolve to slots here: scalars to [Tscal] entries read
+   once per execution (gauss's pivot changes each step), references to
+   their array or temporary slot with their subscripts, whose flat affine
+   offsets are re-derived every execution (layouts, scalar subscripts and
+   the iteration space all change under the statement). *)
 type iop = Idiv | Imod | Imodulo
 
 type tnode =
@@ -116,57 +125,71 @@ type tnode =
   | Tfun2 of (float -> float -> float) * tnode * tnode
   | Tsel of tnode * tnode * tnode  (* MERGE: mask (last) selects t or f *)
 
-(* A compiled expression: its operator tree, the references its [Tload]
+(* A reference resolved by its access: the array slot and subscripts of a
+   direct read, the temporary slot (and, for a box, the array whose
+   layout the box follows) of a communicated one. *)
+type operand =
+  | Odirect of int * aff list
+  | Obox of { temp : int; arr : int; dims : aff option array (* [None]: collapsed *) }
+  | Oflat of int
+  | Oglobal of int * aff list
+
+(* A compiled expression: its operator tree, the operands its [Tload]
    slots read and the scalars its [Tscal] slots read. *)
 type expr_plan = {
   x_template : tnode;
-  x_refs : Ast.ref_ array;
-  x_scalars : (string * Scalar.kind) array;
+  x_refs : operand array;
+  x_scalars : (scalar * Scalar.kind) array;
       (* per scalar slot: the kind the plan assumed; a value of another
          kind declines *)
 }
 
 type compiled = {
-  p_f : Ir.forall;
   p_rhs : expr_plan;
+  p_lhs : int;  (* the left-hand side's array slot *)
   p_lhs_reads : bool array;
       (* per rhs slot: a direct read of the left-hand-side array, which
          Lower's [f_snapshot = false] proves hazard-free *)
-  p_scatter : bool;
-      (* an even iteration partition: values go to a buffer in iteration
-         order, for the statement's write-back schedule *)
+  p_store : aff list option;
+      (* the left-hand side's subscripts; [None] for an even iteration
+         partition, whose values go to a buffer in iteration order for
+         the statement's write-back schedule *)
 }
 
 type plan = compiled option  (* [None]: ineligible *)
 
+type scope = {
+  env : Sema.unit_env;
+  scalar_kind : string -> Scalar.kind option;
+  scalar_slot : string -> int;
+  array_slot : string -> int;
+}
+
 let make_var_index f =
   let var_names = List.map fst f.Ir.f_vars in
-  fun v ->
-    let rec go k = function
-      | [] -> None
-      | x :: _ when x = v -> Some k
-      | _ :: tl -> go (k + 1) tl
-    in
-    go 0 var_names
+  fun v -> List.find_index (( = ) v) var_names
 
 let subscripts (r : Ast.ref_) =
   List.map (function Ast.Elem e -> e | Ast.Range _ -> raise Ineligible) r.Ast.args
 
-let direct_access (f : Ir.forall) (r : Ast.ref_) =
-  match List.assoc_opt r.Ast.rid f.Ir.f_access with
-  | None | Some Ir.Acc_direct -> true
-  | Some _ -> false
+let scalar_ref sc v = { slot = sc.scalar_slot v; param = List.assoc_opt v sc.env.Sema.uparams }
 
-(* Subscripts of the shape [lin_of] handles. *)
-let rec affine ~var_index (e : Ast.expr) =
-  let counter_free e = List.for_all (fun v -> var_index v = None) (Ast.vars_of e) in
-  match e.Ast.e with
-  | Ast.Int_lit _ | Ast.Var _ -> true
-  | Ast.Un (Ast.Neg, a) -> affine ~var_index a
-  | Ast.Bin ((Ast.Add | Ast.Sub), a, b) -> affine ~var_index a && affine ~var_index b
-  | Ast.Bin (Ast.Mul, a, b) ->
-      affine ~var_index a && affine ~var_index b && (counter_free a || counter_free b)
-  | _ -> false
+(* A subscript of the shape [lin_of] handles, resolved; [None] for any
+   other. *)
+let aff_of sc ~var_index (e : Ast.expr) =
+  let rec go (e : Ast.expr) =
+    match e.Ast.e with
+    | Ast.Int_lit n -> Aint n
+    | Ast.Var v -> ( match var_index v with Some k -> Avar k | None -> Ascal (scalar_ref sc v))
+    | Ast.Un (Ast.Neg, a) -> Amul (Aint (-1), go a)
+    | Ast.Bin (Ast.Add, a, b) -> Aadd (go a, go b)
+    | Ast.Bin (Ast.Sub, a, b) -> Aadd (go a, Amul (Aint (-1), go b))
+    | Ast.Bin (Ast.Mul, a, b) ->
+        let counter_free e = List.for_all (fun v -> var_index v = None) (Ast.vars_of e) in
+        if counter_free a || counter_free b then Amul (go a, go b) else raise Exit
+    | _ -> raise Exit
+  in
+  try Some (go e) with Exit -> None
 
 (* Dynamic result kind, mirroring Scalar's value dispatch: Ki means the
    interpreter would compute this subexpression on Ints, so division
@@ -228,25 +251,23 @@ let kind_of ~env ~scalar_kind ~var_index =
 (* Compile an expression of a FORALL body into an operator tree over
    reference and scalar slots; raises [Ineligible] for anything the
    strips cannot reproduce bit for bit. *)
-let compile_expr ~env ~scalar_kind ~(f : Ir.forall) e =
+let compile_expr sc ~(f : Ir.forall) e =
+  let env = sc.env and scalar_kind = sc.scalar_kind in
   let var_index = make_var_index f in
-  let check_affine e = if not (affine ~var_index e) then raise Ineligible in
+  let resolve e = match aff_of sc ~var_index e with Some a -> a | None -> raise Ineligible in
   let kind_of = kind_of ~env ~scalar_kind ~var_index in
-  let refs = ref [] and nrefs = ref 0 in
+  (* both tables newest first: slot [s] is entry [length - 1 - s] *)
+  let refs = ref [] and scalars = ref [] in
   let slot r =
-    let s = !nrefs in
-    incr nrefs;
     refs := r :: !refs;
-    Tload s
+    Tload (List.length !refs - 1)
   in
-  let scalars = ref [] and nscalars = ref 0 in
   let scalar v k =
     match List.assoc_opt v !scalars with
     | Some (s, _) -> Tscal s
     | None ->
-        let s = !nscalars in
-        incr nscalars;
-        scalars := (v, (s, k)) :: !scalars;
+        let s = List.length !scalars in
+        scalars := (v, (s, (scalar_ref sc v, k))) :: !scalars;
         Tscal s
   in
   let rec compile (e : Ast.expr) =
@@ -333,25 +354,28 @@ let compile_expr ~env ~scalar_kind ~(f : Ir.forall) e =
         | None -> raise Ineligible
         | Some spec ->
             if spec.Sema.skind = Ast.Logical then raise Ineligible;
-            (match List.assoc_opt r.Ast.rid f.Ir.f_access with
-            | None | Some Ir.Acc_direct | Some (Ir.Acc_global_temp _) ->
-                List.iter check_affine (subscripts r)
-            | Some (Ir.Acc_box { dims; _ }) ->
-                Array.iter (function Ir.By_sub e -> check_affine e | Ir.Collapsed -> ()) dims
-            | Some (Ir.Acc_flat _) -> ());
-            slot r)
+            slot
+              (match List.assoc_opt r.Ast.rid f.Ir.f_access with
+              | None | Some Ir.Acc_direct ->
+                  Odirect (sc.array_slot r.Ast.base, List.map resolve (subscripts r))
+              | Some (Ir.Acc_global_temp { temp }) ->
+                  Oglobal (temp, List.map resolve (subscripts r))
+              | Some (Ir.Acc_box { temp; dims }) ->
+                  let dims =
+                    Array.map (function Ir.By_sub e -> Some (resolve e) | Ir.Collapsed -> None) dims
+                  in
+                  Obox { temp; arr = sc.array_slot r.Ast.base; dims }
+              | Some (Ir.Acc_flat { temp }) -> Oflat temp))
   in
   let template = compile e in
   {
     x_template = template;
     x_refs = Array.of_list (List.rev !refs);
-    x_scalars =
-      List.sort (fun (_, (a, _)) (_, (b, _)) -> compare a b) !scalars
-      |> List.map (fun (v, (_, k)) -> (v, k))
-      |> Array.of_list;
+    x_scalars = Array.of_list (List.rev_map (fun (_, (_, sk)) -> sk) !scalars);
   }
 
-let plan ~env ~scalar_kind ~(f : Ir.forall) =
+let plan sc ~(f : Ir.forall) =
+  let env = sc.env in
   try
     (* A snapshot or a mask is the interpreter's.  [f_snapshot = false]
        is Lower's guarantee that every direct read of the lhs array is its
@@ -371,16 +395,22 @@ let plan ~env ~scalar_kind ~(f : Ir.forall) =
     let nvars = List.length f.Ir.f_vars in
     if nvars = 0 || nvars > 3 then raise Ineligible;
     let var_index = make_var_index f in
-    if not scatter then
-      List.iter (fun e -> if not (affine ~var_index e) then raise Ineligible) (subscripts f.Ir.f_lhs);
-    let rhs = compile_expr ~env ~scalar_kind ~f f.Ir.f_rhs in
-    let lhs = f.Ir.f_lhs.Ast.base in
+    let store =
+      if scatter then None
+      else
+        Some
+          (List.map
+             (fun e -> match aff_of sc ~var_index e with Some a -> a | None -> raise Ineligible)
+             (subscripts f.Ir.f_lhs))
+    in
+    let rhs = compile_expr sc ~f f.Ir.f_rhs in
+    let lhs = sc.array_slot f.Ir.f_lhs.Ast.base in
     Some
       {
-        p_f = f;
         p_rhs = rhs;
-        p_lhs_reads = Array.map (fun r -> r.Ast.base = lhs && direct_access f r) rhs.x_refs;
-        p_scatter = scatter;
+        p_lhs = lhs;
+        p_lhs_reads = Array.map (function Odirect (k, _) -> k = lhs | _ -> false) rhs.x_refs;
+        p_store = store;
       }
   with Ineligible -> None
 
@@ -388,15 +418,21 @@ let plan ~env ~scalar_kind ~(f : Ir.forall) =
    per run: an affine form in the FORALL variables, an integer-valued
    expression run as strips over the iteration space, or the
    interpreter. *)
-type index_plan = Xaffine of Ast.expr | Xstrips of expr_plan | Xinterp
+type index_plan =
+  | Xaffine of int * aff  (* with the number of FORALL variables *)
+  | Xstrips of expr_plan
+  | Xinterp
 
-let plan_index ~env ~scalar_kind ~(f : Ir.forall) e =
+let plan_index sc ~(f : Ir.forall) e =
   let var_index = make_var_index f in
   let nvars = List.length f.Ir.f_vars in
-  if affine ~var_index e then Xaffine e
-  else if nvars >= 1 && nvars <= 3 && kind_of ~env ~scalar_kind ~var_index e = `Ki then
-    try Xstrips (compile_expr ~env ~scalar_kind ~f e) with Ineligible -> Xinterp
-  else Xinterp
+  match aff_of sc ~var_index e with
+  | Some a -> Xaffine (nvars, a)
+  | None ->
+      let kind = kind_of ~env:sc.env ~scalar_kind:sc.scalar_kind ~var_index e in
+      if nvars >= 1 && nvars <= 3 && kind = `Ki then
+        try Xstrips (compile_expr sc ~f e) with Ineligible -> Xinterp
+      else Xinterp
 
 (* ------------------------------------------------------------------ *)
 (* Row strips                                                          *)
@@ -664,13 +700,13 @@ let exec_strips ~slots ~svals ~progs ~store ~(sflat : lin) ~lens body =
 
 (* One execution's view of the nest: per-counter lengths and
    progressions padded to three counters, and the flat linear offset of
-   a reference under its access.  Raises [Decline] when an iteration set is not a
-   progression; [flat_of_ref] raises it for a reference it cannot
+   an operand.  Raises [Decline] when an iteration set is not a
+   progression; [flat_of_ref] raises it for an operand it cannot
    resolve. *)
 type nest = {
   lens : int array;
   progs : (int * int) array;
-  flat_of_ref : Ast.ref_ -> Ndarray.t * lin;
+  flat_of_ref : operand -> Ndarray.t * lin;
 }
 
 (* The iteration counter in nest order, as a linear form. *)
@@ -686,7 +722,7 @@ let counter_lin lens =
   done;
   !counter
 
-let nest (f : Ir.forall) ~me ~scalar_lookup ~darr_of ~temp_of ~values =
+let nest ~me ~(arrays : Darray.t array) ~scalars ~temps ~values =
   let nvars = 3 in
   let lens = Array.make nvars 1 in
   let progs = Array.make nvars (0, 0) in
@@ -702,50 +738,46 @@ let nest (f : Ir.forall) ~me ~scalar_lookup ~darr_of ~temp_of ~values =
       lens.(k) <- n;
       progs.(k) <- (g0, gs))
     values;
-  let lin_of e = lin_of ~nvars ~var_index:(make_var_index f) ~progs ~scalar_lookup e in
-  let temp want temp =
-    match (want, temp_of temp) with
-    | `Box, Some (Tbox nd) | `Flat, Some (Tflat nd) | `Global, Some (Tglobal nd) -> nd
-    | _ -> raise (Decline Stats.Missing_temp)
-  in
-  let flat_of_ref (r : Ast.ref_) =
-    let through_layout dad d e =
+  let lin_of a = lin_of ~nvars ~progs ~scalars a in
+  let temp t = match temps.(t) with Some nd -> nd | None -> raise (Decline Stats.Missing_temp) in
+  let flat_of_ref op =
+    let through_layout dad d a =
       let flb = (Dad.dims dad).(d).Dad.flb in
-      pos_through_layout (Dad.layout_at dad ~dim:d ~rank:me) ~flb (lin_of e)
+      pos_through_layout (Dad.layout_at dad ~dim:d ~rank:me) ~flb (lin_of a)
     in
-    match List.assoc_opt r.Ast.rid f.Ir.f_access with
-    | None | Some Ir.Acc_direct ->
-        let darr = darr_of r.Ast.base in
+    match op with
+    | Odirect (k, subs) ->
+        let darr = arrays.(k) in
         let nd = darr.Darray.local in
-        let positions = List.mapi (through_layout darr.Darray.dad) (subscripts r) in
+        let positions = List.mapi (through_layout darr.Darray.dad) subs in
         (nd, flat_of_positions ~lens nd positions)
-    | Some (Ir.Acc_box { temp = t; dims }) ->
-        let nd = temp `Box t in
-        let dad = (darr_of r.Ast.base).Darray.dad in
+    | Obox { temp = t; arr; dims } ->
+        let nd = temp t in
+        let dad = arrays.(arr).Darray.dad in
         let positions =
           List.mapi
             (fun d bd ->
               match bd with
-              | Ir.Collapsed -> lin_const nvars 1
-              | Ir.By_sub e ->
+              | None -> lin_const nvars 1
+              | Some a ->
                   (* temporaries have lower bound 1 *)
-                  lin_add (through_layout dad d e) (lin_const nvars 1))
+                  lin_add (through_layout dad d a) (lin_const nvars 1))
             (Array.to_list dims)
         in
         (nd, flat_of_positions ~lens nd positions)
-    | Some (Ir.Acc_flat { temp = t }) ->
-        let nd = temp `Flat t in
+    | Oflat t ->
+        let nd = temp t in
         (nd, flat_of_positions ~lens nd [ lin_add (counter_lin lens) (lin_const nvars 1) ])
-    | Some (Ir.Acc_global_temp { temp = t }) ->
-        let nd = temp `Global t in
-        (nd, flat_of_positions ~lens nd (List.map lin_of (subscripts r)))
+    | Oglobal (t, subs) ->
+        let nd = temp t in
+        (nd, flat_of_positions ~lens nd (List.map lin_of subs))
   in
   { lens; progs; flat_of_ref }
 
-let scalar_values x ~scalar_lookup =
+let scalar_values x ~scalars =
   Array.map
-    (fun (v, k) ->
-      match (k, scalar_lookup v) with
+    (fun (s, k) ->
+      match (k, read_scalar scalars s) with
       | Scalar.Kint, Some (Scalar.Int n) -> float_of_int n
       | Scalar.Kreal, Some (Scalar.Real r) -> r
       | _ -> raise (Decline Stats.Scalar_kind))
@@ -756,79 +788,73 @@ type stored = Stored | Scattered of Ndarray.t
 (* Resolve the slots and scalars against this execution's values, then
    run the nest; raises [Decline] before any store for every reason but a
    zero divisor. *)
-let run_nest (p : compiled) ~me ~scalar_lookup ~darr_of ~temp_of ~values =
-  let f = p.p_f in
-  let n = nest f ~me ~scalar_lookup ~darr_of ~temp_of ~values in
-  let lhs_darr = darr_of f.Ir.f_lhs.Ast.base in
-  if p.p_scatter then begin
-    (* the write-back phase sends value [i] to the [i]th entry of the
-       statement's write list: one entry per copy of each element *)
-    let copies = Dad.copies lhs_darr.Darray.dad in
-    let points = n.lens.(0) * n.lens.(1) * n.lens.(2) in
-    let svals = scalar_values p.p_rhs ~scalar_lookup in
-    let slots = Array.map n.flat_of_ref p.p_rhs.x_refs in
-    let buf = Array.make (points * copies) 0. in
-    exec_strips ~slots ~svals ~progs:n.progs ~store:buf ~sflat:(lin_scale copies (counter_lin n.lens))
-      ~lens:n.lens p.p_rhs.x_template;
-    for i = 0 to points - 1 do
-      for j = 1 to copies - 1 do
-        buf.((i * copies) + j) <- buf.(i * copies)
-      done
-    done;
-    Scattered (Ndarray.of_reals [| points * copies |] buf)
-  end
-  else begin
-    let store =
-      match lhs_darr.Darray.local.Ndarray.data with
-      | Ndarray.Reals d -> d
-      | _ -> raise (Decline Stats.Int_store)
-    in
-    let svals = scalar_values p.p_rhs ~scalar_lookup in
-    let slots = Array.map n.flat_of_ref p.p_rhs.x_refs in
-    (* -1 rid: no access entry, so the lhs resolves Acc_direct *)
-    let _, sflat = n.flat_of_ref { f.Ir.f_lhs with Ast.rid = -1 } in
-    if not (store_injective ~lens:n.lens sflat) then raise (Decline Stats.Not_injective);
-    (* Lower vouches for direct reads of the lhs array by name; any other
-       operand sharing the store's storage would be an alias it never saw
-       (none arises today: dummies are copied in, temporaries are fresh) *)
-    Array.iteri
-      (fun s (nd, _) ->
-        match nd.Ndarray.data with
-        | Ndarray.Reals d when d == store && not p.p_lhs_reads.(s) ->
-            raise (Decline Stats.Storage_alias)
-        | _ -> ())
-      slots;
-    exec_strips ~slots ~svals ~progs:n.progs ~store ~sflat ~lens:n.lens p.p_rhs.x_template;
-    Stored
-  end
+let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~values =
+  let n = nest ~me ~arrays ~scalars ~temps ~values in
+  let lhs_darr = arrays.(p.p_lhs) in
+  match p.p_store with
+  | None ->
+      (* the write-back phase sends value [i] to the [i]th entry of the
+         statement's write list: one entry per copy of each element *)
+      let copies = Dad.copies lhs_darr.Darray.dad in
+      let points = n.lens.(0) * n.lens.(1) * n.lens.(2) in
+      let svals = scalar_values p.p_rhs ~scalars in
+      let slots = Array.map n.flat_of_ref p.p_rhs.x_refs in
+      let buf = Array.make (points * copies) 0. in
+      exec_strips ~slots ~svals ~progs:n.progs ~store:buf
+        ~sflat:(lin_scale copies (counter_lin n.lens))
+        ~lens:n.lens p.p_rhs.x_template;
+      for i = 0 to points - 1 do
+        for j = 1 to copies - 1 do
+          buf.((i * copies) + j) <- buf.(i * copies)
+        done
+      done;
+      Scattered (Ndarray.of_reals [| points * copies |] buf)
+  | Some subs ->
+      let store =
+        match lhs_darr.Darray.local.Ndarray.data with
+        | Ndarray.Reals d -> d
+        | _ -> raise (Decline Stats.Int_store)
+      in
+      let svals = scalar_values p.p_rhs ~scalars in
+      let slots = Array.map n.flat_of_ref p.p_rhs.x_refs in
+      let _, sflat = n.flat_of_ref (Odirect (p.p_lhs, subs)) in
+      if not (store_injective ~lens:n.lens sflat) then raise (Decline Stats.Not_injective);
+      (* Lower vouches for direct reads of the lhs array by name; any other
+         operand sharing the store's storage would be an alias it never saw
+         (none arises today: dummies are copied in, temporaries are fresh) *)
+      Array.iteri
+        (fun s (nd, _) ->
+          match nd.Ndarray.data with
+          | Ndarray.Reals d when d == store && not p.p_lhs_reads.(s) ->
+              raise (Decline Stats.Storage_alias)
+          | _ -> ())
+        slots;
+      exec_strips ~slots ~svals ~progs:n.progs ~store ~sflat ~lens:n.lens p.p_rhs.x_template;
+      Stored
 
-let execute (p : plan) ~me ~scalar_lookup ~darr_of ~temp_of ~values =
+let execute (p : plan) ~me ~arrays ~scalars ~temps ~values =
   Option.map
     (fun p ->
-      match run_nest p ~me ~scalar_lookup ~darr_of ~temp_of ~values with
+      match run_nest p ~me ~arrays ~scalars ~temps ~values with
       | out -> Ok out
       | exception Decline why -> Error why)
     p
 
 type index = Iaffine of lin | Ivalues of int array | Iinterp
 
-let index (x : index_plan) ~(f : Ir.forall) ~me ~scalar_lookup ~darr_of ~temp_of ~values =
+let index (x : index_plan) ~me ~arrays ~scalars ~temps ~values =
   match (x, values) with
   | Xinterp, _ -> Iinterp
-  | Xaffine e, _ -> (
+  | Xaffine (nvars, a), _ -> (
       (* coefficients on the variables' values, not on loop counters *)
-      let nvars = List.length f.Ir.f_vars in
-      try
-        Iaffine
-          (lin_of ~nvars ~var_index:(make_var_index f) ~progs:(Array.make nvars (0, 1))
-             ~scalar_lookup e)
+      try Iaffine (lin_of ~nvars ~progs:(Array.make nvars (0, 1)) ~scalars a)
       with Decline _ -> Iinterp)
   | Xstrips _, None -> Iinterp
   | Xstrips _, Some values when List.exists (fun a -> Array.length a = 0) values -> Ivalues [||]
   | Xstrips xp, Some values -> (
       try
-        let n = nest f ~me ~scalar_lookup ~darr_of ~temp_of ~values in
-        let svals = scalar_values xp ~scalar_lookup in
+        let n = nest ~me ~arrays ~scalars ~temps ~values in
+        let svals = scalar_values xp ~scalars in
         let slots = Array.map n.flat_of_ref xp.x_refs in
         let buf = Array.make (n.lens.(0) * n.lens.(1) * n.lens.(2)) 0. in
         exec_strips ~slots ~svals ~progs:n.progs ~store:buf ~sflat:(counter_lin n.lens) ~lens:n.lens

@@ -7,14 +7,15 @@
 
     - {!plan} decides everything value-independent once per statement —
       eligibility, the operator tree, which references and scalars feed
-      which leaves, integer-vs-real division — before the run starts;
-      every rank and every execution under a DO loop shares the one plan.
+      which leaves, integer-vs-real division — before the run starts, and
+      resolves every array, scalar and temporary name to its slot; every
+      rank and every execution under a DO loop shares the one plan.
       Masks, snapshots and non-REAL stores of a write-back phase are
       ineligible here and nowhere else;
-    - {!execute} resolves the reference slots and scalar values once
-      against the current layouts, scalars and iteration sets, then runs
-      the whole local nest as row strips (fused multiply-update loops for
-      gauss's rank-1 body).  Row strips are the only compiled evaluator.
+    - {!execute} reads the slots once against the current layouts,
+      scalars and iteration sets, then runs the whole local nest as row
+      strips (fused multiply-update loops for gauss's rank-1 body).  Row
+      strips are the only compiled evaluator.
 
     Strips may run the nest in any order because {!F90d_codegen.Lower}
     alone decides read/write hazards: [f_snapshot = false] guarantees
@@ -29,23 +30,30 @@
 
 open F90d_frontend
 
-type temp_nd =
-  | Tbox of F90d_base.Ndarray.t
-  | Tflat of F90d_base.Ndarray.t
-  | Tglobal of F90d_base.Ndarray.t
+val unset : F90d_base.Scalar.t
+(** The value of a scalar slot nothing has assigned yet, told apart by
+    physical identity: a plan reads an unset slot as its PARAMETER's
+    value, if the name has one. *)
+
+type scope = {
+  env : Sema.unit_env;
+  scalar_kind : string -> F90d_base.Scalar.kind option;
+      (** the kind of each scalar the body may read (from declarations),
+          which decides integer vs. real division *)
+  scalar_slot : string -> int;  (** a scalar name's slot in [scalars] *)
+  array_slot : string -> int;  (** a declared array's slot in [arrays] *)
+}
+(** How a unit's names resolve, consulted only while planning. *)
 
 type plan
 (** The structure-only half of specialization for one FORALL: immutable,
     and safe to share between a run's ranks and executions (it captures
-    no array storage and no scalar values), including across the
+    slots, no array storage and no scalar values), including across the
     interpreter's array movers.  An ineligible plan is shared too —
     structural rejection is value-independent. *)
 
-val plan :
-  env:Sema.unit_env -> scalar_kind:(string -> F90d_base.Scalar.kind option) -> f:F90d_ir.Ir.forall -> plan
-(** Analyze a FORALL.  [scalar_kind] gives the kind of each scalar the
-    body may read (from declarations), which decides integer vs. real
-    division. *)
+val plan : scope -> f:F90d_ir.Ir.forall -> plan
+(** Analyze a FORALL.  A temporary is its id's slot in [temps]. *)
 
 type stored =
   | Stored  (** the nest stored into the left-hand side's local section *)
@@ -57,9 +65,9 @@ type stored =
 val execute :
   plan ->
   me:int ->
-  scalar_lookup:(string -> F90d_base.Scalar.t option) ->
-  darr_of:(string -> F90d_runtime.Darray.t) ->
-  temp_of:(int -> temp_nd option) ->
+  arrays:F90d_runtime.Darray.t array ->
+  scalars:F90d_base.Scalar.t array ->
+  temps:F90d_base.Ndarray.t option array ->
   values:int array list ->
   (stored, F90d_machine.Stats.kernel_fallback) result option
 (** Runs the whole local loop nest.  [None]: the plan is ineligible.
@@ -79,12 +87,7 @@ type index_plan
 (** How one subscript expression of a FORALL is evaluated for the PARTI
     inspector, decided once per run like {!plan}. *)
 
-val plan_index :
-  env:Sema.unit_env ->
-  scalar_kind:(string -> F90d_base.Scalar.kind option) ->
-  f:F90d_ir.Ir.forall ->
-  Ast.expr ->
-  index_plan
+val plan_index : scope -> f:F90d_ir.Ir.forall -> Ast.expr -> index_plan
 
 type index =
   | Iaffine of lin
@@ -95,11 +98,10 @@ type index =
 
 val index :
   index_plan ->
-  f:F90d_ir.Ir.forall ->
   me:int ->
-  scalar_lookup:(string -> F90d_base.Scalar.t option) ->
-  darr_of:(string -> F90d_runtime.Darray.t) ->
-  temp_of:(int -> temp_nd option) ->
+  arrays:F90d_runtime.Darray.t array ->
+  scalars:F90d_base.Scalar.t array ->
+  temps:F90d_base.Ndarray.t option array ->
   values:int array list option ->
   index
 (** Resolves a subscript for one execution.  An affine subscript gets its

@@ -56,8 +56,5 @@ val array_spec : unit_env -> string -> array_spec option
 val scalar_kind : unit_env -> string -> Ast.kind option
 val is_distributed : array_spec -> bool
 
-val eval_const : (string -> Scalar.t option) -> Ast.expr -> Scalar.t
-(** Constant folding over parameters; errors on non-constant input. *)
-
 val affine_of : var:string -> lookup:(string -> Scalar.t option) -> Ast.expr -> Affine.t option
 (** Recognise [a*var + b] with constant [a], [b]. *)

@@ -8,5 +8,4 @@
     the interpreter instead, so the emitted text is documentation-faithful
     rather than re-parsed. *)
 
-val emit_unit : Ir.unit_ir -> string
 val emit_program : Ir.program_ir -> string

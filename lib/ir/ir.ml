@@ -201,6 +201,9 @@ type unit_ir = {
   u_body : stmt list;
   u_ghosts : (string * int * int * int) list;
       (** (array, dim, ghost_lo, ghost_hi) requirements from overlap shifts *)
+  u_ntemps : int;
+      (** one more than the largest communication temporary id: Lower
+          numbers a unit's temporaries from 1, and no pass adds one *)
   u_prov : prov list;  (** provenance of every sid in this unit, in sid order *)
   u_explain : explain list;  (** comm-bearing statements, in sid order *)
   u_epilogue : prov;

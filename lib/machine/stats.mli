@@ -28,9 +28,6 @@ type kernel_fallback =
       (** an operand other than a direct read of the left-hand-side array
           shares the store's storage *)
 
-val kernel_fallback_label : kernel_fallback -> string
-(** The reason's Prometheus label value, e.g. ["store_not_injective"]. *)
-
 type t = {
   messages : int;
   bytes : int;

@@ -259,6 +259,3 @@ let shift_circular ctx team ~delta payload =
     (Rctx.recv ctx ~src:team.(src) ~tag:Tags.shift).Message.payload
   end
 
-let barrier ctx team =
-  spanned ctx "barrier" ~bytes_of:(fun () -> 0) @@ fun () ->
-  ignore (allreduce ctx team ~combine:(fun _ _ -> Message.Empty) Message.Empty)

@@ -84,4 +84,3 @@ val shift_circular : Rctx.t -> team -> delta:int -> Message.payload -> Message.p
 (** Circular shift (CSHIFT's pattern).  [delta] may be negative or exceed
     the team size. *)
 
-val barrier : Rctx.t -> team -> unit

@@ -9,10 +9,8 @@ let create ctx dad =
 
 let kind t = Dad.kind t.dad
 
-let storage_flat t lidx =
-  (* lidx are 0-based owned positions; storage lower bound is -ghost_lo *)
-  Ndarray.offset t.local lidx
-
+(* flat position in [local]'s payload of a global element, if owned
+   (ghost offsets applied) *)
 let owned_flat_of_global t ~rank gidx =
   match Dad.local_indices t.dad ~rank gidx with
   | None -> None

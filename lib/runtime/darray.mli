@@ -24,14 +24,6 @@ val get_local : t -> rank:int -> int array -> Scalar.t option
 val set_local : t -> rank:int -> int array -> Scalar.t -> bool
 (** Store into a global element if owned here; returns whether it was. *)
 
-val owned_flat_of_global : t -> rank:int -> int array -> int option
-(** Flat position in [local]'s payload of a global element, if owned.
-    Accounts for ghost offsets. *)
-
-val storage_flat : t -> int array -> int
-(** Flat position of per-dimension local indices (0-based owned positions,
-    ghost offset applied). *)
-
 val iter_owned : t -> rank:int -> (int array -> int -> unit) -> unit
 (** Iterate owned elements in local column-major order as
     [(global_indices, flat_storage_position)]. *)

@@ -9,7 +9,6 @@ type t = {
   eng : Engine.ctx;
   grid : Grid.t;
   sched_cache : (string, cache_entry) Hashtbl.t;
-  versions : (string, int) Hashtbl.t;
   mutable plans : plan list;
   mutable split_seq : int;
   kernels : bool;
@@ -19,15 +18,7 @@ let make ?(kernels = true) eng grid =
   if Grid.size grid <> Engine.nprocs eng then
     Diag.bug "rctx: grid size %d does not cover the machine (%d nodes)" (Grid.size grid)
       (Engine.nprocs eng);
-  {
-    eng;
-    grid;
-    sched_cache = Hashtbl.create 16;
-    versions = Hashtbl.create 16;
-    plans = [];
-    split_seq = 0;
-    kernels;
-  }
+  { eng; grid; sched_cache = Hashtbl.create 16; plans = []; split_seq = 0; kernels }
 
 let kernels t = t.kernels
 
@@ -43,8 +34,6 @@ let cache_store t key entry = Hashtbl.replace t.sched_cache key entry
 let cache_fold t f acc = Hashtbl.fold f t.sched_cache acc
 let plans t = t.plans
 let add_plan t p = t.plans <- p :: t.plans
-let version t key = Option.value (Hashtbl.find_opt t.versions key) ~default:0
-let bump_version t key = Hashtbl.replace t.versions key (version t key + 1)
 let trace t = Engine.trace t.eng
 let set_stmt t ~sid ~loc = Engine.set_stmt t.eng ~sid ~loc
 

@@ -3,7 +3,11 @@
     The engine deals in physical node ids; the run-time system and the
     compiled node programs deal in logical grid ranks (stage 3 of the
     paper's mapping keeps them distinct).  An [Rctx.t] carries both the
-    engine context and the grid, translating at every send/receive. *)
+    engine context and the grid, translating at every send/receive, and
+    the rank's per-run run-time caches: PARTI schedules and structured
+    peer plans.  Per-array program state (write versions, multicast
+    replicas, communication temporaries) belongs to the interpreter,
+    which keeps it in slots resolved when a unit is compiled. *)
 
 type t
 
@@ -39,16 +43,6 @@ val plans : t -> plan list
 (** The plans added so far, newest first. *)
 
 val add_plan : t -> plan -> unit
-
-val version : t -> string -> int
-(** Monotonic write-version counter under a caller-chosen key (0 until the
-    first {!bump_version}).  The interpreter bumps one counter per array
-    assignment — identically on every rank, since every rank executes every
-    statement — and stamps the current versions of a schedule's mutable
-    inputs (index arrays) into its cache key, so reuse can never serve a
-    schedule built from values that have since been overwritten. *)
-
-val bump_version : t -> string -> unit
 
 val trace : t -> F90d_trace.Trace.handle
 (** This processor's trace recorder (no-op handle when tracing is off). *)

@@ -465,6 +465,58 @@ let test_gauss_split_wait_reduction () =
   checkb "gauss hides receive latency" true (r_on.Driver.stats.Stats.recv_wait_hidden > 0.);
   checkb "gauss elapsed no worse" true (r_on.Driver.elapsed <= r_off.Driver.elapsed)
 
+(* Split-phase slots, temporaries and replicas belong to one CALL
+   instance: ACC's DO loop issues each column's multicast a step early
+   and serves the second read of the column from the replica cache, and
+   the caller doubles X between the two calls, so nothing of the first
+   instance may reach the second. *)
+let call_instance_src =
+  {|
+      PROGRAM INST
+      REAL X(16, 8), T(16), S
+C$    PROCESSORS P(4)
+C$    DISTRIBUTE X(*, BLOCK)
+C$    DISTRIBUTE T(BLOCK)
+      FORALL (I = 1:16, J = 1:8) X(I, J) = I + J - 1
+      CALL ACC(X, T)
+      FORALL (I = 1:16, J = 1:8) X(I, J) = 2 * X(I, J)
+      CALL ACC(X, T)
+      S = SUM(T)
+      END
+
+      SUBROUTINE ACC(X, T)
+      REAL X(16, 8), T(16), C(16)
+      INTEGER K
+C$    PROCESSORS P(4)
+C$    DISTRIBUTE X(*, BLOCK)
+C$    DISTRIBUTE T(BLOCK)
+C$    DISTRIBUTE C(BLOCK)
+      DO K = 1, 8
+        FORALL (I = 1:16) C(I) = X(I, K)
+        FORALL (I = 1:16) T(I) = T(I) + X(I, K) * 0.5 + C(I)
+      END DO
+      END
+|}
+
+let test_call_instance_state () =
+  let compiled flags = Driver.compile ~flags call_instance_src in
+  let on = compiled Passes.all_on in
+  checkb "ACC's multicasts are split-phase" true (comm_issues on.Driver.c_ir <> []);
+  let run c = messages ~nprocs:4 c in
+  let r_on = run on and r_off = run (compiled Passes.all_off) in
+  let r_nk = run (compiled { Passes.all_on with Passes.blocked_kernels = false }) in
+  checkb "the replica cache serves repeated columns" true
+    (r_on.Driver.stats.Stats.messages < r_off.Driver.stats.Stats.messages);
+  List.iter
+    (fun (name, r) ->
+      List.iter
+        (fun arr ->
+          checkb (name ^ ": " ^ arr ^ " bit-identical") true
+            (nd_eq (Driver.final r_on arr) (Driver.final r arr)))
+        [ "X"; "T" ];
+      checkb (name ^ ": S") true (Driver.final_scalar r "S" = F90d_base.Scalar.Real 6912.))
+    [ ("all on", r_on); ("all off", r_off); ("no blocked kernels", r_nk) ]
+
 (* ------------------------------------------------------------------ *)
 (* Explain annotations                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -523,6 +575,7 @@ let () =
           Alcotest.test_case "zero-trip loop guarded" `Quick test_split_zero_trip_loop;
           Alcotest.test_case "gauss hides receive latency" `Quick
             test_gauss_split_wait_reduction;
+          Alcotest.test_case "per-CALL-instance state" `Quick test_call_instance_state;
         ] );
       ( "attribution",
         [

@@ -115,6 +115,63 @@ let test_cache_isolated_across_distributions () =
   checkb "cyclic result" true
     (F90d_base.Ndarray.approx_equal (Driver.final rc "A") (Driver.final (reference `Cyclic) "A"))
 
+(* Paper §7: a PARTI schedule may be reused only while its index arrays
+   are unchanged.  Inside G the index array is the dummy W, and the
+   caller rewrites the actual V between two calls; binding the dummy must
+   give it a fresh write version, so the second call's keyed gather (and
+   scatter) rebuilds instead of serving the first call's schedule. *)
+let stale_call_source stmt =
+  Printf.sprintf
+    {|
+      PROGRAM P
+      REAL A(8), B(8)
+      INTEGER V(8)
+C$    DISTRIBUTE A(BLOCK)
+C$    DISTRIBUTE B(BLOCK)
+C$    DISTRIBUTE V(BLOCK)
+      FORALL (I = 1:8) A(I) = 100 + I
+      FORALL (I = 1:8) V(I) = I
+      CALL G(A, V, B)
+      PRINT *, B
+      FORALL (I = 1:8) V(I) = 9 - I
+      CALL G(A, V, B)
+      PRINT *, B
+      END
+
+      SUBROUTINE G(X, W, Y)
+      REAL X(8), Y(8)
+      INTEGER W(8)
+C$    DISTRIBUTE X(BLOCK)
+C$    DISTRIBUTE Y(BLOCK)
+C$    DISTRIBUTE W(BLOCK)
+      FORALL (I = 1:8) %s
+      END
+|}
+    stmt
+
+let test_schedule_across_calls () =
+  let want =
+    "REAL(1:8)[101; 102; 103; 104; 105; 106; 107; 108]\n"
+    ^ "REAL(1:8)[108; 107; 106; 105; 104; 103; 102; 101]\n"
+  in
+  List.iter
+    (fun (form, stmt) ->
+      List.iter
+        (fun nprocs ->
+          let run flags =
+            Driver.run ~nprocs (Driver.compile ~flags (stale_call_source stmt))
+          in
+          let on = run F90d_opt.Passes.all_on and off = run F90d_opt.Passes.all_off in
+          let name = Printf.sprintf "%s at P=%d" form nprocs in
+          Alcotest.(check string) (name ^ ": output") want
+            on.Driver.outcome.F90d_exec.Interp.output;
+          Alcotest.(check string) (name ^ ": all_off output") want
+            off.Driver.outcome.F90d_exec.Interp.output;
+          checkb (name ^ ": B = all_off") true
+            (F90d_base.Ndarray.approx_equal (Driver.final on "B") (Driver.final off "B")))
+        [ 1; 4 ])
+    [ ("gather", "Y(I) = X(W(I))"); ("scatter", "Y(W(I)) = X(I)") ]
+
 (* ------------------------------------------------------------------ *)
 (* Concurrent compiles                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -195,6 +252,8 @@ let () =
           Alcotest.test_case "across machine sizes" `Quick test_cache_isolated_across_nprocs;
           Alcotest.test_case "repeat runs report own stats" `Quick test_cache_per_run_stats_repeat;
           Alcotest.test_case "across distributions" `Quick test_cache_isolated_across_distributions;
+          Alcotest.test_case "index-array dummy rebound by a CALL" `Quick
+            test_schedule_across_calls;
         ] );
       ( "concurrent compiles",
         [ Alcotest.test_case "2 domains x 100 = sequential" `Quick test_concurrent_compiles ] );
