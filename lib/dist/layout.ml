@@ -107,49 +107,27 @@ let normalise ~glb ~gub ~gst =
 
 let set_bound t ~glb ~gub ~gst =
   match normalise ~glb ~gub ~gst with
-  | None -> None
+  | None -> empty
   | Some (glb, gub, gst) -> (
       match t with
-      | Prog { first; step; count } ->
-          if count = 0 then None
-          else
-            let last = first + ((count - 1) * step) in
-            let lo = max glb first and hi = min gub last in
-            (* smallest g >= lo with g = glb (mod gst) and g = first (mod step) *)
-            ( match Util.crt_first_ge ~lo ~r1:(Util.modulo glb gst) ~m1:gst
-                      ~r2:(Util.modulo first step) ~m2:step
-              with
-            | None -> None
-            | Some g0 ->
-                if g0 > hi then None
-                else
-                  let bigstep = gst / Util.gcd gst step * step in
-                  let glast = g0 + ((hi - g0) / bigstep * bigstep) in
-                  let llb = (g0 - first) / step
-                  and lub = (glast - first) / step
-                  and lst = bigstep / step in
-                  Some (llb, lub, lst) )
+      | Prog { count = 0; _ } -> empty
+      | Prog { first; step; count } -> (
+          let hi = min gub (first + ((count - 1) * step)) in
+          (* smallest g >= lo with g = glb (mod gst) and g = first (mod step) *)
+          match
+            Util.crt_first_ge ~lo:(max glb first) ~r1:(Util.modulo glb gst) ~m1:gst
+              ~r2:(Util.modulo first step) ~m2:step
+          with
+          | Some g0 when g0 <= hi ->
+              let bigstep = gst / Util.gcd gst step * step in
+              Prog { first = g0; step = bigstep; count = ((hi - g0) / bigstep) + 1 }
+          | _ -> empty)
       | Explicit a ->
-          (* collect matching local indices; they need not be evenly spaced,
-             so return the tightest triplet only when they are *)
-          let locals = ref [] in
-          Array.iteri
-            (fun l g ->
-              if g >= glb && g <= gub && (g - glb) mod gst = 0 then locals := l :: !locals)
-            a;
-          match List.rev !locals with
-          | [] -> None
-          | [ l ] -> Some (l, l, 1)
-          | l0 :: l1 :: rest ->
-              let st = l1 - l0 in
-              let ok, last =
-                List.fold_left (fun (ok, prev) l -> (ok && l - prev = st, l)) (true, l1) rest
-              in
-              if ok then Some (l0, last, st)
-              else
-                Diag.error
-                  "strided iteration over a CYCLIC(k) dimension does not form a \
-                   local triplet; use stride 1 or a BLOCK/CYCLIC distribution")
+          Explicit
+            (Array.of_seq
+               (Seq.filter
+                  (fun g -> g >= glb && g <= gub && (g - glb) mod gst = 0)
+                  (Array.to_seq a))))
 
 let pp ppf = function
   | Prog { first; step; count } -> Format.fprintf ppf "prog(first=%d,step=%d,count=%d)" first step count

@@ -6,7 +6,9 @@
     For BLOCK and CYCLIC with affine alignment the owned indices always form
     an arithmetic progression; CYCLIC(k) falls back to an explicit sorted
     index vector.  The local index of an owned global index is its position
-    in this set — that is how node programs address their local memory. *)
+    in this set — that is how node programs address their local memory.
+    The same type describes a FORALL variable's iterations: {!set_bound}
+    intersects an owned set with a global range. *)
 
 type t =
   | Prog of { first : int; step : int; count : int }
@@ -28,10 +30,11 @@ val local_of_global : t -> int -> int
 val global_of_local : t -> int -> int
 val to_list : t -> int list
 
-val set_bound : t -> glb:int -> gub:int -> gst:int -> (int * int * int) option
-(** The paper's [set_BOUND] primitive (§4): intersect the owned set with the
-    global range [glb:gub:gst] (0-based, [gst] may be negative) and return
-    the local triplet [(llb, lub, lst)] in ascending order, or [None] when
-    this processor has no iterations (masking inactive processors). *)
+val set_bound : t -> glb:int -> gub:int -> gst:int -> t
+(** The paper's [set_BOUND] primitive (§4): the owned indices the global
+    range [glb:gub:gst] (0-based, [gst] may be negative) visits, in
+    ascending order — a progression for a progression layout, the
+    filtered index vector for an explicit one, and {!empty} when this
+    processor has no iterations (masking inactive processors). *)
 
 val pp : Format.formatter -> t -> unit

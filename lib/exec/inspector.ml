@@ -1,7 +1,7 @@
 open F90d_base
 open F90d_dist
 
-type space = int array list
+type space = Layout.t list
 
 type sub = Lin of Kernel.lin | Vals of int array | Fn of (int array -> int -> int)
 
@@ -11,15 +11,7 @@ let count (lo, hi, stp) =
   if stp = 0 then Diag.error "zero FORALL stride";
   if stp > 0 then max 0 (((hi - lo) / stp) + 1) else max 0 (((lo - hi) / -stp) + 1)
 
-(* Iterations [k0, k1) of a progression starting at [lo]. *)
-let stretch ~lo ~stp k0 k1 =
-  let a = Array.make (max 0 (k1 - k0)) 0 in
-  for k = k0 to k1 - 1 do
-    a.(k - k0) <- lo + (k * stp)
-  done;
-  a
-
-let progression ((lo, _, stp) as r) = stretch ~lo ~stp 0 (count r)
+let progression ((lo, _, stp) as r) = Layout.Prog { first = lo; step = stp; count = count r }
 
 let replicated ranges = List.map progression ranges
 
@@ -28,41 +20,40 @@ let even ~nprocs ~rank = function
   | ((lo, _, stp) as first) :: rest ->
       let n = count first in
       let chunk = Util.ceil_div (max n 1) nprocs in
-      let k0 = rank * chunk and k1 = min n ((rank + 1) * chunk) in
-      stretch ~lo ~stp k0 k1 :: List.map progression rest
+      let k0 = rank * chunk in
+      Layout.Prog { first = lo + (k0 * stp); step = stp; count = max 0 (min n (k0 + chunk) - k0) }
+      :: List.map progression rest
+
+(* [rank]'s owned iterations of [lo:hi:stp] over dimension [dim], as
+   Fortran indices *)
+let owned dad ~dim ~rank (lo, hi, stp) =
+  let flb = (Dad.dims dad).(dim).Dad.flb in
+  match Layout.set_bound (Dad.layout_at dad ~dim ~rank) ~glb:(lo - flb) ~gub:(hi - flb) ~gst:stp with
+  | Layout.Prog p -> Layout.Prog { p with first = p.first + flb }
+  | Layout.Explicit a -> Layout.Explicit (Array.map (( + ) flb) a)
 
 let canonical dad ~var_dims ~guards ~ranges ~rank =
   if
-    not
-      (List.for_all
-         (fun (dim, g) -> Bounds.local_of_global_index dad ~dim ~rank g <> None)
-         guards)
-  then None
-  else
+    List.for_all
+      (fun (dim, g) ->
+        Layout.is_owned (Dad.layout_at dad ~dim ~rank) (g - (Dad.dims dad).(dim).Dad.flb))
+      guards
+  then
     Some
       (List.map2
          (fun dim_opt range ->
-           match dim_opt with
-           | None -> progression range
-           | Some dim -> (
-               let lo, hi, stp = range in
-               match Bounds.set_bound dad ~dim ~rank ~glb:lo ~gub:hi ~gst:stp with
-               | None -> [||]
-               | Some { Bounds.llb; lub; lst } ->
-                   let n = if lub < llb then 0 else ((lub - llb) / lst) + 1 in
-                   (* resolve the layout once, not per index *)
-                   let layout = Dad.layout_at dad ~dim ~rank in
-                   let flb = (Dad.dims dad).(dim).Dad.flb in
-                   Array.init n (fun k -> Layout.global_of_local layout (llb + (k * lst)) + flb)))
+           match dim_opt with None -> progression range | Some dim -> owned dad ~dim ~rank range)
          var_dims ranges)
+  else None
 
-let points space =
-  match space with [] -> 0 | _ -> List.fold_left (fun acc v -> acc * Array.length v) 1 space
+let points = function
+  | [] -> 0
+  | space -> List.fold_left (fun acc l -> acc * Layout.count l) 1 space
 
 let iter space f =
-  let vals = Array.of_list space in
-  let nv = Array.length vals in
-  let x = Array.map (fun v -> if Array.length v > 0 then v.(0) else 0) vals in
+  let ls = Array.of_list space in
+  let nv = Array.length ls in
+  let x = Array.map (fun l -> if Layout.count l > 0 then Layout.global_of_local l 0 else 0) ls in
   let idx = Array.make nv 0 in
   for c = 0 to points space - 1 do
     f x c;
@@ -71,13 +62,13 @@ let iter space f =
     while !k >= 0 do
       let j = !k in
       idx.(j) <- idx.(j) + 1;
-      if idx.(j) < Array.length vals.(j) then begin
-        x.(j) <- vals.(j).(idx.(j));
+      if idx.(j) < Layout.count ls.(j) then begin
+        x.(j) <- Layout.global_of_local ls.(j) idx.(j);
         k := -1
       end
       else begin
         idx.(j) <- 0;
-        x.(j) <- vals.(j).(0);
+        x.(j) <- Layout.global_of_local ls.(j) 0;
         k := j - 1
       end
     done

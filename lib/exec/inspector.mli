@@ -9,17 +9,19 @@
     postcomp_write) needs every rank's entries, a communicating one
     (gather, scatter) only the caller's. *)
 
-type space = int array list
+type space = F90d_dist.Layout.t list
 (** An iteration space: each FORALL variable's values in nest order (the
-    first variable outermost). *)
+    first variable outermost), as the arithmetic progression the paper's
+    [set_BOUND] yields — or, on a CYCLIC(k) dimension, the owned index
+    vector.  Nothing enumerates a space into index arrays; {!iter} steps
+    through it. *)
 
 val replicated : (int * int * int) list -> space
 (** Every iteration of the [(lo, hi, stride)] ranges. *)
 
 val even : nprocs:int -> rank:int -> (int * int * int) list -> space
 (** [rank]'s share of an even iteration partition: the first variable's
-    iterations split into [nprocs] equal chunks, computed without
-    building the others. *)
+    iterations split into [nprocs] equal chunks. *)
 
 val canonical :
   F90d_dist.Dad.t ->
@@ -29,9 +31,10 @@ val canonical :
   rank:int ->
   space option
 (** Owner-computes iterations of [rank] for a left-hand side with DAD
-    [dad]: a variable that indexes dimension [Some d] runs over [rank]'s
-    local part of it.  [None] when a constant subscript [(dim, value)]
-    of [guards] is not owned by [rank]. *)
+    [dad]: a variable that indexes dimension [Some d] runs over
+    {!F90d_dist.Layout.set_bound} of [rank]'s part of it, ascending.
+    [None] when a constant subscript [(dim, value)] of [guards] is not
+    owned by [rank]. *)
 
 val iter : space -> (int array -> int -> unit) -> unit
 (** [iter space f] calls [f x c] at every point of [space] in nest order

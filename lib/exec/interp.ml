@@ -510,12 +510,12 @@ let ctrip cx range =
    compiled code per point on another rank's. *)
 let inspect st ~space ~every_owner ~all_ranks (dad, subs) =
   let me = me st in
-  let subs values ~mine =
+  let subs space ~mine =
     Array.map
       (fun (x, c) ->
         match
           Kernel.index x ~me ~arrays:st.arrays ~scalars:st.vals ~temps:st.temps
-            ~values:(if mine then Some values else None)
+            ~space:(if mine then Some space else None)
         with
         | Kernel.Iaffine l -> Inspector.Lin l
         | Kernel.Ivalues a -> Inspector.Vals a
@@ -531,7 +531,7 @@ let inspect st ~space ~every_owner ~all_ranks (dad, subs) =
       subs
   in
   let slot rank =
-    Option.map (fun values -> (values, subs values ~mine:(rank = me))) (space rank)
+    Option.map (fun sp -> (sp, subs sp ~mine:(rank = me))) (space rank)
   in
   Inspector.run dad ~every_owner
     (if all_ranks then Array.init (Rctx.nprocs st.ctx) slot else [| slot me |])
@@ -738,13 +738,12 @@ let cached_schedule st key vsig build =
    a fallback (by reason) in this rank's collector; an ineligible plan
    and an empty slab (gauss's non-owning ranks) count as neither.  [None]:
    the interpreter must run the nest. *)
-let run_kernel st plan vv =
-  if not (Rctx.kernels st.ctx && List.for_all (fun a -> Array.length a > 0) vv) then None
+let run_kernel st plan space =
+  if not (Rctx.kernels st.ctx && List.for_all (fun l -> Layout.count l > 0) space) then None
   else
     let rs = Engine.rank_stats (Rctx.engine st.ctx) in
     match
-      Kernel.execute plan ~me:(me st) ~arrays:st.arrays ~scalars:st.vals ~temps:st.temps
-        ~values:vv
+      Kernel.execute plan ~me:(me st) ~arrays:st.arrays ~scalars:st.vals ~temps:st.temps ~space
     with
     | None -> None
     | Some (Ok out) ->
@@ -826,7 +825,7 @@ let compile_forall cx ~sid (f : Ir.forall) =
   spanned ("forall " ^ f.Ir.f_lhs.Ast.base) (fun st ->
       let ranges = List.map (fun r -> r st) ranges in
       let guard_vals = List.map (fun g -> g st no_frame) guards in
-      (* global values of each FORALL variable for [rank], in nest order;
+      (* each FORALL variable's global values for [rank], in nest order;
          [None] when a guard masks the rank out *)
       let space rank =
         match f.Ir.f_iter with
@@ -857,17 +856,17 @@ let compile_forall cx ~sid (f : Ir.forall) =
       let iters = ref 0 in
       (match space (me st) with
       | None -> ()
-      | Some vv -> (
-          match run_kernel st plan vv with
+      | Some sp -> (
+          match run_kernel st plan sp with
           | Some out ->
               (* the kernel ran the whole nest *)
-              iters := List.fold_left (fun acc a -> acc * Array.length a) 1 vv;
+              iters := List.fold_left (fun acc l -> acc * Layout.count l) 1 sp;
               (match out with Kernel.Scattered tmp -> scattered := Some tmp | Kernel.Stored -> ())
           | None ->
               let copies = if canonical_store then 0 else Dad.copies lhs_dad in
               let owners = Array.make copies 0 and flats = Array.make copies 0 in
               let fr = { x = [||]; counter = 0; fsnap = snapshot } in
-              Inspector.iter vv (fun x counter ->
+              Inspector.iter sp (fun x counter ->
                   fr.x <- x;
                   fr.counter <- counter;
                   incr iters;

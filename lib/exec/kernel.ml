@@ -10,14 +10,11 @@ module Stats = F90d_machine.Stats
 exception Ineligible
 exception Decline of Stats.kernel_fallback
 
-(* Linear form over the loop counters: value = base + sum coefs.(k)*c_k. *)
-type lin = { base : int; coefs : int array }
+(* Linear form over the loop counters: value = base + sum coefs.(k)*c_k.
+   Built by folding terms into a fresh form in place. *)
+type lin = { mutable base : int; coefs : int array }
 
-let lin_const nvars b = { base = b; coefs = Array.make nvars 0 }
-
-let lin_add a b = { base = a.base + b.base; coefs = Array.map2 ( + ) a.coefs b.coefs }
-let lin_scale k a = { base = k * a.base; coefs = Array.map (( * ) k) a.coefs }
-let lin_sub a b = lin_add a (lin_scale (-1) b)
+let zero_lin nvars = { base = 0; coefs = Array.make nvars 0 }
 
 (* The value of a scalar slot nothing has assigned yet, told apart by
    physical identity. *)
@@ -32,58 +29,68 @@ let read_scalar scalars s =
   if x != unset then Some x else s.param
 
 (* An affine subscript with its names resolved: FORALL variables by their
-   position in the nest, scalars by slot.  [-a] is [-1 * a]. *)
+   position in the nest, scalars by slot.  [-a] is [-1 * a]; a product's
+   counter-free factor comes first. *)
 type aff = Aint of int | Avar of int | Ascal of scalar | Aadd of aff * aff | Amul of aff * aff
 
-(* A linear form in the loop counters: FORALL variables contribute their
-   progressions, scalars their current integer values.  [plan] admits
-   only one counter-free factor in every product. *)
-let rec lin_of ~nvars ~progs ~scalars a =
-  let go = lin_of ~nvars ~progs ~scalars in
-  match a with
-  | Aint n -> lin_const nvars n
-  | Avar k ->
-      let g0, gs = progs.(k) in
-      let l = lin_const nvars g0 in
-      l.coefs.(k) <- gs;
-      l
+(* The value of a counter-free form from the current scalars. *)
+let rec const_of ~scalars = function
+  | Aint n -> n
+  | Avar _ -> Diag.bug "kernel: loop counter in a counter-free factor"
   | Ascal s -> (
       match read_scalar scalars s with
-      | Some (Scalar.Int n) -> lin_const nvars n
+      | Some (Scalar.Int n) -> n
       | _ -> raise (Decline Stats.Scalar_kind))
-  | Aadd (a, b) -> lin_add (go a) (go b)
-  | Amul (a, b) ->
-      let la = go a and lb = go b in
-      if Array.for_all (( = ) 0) la.coefs then lin_scale la.base lb else lin_scale lb.base la
+  | Aadd (a, b) -> const_of ~scalars a + const_of ~scalars b
+  | Amul (a, b) -> const_of ~scalars a * const_of ~scalars b
 
-(* Storage position (per dimension) as a linear form, through a layout. *)
-let pos_through_layout layout ~flb (v : lin) =
+(* Add [m * a] into [l]: FORALL variables contribute their progressions
+   [(first, step)] over the loop counters, scalars their current integer
+   values. *)
+let rec add_aff l ~progs ~scalars m = function
+  | Avar k ->
+      let g0, gs = progs.(k) in
+      l.base <- l.base + (m * g0);
+      l.coefs.(k) <- l.coefs.(k) + (m * gs)
+  | Aadd (a, b) ->
+      add_aff l ~progs ~scalars m a;
+      add_aff l ~progs ~scalars m b
+  | Amul (c, a) -> add_aff l ~progs ~scalars (m * const_of ~scalars c) a
+  | (Aint _ | Ascal _) as c -> l.base <- l.base + (m * const_of ~scalars c)
+
+(* Storage position (per dimension) through a layout, in place. *)
+let through_layout layout ~flb p =
   match layout with
   | Layout.Prog { first; step; _ } ->
-      let num = lin_sub v (lin_const (Array.length v.coefs) (flb + first)) in
+      p.base <- p.base - (flb + first);
       (* off this rank's progression: not in its storage *)
-      if num.base mod step <> 0 || Array.exists (fun c -> c mod step <> 0) num.coefs then
+      if p.base mod step <> 0 || Array.exists (fun c -> c mod step <> 0) p.coefs then
         raise (Decline Stats.Out_of_bounds);
-      { base = num.base / step; coefs = Array.map (fun c -> c / step) num.coefs }
+      p.base <- p.base / step;
+      Array.iteri (fun k c -> p.coefs.(k) <- c / step) p.coefs
   | Layout.Explicit _ -> raise (Decline Stats.Explicit_layout)
 
-(* Combine per-dimension positions into a flat linear offset, checking that
+(* The flat linear offset into [nd] of the positions [pos d] fills into a
+   zeroed form for each of its first [dims] dimensions, checking that
    every reachable offset is inside the payload. *)
-let flat_of_positions ~lens nd positions =
+let flat_offset ~lens nd ~dims pos =
   let strides = Ndarray.strides nd in
-  let nvars = match positions with p :: _ -> Array.length p.coefs | [] -> 0 in
-  let acc = ref (lin_const nvars 0) in
-  List.iteri
-    (fun d p ->
-      (* storage index space starts at lb; flat = (pos - lb) * stride *)
-      let adjusted = lin_sub p (lin_const nvars nd.Ndarray.lb.(d)) in
-      acc := lin_add !acc (lin_scale strides.(d) adjusted))
-    positions;
-  let flat = !acc in
+  let nvars = Array.length lens in
+  let flat = zero_lin nvars and p = zero_lin nvars in
+  for d = 0 to dims - 1 do
+    p.base <- 0;
+    Array.fill p.coefs 0 nvars 0;
+    pos d p;
+    (* storage index space starts at lb; flat = (pos - lb) * stride *)
+    flat.base <- flat.base + (strides.(d) * (p.base - nd.Ndarray.lb.(d)));
+    for k = 0 to nvars - 1 do
+      flat.coefs.(k) <- flat.coefs.(k) + (strides.(d) * p.coefs.(k))
+    done
+  done;
   (* corner check: linear => extrema at corner points *)
   let size = Ndarray.size nd in
   let rec corners k lo hi =
-    if k >= Array.length flat.coefs then begin
+    if k >= nvars then begin
       if lo < 0 || hi >= size then raise (Decline Stats.Out_of_bounds)
     end
     else
@@ -129,10 +136,10 @@ type tnode =
    direct read, the temporary slot (and, for a box, the array whose
    layout the box follows) of a communicated one. *)
 type operand =
-  | Odirect of int * aff list
+  | Odirect of int * aff array
   | Obox of { temp : int; arr : int; dims : aff option array (* [None]: collapsed *) }
   | Oflat of int
-  | Oglobal of int * aff list
+  | Oglobal of int * aff array
 
 (* A compiled expression: its operator tree, the operands its [Tload]
    slots read and the scalars its [Tscal] slots read. *)
@@ -150,7 +157,7 @@ type compiled = {
   p_lhs_reads : bool array;
       (* per rhs slot: a direct read of the left-hand-side array, which
          Lower's [f_snapshot = false] proves hazard-free *)
-  p_store : aff list option;
+  p_store : aff array option;
       (* the left-hand side's subscripts; [None] for an even iteration
          partition, whose values go to a buffer in iteration order for
          the statement's write-back schedule *)
@@ -174,7 +181,7 @@ let subscripts (r : Ast.ref_) =
 
 let scalar_ref sc v = { slot = sc.scalar_slot v; param = List.assoc_opt v sc.env.Sema.uparams }
 
-(* A subscript of the shape [lin_of] handles, resolved; [None] for any
+(* A subscript of the shape [add_aff] handles, resolved; [None] for any
    other. *)
 let aff_of sc ~var_index (e : Ast.expr) =
   let rec go (e : Ast.expr) =
@@ -186,7 +193,9 @@ let aff_of sc ~var_index (e : Ast.expr) =
     | Ast.Bin (Ast.Sub, a, b) -> Aadd (go a, Amul (Aint (-1), go b))
     | Ast.Bin (Ast.Mul, a, b) ->
         let counter_free e = List.for_all (fun v -> var_index v = None) (Ast.vars_of e) in
-        if counter_free a || counter_free b then Amul (go a, go b) else raise Exit
+        if counter_free a then Amul (go a, go b)
+        else if counter_free b then Amul (go b, go a)
+        else raise Exit
     | _ -> raise Exit
   in
   try Some (go e) with Exit -> None
@@ -357,9 +366,9 @@ let compile_expr sc ~(f : Ir.forall) e =
             slot
               (match List.assoc_opt r.Ast.rid f.Ir.f_access with
               | None | Some Ir.Acc_direct ->
-                  Odirect (sc.array_slot r.Ast.base, List.map resolve (subscripts r))
+                  Odirect (sc.array_slot r.Ast.base, Array.of_list (List.map resolve (subscripts r)))
               | Some (Ir.Acc_global_temp { temp }) ->
-                  Oglobal (temp, List.map resolve (subscripts r))
+                  Oglobal (temp, Array.of_list (List.map resolve (subscripts r)))
               | Some (Ir.Acc_box { temp; dims }) ->
                   let dims =
                     Array.map (function Ir.By_sub e -> Some (resolve e) | Ir.Collapsed -> None) dims
@@ -399,9 +408,10 @@ let plan sc ~(f : Ir.forall) =
       if scatter then None
       else
         Some
-          (List.map
-             (fun e -> match aff_of sc ~var_index e with Some a -> a | None -> raise Ineligible)
-             (subscripts f.Ir.f_lhs))
+          (Array.of_list
+             (List.map
+                (fun e -> match aff_of sc ~var_index e with Some a -> a | None -> raise Ineligible)
+                (subscripts f.Ir.f_lhs)))
     in
     let rhs = compile_expr sc ~f f.Ir.f_rhs in
     let lhs = sc.array_slot f.Ir.f_lhs.Ast.base in
@@ -700,77 +710,68 @@ let exec_strips ~slots ~svals ~progs ~store ~(sflat : lin) ~lens body =
 
 (* One execution's view of the nest: per-counter lengths and
    progressions padded to three counters, and the flat linear offset of
-   an operand.  Raises [Decline] when an iteration set is not a
-   progression; [flat_of_ref] raises it for an operand it cannot
-   resolve. *)
+   an operand.  Raises [Decline] when an iteration set is an index
+   vector; [flat_of_ref] raises it for an operand it cannot resolve. *)
 type nest = {
   lens : int array;
   progs : (int * int) array;
   flat_of_ref : operand -> Ndarray.t * lin;
 }
 
-(* The iteration counter in nest order, as a linear form. *)
-let counter_lin lens =
-  let nvars = Array.length lens in
-  let counter = ref (lin_const nvars 0) in
-  let weight = ref 1 in
-  for k = nvars - 1 downto 0 do
-    let l = lin_const nvars 0 in
+(* [m] times the iteration counter in nest order, as a linear form. *)
+let counter_lin ~lens m =
+  let l = zero_lin (Array.length lens) in
+  let weight = ref m in
+  for k = Array.length lens - 1 downto 0 do
     l.coefs.(k) <- !weight;
-    counter := lin_add !counter l;
     weight := !weight * lens.(k)
   done;
-  !counter
+  l
 
-let nest ~me ~(arrays : Darray.t array) ~scalars ~temps ~values =
-  let nvars = 3 in
-  let lens = Array.make nvars 1 in
-  let progs = Array.make nvars (0, 0) in
+let nest ~me ~(arrays : Darray.t array) ~scalars ~temps ~space =
+  let lens = Array.make 3 1 in
+  let progs = Array.make 3 (0, 0) in
   List.iteri
-    (fun k vals ->
-      let n = Array.length vals in
-      let g0 = vals.(0) in
-      let gs = if n >= 2 then vals.(1) - vals.(0) else 0 in
-      (* iteration sets from set_BOUND are progressions by construction;
-         verify cheaply on the last element *)
-      if n >= 2 && vals.(n - 1) <> g0 + ((n - 1) * gs) then
-        raise (Decline Stats.Not_progression);
-      lens.(k) <- n;
-      progs.(k) <- (g0, gs))
-    values;
-  let lin_of a = lin_of ~nvars ~progs ~scalars a in
+    (fun k -> function
+      | Layout.Prog { first; step; count } ->
+          lens.(k) <- count;
+          (* one iteration has no step, so it never fails a layout's
+             division *)
+          progs.(k) <- (first, if count >= 2 then step else 0)
+      | Layout.Explicit _ -> raise (Decline Stats.Explicit_layout))
+    space;
+  let add_aff p a = add_aff p ~progs ~scalars 1 a in
   let temp t = match temps.(t) with Some nd -> nd | None -> raise (Decline Stats.Missing_temp) in
+  let positioned dad d a p =
+    add_aff p a;
+    through_layout (Dad.layout_at dad ~dim:d ~rank:me) ~flb:(Dad.dims dad).(d).Dad.flb p
+  in
   let flat_of_ref op =
-    let through_layout dad d a =
-      let flb = (Dad.dims dad).(d).Dad.flb in
-      pos_through_layout (Dad.layout_at dad ~dim:d ~rank:me) ~flb (lin_of a)
-    in
     match op with
     | Odirect (k, subs) ->
         let darr = arrays.(k) in
         let nd = darr.Darray.local in
-        let positions = List.mapi (through_layout darr.Darray.dad) subs in
-        (nd, flat_of_positions ~lens nd positions)
+        ( nd,
+          flat_offset ~lens nd ~dims:(Array.length subs) (fun d ->
+              positioned darr.Darray.dad d subs.(d)) )
     | Obox { temp = t; arr; dims } ->
         let nd = temp t in
         let dad = arrays.(arr).Darray.dad in
-        let positions =
-          List.mapi
-            (fun d bd ->
-              match bd with
-              | None -> lin_const nvars 1
-              | Some a ->
-                  (* temporaries have lower bound 1 *)
-                  lin_add (through_layout dad d a) (lin_const nvars 1))
-            (Array.to_list dims)
-        in
-        (nd, flat_of_positions ~lens nd positions)
+        ( nd,
+          flat_offset ~lens nd ~dims:(Array.length dims) (fun d p ->
+              (match dims.(d) with None -> () | Some a -> positioned dad d a p);
+              (* temporaries have lower bound 1 *)
+              p.base <- p.base + 1) )
     | Oflat t ->
         let nd = temp t in
-        (nd, flat_of_positions ~lens nd [ lin_add (counter_lin lens) (lin_const nvars 1) ])
+        let counter = counter_lin ~lens 1 in
+        ( nd,
+          flat_offset ~lens nd ~dims:1 (fun _ p ->
+              Array.blit counter.coefs 0 p.coefs 0 (Array.length lens);
+              p.base <- 1) )
     | Oglobal (t, subs) ->
         let nd = temp t in
-        (nd, flat_of_positions ~lens nd (List.map lin_of subs))
+        (nd, flat_offset ~lens nd ~dims:(Array.length subs) (fun d p -> add_aff p subs.(d)))
   in
   { lens; progs; flat_of_ref }
 
@@ -788,8 +789,8 @@ type stored = Stored | Scattered of Ndarray.t
 (* Resolve the slots and scalars against this execution's values, then
    run the nest; raises [Decline] before any store for every reason but a
    zero divisor. *)
-let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~values =
-  let n = nest ~me ~arrays ~scalars ~temps ~values in
+let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~space =
+  let n = nest ~me ~arrays ~scalars ~temps ~space in
   let lhs_darr = arrays.(p.p_lhs) in
   match p.p_store with
   | None ->
@@ -801,7 +802,7 @@ let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~values =
       let slots = Array.map n.flat_of_ref p.p_rhs.x_refs in
       let buf = Array.make (points * copies) 0. in
       exec_strips ~slots ~svals ~progs:n.progs ~store:buf
-        ~sflat:(lin_scale copies (counter_lin n.lens))
+        ~sflat:(counter_lin ~lens:n.lens copies)
         ~lens:n.lens p.p_rhs.x_template;
       for i = 0 to points - 1 do
         for j = 1 to copies - 1 do
@@ -832,32 +833,35 @@ let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~values =
       exec_strips ~slots ~svals ~progs:n.progs ~store ~sflat ~lens:n.lens p.p_rhs.x_template;
       Stored
 
-let execute (p : plan) ~me ~arrays ~scalars ~temps ~values =
+let execute (p : plan) ~me ~arrays ~scalars ~temps ~space =
   Option.map
     (fun p ->
-      match run_nest p ~me ~arrays ~scalars ~temps ~values with
+      match run_nest p ~me ~arrays ~scalars ~temps ~space with
       | out -> Ok out
       | exception Decline why -> Error why)
     p
 
 type index = Iaffine of lin | Ivalues of int array | Iinterp
 
-let index (x : index_plan) ~me ~arrays ~scalars ~temps ~values =
-  match (x, values) with
+let index (x : index_plan) ~me ~arrays ~scalars ~temps ~space =
+  match (x, space) with
   | Xinterp, _ -> Iinterp
   | Xaffine (nvars, a), _ -> (
       (* coefficients on the variables' values, not on loop counters *)
-      try Iaffine (lin_of ~nvars ~progs:(Array.make nvars (0, 1)) ~scalars a)
+      let l = zero_lin nvars in
+      try
+        add_aff l ~progs:(Array.make nvars (0, 1)) ~scalars 1 a;
+        Iaffine l
       with Decline _ -> Iinterp)
   | Xstrips _, None -> Iinterp
-  | Xstrips _, Some values when List.exists (fun a -> Array.length a = 0) values -> Ivalues [||]
-  | Xstrips xp, Some values -> (
+  | Xstrips _, Some space when List.exists (fun l -> Layout.count l = 0) space -> Ivalues [||]
+  | Xstrips xp, Some space -> (
       try
-        let n = nest ~me ~arrays ~scalars ~temps ~values in
+        let n = nest ~me ~arrays ~scalars ~temps ~space in
         let svals = scalar_values xp ~scalars in
         let slots = Array.map n.flat_of_ref xp.x_refs in
         let buf = Array.make (n.lens.(0) * n.lens.(1) * n.lens.(2)) 0. in
-        exec_strips ~slots ~svals ~progs:n.progs ~store:buf ~sflat:(counter_lin n.lens) ~lens:n.lens
-          xp.x_template;
+        exec_strips ~slots ~svals ~progs:n.progs ~store:buf ~sflat:(counter_lin ~lens:n.lens 1)
+          ~lens:n.lens xp.x_template;
         Ivalues (Array.map int_of_float buf)
       with Decline _ -> Iinterp)

@@ -1,7 +1,8 @@
 (** Node-kernel specializer — the stand-in for the node Fortran
     compiler's scalar optimizer/vectorizer that §7 delegates to.
 
-    A FORALL whose iteration sets are arithmetic progressions, whose
+    A FORALL whose iteration sets are arithmetic progressions (the
+    [set_BOUND] ranges of {!F90d_dist.Layout.set_bound}), whose
     references all resolve to flat offsets affine in the loop counters,
     and whose body is arithmetic into a REAL array, runs in two halves:
 
@@ -13,9 +14,10 @@
       Masks, snapshots and non-REAL stores of a write-back phase are
       ineligible here and nowhere else;
     - {!execute} reads the slots once against the current layouts,
-      scalars and iteration sets, then runs the whole local nest as row
-      strips (fused multiply-update loops for gauss's rank-1 body).  Row
-      strips are the only compiled evaluator.
+      scalars and iteration sets — each operand's flat offset folded
+      into one linear form in place — then runs the whole local nest as
+      row strips (fused multiply-update loops for gauss's rank-1 body).
+      Row strips are the only compiled evaluator.
 
     Strips may run the nest in any order because {!F90d_codegen.Lower}
     alone decides read/write hazards: [f_snapshot = false] guarantees
@@ -68,20 +70,21 @@ val execute :
   arrays:F90d_runtime.Darray.t array ->
   scalars:F90d_base.Scalar.t array ->
   temps:F90d_base.Ndarray.t option array ->
-  values:int array list ->
+  space:F90d_dist.Layout.t list ->
   (stored, F90d_machine.Stats.kernel_fallback) result option
 (** Runs the whole local loop nest.  [None]: the plan is ineligible.
     [Some (Error why)]: the kernel declined and the caller must
-    interpret the nest.  [values] are this processor's per-variable
-    global index values in nest order, none empty.  A zero divisor is
+    interpret the nest.  [space] is this processor's iteration space, one
+    set per FORALL variable in nest order, none empty; an index vector
+    (a CYCLIC(k) dimension) declines as [Explicit_layout].  A zero divisor is
     found while the strips run, after earlier strips were stored; the
     interpreter then reports the division as an error, so those stores
     are never observed. *)
 
 (** {2 Inspector subscripts} *)
 
-type lin = { base : int; coefs : int array }
-(** [base + sum_k coefs.(k) * x_k]. *)
+type lin = { mutable base : int; coefs : int array }
+(** [base + sum_k coefs.(k) * x_k]; built in place. *)
 
 type index_plan
 (** How one subscript expression of a FORALL is evaluated for the PARTI
@@ -102,9 +105,9 @@ val index :
   arrays:F90d_runtime.Darray.t array ->
   scalars:F90d_base.Scalar.t array ->
   temps:F90d_base.Ndarray.t option array ->
-  values:int array list option ->
+  space:F90d_dist.Layout.t list option ->
   index
 (** Resolves a subscript for one execution.  An affine subscript gets its
     coefficients from the current scalar values; another integer-valued
-    one runs as strips over [values], this processor's iteration space
+    one runs as strips over [space], this processor's iteration space
     ([None] for another rank's, whose temporaries are not here). *)

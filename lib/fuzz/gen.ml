@@ -13,7 +13,7 @@
    only the grid *rank*; [print ~nprocs] factorises the actual grid. *)
 
 type kind = KI | KR
-type dist = Dblock | Dcyclic | Dstar
+type dist = Dblock | Dcyclic | Dcyclic3 | Dstar  (* Dcyclic3: CYCLIC(3) *)
 
 type arr = {
   aname : string;
@@ -95,6 +95,9 @@ type g = {
   crng : Rng.t;
       (* draws for the inserted comm shapes only ({!comm_shapes}), for the
          same reason *)
+  krng : Rng.t;
+      (* draws turning one in three CYCLIC dimensions into CYCLIC(3) only,
+         for the same reason *)
 }
 
 let extent g a = if List.length a.adims = 1 then g.n1 else g.n2
@@ -434,7 +437,12 @@ let init_stm g (a : arr) =
 
 let gen_dists g ~grid_rank ~rank =
   (* at most [grid_rank] distributed dimensions (sema rejects more) *)
-  let forms = List.init rank (fun _ -> Rng.pickl g.rng [ Dblock; Dblock; Dcyclic; Dstar ]) in
+  let forms =
+    List.init rank (fun _ ->
+        match Rng.pickl g.rng [ Dblock; Dblock; Dcyclic; Dstar ] with
+        | Dcyclic when Rng.int g.krng 3 = 0 -> Dcyclic3
+        | f -> f)
+  in
   let distributed = List.filter (fun f -> f <> Dstar) forms in
   if List.length distributed <= grid_rank then forms
   else
@@ -564,6 +572,7 @@ let generate ~seed =
       srng = Rng.make ((seed * 7919) + 0x5CA7);
       scatter = false;
       crng = Rng.make ((seed * 6151) + 0xC0A1);
+      krng = Rng.make ((seed * 5003) + 0xC7C3);
     }
   in
   let n_one = Rng.range rng 2 4 and n_two = Rng.range rng 1 2 in
@@ -703,7 +712,11 @@ let rec pp_stm buf ind s =
       end;
       line "END IF"
 
-let pp_dist = function Dblock -> "BLOCK" | Dcyclic -> "CYCLIC" | Dstar -> "*"
+let pp_dist = function
+  | Dblock -> "BLOCK"
+  | Dcyclic -> "CYCLIC"
+  | Dcyclic3 -> "CYCLIC(3)"
+  | Dstar -> "*"
 
 (* factorise [nprocs] over a grid of the requested rank *)
 let grid_dims ~rank ~nprocs =

@@ -5,7 +5,6 @@
 (* Why the node-kernel layer handed a FORALL nest back to the
    interpreter; see [F90d_exec.Kernel.execute]. *)
 type kernel_fallback =
-  | Not_progression
   | Scalar_kind
   | Explicit_layout
   | Out_of_bounds
@@ -18,7 +17,6 @@ type kernel_fallback =
 (* every reason with its Prometheus label, in declaration order *)
 let reasons =
   [
-    (Not_progression, "not_progression");
     (Scalar_kind, "scalar_kind");
     (Explicit_layout, "explicit_layout");
     (Out_of_bounds, "out_of_bounds");

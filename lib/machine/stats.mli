@@ -16,9 +16,9 @@ type rank
 (** Why the node-kernel layer handed a FORALL nest back to the
     interpreter (see [F90d_exec.Kernel.execute]). *)
 type kernel_fallback =
-  | Not_progression  (** an iteration set is not an arithmetic progression *)
   | Scalar_kind  (** a scalar's value is not of the kind the plan assumed *)
-  | Explicit_layout  (** a dimension's local layout is an explicit index list *)
+  | Explicit_layout
+      (** a dimension's local layout or iteration set is an explicit index list *)
   | Out_of_bounds  (** a reference reaches outside the local storage *)
   | Not_injective  (** several iterations store to one element *)
   | Int_store  (** the left-hand side is not a REAL array *)

@@ -125,10 +125,12 @@ let prop_layout_local_global =
           && Layout.global_of_local l (Layout.local_of_global l g) = g)
         (Layout.to_list l))
 
+let set_bound_forms = Distrib.[ Block; Cyclic; Block_cyclic 2; Block_cyclic 3 ]
+
 let set_bound_gen =
   QCheck.(
     Gen.(
-      let* fi = int_range 0 1 in
+      let* fi = int_range 0 3 in
       let* n = int_range 1 40 in
       let* p = int_range 1 5 in
       let* proc = int_range 0 (p - 1) in
@@ -142,8 +144,7 @@ let prop_set_bound_matches_brute =
   QCheck.Test.make ~name:"set_bound = brute-force range intersection" ~count:1000
     (QCheck.make set_bound_gen)
     (fun (fi, n, p, proc, a, glb, gub, gst) ->
-      let form = List.nth [ Distrib.Block; Distrib.Cyclic ] fi in
-      let d = Distrib.make form ~n ~p in
+      let d = Distrib.make (List.nth set_bound_forms fi) ~n ~p in
       let al = Affine.make ~a ~b:0 in
       let extent = n / a in
       let l = Layout.resolve d ~align:al ~extent ~proc in
@@ -151,45 +152,33 @@ let prop_set_bound_matches_brute =
         List.filter
           (fun g -> Layout.is_owned l g && g <= gub && (g - glb) mod gst = 0)
           (Util.range (max 0 glb) (min (extent - 1) gub))
-        |> List.map (Layout.local_of_global l)
       in
-      let actual =
-        match Layout.set_bound l ~glb ~gub ~gst with
-        | None -> []
-        | Some (llb, lub, lst) ->
-            List.filter (fun x -> (x - llb) mod lst = 0) (Util.range llb lub)
-      in
-      actual = expected)
+      Layout.to_list (Layout.set_bound l ~glb ~gub ~gst) = expected)
 
 let prop_set_bound_partitions =
   QCheck.Test.make ~name:"set_bound partitions the iteration space over procs" ~count:500
     QCheck.(
-      quad (int_range 0 1) (int_range 1 40) (int_range 1 6) (pair (int_range 0 10) (int_range 1 3)))
+      quad (int_range 0 3) (int_range 1 40) (int_range 1 6) (pair (int_range 0 10) (int_range 1 3)))
     (fun (fi, n, p, (glb, gst)) ->
-      let form = List.nth [ Distrib.Block; Distrib.Cyclic ] fi in
-      let d = Distrib.make form ~n ~p in
+      let d = Distrib.make (List.nth set_bound_forms fi) ~n ~p in
       let gub = n - 1 in
-      let total = ref 0 in
-      List.iter
-        (fun proc ->
-          let l = Layout.resolve d ~align:Affine.ident ~extent:n ~proc in
-          match Layout.set_bound l ~glb ~gub ~gst with
-          | None -> ()
-          | Some (llb, lub, lst) -> if lub >= llb then total := !total + (((lub - llb) / lst) + 1))
-        (Util.range 0 (p - 1));
-      let expected = if gub < glb then 0 else ((gub - glb) / gst) + 1 in
-      !total = expected)
+      let owned =
+        List.concat_map
+          (fun proc ->
+            let l = Layout.resolve d ~align:Affine.ident ~extent:n ~proc in
+            Layout.to_list (Layout.set_bound l ~glb ~gub ~gst))
+          (Util.range 0 (p - 1))
+      in
+      List.sort compare owned
+      = List.filter (fun g -> (g - glb) mod gst = 0) (Util.range glb gub))
 
 let test_set_bound_negative_stride () =
   let d = Distrib.make Block ~n:12 ~p:3 in
   let l = Layout.resolve d ~align:Affine.ident ~extent:12 ~proc:1 in
-  (* global 10:2:-2 = {10,8,6,4,2}; proc 1 owns 4..7 -> {6,4} -> local {2,0} *)
-  match Layout.set_bound l ~glb:10 ~gub:2 ~gst:(-2) with
-  | Some (llb, lub, lst) ->
-      check "llb" 0 llb;
-      check "lub" 2 lub;
-      check "lst" 2 lst
-  | None -> Alcotest.fail "expected a non-empty triplet"
+  (* global 10:2:-2 = {10,8,6,4,2}; proc 1 owns 4..7 -> {4,6}, ascending *)
+  Alcotest.(check (list int))
+    "owned" [ 4; 6 ]
+    (Layout.to_list (Layout.set_bound l ~glb:10 ~gub:2 ~gst:(-2)))
 
 (* ------------------------------------------------------------------ *)
 (* Grid                                                                *)
@@ -231,7 +220,7 @@ let test_grid_embedding_validity () =
       done
 
 (* ------------------------------------------------------------------ *)
-(* Dad / Bounds                                                        *)
+(* Dad                                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let mk_dad_2d ~n ~m ~p ~q forms =
@@ -301,38 +290,6 @@ let test_dad_alloc_ghosts () =
   check "ghost extent" 7 (Ndarray.size local / 4);
   check "storage lb" (-1) local.Ndarray.lb.(0)
 
-let test_bounds_set_bound () =
-  let dad = mk_dad_2d ~n:12 ~m:4 ~p:3 ~q:1 (`Block, `Repl) in
-  (* dim0 BLOCK over 3 procs, chunk 4; range 2:11 on grid coord 1 (owns 5..8) -> global 5..8, local 0..3 *)
-  let rank1 = Grid.rank_of_coords (Dad.grid dad) [| 1; 0 |] in
-  (match Bounds.set_bound dad ~dim:0 ~rank:rank1 ~glb:2 ~gub:11 ~gst:1 with
-  | Some { llb; lub; lst } ->
-      check "llb" 0 llb;
-      check "lub" 3 lub;
-      check "lst" 1 lst
-  | None -> Alcotest.fail "expected non-empty bounds");
-  (* inactive processor masking: range 1:4 entirely on coord 0 *)
-  let rank2 = Grid.rank_of_coords (Dad.grid dad) [| 2; 0 |] in
-  checkb "masked" true (Bounds.set_bound dad ~dim:0 ~rank:rank2 ~glb:1 ~gub:4 ~gst:1 = None)
-
-let prop_bounds_partition =
-  QCheck.Test.make ~name:"DAD set_bound partitions iterations across the grid" ~count:300
-    QCheck.(quad (int_range 1 30) (int_range 1 5) (int_range 1 10) (int_range 1 3))
-    (fun (n, p, glb, gst) ->
-      let grid = Grid.make [| p |] in
-      let dad =
-        Dad.make ~name:"X" ~kind:Scalar.Kreal ~grid [| Dad.block_dim ~flb:1 ~extent:n ~pdim:0 ~p () |]
-      in
-      let gub = n in
-      let total =
-        List.fold_left
-          (fun acc r -> acc + Bounds.iterations (Bounds.set_bound dad ~dim:0 ~rank:r ~glb ~gub ~gst))
-          0
-          (Util.range 0 (p - 1))
-      in
-      let expected = if gub < glb then 0 else ((gub - glb) / gst) + 1 in
-      total = expected)
-
 (* The table [Dad.make] builds up front must hold exactly what the
    resolver gives at each rank's own grid coordinate, for every form and
    alignment (negative strides take the [Explicit] path). *)
@@ -385,17 +342,6 @@ let prop_dad_table_matches_resolve =
                dims))
         (Util.range 0 (Grid.size grid - 1)))
 
-let test_global_of_local_index () =
-  let dad = mk_dad_2d ~n:10 ~m:10 ~p:2 ~q:1 (`Cyclic, `Repl) in
-  let rank1 = Grid.rank_of_coords (Dad.grid dad) [| 1; 0 |] in
-  (* cyclic over 2: coord 1 owns globals 2,4,6,8,10 (Fortran 1-based) *)
-  check "local 0" 2 (Bounds.global_of_local_index dad ~dim:0 ~rank:rank1 0);
-  check "local 2" 6 (Bounds.global_of_local_index dad ~dim:0 ~rank:rank1 2);
-  Alcotest.(check (option int)) "local of global" (Some 1)
-    (Bounds.local_of_global_index dad ~dim:0 ~rank:rank1 4);
-  Alcotest.(check (option int)) "not owned" None
-    (Bounds.local_of_global_index dad ~dim:0 ~rank:rank1 5)
-
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -407,7 +353,6 @@ let qsuite =
       prop_layout_local_global;
       prop_set_bound_matches_brute;
       prop_set_bound_partitions;
-      prop_bounds_partition;
       prop_dad_table_matches_resolve;
     ]
 
@@ -435,11 +380,6 @@ let () =
           Alcotest.test_case "replication" `Quick test_dad_replicated_dim;
           Alcotest.test_case "local/global roundtrip" `Quick test_dad_local_global_roundtrip;
           Alcotest.test_case "ghost allocation" `Quick test_dad_alloc_ghosts;
-        ] );
-      ( "bounds",
-        [
-          Alcotest.test_case "set_bound block" `Quick test_bounds_set_bound;
-          Alcotest.test_case "global/local index" `Quick test_global_of_local_index;
         ] );
       ("properties", qsuite);
     ]

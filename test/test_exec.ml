@@ -331,7 +331,7 @@ let naive_entries dad ~every_owner space subscript =
           (fun o ->
             acc := (o, Dad.storage_flat dad ~rank:o (Option.get (Dad.local_indices dad ~rank:o g))) :: !acc)
           owners
-    | vals :: rest -> Array.iter (fun v -> go (v :: x) rest) vals
+    | vals :: rest -> List.iter (fun v -> go (v :: x) rest) (F90d_dist.Layout.to_list vals)
   in
   if space <> [] then go [] space;
   List.rev !acc
@@ -434,7 +434,7 @@ let prop_inspector_naive =
                 let acc = ref [] in
                 let rec go x = function
                   | [] -> acc := eval_lin l (Array.of_list (List.rev x)) :: !acc
-                  | vals :: rest -> Array.iter (fun v -> go (v :: x) rest) vals
+                  | vals :: rest -> List.iter (fun v -> go (v :: x) rest) (F90d_dist.Layout.to_list vals)
                 in
                 if values <> [] then go [] values;
                 Inspector.Vals (Array.of_list (List.rev !acc))

@@ -191,6 +191,33 @@ C$    DISTRIBUTE X(BLOCK)
          4. )
        (F90d_machine.Stats.metric_families stats))
 
+let test_cyclic_k_falls_back () =
+  (* a CYCLIC(3) dimension's owned iterations are an index vector, not a
+     progression: every nest is handed back for that one reason, and a
+     strided range whose owned indices form no local triplet still runs *)
+  let r =
+    kernel_on_vs_off ~nprocs:2 "cyclic(k) strided"
+      {|
+      PROGRAM CYK
+      REAL A(20), B(20)
+C$    TEMPLATE T(20)
+C$    ALIGN A(I) WITH T(I)
+C$    ALIGN B(I) WITH T(I)
+C$    DISTRIBUTE T(CYCLIC(3))
+      FORALL (I = 1:20) B(I) = I
+      FORALL (I = 1:20) A(I) = 0.0
+      FORALL (I = 2:19:3) A(I) = B(I) * 2.0
+      FORALL (I = 19:2:-2) A(I) = A(I) + 1.0
+      PRINT *, SUM(A)
+      END
+      |}
+  in
+  let stats = r.Driver.stats in
+  Alcotest.(check string) "sum" "123\n" r.Driver.outcome.F90d_exec.Interp.output;
+  checki "no kernel run" 0 stats.F90d_machine.Stats.kernel_runs;
+  checki "every nest on both ranks falls back" 8 stats.F90d_machine.Stats.kernel_fallbacks;
+  checki "named explicit_layout" 8 (fallbacks_for stats F90d_machine.Stats.Explicit_layout)
+
 let test_strip_node_kinds () =
   (* single-element nests (1-D and 2-D) run as strips of length one;
      FORALL counters, integer division and MERGE each have a strip loop
@@ -338,6 +365,7 @@ let () =
         [
           Alcotest.test_case "gauss every run blocked" `Quick test_gauss_all_blocked;
           Alcotest.test_case "many-to-one store falls back" `Quick test_many_to_one_store;
+          Alcotest.test_case "CYCLIC(k) nest falls back" `Quick test_cyclic_k_falls_back;
           Alcotest.test_case "single elements, counters, idiv, merge" `Quick test_strip_node_kinds;
           Alcotest.test_case "scatter and postcomp plans" `Quick test_scatter_plans;
         ] );
