@@ -22,11 +22,10 @@ let config ?(model = Model.ideal) ?(topology = Topology.Full) ?(tracing = false)
 exception Deadlock of string
 
 (* Machine state for one run; every fiber of the run executes on the
-   calling domain, so none of it needs a lock.  A rank's fiber slice
-   touches only rank-private slots: clocks.(me), rank_stats.(me) and
-   outboxes.(me).  Mailboxes are sharded by destination rank and keyed by
-   (src, tag) channel; only the scheduler mutates them, when it drains
-   outboxes and pops messages for delivery.
+   calling domain, so none of it needs a lock.  Mailboxes are sharded by
+   destination rank and keyed by (src, tag) channel.  A send hands its
+   message straight to the destination: to the fiber itself when it is
+   suspended on exactly that channel, otherwise to the channel's FIFO.
 
    Mailbox memory is O(active channels), not O(channels ever used): a
    channel's queue is detached from the table the moment its last
@@ -41,14 +40,15 @@ type shared = {
   clocks : float array;
   mail : (int * int, Message.t Queue.t) Hashtbl.t array;
   (* mail.(dest): (src, tag) -> FIFO of undelivered messages *)
-  outboxes : (int * Message.t) Queue.t array;
-  (* outboxes.(src): (dest, msg) sends not yet moved into a mailbox *)
   mutable free_queues : Message.t Queue.t list;
-  (* drained channel queues, recycled by [channel]; touched only by the
-     scheduler, like the mailboxes themselves *)
-  touched_scratch : bool array;
-  (* per-destination dedup flags for [drain_outbox]; scheduler-private,
-     always all-false between calls *)
+  (* drained channel queues, recycled by [channel] *)
+  waiting : waiter option array;
+  (* waiting.(me): the channel rank [me] is suspended on.  A rank
+     suspends only on an empty channel, and the next message posted to
+     that channel is handed to it directly, so the channel stays empty
+     for as long as the rank waits. *)
+  ready : (unit -> unit) Queue.t;
+  (* fiber starts, then the resumptions that sends made possible *)
   rank_stats : Stats.rank array;
   traces : Trace.handle array;
   (* traces.(me): rank-private event recorder (all Trace.disabled when
@@ -64,12 +64,14 @@ type shared = {
      Rank-private; read by [finish] for Deadlock diagnostics. *)
 }
 
+and waiter = { w_src : int; w_tag : int; w_k : (Message.t, unit) continuation }
+
 (* A posted (nonblocking) receive.  The message itself stays in the
-   mailbox until [wait] consumes it through the same Wait_recv effect a
+   mailbox until [wait] consumes it through the same receive path a
    blocking receive uses, so channel FIFO pairing is unaffected by
-   splitting.  Only the
-   cost accounting changes: latency that elapsed between [h_posted] and
-   the wait is counted as hidden rather than charged as blocking time. *)
+   splitting.  Only the cost accounting changes: latency that elapsed
+   between [h_posted] and the wait is counted as hidden rather than
+   charged as blocking time. *)
 and handle = {
   h_src : int;
   h_tag : int;
@@ -81,8 +83,8 @@ and handle = {
 
 type ctx = { me : int; sh : shared }
 
-type _ Effect.t += Wait_recv : (int * int * int) -> Message.t Effect.t
-(* (dest, src, tag): suspend until a matching message is in the mailbox *)
+type _ Effect.t += Wait_recv : (int * int) -> Message.t Effect.t
+(* (src, tag): suspend until a message on that empty channel is posted *)
 
 let rank ctx = ctx.me
 let nprocs ctx = ctx.sh.cfg.nprocs
@@ -123,6 +125,17 @@ let channel sh ~dest key =
       Hashtbl.add box key q;
       q
 
+(* Deliver [msg] to [dest] at send time: a fiber suspended on exactly
+   this channel takes it and is queued to resume; otherwise it joins the
+   channel's FIFO.  Handing over cannot overtake a buffered message,
+   because a rank only suspends on an empty channel. *)
+let post sh ~dest (msg : Message.t) =
+  match sh.waiting.(dest) with
+  | Some w when w.w_src = msg.src && w.w_tag = msg.tag ->
+      sh.waiting.(dest) <- None;
+      Queue.add (fun () -> continue w.w_k msg) sh.ready
+  | _ -> Queue.add msg (channel sh ~dest (msg.src, msg.tag))
+
 let send ?parts ctx ~dest ~tag payload =
   let sh = ctx.sh in
   if dest < 0 || dest >= sh.cfg.nprocs then Diag.bug "engine: send to rank %d" dest;
@@ -137,7 +150,7 @@ let send ?parts ctx ~dest ~tag payload =
   let arrival = time ctx +. (float_of_int (max 0 (hops - 1)) *. m.Model.hop) in
   Stats.record_send ~tag sh.rank_stats.(ctx.me) ~bytes;
   Trace.send ?parts sh.traces.(ctx.me) ~t0 ~t1:(time ctx) ~dest ~tag ~bytes ~arrival;
-  Queue.add (dest, { Message.src = ctx.me; tag; payload; bytes; arrival }) sh.outboxes.(ctx.me)
+  post sh ~dest { Message.src = ctx.me; tag; payload; bytes; arrival }
 
 (* Hand a just-arrived message onward without occupying the CPU: the
    message system forwards it as soon as the data is available
@@ -159,37 +172,63 @@ let relay ctx ~from_t ~dest ~tag payload =
   let arrival = t1 +. (float_of_int (max 0 (hops - 1)) *. m.Model.hop) in
   Stats.record_send ~tag sh.rank_stats.(ctx.me) ~bytes;
   Trace.send ~relay:true sh.traces.(ctx.me) ~t0:from_t ~t1 ~dest ~tag ~bytes ~arrival;
-  Queue.add (dest, { Message.src = ctx.me; tag; payload; bytes; arrival }) sh.outboxes.(ctx.me);
+  post sh ~dest { Message.src = ctx.me; tag; payload; bytes; arrival };
   t1
 
 (* Cooperative cancellation: the poll hook (when configured) runs inside
    the calling fiber, so raising from it unwinds that rank's node program
-   like any other node failure — the scheduler keeps delivering until no
-   runnable fiber remains, and [finish] re-raises the poll's exception.  Called at every receive point and by
-   the interpreter once per statement. *)
+   like any other node failure — the scheduler keeps resuming fibers
+   until no runnable fiber remains, and [finish] re-raises the poll's
+   exception.  Called at every receive point and by the interpreter once
+   per statement. *)
 let check_cancel ctx = match ctx.sh.cfg.poll with Some f -> f () | None -> ()
 
-let recv ctx ~src ~tag =
+(* The receive path shared by [recv] and [wait]: take the channel's
+   oldest message, suspending only when the channel is empty, then
+   advance the clock to the arrival and account the wait.  [posted] is a
+   split-phase receive's post time; latency the program overlapped since
+   then is booked as hidden. *)
+let receive ?posted ctx ~src ~tag =
   check_cancel ctx;
-  let msg = perform (Wait_recv (ctx.me, src, tag)) in
   let sh = ctx.sh in
+  if src < 0 || src >= sh.cfg.nprocs then Diag.bug "engine: receive from rank %d" src;
+  let box = sh.mail.(ctx.me) and key = (src, tag) in
+  let msg =
+    match Hashtbl.find_opt box key with
+    | None -> perform (Wait_recv key)
+    | Some q ->
+        let msg = Queue.pop q in
+        if Queue.is_empty q then begin
+          (* drop the drained channel so mailbox memory tracks the number
+             of channels with data in flight, and park the queue for reuse *)
+          Hashtbl.remove box key;
+          sh.free_queues <- q :: sh.free_queues
+        end;
+        msg
+  in
   let before = time ctx in
   if msg.Message.arrival > before then begin
     Stats.record_wait sh.rank_stats.(ctx.me) (msg.Message.arrival -. before);
     sh.clocks.(ctx.me) <- msg.Message.arrival
   end;
-  Trace.recv sh.traces.(ctx.me) ~t0:before ~t1:(time ctx) ~src ~tag ~arrival:msg.Message.arrival;
+  (match posted with
+  | Some posted ->
+      let hidden = Float.max 0. (msg.Message.arrival -. posted) -. (time ctx -. before) in
+      if hidden > 0. then Stats.record_wait_hidden sh.rank_stats.(ctx.me) hidden
+  | None -> ());
+  Trace.recv ?posted sh.traces.(ctx.me) ~t0:before ~t1:(time ctx) ~src ~tag
+    ~arrival:msg.Message.arrival;
   msg
 
+let recv ctx ~src ~tag = receive ctx ~src ~tag
+
 (* Split-phase receive.  [irecv] only records the post time (and the
-   posting statement's provenance); no effect is performed, so the fiber
-   never suspends at issue.  [wait] suspends on the same (src, tag)
-   channel a blocking receive would, charges only the wait that remains
-   at the wait site, and books the latency the program overlapped —
-   max(0, arrival - posted) - charged wait — as hidden. *)
+   posting statement's provenance); nothing is received, so the fiber
+   never suspends at issue.  [wait] completes it through the shared
+   receive path, which charges only the wait that remains at the wait
+   site and books the overlapped latency as hidden. *)
 let irecv ctx ~src ~tag =
   let sh = ctx.sh in
-  if src < 0 || src >= sh.cfg.nprocs then Diag.bug "engine: irecv from rank %d" src;
   let h =
     {
       h_src = src;
@@ -204,23 +243,10 @@ let irecv ctx ~src ~tag =
   h
 
 let wait ctx h =
-  check_cancel ctx;
   if h.h_done then Diag.bug "engine: wait on an already-completed handle";
-  let msg = perform (Wait_recv (ctx.me, h.h_src, h.h_tag)) in
-  let sh = ctx.sh in
-  let before = time ctx in
-  if msg.Message.arrival > before then begin
-    Stats.record_wait sh.rank_stats.(ctx.me) (msg.Message.arrival -. before);
-    sh.clocks.(ctx.me) <- msg.Message.arrival
-  end;
-  let hidden =
-    Float.max 0. (msg.Message.arrival -. h.h_posted) -. (time ctx -. before)
-  in
-  if hidden > 0. then Stats.record_wait_hidden sh.rank_stats.(ctx.me) hidden;
+  let msg = receive ~posted:h.h_posted ctx ~src:h.h_src ~tag:h.h_tag in
   h.h_done <- true;
-  sh.outstanding.(ctx.me) <- List.filter (fun h' -> h' != h) sh.outstanding.(ctx.me);
-  Trace.recv ~posted:h.h_posted sh.traces.(ctx.me) ~t0:before ~t1:(time ctx) ~src:h.h_src
-    ~tag:h.h_tag ~arrival:msg.Message.arrival;
+  ctx.sh.outstanding.(ctx.me) <- List.filter (fun h' -> h' != h) ctx.sh.outstanding.(ctx.me);
   msg
 
 type 'a report = {
@@ -231,11 +257,7 @@ type 'a report = {
   trace : Trace.t option;  (* Some iff cfg.tracing *)
 }
 
-type 'a fiber_state =
-  | Not_started
-  | Blocked of (int * int * int) * (Message.t, unit) continuation
-  | Finished of 'a
-  | Failed of exn * Printexc.raw_backtrace
+type 'a outcome = Finished of 'a | Failed of exn * Printexc.raw_backtrace
 
 let make_shared cfg =
   {
@@ -243,9 +265,9 @@ let make_shared cfg =
     geom = Topology.geom cfg.topology ~nprocs:cfg.nprocs;
     clocks = Array.make cfg.nprocs 0.;
     mail = Array.init cfg.nprocs (fun _ -> Hashtbl.create 8);
-    outboxes = Array.init cfg.nprocs (fun _ -> Queue.create ());
     free_queues = [];
-    touched_scratch = Array.make cfg.nprocs false;
+    waiting = Array.make cfg.nprocs None;
+    ready = Queue.create ();
     rank_stats = Array.init cfg.nprocs (fun _ -> Stats.rank_create ());
     traces =
       (if cfg.tracing then Array.init cfg.nprocs (fun me -> Trace.rank_create ~me)
@@ -255,52 +277,19 @@ let make_shared cfg =
     outstanding = Array.make cfg.nprocs [];
   }
 
-(* Move rank [me]'s pending sends into the destination mailboxes, in send
-   order (each channel has a single producer, so per-channel FIFO order is
-   preserved no matter how slices interleave).  Returns the destination
-   ranks that received mail, deduplicated in O(fan-out) with the shared
-   scratch flags (a broadcast root drains thousands of sends in one
-   call; a List.mem dedup would make that quadratic). *)
-let drain_outbox sh me =
-  let ob = sh.outboxes.(me) in
-  let touched = ref [] in
-  while not (Queue.is_empty ob) do
-    let dest, msg = Queue.pop ob in
-    Queue.add msg (channel sh ~dest (msg.Message.src, msg.Message.tag));
-    if not sh.touched_scratch.(dest) then begin
-      sh.touched_scratch.(dest) <- true;
-      touched := dest :: !touched
-    end
-  done;
-  List.iter (fun dest -> sh.touched_scratch.(dest) <- false) !touched;
-  !touched
-
-let take sh (dest, src, tag) =
-  let box = sh.mail.(dest) in
-  let key = (src, tag) in
-  match Hashtbl.find_opt box key with
-  | Some q when not (Queue.is_empty q) ->
-      let msg = Queue.pop q in
-      if Queue.is_empty q then begin
-        (* drop the drained channel so mailbox memory tracks the number
-           of channels with data in flight, and park the queue for reuse *)
-        Hashtbl.remove box key;
-        sh.free_queues <- q :: sh.free_queues
-      end;
-      Some msg
-  | _ -> None
-
-(* Run one slice of rank [me]: from [thunk] until the fiber blocks on
-   Wait_recv, returns or raises.  The deep handler owns states.(me). *)
-let handler states me =
+(* The deep handler of rank [me]'s fiber: a slice runs until the fiber
+   suspends on an empty channel, returns or raises. *)
+let handler sh outcomes me =
   {
-    retc = (fun v -> states.(me) <- Finished v);
-    exnc = (fun e -> states.(me) <- Failed (e, Printexc.get_raw_backtrace ()));
+    retc = (fun v -> outcomes.(me) <- Some (Finished v));
+    exnc = (fun e -> outcomes.(me) <- Some (Failed (e, Printexc.get_raw_backtrace ())));
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
-        | Wait_recv key ->
-            Some (fun (k : (a, unit) continuation) -> states.(me) <- Blocked (key, k))
+        | Wait_recv (src, tag) ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                sh.waiting.(me) <- Some { w_src = src; w_tag = tag; w_k = k })
         | _ -> None);
   }
 
@@ -311,27 +300,18 @@ let handler states me =
 let deadlock_max_ranks = 8
 let deadlock_max_channels = 8
 
-let finish (sh : shared) states =
+let finish (sh : shared) outcomes =
   (* Propagate the first failure, if any. *)
-  Array.iteri
-    (fun _ st ->
-      match st with
-      | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-      | _ -> ())
-    states;
-  let all_done =
-    Array.for_all (function Finished _ | Failed _ -> true | _ -> false) states
-  in
-  if not all_done then begin
+  Array.iter
+    (function Some (Failed (e, bt)) -> Printexc.raise_with_backtrace e bt | _ -> ())
+    outcomes;
+  if Array.exists Option.is_none outcomes then begin
     (* Diagnosable without a debugger: alongside the awaited (src, tag)
        channel, show what actually IS pending in the blocked rank's
        mailbox, so tag or source mismatches are visible in the message. *)
     let pending_of me =
       let all =
-        Hashtbl.fold
-          (fun (src, tag) q acc ->
-            if Queue.is_empty q then acc else (src, tag, Queue.length q) :: acc)
-          sh.mail.(me) []
+        Hashtbl.fold (fun (src, tag) q acc -> (src, tag, Queue.length q) :: acc) sh.mail.(me) []
         |> List.sort compare
       in
       let shown, elided =
@@ -369,8 +349,8 @@ let finish (sh : shared) states =
           |> Printf.sprintf ", issued-unwaited %s"
     in
     let blocked_keys =
-      Array.to_seq states
-      |> Seq.filter_map (function Blocked (key, _) -> Some key | _ -> None)
+      Array.to_seqi sh.waiting
+      |> Seq.filter_map (function me, Some w -> Some (me, w.w_src, w.w_tag) | _, None -> None)
       |> List.of_seq
     in
     let total = List.length blocked_keys in
@@ -395,10 +375,8 @@ let finish (sh : shared) states =
   end;
   let results =
     Array.map
-      (function
-        | Finished v -> v
-        | Not_started | Blocked _ | Failed _ -> Diag.bug "engine: unfinished fiber after run")
-      states
+      (function Some (Finished v) -> v | _ -> Diag.bug "engine: unfinished fiber after run")
+      outcomes
   in
   let elapsed = Array.fold_left Float.max 0. sh.clocks in
   let trace =
@@ -406,62 +384,25 @@ let finish (sh : shared) states =
   in
   { results; elapsed; clocks = Array.copy sh.clocks; stats = Stats.merge sh.rank_stats; trace }
 
-(* Ready-queue scheduler: only runnable fibers are ever visited.  A rank
-   is enqueued when it has not started, or when it is blocked on a
-   channel that just received mail; after each slice the scheduler
-   drains the rank's outbox and re-examines exactly the touched
-   destinations (plus the rank itself, whose awaited message may already
-   be sitting in its mailbox from an earlier drain).  Total scheduling
-   work is O(starts + messages), independent of how many of the P fibers
-   are finished or idle — the old full-array round-robin re-scan was
-   O(P) per delivery and O(P^2) per simulated step at scale.
+(* Ready-queue scheduler: only runnable fibers are ever visited.  The
+   queue starts with every rank's fiber start; after that it gains a
+   resumption only when a send hands a suspended rank its message.  A
+   receive whose message is already queued never suspends, so it costs
+   no scheduler visit at all.  Total scheduling work is O(starts +
+   suspensions), independent of how many of the P fibers are finished
+   or idle.
 
-   Scheduling order differs from the round-robin engine, but reports
-   cannot: each channel is a single-producer single-consumer exact-match
-   FIFO, so which message a receive consumes — and therefore every
-   clock, stat and result, all rank-private — is a function of the node
-   programs alone, not of visit order. *)
+   Visit order is not part of the semantics: each channel is a
+   single-producer single-consumer exact-match FIFO, so which message a
+   receive consumes — and therefore every clock, stat and result, all
+   rank-private — is a function of the node programs alone. *)
 let run cfg main =
   let sh = make_shared cfg in
-  let states = Array.make cfg.nprocs Not_started in
-  let queued = Array.make cfg.nprocs false in
-  let ready = Queue.create () in
-  let push me =
-    if not queued.(me) then begin
-      queued.(me) <- true;
-      Queue.add me ready
-    end
-  in
-  (* A blocked rank becomes ready when its awaited channel has mail. *)
-  let consider me =
-    match states.(me) with
-    | Blocked ((dest, src, tag), _) -> (
-        match Hashtbl.find_opt sh.mail.(dest) (src, tag) with
-        | Some q when not (Queue.is_empty q) -> push me
-        | _ -> ())
-    | Not_started | Finished _ | Failed _ -> ()
-  in
+  let outcomes = Array.make cfg.nprocs None in
   for me = 0 to cfg.nprocs - 1 do
-    push me
+    Queue.add (fun () -> match_with main { me; sh } (handler sh outcomes me)) sh.ready
   done;
-  while not (Queue.is_empty ready) do
-    let me = Queue.pop ready in
-    queued.(me) <- false;
-    (match states.(me) with
-    | Not_started ->
-        let ctx = { me; sh } in
-        match_with (fun () -> main ctx) () (handler states me)
-    | Blocked (key, k) -> (
-        match take sh key with
-        | Some msg ->
-            (* the fiber's original deep handler updates [states.(me)] *)
-            continue k msg
-        | None -> ())
-    | Finished _ | Failed _ -> ());
-    let touched = drain_outbox sh me in
-    List.iter consider touched;
-    (* not redundant with [touched]: the message this rank now awaits may
-       have been delivered while it was still running its slice *)
-    consider me
+  while not (Queue.is_empty sh.ready) do
+    (Queue.pop sh.ready) ()
   done;
-  finish sh states
+  finish sh outcomes

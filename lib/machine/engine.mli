@@ -8,10 +8,13 @@
     [sender-completion + hop * (hops-1)]; a receive completes at
     [max(local clock, arrival)].
 
-    Sends are asynchronous and buffered (csend-style); receives match
-    exactly on (source, tag) in FIFO order, so simulations are
-    deterministic.  If every unfinished fiber is blocked on a receive that
-    can never be satisfied the engine raises {!Deadlock}. *)
+    Sends are buffered (csend-style) and delivered when they are made:
+    the message goes straight to a receiver suspended on its channel, or
+    else into the receiver's (source, tag) FIFO.  Receives match exactly
+    on (source, tag) in FIFO order, so simulations are deterministic, and
+    a receive suspends its fiber only when its channel is empty.  If
+    every unfinished fiber is suspended on a receive that can never be
+    satisfied the engine raises {!Deadlock}. *)
 
 type config = {
   nprocs : int;
@@ -73,6 +76,11 @@ val send : ?parts:(int * int) array -> ctx -> dest:int -> tag:int -> Message.pay
     charges and counts exactly one message. *)
 
 val recv : ctx -> src:int -> tag:int -> Message.t
+(** Take the oldest message of the (src, tag) channel.  Returns at once
+    when one is queued; suspends the fiber only when the channel is
+    empty, until a send on it hands the message over.  The clock advances
+    to the message's arrival if that is still in the future.  A [src]
+    outside [0 .. nprocs-1] is a bug ([F90d_base.Diag.bug]). *)
 
 val relay : ctx -> from_t:float -> dest:int -> tag:int -> Message.payload -> float
 (** Forward a just-arrived message without occupying the CPU: the
@@ -91,12 +99,14 @@ val irecv : ctx -> src:int -> tag:int -> handle
 (** Post a nonblocking receive on the (src, tag) channel.  Costs nothing
     and never suspends; it records the post time and the posting
     statement's provenance.  The message is consumed by the matching
-    {!wait} — through the same exact-match FIFO a blocking {!recv} uses,
-    so splitting a receive never changes which message it pairs with. *)
+    {!wait} — through the same receive path a blocking {!recv} uses
+    (including its [src] range check), so splitting a receive never
+    changes which message it pairs with. *)
 
 val wait : ctx -> handle -> Message.t
-(** Complete a posted receive: suspend until the message is deliverable,
-    charge only the wait remaining at the wait site (clock advances to
+(** Complete a posted receive exactly as {!recv} would — returning at
+    once when the message is queued, suspending only on an empty channel
+    — charge only the wait remaining at the wait site (clock advances to
     the arrival if it is still in the future) and account the latency
     that elapsed since {!irecv} as [recv_wait_hidden].  Waits on one
     channel must be issued in the same order as their irecvs.  Waiting
@@ -155,11 +165,12 @@ val run : config -> (ctx -> 'a) -> 'a report
     domain.  Any exception raised by a node program is re-raised after
     the machine stops; unsatisfiable receives raise {!Deadlock}.
 
-    Scheduling is event-driven: a ready queue holds exactly the fibers
-    that can make progress (not yet started, or blocked on a channel
-    that has mail), so scheduler work is O(slices + messages) and
-    independent of how many of the P fibers are finished or idle.
-    Visit order differs from a round-robin scan, but every channel is a
-    single-producer single-consumer exact-match FIFO and all clocks and
-    statistics are rank-private, so the report is a function of the
-    node programs alone. *)
+    Scheduling is event-driven: a ready queue holds every fiber's start
+    and, after that, only the resumptions that sends made possible — a
+    send to a fiber suspended on its channel queues that fiber.  A fiber
+    suspends only on an empty channel, so scheduler work is
+    O(starts + suspensions) and independent of how many of the P fibers
+    are finished or idle.  Visit order is not part of the semantics:
+    every channel is a single-producer single-consumer exact-match FIFO
+    and all clocks and statistics are rank-private, so the report is a
+    function of the node programs alone. *)

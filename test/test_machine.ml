@@ -166,6 +166,59 @@ let test_deadlock_lists_unwaited_handles () =
       checkb "names the unwaited channel" true (has "issued-unwaited (src=0,tag=7");
       checkb "names the issuing statement" true (has "issued at stmt 42")
 
+let test_recv_src_out_of_range () =
+  (* a receive from a rank that does not exist is the caller's bug,
+     reported at once rather than as a Deadlock naming a phantom rank;
+     a split-phase receive is checked when it is waited on *)
+  let expect_bug what main =
+    match Engine.run (Engine.config 2) main with
+    | _ -> Alcotest.fail (what ^ ": expected a bug report")
+    | exception Failure msg -> checkb what true (contains_sub msg "from rank")
+  in
+  expect_bug "recv" (fun ctx -> ignore (Engine.recv ctx ~src:2 ~tag:0));
+  expect_bug "wait" (fun ctx -> ignore (Engine.wait ctx (Engine.irecv ctx ~src:(-1) ~tag:0)))
+
+let test_queued_receive_same_slice () =
+  (* a receive whose message is already queued does not suspend: rank 0
+     gets its own message before rank 1 is ever started *)
+  let log = ref [] in
+  let note s = log := s :: !log in
+  ignore
+    (Engine.run (Engine.config 2) (fun ctx ->
+         match Engine.rank ctx with
+         | 0 ->
+             Engine.send ctx ~dest:0 ~tag:1 (Message.Scalar (Scalar.Int 5));
+             ignore (Engine.recv ctx ~src:0 ~tag:1);
+             note "0 received"
+         | _ -> note "1 started"));
+  Alcotest.(check (list string)) "log" [ "0 received"; "1 started" ] (List.rev !log)
+
+let test_hand_over () =
+  (* rank 0 suspends on (src=1, tag=2) before rank 1 runs: the tag-2 send
+     is handed straight to it, while tag 1 and the relay wait in their
+     channels, and every channel is empty at the end *)
+  let int_of m = Scalar.to_int (Message.scalar m) in
+  let report =
+    Engine.run (Engine.config 2) (fun ctx ->
+        match Engine.rank ctx with
+        | 0 ->
+            let a = int_of (Engine.recv ctx ~src:1 ~tag:2) in
+            let b = int_of (Engine.recv ctx ~src:1 ~tag:1) in
+            let c = int_of (Engine.recv ctx ~src:1 ~tag:3) in
+            ([ a; b; c ], Engine.live_channels ctx)
+        | _ ->
+            Engine.send ctx ~dest:0 ~tag:1 (Message.Scalar (Scalar.Int 10));
+            Engine.send ctx ~dest:0 ~tag:2 (Message.Scalar (Scalar.Int 20));
+            ignore
+              (Engine.relay ctx ~from_t:(Engine.time ctx) ~dest:0 ~tag:3
+                 (Message.Scalar (Scalar.Int 30)));
+            ([], Engine.live_channels ctx))
+  in
+  Alcotest.(check (list int)) "receive order" [ 20; 10; 30 ] (fst report.Engine.results.(0));
+  Array.iteri
+    (fun r (_, live) -> check (Printf.sprintf "rank %d live channels" r) 0 live)
+    report.Engine.results
+
 let test_exception_propagation () =
   let cfg = Engine.config 2 in
   match
@@ -280,8 +333,9 @@ let collective_program p ctx =
   (v, s)
 
 let test_large_p_bit_identity () =
-  (* the event-driven scheduler's visit order depends on mailbox state;
-     two runs of the same program at P=1024 must still agree bit for bit *)
+  (* visit order is not part of the semantics: which receives suspend
+     depends on how slices interleave, yet two runs of the same program
+     at P=1024 must agree bit for bit, and with the closed form *)
   let p = 1024 in
   let cfg () = Engine.config ~model:Model.ipsc860 ~topology:Hypercube p in
   let r1 = Engine.run (cfg ()) (collective_program p) in
@@ -379,6 +433,11 @@ let () =
           Alcotest.test_case "deadlock detection" `Quick test_deadlock;
           Alcotest.test_case "deadlock lists unwaited handles" `Quick
             test_deadlock_lists_unwaited_handles;
+          Alcotest.test_case "receive from a rank out of range" `Quick
+            test_recv_src_out_of_range;
+          Alcotest.test_case "queued receive finishes in the same slice" `Quick
+            test_queued_receive_same_slice;
+          Alcotest.test_case "send hands over to a suspended receiver" `Quick test_hand_over;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
           Alcotest.test_case "all-to-all" `Quick test_all_to_all;
           Alcotest.test_case "compute charges" `Quick test_charges;
