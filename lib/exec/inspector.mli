@@ -4,10 +4,13 @@
     maps one reference's subscripts to the rank owning the element and
     the element's flat storage position there, through the DAD's lookup
     tables ({!F90d_dist.Dad.locate}).  Results go into two unboxed
-    arrays, rank by rank, which the {!F90d_runtime.Schedule} builders
-    bucket by owner.  A schedule built locally (precomp_read,
+    arrays, rank by rank, which {!F90d_runtime.Schedule.owner_index}
+    sorts by owner.  A schedule built locally (precomp_read, unmasked
     postcomp_write) needs every rank's entries, a communicating one
-    (gather, scatter) only the caller's. *)
+    (gather, scatter) only the caller's.  A local build's pass does not
+    depend on the rank that walks it: the interpreter walks it once per
+    run, on the first rank to need it, and hands its owner index to
+    every rank. *)
 
 type space = F90d_dist.Layout.t list
 (** An iteration space: each FORALL variable's values in nest order (the
@@ -35,6 +38,9 @@ val canonical :
     {!F90d_dist.Layout.set_bound} of [rank]'s part of it, ascending.
     [None] when a constant subscript [(dim, value)] of [guards] is not
     owned by [rank]. *)
+
+val points : space -> int
+(** The number of points in a space (none without variables). *)
 
 val iter : space -> (int array -> int -> unit) -> unit
 (** [iter space f] calls [f x c] at every point of [space] in nest order

@@ -536,6 +536,47 @@ let inspect st ~space ~every_owner ~all_ranks (dad, subs) =
   Inspector.run dad ~every_owner
     (if all_ranks then Array.init (Rctx.nprocs st.ctx) slot else [| slot me |])
 
+(* A local build's pass covers every rank's iterations, and nothing in
+   it depends on the rank that walks it, so each local-build op walks it
+   once per run and hands it to every rank.  The op's cell lives in its
+   compiled closure, built by [prepare] for one run whose fibers all run
+   on one domain: it needs no lock.  Each rank numbers its builder calls
+   for the op ([calls]); the numbers agree machine-wide, because every
+   rank misses the same schedule keys.  The first rank to reach call [n]
+   walks the pass and indexes it by owner; the other ranks take the
+   index, and the last of them drops it. *)
+type shared = {
+  mutable calls : int array;  (** per rank: builder calls so far *)
+  passes : (int, Schedule.index * int ref) Hashtbl.t;
+      (** by call number: the index, and the ranks yet to take it *)
+}
+
+let shared () = { calls = [||]; passes = Hashtbl.create 1 }
+
+let shared_pass sh st ~space ~every_owner ((dad, _) as ins) =
+  let p = Rctx.nprocs st.ctx and me = me st in
+  if Array.length sh.calls = 0 then sh.calls <- Array.make p 0;
+  let n = sh.calls.(me) in
+  sh.calls.(me) <- n + 1;
+  match Hashtbl.find_opt sh.passes n with
+  | None ->
+      let pass = inspect st ~space ~every_owner ~all_ranks:true ins in
+      let ix =
+        Schedule.owner_index ~nprocs:p ~owners:pass.Inspector.owners ~flats:pass.Inspector.flats
+          ~starts:pass.Inspector.starts
+      in
+      if p > 1 then Hashtbl.replace sh.passes n (ix, ref (p - 1));
+      ix
+  | Some (ix, left) ->
+      decr left;
+      if !left = 0 then Hashtbl.remove sh.passes n;
+      let points = match space me with None -> 0 | Some sp -> Inspector.points sp in
+      let want = points * if every_owner then Dad.copies dad else 1 in
+      if Schedule.entries ix me <> want then
+        Diag.bug "interp: shared inspector pass %d has %d entries for rank %d, not %d" n
+          (Schedule.entries ix me) me want;
+      ix
+
 (* ------------------------------------------------------------------ *)
 (* Schedule-reuse write versioning                                      *)
 (* ------------------------------------------------------------------ *)
@@ -790,18 +831,19 @@ let compile_forall cx ~sid (f : Ir.forall) =
         match c with
         | Ir.Precomp_read { r; itemp; key } | Ir.Gather_read { r; itemp; key } ->
             let ins = inspected r and vsig = version_sig cx r and k = caslot cx r.Ast.base in
-            let local = match c with Ir.Precomp_read _ -> true | _ -> false in
+            let local = match c with Ir.Precomp_read _ -> Some (shared ()) | _ -> None in
             fun st ~space ->
               log_comm st c;
               let sched =
                 cached_schedule st key vsig (fun () ->
-                    let p = inspect st ~space ~every_owner:false ~all_ranks:local ins in
-                    if local then
-                      Schedule.build_read_local st.ctx ~owners:p.Inspector.owners
-                        ~flats:p.Inspector.flats ~starts:p.Inspector.starts
-                    else
-                      Schedule.build_gather st.ctx ~owners:p.Inspector.owners
-                        ~flats:p.Inspector.flats)
+                    match local with
+                    | Some sh ->
+                        Schedule.build_read_local st.ctx
+                          (shared_pass sh st ~space ~every_owner:false ins)
+                    | None ->
+                        let p = inspect st ~space ~every_owner:false ~all_ranks:false ins in
+                        Schedule.build_gather st.ctx ~owners:p.Inspector.owners
+                          ~flats:p.Inspector.flats)
               in
               set_temp st itemp (Schedule.read st.ctx sched st.arrays.(k))
         | c ->
@@ -814,7 +856,9 @@ let compile_forall cx ~sid (f : Ir.forall) =
   let mask = Option.map (cexpr fx) f.Ir.f_mask and rhs = cexpr fx f.Ir.f_rhs in
   let lhs = values (csubs fx f.Ir.f_lhs) in
   let post =
-    Option.map (fun post -> (post, inspected f.Ir.f_lhs, version_sig cx f.Ir.f_lhs)) f.Ir.f_post
+    Option.map
+      (fun post -> (post, inspected f.Ir.f_lhs, version_sig cx f.Ir.f_lhs, shared ()))
+      f.Ir.f_post
   in
   let plan = Kernel.plan scope ~f in
   cx.c_planned := sid :: !(cx.c_planned);
@@ -860,7 +904,7 @@ let compile_forall cx ~sid (f : Ir.forall) =
           match run_kernel st plan sp with
           | Some out ->
               (* the kernel ran the whole nest *)
-              iters := List.fold_left (fun acc l -> acc * Layout.count l) 1 sp;
+              iters := Inspector.points sp;
               (match out with Kernel.Scattered tmp -> scattered := Some tmp | Kernel.Stored -> ())
           | None ->
               let copies = if canonical_store then 0 else Dad.copies lhs_dad in
@@ -895,7 +939,7 @@ let compile_forall cx ~sid (f : Ir.forall) =
       (* phase 3: write-back *)
       (match post with
       | None -> ()
-      | Some (post, ins, vsig) ->
+      | Some (post, ins, vsig, sh) ->
           let tmp =
             match !scattered with
             | Some tmp -> tmp
@@ -907,23 +951,21 @@ let compile_forall cx ~sid (f : Ir.forall) =
           in
           (* the write list: the interpreter's, or, after the kernel, one
              inspector pass — only when the schedule is not cached *)
-          let inspect = inspect st ~space ~every_owner:true in
           let my_writes () =
             match !scattered with
             | None ->
                 let w = Array.of_list (List.rev !writes) in
                 (Array.map fst w, Array.map snd w)
             | Some _ ->
-                let p = inspect ~all_ranks:false ins in
+                let p = inspect st ~space ~every_owner:true ~all_ranks:false ins in
                 (p.Inspector.owners, p.Inspector.flats)
           in
           let sched =
             match post with
             | Ir.Postcomp_write { key } when f.Ir.f_mask = None ->
                 cached_schedule st key vsig (fun () ->
-                    let p = inspect ~all_ranks:true ins in
-                    Schedule.build_write_local st.ctx ~owners:p.Inspector.owners
-                      ~flats:p.Inspector.flats ~starts:p.Inspector.starts)
+                    Schedule.build_write_local st.ctx
+                      (shared_pass sh st ~space ~every_owner:true ins))
             | Ir.Postcomp_write { key } | Ir.Scatter_write { key } ->
                 cached_schedule st key vsig (fun () ->
                     let owners, flats = my_writes () in

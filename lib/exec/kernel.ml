@@ -113,21 +113,40 @@ let flat_offset ~lens nd ~dims pos =
    once per execution (gauss's pivot changes each step), references to
    their array or temporary slot with their subscripts, whose flat affine
    offsets are re-derived every execution (layouts, scalar subscripts and
-   the iteration space all change under the statement). *)
-type iop = Idiv | Imod | Imodulo
+   the iteration space all change under the statement).  An
+   INTEGER-kind subexpression is an int tree ([inode]), computed on ints
+   as the interpreter computes it on [Scalar.Int]s: exact (wrapping at
+   63 bits) where a float would round past 2^53. *)
+type iop =
+  | Iadd
+  | Isub
+  | Imul
+  | Idiv  (* Fortran truncating division; a zero divisor declines the nest *)
+  | Imod
+  | Imodulo
+  | Imin
+  | Imax
+  | Ipow  (* by a literal exponent, never negative *)
+  | Irel of (int -> int -> bool)  (* a relational: 1 or 0 *)
 
-type tnode =
+type inode =
+  | Iconst of int
+  | Iscal of int  (* slot into the plan's scalar vector *)
+  | Icounter of int
+  | Iload of int  (* slot into the plan's reference vector *)
+  | Iop of iop * inode * inode
+  | Iun of (int -> int) * inode  (* negation, ABS *)
+  | Isel of inode * inode * tnode  (* MERGE: mask (last) selects t or f *)
+
+and tnode =
   | Tconst of float
   | Tscal of int  (* slot into the plan's scalar vector *)
-  | Tcounter of int
   | Tload of int  (* slot into the plan's reference vector *)
+  | Tint of inode  (* an INTEGER value widened to REAL, as [Scalar.to_real] *)
   | Tadd of tnode * tnode
   | Tsub of tnode * tnode
   | Tmul of tnode * tnode
   | Tdiv of tnode * tnode
-  | Tint of iop * tnode * tnode
-      (* both operands integer-valued: Fortran truncating division, MOD
-         or MODULO; a zero divisor declines the nest *)
   | Tfun1 of (float -> float) * tnode
   | Tfun2 of (float -> float -> float) * tnode * tnode
   | Tsel of tnode * tnode * tnode  (* MERGE: mask (last) selects t or f *)
@@ -141,10 +160,10 @@ type operand =
   | Oflat of int
   | Oglobal of int * aff array
 
-(* A compiled expression: its operator tree, the operands its [Tload]
-   slots read and the scalars its [Tscal] slots read. *)
-type expr_plan = {
-  x_template : tnode;
+(* A compiled expression: its operator tree, the operands its load
+   slots read and the scalars its scalar slots read. *)
+type 'n expr_plan = {
+  x_template : 'n;
   x_refs : operand array;
   x_scalars : (scalar * Scalar.kind) array;
       (* per scalar slot: the kind the plan assumed; a value of another
@@ -152,7 +171,7 @@ type expr_plan = {
 }
 
 type compiled = {
-  p_rhs : expr_plan;
+  p_rhs : tnode expr_plan;
   p_lhs : int;  (* the left-hand side's array slot *)
   p_lhs_reads : bool array;
       (* per rhs slot: a direct read of the left-hand-side array, which
@@ -229,9 +248,11 @@ let kind_of ~env ~scalar_kind ~var_index =
         | `Kr, (`Ki | `Kr | `Kmix) | (`Ki | `Kmix), `Kr -> `Kr
         | _ -> `Kmix)
     | Ast.Bin (Ast.Pow, a, b) -> (
-        (* Int ** negative Int is Real: Ki ** Ki is value-dependent *)
-        match (kind_of a, kind_of b) with
-        | `Kr, _ | _, `Kr -> `Kr
+        (* Int ** negative Int is Real: Ki ** Ki is value-dependent unless
+           the exponent is a literal *)
+        match (kind_of a, kind_of b, b.Ast.e) with
+        | `Kr, _, _ | _, `Kr, _ -> `Kr
+        | `Ki, `Ki, Ast.Int_lit n when n >= 0 -> `Ki
         | _ -> `Kmix)
     | Ast.Bin (_, _, _) -> `Kmix
     | Ast.Ref r -> (
@@ -259,124 +280,159 @@ let kind_of ~env ~scalar_kind ~var_index =
 
 (* Compile an expression of a FORALL body into an operator tree over
    reference and scalar slots; raises [Ineligible] for anything the
-   strips cannot reproduce bit for bit. *)
-let compile_expr sc ~(f : Ir.forall) e =
+   strips cannot reproduce bit for bit.  Every INTEGER-kind subexpression
+   is an int tree ([icompile]); [root] picks the tree the whole
+   expression compiles to. *)
+let compile_plan sc ~(f : Ir.forall) root e =
   let env = sc.env and scalar_kind = sc.scalar_kind in
   let var_index = make_var_index f in
   let resolve e = match aff_of sc ~var_index e with Some a -> a | None -> raise Ineligible in
   let kind_of = kind_of ~env ~scalar_kind ~var_index in
   (* both tables newest first: slot [s] is entry [length - 1 - s] *)
   let refs = ref [] and scalars = ref [] in
-  let slot r =
-    refs := r :: !refs;
-    Tload (List.length !refs - 1)
+  let slot (r : Ast.ref_) =
+    refs :=
+      (match List.assoc_opt r.Ast.rid f.Ir.f_access with
+      | None | Some Ir.Acc_direct ->
+          Odirect (sc.array_slot r.Ast.base, Array.of_list (List.map resolve (subscripts r)))
+      | Some (Ir.Acc_global_temp { temp }) ->
+          Oglobal (temp, Array.of_list (List.map resolve (subscripts r)))
+      | Some (Ir.Acc_box { temp; dims }) ->
+          let dims =
+            Array.map (function Ir.By_sub e -> Some (resolve e) | Ir.Collapsed -> None) dims
+          in
+          Obox { temp; arr = sc.array_slot r.Ast.base; dims }
+      | Some (Ir.Acc_flat { temp }) -> Oflat temp)
+      :: !refs;
+    List.length !refs - 1
   in
   let scalar v k =
     match List.assoc_opt v !scalars with
-    | Some (s, _) -> Tscal s
+    | Some (s, _) -> s
     | None ->
         let s = List.length !scalars in
         scalars := (v, (s, (scalar_ref sc v, k))) :: !scalars;
-        Tscal s
+        s
+  in
+  (* an elemental intrinsic, not an array of that name *)
+  let intrinsic (r : Ast.ref_) =
+    Intrinsic_names.is_elemental r.Ast.base && Sema.array_spec env r.Ast.base = None
+  in
+  (* the mask must compile to a relational (1./0.), never a plain
+     numeric expression *)
+  let relational = function
+    | { Ast.e = Ast.Bin ((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), _, _); _ } -> true
+    | _ -> false
   in
   let rec compile (e : Ast.expr) =
+    if kind_of e = `Ki then Tint (icompile e)
+    else
+      match e.Ast.e with
+      | Ast.Real_lit v -> Tconst v
+      | Ast.Var v -> (
+          match scalar_kind v with
+          | Some Scalar.Kreal -> Tscal (scalar v Scalar.Kreal)
+          | _ -> raise Ineligible)
+      | Ast.Un (Ast.Neg, a) -> Tfun1 (Float.neg, compile a)
+      | Ast.Bin (op, a, b) -> (
+          match (op, kind_of a, kind_of b) with
+          | Ast.Add, _, _ -> bin (fun a b -> Tadd (a, b)) a b
+          | Ast.Sub, _, _ -> bin (fun a b -> Tsub (a, b)) a b
+          | Ast.Mul, _, _ -> bin (fun a b -> Tmul (a, b)) a b
+          | Ast.Div, `Kr, _ | Ast.Div, _, `Kr -> bin (fun a b -> Tdiv (a, b)) a b
+          | Ast.Pow, `Kr, _ | Ast.Pow, _, `Kr -> fun2 Float.pow a b
+          | (Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), `Ki, `Ki ->
+              Tint (ibin (Irel (rel op)) a b)
+          | (Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), (`Ki | `Kr), (`Ki | `Kr) ->
+              (* 1./0. encodes logical; [compare] mirrors Scalar.compare_num
+                 on numeric values (total order: NaN and -0. included) *)
+              let r = rel op in
+              fun2 (fun (x : float) y -> if r (compare x y) 0 then 1. else 0.) a b
+          | _ -> raise Ineligible)
+      | Ast.Ref r when intrinsic r -> (
+          let sargs = subscripts r in
+          let args () = List.map compile sargs in
+          match (r.Ast.base, sargs) with
+          | "ABS", [ a ] -> Tfun1 (Float.abs, compile a)
+          | "SQRT", [ a ] -> Tfun1 (Float.sqrt, compile a)
+          | "EXP", [ a ] -> Tfun1 (Float.exp, compile a)
+          | "LOG", [ a ] -> Tfun1 (Float.log, compile a)
+          | "SIN", [ a ] -> Tfun1 (sin, compile a)
+          | "COS", [ a ] -> Tfun1 (cos, compile a)
+          (* compare-based, not Float.min/max: Scalar.min2/max2 order -0.
+             and NaN by [compare], and return the first operand on ties *)
+          | "MIN", [ a; b ] ->
+              fun2 (fun (x : float) y -> if compare x y <= 0 then x else y) a b
+          | "MAX", [ a; b ] ->
+              fun2 (fun (x : float) y -> if compare x y >= 0 then x else y) a b
+          | "MOD", [ a; b ] when List.for_all (fun x -> kind_of x <> `Kmix) sargs ->
+              fun2 Float.rem a b
+          | "MERGE", [ _; _; m ] when relational m -> (
+              match args () with [ t; f; m ] -> Tsel (t, f, m) | _ -> raise Ineligible)
+          | ("REAL" | "FLOAT" | "DBLE"), [ a ] -> compile a
+          | _ -> raise Ineligible)
+      | Ast.Ref r -> (
+          match Sema.array_spec env r.Ast.base with
+          | Some spec when spec.Sema.skind = Ast.Real -> Tload (slot r)
+          | _ -> raise Ineligible)
+      | _ -> raise Ineligible
+  and icompile (e : Ast.expr) =
     match e.Ast.e with
-    | Ast.Real_lit v -> Tconst v
-    | Ast.Int_lit n -> Tconst (float_of_int n)
+    | Ast.Int_lit n -> Iconst n
     | Ast.Var v -> (
         match var_index v with
-        | Some k -> Tcounter k
+        | Some k -> Icounter k
         | None -> (
             match scalar_kind v with
-            | Some ((Scalar.Kint | Scalar.Kreal) as k) -> scalar v k
+            | Some Scalar.Kint -> Iscal (scalar v Scalar.Kint)
             | _ -> raise Ineligible))
-    | Ast.Un (Ast.Neg, a) -> Tfun1 (Float.neg, compile a)
-    | Ast.Un (Ast.Not, _) -> raise Ineligible
-    | Ast.Bin (op, a, b) -> (
-        let ca = compile a and cb = compile b in
-        match op with
-        | Ast.Add -> Tadd (ca, cb)
-        | Ast.Sub -> Tsub (ca, cb)
-        | Ast.Mul -> Tmul (ca, cb)
-        | Ast.Div -> (
-            match (kind_of a, kind_of b) with
-            | `Ki, `Ki -> Tint (Idiv, ca, cb)
-            | `Kr, _ | _, `Kr -> Tdiv (ca, cb)
-            | _ -> raise Ineligible)
-        | Ast.Pow -> Tfun2 (Float.pow, ca, cb)
-        | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
-            (* 1./0. encodes logical; [compare] mirrors Scalar.compare_num
-               on numeric values (total order: NaN and -0. included) *)
-            match (kind_of a, kind_of b) with
-            | (`Ki | `Kr), (`Ki | `Kr) ->
-                let fn =
-                  match op with
-                  | Ast.Eq -> fun (x : float) y -> if compare x y = 0 then 1. else 0.
-                  | Ast.Ne -> fun (x : float) y -> if compare x y <> 0 then 1. else 0.
-                  | Ast.Lt -> fun (x : float) y -> if compare x y < 0 then 1. else 0.
-                  | Ast.Le -> fun (x : float) y -> if compare x y <= 0 then 1. else 0.
-                  | Ast.Gt -> fun (x : float) y -> if compare x y > 0 then 1. else 0.
-                  | _ -> fun (x : float) y -> if compare x y >= 0 then 1. else 0.
-                in
-                Tfun2 (fn, ca, cb)
-            | _ -> raise Ineligible)
-        | Ast.And | Ast.Or -> raise Ineligible)
-    | Ast.Log_lit _ | Ast.Str_lit _ -> raise Ineligible
-    | Ast.Ref r when Intrinsic_names.is_elemental r.Ast.base
-                     && Sema.array_spec env r.Ast.base = None -> (
-        let sargs = subscripts r in
-        let args = List.map compile sargs in
-        let kinds () = List.map kind_of sargs in
-        match (r.Ast.base, args) with
-        | "ABS", [ a ] -> Tfun1 (Float.abs, a)
-        | "SQRT", [ a ] -> Tfun1 (Float.sqrt, a)
-        | "EXP", [ a ] -> Tfun1 (Float.exp, a)
-        | "LOG", [ a ] -> Tfun1 (Float.log, a)
-        | "SIN", [ a ] -> Tfun1 (sin, a)
-        | "COS", [ a ] -> Tfun1 (cos, a)
-        (* compare-based, not Float.min/max: Scalar.min2/max2 order -0.
-           and NaN by [compare], and return the first operand on ties *)
-        | "MIN", [ a; b ] ->
-            Tfun2 ((fun (x : float) y -> if compare x y <= 0 then x else y), a, b)
-        | "MAX", [ a; b ] ->
-            Tfun2 ((fun (x : float) y -> if compare x y >= 0 then x else y), a, b)
-        | "MOD", [ a; b ] -> (
-            match kinds () with
-            | [ `Ki; `Ki ] -> Tint (Imod, a, b)
-            | [ (`Ki | `Kr); (`Ki | `Kr) ] -> Tfun2 (Float.rem, a, b)
-            | _ -> raise Ineligible)
-        | "MODULO", [ a; b ] -> (
-            match kinds () with [ `Ki; `Ki ] -> Tint (Imodulo, a, b) | _ -> raise Ineligible)
-        | "MERGE", [ t; f; m ] -> (
-            (* the mask must compile to a relational (1./0.), never a
-               plain numeric expression *)
-            match sargs with
-            | [ _; _;
-                { Ast.e = Ast.Bin ((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), _, _); _ }
-              ] ->
-                Tsel (t, f, m)
-            | _ -> raise Ineligible)
-        | ("REAL" | "FLOAT" | "DBLE"), [ a ] -> a
+    | Ast.Un (Ast.Neg, a) -> Iun (( ~- ), icompile a)
+    | Ast.Bin (op, a, b) ->
+        let op =
+          match op with
+          | Ast.Add -> Iadd
+          | Ast.Sub -> Isub
+          | Ast.Mul -> Imul
+          | Ast.Div -> Idiv
+          | Ast.Pow -> Ipow
+          | _ -> raise Ineligible
+        in
+        ibin op a b
+    | Ast.Ref r when intrinsic r -> (
+        match (r.Ast.base, subscripts r) with
+        | "ABS", [ a ] -> Iun (abs, icompile a)
+        | "MIN", [ a; b ] -> ibin Imin a b
+        | "MAX", [ a; b ] -> ibin Imax a b
+        | "MOD", [ a; b ] -> ibin Imod a b
+        | "MODULO", [ a; b ] -> ibin Imodulo a b
+        | "MERGE", [ t; f; m ] when relational m ->
+            let t = icompile t in
+            let f = icompile f in
+            Isel (t, f, compile m)
         | _ -> raise Ineligible)
     | Ast.Ref r -> (
         match Sema.array_spec env r.Ast.base with
-        | None -> raise Ineligible
-        | Some spec ->
-            if spec.Sema.skind = Ast.Logical then raise Ineligible;
-            slot
-              (match List.assoc_opt r.Ast.rid f.Ir.f_access with
-              | None | Some Ir.Acc_direct ->
-                  Odirect (sc.array_slot r.Ast.base, Array.of_list (List.map resolve (subscripts r)))
-              | Some (Ir.Acc_global_temp { temp }) ->
-                  Oglobal (temp, Array.of_list (List.map resolve (subscripts r)))
-              | Some (Ir.Acc_box { temp; dims }) ->
-                  let dims =
-                    Array.map (function Ir.By_sub e -> Some (resolve e) | Ir.Collapsed -> None) dims
-                  in
-                  Obox { temp; arr = sc.array_slot r.Ast.base; dims }
-              | Some (Ir.Acc_flat { temp }) -> Oflat temp))
+        | Some spec when spec.Sema.skind = Ast.Integer -> Iload (slot r)
+        | _ -> raise Ineligible)
+    | _ -> raise Ineligible
+  (* operands compile left to right: slots are numbered in source order *)
+  and bin node a b =
+    let a = compile a in
+    node a (compile b)
+  and fun2 f a b = bin (fun a b -> Tfun2 (f, a, b)) a b
+  and ibin op a b =
+    let a = icompile a in
+    Iop (op, a, icompile b)
+  and rel op =
+    match op with
+    | Ast.Eq -> ( = )
+    | Ast.Ne -> ( <> )
+    | Ast.Lt -> ( < )
+    | Ast.Le -> ( <= )
+    | Ast.Gt -> ( > )
+    | _ -> ( >= )
   in
-  let template = compile e in
+  let template = root compile icompile e in
   {
     x_template = template;
     x_refs = Array.of_list (List.rev !refs);
@@ -413,7 +469,7 @@ let plan sc ~(f : Ir.forall) =
                 (fun e -> match aff_of sc ~var_index e with Some a -> a | None -> raise Ineligible)
                 (subscripts f.Ir.f_lhs)))
     in
-    let rhs = compile_expr sc ~f f.Ir.f_rhs in
+    let rhs = compile_plan sc ~f (fun compile _ -> compile) f.Ir.f_rhs in
     let lhs = sc.array_slot f.Ir.f_lhs.Ast.base in
     Some
       {
@@ -430,7 +486,7 @@ let plan sc ~(f : Ir.forall) =
    interpreter. *)
 type index_plan =
   | Xaffine of int * aff  (* with the number of FORALL variables *)
-  | Xstrips of expr_plan
+  | Xstrips of inode expr_plan
   | Xinterp
 
 let plan_index sc ~(f : Ir.forall) e =
@@ -441,7 +497,7 @@ let plan_index sc ~(f : Ir.forall) e =
   | None ->
       let kind = kind_of ~env:sc.env ~scalar_kind:sc.scalar_kind ~var_index e in
       if nvars >= 1 && nvars <= 3 && kind = `Ki then
-        try Xstrips (compile_expr sc ~f e) with Ineligible -> Xinterp
+        try Xstrips (compile_plan sc ~f (fun _ icompile -> icompile) e) with Ineligible -> Xinterp
       else Xinterp
 
 (* ------------------------------------------------------------------ *)
@@ -468,91 +524,80 @@ let store_injective ~lens (l : lin) =
       end)
     dims
 
-(* Strided windows over raw float arrays: the unit of evaluation.  A
-   load is a zero-copy view; every other node evaluates its operands and
-   then runs one tight loop into a pooled buffer.  Per element, the
-   operations and their order are those of the interpreter's
-   [Scalar] arithmetic, so results are bit-identical to it. *)
+(* Strided windows over raw float or int arrays: the unit of
+   evaluation.  A load is a zero-copy view; every other node evaluates
+   its operands and then runs one tight loop into a pooled buffer.  Per
+   element, the operations and their order are those of the
+   interpreter's [Scalar] arithmetic, so results are bit-identical to
+   it. *)
 type strip = { sa : float array; so : int; st : int }
+type istrip = { ia : int array; io : int; ist : int }
 
 (* One execution's resolved operands, and the strip being evaluated:
    [cs] carries the fixed outer counter values with [cs.(k) = 0]; the
-   strip counter [k] sweeps [0, len). *)
+   strip counter [k] sweeps [0, len).  Float and int buffers come from
+   separate pools, both indexed by depth. *)
 type env = {
   slots : (Ndarray.t * lin) array;
   svals : float array;
+  ivals : int array;
   progs : (int * int) array;
   cs : int array;
   k : int;
   len : int;
   pool : float array array ref;
+  ipool : int array array ref;
 }
 
-let get_buf pool depth len =
+let get_buf pool depth len zero =
   if Array.length !pool <= depth then begin
     let np = Array.make (depth + 4) [||] in
     Array.blit !pool 0 np 0 (Array.length !pool);
     pool := np
   end;
-  if Array.length !pool.(depth) < len then !pool.(depth) <- Array.make len 0.;
+  if Array.length !pool.(depth) < len then !pool.(depth) <- Array.make len zero;
   !pool.(depth)
 
 let scalar_strip env depth v =
-  let b = get_buf env.pool depth 1 in
+  let b = get_buf env.pool depth 1 0. in
   b.(0) <- v;
   { sa = b; so = 0; st = 0 }
+
+(* The offset of a load at the strip's first element. *)
+let load_off env l =
+  let cs = env.cs in
+  l.base + (l.coefs.(0) * cs.(0)) + (l.coefs.(1) * cs.(1)) + (l.coefs.(2) * cs.(2))
 
 (* Operand [i] of a node at [depth] evaluates at [depth + i]: a later
    operand's subtree never reaches the buffers of earlier results. *)
 let rec strip_eval env depth n =
-  let len = env.len and cs = env.cs in
+  let len = env.len in
   match n with
   | Tconst v -> scalar_strip env depth v
   | Tscal s -> { sa = env.svals; so = s; st = 0 }
-  | Tcounter j ->
-      let g0, gs = env.progs.(j) in
-      if j <> env.k then scalar_strip env depth (float_of_int (g0 + (gs * cs.(j))))
+  | Tload s -> (
+      let nd, l = env.slots.(s) in
+      match nd.Ndarray.data with
+      | Ndarray.Reals d -> { sa = d; so = load_off env l; st = l.coefs.(env.k) }
+      | _ -> assert false (* [plan] loads INTEGER operands as ints, and no LOGICAL one *))
+  | Tint i ->
+      let si = istrip_eval env (depth + 1) i in
+      let ia = si.ia and io = si.io and ist = si.ist in
+      if ist = 0 then scalar_strip env depth (float_of_int ia.(io))
       else begin
-        let out = get_buf env.pool depth len in
+        let out = get_buf env.pool depth len 0. in
         for i = 0 to len - 1 do
-          Array.unsafe_set out i (float_of_int (g0 + (gs * i)))
+          Array.unsafe_set out i (float_of_int (Array.unsafe_get ia (io + (ist * i))))
         done;
         { sa = out; so = 0; st = 1 }
       end
-  | Tload s -> (
-      let nd, l = env.slots.(s) in
-      let off = l.base + (l.coefs.(0) * cs.(0)) + (l.coefs.(1) * cs.(1)) + (l.coefs.(2) * cs.(2)) in
-      let st = l.coefs.(env.k) in
-      match nd.Ndarray.data with
-      | Ndarray.Reals d -> { sa = d; so = off; st }
-      | Ndarray.Ints d ->
-          let out = get_buf env.pool depth len in
-          for i = 0 to len - 1 do
-            Array.unsafe_set out i (float_of_int (Array.unsafe_get d (off + (st * i))))
-          done;
-          { sa = out; so = 0; st = 1 }
-      | Ndarray.Logs _ -> assert false (* [plan] admits no LOGICAL operand *))
   | Tadd (a, b) -> strip_bin env depth `Add a b
   | Tsub (a, b) -> strip_bin env depth `Sub a b
   | Tmul (a, b) -> strip_bin env depth `Mul a b
   | Tdiv (a, b) -> strip_bin env depth `Div a b
-  | Tint (op, a, b) ->
-      let sa = strip_eval env (depth + 1) a in
-      let sb = strip_eval env (depth + 2) b in
-      let out = get_buf env.pool depth len in
-      let aa = sa.sa and ao = sa.so and astr = sa.st in
-      let ba = sb.sa and bo = sb.so and bstr = sb.st in
-      let fn = match op with Idiv -> ( / ) | Imod -> ( mod ) | Imodulo -> Util.modulo in
-      for i = 0 to len - 1 do
-        let y = int_of_float (Array.unsafe_get ba (bo + (bstr * i))) in
-        if y = 0 then raise (Decline Stats.Zero_divisor);
-        Array.unsafe_set out i
-          (float_of_int (fn (int_of_float (Array.unsafe_get aa (ao + (astr * i)))) y))
-      done;
-      { sa = out; so = 0; st = 1 }
   | Tfun1 (f, a) ->
       let sa = strip_eval env (depth + 1) a in
-      let out = get_buf env.pool depth len in
+      let out = get_buf env.pool depth len 0. in
       let aa = sa.sa and ao = sa.so and astr = sa.st in
       for i = 0 to len - 1 do
         Array.unsafe_set out i (f (Array.unsafe_get aa (ao + (astr * i))))
@@ -561,7 +606,7 @@ let rec strip_eval env depth n =
   | Tfun2 (f, a, b) ->
       let sa = strip_eval env (depth + 1) a in
       let sb = strip_eval env (depth + 2) b in
-      let out = get_buf env.pool depth len in
+      let out = get_buf env.pool depth len 0. in
       let aa = sa.sa and ao = sa.so and astr = sa.st in
       let ba = sb.sa and bo = sb.so and bstr = sb.st in
       for i = 0 to len - 1 do
@@ -574,7 +619,7 @@ let rec strip_eval env depth n =
       let st_ = strip_eval env (depth + 1) t in
       let sf = strip_eval env (depth + 2) f in
       let sm = strip_eval env (depth + 3) m in
-      let out = get_buf env.pool depth len in
+      let out = get_buf env.pool depth len 0. in
       for i = 0 to len - 1 do
         Array.unsafe_set out i
           (if Array.unsafe_get sm.sa (sm.so + (sm.st * i)) <> 0. then
@@ -583,11 +628,84 @@ let rec strip_eval env depth n =
       done;
       { sa = out; so = 0; st = 1 }
 
+and istrip_eval env depth n =
+  let len = env.len in
+  match n with
+  | Iconst v -> { ia = [| v |]; io = 0; ist = 0 }
+  | Iscal s -> { ia = env.ivals; io = s; ist = 0 }
+  | Icounter j ->
+      let g0, gs = env.progs.(j) in
+      if j <> env.k then { ia = [| g0 + (gs * env.cs.(j)) |]; io = 0; ist = 0 }
+      else begin
+        let out = get_buf env.ipool depth len 0 in
+        for i = 0 to len - 1 do
+          Array.unsafe_set out i (g0 + (gs * i))
+        done;
+        { ia = out; io = 0; ist = 1 }
+      end
+  | Iload s -> (
+      let nd, l = env.slots.(s) in
+      match nd.Ndarray.data with
+      | Ndarray.Ints d -> { ia = d; io = load_off env l; ist = l.coefs.(env.k) }
+      | _ -> assert false (* [plan] loads only INTEGER operands as ints *))
+  | Iop (op, a, b) ->
+      let sa = istrip_eval env (depth + 1) a in
+      let sb = istrip_eval env (depth + 2) b in
+      let out = get_buf env.ipool depth len 0 in
+      let aa = sa.ia and ao = sa.io and astr = sa.ist in
+      let ba = sb.ia and bo = sb.io and bstr = sb.ist in
+      let each f =
+        for i = 0 to len - 1 do
+          Array.unsafe_set out i
+            (f (Array.unsafe_get aa (ao + (astr * i))) (Array.unsafe_get ba (bo + (bstr * i))))
+        done
+      in
+      let divide f =
+        for i = 0 to len - 1 do
+          let y = Array.unsafe_get ba (bo + (bstr * i)) in
+          if y = 0 then raise (Decline Stats.Zero_divisor);
+          Array.unsafe_set out i (f (Array.unsafe_get aa (ao + (astr * i))) y)
+        done
+      in
+      (match op with
+      | Iadd -> each ( + )
+      | Isub -> each ( - )
+      | Imul -> each ( * )
+      | Idiv -> divide ( / )
+      | Imod -> divide ( mod )
+      | Imodulo -> divide Util.modulo
+      | Imin -> each min
+      | Imax -> each max
+      | Ipow -> each (fun x y -> Scalar.to_int (Scalar.pow (Scalar.Int x) (Scalar.Int y)))
+      | Irel r -> each (fun x y -> if r x y then 1 else 0));
+      { ia = out; io = 0; ist = 1 }
+  | Iun (f, a) ->
+      let sa = istrip_eval env (depth + 1) a in
+      let out = get_buf env.ipool depth len 0 in
+      let aa = sa.ia and ao = sa.io and astr = sa.ist in
+      for i = 0 to len - 1 do
+        Array.unsafe_set out i (f (Array.unsafe_get aa (ao + (astr * i))))
+      done;
+      { ia = out; io = 0; ist = 1 }
+  | Isel (t, f, m) ->
+      (* MERGE evaluates both values, as the interpreter does *)
+      let st_ = istrip_eval env (depth + 1) t in
+      let sf = istrip_eval env (depth + 2) f in
+      let sm = strip_eval env (depth + 3) m in
+      let out = get_buf env.ipool depth len 0 in
+      for i = 0 to len - 1 do
+        Array.unsafe_set out i
+          (if Array.unsafe_get sm.sa (sm.so + (sm.st * i)) <> 0. then
+             Array.unsafe_get st_.ia (st_.io + (st_.ist * i))
+           else Array.unsafe_get sf.ia (sf.io + (sf.ist * i)))
+      done;
+      { ia = out; io = 0; ist = 1 }
+
 and strip_bin env depth op a b =
   let len = env.len in
   let sa = strip_eval env (depth + 1) a in
   let sb = strip_eval env (depth + 2) b in
-  let out = get_buf env.pool depth len in
+  let out = get_buf env.pool depth len 0. in
   let aa = sa.sa and ao = sa.so and astr = sa.st in
   let ba = sb.sa and bo = sb.so and bstr = sb.st in
   (match op with
@@ -635,25 +753,29 @@ let fmu_of body ~slots ~store ~(sflat : lin) =
   | Tadd (Tmul (x, y), Tload s) when identity s -> Fadd_l (x, y)
   | _ -> Fnone
 
-(* Run the nest as row strips.  The strip counter is interchanged to the
-   store's unit-stride dimension when one exists; the outer two counters
-   keep their nest order.  Any order is legal: the store map is
-   injective and every read of the store's storage is a direct read of
-   the lhs array, which Lower proved to be the identity subscript or
-   separated from every write. *)
-let exec_strips ~slots ~svals ~progs ~store ~(sflat : lin) ~lens body =
-  let ss = sflat.coefs and sb = sflat.base in
+(* The nest as row strips into a store with flat offsets [sflat]: the
+   strip counter is interchanged to the store's unit-stride dimension
+   when one exists, and the outer two counters, returned with the
+   strip's environment, keep their nest order. *)
+let strips ~slots ~svals ~ivals ~progs ~(sflat : lin) ~lens =
   let candidates = List.filter (fun k -> lens.(k) > 1) [ 0; 1; 2 ] in
   let k =
-    match List.find_opt (fun k -> abs ss.(k) = 1) candidates with
+    match List.find_opt (fun k -> abs sflat.coefs.(k) = 1) candidates with
     | Some k -> k
     | None -> ( match List.rev candidates with k :: _ -> k | [] -> 2)
   in
-  let ssk = ss.(k) in
   let o1, o2 = match List.filter (fun j -> j <> k) [ 0; 1; 2 ] with [ a; b ] -> (a, b) | _ -> assert false in
   let cs = [| 0; 0; 0 |] in
-  let env = { slots; svals; progs; cs; k; len = lens.(k); pool = ref [||] } in
-  let len = env.len in
+  ({ slots; svals; ivals; progs; cs; k; len = lens.(k); pool = ref [||]; ipool = ref [||] }, o1, o2)
+
+(* Run the nest into [store].  Any order is legal: the store map is
+   injective and every read of the store's storage is a direct read of
+   the lhs array, which Lower proved to be the identity subscript or
+   separated from every write. *)
+let exec_strips ~slots ~svals ~ivals ~progs ~store ~(sflat : lin) ~lens body =
+  let env, o1, o2 = strips ~slots ~svals ~ivals ~progs ~sflat ~lens in
+  let ss = sflat.coefs and sb = sflat.base and cs = env.cs and len = env.len in
+  let ssk = ss.(env.k) in
   let fmu = fmu_of body ~slots ~store ~sflat in
   for a = 0 to lens.(o1) - 1 do
     cs.(o1) <- a;
@@ -775,14 +897,19 @@ let nest ~me ~(arrays : Darray.t array) ~scalars ~temps ~space =
   in
   { lens; progs; flat_of_ref }
 
+(* The plan's scalar slots, REAL ones in the first vector and INTEGER
+   ones in the second. *)
 let scalar_values x ~scalars =
-  Array.map
-    (fun (s, k) ->
+  let n = Array.length x.x_scalars in
+  let svals = Array.make n 0. and ivals = Array.make n 0 in
+  Array.iteri
+    (fun i (s, k) ->
       match (k, read_scalar scalars s) with
-      | Scalar.Kint, Some (Scalar.Int n) -> float_of_int n
-      | Scalar.Kreal, Some (Scalar.Real r) -> r
+      | Scalar.Kint, Some (Scalar.Int n) -> ivals.(i) <- n
+      | Scalar.Kreal, Some (Scalar.Real r) -> svals.(i) <- r
       | _ -> raise (Decline Stats.Scalar_kind))
-    x.x_scalars
+    x.x_scalars;
+  (svals, ivals)
 
 type stored = Stored | Scattered of Ndarray.t
 
@@ -798,10 +925,10 @@ let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~space =
          statement's write list: one entry per copy of each element *)
       let copies = Dad.copies lhs_darr.Darray.dad in
       let points = n.lens.(0) * n.lens.(1) * n.lens.(2) in
-      let svals = scalar_values p.p_rhs ~scalars in
+      let svals, ivals = scalar_values p.p_rhs ~scalars in
       let slots = Array.map n.flat_of_ref p.p_rhs.x_refs in
       let buf = Array.make (points * copies) 0. in
-      exec_strips ~slots ~svals ~progs:n.progs ~store:buf
+      exec_strips ~slots ~svals ~ivals ~progs:n.progs ~store:buf
         ~sflat:(counter_lin ~lens:n.lens copies)
         ~lens:n.lens p.p_rhs.x_template;
       for i = 0 to points - 1 do
@@ -816,7 +943,7 @@ let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~space =
         | Ndarray.Reals d -> d
         | _ -> raise (Decline Stats.Int_store)
       in
-      let svals = scalar_values p.p_rhs ~scalars in
+      let svals, ivals = scalar_values p.p_rhs ~scalars in
       let slots = Array.map n.flat_of_ref p.p_rhs.x_refs in
       let _, sflat = n.flat_of_ref (Odirect (p.p_lhs, subs)) in
       if not (store_injective ~lens:n.lens sflat) then raise (Decline Stats.Not_injective);
@@ -830,7 +957,8 @@ let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~space =
               raise (Decline Stats.Storage_alias)
           | _ -> ())
         slots;
-      exec_strips ~slots ~svals ~progs:n.progs ~store ~sflat ~lens:n.lens p.p_rhs.x_template;
+      exec_strips ~slots ~svals ~ivals ~progs:n.progs ~store ~sflat ~lens:n.lens
+        p.p_rhs.x_template;
       Stored
 
 let execute (p : plan) ~me ~arrays ~scalars ~temps ~space =
@@ -858,10 +986,23 @@ let index (x : index_plan) ~me ~arrays ~scalars ~temps ~space =
   | Xstrips xp, Some space -> (
       try
         let n = nest ~me ~arrays ~scalars ~temps ~space in
-        let svals = scalar_values xp ~scalars in
+        let svals, ivals = scalar_values xp ~scalars in
         let slots = Array.map n.flat_of_ref xp.x_refs in
-        let buf = Array.make (n.lens.(0) * n.lens.(1) * n.lens.(2)) 0. in
-        exec_strips ~slots ~svals ~progs:n.progs ~store:buf ~sflat:(counter_lin ~lens:n.lens 1)
-          ~lens:n.lens xp.x_template;
-        Ivalues (Array.map int_of_float buf)
+        let lens = n.lens in
+        let buf = Array.make (lens.(0) * lens.(1) * lens.(2)) 0 in
+        let sflat = counter_lin ~lens 1 in
+        let env, o1, o2 = strips ~slots ~svals ~ivals ~progs:n.progs ~sflat ~lens in
+        let ss = sflat.coefs and cs = env.cs in
+        for a = 0 to lens.(o1) - 1 do
+          cs.(o1) <- a;
+          for b = 0 to lens.(o2) - 1 do
+            cs.(o2) <- b;
+            let sbase = (ss.(0) * cs.(0)) + (ss.(1) * cs.(1)) + (ss.(2) * cs.(2)) in
+            let r = istrip_eval env 0 xp.x_template in
+            for i = 0 to env.len - 1 do
+              buf.(sbase + (ss.(env.k) * i)) <- r.ia.(r.io + (r.ist * i))
+            done
+          done
+        done;
+        Ivalues buf
       with Decline _ -> Iinterp)

@@ -28,7 +28,9 @@
     physical-alias guard (an operand other than a direct read of the
     left-hand-side array sharing the store's storage).  Results are
     bit-identical to the interpreter: per element, the same operations
-    in the same order. *)
+    in the same order, with every INTEGER-kind subexpression computed on
+    ints (63-bit, wrapping) as the interpreter computes it, never in
+    float. *)
 
 open F90d_frontend
 
@@ -109,5 +111,5 @@ val index :
   index
 (** Resolves a subscript for one execution.  An affine subscript gets its
     coefficients from the current scalar values; another integer-valued
-    one runs as strips over [space], this processor's iteration space
-    ([None] for another rank's, whose temporaries are not here). *)
+    one runs as int strips over [space], this processor's iteration
+    space ([None] for another rank's, whose temporaries are not here). *)

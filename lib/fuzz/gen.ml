@@ -98,6 +98,7 @@ type g = {
   krng : Rng.t;
       (* draws turning one in three CYCLIC dimensions into CYCLIC(3) only,
          for the same reason *)
+  wrng : Rng.t;  (* draws for {!widen} only, for the same reason *)
 }
 
 let extent g a = if List.length a.adims = 1 then g.n1 else g.n2
@@ -205,6 +206,41 @@ and gen_cond g venv ~depth =
     let op = Rng.pickl g.rng [ "=="; "/="; "<"; "<="; ">"; ">=" ] in
     B (op, gen_expr g venv ~depth:1 ~want, gen_expr g venv ~depth:0 ~want)
 
+(* The kind of a numeric expression; [None] for a logical one. *)
+let rec kind_of g = function
+  | L _ -> Some KI
+  | F _ -> Some KR
+  | V v -> Some (if v = "R1" || v = "R2" then KR else KI)
+  | A (a, _) -> Some (List.find (fun x -> x.aname = a) g.arrays).akind
+  | B (("+" | "-" | "*" | "/"), a, b) | C ("MERGE", [ a; b; _ ]) -> (
+      match (kind_of g a, kind_of g b) with
+      | Some KI, Some KI -> Some KI
+      | Some _, Some _ -> Some KR
+      | _ -> None)
+  | B _ -> None
+  | C ("NINT", _) -> Some KI
+  | C (_, args) ->
+      if List.for_all (fun a -> kind_of g a = Some KI) args then Some KI else Some KR
+
+(* Now and then an INTEGER subexpression [x] of a FORALL becomes
+   MOD(x * c + d, m) with an odd [c] between 2^52 and 2^53: for |x| >= 2
+   the product crosses 2^53, past which a float no longer holds every
+   integer, and it stays within 63 bits while |x| < 2^10.  Divisors and
+   moduli are left alone, so none can become zero. *)
+let rec widen g e =
+  let e =
+    match e with
+    | B ("/", a, d) -> B ("/", widen g a, d)
+    | B (op, a, b) -> B (op, widen g a, widen g b)
+    | C ("MOD", [ a; m ]) -> C ("MOD", [ widen g a; m ])
+    | C (f, args) -> C (f, List.map (widen g) args)
+    | L _ | F _ | V _ | A _ -> e
+  in
+  if kind_of g e = Some KI && Rng.chance g.wrng 6 then
+    let c = (1 lsl 52) + (Rng.int g.wrng (1 lsl 52) lor 1) in
+    C ("MOD", [ B ("+", B ("*", e, L c), L (Rng.range g.wrng 0 9)); L (Rng.range g.wrng 2 7) ])
+  else e
+
 (* FORALL header: a variable per non-constant lhs dimension, iteration
    range and lhs subscript chosen together so the image stays in-bounds *)
 let gen_forall g (venv : venv) =
@@ -240,7 +276,7 @@ let gen_forall g (venv : venv) =
     a.adims;
   let venv' = !fvenv @ venv in
   let mask = if Rng.chance g.rng 30 then Some (gen_cond g venv' ~depth:1) else None in
-  let rhs = gen_expr g venv' ~depth:(Rng.range g.rng 1 3) ~want:a.akind in
+  let rhs = widen g (gen_expr g venv' ~depth:(Rng.range g.rng 1 3) ~want:a.akind) in
   (* a scatter write through the permutation V: in-bounds over [vlo, vhi] *)
   let lsubs =
     match (index_arr g, !fvenv) with
@@ -573,6 +609,7 @@ let generate ~seed =
       scatter = false;
       crng = Rng.make ((seed * 6151) + 0xC0A1);
       krng = Rng.make ((seed * 5003) + 0xC7C3);
+      wrng = Rng.make ((seed * 4099) + 0xB16);
     }
   in
   let n_one = Rng.range rng 2 4 and n_two = Rng.range rng 1 2 in

@@ -37,7 +37,8 @@ let redistribute ctx (src : Darray.t) dst_dad =
         let owners, flats, starts =
           needs ~src ~dst_dad ~f:Fun.id (Grid.all_ranks (Dad.grid dst_dad))
         in
-        Schedule.build_read_local ctx ~owners ~flats ~starts)
+        Schedule.build_read_local ctx
+          (Schedule.owner_index ~nprocs:(Rctx.nprocs ctx) ~owners ~flats ~starts))
   in
   let tmp = Schedule.read ctx sched src in
   store_tmp ctx ~dst tmp;

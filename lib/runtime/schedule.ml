@@ -11,68 +11,61 @@ type t = {
   tmp_size : int;
 }
 
-(* A stable counting sort of entries [lo, hi) by owner rank: the
-   entries owned by rank [q] sit, in entry order, at [bstart.(q)] ..
-   [bstart.(q + 1) - 1] of [bseq] (their buffer positions, [i - lo]) and
-   of [bflat] (their storage flats on [q]). *)
-type buckets = { bstart : int array; bseq : int array; bflat : int array }
+(* A stable counting sort of a pass's entries by owner rank: the entries
+   owned by rank [q] sit, in entry order, at [bstart.(q)] ..
+   [bstart.(q + 1) - 1] of [bseq] (their entry numbers) and of [bflat]
+   (their storage flats on [q]).  Slot [s] of the pass holds entries
+   [starts.(s)] .. [starts.(s + 1) - 1]. *)
+type index = { starts : int array; bstart : int array; bseq : int array; bflat : int array }
 
-let bucket ctx ~owners ~flats ~lo ~hi =
-  let p = Rctx.nprocs ctx in
-  let bstart = Array.make (p + 1) 0 in
-  for i = lo to hi - 1 do
-    bstart.(owners.(i) + 1) <- bstart.(owners.(i) + 1) + 1
-  done;
-  for q = 1 to p do
+let owner_index ~nprocs ~owners ~flats ~starts =
+  let bstart = Array.make (nprocs + 1) 0 in
+  Array.iter (fun q -> bstart.(q + 1) <- bstart.(q + 1) + 1) owners;
+  for q = 1 to nprocs do
     bstart.(q) <- bstart.(q) + bstart.(q - 1)
   done;
-  let fill = Array.sub bstart 0 p in
-  let bseq = Array.make (hi - lo) 0 and bflat = Array.make (hi - lo) 0 in
-  for i = lo to hi - 1 do
-    let q = owners.(i) in
-    let k = fill.(q) in
-    bseq.(k) <- i - lo;
-    bflat.(k) <- flats.(i);
-    fill.(q) <- k + 1
+  let fill = Array.sub bstart 0 nprocs in
+  let n = Array.length owners in
+  let bseq = Array.make n 0 and bflat = Array.make n 0 in
+  Array.iteri
+    (fun i q ->
+      let k = fill.(q) in
+      bseq.(k) <- i;
+      bflat.(k) <- flats.(i);
+      fill.(q) <- k + 1)
+    owners;
+  { starts; bstart; bseq; bflat }
+
+let entries ix s = ix.starts.(s + 1) - ix.starts.(s)
+
+(* The first position of [q]'s bucket whose entry number is [e] or more. *)
+let lower_bound ix q e =
+  let lo = ref ix.bstart.(q) and hi = ref ix.bstart.(q + 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if ix.bseq.(mid) < e then lo := mid + 1 else hi := mid
   done;
-  { bstart; bseq; bflat }
+  !lo
 
-let bucket_of b a q = Array.sub a b.bstart.(q) (b.bstart.(q + 1) - b.bstart.(q))
+(* The entries of slot [s] owned by [q], as a range of [q]'s bucket:
+   their storage flats on [q], and their positions in [s]'s buffer. *)
+let cell ix ~slot:s ~owner:q = (lower_bound ix q ix.starts.(s), lower_bound ix q ix.starts.(s + 1))
+let flats_of ix (a, b) = Array.sub ix.bflat a (b - a)
+let positions_of ix ~slot:s (a, b) =
+  let p = Array.sub ix.bseq a (b - a) and base = ix.starts.(s) in
+  if base <> 0 then Array.iteri (fun i e -> p.(i) <- e - base) p;
+  p
 
-(* One segment per peer other than me with a non-empty bucket, in
+(* One segment per peer other than me whose array is not empty, in
    grid-rank order. *)
-let peer_segs ctx b a =
+let peer_segs ctx positions =
   let me = Rctx.me ctx in
   let segs = ref [] in
   for peer = Rctx.nprocs ctx - 1 downto 0 do
-    if peer <> me && b.bstart.(peer + 1) > b.bstart.(peer) then
-      segs := { peer; positions = bucket_of b a peer } :: !segs
-  done;
-  !segs
-
-(* The other side of a local build, read off every peer's entries: the
-   flats each peer's entries address on me, for each peer that has any. *)
-let segs_owned_by_me ctx ~owners ~flats ~starts =
-  let me = Rctx.me ctx in
-  let segs = ref [] in
-  for peer = Rctx.nprocs ctx - 1 downto 0 do
-    if peer <> me then begin
-      let n = ref 0 in
-      for i = starts.(peer) to starts.(peer + 1) - 1 do
-        if owners.(i) = me then incr n
-      done;
-      if !n > 0 then begin
-        let positions = Array.make !n 0 in
-        let k = ref 0 in
-        for i = starts.(peer) to starts.(peer + 1) - 1 do
-          if owners.(i) = me then begin
-            positions.(!k) <- flats.(i);
-            incr k
-          end
-        done;
-        segs := { peer; positions } :: !segs
-      end
-    end
+    if peer <> me then
+      match positions peer with
+      | [||] -> ()
+      | positions -> segs := { peer; positions } :: !segs
   done;
   !segs
 
@@ -95,82 +88,65 @@ let sched_bytes elem s =
   let seg_positions segs = List.fold_left (fun acc g -> acc + Array.length g.positions) 0 segs in
   elem * (seg_positions s.out_segs + seg_positions s.in_segs + Array.length s.self_src)
 
-let build_read_local ctx ~owners ~flats ~starts =
-  spanned ctx "inspector:read_local" ~cat:"inspector" ~bytes_of:(fun _ -> 0) @@ fun () ->
+(* The schedule of slot [slot]'s entries: per owner, the positions of
+   the tmp buffer they fill (a read) or drain (a write), and [other ()],
+   the flats on me that each peer's entries address. *)
+let of_index ctx ix ~slot ~write ~other =
   let me = Rctx.me ctx in
-  let lo = starts.(me) and hi = starts.(me + 1) in
-  charge_inspector ctx (hi - lo);
-  let b = bucket ctx ~owners ~flats ~lo ~hi in
-  {
-    out_segs = segs_owned_by_me ctx ~owners ~flats ~starts;
-    in_segs = peer_segs ctx b b.bseq;
-    self_src = bucket_of b b.bflat me;
-    self_dst = bucket_of b b.bseq me;
-    tmp_size = hi - lo;
-  }
+  charge_inspector ctx (entries ix slot);
+  let mine q = cell ix ~slot ~owner:q in
+  let by_owner = peer_segs ctx (fun q -> positions_of ix ~slot (mine q)) in
+  let flats = flats_of ix (mine me) and positions = positions_of ix ~slot (mine me) in
+  let other = other () and tmp_size = entries ix slot in
+  if write then
+    { out_segs = by_owner; in_segs = other; self_src = positions; self_dst = flats; tmp_size }
+  else { out_segs = other; in_segs = by_owner; self_src = flats; self_dst = positions; tmp_size }
 
-(* Exchange index lists with every peer: I tell each peer which of its flat
-   positions I need (or will write); each peer's reply order defines the
-   packing order on its side. *)
-let exchange_index_lists ctx b =
+(* A local build reads the other side off the index: the entries of
+   each peer's slot that I own. *)
+let local ctx ix ~write =
+  let me = Rctx.me ctx in
+  of_index ctx ix ~slot:me ~write ~other:(fun () ->
+      peer_segs ctx (fun peer -> flats_of ix (cell ix ~slot:peer ~owner:me)))
+
+let build_read_local ctx ix =
+  spanned ctx "inspector:read_local" ~cat:"inspector" ~bytes_of:(fun _ -> 0) @@ fun () ->
+  local ctx ix ~write:false
+
+let build_write_local ctx ix =
+  spanned ctx "inspector:write_local" ~cat:"inspector" ~bytes_of:(fun _ -> 0) @@ fun () ->
+  local ctx ix ~write:true
+
+(* A communicating build indexes the caller's entries alone (one slot)
+   and exchanges index lists with every peer: I tell each peer which of
+   its flat positions I need (or will write); each peer's reply order
+   defines the packing order on its side. *)
+let communicating ctx ~owners ~flats ~write =
   let me = Rctx.me ctx and p = Rctx.nprocs ctx in
-  for peer = 0 to p - 1 do
-    if peer <> me then
-      Rctx.send ctx ~dest:peer ~tag:Tags.schedule_indices (Message.Ints (bucket_of b b.bflat peer))
-  done;
-  let segs = ref [] in
-  let incoming = Array.make p [||] in
-  for peer = 0 to p - 1 do
-    if peer <> me then incoming.(peer) <- Message.ints (Rctx.recv ctx ~src:peer ~tag:Tags.schedule_indices)
-  done;
-  for peer = p - 1 downto 0 do
-    if Array.length incoming.(peer) > 0 then segs := { peer; positions = incoming.(peer) } :: !segs
-  done;
-  !segs
+  let ix = owner_index ~nprocs:p ~owners ~flats ~starts:[| 0; Array.length owners |] in
+  of_index ctx ix ~slot:0 ~write ~other:(fun () ->
+      for peer = 0 to p - 1 do
+        if peer <> me then
+          Rctx.send ctx ~dest:peer ~tag:Tags.schedule_indices
+            (Message.Ints (flats_of ix (cell ix ~slot:0 ~owner:peer)))
+      done;
+      let incoming = Array.make p [||] in
+      for peer = 0 to p - 1 do
+        if peer <> me then
+          incoming.(peer) <- Message.ints (Rctx.recv ctx ~src:peer ~tag:Tags.schedule_indices)
+      done;
+      peer_segs ctx (Array.get incoming))
 
 let build_gather ctx ~owners ~flats =
   spanned ctx "inspector:read_comm" ~cat:"inspector" ~bytes_of:(fun _ -> 0) @@ fun () ->
-  let me = Rctx.me ctx and n = Array.length owners in
-  charge_inspector ctx n;
-  let b = bucket ctx ~owners ~flats ~lo:0 ~hi:n in
-  let in_segs = peer_segs ctx b b.bseq in
-  {
-    out_segs = exchange_index_lists ctx b;
-    in_segs;
-    self_src = bucket_of b b.bflat me;
-    self_dst = bucket_of b b.bseq me;
-    tmp_size = n;
-  }
+  communicating ctx ~owners ~flats ~write:false
 
 let build_read_comm ctx ~needs =
   build_gather ctx ~owners:(Array.map fst needs) ~flats:(Array.map snd needs)
 
-let build_write_local ctx ~owners ~flats ~starts =
-  spanned ctx "inspector:write_local" ~cat:"inspector" ~bytes_of:(fun _ -> 0) @@ fun () ->
-  let me = Rctx.me ctx in
-  let lo = starts.(me) and hi = starts.(me + 1) in
-  charge_inspector ctx (hi - lo);
-  let b = bucket ctx ~owners ~flats ~lo ~hi in
-  {
-    out_segs = peer_segs ctx b b.bseq;
-    in_segs = segs_owned_by_me ctx ~owners ~flats ~starts;
-    self_src = bucket_of b b.bseq me;
-    self_dst = bucket_of b b.bflat me;
-    tmp_size = hi - lo;
-  }
-
 let build_scatter ctx ~owners ~flats =
   spanned ctx "inspector:write_comm" ~cat:"inspector" ~bytes_of:(fun _ -> 0) @@ fun () ->
-  let me = Rctx.me ctx and n = Array.length owners in
-  charge_inspector ctx n;
-  let b = bucket ctx ~owners ~flats ~lo:0 ~hi:n in
-  {
-    out_segs = peer_segs ctx b b.bseq;
-    in_segs = exchange_index_lists ctx b;
-    self_src = bucket_of b b.bseq me;
-    self_dst = bucket_of b b.bflat me;
-    tmp_size = n;
-  }
+  communicating ctx ~owners ~flats ~write:true
 
 let pack ctx src positions =
   let out = Ndarray.gather_flat src positions in

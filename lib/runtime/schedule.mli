@@ -11,7 +11,10 @@
     - {e local} builds (schedule1 of precomp_read / postcomp_write): both
       sides of every exchange are computed without communication, from an
       invertible subscript.  The caller supplies one inspector pass over
-      every rank's iteration space.
+      every rank's iteration space, indexed by owner ({!owner_index}).
+      Nothing in it depends on the rank that built it, so one index
+      serves every rank of a run: each reads its own entries and what
+      every peer wants from (or writes to) it as slices of the index.
     - {e communicating} builds (schedule2/schedule3 of gather / scatter):
       only one side is locally known; index lists are exchanged during
       scheduling (the fan-in the paper describes).
@@ -21,14 +24,26 @@
     grid rank, and [flats.(i)], the flat storage position on the owner.
     A local build's pass holds every rank's entries, rank [r]'s at
     [starts.(r)] .. [starts.(r + 1) - 1]; a communicating build's holds
-    only the caller's.  Builders bucket entries by owner in one counting
-    sort. *)
+    only the caller's.  Either is bucketed by owner in one stable
+    counting sort. *)
 
 type t
 
-val build_read_local :
-  Rctx.t -> owners:int array -> flats:int array -> starts:int array -> t
-(** schedule1 for precomp_read. *)
+type index
+(** A pass's entries sorted by owner rank, stably: within an owner, in
+    entry order, so each slot's entries form one run. *)
+
+val owner_index :
+  nprocs:int -> owners:int array -> flats:int array -> starts:int array -> index
+(** [owner_index ~nprocs ~owners ~flats ~starts] indexes a pass whose
+    slot [s] holds entries [starts.(s)] .. [starts.(s + 1) - 1]. *)
+
+val entries : index -> int -> int
+(** [entries ix s] is the number of entries in slot [s]. *)
+
+val build_read_local : Rctx.t -> index -> t
+(** schedule1 for precomp_read, from an index of every rank's pass (slot
+    [r] is rank [r]'s iterations). *)
 
 val build_gather : Rctx.t -> owners:int array -> flats:int array -> t
 (** schedule2 for gather. *)
@@ -36,9 +51,9 @@ val build_gather : Rctx.t -> owners:int array -> flats:int array -> t
 val build_read_comm : Rctx.t -> needs:(int * int) array -> t
 (** {!build_gather} from [(owner, flat)] pairs. *)
 
-val build_write_local :
-  Rctx.t -> owners:int array -> flats:int array -> starts:int array -> t
-(** schedule1 for postcomp_write. *)
+val build_write_local : Rctx.t -> index -> t
+(** schedule1 for postcomp_write, from an index as for
+    {!build_read_local}. *)
 
 val build_scatter : Rctx.t -> owners:int array -> flats:int array -> t
 (** schedule3 for scatter. *)

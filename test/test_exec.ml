@@ -463,24 +463,24 @@ let prop_inspector_naive =
           QCheck.Test.fail_reportf "writes of rank %d differ" r
       done;
       (* every builder's schedule equals the reference encoding; local and
-         communicating builds of the same entries agree *)
+         communicating builds of the same entries agree.  Each pass is
+         walked and indexed by owner once, and every rank's local builds
+         read that one index, as a run's ranks share it *)
       let mine (p : Inspector.pass) me =
         let lo = p.starts.(me) and n = p.starts.(me + 1) - p.starts.(me) in
         (Array.sub p.owners lo n, Array.sub p.flats lo n)
       in
+      let index (p : Inspector.pass) =
+        Schedule.owner_index ~nprocs ~owners:p.owners ~flats:p.flats ~starts:p.starts
+      in
+      let read_index = index reads and write_index = index writes in
       let cfg = Engine.config ~model:F90d_machine.Model.ideal nprocs in
       let r =
         Engine.run cfg (fun eng ->
             let ctx = Rctx.make eng grid in
             let me = Rctx.me ctx in
-            let read_local =
-              Schedule.build_read_local ctx ~owners:reads.owners ~flats:reads.flats
-                ~starts:reads.starts
-            in
-            let write_local =
-              Schedule.build_write_local ctx ~owners:writes.owners ~flats:writes.flats
-                ~starts:writes.starts
-            in
+            let read_local = Schedule.build_read_local ctx read_index in
+            let write_local = Schedule.build_write_local ctx write_index in
             let gather =
               let owners, flats = mine reads me in
               Schedule.build_gather ctx ~owners ~flats
@@ -499,6 +499,45 @@ let prop_inspector_naive =
             QCheck.Test.fail_reportf "rank %d: schedule blobs differ from the reference" me)
         r.Engine.results;
       true)
+
+(* Local builds rebuilt at every step of a DO loop, with schedule reuse
+   off so that nothing is keyed: each op's ranks share one inspector pass
+   per build, numbered by build.  Every build's pass differs from the
+   last — K moves B's subscript, and the loop rewrites the scatter index
+   U — so a rank handed another build's pass would read the wrong
+   elements. *)
+let test_repeated_unkeyed_builds () =
+  let src =
+    {|
+      PROGRAM REBUILD
+      INTEGER, PARAMETER :: N = 12
+      REAL A(N)
+      REAL B(3 * N)
+      REAL C(N)
+      INTEGER U(N)
+C$    DISTRIBUTE A(BLOCK)
+C$    DISTRIBUTE B(CYCLIC)
+C$    DISTRIBUTE C(BLOCK)
+C$    DISTRIBUTE U(BLOCK)
+      FORALL (I = 1:3 * N) B(I) = I
+      FORALL (I = 1:N) U(I) = I
+      DO K = 1, 20
+        FORALL (I = 1:N) U(I) = MOD(U(I) * 5 + K, N) + 1
+        FORALL (I = 1:N) C(U(I)) = B(I + K) + K
+        FORALL (I = 1:N / 2) A(2 * I) = C(I) + B(2 * I + K)
+      END DO
+      PRINT *, A
+      PRINT *, C
+      END
+|}
+  in
+  let off = { F90d_opt.Passes.all_on with schedule_reuse = false } in
+  let flag_sets =
+    [ ("no-reuse", off); ("no-reuse-no-kernels", { off with blocked_kernels = false }) ]
+  in
+  match F90d_fuzz.Diff.check_source ~ranks:[ 3; 4 ] ~flag_sets src with
+  | [] -> ()
+  | fails -> Alcotest.failf "%s" (String.concat "; " (List.map F90d_fuzz.Diff.pp_failure fails))
 
 let () =
   Alcotest.run "f90d_exec"
@@ -522,5 +561,7 @@ let () =
           Alcotest.test_case "subroutine locals" `Quick test_subroutine_local_arrays;
           Alcotest.test_case "print" `Quick test_print_array_and_scalars;
         ] );
-      ("inspector", List.map QCheck_alcotest.to_alcotest [ prop_inspector_naive ]);
+      ( "inspector",
+        List.map QCheck_alcotest.to_alcotest [ prop_inspector_naive ]
+        @ [ Alcotest.test_case "repeated unkeyed builds" `Quick test_repeated_unkeyed_builds ] );
     ]

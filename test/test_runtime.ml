@@ -254,7 +254,8 @@ let test_precomp_read () =
     run_grid grid_dims (fun ctx ->
         let b = Darray.init_global ctx dad_b init1 in
         let owners, flats, starts = pass_of (Rctx.nprocs ctx) needs_for in
-        let sched = Schedule.build_read_local ctx ~owners ~flats ~starts in
+        let ix = Schedule.owner_index ~nprocs:(Rctx.nprocs ctx) ~owners ~flats ~starts in
+        let sched = Schedule.build_read_local ctx ix in
         let tmp = Schedule.read ctx sched b in
         (* allgather the tmps to verify the full fetched sequence *)
         Collectives.allgather ctx (Collectives.team_all ctx) (Message.Arr tmp))
@@ -338,7 +339,8 @@ let test_postcomp_write_local_build () =
         let a = Darray.create ctx dad_a in
         let b = Darray.init_global ctx dad_b init1 in
         let owners, flats, starts = pass_of p writes_for in
-        let sched = Schedule.build_write_local ctx ~owners ~flats ~starts in
+        let ix = Schedule.owner_index ~nprocs:p ~owners ~flats ~starts in
+        let sched = Schedule.build_write_local ctx ix in
         Schedule.write ctx sched a (Darray.pack_owned b ~rank:me);
         Darray.gather_global ctx a)
   in
