@@ -134,44 +134,57 @@ let rec ops_of_expr (e : Ast.expr) =
 (* Elemental intrinsics                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Resolved by name once: [apply_elemental name loc] applies the
-   intrinsic to evaluated arguments. *)
-let apply_elemental name loc =
-  let bad _ = Diag.error ~loc "bad arguments for intrinsic %s" name in
-  let real1 f = function [ a ] -> Scalar.Real (f (Scalar.to_real a)) | l -> bad l in
-  let real2 f = function
-    | [ a; b ] -> Scalar.Real (f (Scalar.to_real a) (Scalar.to_real b))
-    | l -> bad l
-  in
-  match name with
-  | "ABS" -> ( function [ Scalar.Int n ] -> Scalar.Int (abs n) | l -> real1 Float.abs l)
-  | "SQRT" -> real1 Float.sqrt
-  | "EXP" -> real1 Float.exp
-  | "LOG" -> real1 Float.log
-  | "LOG10" -> real1 Float.log10
-  | "SIN" -> real1 sin
-  | "COS" -> real1 cos
-  | "TAN" -> real1 tan
-  | "ASIN" -> real1 asin
-  | "ACOS" -> real1 acos
-  | "ATAN" -> real1 atan
-  | "ATAN2" -> real2 Float.atan2
-  | "MOD" | "MODULO" -> (
-      function
-      | [ Scalar.Int _; Scalar.Int 0 ] -> Diag.error ~loc "integer division by zero"
-      | [ Scalar.Int a; Scalar.Int b ] ->
-          Scalar.Int (if name = "MOD" then a mod b else Util.modulo a b)
-      | l -> if name = "MOD" then real2 Float.rem l else bad l)
-  | "MIN" | "MAX" -> (
+(* An elemental intrinsic resolved by name and argument count once, so
+   a call of one or two arguments applies it without building a list. *)
+type elemental =
+  | Fix1 of (Scalar.t -> Scalar.t)
+  | Fix2 of (Scalar.t -> Scalar.t -> Scalar.t)
+  | Any of (Scalar.t list -> Scalar.t)
+
+let elemental name loc ~arity =
+  let bad () = Diag.error ~loc "bad arguments for intrinsic %s" name in
+  let real1 f = Fix1 (fun a -> Scalar.Real (f (Scalar.to_real a))) in
+  let real2 f = Fix2 (fun a b -> Scalar.Real (f (Scalar.to_real a) (Scalar.to_real b))) in
+  match (name, arity) with
+  | "ABS", 1 ->
+      Fix1 (function Scalar.Int n -> Scalar.Int (abs n) | a -> Scalar.Real (Float.abs (Scalar.to_real a)))
+  | "SQRT", 1 -> real1 Float.sqrt
+  | "EXP", 1 -> real1 Float.exp
+  | "LOG", 1 -> real1 Float.log
+  | "LOG10", 1 -> real1 Float.log10
+  | "SIN", 1 -> real1 sin
+  | "COS", 1 -> real1 cos
+  | "TAN", 1 -> real1 tan
+  | "ASIN", 1 -> real1 asin
+  | "ACOS", 1 -> real1 acos
+  | "ATAN", 1 -> real1 atan
+  | "ATAN2", 2 -> real2 Float.atan2
+  | ("MOD" | "MODULO"), 2 ->
+      Fix2
+        (fun a b ->
+          match (a, b) with
+          | Scalar.Int _, Scalar.Int 0 -> Diag.error ~loc "integer division by zero"
+          | Scalar.Int a, Scalar.Int b -> Scalar.Int (if name = "MOD" then a mod b else Util.modulo a b)
+          | a, b ->
+              if name = "MOD" then Scalar.Real (Float.rem (Scalar.to_real a) (Scalar.to_real b))
+              else bad ())
+  | ("MIN" | "MAX"), n when n >= 2 ->
       let pick = if name = "MIN" then Scalar.min2 else Scalar.max2 in
-      function x :: (_ :: _ as tl) -> List.fold_left pick x tl | l -> bad l)
-  | "SIGN" -> real2 (fun x y -> if y >= 0. then Float.abs x else -.Float.abs x)
-  | "INT" -> ( function [ a ] -> Scalar.Int (Scalar.to_int a) | l -> bad l)
-  | "NINT" -> (
-      function [ a ] -> Scalar.Int (int_of_float (Float.round (Scalar.to_real a))) | l -> bad l)
-  | "REAL" | "FLOAT" | "DBLE" -> real1 Fun.id
-  | "MERGE" -> ( function [ t; f; m ] -> if Scalar.to_bool m then t else f | l -> bad l)
-  | _ -> bad
+      if n = 2 then Fix2 pick
+      else Any (function x :: tl -> List.fold_left pick x tl | [] -> bad ())
+  | "SIGN", 2 -> real2 (fun x y -> if y >= 0. then Float.abs x else -.Float.abs x)
+  | "INT", 1 -> Fix1 (fun a -> Scalar.Int (Scalar.to_int a))
+  | "NINT", 1 -> Fix1 (fun a -> Scalar.Int (int_of_float (Float.round (Scalar.to_real a))))
+  | ("REAL" | "FLOAT" | "DBLE"), 1 -> real1 Fun.id
+  | "MERGE", 3 -> Any (function [ t; f; m ] -> if Scalar.to_bool m then t else f | _ -> bad ())
+  | _ -> Any (fun _ -> bad ())
+
+let apply_elemental name loc args =
+  match (elemental name loc ~arity:(List.length args), args) with
+  | Fix1 f, [ a ] -> f a
+  | Fix2 f, [ a; b ] -> f a b
+  | Any f, l -> f l
+  | _ -> Diag.bug "interp: elemental %s resolved for another arity" name
 
 let redop = function
   | "SUM" -> Redop.Sum
@@ -294,6 +307,28 @@ let dim_index ?(spread = false) ~loc name (darr : Darray.t) dim =
       (Dad.name darr.Darray.dad);
   dim - 1
 
+(* A replicated array's local storage as a flat offset [base + sum of
+   a0 * stride] over zero-based subscripts [a0], when every dimension
+   holds its whole extent (the layout [Dad.locate] walks); [None]
+   otherwise. *)
+let replicated_strides dad =
+  let dims = Dad.dims dad in
+  let whole d (dd : Dad.dim) =
+    match Dad.layout_at dad ~dim:d ~rank:0 with
+    | Layout.Prog { first = 0; step = 1; count } -> count = dd.Dad.extent
+    | _ -> false
+  in
+  if not (Array.for_all Fun.id (Array.mapi whole dims)) then None
+  else
+    let strides = Array.make (Array.length dims) 1 and base = ref 0 in
+    Array.iteri
+      (fun d (dd : Dad.dim) ->
+        if d > 0 then
+          strides.(d) <- strides.(d - 1) * (dims.(d - 1).Dad.extent + dims.(d - 1).Dad.ghost_lo + dims.(d - 1).Dad.ghost_hi);
+        base := !base + (dd.Dad.ghost_lo * strides.(d)))
+      dims;
+    Some (!base, strides)
+
 (* A subscript list's values. *)
 let values subs : int array code = fun st fr -> Array.map (fun c -> c st fr) subs
 
@@ -352,9 +387,16 @@ let rec cexpr cx (e : Ast.expr) : Scalar.t code =
       (* a declared array shadows any intrinsic of the same name *)
       match (Hashtbl.find_opt cx.c_aslots name, elems r) with
       | Some k, Some args -> carray cx loc r k (Array.of_list (List.map (cint cx) args))
-      | None, Some args when Intrinsic_names.is_elemental name ->
-          let f = apply_elemental name loc and args = List.map (cexpr cx) args in
-          fun st fr -> f (List.map (fun a -> a st fr) args)
+      | None, Some args when Intrinsic_names.is_elemental name -> (
+          (* arguments are evaluated left to right, then applied *)
+          match (elemental name loc ~arity:(List.length args), List.map (cexpr cx) args) with
+          | Fix1 f, [ a ] -> fun st fr -> f (a st fr)
+          | Fix2 f, [ a; b ] ->
+              fun st fr ->
+                let x = a st fr in
+                f x (b st fr)
+          | Fix1 _, _ | Fix2 _, _ -> Diag.bug "interp: elemental %s resolved for another arity" name
+          | Any f, args -> fun st fr -> f (List.map (fun a -> a st fr) args))
       | None, _ when Intrinsic_names.is_transformational name -> ctransformational cx loc r
       | Some _, None -> fun _ _ -> Diag.error ~loc "unexpected array section"
       | None, None when Intrinsic_names.is_elemental name ->
@@ -372,12 +414,30 @@ and carray cx loc (r : Ast.ref_) k subs =
   let dad = snd cx.c_dads.(k) in
   let g = values subs in
   match cx.c_f with
-  | None when Dad.is_replicated dad ->
-      (* every rank holds the whole array, at the home rank's flats *)
-      fun st fr ->
-        let owners = [| 0 |] and flats = [| 0 |] in
-        Dad.locate dad (g st fr) ~every_owner:false ~owners ~flats ~at:0;
-        Ndarray.get_flat st.arrays.(k).Darray.local flats.(0)
+  | None when Dad.is_replicated dad -> (
+      (* every rank holds the whole array: the subscripts compile to one
+         flat offset, each checked against the declared bounds in order *)
+      match replicated_strides dad with
+      | Some (base, strides) -> (
+          let at d g = Dad.checked_a0 dad d g * strides.(d) in
+          match subs with
+          | [| s |] -> fun st fr -> Ndarray.get_flat st.arrays.(k).Darray.local (base + at 0 (s st fr))
+          | [| s; t |] ->
+              fun st fr ->
+                let i = s st fr in
+                let j = t st fr in
+                let off = base + at 0 i in
+                Ndarray.get_flat st.arrays.(k).Darray.local (off + at 1 j)
+          | _ ->
+              fun st fr ->
+                let off = ref base in
+                Array.iteri (fun d gi -> off := !off + at d gi) (g st fr);
+                Ndarray.get_flat st.arrays.(k).Darray.local !off)
+      | None ->
+          fun st fr ->
+            let owners = [| 0 |] and flats = [| 0 |] in
+            Dad.locate dad (g st fr) ~every_owner:false ~owners ~flats ~at:0;
+            Ndarray.get_flat st.arrays.(k).Darray.local flats.(0))
   | None -> (
       fun st fr ->
         let g = g st fr in
