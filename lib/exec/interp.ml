@@ -34,6 +34,29 @@ type pending_comm = Pserved of Ndarray.t | Pflight of int * Collectives.bcast_pe
    undefined-variable error unless the name is a PARAMETER. *)
 let unset = Kernel.unset
 
+(* Work every rank would repeat on identical inputs is done once per run
+   and handed to the other ranks.  A cell lives in one compiled closure,
+   built by [prepare] for one run whose fibers all run on one domain: it
+   needs no lock.  Each rank numbers its calls through the cell; the
+   numbers agree machine-wide, because every rank makes the same calls
+   in the same order.  The first rank to reach call [n] computes the
+   value and stores it; the other ranks take it, and the last of them
+   drops it.  Nothing is stored at P = 1.  A cell holds at most
+   [once_cap] entries, since a rank that never blocks can run arbitrarily
+   far ahead: past the cap the first rank stores nothing, and a rank
+   that finds no entry computes the value itself (the same value). *)
+type 'a once = {
+  mutable calls : int array;  (** per rank: calls so far *)
+  mutable begun : int;  (** calls begun by any rank: the first to reach call [n] finds [n] *)
+  entries : (int, 'a * int ref) Hashtbl.t;
+      (** by call number: the value, and the ranks yet to take it *)
+  mutable peak : int;  (** the most entries held at once *)
+}
+
+(* What the first rank to run an instance of a replicated scalar region
+   ({!shared_region}) leaves for the others. *)
+type region = { r_vals : Scalar.t array; r_sid : int; r_loc : Loc.t }
+
 (* The rank-invariant half of a program unit, built by [prepare] before
    the engine starts: every rank fiber of the run, all on one domain,
    runs the same compiled statements over its own [ustate]. *)
@@ -48,6 +71,7 @@ type prepared_unit = {
           index is the array's slot in [arrays] *)
   pu_nsplits : int;  (** one more than the largest split-phase slot id *)
   pu_planned : int list;  (** the FORALL sids [compile_forall] built a kernel plan for *)
+  pu_regions : region once list;  (** the cells of its shared regions *)
 }
 
 and prepared = prepared_unit array (* main unit first *)
@@ -255,6 +279,39 @@ let replica_serve st k g =
           (cached_slab st k ~dim ~g0:(g.(dim) - dims.(dim).Dad.flb))
 
 (* ------------------------------------------------------------------ *)
+(* Once per run                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* gauss N=255 on 16 ranks holds up to 64 scan entries at once, and
+   N=255 on 4 or N=511 on 16 up to 128 *)
+let once_cap = 256
+let once () = { calls = [||]; begun = 0; entries = Hashtbl.create 1; peak = 0 }
+
+(* Call [n]'s value: computed by [compute ()] on the first rank to reach
+   it, and on every rank that finds no entry; [take n v] runs on each
+   rank that takes stored value [v] instead. *)
+let share o st ~compute ~take =
+  let p = Rctx.nprocs st.ctx and me = me st in
+  if Array.length o.calls = 0 then o.calls <- Array.make p 0;
+  let n = o.calls.(me) in
+  o.calls.(me) <- n + 1;
+  match Hashtbl.find_opt o.entries n with
+  | Some (v, left) ->
+      decr left;
+      if !left = 0 then Hashtbl.remove o.entries n;
+      take n v;
+      v
+  | None ->
+      let first = n = o.begun in
+      if first then o.begun <- n + 1;
+      let v = compute () in
+      if first && p > 1 && Hashtbl.length o.entries < once_cap then begin
+        Hashtbl.replace o.entries n (v, ref (p - 1));
+        o.peak <- max o.peak (Hashtbl.length o.entries)
+      end;
+      v
+
+(* ------------------------------------------------------------------ *)
 (* Compiled expressions                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -275,6 +332,7 @@ type cctx = {
   c_f : Ir.forall option;
   c_planned : int list ref;  (** the FORALL sids compiled with a kernel plan *)
   c_nsplits : int ref;  (** one more than the largest split-phase slot id *)
+  c_regions : region once list ref;  (** the cells of the unit's shared regions *)
 }
 
 let slot cx v =
@@ -598,44 +656,22 @@ let inspect st ~space ~every_owner ~all_ranks (dad, subs) =
 
 (* A local build's pass covers every rank's iterations, and nothing in
    it depends on the rank that walks it, so each local-build op walks it
-   once per run and hands it to every rank.  The op's cell lives in its
-   compiled closure, built by [prepare] for one run whose fibers all run
-   on one domain: it needs no lock.  Each rank numbers its builder calls
-   for the op ([calls]); the numbers agree machine-wide, because every
-   rank misses the same schedule keys.  The first rank to reach call [n]
-   walks the pass and indexes it by owner; the other ranks take the
-   index, and the last of them drops it. *)
-type shared = {
-  mutable calls : int array;  (** per rank: builder calls so far *)
-  passes : (int, Schedule.index * int ref) Hashtbl.t;
-      (** by call number: the index, and the ranks yet to take it *)
-}
-
-let shared () = { calls = [||]; passes = Hashtbl.create 1 }
-
-let shared_pass sh st ~space ~every_owner ((dad, _) as ins) =
+   once per run and indexes it by owner; the calls through the op's cell
+   are its builder calls, whose numbers agree because every rank misses
+   the same schedule keys.  A taking rank checks its own entry count. *)
+let shared_pass cell st ~space ~every_owner ((dad, _) as ins) =
   let p = Rctx.nprocs st.ctx and me = me st in
-  if Array.length sh.calls = 0 then sh.calls <- Array.make p 0;
-  let n = sh.calls.(me) in
-  sh.calls.(me) <- n + 1;
-  match Hashtbl.find_opt sh.passes n with
-  | None ->
+  share cell st
+    ~compute:(fun () ->
       let pass = inspect st ~space ~every_owner ~all_ranks:true ins in
-      let ix =
-        Schedule.owner_index ~nprocs:p ~owners:pass.Inspector.owners ~flats:pass.Inspector.flats
-          ~starts:pass.Inspector.starts
-      in
-      if p > 1 then Hashtbl.replace sh.passes n (ix, ref (p - 1));
-      ix
-  | Some (ix, left) ->
-      decr left;
-      if !left = 0 then Hashtbl.remove sh.passes n;
+      Schedule.owner_index ~nprocs:p ~owners:pass.Inspector.owners ~flats:pass.Inspector.flats
+        ~starts:pass.Inspector.starts)
+    ~take:(fun n ix ->
       let points = match space me with None -> 0 | Some sp -> Inspector.points sp in
       let want = points * if every_owner then Dad.copies dad else 1 in
       if Schedule.entries ix me <> want then
         Diag.bug "interp: shared inspector pass %d has %d entries for rank %d, not %d" n
-          (Schedule.entries ix me) me want;
-      ix
+          (Schedule.entries ix me) me want)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule-reuse write versioning                                      *)
@@ -891,7 +927,7 @@ let compile_forall cx ~sid (f : Ir.forall) =
         match c with
         | Ir.Precomp_read { r; itemp; key } | Ir.Gather_read { r; itemp; key } ->
             let ins = inspected r and vsig = version_sig cx r and k = caslot cx r.Ast.base in
-            let local = match c with Ir.Precomp_read _ -> Some (shared ()) | _ -> None in
+            let local = match c with Ir.Precomp_read _ -> Some (once ()) | _ -> None in
             fun st ~space ->
               log_comm st c;
               let sched =
@@ -917,7 +953,7 @@ let compile_forall cx ~sid (f : Ir.forall) =
   let lhs = values (csubs fx f.Ir.f_lhs) in
   let post =
     Option.map
-      (fun post -> (post, inspected f.Ir.f_lhs, version_sig cx f.Ir.f_lhs, shared ()))
+      (fun post -> (post, inspected f.Ir.f_lhs, version_sig cx f.Ir.f_lhs, once ()))
       f.Ir.f_post
   in
   let plan = Kernel.plan scope ~f in
@@ -1212,25 +1248,87 @@ let compile_call cx ~sid ~loc sub args =
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Whether scalar code [e] reads only what every rank holds alike,
+   without communication. *)
+let rec replicated_expr cx (e : Ast.expr) =
+  match e.Ast.e with
+  | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Log_lit _ | Ast.Str_lit _ -> true
+  | Ast.Var v -> not (Hashtbl.mem cx.c_aslots v)
+  | Ast.Un (_, a) -> replicated_expr cx a
+  | Ast.Bin (_, a, b) -> replicated_expr cx a && replicated_expr cx b
+  | Ast.Ref r -> (
+      match (Hashtbl.find_opt cx.c_aslots r.Ast.base, elems r) with
+      | Some k, Some args ->
+          Dad.is_replicated (snd cx.c_dads.(k)) && List.for_all (replicated_expr cx) args
+      | None, Some args ->
+          Intrinsic_names.is_elemental r.Ast.base && List.for_all (replicated_expr cx) args
+      | _, None -> false)
+
+(* The writes of a statement whose own expressions [exprs] qualify and
+   whose parts wrote [parts]. *)
+let region_writes cx exprs parts =
+  if List.for_all (replicated_expr cx) exprs then
+    List.fold_left (fun acc w -> Option.bind acc (fun a -> Option.map (( @ ) a) w)) (Some []) parts
+  else None
+
+(* A replicated scalar region is a DO, DO WHILE or IF whose whole
+   subtree is scalar assignments, DOs, DO WHILEs and IFs that read only
+   scalars, PARAMETERs, elemental intrinsics and elements of replicated
+   arrays, and write only scalar slots.  Every rank would run it on the
+   same values, charging no time and recording no event, so each dynamic
+   instance runs once per run: the first rank to reach it evaluates it
+   and leaves the final values of the slots it may write (an unset slot
+   keeps the [unset] sentinel) and the statement the engine is at; the
+   other ranks take those.  Compilation finds regions bottom-up: a
+   statement yields its closure and, inside a candidate, the slots it
+   may write; only the outermost region is shared. *)
+let shared_region cx writes run =
+  let writes = Array.of_list (List.sort_uniq compare writes) and cell = once () in
+  cx.c_regions := cell :: !(cx.c_regions);
+  fun st ->
+    ignore
+      (share cell st
+         ~compute:(fun () ->
+           run st;
+           let sid, loc = Engine.current_stmt (Rctx.engine st.ctx) in
+           { r_vals = Array.map (fun k -> st.vals.(k)) writes; r_sid = sid; r_loc = loc })
+         ~take:(fun _ r ->
+           Engine.check_cancel (Rctx.engine st.ctx);
+           Array.iteri (fun i k -> st.vals.(k) <- r.r_vals.(i)) writes;
+           Rctx.set_stmt st.ctx ~sid:r.r_sid ~loc:r.r_loc))
+
 (* Every statement stamps its provenance into the engine and polls for
    cancellation before running: trace events recorded during it carry
    its sid, and a deadlock or a location-less runtime error is reported
    against its source line. *)
 let rec cstmt cx (s : Ir.stmt) =
   let sid = s.Ir.sid and loc = s.Ir.sloc in
-  let run = cnode cx s in
-  fun st ->
-    Engine.check_cancel (Rctx.engine st.ctx);
-    Rctx.set_stmt st.ctx ~sid ~loc;
-    try run st with
-    | Diag.Error (l, msg) when l.Loc.line = 0 -> raise (Diag.Error (loc, msg))
-    | Failure msg -> raise (Diag.Error (loc, msg))
+  let run, writes = cnode cx s in
+  ( (fun st ->
+      Engine.check_cancel (Rctx.engine st.ctx);
+      Rctx.set_stmt st.ctx ~sid ~loc;
+      try run st with
+      | Diag.Error (l, msg) when l.Loc.line = 0 -> raise (Diag.Error (loc, msg))
+      | Failure msg -> raise (Diag.Error (loc, msg))),
+    writes )
 
+(* A statement list's writes, if every statement qualifies, and its
+   closure: with [share], each region in it runs once per run (its
+   enclosing statement is not a region itself). *)
 and cbody cx stmts =
-  let body = Array.of_list (List.map (cstmt cx) stmts) in
-  fun st -> Array.iter (fun s -> s st) body
+  let parts = List.map (fun s -> (s, cstmt cx s)) stmts in
+  ( region_writes cx [] (List.map (fun (_, (_, w)) -> w) parts),
+    fun ~share ->
+      let run (s, (run, w)) =
+        match (s.Ir.s, w) with
+        | (Ir.Do_loop _ | Ir.While_loop _ | Ir.If_block _), Some w when share ->
+            shared_region cx w run
+        | _ -> run
+      in
+      let body = Array.of_list (List.map run parts) in
+      fun st -> Array.iter (fun s -> s st) body )
 
-and cnode cx (s : Ir.stmt) : ustate -> unit =
+and cnode cx (s : Ir.stmt) : (ustate -> unit) * int list option =
   let sid = s.Ir.sid and loc = s.Ir.sloc in
   let bumping name run =
     let k = caslot cx name in
@@ -1243,26 +1341,32 @@ and cnode cx (s : Ir.stmt) : ustate -> unit =
   let as_origin (h : Ir.hoisted) run st =
     Rctx.at_stmt st.ctx ~sid:h.Ir.hc_sid ~loc:h.Ir.hc_loc (fun () -> run st)
   in
+  let plain run = (run, None) in
   match s.Ir.s with
-  | Ir.Forall f -> bumping f.Ir.f_lhs.Ast.base (compile_forall cx ~sid f)
-  | Ir.Scalar_assign { name; rhs } ->
-      let k = slot cx name and rhs = cexpr cx rhs in
+  | Ir.Forall f -> plain (bumping f.Ir.f_lhs.Ast.base (compile_forall cx ~sid f))
+  | Ir.Scalar_assign { name; rhs = e } ->
+      let k = slot cx name and rhs = cexpr cx e in
       (* an implicitly declared name keeps the value's kind *)
       let store =
         match Sema.scalar_kind cx.c_env name with Some d -> coerce (kind_of_decl d) | None -> Fun.id
       in
-      fun st -> st.vals.(k) <- store (rhs st no_frame)
+      ((fun st -> st.vals.(k) <- store (rhs st no_frame)), region_writes cx [ e ] [ Some [ k ] ])
   | Ir.Element_assign { lhs; rhs } ->
       let rhs = cexpr cx rhs and k = caslot cx lhs.Ast.base and g = values (csubs cx lhs) in
       let kind = Dad.kind (snd cx.c_dads.(k)) in
-      bumping lhs.Ast.base (fun st ->
-          let v = rhs st no_frame in
-          let g = g st no_frame in
-          ignore (Darray.set_local st.arrays.(k) ~rank:(me st) g (coerce kind v)))
-  | Ir.Mover { target; call } -> bumping target (compile_mover cx ~target ~call loc)
-  | Ir.Do_loop { var; range; body } ->
-      let k = slot cx var and range = crange cx range and body = cbody cx body in
-      fun st ->
+      plain
+        (bumping lhs.Ast.base (fun st ->
+             let v = rhs st no_frame in
+             let g = g st no_frame in
+             ignore (Darray.set_local st.arrays.(k) ~rank:(me st) g (coerce kind v))))
+  | Ir.Mover { target; call } -> plain (bumping target (compile_mover cx ~target ~call loc))
+  | Ir.Do_loop { var; range = rg; body } ->
+      let k = slot cx var and range = crange cx rg and bw, body = cbody cx body in
+      let writes =
+        region_writes cx (rg.Ast.lo :: rg.Ast.hi :: Option.to_list rg.Ast.st) [ Some [ k ]; bw ]
+      in
+      let body = body ~share:(writes = None) in
+      ( (fun st ->
         let lo, hi, stp = range st in
         do_stride stp;
         (* an implicit index exists from the loop on, even zero-trip *)
@@ -1272,26 +1376,48 @@ and cnode cx (s : Ir.stmt) : ustate -> unit =
           st.vals.(k) <- Scalar.Int !i;
           body st;
           i := !i + stp
-        done
-  | Ir.While_loop { cond; body } ->
-      let cond = cexpr cx cond and body = cbody cx body in
-      fun st ->
-        (* re-stamp before each condition eval: the body left its last
-           statement's sid current *)
-        while
-          Rctx.set_stmt st.ctx ~sid ~loc;
-          Scalar.to_bool (cond st no_frame)
-        do
-          body st
-        done
+        done),
+        writes )
+  | Ir.While_loop { cond = e; body } ->
+      let cond = cexpr cx e and bw, body = cbody cx body in
+      let writes = region_writes cx [ e ] [ bw ] in
+      let body = body ~share:(writes = None) in
+      ( (fun st ->
+          (* re-stamp before each condition eval: the body left its last
+             statement's sid current *)
+          while
+            Rctx.set_stmt st.ctx ~sid ~loc;
+            Scalar.to_bool (cond st no_frame)
+          do
+            body st
+          done),
+        writes )
   | Ir.If_block { arms; els } ->
-      List.fold_right
-        (fun (c, body) rest ->
-          let c = cexpr cx c and body = cbody cx body in
-          fun st -> if Scalar.to_bool (c st no_frame) then body st else rest st)
-        arms (cbody cx els)
-  | Ir.Call_sub { sub; args } -> compile_call cx ~sid ~loc sub args
+      (* the ELSE first, then the arms from the last: slots are
+         allocated in the order names are met *)
+      let ew, els = cbody cx els in
+      let arms =
+        List.fold_right
+          (fun (e, body) acc ->
+            let c = cexpr cx e and body = cbody cx body in
+            (e, c, body) :: acc)
+          arms []
+      in
+      let writes =
+        region_writes cx
+          (List.map (fun (e, _, _) -> e) arms)
+          (ew :: List.map (fun (_, _, (w, _)) -> w) arms)
+      in
+      let share = writes = None in
+      ( List.fold_right
+          (fun (_, c, (_, body)) rest ->
+            let body = body ~share in
+            fun st -> if Scalar.to_bool (c st no_frame) then body st else rest st)
+          arms (els ~share),
+        writes )
+  | Ir.Call_sub { sub; args } -> plain (compile_call cx ~sid ~loc sub args)
   | Ir.Print_stmt args ->
+      plain @@
       let items =
         List.map
           (fun (e : Ast.expr) ->
@@ -1308,7 +1434,7 @@ and cnode cx (s : Ir.stmt) : ustate -> unit =
       fun st ->
         let line = String.concat " " (List.map (fun item -> item st) items) in
         if Rctx.me st.ctx = 0 then Buffer.add_string st.out (line ^ "\n")
-  | Ir.Return_stmt -> fun _ -> raise Return_unwind
+  | Ir.Return_stmt -> plain (fun _ -> raise Return_unwind)
   | Ir.Comm_block { cb_members; cb_guard; cb_loop = _ } ->
       (* loop pre-header: run the hoisted comms once, iff the loop will
          execute at least one iteration (a zero-trip loop must not
@@ -1327,13 +1453,13 @@ and cnode cx (s : Ir.stmt) : ustate -> unit =
             as_origin h (compile_comm cx h.Ir.hc))
           cb_members
       in
-      fun st -> if active st then List.iter (fun m -> m st) members
+      plain (fun st -> if active st then List.iter (fun m -> m st) members)
   | (Ir.Comm_issue { sp_hid; sp_comm; sp_guard } | Ir.Comm_wait { sp_hid; sp_comm; sp_guard }) as n
     ->
       let active = csplit_guard cx sp_guard in
       let issue = match n with Ir.Comm_issue _ -> true | _ -> false in
       let run = as_origin sp_comm (compile_split cx ~issue sp_hid sp_comm.Ir.hc) in
-      fun st -> if active st then run st
+      plain (fun st -> if active st then run st)
 
 (* Whether a split-phase half executes.  [Sg_trip] re-evaluates the
    loop's own trip test (as [Guard_do] does); [Sg_next] asks whether the
@@ -1383,7 +1509,7 @@ let unit_scope ~grid (u : Ir.unit_ir) =
   in
   let cx =
     { c_env = env; c_kind; c_slots = Hashtbl.create 16; c_aslots = aslots; c_dads = arrays;
-      c_units = [||]; c_f = None; c_planned = ref []; c_nsplits = ref 0 }
+      c_units = [||]; c_f = None; c_planned = ref []; c_nsplits = ref 0; c_regions = ref [] }
   in
   List.iter (fun (n, _) -> ignore (slot cx n)) env.Sema.uscalars;
   List.iter (fun n -> if not (Hashtbl.mem aslots n) then ignore (slot cx n)) env.Sema.usub.Ast.args;
@@ -1395,17 +1521,24 @@ let prepare ~grid (prog : Ir.program_ir) =
   Array.mapi
     (fun i (_, (u : Ir.unit_ir)) ->
       let cx = { (snd scopes.(i)) with c_units = scopes } in
-      let body = cbody cx u.Ir.u_body in
+      let body = (snd (cbody cx u.Ir.u_body)) ~share:true in
       let vals = Array.make (Hashtbl.length cx.c_slots) unset in
       List.iter
         (fun (n, k) -> vals.(Hashtbl.find cx.c_slots n) <- Scalar.zero (kind_of_decl k))
         u.Ir.u_env.Sema.uscalars;
       { pu_ir = u; pu_index = i; pu_body = body; pu_slots = cx.c_slots; pu_vals = vals;
-        pu_arrays = cx.c_dads; pu_nsplits = !(cx.c_nsplits); pu_planned = !(cx.c_planned) })
+        pu_arrays = cx.c_dads; pu_nsplits = !(cx.c_nsplits); pu_planned = !(cx.c_planned);
+        pu_regions = !(cx.c_regions) })
     units
 
 let planned_sids (prog : prepared) =
   Array.to_list prog |> List.concat_map (fun pu -> pu.pu_planned) |> List.sort compare
+
+let shared_regions (prog : prepared) =
+  Array.fold_left (fun n pu -> n + List.length pu.pu_regions) 0 prog
+
+let region_peak (prog : prepared) =
+  Array.fold_left (fun m pu -> List.fold_left (fun m c -> max m c.peak) m pu.pu_regions) 0 prog
 
 (* ------------------------------------------------------------------ *)
 (* Entry                                                               *)

@@ -33,6 +33,21 @@ val prepare : grid:F90d_dist.Grid.t -> F90d_ir.Ir.program_ir -> prepared
 val planned_sids : prepared -> int list
 (** The sids that hold a kernel plan, ascending (exposed for tests). *)
 
+val shared_regions : prepared -> int
+(** How many replicated scalar regions were found: DO, DO WHILE and IF
+    statements whose subtree reads only scalars, PARAMETERs, elemental
+    intrinsics and replicated array elements, and writes only scalars.
+    Each dynamic instance of one runs once per run, on the first rank to
+    reach it; the other ranks take its scalar writes (exposed for
+    tests). *)
+
+val once_cap : int
+(** The most pending entries a once-per-run cell holds. *)
+
+val region_peak : prepared -> int
+(** The most pending entries any region's cell has held so far in the
+    run (exposed for tests). *)
+
 val node_main :
   ?collect_finals:bool ->
   ?coalesce:bool ->

@@ -539,6 +539,217 @@ C$    DISTRIBUTE U(BLOCK)
   | [] -> ()
   | fails -> Alcotest.failf "%s" (String.concat "; " (List.map F90d_fuzz.Diff.pp_failure fails))
 
+(* ------------------------------------------------------------------ *)
+(* Replicated scalar regions                                           *)
+(* ------------------------------------------------------------------ *)
+
+let check_against_sequential ?(ranks = [ 1; 3; 4; 16 ]) src =
+  match F90d_fuzz.Diff.check_source ~ranks src with
+  | [] -> ()
+  | fails -> Alcotest.failf "%s" (String.concat "; " (List.map F90d_fuzz.Diff.pp_failure fails))
+
+(* For programs the reference evaluator does not take (CALL): the run at
+   P=1, which stores nothing in any cell, is the reference. *)
+let check_against_one_rank ?(ranks = [ 3; 4; 16 ]) src =
+  let outcome nprocs = (compile_run ~nprocs src).Driver.outcome in
+  let one = outcome 1 in
+  let reference =
+    { F90d_fuzz.Refeval.r_output = one.F90d_exec.Interp.output;
+      r_finals = one.F90d_exec.Interp.finals; r_scalars = one.F90d_exec.Interp.final_scalars }
+  in
+  List.iter
+    (fun nprocs ->
+      match F90d_fuzz.Diff.compare_outcomes reference (outcome nprocs) with
+      | None -> ()
+      | Some diff -> Alcotest.failf "P=%d: %s" nprocs diff)
+    ranks
+
+let prepared_of ~nprocs src =
+  let compiled = Driver.compile src in
+  let grid = F90d_dist.Grid.make [| nprocs |] in
+  (compiled, F90d_exec.Interp.prepare ~grid compiled.Driver.c_ir, grid)
+
+(* Runs [src] at [nprocs] on one [prepare]d program, which is returned
+   with rank 0's outcome so a test can look into its region cells. *)
+let run_prepared ~nprocs src =
+  let _, prepared, grid = prepared_of ~nprocs src in
+  let cfg = F90d_machine.Engine.config ~model:F90d_machine.Model.ideal nprocs in
+  let r =
+    F90d_machine.Engine.run cfg (fun eng ->
+        F90d_exec.Interp.node_main prepared (F90d_runtime.Rctx.make eng grid))
+  in
+  (prepared, r.F90d_machine.Engine.results.(0))
+
+let test_region_gauss_scan () =
+  let src = Programs.gauss ~n:20 in
+  let _, prepared, _ = prepared_of ~nprocs:4 src in
+  Alcotest.(check int) "the pivot scan is the one region" 1
+    (F90d_exec.Interp.shared_regions prepared);
+  check_against_sequential src
+
+(* One region in a subroutine, entered from two CALL sites on every step
+   of a loop: every rank numbers the entries through both sites in the
+   same order.  The second scan reads the distributed matrix itself, so
+   it is not a region: sharing it would leave the other ranks out of its
+   element fetches. *)
+let test_region_in_subroutine () =
+  check_against_one_rank
+    {|
+      PROGRAM TWOSITE
+      INTEGER, PARAMETER :: N = 12
+      REAL A(N, N), W(N)
+      REAL PM1, PM2, PM3
+      INTEGER IX1, IX2, IX3, K, J
+C$    TEMPLATE T(N)
+C$    ALIGN A(I, J) WITH T(J)
+C$    DISTRIBUTE T(BLOCK)
+      FORALL (I = 1:N, J = 1:N) A(I, J) = MOD(7*I + 11*J, 19) - 9
+      DO K = 1, N
+        FORALL (I = 1:N) W(I) = A(I, K)
+        CALL SCAN(W, K, PM1, IX1)
+        CALL SCAN(W, 1, PM2, IX2)
+        PM3 = -1.0
+        IX3 = K
+        DO I = K, N
+          IF (ABS(A(I, K)) > PM3) THEN
+            PM3 = ABS(A(I, K))
+            IX3 = I
+          END IF
+        END DO
+        DO J = 1, K
+          PM3 = PM3 + W(J)
+        END DO
+        FORALL (I = 1:N) A(I, K) = A(I, K) + PM1 * IX2 - PM2 * IX1 + PM3 * IX3 + J
+      END DO
+      END
+
+      SUBROUTINE SCAN(V, LO, PM, IX)
+      REAL V(12), PM
+      INTEGER LO, IX, I
+      PM = -1.0
+      IX = LO
+      DO I = LO, 12
+        IF (ABS(V(I)) > PM) THEN
+          PM = ABS(V(I))
+          IX = I
+        END IF
+      END DO
+      END
+      |}
+
+(* Each statement below keeps the inner loop from being a region (the
+   FORALL keeps the outer one).  The rank-3 read of A(N) before it puts
+   rank 3, not rank 0, first into the inner loop.  Shared, the loop would run the element fetch
+   (rank 3 owns A(N - 1), so it would broadcast it and go on, and rank 0
+   would later read that message as A(N)), the reduction or the CALL's
+   FORALL on one rank alone, print nothing when rank 3 evaluates it, or
+   update one rank's copy of W. *)
+let test_region_disqualifiers () =
+  let program ?(sub = "") stmt =
+    Printf.sprintf
+      {|
+      PROGRAM DQ
+      INTEGER, PARAMETER :: N = 8
+      REAL A(N), W(N), B(N)
+      REAL S, T
+      INTEGER K
+C$    DISTRIBUTE A(BLOCK)
+C$    DISTRIBUTE B(BLOCK)
+      FORALL (I = 1:N) A(I) = I * 0.5
+      FORALL (I = 1:N) W(I) = 2 * I
+      S = 0.0
+      DO K = 1, 3
+        T = A(N)
+        DO I = 1, 2
+          S = S + W(I + K) * I
+          %s
+        END DO
+        FORALL (I = 1:N) B(I) = A(I) + W(I) + S
+      END DO
+      END
+%s
+      |}
+      stmt sub
+  in
+  let bump =
+    {|
+      SUBROUTINE BUMP(X)
+      REAL X(8)
+C$    DISTRIBUTE X(BLOCK)
+      FORALL (I = 1:8) X(I) = X(I) + 1.0
+      END
+|}
+  in
+  List.iter
+    (fun (src, check) ->
+      let _, prepared, _ = prepared_of ~nprocs:4 src in
+      Alcotest.(check int) "no region" 0 (F90d_exec.Interp.shared_regions prepared);
+      check src)
+    [
+      (program "S = S + A(N - 1) * I", check_against_sequential ~ranks:[ 1; 4 ]);
+      (program "S = S + SUM(A)", check_against_sequential ~ranks:[ 1; 4 ]);
+      (program ~sub:bump "CALL BUMP(A)", check_against_one_rank ~ranks:[ 4 ]);
+      (program "PRINT *, S", check_against_sequential ~ranks:[ 1; 4 ]);
+      (program "W(I) = W(I) + S", check_against_sequential ~ranks:[ 1; 4 ]);
+    ]
+
+(* A region inside a loop that does not communicate: rank 0 runs every
+   step before rank 1 starts, so without the cap its cell would hold an
+   entry per step. *)
+let test_region_cap () =
+  let src =
+    {|
+      PROGRAM CAP
+      INTEGER, PARAMETER :: N = 4
+      REAL W(N)
+      REAL S
+      INTEGER K, J
+      S = 0.0
+      DO K = 1, 100000
+        W(1) = K
+        DO J = 1, 2
+          S = S + W(1) * J
+        END DO
+      END DO
+      END
+      |}
+  in
+  let prepared, outcome = run_prepared ~nprocs:4 src in
+  Alcotest.(check int) "one region" 1 (F90d_exec.Interp.shared_regions prepared);
+  let peak = F90d_exec.Interp.region_peak prepared in
+  if peak < 1 || peak > F90d_exec.Interp.once_cap then
+    Alcotest.failf "region cell held %d entries (cap %d)" peak F90d_exec.Interp.once_cap;
+  Alcotest.(check (float 0.)) "S" (3. *. 100000. *. 100001. /. 2.)
+    (Scalar.to_real (List.assoc "S" outcome.F90d_exec.Interp.final_scalars))
+
+(* A region's out-of-bounds replicated read fails with the same located
+   error whichever rank evaluates it. *)
+let test_region_bounds_error () =
+  let src =
+    {|
+      PROGRAM OOB
+      INTEGER, PARAMETER :: N = 6
+      REAL W(N)
+      REAL S
+      INTEGER I
+      FORALL (I = 1:N) W(I) = I
+      S = 0.0
+      DO I = 1, N + 1
+        S = S + W(I)
+      END DO
+      END
+      |}
+  in
+  let error nprocs =
+    match compile_run ~nprocs src with
+    | _ -> Alcotest.failf "P=%d: no error" nprocs
+    | exception Diag.Error (loc, msg) -> Printf.sprintf "%d:%s" loc.Loc.line msg
+  in
+  let one = error 1 in
+  Alcotest.(check string) "P=4 as P=1" one (error 4);
+  checkb "names the bounds" true
+    (String.length one > 0 && Str.string_match (Str.regexp ".*outside the declared bounds 1:6") one 0)
+
 let () =
   Alcotest.run "f90d_exec"
     [
@@ -564,4 +775,12 @@ let () =
       ( "inspector",
         List.map QCheck_alcotest.to_alcotest [ prop_inspector_naive ]
         @ [ Alcotest.test_case "repeated unkeyed builds" `Quick test_repeated_unkeyed_builds ] );
+      ( "regions",
+        [
+          Alcotest.test_case "gauss pivot scan" `Quick test_region_gauss_scan;
+          Alcotest.test_case "subroutine, two call sites" `Quick test_region_in_subroutine;
+          Alcotest.test_case "disqualifiers" `Quick test_region_disqualifiers;
+          Alcotest.test_case "pending entries capped" `Quick test_region_cap;
+          Alcotest.test_case "bounds error located" `Quick test_region_bounds_error;
+        ] );
     ]
