@@ -120,7 +120,7 @@ let run_daemon_axis n =
   let done_ = ref 0 in
   S.Client.with_conn sock (fun c ->
       for seed = !start to !start + n - 1 do
-        let source = Gen.print ~nprocs (Gen.generate ~seed) in
+        let source = Gen.print ~nprocs (Gen.program ~seed) in
         let req =
           S.Json.Obj
             [
@@ -182,7 +182,7 @@ let () =
         exit 1
   end;
   if !emit >= 0 then begin
-    let p = Gen.generate ~seed:!emit in
+    let p = Gen.program ~seed:!emit in
     print_string (Gen.print ~nprocs:(List.fold_left max 1 !ranks) p);
     exit 0
   end;
@@ -191,7 +191,7 @@ let () =
   let done_ = ref 0 in
   List.iter
     (fun seed ->
-      let p = Gen.generate ~seed in
+      let p = Gen.program ~seed in
       (match check p with
       | [] -> ()
       | failures ->

@@ -658,6 +658,72 @@ let generate ~seed =
     body = inits @ body;
   }
 
+(* gauss's pivot search, added to a generated program [p] as a pass of
+   its own, so that [generate]'s programs (which the host benchmark's
+   serve-mix also compiles) stay as they were.  It draws from its own
+   stream and, in about a third of the programs, inserts after the
+   initialisations: a FORALL copying column [c] of a 2-D array into the
+   replicated array W (a multicast under a column distribution), a scalar
+   DO over W keeping the largest magnitude and where it is, or a running
+   sum, and a FORALL feeding the scan's scalars and its DO index into a
+   distributed array.  A quarter of the scans read the column itself
+   instead of W.  The scan writes S1 and R1/R2 only, never S2, which may
+   hold a multicast-shift read's shift across it. *)
+let with_pivot_scan (p : prog) =
+  let rng = Rng.make ((p.pseed * 3571) + 0x91C0) in
+  let sources = List.filter (fun a -> List.length a.adims = 2) p.arrays in
+  let targets = List.filter (fun a -> List.length a.adims = 1 && not a.aindex) p.arrays in
+  if sources = [] || targets = [] || not (Rng.chance rng 35) then p
+  else
+    let src = Rng.pickl rng sources and t = Rng.pickl rng targets in
+    let c = Rng.range rng 1 p.n2 and lo = Rng.range rng 1 p.n2 in
+    let elem =
+      if Rng.chance rng 25 then A (src.aname, [ Splus ("K", 0); Sconst c ])
+      else A ("W", [ Splus ("K", 0) ])
+    in
+    let r = Rng.pickl rng [ "R1"; "R2" ] and i = [ Splus ("I", 0) ] in
+    let scan, v =
+      if Rng.bool rng then
+        let keep = [ SAssign (r, C ("ABS", [ elem ])); SAssign ("S1", V "K") ] in
+        ( [
+            SAssign (r, F (-1.));
+            SAssign ("S1", L lo);
+            Do
+              { var = "K"; lo; hi = p.n2; step = 1;
+                body = [ If { cond = B (">", C ("ABS", [ elem ]), V r); then_ = keep; els = [] } ] };
+          ],
+          "S1" )
+      else
+        let acc, zero = if src.akind = KR then (r, F 0.) else ("S1", L 0) in
+        ( [
+            SAssign (acc, zero);
+            Do { var = "K"; lo; hi = p.n2; step = 1; body = [ SAssign (acc, B ("+", V acc, elem)) ] };
+          ],
+          (* a REAL sum does not go into an INTEGER array *)
+          if acc = r && t.akind = KI then "K" else acc )
+    in
+    let stmts =
+      (Forall
+         { vars = [ ("I", 1, p.n2, 1) ]; mask = None; lhs = "W"; lsubs = i;
+           rhs = A (src.aname, [ Splus ("I", 0); Sconst c ]) }
+       :: scan)
+      @ [
+          Forall
+            { vars = [ ("I", 1, p.n1, 1) ]; mask = None; lhs = t.aname; lsubs = i;
+              rhs = B ("+", A (t.aname, i), B ("+", V v, V "K")) };
+        ]
+    in
+    (* [generate] starts the body with one initialisation per array and four scalar ones *)
+    let n_init = List.length p.arrays + 4 in
+    let k = Rng.range rng n_init (List.length p.body) in
+    let w = { aname = "W"; akind = src.akind; adims = [ p.n1 ]; adist = [ Dstar ]; aindex = false } in
+    { p with
+      arrays = p.arrays @ [ w ];
+      body = List.filteri (fun i _ -> i < k) p.body @ stmts @ List.filteri (fun i _ -> i >= k) p.body }
+
+(* The differential fuzzer's program for [seed]. *)
+let program ~seed = with_pivot_scan (generate ~seed)
+
 (* ------------------------------------------------------------------ *)
 (* Pretty-printer: internal rep -> Fortran 90D source                  *)
 (* ------------------------------------------------------------------ *)

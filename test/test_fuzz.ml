@@ -43,13 +43,13 @@ let test_corpus_replay () =
 (* ------------------------------------------------------------------ *)
 
 let test_gen_deterministic () =
-  let text seed = Gen.print ~nprocs:4 (Gen.generate ~seed) in
+  let text seed = Gen.print ~nprocs:4 (Gen.program ~seed) in
   checks "same seed, same program" (text 7) (text 7);
   checkb "different seeds differ" true (text 7 <> text 8)
 
 let test_fuzz_smoke () =
   for seed = 0 to 9 do
-    match Diff.check_prog (Gen.generate ~seed) with
+    match Diff.check_prog (Gen.program ~seed) with
     | [] -> ()
     | fails ->
         Alcotest.failf "seed %d: %s" seed
