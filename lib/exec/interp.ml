@@ -171,7 +171,9 @@ let elemental name loc ~arity =
   let real2 f = Fix2 (fun a b -> Scalar.Real (f (Scalar.to_real a) (Scalar.to_real b))) in
   match (name, arity) with
   | "ABS", 1 ->
-      Fix1 (function Scalar.Int n -> Scalar.Int (abs n) | a -> Scalar.Real (Float.abs (Scalar.to_real a)))
+      Fix1
+        (function
+        | Scalar.Int n -> Scalar.Int (abs n) | a -> Scalar.Real (Float.abs (Scalar.to_real a)))
   | "SQRT", 1 -> real1 Float.sqrt
   | "EXP", 1 -> real1 Float.exp
   | "LOG", 1 -> real1 Float.log
@@ -188,7 +190,8 @@ let elemental name loc ~arity =
         (fun a b ->
           match (a, b) with
           | Scalar.Int _, Scalar.Int 0 -> Diag.error ~loc "integer division by zero"
-          | Scalar.Int a, Scalar.Int b -> Scalar.Int (if name = "MOD" then a mod b else Util.modulo a b)
+          | Scalar.Int a, Scalar.Int b ->
+              Scalar.Int (if name = "MOD" then a mod b else Util.modulo a b)
           | a, b ->
               if name = "MOD" then Scalar.Real (Float.rem (Scalar.to_real a) (Scalar.to_real b))
               else bad ())
@@ -378,11 +381,11 @@ let replicated_strides dad =
   in
   if not (Array.for_all Fun.id (Array.mapi whole dims)) then None
   else
+    let stored (dd : Dad.dim) = dd.Dad.extent + dd.Dad.ghost_lo + dd.Dad.ghost_hi in
     let strides = Array.make (Array.length dims) 1 and base = ref 0 in
     Array.iteri
       (fun d (dd : Dad.dim) ->
-        if d > 0 then
-          strides.(d) <- strides.(d - 1) * (dims.(d - 1).Dad.extent + dims.(d - 1).Dad.ghost_lo + dims.(d - 1).Dad.ghost_hi);
+        if d > 0 then strides.(d) <- strides.(d - 1) * stored dims.(d - 1);
         base := !base + (dd.Dad.ghost_lo * strides.(d)))
       dims;
     Some (!base, strides)
@@ -479,7 +482,8 @@ and carray cx loc (r : Ast.ref_) k subs =
       | Some (base, strides) -> (
           let at d g = Dad.checked_a0 dad d g * strides.(d) in
           match subs with
-          | [| s |] -> fun st fr -> Ndarray.get_flat st.arrays.(k).Darray.local (base + at 0 (s st fr))
+          | [| s |] ->
+              fun st fr -> Ndarray.get_flat st.arrays.(k).Darray.local (base + at 0 (s st fr))
           | [| s; t |] ->
               fun st fr ->
                 let i = s st fr in

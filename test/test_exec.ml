@@ -565,14 +565,13 @@ let check_against_one_rank ?(ranks = [ 3; 4; 16 ]) src =
     ranks
 
 let prepared_of ~nprocs src =
-  let compiled = Driver.compile src in
   let grid = F90d_dist.Grid.make [| nprocs |] in
-  (compiled, F90d_exec.Interp.prepare ~grid compiled.Driver.c_ir, grid)
+  (F90d_exec.Interp.prepare ~grid (Driver.compile src).Driver.c_ir, grid)
 
 (* Runs [src] at [nprocs] on one [prepare]d program, which is returned
    with rank 0's outcome so a test can look into its region cells. *)
 let run_prepared ~nprocs src =
-  let _, prepared, grid = prepared_of ~nprocs src in
+  let prepared, grid = prepared_of ~nprocs src in
   let cfg = F90d_machine.Engine.config ~model:F90d_machine.Model.ideal nprocs in
   let r =
     F90d_machine.Engine.run cfg (fun eng ->
@@ -582,16 +581,18 @@ let run_prepared ~nprocs src =
 
 let test_region_gauss_scan () =
   let src = Programs.gauss ~n:20 in
-  let _, prepared, _ = prepared_of ~nprocs:4 src in
+  let prepared, _ = prepared_of ~nprocs:4 src in
   Alcotest.(check int) "the pivot scan is the one region" 1
     (F90d_exec.Interp.shared_regions prepared);
   check_against_sequential src
 
 (* One region in a subroutine, entered from two CALL sites on every step
    of a loop: every rank numbers the entries through both sites in the
-   same order.  The second scan reads the distributed matrix itself, so
-   it is not a region: sharing it would leave the other ranks out of its
-   element fetches. *)
+   same order.  The main unit's scan of A reads the distributed matrix
+   itself, so it is not a region: sharing it would leave the other ranks
+   out of its element fetches.  Its sum over W is one, and the FORALL
+   after it reads the sum's DO index J, so a rank that took the region's
+   writes must hold J too. *)
 let test_region_in_subroutine () =
   check_against_one_rank
     {|
@@ -682,7 +683,7 @@ C$    DISTRIBUTE X(BLOCK)
   in
   List.iter
     (fun (src, check) ->
-      let _, prepared, _ = prepared_of ~nprocs:4 src in
+      let prepared, _ = prepared_of ~nprocs:4 src in
       Alcotest.(check int) "no region" 0 (F90d_exec.Interp.shared_regions prepared);
       check src)
     [
