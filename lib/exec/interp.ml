@@ -369,26 +369,20 @@ let dim_index ?(spread = false) ~loc name (darr : Darray.t) dim =
   dim - 1
 
 (* A replicated array's local storage as a flat offset [base + sum of
-   a0 * stride] over zero-based subscripts [a0], when every dimension
-   holds its whole extent (the layout [Dad.locate] walks); [None]
-   otherwise. *)
+   a0 * stride] over zero-based subscripts [a0]: every dimension of a
+   replicated DAD resolves to its whole extent on every rank. *)
 let replicated_strides dad =
   let dims = Dad.dims dad in
-  let whole d (dd : Dad.dim) =
-    match Dad.layout_at dad ~dim:d ~rank:0 with
-    | Layout.Prog { first = 0; step = 1; count } -> count = dd.Dad.extent
-    | _ -> false
-  in
-  if not (Array.for_all Fun.id (Array.mapi whole dims)) then None
-  else
-    let stored (dd : Dad.dim) = dd.Dad.extent + dd.Dad.ghost_lo + dd.Dad.ghost_hi in
-    let strides = Array.make (Array.length dims) 1 and base = ref 0 in
-    Array.iteri
-      (fun d (dd : Dad.dim) ->
-        if d > 0 then strides.(d) <- strides.(d - 1) * stored dims.(d - 1);
-        base := !base + (dd.Dad.ghost_lo * strides.(d)))
-      dims;
-    Some (!base, strides)
+  let stored (dd : Dad.dim) = dd.Dad.extent + dd.Dad.ghost_lo + dd.Dad.ghost_hi in
+  let strides = Array.make (Array.length dims) 1 and base = ref 0 in
+  Array.iteri
+    (fun d (dd : Dad.dim) ->
+      if dd.Dad.dist.Distrib.form <> Distrib.Replicated then
+        Diag.bug "interp: dim %d of %s is not replicated" (d + 1) (Dad.name dad);
+      if d > 0 then strides.(d) <- strides.(d - 1) * stored dims.(d - 1);
+      base := !base + (dd.Dad.ghost_lo * strides.(d)))
+    dims;
+  (!base, strides)
 
 (* A subscript list's values. *)
 let values subs : int array code = fun st fr -> Array.map (fun c -> c st fr) subs
@@ -475,31 +469,25 @@ and carray cx loc (r : Ast.ref_) k subs =
   let dad = snd cx.c_dads.(k) in
   let g = values subs in
   match cx.c_f with
-  | None when Dad.is_replicated dad -> (
+  | None when Dad.is_replicated dad ->
       (* every rank holds the whole array: the subscripts compile to one
-         flat offset, each checked against the declared bounds in order *)
-      match replicated_strides dad with
-      | Some (base, strides) -> (
-          let at d g = Dad.checked_a0 dad d g * strides.(d) in
-          match subs with
-          | [| s |] ->
-              fun st fr -> Ndarray.get_flat st.arrays.(k).Darray.local (base + at 0 (s st fr))
-          | [| s; t |] ->
-              fun st fr ->
-                let i = s st fr in
-                let j = t st fr in
-                let off = base + at 0 i in
-                Ndarray.get_flat st.arrays.(k).Darray.local (off + at 1 j)
-          | _ ->
-              fun st fr ->
-                let off = ref base in
-                Array.iteri (fun d gi -> off := !off + at d gi) (g st fr);
-                Ndarray.get_flat st.arrays.(k).Darray.local !off)
-      | None ->
-          fun st fr ->
-            let owners = [| 0 |] and flats = [| 0 |] in
-            Dad.locate dad (g st fr) ~every_owner:false ~owners ~flats ~at:0;
-            Ndarray.get_flat st.arrays.(k).Darray.local flats.(0))
+         flat offset.  All are evaluated before the first out-of-bounds
+         one, in dimension order, raises [Dad.checked_a0]'s error. *)
+      let base, strides = replicated_strides dad in
+      let dims = Dad.dims dad in
+      fun st fr ->
+        let off = ref base and bad = ref (-1) and bad_g = ref 0 in
+        for d = 0 to Array.length subs - 1 do
+          let g = subs.(d) st fr in
+          let a0 = g - dims.(d).Dad.flb in
+          if a0 >= 0 && a0 < dims.(d).Dad.extent then off := !off + (a0 * strides.(d))
+          else if !bad < 0 then begin
+            bad := d;
+            bad_g := g
+          end
+        done;
+        if !bad >= 0 then ignore (Dad.checked_a0 dad !bad !bad_g);
+        Ndarray.get_flat st.arrays.(k).Darray.local !off
   | None -> (
       fun st fr ->
         let g = g st fr in

@@ -209,16 +209,21 @@ C$  DISTRIBUTE B(BLOCK)
 (* A scalar statement's element subscript outside the declared bounds is
    the located error a FORALL's gets, for a store into a replicated and
    into a distributed array and for a read of a replicated one: never a
-   silently dropped store or an internal error. *)
+   silently dropped store or an internal error.  A replicated read
+   evaluates every subscript before it checks any, then reports the
+   first dimension out of bounds, so a subscript's own error wins. *)
 let test_scalar_element_out_of_bounds () =
+  let bounds i arr dim =
+    Printf.sprintf "index %d of %s dim %d is outside the declared bounds 1:8" i arr dim
+  in
   List.iter
-    (fun (stmt, i, arr) ->
+    (fun (stmt, i, want) ->
       let src =
         String.concat "\n"
           [
             "      PROGRAM T";
-            "      REAL W(8), A(8), X";
-            "      INTEGER I";
+            "      REAL W(8), A(8), M(8,8), X";
+            "      INTEGER I, IW(8)";
             "C$    DISTRIBUTE A(BLOCK)";
             Printf.sprintf "      I = %d" i;
             stmt;
@@ -230,11 +235,16 @@ let test_scalar_element_out_of_bounds () =
       match Driver.run ~nprocs:4 (Driver.compile src) with
       | _ -> Alcotest.failf "%s with I = %d ran without an error" (String.trim stmt) i
       | exception Diag.Error (loc, msg) ->
-          Alcotest.(check string) (stmt ^ ": message")
-            (Printf.sprintf "index %d of %s dim 1 is outside the declared bounds 1:8" i arr)
-            msg;
+          Alcotest.(check string) (stmt ^ ": message") want msg;
           Alcotest.(check int) (stmt ^ ": line") 6 loc.Loc.line)
-    [ ("      W(I) = 1.0", 0, "W"); ("      A(I) = 1.0", 9, "A"); ("      X = W(I)", 9, "W") ]
+    [
+      ("      W(I) = 1.0", 0, bounds 0 "W" 1);
+      ("      A(I) = 1.0", 9, bounds 9 "A" 1);
+      ("      X = W(I)", 9, bounds 9 "W" 1);
+      ("      X = M(I, IW(0))", 9, bounds 0 "IW" 1);
+      ("      X = M(0, I)", 9, bounds 0 "M" 1);
+      ("      X = M(1, I)", 9, bounds 9 "M" 2);
+    ]
 
 (* A comm's slice index outside the declared bounds (a run-time scalar
    subscript in a multicast, transfer or multicast_shift reference) is
