@@ -1410,6 +1410,8 @@ and cnode cx (s : Ir.stmt) : (ustate -> unit) * int list option =
   | Ir.Call_sub { sub; args } -> plain (compile_call cx ~sid ~loc sub args)
   | Ir.Print_stmt args ->
       plain @@
+      (* every rank evaluates every item, since an item can communicate;
+         only rank 0, which writes the line, formats them *)
       let items =
         List.map
           (fun (e : Ast.expr) ->
@@ -1417,15 +1419,20 @@ and cnode cx (s : Ir.stmt) : (ustate -> unit) * int list option =
             | Ast.Var v when Hashtbl.mem cx.c_aslots v ->
                 let k = caslot cx v in
                 fun st ->
-                  Format.asprintf "%a" Ndarray.pp (Darray.gather_global st.ctx st.arrays.(k))
+                  let a = Darray.gather_global st.ctx st.arrays.(k) in
+                  fun () -> Format.asprintf "%a" Ndarray.pp a
             | _ ->
                 let c = cexpr cx e in
-                fun st -> Format.asprintf "%a" Scalar.pp (c st no_frame))
+                fun st ->
+                  let v = c st no_frame in
+                  fun () -> Format.asprintf "%a" Scalar.pp v)
           args
       in
       fun st ->
-        let line = String.concat " " (List.map (fun item -> item st) items) in
-        if Rctx.me st.ctx = 0 then Buffer.add_string st.out (line ^ "\n")
+        let shown = List.map (fun item -> item st) items in
+        if Rctx.me st.ctx = 0 then
+          let line = String.concat " " (List.map (fun show -> show ()) shown) in
+          Buffer.add_string st.out (line ^ "\n")
   | Ir.Return_stmt -> plain (fun _ -> raise Return_unwind)
   | Ir.Comm_block { cb_members; cb_guard; cb_loop = _ } ->
       (* loop pre-header: run the hoisted comms once, iff the loop will

@@ -42,13 +42,17 @@ type shared = {
   (* mail.(dest): (src, tag) -> FIFO of undelivered messages *)
   mutable free_queues : Message.t Queue.t list;
   (* drained channel queues, recycled by [channel] *)
-  waiting : waiter option array;
-  (* waiting.(me): the channel rank [me] is suspended on.  A rank
-     suspends only on an empty channel, and the next message posted to
-     that channel is handed to it directly, so the channel stays empty
+  waiting : wait array;
+  (* waiting.(me): what rank [me] is suspended on.  A rank suspends on a
+     receive only when its channel is empty, and the next message posted
+     to that channel is handed to it directly, so the channel stays empty
      for as long as the rank waits. *)
+  pending : rendezvous list array;
+  (* pending.(first): the rendezvous in progress whose team starts with
+     [first], one per distinct team *)
   ready : (unit -> unit) Queue.t;
-  (* fiber starts, then the resumptions that sends made possible *)
+  (* fiber starts, then the resumptions that sends and completed
+     rendezvous made possible *)
   rank_stats : Stats.rank array;
   traces : Trace.handle array;
   (* traces.(me): rank-private event recorder (all Trace.disabled when
@@ -64,7 +68,19 @@ type shared = {
      Rank-private; read by [finish] for Deadlock diagnostics. *)
 }
 
-and waiter = { w_src : int; w_tag : int; w_k : (Message.t, unit) continuation }
+and wait =
+  | Not_waiting
+  | On_channel of { w_src : int; w_tag : int; w_k : (Message.t, unit) continuation }
+  | In_rendezvous of { w_rv : rendezvous; w_k : (Message.payload, unit) continuation }
+
+(* A rendezvous in progress: the members that have arrived so far, by
+   team index.  It leaves [pending] when its last member arrives. *)
+and rendezvous = {
+  rv_team : int array;
+  rv_members : int array;  (* physical rank by team index, -1 until arrived *)
+  rv_payloads : Message.payload array;
+  mutable rv_arrived : int;
+}
 
 (* A posted (nonblocking) receive.  The message itself stays in the
    mailbox until [wait] consumes it through the same receive path a
@@ -83,8 +99,11 @@ and handle = {
 
 type ctx = { me : int; sh : shared }
 
-type _ Effect.t += Wait_recv : (int * int) -> Message.t Effect.t
-(* (src, tag): suspend until a message on that empty channel is posted *)
+type _ Effect.t +=
+  | Wait_recv : (int * int) -> Message.t Effect.t
+      (* (src, tag): suspend until a message on that empty channel is posted *)
+  | Park : rendezvous -> Message.payload Effect.t
+      (* suspend until the rendezvous's last member resumes us with its result *)
 
 let rank ctx = ctx.me
 let nprocs ctx = ctx.sh.cfg.nprocs
@@ -131,15 +150,16 @@ let channel sh ~dest key =
    because a rank only suspends on an empty channel. *)
 let post sh ~dest (msg : Message.t) =
   match sh.waiting.(dest) with
-  | Some w when w.w_src = msg.src && w.w_tag = msg.tag ->
-      sh.waiting.(dest) <- None;
+  | On_channel w when w.w_src = msg.src && w.w_tag = msg.tag ->
+      sh.waiting.(dest) <- Not_waiting;
       Queue.add (fun () -> continue w.w_k msg) sh.ready
   | _ -> Queue.add msg (channel sh ~dest (msg.src, msg.tag))
 
-let send ?parts ctx ~dest ~tag payload =
+(* The accounting half of a send: everything but the delivery.  Returns
+   the message's arrival time. *)
+let account_send ?parts ctx ~dest ~tag ~bytes =
   let sh = ctx.sh in
   if dest < 0 || dest >= sh.cfg.nprocs then Diag.bug "engine: send to rank %d" dest;
-  let bytes = Message.payload_bytes payload in
   let m = sh.cfg.model in
   (* blocking csend: the sender is busy for startup + transfer (charged
      directly, not through [advance], so traced compute time counts only
@@ -150,7 +170,12 @@ let send ?parts ctx ~dest ~tag payload =
   let arrival = time ctx +. (float_of_int (max 0 (hops - 1)) *. m.Model.hop) in
   Stats.record_send ~tag sh.rank_stats.(ctx.me) ~bytes;
   Trace.send ?parts sh.traces.(ctx.me) ~t0 ~t1:(time ctx) ~dest ~tag ~bytes ~arrival;
-  post sh ~dest { Message.src = ctx.me; tag; payload; bytes; arrival }
+  arrival
+
+let send ?parts ctx ~dest ~tag payload =
+  let bytes = Message.payload_bytes payload in
+  let arrival = account_send ?parts ctx ~dest ~tag ~bytes in
+  post ctx.sh ~dest { Message.src = ctx.me; tag; payload; bytes; arrival }
 
 (* Hand a just-arrived message onward without occupying the CPU: the
    message system forwards it as soon as the data is available
@@ -179,15 +204,30 @@ let relay ctx ~from_t ~dest ~tag payload =
    the calling fiber, so raising from it unwinds that rank's node program
    like any other node failure — the scheduler keeps resuming fibers
    until no runnable fiber remains, and [finish] re-raises the poll's
-   exception.  Called at every receive point and by the interpreter once
-   per statement. *)
+   exception.  Called at every receive point, once per rendezvous and by
+   the interpreter once per statement. *)
 let check_cancel ctx = match ctx.sh.cfg.poll with Some f -> f () | None -> ()
+
+(* The accounting half of a receive: advance the clock to the arrival
+   and account the wait.  [posted] is a split-phase receive's post time;
+   latency the program overlapped since then is booked as hidden. *)
+let account_recv ?posted ctx ~src ~tag ~arrival =
+  let sh = ctx.sh in
+  let before = time ctx in
+  if arrival > before then begin
+    Stats.record_wait sh.rank_stats.(ctx.me) (arrival -. before);
+    sh.clocks.(ctx.me) <- arrival
+  end;
+  (match posted with
+  | Some posted ->
+      let hidden = Float.max 0. (arrival -. posted) -. (time ctx -. before) in
+      if hidden > 0. then Stats.record_wait_hidden sh.rank_stats.(ctx.me) hidden
+  | None -> ());
+  Trace.recv ?posted sh.traces.(ctx.me) ~t0:before ~t1:(time ctx) ~src ~tag ~arrival
 
 (* The receive path shared by [recv] and [wait]: take the channel's
    oldest message, suspending only when the channel is empty, then
-   advance the clock to the arrival and account the wait.  [posted] is a
-   split-phase receive's post time; latency the program overlapped since
-   then is booked as hidden. *)
+   account it. *)
 let receive ?posted ctx ~src ~tag =
   check_cancel ctx;
   let sh = ctx.sh in
@@ -206,18 +246,7 @@ let receive ?posted ctx ~src ~tag =
         end;
         msg
   in
-  let before = time ctx in
-  if msg.Message.arrival > before then begin
-    Stats.record_wait sh.rank_stats.(ctx.me) (msg.Message.arrival -. before);
-    sh.clocks.(ctx.me) <- msg.Message.arrival
-  end;
-  (match posted with
-  | Some posted ->
-      let hidden = Float.max 0. (msg.Message.arrival -. posted) -. (time ctx -. before) in
-      if hidden > 0. then Stats.record_wait_hidden sh.rank_stats.(ctx.me) hidden
-  | None -> ());
-  Trace.recv ?posted sh.traces.(ctx.me) ~t0:before ~t1:(time ctx) ~src ~tag
-    ~arrival:msg.Message.arrival;
+  account_recv ?posted ctx ~src ~tag ~arrival:msg.Message.arrival;
   msg
 
 let recv ctx ~src ~tag = receive ctx ~src ~tag
@@ -249,6 +278,62 @@ let wait ctx h =
   ctx.sh.outstanding.(ctx.me) <- List.filter (fun h' -> h' != h) ctx.sh.outstanding.(ctx.me);
   msg
 
+(* A collective barrier over [team]: every member deposits its payload
+   and parks, and the last to arrive runs [replay] over all members'
+   contexts and payloads (team order) and resumes the others with its
+   result.  Parked members run nothing, so [replay] may charge each of
+   them through the accounting halves above, in any interleaving that
+   keeps every member's own events in its program order.  Rendezvous in
+   progress are found by the team's first member; two of them can share
+   it (a grid row and a grid column through one rank), but never a
+   member that has arrived, since a parked rank joins nothing else. *)
+let rendezvous ctx ~team ~index payload replay =
+  check_cancel ctx;
+  let sh = ctx.sh in
+  let m = Array.length team in
+  if index < 0 || index >= m then Diag.bug "engine: rendezvous index %d of %d" index m;
+  if m = 1 then replay [| ctx |] [| payload |]
+  else begin
+    let first = team.(0) in
+    let rv =
+      match
+        List.find_opt (fun rv -> rv.rv_team == team || rv.rv_team = team) sh.pending.(first)
+      with
+      | Some rv -> rv
+      | None ->
+          let rv =
+            {
+              rv_team = team;
+              rv_members = Array.make m (-1);
+              rv_payloads = Array.make m Message.Empty;
+              rv_arrived = 0;
+            }
+          in
+          sh.pending.(first) <- rv :: sh.pending.(first);
+          rv
+    in
+    if rv.rv_members.(index) >= 0 then
+      Diag.bug "engine: p%d joins a rendezvous at index %d, already taken by p%d" ctx.me index
+        rv.rv_members.(index);
+    rv.rv_members.(index) <- ctx.me;
+    rv.rv_payloads.(index) <- payload;
+    rv.rv_arrived <- rv.rv_arrived + 1;
+    if rv.rv_arrived < m then perform (Park rv)
+    else begin
+      sh.pending.(first) <- List.filter (fun rv' -> rv' != rv) sh.pending.(first);
+      let result = replay (Array.map (fun me -> { me; sh }) rv.rv_members) rv.rv_payloads in
+      Array.iter
+        (fun me ->
+          match sh.waiting.(me) with
+          | In_rendezvous w ->
+              sh.waiting.(me) <- Not_waiting;
+              Queue.add (fun () -> continue w.w_k result) sh.ready
+          | _ -> ())
+        rv.rv_members;
+      result
+    end
+  end
+
 type 'a report = {
   results : 'a array;
   elapsed : float;
@@ -266,7 +351,8 @@ let make_shared cfg =
     clocks = Array.make cfg.nprocs 0.;
     mail = Array.init cfg.nprocs (fun _ -> Hashtbl.create 8);
     free_queues = [];
-    waiting = Array.make cfg.nprocs None;
+    waiting = Array.make cfg.nprocs Not_waiting;
+    pending = Array.make cfg.nprocs [];
     ready = Queue.create ();
     rank_stats = Array.init cfg.nprocs (fun _ -> Stats.rank_create ());
     traces =
@@ -278,7 +364,7 @@ let make_shared cfg =
   }
 
 (* The deep handler of rank [me]'s fiber: a slice runs until the fiber
-   suspends on an empty channel, returns or raises. *)
+   suspends on an empty channel or in a rendezvous, returns or raises. *)
 let handler sh outcomes me =
   {
     retc = (fun v -> outcomes.(me) <- Some (Finished v));
@@ -289,7 +375,11 @@ let handler sh outcomes me =
         | Wait_recv (src, tag) ->
             Some
               (fun (k : (a, unit) continuation) ->
-                sh.waiting.(me) <- Some { w_src = src; w_tag = tag; w_k = k })
+                sh.waiting.(me) <- On_channel { w_src = src; w_tag = tag; w_k = k })
+        | Park rv ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                sh.waiting.(me) <- In_rendezvous { w_rv = rv; w_k = k })
         | _ -> None);
   }
 
@@ -300,32 +390,30 @@ let handler sh outcomes me =
 let deadlock_max_ranks = 8
 let deadlock_max_channels = 8
 
+(* [items], cut to its first [max] with a [more] line for the rest. *)
+let bounded ~max ~more items =
+  let total = List.length items in
+  if total <= max then items else List.filteri (fun i _ -> i < max) items @ [ more (total - max) ]
+
+(* The channels holding messages in rank [me]'s mailbox, in (src, tag)
+   order, so tag or source mismatches are visible in a report. *)
+let pending_of (sh : shared) me =
+  Hashtbl.fold (fun (src, tag) q acc -> (src, tag, Queue.length q) :: acc) sh.mail.(me) []
+  |> List.sort compare
+  |> List.map (fun (src, tag, n) ->
+         if n = 1 then Printf.sprintf "(src=%d,tag=%d)" src tag
+         else Printf.sprintf "(src=%d,tag=%d)x%d" src tag n)
+  |> bounded ~max:deadlock_max_channels ~more:(Printf.sprintf "... +%d more channels")
+
+let mailbox_of sh me =
+  match pending_of sh me with [] -> "nothing" | l -> String.concat " " l
+
 let finish (sh : shared) outcomes =
   (* Propagate the first failure, if any. *)
   Array.iter
     (function Some (Failed (e, bt)) -> Printexc.raise_with_backtrace e bt | _ -> ())
     outcomes;
   if Array.exists Option.is_none outcomes then begin
-    (* Diagnosable without a debugger: alongside the awaited (src, tag)
-       channel, show what actually IS pending in the blocked rank's
-       mailbox, so tag or source mismatches are visible in the message. *)
-    let pending_of me =
-      let all =
-        Hashtbl.fold (fun (src, tag) q acc -> (src, tag, Queue.length q) :: acc) sh.mail.(me) []
-        |> List.sort compare
-      in
-      let shown, elided =
-        if List.length all <= deadlock_max_channels then (all, 0)
-        else (List.filteri (fun i _ -> i < deadlock_max_channels) all,
-              List.length all - deadlock_max_channels)
-      in
-      List.map
-        (fun (src, tag, n) ->
-          if n = 1 then Printf.sprintf "(src=%d,tag=%d)" src tag
-          else Printf.sprintf "(src=%d,tag=%d)x%d" src tag n)
-        shown
-      @ (if elided > 0 then [ Printf.sprintf "... +%d more channels" elided ] else [])
-    in
     let stmt_of me =
       (* Name the statement the rank is stuck inside when provenance is
          available (sid 0 = engine internals / epilogue before any
@@ -348,31 +436,38 @@ let finish (sh : shared) outcomes =
           |> String.concat " "
           |> Printf.sprintf ", issued-unwaited %s"
     in
-    let blocked_keys =
-      Array.to_seqi sh.waiting
-      |> Seq.filter_map (function me, Some w -> Some (me, w.w_src, w.w_tag) | _, None -> None)
-      |> List.of_seq
-    in
-    let total = List.length blocked_keys in
-    let detailed =
-      if total <= deadlock_max_ranks then blocked_keys
-      else List.filteri (fun i _ -> i < deadlock_max_ranks) blocked_keys
-    in
     let blocked =
-      List.map
-        (fun (me, src, tag) ->
-          Printf.sprintf "p%d waiting on (src=%d,tag=%d)%s, mailbox has %s%s" me src tag
-            (stmt_of me)
-            (match pending_of me with [] -> "nothing" | l -> String.concat " " l)
-            (issued_of me))
-        detailed
-      @
-      if total > deadlock_max_ranks then
-        [ Printf.sprintf "... and %d more blocked ranks" (total - deadlock_max_ranks) ]
-      else []
+      Array.to_seqi sh.waiting
+      |> Seq.filter_map (fun (me, w) ->
+             match w with
+             | Not_waiting -> None
+             | On_channel w ->
+                 Some
+                   (Printf.sprintf "p%d waiting on (src=%d,tag=%d)%s, mailbox has %s%s" me w.w_src
+                      w.w_tag (stmt_of me) (mailbox_of sh me) (issued_of me))
+             | In_rendezvous { w_rv = rv; _ } ->
+                 Some
+                   (Printf.sprintf
+                      "p%d parked in a rendezvous of %d ranks, %d arrived%s, mailbox has %s%s" me
+                      (Array.length rv.rv_team) rv.rv_arrived (stmt_of me) (mailbox_of sh me)
+                      (issued_of me)))
+      |> List.of_seq
+      |> bounded ~max:deadlock_max_ranks ~more:(Printf.sprintf "... and %d more blocked ranks")
     in
     raise (Deadlock (String.concat "; " blocked))
   end;
+  (* Every channel is single-producer single-consumer, so a message still
+     queued when every rank has finished can never be received: the node
+     programs disagree about the communication. *)
+  (match
+     List.filter (fun me -> Hashtbl.length sh.mail.(me) > 0) (List.init sh.cfg.nprocs Fun.id)
+   with
+  | [] -> ()
+  | ranks ->
+      Diag.bug "engine: the run ended with undelivered messages: %s"
+        (List.map (fun me -> Printf.sprintf "p%d has %s" me (mailbox_of sh me)) ranks
+        |> bounded ~max:deadlock_max_ranks ~more:(Printf.sprintf "... and %d more ranks")
+        |> String.concat "; "));
   let results =
     Array.map
       (function Some (Finished v) -> v | _ -> Diag.bug "engine: unfinished fiber after run")
@@ -386,16 +481,17 @@ let finish (sh : shared) outcomes =
 
 (* Ready-queue scheduler: only runnable fibers are ever visited.  The
    queue starts with every rank's fiber start; after that it gains a
-   resumption only when a send hands a suspended rank its message.  A
-   receive whose message is already queued never suspends, so it costs
-   no scheduler visit at all.  Total scheduling work is O(starts +
+   resumption only when a send hands a suspended rank its message or a
+   rendezvous completes.  A receive whose message is already queued never
+   suspends, so it costs no scheduler visit at all.  Total scheduling work is O(starts +
    suspensions), independent of how many of the P fibers are finished
    or idle.
 
    Visit order is not part of the semantics: each channel is a
    single-producer single-consumer exact-match FIFO, so which message a
    receive consumes — and therefore every clock, stat and result, all
-   rank-private — is a function of the node programs alone. *)
+   rank-private — is a function of the node programs alone.  A
+   rendezvous's replay is too: it charges parked members only. *)
 let run cfg main =
   let sh = make_shared cfg in
   let outcomes = Array.make cfg.nprocs None in

@@ -12,9 +12,11 @@
     the message goes straight to a receiver suspended on its channel, or
     else into the receiver's (source, tag) FIFO.  Receives match exactly
     on (source, tag) in FIFO order, so simulations are deterministic, and
-    a receive suspends its fiber only when its channel is empty.  If
-    every unfinished fiber is suspended on a receive that can never be
-    satisfied the engine raises {!Deadlock}. *)
+    a receive suspends its fiber only when its channel is empty.  A
+    {!rendezvous} suspends every member of a team but the last to arrive.
+    If every unfinished fiber is suspended on a receive or in a
+    rendezvous that can never be satisfied the engine raises
+    {!Deadlock}. *)
 
 type config = {
   nprocs : int;
@@ -23,7 +25,8 @@ type config = {
   tracing : bool;
   poll : (unit -> unit) option;
       (** cooperative-cancellation hook, called inside node fibers at
-          every receive point (and by the interpreter per statement);
+          every receive point, once per {!rendezvous} (not once per tree
+          edge) and by the interpreter per statement;
           raise from it to abort the run — the engine unwinds every
           fiber and re-raises *)
 }
@@ -47,7 +50,9 @@ type ctx
 
 exception Deadlock of string
 (** The payload lists, for every blocked processor, the awaited
-    [(src, tag)] channel, the source [file:line] and statement id the
+    [(src, tag)] channel (or, for a processor parked in a {!rendezvous},
+    the team size and how many members have arrived), the source
+    [file:line] and statement id the
     rank was executing (when the node program supplied provenance via
     {!set_stmt}), the channels actually pending in its mailbox {e and}
     any issued-but-unwaited split-phase handles (channel plus issuing
@@ -81,6 +86,40 @@ val recv : ctx -> src:int -> tag:int -> Message.t
     empty, until a send on it hands the message over.  The clock advances
     to the message's arrival if that is still in the future.  A [src]
     outside [0 .. nprocs-1] is a bug ([F90d_base.Diag.bug]). *)
+
+val account_send : ?parts:(int * int) array -> ctx -> dest:int -> tag:int -> bytes:int -> float
+(** The accounting half of {!send}, which calls it: charge the sender
+    [alpha + bytes*beta], record the message in its {!Stats.rank} and
+    trace, and return the arrival time at [dest].  Nothing is delivered. *)
+
+val account_recv : ?posted:float -> ctx -> src:int -> tag:int -> arrival:float -> unit
+(** The accounting half of a receive, which {!recv} and {!wait} call once
+    they hold the message: advance the clock to [arrival] if it is still
+    in the future, book the wait (and, with [posted], the hidden latency)
+    and trace the receive. *)
+
+val rendezvous :
+  ctx ->
+  team:int array ->
+  index:int ->
+  Message.payload ->
+  (ctx array -> Message.payload array -> Message.payload) ->
+  Message.payload
+(** [rendezvous ctx ~team ~index payload replay]: a barrier over [team],
+    where this processor is member [index].  Each member runs
+    {!check_cancel} once, deposits [payload] and parks; the last member to
+    arrive calls [replay] with every member's context and payload in team
+    order, and every member returns its result.  [replay] runs while the
+    others are parked, so it may charge each of them through
+    {!account_send}, {!account_recv}, {!charge_flops} and its {!trace},
+    keeping each member's own events in that member's program order.
+
+    [team] holds ranks in [0 .. nprocs-1] in any numbering its members
+    agree on (the run-time system passes grid ranks); the engine only
+    compares teams, by their contents (physically shared arrays compare
+    in O(1)), so every member must pass the same team.  A member
+    joining a rendezvous whose slot [index] is already taken is a bug
+    ([F90d_base.Diag.bug]).  A one-member team calls [replay] at once. *)
 
 val relay : ctx -> from_t:float -> dest:int -> tag:int -> Message.payload -> float
 (** Forward a just-arrived message without occupying the CPU: the
@@ -147,8 +186,8 @@ val current_stmt : ctx -> int * F90d_base.Loc.t
 val check_cancel : ctx -> unit
 (** Run the config's poll hook, if any.  The interpreter calls this once
     per statement so a request-timeout can interrupt long computations
-    between communication points; {!recv} and {!wait} call it
-    themselves. *)
+    between communication points; {!recv}, {!wait} and {!rendezvous} call
+    it themselves. *)
 
 (** {2 Driving the machine} *)
 
@@ -163,12 +202,17 @@ type 'a report = {
 val run : config -> (ctx -> 'a) -> 'a report
 (** Runs the SPMD program to completion, every fiber on the calling
     domain.  Any exception raised by a node program is re-raised after
-    the machine stops; unsatisfiable receives raise {!Deadlock}.
+    the machine stops; unsatisfiable receives and rendezvous raise
+    {!Deadlock}.  A run whose fibers all finish with a message still
+    queued in some mailbox is a bug ([F90d_base.Diag.bug]) naming each such
+    rank and its [(src, tag)xcount] channels: no receive can take it any
+    more.
 
     Scheduling is event-driven: a ready queue holds every fiber's start
-    and, after that, only the resumptions that sends made possible — a
-    send to a fiber suspended on its channel queues that fiber.  A fiber
-    suspends only on an empty channel, so scheduler work is
+    and, after that, only the resumptions that sends and completed
+    rendezvous made possible — a send to a fiber suspended on its channel
+    queues that fiber.  A fiber suspends only on an empty channel or in a
+    rendezvous it does not complete, so scheduler work is
     O(starts + suspensions) and independent of how many of the P fibers
     are finished or idle.  Visit order is not part of the semantics:
     every channel is a single-producer single-consumer exact-match FIFO

@@ -162,35 +162,73 @@ let broadcast_wait ctx bp =
         (bcast_children ~vr:bp.bp_vr ~m);
       p
 
-let reduce ctx team ~root ~combine payload =
-  spanned ctx "reduce" ~bytes_of:(fun () -> Message.payload_bytes payload) @@ fun () ->
-  let m = Array.length team in
-  let vr = Util.modulo (my_index ctx team - root) m in
-  let acc = ref payload in
-  let mask = ref 1 in
-  let sent = ref false in
-  while !mask < m && not !sent do
-    let k = !mask in
-    if vr mod (2 * k) = 0 then begin
-      if vr + k < m then begin
-        let msg = Rctx.recv ctx ~src:team.(Util.modulo (vr + k + root) m) ~tag:Tags.reduce in
-        Rctx.charge_flops ctx (Message.payload_bytes msg.Message.payload / 8);
-        acc := combine !acc msg.Message.payload
-      end
-    end
-    else begin
-      Rctx.send ctx ~dest:team.(Util.modulo (vr - k + root) m) ~tag:Tags.reduce !acc;
-      sent := true
-    end;
-    mask := k * 2
+(* An allreduce is a barrier, so it runs as one engine rendezvous: the
+   last member to arrive replays the binomial reduce-then-broadcast tree
+   rooted at team index 0 over every member.  Levels go in ascending
+   order, so each member's receives, combines and sends happen in the
+   order its own tree walk would make them.  Every tree edge is charged
+   through the engine's send and receive accounting, and each member's
+   "reduce" and "broadcast" spans are written to its own recorder, so
+   messages, bytes, clocks, waits and traces are those of the message
+   tree; only the mailboxes are skipped. *)
+let replay_allreduce ~combine members contributions =
+  let m = Array.length members in
+  let module Trace = F90d_trace.Trace in
+  let tracing = Trace.enabled (Engine.trace members.(0)) in
+  let span_begin name =
+    if tracing then
+      Array.iter
+        (fun c -> Trace.span_begin (Engine.trace c) ~t:(Engine.time c) name ~cat:"collective")
+        members
+  in
+  let span_end bytes_of =
+    if tracing then
+      Array.iteri
+        (fun i c -> Trace.span_end (Engine.trace c) ~t:(Engine.time c) ~bytes:(bytes_of i))
+        members
+  in
+  let edge ~src ~dst ~tag ~bytes =
+    let s = members.(src) and d = members.(dst) in
+    let arrival = Engine.account_send s ~dest:(Engine.rank d) ~tag ~bytes in
+    Engine.account_recv d ~src:(Engine.rank s) ~tag ~arrival
+  in
+  span_begin "reduce";
+  let acc = Array.copy contributions in
+  let k = ref 1 in
+  while !k < m do
+    (* team index vr + k sends its partial result to vr, then leaves the
+       reduction; vr charges the combine *)
+    let vr = ref 0 in
+    while !vr + !k < m do
+      let bytes = Message.payload_bytes acc.(!vr + !k) in
+      edge ~src:(!vr + !k) ~dst:!vr ~tag:Tags.reduce ~bytes;
+      Engine.charge_flops members.(!vr) (bytes / 8);
+      acc.(!vr) <- combine acc.(!vr) acc.(!vr + !k);
+      vr := !vr + (2 * !k)
+    done;
+    k := 2 * !k
   done;
-  if vr = 0 then Some !acc else None
+  span_end (fun i -> Message.payload_bytes contributions.(i));
+  let result = acc.(0) in
+  let bytes = Message.payload_bytes result in
+  span_begin "broadcast";
+  let k = ref 1 in
+  while !k < m do
+    (* the first k members hold the result and pass it on *)
+    for vr = 0 to min !k (m - !k) - 1 do
+      edge ~src:vr ~dst:(vr + !k) ~tag:Tags.broadcast ~bytes
+    done;
+    k := 2 * !k
+  done;
+  (* a broadcast span counts the bytes of its argument: the result at the
+     root, an empty payload elsewhere *)
+  span_end (fun i -> if i = 0 then bytes else 0);
+  result
 
 let allreduce ctx team ~combine payload =
   spanned ctx "allreduce" ~bytes_of:(fun () -> Message.payload_bytes payload) @@ fun () ->
-  match reduce ctx team ~root:0 ~combine payload with
-  | Some p -> broadcast ctx team ~root:0 p
-  | None -> broadcast ctx team ~root:0 Message.Empty
+  Engine.rendezvous (Rctx.engine ctx) ~team ~index:(my_index ctx team) payload
+    (replay_allreduce ~combine)
 
 let gather ctx team ~root payload =
   spanned ctx "gather" ~bytes_of:(fun () -> Message.payload_bytes payload) @@ fun () ->

@@ -3,12 +3,16 @@
     Every routine is collective over a {e team} — an ordered set of grid
     ranks, typically a grid row/column ({!team_along}) or the whole grid
     ({!team_all}) — and must be called by every member in the same program
-    order.  All routines are built exclusively on the simulated machine's
-    point-to-point send/receive, mirroring the paper's library-on-Express
-    portability layer (§8.1).
+    order.  All routines are built on the simulated machine's
+    point-to-point messages, mirroring the paper's library-on-Express
+    portability layer (§8.1): each message is a send and a receive,
+    except that the allreduce charges its tree edges through the
+    engine's send and receive accounting inside one rendezvous (see
+    {!allreduce}).
 
-    Tree-shaped operations (broadcast, reduce, gather) use binomial trees,
-    giving the O(log P) behaviour the paper cites for its broadcast. *)
+    Tree-shaped operations (broadcast, allreduce, gather) use binomial
+    trees, giving the O(log P) behaviour the paper cites for its
+    broadcast. *)
 
 open F90d_machine
 
@@ -51,23 +55,25 @@ val broadcast_wait : Rctx.t -> bcast_pending -> Message.payload
     since the issue is accounted as hidden), forward to this node's own
     children, and return the payload. *)
 
-val reduce :
-  Rctx.t ->
-  team ->
-  root:int ->
-  combine:(Message.payload -> Message.payload -> Message.payload) ->
-  Message.payload ->
-  Message.payload option
-(** Binomial-tree reduction to [root] ([Some] there, [None] elsewhere).
-    [combine] must be associative; combination cost is charged as flops
-    proportional to the payload size. *)
-
 val allreduce :
   Rctx.t ->
   team ->
   combine:(Message.payload -> Message.payload -> Message.payload) ->
   Message.payload ->
   Message.payload
+(** Every member gets the combination of all members' payloads.
+    [combine] must be associative; combination cost is charged as flops
+    proportional to the payload size.
+
+    The result is that of a binomial-tree reduction to team index 0
+    followed by a binomial broadcast, and so are the charges: every tree
+    edge is accounted as a point-to-point message (its sender's clock,
+    stats and trace, its receiver's wait and trace), every member's
+    ["reduce"] and ["broadcast"] spans are traced.  The tree is not sent
+    through mailboxes, though: an allreduce is a barrier, so it runs as
+    one {!Engine.rendezvous} whose last member replays the whole tree,
+    and the cancellation poll runs once per member, not once per
+    receive. *)
 
 val gather : Rctx.t -> team -> root:int -> Message.payload -> Message.payload array option
 (** Team-ordered payloads at the root. *)

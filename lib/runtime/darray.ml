@@ -29,6 +29,24 @@ let set_local t ~rank gidx v =
 let iter_owned t ~rank f =
   Dad.iter_local t.dad ~rank (fun g lidx -> f g (Ndarray.offset t.local lidx))
 
+let iter_owned_flat t ~rank f =
+  let counts = Dad.local_counts t.dad ~rank in
+  if Array.for_all (fun c -> c > 0) counts then begin
+    let nd = Array.length counts and strides = Ndarray.strides t.local in
+    let rec walk d off =
+      if d = 0 then
+        for i = 0 to counts.(0) - 1 do
+          f (off + (i * strides.(0)))
+        done
+      else
+        for i = 0 to counts.(d) - 1 do
+          walk (d - 1) (off + (i * strides.(d)))
+        done
+    in
+    let base = Ndarray.offset t.local (Array.make nd 0) in
+    if nd = 0 then f base else walk (nd - 1) base
+  end
+
 let owned_count t ~rank = Array.fold_left ( * ) 1 (Dad.local_counts t.dad ~rank)
 
 let init_global ctx dad f =
@@ -41,7 +59,7 @@ let pack_owned t ~rank =
   let n = owned_count t ~rank in
   let out = Ndarray.create (kind t) [| n |] in
   let i = ref 0 in
-  iter_owned t ~rank (fun _ flat ->
+  iter_owned_flat t ~rank (fun flat ->
       Ndarray.set_flat out !i (Ndarray.get_flat t.local flat);
       incr i);
   out

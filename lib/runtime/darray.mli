@@ -28,6 +28,10 @@ val iter_owned : t -> rank:int -> (int array -> int -> unit) -> unit
 (** Iterate owned elements in local column-major order as
     [(global_indices, flat_storage_position)]. *)
 
+val iter_owned_flat : t -> rank:int -> (int -> unit) -> unit
+(** The flat storage positions of {!iter_owned}, in the same order,
+    without building the global indices. *)
+
 val owned_count : t -> rank:int -> int
 
 val pack_owned : t -> rank:int -> Ndarray.t

@@ -105,10 +105,10 @@ let local_fold ctx op (darr : Darray.t) =
            | _ -> fun (x : float) y -> if compare x y <= 0 then x else y
          in
          let r = ref (Scalar.to_real !acc) in
-         Darray.iter_owned darr ~rank:me (fun _ flat -> r := f !r (Array.unsafe_get d flat));
+         Darray.iter_owned_flat darr ~rank:me (fun flat -> r := f !r (Array.unsafe_get d flat));
          acc := Scalar.Real !r
      | _ ->
-         Darray.iter_owned darr ~rank:me (fun _ flat ->
+         Darray.iter_owned_flat darr ~rank:me (fun flat ->
              acc := Redop.scalar op !acc (Ndarray.get_flat darr.Darray.local flat)));
   Rctx.charge_flops ctx (Darray.owned_count darr ~rank:me);
   !acc
@@ -166,7 +166,7 @@ let count ctx darr =
   let me = Rctx.me ctx in
   let c = ref 0 in
   if is_contributor ctx darr then
-    Darray.iter_owned darr ~rank:me (fun _ flat ->
+    Darray.iter_owned_flat darr ~rank:me (fun flat ->
         if Scalar.to_bool (Ndarray.get_flat darr.Darray.local flat) then incr c);
   Rctx.charge_iops ctx (Darray.owned_count darr ~rank:me);
   let team = Collectives.team_all ctx in
@@ -203,7 +203,7 @@ let dotproduct ctx (a : Darray.t) (b : Darray.t) =
   (if is_contributor ctx a then
      match (Rctx.kernels ctx, a.Darray.local.Ndarray.data, b.Darray.local.Ndarray.data) with
      | true, Ndarray.Reals ad, Ndarray.Reals bd when congruent_locals a b ->
-         Darray.iter_owned a ~rank:me (fun _ flat ->
+         Darray.iter_owned_flat a ~rank:me (fun flat ->
              acc := !acc +. (Array.unsafe_get ad flat *. Array.unsafe_get bd flat))
      | _ ->
          Darray.iter_owned a ~rank:me (fun g flat ->

@@ -2,7 +2,7 @@
     category 2) and by reduction collectives.
 
     Combiners work on message payloads so they can ride directly on
-    {!Collectives.reduce}: scalar payloads combine pointwise, array
+    {!Collectives.allreduce}: scalar payloads combine pointwise, array
     payloads elementwise, and [Pair (Scalar v, Ints loc)] payloads
     implement MAXLOC/MINLOC (ties keep the earlier location, matching
     Fortran's first-occurrence rule when combined in team order). *)

@@ -409,6 +409,215 @@ let test_deadlock_truncated () =
       check "all ranks detailed" 4 (count_sub msg "waiting on");
       checkb "no elision" true (not (contains_sub msg "more blocked ranks"))
 
+(* ------------------------------------------------------------------ *)
+(* Allreduce rendezvous                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The message-level binomial allreduce the rendezvous replays: a
+   reduction to team index 0, then a broadcast from it, every edge a real
+   send and receive through the mailboxes. *)
+let reference_allreduce rctx team ~combine payload =
+  let eng = Rt.Rctx.engine rctx in
+  let grid = Rt.Rctx.grid rctx in
+  let phys i = F90d_dist.Grid.phys_of_rank grid team.(i) in
+  let tr = Engine.trace eng in
+  (* the span of a primitive counts the bytes of its payload argument *)
+  let spanned name arg f =
+    F90d_trace.Trace.span_begin tr ~t:(Engine.time eng) name ~cat:"collective";
+    let r = f () in
+    F90d_trace.Trace.span_end tr ~t:(Engine.time eng) ~bytes:(Message.payload_bytes arg);
+    r
+  in
+  let m = Array.length team in
+  let vr = Rt.Collectives.index_in team (Rt.Rctx.me rctx) in
+  spanned "allreduce" payload @@ fun () ->
+  let reduced =
+    spanned "reduce" payload @@ fun () ->
+    let acc = ref payload and k = ref 1 and sent = ref false in
+    while !k < m && not !sent do
+      if vr mod (2 * !k) = 0 then begin
+        if vr + !k < m then begin
+          let msg = Engine.recv eng ~src:(phys (vr + !k)) ~tag:Rt.Tags.reduce in
+          Engine.charge_flops eng (Message.payload_bytes msg.Message.payload / 8);
+          acc := combine !acc msg.Message.payload
+        end
+      end
+      else begin
+        Engine.send eng ~dest:(phys (vr - !k)) ~tag:Rt.Tags.reduce !acc;
+        sent := true
+      end;
+      k := 2 * !k
+    done;
+    if vr = 0 then !acc else Message.Empty
+  in
+  spanned "broadcast" reduced @@ fun () ->
+  let p = ref reduced and k = ref 1 in
+  while !k < m do
+    if vr < !k then begin
+      if vr + !k < m then Engine.send eng ~dest:(phys (vr + !k)) ~tag:Rt.Tags.broadcast !p
+    end
+    else if vr < 2 * !k then
+      p := (Engine.recv eng ~src:(phys (vr - !k)) ~tag:Rt.Tags.broadcast).Message.payload;
+    k := 2 * !k
+  done;
+  !p
+
+let floats_of = function
+  | Message.Arr a -> List.init (Ndarray.size a) (fun i -> Scalar.to_real (Ndarray.get_flat a i))
+  | _ -> Alcotest.fail "expected an array payload"
+
+(* Rank-skewed compute around a scalar SUM and an elementwise MAX of
+   arrays over each of [teams] in turn, under statement provenance. *)
+let allreduce_program ~allreduce ~dims ~teams ?(before = fun _ -> ()) ctx =
+  let rctx = Rt.Rctx.make ctx (F90d_dist.Grid.make dims) in
+  let me = Engine.rank ctx in
+  before ctx;
+  List.concat_map
+    (fun team_of ->
+      let team = team_of rctx in
+      Engine.set_stmt ctx ~sid:(3 + me mod 2) ~loc:(Loc.make ~file:"rv.f90d" ~line:7 ~col:1);
+      Engine.charge_flops ctx (7 * (me mod 13));
+      let s =
+        allreduce rctx team ~combine:(Rt.Redop.payload Rt.Redop.Sum)
+          (Message.Scalar (Scalar.Int (me + 1)))
+      in
+      Engine.charge_flops ctx (3 * (me mod 5));
+      let a = Ndarray.create Scalar.Kreal [| 3 |] in
+      for i = 0 to 2 do
+        Ndarray.set_flat a i (Scalar.Real (float_of_int (((me * 37) + (i * 11)) mod 101)))
+      done;
+      let x = allreduce rctx team ~combine:(Rt.Redop.payload Rt.Redop.Max) (Message.Arr a) in
+      float_of_int (payload_int s) :: floats_of x)
+    teams
+
+let check_same_run name (a : _ Engine.report) (b : _ Engine.report) =
+  checkb (name ^ ": results") true (a.Engine.results = b.Engine.results);
+  checkb (name ^ ": clocks") true (a.Engine.clocks = b.Engine.clocks);
+  let sa = a.Engine.stats and sb = b.Engine.stats in
+  let same what x y = checkb (name ^ ": " ^ what) true (x = y) in
+  same "per-rank messages" sa.Stats.per_rank_messages sb.Stats.per_rank_messages;
+  same "per-rank bytes" sa.Stats.per_rank_bytes sb.Stats.per_rank_bytes;
+  same "per-tag" (Stats.per_tag sa) (Stats.per_tag sb);
+  same "recv_wait" sa.Stats.recv_wait sb.Stats.recv_wait;
+  same "recv_wait_hidden" sa.Stats.recv_wait_hidden sb.Stats.recv_wait_hidden;
+  match (a.Engine.trace, b.Engine.trace) with
+  | Some ta, Some tb ->
+      for r = 0 to Array.length a.Engine.clocks - 1 do
+        checkb
+          (Printf.sprintf "%s: trace of p%d" name r)
+          true
+          (F90d_trace.Trace.events ta ~rank:r = F90d_trace.Trace.events tb ~rank:r);
+        checkb
+          (Printf.sprintf "%s: compute of p%d" name r)
+          true
+          (F90d_trace.Trace.compute_time ta ~rank:r = F90d_trace.Trace.compute_time tb ~rank:r)
+      done
+  | _ -> Alcotest.fail "expected traces"
+
+let against_reference name ~p ~dims ~teams ?before () =
+  let topology = if Util.is_pow2 p then Topology.Hypercube else Topology.Full in
+  let run allreduce =
+    Engine.run
+      (Engine.config ~model:Model.ipsc860 ~topology ~tracing:true p)
+      (allreduce_program ~allreduce ~dims ~teams ?before)
+  in
+  let rv = run Rt.Collectives.allreduce and reference = run reference_allreduce in
+  check_same_run name rv reference;
+  rv
+
+let test_rendezvous_matches_tree () =
+  List.iter
+    (fun p ->
+      let r =
+        against_reference (Printf.sprintf "P=%d" p) ~p ~dims:[| p |]
+          ~teams:[ Rt.Collectives.team_all ] ()
+      in
+      Array.iter
+        (fun xs ->
+          checkf (Printf.sprintf "sum at P=%d" p) (float_of_int (p * (p + 1) / 2)) (List.hd xs))
+        r.Engine.results)
+    [ 1; 2; 3; 7; 16; 64; 1024 ]
+
+let test_rendezvous_grid_lines () =
+  (* every rank reduces along grid dimension 0 (ranks 8j .. 8j+7), then
+     along dimension 1, then over the whole grid.  Rank 7, the last of
+     line 0 along dimension 0, first waits for a message that rank 63
+     sends as it starts, so line 0 is still gathering when the other
+     lines finish and their members join the lines along dimension 1:
+     the one through rank 0 then gathers at the same time as line 0, and
+     both start at rank 0.  The second run takes the dimensions in the
+     other order with no delay. *)
+  let lines = List.map (fun dim r -> Rt.Collectives.team_along r ~dim) [ 0; 1 ] in
+  let before ctx =
+    match Engine.rank ctx with
+    | 63 -> Engine.send ctx ~dest:7 ~tag:77 (Message.Scalar (Scalar.Int 0))
+    | 7 -> ignore (Engine.recv ctx ~src:63 ~tag:77)
+    | _ -> ()
+  in
+  let dims = [| 8; 8 |] in
+  ignore
+    (against_reference "8x8 lines" ~p:64 ~dims ~teams:(lines @ [ Rt.Collectives.team_all ]) ~before
+       ());
+  ignore (against_reference "8x8 lines, undelayed" ~p:64 ~dims ~teams:(List.rev lines) ())
+
+let test_rendezvous_deadlock () =
+  (* rank 2 skips the allreduce: the other three park for good *)
+  let p = 4 in
+  match
+    Engine.run (Engine.config p) (fun ctx ->
+        if Engine.rank ctx <> 2 then begin
+          Engine.set_stmt ctx ~sid:9 ~loc:(Loc.make ~file:"skip.f90d" ~line:12 ~col:7);
+          ignore (collective_program p ctx)
+        end)
+  with
+  | _ -> Alcotest.fail "expected deadlock"
+  | exception Engine.Deadlock msg ->
+      checkb "names a parked rank" true
+        (contains_sub msg
+           "p0 parked in a rendezvous of 4 ranks, 3 arrived at skip.f90d:12 (stmt 9)");
+      checkb "skipping rank not listed" false (contains_sub msg "p2 ")
+
+let test_rendezvous_slot_taken () =
+  (* two ranks claiming one team index is a protocol bug, not a hang *)
+  match
+    Engine.run (Engine.config 2) (fun ctx ->
+        Engine.rendezvous ctx ~team:[| 0; 1 |] ~index:0 Message.Empty (fun _ _ -> Message.Empty))
+  with
+  | _ -> Alcotest.fail "expected a bug report"
+  | exception Failure msg -> checkb "names the slot" true (contains_sub msg "already taken by p0")
+
+let test_rendezvous_polls_once () =
+  (* the cancellation poll runs once per member, not once per receive *)
+  let polls = ref 0 in
+  let p = 16 in
+  let cfg = Engine.config ~poll:(fun () -> incr polls) p in
+  let r =
+    Engine.run cfg (fun ctx ->
+        let rctx = Rt.Rctx.make ctx (F90d_dist.Grid.make [| p |]) in
+        payload_int
+          (Rt.Collectives.allreduce rctx (Rt.Collectives.team_all rctx)
+             ~combine:(Rt.Redop.payload Rt.Redop.Sum)
+             (Message.Scalar (Scalar.Int 1))))
+  in
+  Array.iter (check "sum" p) r.Engine.results;
+  check "polls" p !polls;
+  check "messages" (2 * (p - 1)) r.Engine.stats.Stats.messages
+
+let test_undelivered_message () =
+  match
+    Engine.run (Engine.config 3) (fun ctx ->
+        if Engine.rank ctx = 0 then begin
+          Engine.send ctx ~dest:1 ~tag:7 (Message.Scalar (Scalar.Int 1));
+          Engine.send ctx ~dest:1 ~tag:7 (Message.Scalar (Scalar.Int 2));
+          Engine.send ctx ~dest:2 ~tag:8 (Message.Scalar (Scalar.Int 3))
+        end;
+        if Engine.rank ctx = 1 then ignore (Engine.recv ctx ~src:0 ~tag:7))
+  with
+  | _ -> Alcotest.fail "expected a bug report"
+  | exception Failure msg ->
+      checkb "names the channels" true
+        (contains_sub msg "undelivered messages: p1 has (src=0,tag=7); p2 has (src=0,tag=8)")
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_arrival_monotone ]
@@ -450,6 +659,16 @@ let () =
           Alcotest.test_case "mailboxes drain to empty" `Quick test_mailbox_sparse_after_broadcast;
           Alcotest.test_case "broadcast depth is log2 P" `Quick test_broadcast_log_depth;
           Alcotest.test_case "deadlock report truncation" `Quick test_deadlock_truncated;
+        ] );
+      ( "rendezvous",
+        [
+          Alcotest.test_case "allreduce equals the message tree" `Quick
+            test_rendezvous_matches_tree;
+          Alcotest.test_case "concurrent grid lines" `Quick test_rendezvous_grid_lines;
+          Alcotest.test_case "deadlock names parked ranks" `Quick test_rendezvous_deadlock;
+          Alcotest.test_case "slot taken twice" `Quick test_rendezvous_slot_taken;
+          Alcotest.test_case "one poll per member" `Quick test_rendezvous_polls_once;
+          Alcotest.test_case "undelivered messages fail the run" `Quick test_undelivered_message;
         ] );
       ("properties", qsuite);
     ]

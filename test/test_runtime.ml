@@ -79,23 +79,21 @@ let test_reduce_allreduce () =
     run_grid [| 6 |] (fun ctx ->
         let team = Collectives.team_all ctx in
         let mine = Message.Scalar (Scalar.Int (Rctx.me ctx + 1)) in
-        let total =
-          match Collectives.allreduce ctx team ~combine:(Redop.payload Redop.Sum) mine with
+        let all op =
+          match Collectives.allreduce ctx team ~combine:(Redop.payload op) mine with
           | Message.Scalar v -> Scalar.to_int v
           | _ -> -1
         in
-        let rooted = Collectives.reduce ctx team ~root:3 ~combine:(Redop.payload Redop.Max) mine in
-        (total, rooted))
+        let total = all Redop.Sum in
+        (total, all Redop.Max))
   in
-  Array.iteri
-    (fun me (total, rooted) ->
+  Array.iter
+    (fun (total, largest) ->
       check "allreduce sum" 21 total;
-      if me = 3 then
-        match rooted with
-        | Some (Message.Scalar v) -> check "reduce max at root" 6 (Scalar.to_int v)
-        | _ -> Alcotest.fail "root missing reduction"
-      else checkb "non-root has no result" true (rooted = None))
-    (results r)
+      check "allreduce max" 6 largest)
+    (results r);
+  (* two binomial trees over 6 ranks, 5 edges each way *)
+  check "messages" 20 r.Engine.stats.Stats.messages
 
 let test_allgather_order () =
   let r =
@@ -204,6 +202,38 @@ let test_darray_2d_gather () =
   in
   let expected = Ndarray.init Scalar.Kreal [| 6; 7 |] init2 in
   Array.iter (fun got -> checkb "2d gather" true (Ndarray.approx_equal got expected)) (results r)
+
+let test_iter_owned_flat () =
+  (* the flat walk yields iter_owned's storage positions in its order:
+     uneven and empty blocks, cyclic layouts, replicated dimensions and
+     overlap cells on either side *)
+  let cases =
+    [
+      dad1 ~n:10 ~p:3 ();
+      dad1 ~form:`Cyclic ~n:10 ~p:4 ();
+      dad1 ~n:2 ~p:4 ();
+      with_ghosts (dad2 ~n:5 ~m:7 ~p:2 ~q:3 ~forms:(`Block, `Block) ()) ~dim:0 ~lo:1 ~hi:2;
+      with_ghosts (dad2 ~n:4 ~m:6 ~p:1 ~q:3 ~forms:(`Repl, `Block) ()) ~dim:1 ~lo:2 ~hi:1;
+      dad2 ~n:6 ~m:5 ~p:3 ~q:2 ~forms:(`Cyclic, `Repl) ();
+    ]
+  in
+  List.iter
+    (fun dad ->
+      let r =
+        run_grid (Grid.dims (Dad.grid dad)) (fun ctx ->
+            let a = Darray.create ctx dad and me = Rctx.me ctx in
+            let walk iter =
+              let l = ref [] in
+              iter (fun flat -> l := flat :: !l);
+              List.rev !l
+            in
+            ( walk (fun f -> Darray.iter_owned a ~rank:me (fun _ flat -> f flat)),
+              walk (Darray.iter_owned_flat a ~rank:me) ))
+      in
+      Array.iter
+        (fun (want, got) -> checkb "same positions, same order" true (want = got))
+        (results r))
+    cases
 
 let test_darray_get_global () =
   let dad = dad1 ~n:10 ~p:3 () in
@@ -1077,6 +1107,7 @@ let () =
         [
           Alcotest.test_case "gather matches init" `Quick test_darray_gather_matches_init;
           Alcotest.test_case "2d gather" `Quick test_darray_2d_gather;
+          Alcotest.test_case "owned elements by flat offset" `Quick test_iter_owned_flat;
           Alcotest.test_case "get_global" `Quick test_darray_get_global;
         ] );
       ( "schedules",
