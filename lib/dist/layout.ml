@@ -105,7 +105,9 @@ let normalise ~glb ~gub ~gst =
     let k = (glb - gub) / -gst in
     Some (glb + (k * gst), glb, -gst)
 
-let set_bound t ~glb ~gub ~gst =
+(* The general intersection: a progression by the Chinese remainder
+   theorem, an index vector by filtering. *)
+let intersect t ~glb ~gub ~gst =
   match normalise ~glb ~gub ~gst with
   | None -> empty
   | Some (glb, gub, gst) -> (
@@ -128,6 +130,16 @@ let set_bound t ~glb ~gub ~gst =
                (Seq.filter
                   (fun g -> g >= glb && g <= gub && (g - glb) mod gst = 0)
                   (Array.to_seq a))))
+
+let set_bound t ~glb ~gub ~gst =
+  match t with
+  | Prog { first; step = 1; count } when gst = 1 || gst = -1 ->
+      (* unit strides on both sides: an interval intersection *)
+      let lo = Int.max (Int.min glb gub) first
+      and hi = Int.min (Int.max glb gub) (first + count - 1) in
+      if (gst > 0 && gub < glb) || (gst < 0 && glb < gub) || hi < lo then empty
+      else Prog { first = lo; step = 1; count = hi - lo + 1 }
+  | _ -> intersect t ~glb ~gub ~gst
 
 let pp ppf = function
   | Prog { first; step; count } -> Format.fprintf ppf "prog(first=%d,step=%d,count=%d)" first step count

@@ -9,7 +9,7 @@ type pass = { owners : int array; flats : int array; starts : int array }
 
 let count (lo, hi, stp) =
   if stp = 0 then Diag.error "zero FORALL stride";
-  if stp > 0 then max 0 (((hi - lo) / stp) + 1) else max 0 (((lo - hi) / -stp) + 1)
+  if stp > 0 then Int.max 0 (((hi - lo) / stp) + 1) else Int.max 0 (((lo - hi) / -stp) + 1)
 
 let progression ((lo, _, stp) as r) = Layout.Prog { first = lo; step = stp; count = count r }
 
@@ -32,18 +32,23 @@ let owned dad ~dim ~rank (lo, hi, stp) =
   | Layout.Prog p -> Layout.Prog { p with first = p.first + flb }
   | Layout.Explicit a -> Layout.Explicit (Array.map (( + ) flb) a)
 
-let canonical dad ~var_dims ~guards ~ranges ~rank =
-  if
-    List.for_all
-      (fun (dim, g) ->
-        Layout.is_owned (Dad.layout_at dad ~dim ~rank) (g - (Dad.dims dad).(dim).Dad.flb))
-      guards
-  then
-    Some
-      (List.map2
-         (fun dim_opt range ->
-           match dim_opt with None -> progression range | Some dim -> owned dad ~dim ~rank range)
-         var_dims ranges)
+(* Whether [rank] owns every guard from [i] on. *)
+let rec guarded dad ~guard_dims ~guards ~rank i =
+  i >= Array.length guard_dims
+  ||
+  let dim = guard_dims.(i) in
+  Layout.is_owned (Dad.layout_at dad ~dim ~rank) (guards.(i) - (Dad.dims dad).(dim).Dad.flb)
+  && guarded dad ~guard_dims ~guards ~rank (i + 1)
+
+let rec owned_dims dad ~var_dims ~rank i = function
+  | [] -> []
+  | range :: rest ->
+      let dim = var_dims.(i) in
+      (if dim < 0 then progression range else owned dad ~dim ~rank range)
+      :: owned_dims dad ~var_dims ~rank (i + 1) rest
+
+let canonical dad ~var_dims ~guard_dims ~guards ~ranges ~rank =
+  if guarded dad ~guard_dims ~guards ~rank 0 then Some (owned_dims dad ~var_dims ~rank 0 ranges)
   else None
 
 let points = function

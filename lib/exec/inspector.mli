@@ -28,16 +28,19 @@ val even : nprocs:int -> rank:int -> (int * int * int) list -> space
 
 val canonical :
   F90d_dist.Dad.t ->
-  var_dims:int option list ->
-  guards:(int * int) list ->
+  var_dims:int array ->
+  guard_dims:int array ->
+  guards:int array ->
   ranges:(int * int * int) list ->
   rank:int ->
   space option
 (** Owner-computes iterations of [rank] for a left-hand side with DAD
-    [dad]: a variable that indexes dimension [Some d] runs over
-    {!F90d_dist.Layout.set_bound} of [rank]'s part of it, ascending.
-    [None] when a constant subscript [(dim, value)] of [guards] is not
-    owned by [rank]. *)
+    [dad]: variable [i], when it indexes dimension [var_dims.(i) >= 0],
+    runs over {!F90d_dist.Layout.set_bound} of [rank]'s part of it,
+    ascending, and over its whole range when [var_dims.(i) < 0].  [None]
+    when the constant subscript [guards.(j)] of dimension
+    [guard_dims.(j)] is not owned by [rank].  The dimension arrays are
+    the statement's, built once per run. *)
 
 val points : space -> int
 (** The number of points in a space (none without variables). *)

@@ -860,15 +860,15 @@ let cached_schedule st key vsig build =
 (* FORALL execution                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Hand the whole local nest to the kernel layer.  [--fno-blocked-kernels]
-   disables the layer outright — every FORALL interprets element by
-   element, which is both the honest ablation baseline and the reference
-   the fuzz differential compares bit-for-bit against.  Counts a run or
-   a fallback (by reason) in this rank's collector; an ineligible plan
-   and an empty slab (gauss's non-owning ranks) count as neither.  [None]:
-   the interpreter must run the nest. *)
+(* Hand the whole local nest, never empty, to the kernel layer.
+   [--fno-blocked-kernels] disables the layer outright — every FORALL
+   interprets element by element, which is both the honest ablation
+   baseline and the reference the fuzz differential compares bit-for-bit
+   against.  Counts a run or a fallback (by reason) in this rank's
+   collector; an ineligible plan counts as neither.  [None]: the
+   interpreter must run the nest. *)
 let run_kernel st plan space =
-  if not (Rctx.kernels st.ctx && List.for_all (fun l -> Layout.count l > 0) space) then None
+  if not (Rctx.kernels st.ctx) then None
   else
     let rs = Engine.rank_stats (Rctx.engine st.ctx) in
     match
@@ -898,10 +898,15 @@ let compile_forall cx ~sid (f : Ir.forall) =
       array_slot = caslot cx }
   in
   let ranges = List.map (fun (_, rg) -> crange cx rg) f.Ir.f_vars in
-  let guards =
+  (* a canonical space's dimensions: each variable's (-1: none) and each
+     guard's, with the guard's value *)
+  let var_dims, guard_dims, guards =
     match f.Ir.f_iter with
-    | Ir.It_canonical { guards; _ } -> List.map (fun (_, e) -> cint cx e) guards
-    | _ -> []
+    | Ir.It_canonical { var_dims; guards } ->
+        ( Array.of_list (List.map (fun (_, d) -> Option.value d ~default:(-1)) var_dims),
+          Array.of_list (List.map fst guards),
+          Array.of_list (List.map (fun (_, e) -> cint cx e) guards) )
+    | _ -> ([||], [||], [||])
   in
   let fx = { cx with c_f = Some f } in
   let inspected (r : Ast.ref_) =
@@ -956,16 +961,14 @@ let compile_forall cx ~sid (f : Ir.forall) =
   let flops_per_iter, iops_per_iter = ops_of_expr f.Ir.f_rhs in
   spanned ("forall " ^ f.Ir.f_lhs.Ast.base) (fun st ->
       let ranges = List.map (fun r -> r st) ranges in
-      let guard_vals = List.map (fun g -> g st no_frame) guards in
+      let guards = Array.map (fun g -> g st no_frame) guards in
       (* each FORALL variable's global values for [rank], in nest order;
          [None] when a guard masks the rank out *)
       let space rank =
         match f.Ir.f_iter with
         | Ir.It_replicated -> Some (Inspector.replicated ranges)
-        | Ir.It_canonical { var_dims; guards } ->
-            Inspector.canonical lhs_dad ~var_dims:(List.map snd var_dims)
-              ~guards:(List.map2 (fun (dim, _) g -> (dim, g)) guards guard_vals)
-              ~ranges ~rank
+        | Ir.It_canonical _ ->
+            Inspector.canonical lhs_dad ~var_dims ~guard_dims ~guards ~ranges ~rank
         | Ir.It_even -> Some (Inspector.even ~nprocs:(Rctx.nprocs st.ctx) ~rank ranges)
       in
       (* phase 1: collective pre-communication *)
@@ -988,6 +991,10 @@ let compile_forall cx ~sid (f : Ir.forall) =
       let iters = ref 0 in
       (match space (me st) with
       | None -> ()
+      | Some sp when Inspector.points sp = 0 ->
+          (* no local iterations (gauss's non-owning ranks): neither the
+             kernel nor the interpreter has anything to run *)
+          ()
       | Some sp -> (
           match run_kernel st plan sp with
           | Some out ->

@@ -11,7 +11,7 @@ exception Ineligible
 exception Decline of Stats.kernel_fallback
 
 (* Linear form over the loop counters: value = base + sum coefs.(k)*c_k.
-   Built by folding terms into a fresh form in place. *)
+   Built in place. *)
 type lin = { mutable base : int; coefs : int array }
 
 let zero_lin nvars = { base = 0; coefs = Array.make nvars 0 }
@@ -24,83 +24,69 @@ let unset = Scalar.Str "<unset>"
    slot stands for. *)
 type scalar = { slot : int; param : Scalar.t option }
 
-let read_scalar scalars s =
+(* A scalar's current value: an unassigned slot reads as its PARAMETER,
+   and as [unset] without one. *)
+let scalar_value scalars s =
   let x = scalars.(s.slot) in
-  if x != unset then Some x else s.param
+  if x != unset then x else match s.param with Some p -> p | None -> unset
 
-(* An affine subscript with its names resolved: FORALL variables by their
-   position in the nest, scalars by slot.  [-a] is [-1 * a]; a product's
-   counter-free factor comes first. *)
-type aff = Aint of int | Avar of int | Ascal of scalar | Aadd of aff * aff | Amul of aff * aff
+(* An affine subscript with its names resolved and its products
+   distributed over its sums, decided once per run: the sum of its
+   terms, each [tc] times the product of the scalars [tscal] times
+   FORALL variable [tvar] (1 when [tvar < 0]).  Wrapping integer
+   arithmetic is a ring, so the sum is the subscript's value exactly, and
+   every scalar the subscript reads is in some term, so a non-INTEGER one
+   still declines. *)
+type term = { tc : int; tscal : scalar array; tvar : int }
+type aff = term array
 
-(* The value of a counter-free form from the current scalars. *)
-let rec const_of ~scalars = function
-  | Aint n -> n
-  | Avar _ -> Diag.bug "kernel: loop counter in a counter-free factor"
-  | Ascal s -> (
-      match read_scalar scalars s with
-      | Some (Scalar.Int n) -> n
-      | _ -> raise (Decline Stats.Scalar_kind))
-  | Aadd (a, b) -> const_of ~scalars a + const_of ~scalars b
-  | Amul (a, b) -> const_of ~scalars a * const_of ~scalars b
+(* [t]'s coefficient from the current scalars. *)
+let term_value scalars t =
+  let v = ref t.tc in
+  for j = 0 to Array.length t.tscal - 1 do
+    match scalar_value scalars t.tscal.(j) with
+    | Scalar.Int n -> v := !v * n
+    | _ -> raise (Decline Stats.Scalar_kind)
+  done;
+  !v
 
-(* Add [m * a] into [l]: FORALL variables contribute their progressions
-   [(first, step)] over the loop counters, scalars their current integer
-   values. *)
-let rec add_aff l ~progs ~scalars m = function
-  | Avar k ->
-      let g0, gs = progs.(k) in
-      l.base <- l.base + (m * g0);
-      l.coefs.(k) <- l.coefs.(k) + (m * gs)
-  | Aadd (a, b) ->
-      add_aff l ~progs ~scalars m a;
-      add_aff l ~progs ~scalars m b
-  | Amul (c, a) -> add_aff l ~progs ~scalars (m * const_of ~scalars c) a
-  | (Aint _ | Ascal _) as c -> l.base <- l.base + (m * const_of ~scalars c)
+(* Add subscript [a] into [p]: FORALL variable [k] contributes its
+   progression [g0.(k) + gs.(k) * c_k] over loop counter [k]. *)
+let add_aff p (a : aff) ~g0 ~gs ~scalars =
+  for i = 0 to Array.length a - 1 do
+    let t = a.(i) in
+    let v = term_value scalars t and k = t.tvar in
+    if k < 0 then p.base <- p.base + v
+    else begin
+      p.base <- p.base + (v * g0.(k));
+      p.coefs.(k) <- p.coefs.(k) + (v * gs.(k))
+    end
+  done
 
 (* Storage position (per dimension) through a layout, in place. *)
 let through_layout layout ~flb p =
   match layout with
   | Layout.Prog { first; step; _ } ->
       p.base <- p.base - (flb + first);
-      (* off this rank's progression: not in its storage *)
-      if p.base mod step <> 0 || Array.exists (fun c -> c mod step <> 0) p.coefs then
-        raise (Decline Stats.Out_of_bounds);
-      p.base <- p.base / step;
-      Array.iteri (fun k c -> p.coefs.(k) <- c / step) p.coefs
+      if step <> 1 then begin
+        let c = p.coefs in
+        (* off this rank's progression: not in its storage *)
+        if
+          p.base mod step <> 0 || c.(0) mod step <> 0 || c.(1) mod step <> 0
+          || c.(2) mod step <> 0
+        then raise (Decline Stats.Out_of_bounds);
+        p.base <- p.base / step;
+        c.(0) <- c.(0) / step;
+        c.(1) <- c.(1) / step;
+        c.(2) <- c.(2) / step
+      end
   | Layout.Explicit _ -> raise (Decline Stats.Explicit_layout)
 
-(* The flat linear offset into [nd] of the positions [pos d] fills into a
-   zeroed form for each of its first [dims] dimensions, checking that
-   every reachable offset is inside the payload. *)
-let flat_offset ~lens nd ~dims pos =
-  let strides = Ndarray.strides nd in
-  let nvars = Array.length lens in
-  let flat = zero_lin nvars and p = zero_lin nvars in
-  for d = 0 to dims - 1 do
-    p.base <- 0;
-    Array.fill p.coefs 0 nvars 0;
-    pos d p;
-    (* storage index space starts at lb; flat = (pos - lb) * stride *)
-    flat.base <- flat.base + (strides.(d) * (p.base - nd.Ndarray.lb.(d)));
-    for k = 0 to nvars - 1 do
-      flat.coefs.(k) <- flat.coefs.(k) + (strides.(d) * p.coefs.(k))
-    done
-  done;
-  (* corner check: linear => extrema at corner points *)
-  let size = Ndarray.size nd in
-  let rec corners k lo hi =
-    if k >= nvars then begin
-      if lo < 0 || hi >= size then raise (Decline Stats.Out_of_bounds)
-    end
-    else
-      let c = flat.coefs.(k) in
-      let span = c * (lens.(k) - 1) in
-      corners (k + 1) (lo + min 0 span) (hi + max 0 span)
-  in
-  if size = 0 then raise (Decline Stats.Out_of_bounds);
-  corners 0 flat.base flat.base;
-  flat
+let clear_lin l =
+  l.base <- 0;
+  l.coefs.(0) <- 0;
+  l.coefs.(1) <- 0;
+  l.coefs.(2) <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Plans: the structure-only half of specialization                    *)
@@ -111,9 +97,10 @@ let flat_offset ~lens nd ~dims pos =
    integer-vs-real division — is decided once per run and shared by all
    ranks.  Names resolve to slots here: scalars to [Tscal] entries read
    once per execution (gauss's pivot changes each step), references to
-   their array or temporary slot with their subscripts, whose flat affine
-   offsets are re-derived every execution (layouts, scalar subscripts and
-   the iteration space all change under the statement).  An
+   their array or temporary slot with their subscripts flattened into
+   terms, whose flat affine offsets are resolved into the plan's
+   workspace every execution (layouts, scalar subscripts and the
+   iteration space all change under the statement).  An
    INTEGER-kind subexpression is an int tree ([inode]), computed on ints
    as the interpreter computes it on [Scalar.Int]s: exact (wrapping at
    63 bits) where a float would round past 2^53. *)
@@ -151,14 +138,77 @@ and tnode =
   | Tfun2 of (float -> float -> float) * tnode * tnode
   | Tsel of tnode * tnode * tnode  (* MERGE: mask (last) selects t or f *)
 
-(* A reference resolved by its access: the array slot and subscripts of a
-   direct read, the temporary slot (and, for a box, the array whose
-   layout the box follows) of a communicated one. *)
-type operand =
-  | Odirect of int * aff array
-  | Obox of { temp : int; arr : int; dims : aff option array (* [None]: collapsed *) }
-  | Oflat of int
-  | Oglobal of int * aff array
+(* One dimension of a reference, resolved: its subscript (no terms for a
+   collapsed box dimension), whether the position goes through the
+   layout of the reference's array along that dimension, and a constant
+   added after it (temporaries have lower bound 1). *)
+type fdim = { sub : aff; through : bool; off : int }
+
+(* A reference resolved by its access: the local section of array [arr]
+   for a direct read ([temp < 0]), else temporary [temp], positioned
+   through the layouts of [arr] (for a box) or of nothing ([arr < 0]).  A
+   flat temporary is read in iteration order ([in_order]). *)
+type operand = { temp : int; arr : int; dims : fdim array; in_order : bool }
+
+let direct k subs =
+  { temp = -1; arr = k; dims = Array.map (fun sub -> { sub; through = true; off = 0 }) subs;
+    in_order = false }
+
+(* Fused multiply-update: gauss's rank-1 body A = A - L*U (and the +
+   variants) reads the store at the identity offset, so the whole row is
+   one in-place pass with no intermediate buffer.  The shape is the
+   plan's; whether load [s] is the store's identity is each
+   execution's. *)
+type fmu =
+  | Fsub of int * tnode * tnode  (* store <- store -. x*y *)
+  | Fadd_r of int * tnode * tnode  (* store <- store +. x*y *)
+  | Fadd_l of int * tnode * tnode  (* store <- x*y +. store *)
+  | Fnone
+
+let fmu_of = function
+  | Tsub (Tload s, Tmul (x, y)) -> Fsub (s, x, y)
+  | Tadd (Tload s, Tmul (x, y)) -> Fadd_r (s, x, y)
+  | Tadd (Tmul (x, y), Tload s) -> Fadd_l (s, x, y)
+  | _ -> Fnone
+
+(* One plan's storage for its executions, allocated with the plan once
+   per run: the nest's lengths and progressions, each operand's storage
+   and flat offset, the store's offset, a per-dimension scratch form, the
+   scalar vectors and the strip state with its buffer pools.  An
+   execution overwrites all of it before reading it, and drops its
+   references to arrays and temporaries before it returns.  Sharing it
+   between the run's ranks is safe because a kernel call never suspends
+   and one domain runs every fiber of a run, so no two calls interleave;
+   a workspace is never shared between runs. *)
+type work = {
+  lens : int array;
+  g0 : int array;
+  gs : int array;  (* counter [k] runs over [g0.(k) + gs.(k) * c_k] *)
+  pos : lin;
+  nds : Ndarray.t array;
+  lins : lin array;
+  sflat : lin;
+  svals : float array;
+  ivals : int array;
+  cs : int array;
+      (* the fixed outer counter values, [cs.(k) = 0]; the strip counter
+         [k] sweeps [0, len) *)
+  mutable k : int;
+  mutable len : int;
+  mutable o1 : int;
+  mutable o2 : int;  (* the outer counters, in nest order *)
+  pool : float array array ref;
+  ipool : int array array ref;  (* strip buffers by depth *)
+}
+
+(* What an operand slot holds between calls: an empty payload. *)
+let no_nd = Ndarray.of_reals [| 0 |] [||]
+
+let work ~nrefs ~nscalars =
+  { lens = Array.make 3 1; g0 = Array.make 3 0; gs = Array.make 3 0; pos = zero_lin 3;
+    nds = Array.make nrefs no_nd; lins = Array.init nrefs (fun _ -> zero_lin 3);
+    sflat = zero_lin 3; svals = Array.make nscalars 0.; ivals = Array.make nscalars 0;
+    cs = Array.make 3 0; k = 2; len = 0; o1 = 0; o2 = 1; pool = ref [||]; ipool = ref [||] }
 
 (* A compiled expression: its operator tree, the operands its load
    slots read and the scalars its scalar slots read. *)
@@ -168,18 +218,20 @@ type 'n expr_plan = {
   x_scalars : (scalar * Scalar.kind) array;
       (* per scalar slot: the kind the plan assumed; a value of another
          kind declines *)
+  x_work : work;
 }
 
 type compiled = {
   p_rhs : tnode expr_plan;
+  p_fmu : fmu;
   p_lhs : int;  (* the left-hand side's array slot *)
   p_lhs_reads : bool array;
       (* per rhs slot: a direct read of the left-hand-side array, which
          Lower's [f_snapshot = false] proves hazard-free *)
-  p_store : aff array option;
-      (* the left-hand side's subscripts; [None] for an even iteration
-         partition, whose values go to a buffer in iteration order for
-         the statement's write-back schedule *)
+  p_store : operand option;
+      (* the left-hand side, a direct reference; [None] for an even
+         iteration partition, whose values go to a buffer in iteration
+         order for the statement's write-back schedule *)
 }
 
 type plan = compiled option  (* [None]: ineligible *)
@@ -200,24 +252,40 @@ let subscripts (r : Ast.ref_) =
 
 let scalar_ref sc v = { slot = sc.scalar_slot v; param = List.assoc_opt v sc.env.Sema.uparams }
 
+(* The most terms a resolved subscript may have: distributing products
+   over sums multiplies their term counts. *)
+let max_terms = 64
+
 (* A subscript of the shape [add_aff] handles, resolved; [None] for any
-   other. *)
+   other.  A product's counter-free factor comes first. *)
 let aff_of sc ~var_index (e : Ast.expr) =
+  let term ?(tscal = [||]) ?(tvar = -1) tc = { tc; tscal; tvar } in
+  let sum a b = if List.length a + List.length b > max_terms then raise Exit else a @ b in
+  let mul cs xs =
+    if List.length cs * List.length xs > max_terms then raise Exit;
+    List.concat_map
+      (fun c ->
+        List.map (fun x -> term ~tscal:(Array.append c.tscal x.tscal) ~tvar:x.tvar (c.tc * x.tc)) xs)
+      cs
+  in
   let rec go (e : Ast.expr) =
     match e.Ast.e with
-    | Ast.Int_lit n -> Aint n
-    | Ast.Var v -> ( match var_index v with Some k -> Avar k | None -> Ascal (scalar_ref sc v))
-    | Ast.Un (Ast.Neg, a) -> Amul (Aint (-1), go a)
-    | Ast.Bin (Ast.Add, a, b) -> Aadd (go a, go b)
-    | Ast.Bin (Ast.Sub, a, b) -> Aadd (go a, Amul (Aint (-1), go b))
+    | Ast.Int_lit n -> [ term n ]
+    | Ast.Var v -> (
+        match var_index v with
+        | Some k -> [ term ~tvar:k 1 ]
+        | None -> [ term ~tscal:[| scalar_ref sc v |] 1 ])
+    | Ast.Un (Ast.Neg, a) -> mul [ term (-1) ] (go a)
+    | Ast.Bin (Ast.Add, a, b) -> sum (go a) (go b)
+    | Ast.Bin (Ast.Sub, a, b) -> sum (go a) (mul [ term (-1) ] (go b))
     | Ast.Bin (Ast.Mul, a, b) ->
         let counter_free e = List.for_all (fun v -> var_index v = None) (Ast.vars_of e) in
-        if counter_free a then Amul (go a, go b)
-        else if counter_free b then Amul (go b, go a)
+        if counter_free a then mul (go a) (go b)
+        else if counter_free b then mul (go b) (go a)
         else raise Exit
     | _ -> raise Exit
   in
-  try Some (go e) with Exit -> None
+  try Some (Array.of_list (go e)) with Exit -> None
 
 (* Dynamic result kind, mirroring Scalar's value dispatch: Ki means the
    interpreter would compute this subexpression on Ints, so division
@@ -294,15 +362,23 @@ let compile_plan sc ~(f : Ir.forall) root e =
     refs :=
       (match List.assoc_opt r.Ast.rid f.Ir.f_access with
       | None | Some Ir.Acc_direct ->
-          Odirect (sc.array_slot r.Ast.base, Array.of_list (List.map resolve (subscripts r)))
+          direct (sc.array_slot r.Ast.base) (Array.of_list (List.map resolve (subscripts r)))
       | Some (Ir.Acc_global_temp { temp }) ->
-          Oglobal (temp, Array.of_list (List.map resolve (subscripts r)))
+          let dims =
+            List.map (fun e -> { sub = resolve e; through = false; off = 0 }) (subscripts r)
+          in
+          { temp; arr = -1; dims = Array.of_list dims; in_order = false }
       | Some (Ir.Acc_box { temp; dims }) ->
           let dims =
-            Array.map (function Ir.By_sub e -> Some (resolve e) | Ir.Collapsed -> None) dims
+            Array.map
+              (function
+                | Ir.By_sub e -> { sub = resolve e; through = true; off = 1 }
+                | Ir.Collapsed -> { sub = [||]; through = false; off = 1 })
+              dims
           in
-          Obox { temp; arr = sc.array_slot r.Ast.base; dims }
-      | Some (Ir.Acc_flat { temp }) -> Oflat temp)
+          { temp; arr = sc.array_slot r.Ast.base; dims; in_order = false }
+      | Some (Ir.Acc_flat { temp }) ->
+          { temp; arr = -1; dims = [| { sub = [||]; through = false; off = 1 } |]; in_order = true })
       :: !refs;
     List.length !refs - 1
   in
@@ -433,11 +509,10 @@ let compile_plan sc ~(f : Ir.forall) root e =
     | _ -> ( >= )
   in
   let template = root compile icompile e in
-  {
-    x_template = template;
-    x_refs = Array.of_list (List.rev !refs);
-    x_scalars = Array.of_list (List.rev_map (fun (_, (_, sk)) -> sk) !scalars);
-  }
+  let x_refs = Array.of_list (List.rev !refs) in
+  let x_scalars = Array.of_list (List.rev_map (fun (_, (_, sk)) -> sk) !scalars) in
+  { x_template = template; x_refs; x_scalars;
+    x_work = work ~nrefs:(Array.length x_refs) ~nscalars:(Array.length x_scalars) }
 
 let plan sc ~(f : Ir.forall) =
   let env = sc.env in
@@ -464,19 +539,19 @@ let plan sc ~(f : Ir.forall) =
       if scatter then None
       else
         Some
-          (Array.of_list
-             (List.map
-                (fun e -> match aff_of sc ~var_index e with Some a -> a | None -> raise Ineligible)
-                (subscripts f.Ir.f_lhs)))
+          (List.map
+             (fun e -> match aff_of sc ~var_index e with Some a -> a | None -> raise Ineligible)
+             (subscripts f.Ir.f_lhs))
     in
     let rhs = compile_plan sc ~f (fun compile _ -> compile) f.Ir.f_rhs in
     let lhs = sc.array_slot f.Ir.f_lhs.Ast.base in
     Some
       {
         p_rhs = rhs;
+        p_fmu = fmu_of rhs.x_template;
         p_lhs = lhs;
-        p_lhs_reads = Array.map (function Odirect (k, _) -> k = lhs | _ -> false) rhs.x_refs;
-        p_store = store;
+        p_lhs_reads = Array.map (fun o -> o.temp < 0 && o.arr = lhs) rhs.x_refs;
+        p_store = Option.map (fun subs -> direct lhs (Array.of_list subs)) store;
       }
   with Ineligible -> None
 
@@ -505,49 +580,43 @@ let plan_index sc ~(f : Ir.forall) e =
 (* ------------------------------------------------------------------ *)
 
 (* Distinct iterations write distinct flats iff, taking the dimensions
-   with more than one iteration in ascending |coef| order, each |coef|
-   strictly exceeds the whole span reachable by the smaller ones (a
-   mixed-radix digit argument).  With a many-to-one store map the
+   with more than one iteration in ascending (|coef|, length) order, each
+   |coef| strictly exceeds the whole span reachable by the smaller ones
+   (a mixed-radix digit argument).  With a many-to-one store map the
    canonical element order is observable (last writer wins), so such a
-   nest is the interpreter's. *)
+   nest is the interpreter's.  The at most three dimensions are taken by
+   selection, smallest first. *)
 let store_injective ~lens (l : lin) =
-  let dims = ref [] in
-  Array.iteri (fun k c -> if lens.(k) > 1 then dims := (abs c, lens.(k)) :: !dims) l.coefs;
-  let dims = List.sort compare !dims in
-  let span = ref 0 in
-  List.for_all
-    (fun (c, len) ->
-      if c <= !span then false
-      else begin
-        span := !span + (c * (len - 1));
-        true
-      end)
-    dims
+  let c = l.coefs in
+  let span = ref 0 and taken = ref 0 and ok = ref true and more = ref true in
+  while !ok && !more do
+    let best = ref (-1) in
+    for k = 0 to 2 do
+      if lens.(k) > 1 && !taken land (1 lsl k) = 0 then begin
+        let b = !best in
+        if b < 0 || abs c.(k) < abs c.(b) || (abs c.(k) = abs c.(b) && lens.(k) < lens.(b)) then
+          best := k
+      end
+    done;
+    let b = !best in
+    if b < 0 then more := false
+    else begin
+      taken := !taken lor (1 lsl b);
+      let cb = abs c.(b) in
+      if cb <= !span then ok := false else span := !span + (cb * (lens.(b) - 1))
+    end
+  done;
+  !ok
 
 (* Strided windows over raw float or int arrays: the unit of
    evaluation.  A load is a zero-copy view; every other node evaluates
    its operands and then runs one tight loop into a pooled buffer.  Per
    element, the operations and their order are those of the
    interpreter's [Scalar] arithmetic, so results are bit-identical to
-   it. *)
+   it.  Float and int buffers come from the workspace's two pools, both
+   indexed by depth. *)
 type strip = { sa : float array; so : int; st : int }
 type istrip = { ia : int array; io : int; ist : int }
-
-(* One execution's resolved operands, and the strip being evaluated:
-   [cs] carries the fixed outer counter values with [cs.(k) = 0]; the
-   strip counter [k] sweeps [0, len).  Float and int buffers come from
-   separate pools, both indexed by depth. *)
-type env = {
-  slots : (Ndarray.t * lin) array;
-  svals : float array;
-  ivals : int array;
-  progs : (int * int) array;
-  cs : int array;
-  k : int;
-  len : int;
-  pool : float array array ref;
-  ipool : int array array ref;
-}
 
 let get_buf pool depth len zero =
   if Array.length !pool <= depth then begin
@@ -558,55 +627,60 @@ let get_buf pool depth len zero =
   if Array.length !pool.(depth) < len then !pool.(depth) <- Array.make len zero;
   !pool.(depth)
 
-let scalar_strip env depth v =
-  let b = get_buf env.pool depth 1 0. in
+let scalar_strip ws depth v =
+  let b = get_buf ws.pool depth 1 0. in
   b.(0) <- v;
   { sa = b; so = 0; st = 0 }
 
+let scalar_istrip ws depth v =
+  let b = get_buf ws.ipool depth 1 0 in
+  b.(0) <- v;
+  { ia = b; io = 0; ist = 0 }
+
 (* The offset of a load at the strip's first element. *)
-let load_off env l =
-  let cs = env.cs in
+let load_off ws l =
+  let cs = ws.cs in
   l.base + (l.coefs.(0) * cs.(0)) + (l.coefs.(1) * cs.(1)) + (l.coefs.(2) * cs.(2))
 
 (* Operand [i] of a node at [depth] evaluates at [depth + i]: a later
    operand's subtree never reaches the buffers of earlier results. *)
-let rec strip_eval env depth n =
-  let len = env.len in
+let rec strip_eval ws depth n =
+  let len = ws.len in
   match n with
-  | Tconst v -> scalar_strip env depth v
-  | Tscal s -> { sa = env.svals; so = s; st = 0 }
+  | Tconst v -> scalar_strip ws depth v
+  | Tscal s -> { sa = ws.svals; so = s; st = 0 }
   | Tload s -> (
-      let nd, l = env.slots.(s) in
-      match nd.Ndarray.data with
-      | Ndarray.Reals d -> { sa = d; so = load_off env l; st = l.coefs.(env.k) }
+      let l = ws.lins.(s) in
+      match ws.nds.(s).Ndarray.data with
+      | Ndarray.Reals d -> { sa = d; so = load_off ws l; st = l.coefs.(ws.k) }
       | _ -> assert false (* [plan] loads INTEGER operands as ints, and no LOGICAL one *))
   | Tint i ->
-      let si = istrip_eval env (depth + 1) i in
+      let si = istrip_eval ws (depth + 1) i in
       let ia = si.ia and io = si.io and ist = si.ist in
-      if ist = 0 then scalar_strip env depth (float_of_int ia.(io))
+      if ist = 0 then scalar_strip ws depth (float_of_int ia.(io))
       else begin
-        let out = get_buf env.pool depth len 0. in
+        let out = get_buf ws.pool depth len 0. in
         for i = 0 to len - 1 do
           Array.unsafe_set out i (float_of_int (Array.unsafe_get ia (io + (ist * i))))
         done;
         { sa = out; so = 0; st = 1 }
       end
-  | Tadd (a, b) -> strip_bin env depth `Add a b
-  | Tsub (a, b) -> strip_bin env depth `Sub a b
-  | Tmul (a, b) -> strip_bin env depth `Mul a b
-  | Tdiv (a, b) -> strip_bin env depth `Div a b
+  | Tadd (a, b) -> strip_bin ws depth `Add a b
+  | Tsub (a, b) -> strip_bin ws depth `Sub a b
+  | Tmul (a, b) -> strip_bin ws depth `Mul a b
+  | Tdiv (a, b) -> strip_bin ws depth `Div a b
   | Tfun1 (f, a) ->
-      let sa = strip_eval env (depth + 1) a in
-      let out = get_buf env.pool depth len 0. in
+      let sa = strip_eval ws (depth + 1) a in
+      let out = get_buf ws.pool depth len 0. in
       let aa = sa.sa and ao = sa.so and astr = sa.st in
       for i = 0 to len - 1 do
         Array.unsafe_set out i (f (Array.unsafe_get aa (ao + (astr * i))))
       done;
       { sa = out; so = 0; st = 1 }
   | Tfun2 (f, a, b) ->
-      let sa = strip_eval env (depth + 1) a in
-      let sb = strip_eval env (depth + 2) b in
-      let out = get_buf env.pool depth len 0. in
+      let sa = strip_eval ws (depth + 1) a in
+      let sb = strip_eval ws (depth + 2) b in
+      let out = get_buf ws.pool depth len 0. in
       let aa = sa.sa and ao = sa.so and astr = sa.st in
       let ba = sb.sa and bo = sb.so and bstr = sb.st in
       for i = 0 to len - 1 do
@@ -616,10 +690,10 @@ let rec strip_eval env depth n =
       { sa = out; so = 0; st = 1 }
   | Tsel (t, f, m) ->
       (* MERGE evaluates both values, as the interpreter does *)
-      let st_ = strip_eval env (depth + 1) t in
-      let sf = strip_eval env (depth + 2) f in
-      let sm = strip_eval env (depth + 3) m in
-      let out = get_buf env.pool depth len 0. in
+      let st_ = strip_eval ws (depth + 1) t in
+      let sf = strip_eval ws (depth + 2) f in
+      let sm = strip_eval ws (depth + 3) m in
+      let out = get_buf ws.pool depth len 0. in
       for i = 0 to len - 1 do
         Array.unsafe_set out i
           (if Array.unsafe_get sm.sa (sm.so + (sm.st * i)) <> 0. then
@@ -628,30 +702,30 @@ let rec strip_eval env depth n =
       done;
       { sa = out; so = 0; st = 1 }
 
-and istrip_eval env depth n =
-  let len = env.len in
+and istrip_eval ws depth n =
+  let len = ws.len in
   match n with
-  | Iconst v -> { ia = [| v |]; io = 0; ist = 0 }
-  | Iscal s -> { ia = env.ivals; io = s; ist = 0 }
+  | Iconst v -> scalar_istrip ws depth v
+  | Iscal s -> { ia = ws.ivals; io = s; ist = 0 }
   | Icounter j ->
-      let g0, gs = env.progs.(j) in
-      if j <> env.k then { ia = [| g0 + (gs * env.cs.(j)) |]; io = 0; ist = 0 }
+      let g0 = ws.g0.(j) and gs = ws.gs.(j) in
+      if j <> ws.k then scalar_istrip ws depth (g0 + (gs * ws.cs.(j)))
       else begin
-        let out = get_buf env.ipool depth len 0 in
+        let out = get_buf ws.ipool depth len 0 in
         for i = 0 to len - 1 do
           Array.unsafe_set out i (g0 + (gs * i))
         done;
         { ia = out; io = 0; ist = 1 }
       end
   | Iload s -> (
-      let nd, l = env.slots.(s) in
-      match nd.Ndarray.data with
-      | Ndarray.Ints d -> { ia = d; io = load_off env l; ist = l.coefs.(env.k) }
+      let l = ws.lins.(s) in
+      match ws.nds.(s).Ndarray.data with
+      | Ndarray.Ints d -> { ia = d; io = load_off ws l; ist = l.coefs.(ws.k) }
       | _ -> assert false (* [plan] loads only INTEGER operands as ints *))
   | Iop (op, a, b) ->
-      let sa = istrip_eval env (depth + 1) a in
-      let sb = istrip_eval env (depth + 2) b in
-      let out = get_buf env.ipool depth len 0 in
+      let sa = istrip_eval ws (depth + 1) a in
+      let sb = istrip_eval ws (depth + 2) b in
+      let out = get_buf ws.ipool depth len 0 in
       let aa = sa.ia and ao = sa.io and astr = sa.ist in
       let ba = sb.ia and bo = sb.io and bstr = sb.ist in
       let each f =
@@ -680,8 +754,8 @@ and istrip_eval env depth n =
       | Irel r -> each (fun x y -> if r x y then 1 else 0));
       { ia = out; io = 0; ist = 1 }
   | Iun (f, a) ->
-      let sa = istrip_eval env (depth + 1) a in
-      let out = get_buf env.ipool depth len 0 in
+      let sa = istrip_eval ws (depth + 1) a in
+      let out = get_buf ws.ipool depth len 0 in
       let aa = sa.ia and ao = sa.io and astr = sa.ist in
       for i = 0 to len - 1 do
         Array.unsafe_set out i (f (Array.unsafe_get aa (ao + (astr * i))))
@@ -689,10 +763,10 @@ and istrip_eval env depth n =
       { ia = out; io = 0; ist = 1 }
   | Isel (t, f, m) ->
       (* MERGE evaluates both values, as the interpreter does *)
-      let st_ = istrip_eval env (depth + 1) t in
-      let sf = istrip_eval env (depth + 2) f in
-      let sm = strip_eval env (depth + 3) m in
-      let out = get_buf env.ipool depth len 0 in
+      let st_ = istrip_eval ws (depth + 1) t in
+      let sf = istrip_eval ws (depth + 2) f in
+      let sm = strip_eval ws (depth + 3) m in
+      let out = get_buf ws.ipool depth len 0 in
       for i = 0 to len - 1 do
         Array.unsafe_set out i
           (if Array.unsafe_get sm.sa (sm.so + (sm.st * i)) <> 0. then
@@ -701,11 +775,11 @@ and istrip_eval env depth n =
       done;
       { ia = out; io = 0; ist = 1 }
 
-and strip_bin env depth op a b =
-  let len = env.len in
-  let sa = strip_eval env (depth + 1) a in
-  let sb = strip_eval env (depth + 2) b in
-  let out = get_buf env.pool depth len 0. in
+and strip_bin ws depth op a b =
+  let len = ws.len in
+  let sa = strip_eval ws (depth + 1) a in
+  let sb = strip_eval ws (depth + 2) b in
+  let out = get_buf ws.pool depth len 0. in
   let aa = sa.sa and ao = sa.so and astr = sa.st in
   let ba = sb.sa and bo = sb.so and bstr = sb.st in
   (match op with
@@ -731,61 +805,60 @@ and strip_bin env depth op a b =
       done);
   { sa = out; so = 0; st = 1 }
 
-(* Fused multiply-update: gauss's rank-1 body A = A - L*U (and the +
-   variants) reads the store at the identity offset, so the whole row is
-   one in-place pass with no intermediate buffer. *)
-type fmu =
-  | Fsub of tnode * tnode  (* store <- store -. x*y *)
-  | Fadd_r of tnode * tnode  (* store <- store +. x*y *)
-  | Fadd_l of tnode * tnode  (* store <- x*y +. store *)
-  | Fnone
-
-let fmu_of body ~slots ~store ~(sflat : lin) =
-  let identity s =
-    match slots.(s) with
-    | { Ndarray.data = Ndarray.Reals d; _ }, l ->
-        d == store && l.base = sflat.base && l.coefs = sflat.coefs
-    | _ -> false
-  in
-  match body with
-  | Tsub (Tload s, Tmul (x, y)) when identity s -> Fsub (x, y)
-  | Tadd (Tload s, Tmul (x, y)) when identity s -> Fadd_r (x, y)
-  | Tadd (Tmul (x, y), Tload s) when identity s -> Fadd_l (x, y)
-  | _ -> Fnone
-
 (* The nest as row strips into a store with flat offsets [sflat]: the
    strip counter is interchanged to the store's unit-stride dimension
-   when one exists, and the outer two counters, returned with the
-   strip's environment, keep their nest order. *)
-let strips ~slots ~svals ~ivals ~progs ~(sflat : lin) ~lens =
-  let candidates = List.filter (fun k -> lens.(k) > 1) [ 0; 1; 2 ] in
-  let k =
-    match List.find_opt (fun k -> abs sflat.coefs.(k) = 1) candidates with
-    | Some k -> k
-    | None -> ( match List.rev candidates with k :: _ -> k | [] -> 2)
-  in
-  let o1, o2 = match List.filter (fun j -> j <> k) [ 0; 1; 2 ] with [ a; b ] -> (a, b) | _ -> assert false in
-  let cs = [| 0; 0; 0 |] in
-  ({ slots; svals; ivals; progs; cs; k; len = lens.(k); pool = ref [||]; ipool = ref [||] }, o1, o2)
+   when one exists (else the last counter with more than one iteration),
+   and the outer two counters keep their nest order. *)
+let strips ws ~(sflat : lin) =
+  let lens = ws.lens in
+  let unit = ref (-1) and last = ref (-1) in
+  for j = 2 downto 0 do
+    if lens.(j) > 1 then begin
+      if !last < 0 then last := j;
+      if abs sflat.coefs.(j) = 1 then unit := j
+    end
+  done;
+  let k = if !unit >= 0 then !unit else if !last >= 0 then !last else 2 in
+  ws.k <- k;
+  ws.len <- lens.(k);
+  ws.o1 <- (if k = 0 then 1 else 0);
+  ws.o2 <- (if k = 2 then 1 else 2);
+  Array.fill ws.cs 0 3 0
+
+(* Whether load [s] reads [store] at the store's own offsets. *)
+let identity ws s ~store ~(sflat : lin) =
+  let l = ws.lins.(s) in
+  match ws.nds.(s).Ndarray.data with
+  | Ndarray.Reals d ->
+      d == store && l.base = sflat.base
+      && l.coefs.(0) = sflat.coefs.(0)
+      && l.coefs.(1) = sflat.coefs.(1)
+      && l.coefs.(2) = sflat.coefs.(2)
+  | _ -> false
 
 (* Run the nest into [store].  Any order is legal: the store map is
    injective and every read of the store's storage is a direct read of
    the lhs array, which Lower proved to be the identity subscript or
    separated from every write. *)
-let exec_strips ~slots ~svals ~ivals ~progs ~store ~(sflat : lin) ~lens body =
-  let env, o1, o2 = strips ~slots ~svals ~ivals ~progs ~sflat ~lens in
-  let ss = sflat.coefs and sb = sflat.base and cs = env.cs and len = env.len in
-  let ssk = ss.(env.k) in
-  let fmu = fmu_of body ~slots ~store ~sflat in
+let exec_strips ws ~store ~(sflat : lin) ~fmu body =
+  strips ws ~sflat;
+  let lens = ws.lens and o1 = ws.o1 and o2 = ws.o2 in
+  let ss = sflat.coefs and sb = sflat.base and cs = ws.cs and len = ws.len in
+  let ssk = ss.(ws.k) in
+  let fmu =
+    match fmu with
+    | (Fsub (s, _, _) | Fadd_r (s, _, _) | Fadd_l (s, _, _)) when identity ws s ~store ~sflat -> fmu
+    | _ -> Fnone
+  in
   for a = 0 to lens.(o1) - 1 do
     cs.(o1) <- a;
     for b = 0 to lens.(o2) - 1 do
       cs.(o2) <- b;
       let sbase = sb + (ss.(0) * cs.(0)) + (ss.(1) * cs.(1)) + (ss.(2) * cs.(2)) in
       match fmu with
-      | Fsub (x, y) ->
-          let xs = strip_eval env 1 x in
-          let ys = strip_eval env 2 y in
+      | Fsub (_, x, y) ->
+          let xs = strip_eval ws 1 x in
+          let ys = strip_eval ws 2 y in
           let xa = xs.sa and xo = xs.so and xst = xs.st in
           let ya = ys.sa and yo = ys.so and yst = ys.st in
           for i = 0 to len - 1 do
@@ -794,9 +867,9 @@ let exec_strips ~slots ~svals ~ivals ~progs ~store ~(sflat : lin) ~lens body =
               (Array.unsafe_get store o
               -. (Array.unsafe_get xa (xo + (xst * i)) *. Array.unsafe_get ya (yo + (yst * i))))
           done
-      | Fadd_r (x, y) ->
-          let xs = strip_eval env 1 x in
-          let ys = strip_eval env 2 y in
+      | Fadd_r (_, x, y) ->
+          let xs = strip_eval ws 1 x in
+          let ys = strip_eval ws 2 y in
           let xa = xs.sa and xo = xs.so and xst = xs.st in
           let ya = ys.sa and yo = ys.so and yst = ys.st in
           for i = 0 to len - 1 do
@@ -805,9 +878,9 @@ let exec_strips ~slots ~svals ~ivals ~progs ~store ~(sflat : lin) ~lens body =
               (Array.unsafe_get store o
               +. (Array.unsafe_get xa (xo + (xst * i)) *. Array.unsafe_get ya (yo + (yst * i))))
           done
-      | Fadd_l (x, y) ->
-          let xs = strip_eval env 1 x in
-          let ys = strip_eval env 2 y in
+      | Fadd_l (_, x, y) ->
+          let xs = strip_eval ws 1 x in
+          let ys = strip_eval ws 2 y in
           let xa = xs.sa and xo = xs.so and xst = xs.st in
           let ya = ys.sa and yo = ys.so and yst = ys.st in
           for i = 0 to len - 1 do
@@ -818,7 +891,7 @@ let exec_strips ~slots ~svals ~ivals ~progs ~store ~(sflat : lin) ~lens body =
           done
       | Fnone ->
           (* a plain REAL load is a zero-copy view: one copy loop *)
-          let r = strip_eval env 0 body in
+          let r = strip_eval ws 0 body in
           let ra = r.sa and ro = r.so and rst = r.st in
           for i = 0 to len - 1 do
             Array.unsafe_set store (sbase + (ssk * i)) (Array.unsafe_get ra (ro + (rst * i)))
@@ -830,86 +903,90 @@ let exec_strips ~slots ~svals ~ivals ~progs ~store ~(sflat : lin) ~lens body =
 (* Execution: the value-dependent half                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One execution's view of the nest: per-counter lengths and
-   progressions padded to three counters, and the flat linear offset of
-   an operand.  Raises [Decline] when an iteration set is an index
-   vector; [flat_of_ref] raises it for an operand it cannot resolve. *)
-type nest = {
-  lens : int array;
-  progs : (int * int) array;
-  flat_of_ref : operand -> Ndarray.t * lin;
-}
+(* The iteration space into the workspace: per-counter lengths and
+   progressions, padded to three counters.  An index vector (a CYCLIC(k)
+   dimension) declines. *)
+let rec nest ws k = function
+  | [] ->
+      for j = k to 2 do
+        ws.lens.(j) <- 1;
+        ws.g0.(j) <- 0;
+        ws.gs.(j) <- 0
+      done
+  | Layout.Prog { first; step; count } :: rest ->
+      ws.lens.(k) <- count;
+      ws.g0.(k) <- first;
+      (* one iteration has no step, so it never fails a layout's
+         division *)
+      ws.gs.(k) <- (if count >= 2 then step else 0);
+      nest ws (k + 1) rest
+  | Layout.Explicit _ :: _ -> raise (Decline Stats.Explicit_layout)
 
-(* [m] times the iteration counter in nest order, as a linear form. *)
-let counter_lin ~lens m =
-  let l = zero_lin (Array.length lens) in
+(* [m] times the iteration counter in nest order, into [l]. *)
+let counter_lin l ~lens m =
+  l.base <- 0;
   let weight = ref m in
-  for k = Array.length lens - 1 downto 0 do
+  for k = 2 downto 0 do
     l.coefs.(k) <- !weight;
     weight := !weight * lens.(k)
-  done;
-  l
+  done
 
-let nest ~me ~(arrays : Darray.t array) ~scalars ~temps ~space =
-  let lens = Array.make 3 1 in
-  let progs = Array.make 3 (0, 0) in
-  List.iteri
-    (fun k -> function
-      | Layout.Prog { first; step; count } ->
-          lens.(k) <- count;
-          (* one iteration has no step, so it never fails a layout's
-             division *)
-          progs.(k) <- (first, if count >= 2 then step else 0)
-      | Layout.Explicit _ -> raise (Decline Stats.Explicit_layout))
-    space;
-  let add_aff p a = add_aff p ~progs ~scalars 1 a in
-  let temp t = match temps.(t) with Some nd -> nd | None -> raise (Decline Stats.Missing_temp) in
-  let positioned dad d a p =
-    add_aff p a;
-    through_layout (Dad.layout_at dad ~dim:d ~rank:me) ~flb:(Dad.dims dad).(d).Dad.flb p
-  in
-  let flat_of_ref op =
-    match op with
-    | Odirect (k, subs) ->
-        let darr = arrays.(k) in
-        let nd = darr.Darray.local in
-        ( nd,
-          flat_offset ~lens nd ~dims:(Array.length subs) (fun d ->
-              positioned darr.Darray.dad d subs.(d)) )
-    | Obox { temp = t; arr; dims } ->
-        let nd = temp t in
-        let dad = arrays.(arr).Darray.dad in
-        ( nd,
-          flat_offset ~lens nd ~dims:(Array.length dims) (fun d p ->
-              (match dims.(d) with None -> () | Some a -> positioned dad d a p);
-              (* temporaries have lower bound 1 *)
-              p.base <- p.base + 1) )
-    | Oflat t ->
-        let nd = temp t in
-        let counter = counter_lin ~lens 1 in
-        ( nd,
-          flat_offset ~lens nd ~dims:1 (fun _ p ->
-              Array.blit counter.coefs 0 p.coefs 0 (Array.length lens);
-              p.base <- 1) )
-    | Oglobal (t, subs) ->
-        let nd = temp t in
-        (nd, flat_offset ~lens nd ~dims:(Array.length subs) (fun d p -> add_aff p subs.(d)))
-  in
-  { lens; progs; flat_of_ref }
+(* The flat linear offset of operand [o] into [nd], into [flat]: one
+   pass over its dimensions, each positioned in the scratch form and
+   folded in with its stride, then a check that every reachable offset is
+   inside the payload (a linear form takes its extrema at corners). *)
+let flat_offset ws ~me ~(arrays : Darray.t array) ~scalars (o : operand) (nd : Ndarray.t) flat =
+  let p = ws.pos and lens = ws.lens in
+  clear_lin flat;
+  let stride = ref 1 in
+  for d = 0 to Array.length o.dims - 1 do
+    let fd = o.dims.(d) in
+    clear_lin p;
+    if o.in_order then counter_lin p ~lens 1;
+    add_aff p fd.sub ~g0:ws.g0 ~gs:ws.gs ~scalars;
+    if fd.through then begin
+      let dad = arrays.(o.arr).Darray.dad in
+      through_layout (Dad.layout_at dad ~dim:d ~rank:me) ~flb:(Dad.dims dad).(d).Dad.flb p
+    end;
+    (* storage index space starts at lb; flat = (pos - lb) * stride *)
+    let s = !stride in
+    flat.base <- flat.base + (s * (p.base + fd.off - nd.Ndarray.lb.(d)));
+    for k = 0 to 2 do
+      flat.coefs.(k) <- flat.coefs.(k) + (s * p.coefs.(k))
+    done;
+    stride := s * nd.Ndarray.extents.(d)
+  done;
+  let size = Ndarray.size nd in
+  if size = 0 then raise (Decline Stats.Out_of_bounds);
+  let lo = ref flat.base and hi = ref flat.base in
+  for k = 0 to 2 do
+    let span = flat.coefs.(k) * (lens.(k) - 1) in
+    if span < 0 then lo := !lo + span else hi := !hi + span
+  done;
+  if !lo < 0 || !hi >= size then raise (Decline Stats.Out_of_bounds)
+
+(* Each operand's storage and flat offset, in slot order. *)
+let resolve ws (refs : operand array) ~me ~arrays ~scalars ~temps =
+  for s = 0 to Array.length refs - 1 do
+    let o = refs.(s) in
+    let nd =
+      if o.temp < 0 then arrays.(o.arr).Darray.local
+      else match temps.(o.temp) with Some nd -> nd | None -> raise (Decline Stats.Missing_temp)
+    in
+    ws.nds.(s) <- nd;
+    flat_offset ws ~me ~arrays ~scalars o nd ws.lins.(s)
+  done
 
 (* The plan's scalar slots, REAL ones in the first vector and INTEGER
    ones in the second. *)
-let scalar_values x ~scalars =
-  let n = Array.length x.x_scalars in
-  let svals = Array.make n 0. and ivals = Array.make n 0 in
-  Array.iteri
-    (fun i (s, k) ->
-      match (k, read_scalar scalars s) with
-      | Scalar.Kint, Some (Scalar.Int n) -> ivals.(i) <- n
-      | Scalar.Kreal, Some (Scalar.Real r) -> svals.(i) <- r
-      | _ -> raise (Decline Stats.Scalar_kind))
-    x.x_scalars;
-  (svals, ivals)
+let scalar_values ws x ~scalars =
+  for i = 0 to Array.length x.x_scalars - 1 do
+    let s, k = x.x_scalars.(i) in
+    match (k, scalar_value scalars s) with
+    | Scalar.Kint, Scalar.Int n -> ws.ivals.(i) <- n
+    | Scalar.Kreal, Scalar.Real r -> ws.svals.(i) <- r
+    | _ -> raise (Decline Stats.Scalar_kind)
+  done
 
 type stored = Stored | Scattered of Ndarray.t
 
@@ -917,59 +994,70 @@ type stored = Stored | Scattered of Ndarray.t
    run the nest; raises [Decline] before any store for every reason but a
    zero divisor. *)
 let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~space =
-  let n = nest ~me ~arrays ~scalars ~temps ~space in
+  let x = p.p_rhs in
+  let ws = x.x_work in
+  nest ws 0 space;
+  let lens = ws.lens in
   let lhs_darr = arrays.(p.p_lhs) in
   match p.p_store with
   | None ->
       (* the write-back phase sends value [i] to the [i]th entry of the
          statement's write list: one entry per copy of each element *)
       let copies = Dad.copies lhs_darr.Darray.dad in
-      let points = n.lens.(0) * n.lens.(1) * n.lens.(2) in
-      let svals, ivals = scalar_values p.p_rhs ~scalars in
-      let slots = Array.map n.flat_of_ref p.p_rhs.x_refs in
+      let points = lens.(0) * lens.(1) * lens.(2) in
+      scalar_values ws x ~scalars;
+      resolve ws x.x_refs ~me ~arrays ~scalars ~temps;
       let buf = Array.make (points * copies) 0. in
-      exec_strips ~slots ~svals ~ivals ~progs:n.progs ~store:buf
-        ~sflat:(counter_lin ~lens:n.lens copies)
-        ~lens:n.lens p.p_rhs.x_template;
+      counter_lin ws.sflat ~lens copies;
+      exec_strips ws ~store:buf ~sflat:ws.sflat ~fmu:p.p_fmu x.x_template;
       for i = 0 to points - 1 do
         for j = 1 to copies - 1 do
           buf.((i * copies) + j) <- buf.(i * copies)
         done
       done;
       Scattered (Ndarray.of_reals [| points * copies |] buf)
-  | Some subs ->
+  | Some lhs ->
       let store =
         match lhs_darr.Darray.local.Ndarray.data with
         | Ndarray.Reals d -> d
         | _ -> raise (Decline Stats.Int_store)
       in
-      let svals, ivals = scalar_values p.p_rhs ~scalars in
-      let slots = Array.map n.flat_of_ref p.p_rhs.x_refs in
-      let _, sflat = n.flat_of_ref (Odirect (p.p_lhs, subs)) in
-      if not (store_injective ~lens:n.lens sflat) then raise (Decline Stats.Not_injective);
+      scalar_values ws x ~scalars;
+      resolve ws x.x_refs ~me ~arrays ~scalars ~temps;
+      let sflat = ws.sflat in
+      flat_offset ws ~me ~arrays ~scalars lhs lhs_darr.Darray.local sflat;
+      if not (store_injective ~lens sflat) then raise (Decline Stats.Not_injective);
       (* Lower vouches for direct reads of the lhs array by name; any other
          operand sharing the store's storage would be an alias it never saw
          (none arises today: dummies are copied in, temporaries are fresh) *)
-      Array.iteri
-        (fun s (nd, _) ->
-          match nd.Ndarray.data with
-          | Ndarray.Reals d when d == store && not p.p_lhs_reads.(s) ->
-              raise (Decline Stats.Storage_alias)
-          | _ -> ())
-        slots;
-      exec_strips ~slots ~svals ~ivals ~progs:n.progs ~store ~sflat ~lens:n.lens
-        p.p_rhs.x_template;
+      for s = 0 to Array.length x.x_refs - 1 do
+        match ws.nds.(s).Ndarray.data with
+        | Ndarray.Reals d when d == store && not p.p_lhs_reads.(s) ->
+            raise (Decline Stats.Storage_alias)
+        | _ -> ()
+      done;
+      exec_strips ws ~store ~sflat ~fmu:p.p_fmu x.x_template;
       Stored
 
+(* Drop the workspace's references to this call's arrays and
+   temporaries, so that between calls it keeps none of them alive. *)
+let release ws = Array.fill ws.nds 0 (Array.length ws.nds) no_nd
+
 let execute (p : plan) ~me ~arrays ~scalars ~temps ~space =
-  Option.map
-    (fun p ->
+  match p with
+  | None -> None
+  | Some p -> (
       match run_nest p ~me ~arrays ~scalars ~temps ~space with
-      | out -> Ok out
-      | exception Decline why -> Error why)
-    p
+      | out ->
+          release p.p_rhs.x_work;
+          Some (Ok out)
+      | exception Decline why ->
+          release p.p_rhs.x_work;
+          Some (Error why))
 
 type index = Iaffine of lin | Ivalues of int array | Iinterp
+
+let rec nonempty = function [] -> true | l :: rest -> Layout.count l > 0 && nonempty rest
 
 let index (x : index_plan) ~me ~arrays ~scalars ~temps ~space =
   match (x, space) with
@@ -978,31 +1066,40 @@ let index (x : index_plan) ~me ~arrays ~scalars ~temps ~space =
       (* coefficients on the variables' values, not on loop counters *)
       let l = zero_lin nvars in
       try
-        add_aff l ~progs:(Array.make nvars (0, 1)) ~scalars 1 a;
+        for i = 0 to Array.length a - 1 do
+          let t = a.(i) in
+          let v = term_value scalars t in
+          if t.tvar < 0 then l.base <- l.base + v else l.coefs.(t.tvar) <- l.coefs.(t.tvar) + v
+        done;
         Iaffine l
       with Decline _ -> Iinterp)
   | Xstrips _, None -> Iinterp
-  | Xstrips _, Some space when List.exists (fun l -> Layout.count l = 0) space -> Ivalues [||]
+  | Xstrips _, Some space when not (nonempty space) -> Ivalues [||]
   | Xstrips xp, Some space -> (
+      let ws = xp.x_work in
       try
-        let n = nest ~me ~arrays ~scalars ~temps ~space in
-        let svals, ivals = scalar_values xp ~scalars in
-        let slots = Array.map n.flat_of_ref xp.x_refs in
-        let lens = n.lens in
+        nest ws 0 space;
+        scalar_values ws xp ~scalars;
+        resolve ws xp.x_refs ~me ~arrays ~scalars ~temps;
+        let lens = ws.lens in
         let buf = Array.make (lens.(0) * lens.(1) * lens.(2)) 0 in
-        let sflat = counter_lin ~lens 1 in
-        let env, o1, o2 = strips ~slots ~svals ~ivals ~progs:n.progs ~sflat ~lens in
-        let ss = sflat.coefs and cs = env.cs in
+        let sflat = ws.sflat in
+        counter_lin sflat ~lens 1;
+        strips ws ~sflat;
+        let ss = sflat.coefs and cs = ws.cs and o1 = ws.o1 and o2 = ws.o2 in
         for a = 0 to lens.(o1) - 1 do
           cs.(o1) <- a;
           for b = 0 to lens.(o2) - 1 do
             cs.(o2) <- b;
             let sbase = (ss.(0) * cs.(0)) + (ss.(1) * cs.(1)) + (ss.(2) * cs.(2)) in
-            let r = istrip_eval env 0 xp.x_template in
-            for i = 0 to env.len - 1 do
-              buf.(sbase + (ss.(env.k) * i)) <- r.ia.(r.io + (r.ist * i))
+            let r = istrip_eval ws 0 xp.x_template in
+            for i = 0 to ws.len - 1 do
+              buf.(sbase + (ss.(ws.k) * i)) <- r.ia.(r.io + (r.ist * i))
             done
           done
         done;
+        release ws;
         Ivalues buf
-      with Decline _ -> Iinterp)
+      with Decline _ ->
+        release ws;
+        Iinterp)

@@ -14,10 +14,19 @@
       Masks, snapshots and non-REAL stores of a write-back phase are
       ineligible here and nowhere else;
     - {!execute} reads the slots once against the current layouts,
-      scalars and iteration sets — each operand's flat offset folded
-      into one linear form in place — then runs the whole local nest as
-      row strips (fused multiply-update loops for gauss's rank-1 body).
-      Row strips are the only compiled evaluator.
+      scalars and iteration sets, then runs the whole local nest as row
+      strips (fused multiply-update loops for gauss's rank-1 body).  Row
+      strips are the only compiled evaluator.  Each operand's subscripts
+      were flattened at plan time into sums of terms; its flat offset is
+      resolved into the plan's workspace in one loop over its
+      dimensions, not re-derived into fresh records.
+
+    The workspace (offset forms, scalar vectors, strip state and buffer
+    pools) is allocated with the plan, once per run, and every rank's
+    calls share it: a call never suspends and one domain runs a run's
+    fibers, so no two calls interleave.  It is never module-level:
+    concurrent runs on other domains each have their own plans.  What a
+    call returns is freshly allocated.
 
     Strips may run the nest in any order because {!F90d_codegen.Lower}
     alone decides read/write hazards: [f_snapshot = false] guarantees
@@ -50,14 +59,16 @@ type scope = {
 (** How a unit's names resolve, consulted only while planning. *)
 
 type plan
-(** The structure-only half of specialization for one FORALL: immutable,
-    and safe to share between a run's ranks and executions (it captures
-    slots, no array storage and no scalar values), including across the
-    interpreter's array movers.  An ineligible plan is shared too —
-    structural rejection is value-independent. *)
+(** The structure-only half of specialization for one FORALL, with its
+    workspace: shared between one run's ranks and executions (it
+    captures slots, no array storage and no scalar values between
+    calls), including across the interpreter's array movers, and never
+    between runs.  An ineligible plan is shared too — structural
+    rejection is value-independent. *)
 
 val plan : scope -> f:F90d_ir.Ir.forall -> plan
-(** Analyze a FORALL.  A temporary is its id's slot in [temps]. *)
+(** Analyze a FORALL and allocate its workspace; called once per run.  A
+    temporary is its id's slot in [temps]. *)
 
 type stored =
   | Stored  (** the nest stored into the left-hand side's local section *)

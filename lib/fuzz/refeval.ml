@@ -11,7 +11,13 @@
 
    FORALL is executed with true evaluate-all-then-store semantics: every
    (mask, index, value) triple is computed against the pre-statement
-   state before any element is written. *)
+   state before any element is written.
+
+   CALL runs the callee's own normalized body in a fresh instance of its
+   unit: array dummies are the caller's arrays themselves (Fortran
+   reference semantics), scalar dummies bound to a caller's scalar are
+   copied in and back, and any other actual is evaluated and copied
+   in. *)
 
 open F90d_base
 open F90d_frontend
@@ -26,6 +32,8 @@ type result = {
 exception Return_unwind
 
 type st = {
+  prog : Sema.program_env;
+  bodies : (string, Ast.stmt list) Hashtbl.t;  (* each unit's normalized body *)
   env : Sema.unit_env;
   arrays : (string, Ndarray.t) Hashtbl.t;
   scalars : (string, Scalar.t ref) Hashtbl.t;
@@ -388,7 +396,81 @@ let rec exec_stmt st (s : Ast.stmt) =
       Buffer.add_buffer st.out line;
       Buffer.add_char st.out '\n'
   | Ast.Return -> raise Return_unwind
-  | Ast.Call _ -> Diag.error ~loc:s.Ast.sloc "CALL is not supported by the reference evaluator"
+  | Ast.Call (sub, args) -> exec_call st s.Ast.sloc sub args
+
+(* A unit's instance: its arrays fresh and its declared scalars zero. *)
+and instance st (env : Sema.unit_env) =
+  let ist = { st with env; arrays = Hashtbl.create 8; scalars = Hashtbl.create 8 } in
+  List.iter (fun (n, spec) -> Hashtbl.replace ist.arrays n (alloc_array spec)) env.Sema.uarrays;
+  List.iter
+    (fun (n, k) -> Hashtbl.replace ist.scalars n (ref (Scalar.zero (kind_of_decl k))))
+    env.Sema.uscalars;
+  ist
+
+and body st (env : Sema.unit_env) =
+  let name = env.Sema.usub.Ast.pname in
+  match Hashtbl.find_opt st.bodies name with
+  | Some b -> b
+  | None ->
+      let b = Normalize.normalize_unit env env.Sema.usub.Ast.body in
+      Hashtbl.replace st.bodies name b;
+      b
+
+and exec_call st loc sub args =
+  let env =
+    match List.assoc_opt sub st.prog.Sema.uunits with
+    | Some env -> env
+    | None -> Diag.error ~loc "unknown subroutine '%s'" sub
+  in
+  let dummies = env.Sema.usub.Ast.args in
+  if List.length dummies <> List.length args then
+    Diag.error ~loc "CALL %s: expected %d arguments, got %d" sub (List.length dummies)
+      (List.length args);
+  let cst = instance st env in
+  let bound = ref [] in
+  (* bind in order; remember the scalars to copy back *)
+  let backs =
+    List.concat
+      (List.map2
+         (fun dummy (e : Ast.expr) ->
+           let actual = match e.Ast.e with Ast.Var v when is_array st v -> Some v | _ -> None in
+           match (Sema.array_spec env dummy, actual) with
+           | Some _, Some v ->
+               let nd = array_of st v and dummy_nd = Hashtbl.find cst.arrays dummy in
+               (* one storage for both names holds only while the callee sees
+                  the caller's elements unconverted and at the same indices,
+                  and no other dummy shares them *)
+               if
+                 Ndarray.kind nd <> Ndarray.kind dummy_nd
+                 || nd.Ndarray.lb <> dummy_nd.Ndarray.lb
+                 || nd.Ndarray.extents <> dummy_nd.Ndarray.extents
+                 || List.mem v !bound
+               then
+                 Diag.error ~loc
+                   "CALL %s: actual '%s' for dummy '%s' is not supported by the reference evaluator \
+                    (another kind or shape, or passed twice)"
+                   sub v dummy;
+               bound := v :: !bound;
+               Hashtbl.replace cst.arrays dummy nd;
+               []
+           | Some _, None ->
+               Diag.error ~loc "CALL %s: array dummy '%s' needs a whole-array actual argument" sub
+                 dummy
+           | None, Some _ -> Diag.error ~loc "CALL %s: dummy '%s' is not an array" sub dummy
+           | None, None -> (
+               match e.Ast.e with
+               | Ast.Var v when Hashtbl.mem st.scalars v ->
+                   Hashtbl.replace cst.scalars dummy (ref !(Hashtbl.find st.scalars v));
+                   [ (dummy, v) ]
+               | _ ->
+                   Hashtbl.replace cst.scalars dummy (ref (eval st [] e));
+                   []))
+         dummies args)
+  in
+  (try List.iter (exec_stmt cst) (body st env) with Return_unwind -> ());
+  List.iter
+    (fun (dummy, v) -> Hashtbl.find st.scalars v := !(Hashtbl.find cst.scalars dummy))
+    backs
 
 (* evaluate-all-then-store FORALL over the global arrays *)
 and exec_forall st triplets mask (body_stmt : Ast.stmt) =
@@ -447,24 +529,21 @@ and exec_forall st triplets mask (body_stmt : Ast.stmt) =
 
 let run ?(file = "<fuzz>") source =
   let ast = Parser.parse ~file source in
-  let env = Sema.analyze ast in
-  let unit_env = Sema.main_env env in
-  let body = Normalize.normalize_unit unit_env ast.Ast.main.Ast.body in
+  let prog = Sema.analyze ast in
+  let unit_env = Sema.main_env prog in
   let st =
-    {
-      env = unit_env;
-      arrays = Hashtbl.create 8;
-      scalars = Hashtbl.create 8;
-      out = Buffer.create 256;
-    }
+    instance
+      {
+        prog;
+        bodies = Hashtbl.create 4;
+        env = unit_env;
+        arrays = Hashtbl.create 0;
+        scalars = Hashtbl.create 0;
+        out = Buffer.create 256;
+      }
+      unit_env
   in
-  List.iter
-    (fun (n, spec) -> Hashtbl.replace st.arrays n (alloc_array spec))
-    unit_env.Sema.uarrays;
-  List.iter
-    (fun (n, k) -> Hashtbl.replace st.scalars n (ref (Scalar.zero (kind_of_decl k))))
-    unit_env.Sema.uscalars;
-  (try List.iter (exec_stmt st) body with Return_unwind -> ());
+  (try List.iter (exec_stmt st) (body st unit_env) with Return_unwind -> ());
   let finals = List.map (fun (n, _) -> (n, array_of st n)) unit_env.Sema.uarrays in
   let scalars =
     Hashtbl.fold (fun n r acc -> (n, !r) :: acc) st.scalars []

@@ -127,18 +127,39 @@ let prop_layout_local_global =
 
 let set_bound_forms = Distrib.[ Block; Cyclic; Block_cyclic 2; Block_cyclic 3 ]
 
-let set_bound_gen =
-  QCheck.(
-    Gen.(
-      let* fi = int_range 0 3 in
-      let* n = int_range 1 40 in
-      let* p = int_range 1 5 in
-      let* proc = int_range 0 (p - 1) in
-      let* a = int_range 1 3 in
-      let* glb = int_range (-2) 20 in
-      let* len = int_range 0 25 in
-      let* gst = int_range 1 4 in
-      return (fi, n, p, proc, a, glb, glb + len, gst)))
+let general_gen =
+  QCheck.Gen.(
+    let* fi = int_range 0 3 in
+    let* n = int_range 1 40 in
+    let* p = int_range 1 5 in
+    let* proc = int_range 0 (p - 1) in
+    let* a = int_range 1 3 in
+    let* glb = int_range (-2) 20 in
+    let* len = int_range 0 25 in
+    let* gst = int_range 1 4 in
+    return (fi, n, p, proc, a, glb, glb + len, gst))
+
+(* Draws for the unit-stride path: a BLOCK layout under the identity
+   alignment, stride 1 or -1, and each bound either on or next to an edge
+   of [proc]'s block or anywhere around the array, so ranges that are
+   empty, touch an edge, or cover the block all occur. *)
+let unit_stride_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 40 in
+    let* p = int_range 1 5 in
+    let* proc = int_range 0 (p - 1) in
+    let c = Util.ceil_div n p in
+    let first = proc * c and last = min n ((proc + 1) * c) - 1 in
+    let bound = oneof [ oneofl [ first - 1; first; first + 1; last - 1; last; last + 1 ]; int_range (-2) (n + 1) ] in
+    let* glb = bound in
+    let* gub = bound in
+    let* gst = oneofl [ 1; -1 ] in
+    return (0, n, p, proc, 1, glb, gub, gst))
+
+(* Half the draws take the unit-stride path. *)
+let set_bound_gen = QCheck.Gen.frequency [ (1, general_gen); (1, unit_stride_gen) ]
+
+let unit_stride (fi, _, _, _, a, _, _, gst) = fi = 0 && a = 1 && abs gst = 1
 
 let prop_set_bound_matches_brute =
   QCheck.Test.make ~name:"set_bound = brute-force range intersection" ~count:1000
@@ -148,12 +169,22 @@ let prop_set_bound_matches_brute =
       let al = Affine.make ~a ~b:0 in
       let extent = n / a in
       let l = Layout.resolve d ~align:al ~extent ~proc in
+      (* a negative stride visits glb down to gub *)
+      let lo, hi = if gst > 0 then (glb, gub) else (gub, glb) in
       let expected =
         List.filter
-          (fun g -> Layout.is_owned l g && g <= gub && (g - glb) mod gst = 0)
-          (Util.range (max 0 glb) (min (extent - 1) gub))
+          (fun g -> Layout.is_owned l g && (g - glb) mod gst = 0)
+          (Util.range (max 0 lo) (min (extent - 1) hi))
       in
       Layout.to_list (Layout.set_bound l ~glb ~gub ~gst) = expected)
+
+let test_set_bound_draw_share () =
+  let rs = Random.State.make [| 28 |] in
+  let hits = ref 0 in
+  for _ = 1 to 1000 do
+    if unit_stride (set_bound_gen rs) then incr hits
+  done;
+  Alcotest.(check bool) "at least 40% of 1000 draws take the unit-stride path" true (!hits >= 400)
 
 let prop_set_bound_partitions =
   QCheck.Test.make ~name:"set_bound partitions the iteration space over procs" ~count:500
@@ -366,7 +397,11 @@ let () =
           Alcotest.test_case "block-cyclic basics" `Quick test_block_cyclic_basic;
         ] );
       ( "layout",
-        [ Alcotest.test_case "negative stride set_bound" `Quick test_set_bound_negative_stride ] );
+        [
+          Alcotest.test_case "negative stride set_bound" `Quick test_set_bound_negative_stride;
+          Alcotest.test_case "set_bound draws hit the unit-stride path" `Quick
+            test_set_bound_draw_share;
+        ] );
       ( "grid",
         [
           Alcotest.test_case "rank/coords roundtrip" `Quick test_grid_roundtrip;

@@ -404,7 +404,8 @@ let prop_inspector_naive =
       let space r =
         if even then Some (Inspector.even ~nprocs ~rank:r ranges)
         else
-          Inspector.canonical lhs ~var_dims:(List.init rank Option.some) ~guards:[] ~ranges ~rank:r
+          Inspector.canonical lhs ~var_dims:(Array.init rank Fun.id) ~guard_dims:[||] ~guards:[||]
+            ~ranges ~rank:r
       in
       (* identity or reversed subscript per dimension, as an affine form
          over the variables' values *)

@@ -348,6 +348,222 @@ let test_planned_scalar_kinds () =
   checki "mismatched dummy falls back on all four ranks, twice" 8
     stats.F90d_machine.Stats.kernel_fallbacks
 
+(* ------------------------------------------------------------------ *)
+(* One workspace per plan                                              *)
+(* ------------------------------------------------------------------ *)
+
+let read_corpus name =
+  In_channel.with_open_bin (Filename.concat "corpus" name) In_channel.input_all
+
+let test_call_sites_interleaved () =
+  (* one FORALL in a subroutine CALLed from two sites: one binding runs
+     in the kernel, the other binds an INTEGER actual to the REAL factor
+     and declines on every rank, so runs and declines of the same plan
+     interleave across executions and rank fibers *)
+  let src = read_corpus "call_sites.f90d" in
+  List.iter
+    (fun nprocs ->
+      let r = kernel_on_vs_off ~nprocs (Printf.sprintf "call sites p=%d" nprocs) src in
+      let stats = r.Driver.stats in
+      checkb "some runs" true (stats.F90d_machine.Stats.kernel_runs > 0);
+      checkb "some scalar-kind declines" true
+        (fallbacks_for stats F90d_machine.Stats.Scalar_kind > 0);
+      checki "no other decline" (fallbacks_for stats F90d_machine.Stats.Scalar_kind)
+        stats.F90d_machine.Stats.kernel_fallbacks)
+    [ 1; 4 ]
+
+let test_gauss_update_wide () =
+  (* gauss's rank-1 update nests at P 4 and 16: at 16 ranks with N=23
+     most ranks own one or two columns, and some none *)
+  List.iter
+    (fun nprocs ->
+      let r =
+        kernel_on_vs_off ~nprocs (Printf.sprintf "gauss n=23 p=%d" nprocs) (Programs.gauss ~n:23)
+      in
+      checki "every run blocked" r.Driver.stats.F90d_machine.Stats.kernel_runs
+        r.Driver.stats.F90d_machine.Stats.kernel_blocked;
+      checki "no fallback" 0 r.Driver.stats.F90d_machine.Stats.kernel_fallbacks)
+    [ 4; 16 ]
+
+(* One FORALL of a program's main unit, planned once as [Interp.prepare]
+   plans it, and executed directly on hand-made local sections of every
+   rank of a [dims] grid: the test picks the scalar values each call
+   sees. *)
+type harness = {
+  plan : F90d_exec.Kernel.plan;
+  dads : F90d_dist.Dad.t array;
+  slot_of : string -> int;  (* a scalar's slot *)
+  space : int -> F90d_dist.Layout.t list;  (* a rank's iteration space *)
+}
+
+let harness ~dims ~ranges src =
+  let ir = (Driver.compile src).Driver.c_ir in
+  let _, u = List.hd ir.F90d_ir.Ir.p_units in
+  let env = u.F90d_ir.Ir.u_env in
+  let f =
+    let found = ref None in
+    F90d_ir.Ir.iter_stmts
+      (fun s ->
+        match s.F90d_ir.Ir.s with F90d_ir.Ir.Forall f -> found := Some f | _ -> ())
+      u.F90d_ir.Ir.u_body;
+    Option.get !found (* the last one *)
+  in
+  let grid = F90d_dist.Grid.make dims in
+  let named = Array.of_list (F90d_frontend.Sema.instantiate ~ghosts:u.F90d_ir.Ir.u_ghosts env ~grid) in
+  let slots = Hashtbl.create 8 in
+  let slot_of v =
+    match Hashtbl.find_opt slots v with
+    | Some s -> s
+    | None ->
+        Hashtbl.replace slots v (Hashtbl.length slots);
+        Hashtbl.length slots - 1
+  in
+  let kind_of = function
+    | F90d_frontend.Ast.Integer -> Scalar.Kint
+    | F90d_frontend.Ast.Real -> Scalar.Kreal
+    | F90d_frontend.Ast.Logical -> Scalar.Klog
+  in
+  let scope =
+    {
+      F90d_exec.Kernel.env;
+      scalar_kind = (fun v -> Option.map kind_of (F90d_frontend.Sema.scalar_kind env v));
+      scalar_slot = slot_of;
+      array_slot =
+        (fun n -> Option.get (Array.find_index (fun (m, _) -> m = n) named));
+    }
+  in
+  let plan = F90d_exec.Kernel.plan scope ~f in
+  let lhs = Option.get (Array.find_index (fun (m, _) -> m = f.F90d_ir.Ir.f_lhs.F90d_frontend.Ast.base) named) in
+  let space rank =
+    match f.F90d_ir.Ir.f_iter with
+    | F90d_ir.Ir.It_canonical { var_dims; _ } ->
+        Option.get
+          (F90d_exec.Inspector.canonical (snd named.(lhs))
+             ~var_dims:(Array.of_list (List.map (fun (_, d) -> Option.value d ~default:(-1)) var_dims))
+             ~guard_dims:[||] ~guards:[||] ~ranges ~rank)
+    | _ -> Alcotest.fail "harness: expected a canonical iteration space"
+  in
+  { plan; dads = Array.map snd named; slot_of; space }
+
+(* Rank [rank]'s local sections, every element [init rank flat]. *)
+let sections h ~rank init =
+  Array.map
+    (fun dad ->
+      let local = F90d_dist.Dad.alloc_local dad ~rank in
+      (match local.Ndarray.data with
+      | Ndarray.Reals a -> Array.iteri (fun i _ -> a.(i) <- init rank i) a
+      | _ -> ());
+      { F90d_runtime.Darray.dad; local })
+    h.dads
+
+let exec h ~rank arrays scalars =
+  F90d_exec.Kernel.execute h.plan ~me:rank ~arrays ~scalars ~temps:[||] ~space:(h.space rank)
+
+let reals (d : F90d_runtime.Darray.t) = Ndarray.reals d.F90d_runtime.Darray.local
+
+let test_declines_interleaved () =
+  (* one plan executed by every rank in turn, twice, each call with its
+     own scalars: a REAL factor on some calls and an INTEGER one (not the
+     planned kind) on others, and a subscript shift that reaches past the
+     replicated R on rank 2.  A declining call names its reason and
+     leaves the store untouched; every running call stores what a plain
+     loop over the same storage computes, whatever the calls before it
+     left in the workspace *)
+  let h =
+    harness ~dims:[| 4 |] ~ranges:[ (1, 16, 1) ]
+      {|
+      PROGRAM DI
+      REAL A(16), B(16), R(20), S
+      INTEGER M
+C$    DISTRIBUTE A(BLOCK)
+C$    ALIGN B(I) WITH A(I)
+      FORALL (I = 1:16) A(I) = R(I + M) * S + B(I)
+      END
+      |}
+  in
+  let outcomes = ref [] in
+  for round = 0 to 1 do
+    for rank = 0 to 3 do
+      let arrays = sections h ~rank (fun r i -> float_of_int ((100 * r) + i + round)) in
+      let scalars = Array.make 2 F90d_exec.Kernel.unset in
+      let m = if rank = 2 then 10 else 0 and real_factor = (rank + round) mod 2 = 0 in
+      scalars.(h.slot_of "M") <- Scalar.Int m;
+      scalars.(h.slot_of "S") <- (if real_factor then Scalar.Real 0.5 else Scalar.Int 3);
+      let a = reals arrays.(0) and b = reals arrays.(1) and r = reals arrays.(2) in
+      let before = Array.copy a in
+      let name = Printf.sprintf "round %d rank %d" round rank in
+      match exec h ~rank arrays scalars with
+      | Some (Ok F90d_exec.Kernel.Stored) ->
+          outcomes := "run" :: !outcomes;
+          Array.iteri
+            (fun j x ->
+              let i = (4 * rank) + j + 1 in
+              checkb (Printf.sprintf "%s: A(%d)" name i) true (x = (r.(i + m - 1) *. 0.5) +. b.(j)))
+            a
+      | Some (Error why) ->
+          outcomes :=
+            (match why with
+            | F90d_machine.Stats.Scalar_kind -> "scalar_kind"
+            | F90d_machine.Stats.Out_of_bounds -> "out_of_bounds"
+            | _ -> "other")
+            :: !outcomes;
+          checkb (name ^ ": store untouched") true (a = before)
+      | _ -> Alcotest.fail (name ^ ": expected a kernel run or a decline")
+    done
+  done;
+  Alcotest.(check (list string))
+    "outcomes in call order"
+    [
+      "run"; "scalar_kind"; "out_of_bounds"; "scalar_kind";
+      "scalar_kind"; "run"; "scalar_kind"; "run";
+    ]
+    (List.rev !outcomes)
+
+(* Minor words per warm execution of a 2-D five-point stencil nest on
+   each rank of a 2x2 grid (7x7 local iterations, ghost reads): the
+   strips' views (seven strips of nine nodes) and the call's result,
+   nothing per operand.  Measured at 296 words with OCaml 5.1; deriving
+   every operand's offset into fresh forms and closures, as executions
+   did before the plan had a workspace, measured 963. *)
+let warm_words_bound = 360.
+
+let test_warm_execute_allocation () =
+  let h =
+    harness ~dims:[| 2; 2 |] ~ranges:[ (2, 15, 1); (2, 15, 1) ]
+      {|
+      PROGRAM ST
+C$    PROCESSORS P(2, 2)
+      REAL A(16, 16), B(16, 16)
+C$    TEMPLATE T(16, 16)
+C$    ALIGN A(I, J) WITH T(I, J)
+C$    ALIGN B(I, J) WITH T(I, J)
+C$    DISTRIBUTE T(BLOCK, BLOCK)
+      FORALL (I = 2:15, J = 2:15)
+        A(I, J) = 0.25 * (B(I-1, J) + B(I+1, J) + B(I, J-1) + B(I, J+1))
+      END FORALL
+      END
+      |}
+  in
+  let ranks = Array.init 4 (fun rank -> (rank, sections h ~rank (fun r i -> float_of_int (r + i)))) in
+  let scalars = [||] in
+  let run () =
+    Array.iter
+      (fun (rank, arrays) ->
+        match exec h ~rank arrays scalars with
+        | Some (Ok _) -> ()
+        | _ -> Alcotest.fail "the stencil nest must run in the kernel")
+      ranks
+  in
+  run ();
+  let calls = 200 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls / 4 do
+    run ()
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  if per_call >= warm_words_bound then
+    Alcotest.failf "%.1f minor words per warm execution, bound %.0f" per_call warm_words_bound
+
 let () =
   Alcotest.run "kernel"
     [
@@ -373,5 +589,14 @@ let () =
         [
           Alcotest.test_case "one plan per FORALL sid" `Quick test_one_plan_per_forall;
           Alcotest.test_case "scalar kinds from declarations" `Quick test_planned_scalar_kinds;
+        ] );
+      ( "plan workspace",
+        [
+          Alcotest.test_case "call sites run and decline, interleaved" `Quick
+            test_call_sites_interleaved;
+          Alcotest.test_case "gauss update at P 4 and 16" `Quick test_gauss_update_wide;
+          Alcotest.test_case "declines interleaved across ranks" `Quick test_declines_interleaved;
+          Alcotest.test_case "warm execution allocates only strips" `Quick
+            test_warm_execute_allocation;
         ] );
     ]
