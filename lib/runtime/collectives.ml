@@ -162,16 +162,17 @@ let broadcast_wait ctx bp =
         (bcast_children ~vr:bp.bp_vr ~m);
       p
 
-(* An allreduce is a barrier, so it runs as one engine rendezvous: the
-   last member to arrive replays the binomial reduce-then-broadcast tree
-   rooted at team index 0 over every member.  Levels go in ascending
-   order, so each member's receives, combines and sends happen in the
-   order its own tree walk would make them.  Every tree edge is charged
-   through the engine's send and receive accounting, and each member's
-   "reduce" and "broadcast" spans are written to its own recorder, so
-   messages, bytes, clocks, waits and traces are those of the message
-   tree; only the mailboxes are skipped. *)
-let replay_allreduce ~combine members contributions =
+(* An allreduce or an allgather is a barrier, so each runs as one engine
+   rendezvous: the last member to arrive replays the binomial
+   up-then-broadcast tree rooted at team index 0 over every member.
+   Levels go in ascending order, so each member's receives, merges and
+   sends happen in the order its own tree walk would make them.  Every
+   tree edge is charged through the engine's send and receive accounting,
+   and each member's [up] and "broadcast" spans are written to its own
+   recorder, so messages, bytes, clocks, waits and traces are those of the
+   message tree; only the mailboxes are skipped.  [held i] is the bytes
+   member i holds; [merge ~dst ~src] runs after each up edge. *)
+let replay_tree ~up ~tag ~held ~merge members payloads =
   let m = Array.length members in
   let module Trace = F90d_trace.Trace in
   let tracing = Trace.enabled (Engine.trace members.(0)) in
@@ -192,25 +193,21 @@ let replay_allreduce ~combine members contributions =
     let arrival = Engine.account_send s ~dest:(Engine.rank d) ~tag ~bytes in
     Engine.account_recv d ~src:(Engine.rank s) ~tag ~arrival
   in
-  span_begin "reduce";
-  let acc = Array.copy contributions in
+  span_begin up;
   let k = ref 1 in
   while !k < m do
-    (* team index vr + k sends its partial result to vr, then leaves the
-       reduction; vr charges the combine *)
+    (* team index vr + k sends what it holds to vr, then leaves the tree *)
     let vr = ref 0 in
     while !vr + !k < m do
-      let bytes = Message.payload_bytes acc.(!vr + !k) in
-      edge ~src:(!vr + !k) ~dst:!vr ~tag:Tags.reduce ~bytes;
-      Engine.charge_flops members.(!vr) (bytes / 8);
-      acc.(!vr) <- combine acc.(!vr) acc.(!vr + !k);
+      edge ~src:(!vr + !k) ~dst:!vr ~tag ~bytes:(held (!vr + !k));
+      merge ~dst:!vr ~src:(!vr + !k);
       vr := !vr + (2 * !k)
     done;
     k := 2 * !k
   done;
-  span_end (fun i -> Message.payload_bytes contributions.(i));
-  let result = acc.(0) in
-  let bytes = Message.payload_bytes result in
+  (* an up span counts the bytes of the member's own payload *)
+  span_end (fun i -> Message.payload_bytes payloads.(i));
+  let bytes = held 0 in
   span_begin "broadcast";
   let k = ref 1 in
   while !k < m do
@@ -222,54 +219,32 @@ let replay_allreduce ~combine members contributions =
   done;
   (* a broadcast span counts the bytes of its argument: the result at the
      root, an empty payload elsewhere *)
-  span_end (fun i -> if i = 0 then bytes else 0);
-  result
+  span_end (fun i -> if i = 0 then bytes else 0)
 
 let allreduce ctx team ~combine payload =
   spanned ctx "allreduce" ~bytes_of:(fun () -> Message.payload_bytes payload) @@ fun () ->
   Engine.rendezvous (Rctx.engine ctx) ~team ~index:(my_index ctx team) payload
-    (replay_allreduce ~combine)
+    (fun members contributions ->
+      let acc = Array.copy contributions in
+      let held i = Message.payload_bytes acc.(i) in
+      let merge ~dst ~src =
+        Engine.charge_flops members.(dst) (held src / 8);
+        acc.(dst) <- combine acc.(dst) acc.(src)
+      in
+      replay_tree ~up:"reduce" ~tag:Tags.reduce ~held ~merge members contributions;
+      acc.(0))
 
-let gather ctx team ~root payload =
-  spanned ctx "gather" ~bytes_of:(fun () -> Message.payload_bytes payload) @@ fun () ->
-  let m = Array.length team in
-  let vr = Util.modulo (my_index ctx team - root) m in
-  (* accumulate the segment [vr, vr + span) of team-ordered payloads *)
-  let acc = ref [ payload ] in
-  let mask = ref 1 in
-  let sent = ref false in
-  while !mask < m && not !sent do
-    let k = !mask in
-    if vr mod (2 * k) = 0 then begin
-      if vr + k < m then begin
-        let msg = Rctx.recv ctx ~src:team.(Util.modulo (vr + k + root) m) ~tag:Tags.gatherv in
-        acc := !acc @ Message.list msg
-      end
-    end
-    else begin
-      Rctx.send ctx ~dest:team.(Util.modulo (vr - k + root) m) ~tag:Tags.gatherv (Message.List !acc);
-      sent := true
-    end;
-    mask := k * 2
-  done;
-  if vr = 0 then begin
-    (* accumulated in virtual-rank order; rotate back to team order *)
-    let arr = Array.of_list !acc in
-    Some (Array.init m (fun i -> arr.(Util.modulo (i - root) m)))
-  end
-  else None
-
-let allgather ctx team payload =
+let allgather ctx team ~assemble payload =
   spanned ctx "allgather" ~bytes_of:(fun () -> Message.payload_bytes payload) @@ fun () ->
-  match gather ctx team ~root:0 payload with
-  | Some arr -> (
-      match broadcast ctx team ~root:0 (Message.List (Array.to_list arr)) with
-      | Message.List l -> Array.of_list l
-      | _ -> Diag.bug "allgather: broadcast protocol error")
-  | None -> (
-      match broadcast ctx team ~root:0 Message.Empty with
-      | Message.List l -> Array.of_list l
-      | _ -> Diag.bug "allgather: broadcast protocol error")
+  Engine.rendezvous (Rctx.engine ctx) ~team ~index:(my_index ctx team) payload
+    (fun members parts ->
+      (* a gathered segment is its parts side by side: only its size is
+         kept as the tree climbs *)
+      let held = Array.map Message.payload_bytes parts in
+      replay_tree ~up:"gather" ~tag:Tags.gatherv ~held:(Array.get held)
+        ~merge:(fun ~dst ~src -> held.(dst) <- held.(dst) + held.(src))
+        members parts;
+      assemble parts)
 
 let shift_edge ctx team ~delta payload =
   spanned ctx "shift_edge" ~bytes_of:(fun () -> Message.payload_bytes payload) @@ fun () ->

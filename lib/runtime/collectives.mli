@@ -5,12 +5,13 @@
     ({!team_all}) — and must be called by every member in the same program
     order.  All routines are built on the simulated machine's
     point-to-point messages, mirroring the paper's library-on-Express
-    portability layer (§8.1): each message is a send and a receive,
-    except that the allreduce charges its tree edges through the
-    engine's send and receive accounting inside one rendezvous (see
-    {!allreduce}).
+    portability layer (§8.1).  Most routines send and receive every
+    message through the mailboxes; the two barrier collectives,
+    {!allreduce} and {!allgather}, each run as one engine rendezvous that
+    replays the same binomial tree and charges every tree edge through
+    the engine's send and receive accounting.
 
-    Tree-shaped operations (broadcast, allreduce, gather) use binomial
+    Tree-shaped operations (broadcast, allreduce, allgather) use binomial
     trees, giving the O(log P) behaviour the paper cites for its
     broadcast. *)
 
@@ -75,12 +76,19 @@ val allreduce :
     and the cancellation poll runs once per member, not once per
     receive. *)
 
-val gather : Rctx.t -> team -> root:int -> Message.payload -> Message.payload array option
-(** Team-ordered payloads at the root. *)
+val allgather :
+  Rctx.t -> team -> assemble:(Message.payload array -> Message.payload) -> Message.payload ->
+  Message.payload
+(** The paper's {e concatenation} primitive.  [assemble] runs once per
+    call, on the team-ordered payloads, and every member returns its one
+    result — physically shared, so readers must not write into it.
 
-val allgather : Rctx.t -> team -> Message.payload -> Message.payload array
-(** The paper's {e concatenation} primitive: the result ends up on all
-    team members. *)
+    The charges are those of a binomial-tree gather of the payloads to
+    team index 0 (each tree edge carries the bytes of the segment it
+    has gathered so far) followed by a binomial broadcast of them all,
+    with every member's ["gather"] and ["broadcast"] spans inside its
+    ["allgather"] span; no flops are charged.  Like {!allreduce}, it runs
+    as one {!Engine.rendezvous} replaying that tree. *)
 
 val shift_edge : Rctx.t -> team -> delta:int -> Message.payload -> Message.payload option
 (** Send to team index [i+delta], receive from [i-delta]; ends of the team

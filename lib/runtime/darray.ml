@@ -65,23 +65,26 @@ let pack_owned t ~rank =
   out
 
 let gather_global ctx t =
-  let me = Rctx.me ctx in
   let team = Collectives.team_all ctx in
-  let mine = pack_owned t ~rank:me in
+  let mine = pack_owned t ~rank:(Rctx.me ctx) in
   Rctx.charge_copy_bytes ctx (Ndarray.bytes mine);
-  let parts = Collectives.allgather ctx team (Message.Arr mine) in
-  let extents = Dad.global_extents t.dad in
-  let lbs = Array.map (fun d -> d.Dad.flb) (Dad.dims t.dad) in
-  let out = Ndarray.create (kind t) ~lb:lbs extents in
-  Array.iteri
-    (fun r payload ->
-      let part = match payload with Message.Arr a -> a | _ -> Diag.bug "gather_global: protocol" in
-      (* re-enumerate rank r's owned elements in the same order it packed *)
-      let i = ref 0 in
-      Dad.iter_local t.dad ~rank:team.(r) (fun g _ ->
-          Ndarray.set out g (Ndarray.get_flat part !i);
-          incr i))
-    parts;
+  let arr = function Message.Arr a -> a | _ -> Diag.bug "gather_global: protocol" in
+  (* the global array is rank-invariant: the rendezvous builds it once
+     and every rank gets that one copy *)
+  let assemble parts =
+    let lbs = Array.map (fun d -> d.Dad.flb) (Dad.dims t.dad) in
+    let out = Ndarray.create (kind t) ~lb:lbs (Dad.global_extents t.dad) in
+    Array.iteri
+      (fun r part ->
+        (* re-enumerate rank r's owned elements in the same order it packed *)
+        let part = arr part and i = ref 0 in
+        Dad.iter_local t.dad ~rank:team.(r) (fun g _ ->
+            Ndarray.set out g (Ndarray.get_flat part !i);
+            incr i))
+      parts;
+    Message.Arr out
+  in
+  let out = arr (Collectives.allgather ctx team ~assemble (Message.Arr mine)) in
   Rctx.charge_copy_bytes ctx (Ndarray.bytes out);
   out
 

@@ -38,8 +38,12 @@ val pack_owned : t -> rank:int -> Ndarray.t
 (** Compact copy of the owned elements (no ghosts), local column-major. *)
 
 val gather_global : Rctx.t -> t -> Ndarray.t
-(** Assemble the full global array on every processor (the paper's
-    concatenation primitive; also the test oracle). *)
+(** The full global array on every processor (the paper's concatenation
+    primitive; also the test oracle).  Each processor packs and is
+    charged for its own block and for a copy of the whole array, but the
+    array is built once per call, by {!Collectives.allgather}'s
+    rendezvous, and every processor returns that one physically shared
+    array: callers only read it. *)
 
 val get_global : Rctx.t -> t -> int array -> Scalar.t
 (** Collective: the home owner broadcasts one element to everyone. *)

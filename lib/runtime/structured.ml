@@ -332,8 +332,6 @@ let multicast_shift ctx (darr : Darray.t) ~fused ~mdim ~g ~sdim ~amount =
   let team, root, payload = multicast_plan ~slab ctx darr ~dim:mdim ~g in
   nd_of (Collectives.broadcast ctx team ~root payload)
 
-let concat ctx (darr : Darray.t) = Darray.gather_global ctx darr
-
 (* ------------------------------------------------------------------ *)
 (* Coalesced batches                                                   *)
 (* ------------------------------------------------------------------ *)

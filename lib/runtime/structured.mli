@@ -79,9 +79,6 @@ val multicast_shift :
     the broadcast — saving the temporary copies and message unpacking of
     running the two primitives over the full grid. *)
 
-val concat : Rctx.t -> Darray.t -> Ndarray.t
-(** The concatenation primitive: the full global array, replicated. *)
-
 (** {2 Coalesced batches}
 
     A batch is another transport for the same peer plans: each member

@@ -6,7 +6,6 @@ let shift = 500
 let schedule_indices = 700
 let exec_data = 800
 let redistribute = 900
-let concat = 1000
 
 let family_name tag =
   match tag / 100 * 100 with
@@ -18,5 +17,4 @@ let family_name tag =
   | 600 | 700 -> "inspector (scheduling)"
   | 800 -> "executor (data)"
   | 900 -> "redistribution"
-  | 1000 -> "concatenation"
   | _ -> "other"

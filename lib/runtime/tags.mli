@@ -16,7 +16,6 @@ val shift : int
 val schedule_indices : int
 val exec_data : int
 val redistribute : int
-val concat : int
 
 val family_name : int -> string
 (** Human name of a tag's hundreds-family, for statistics breakdowns. *)

@@ -410,26 +410,44 @@ let test_deadlock_truncated () =
       checkb "no elision" true (not (contains_sub msg "more blocked ranks"))
 
 (* ------------------------------------------------------------------ *)
-(* Allreduce rendezvous                                                *)
+(* Barrier-collective rendezvous                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The message-level binomial allreduce the rendezvous replays: a
-   reduction to team index 0, then a broadcast from it, every edge a real
-   send and receive through the mailboxes. *)
-let reference_allreduce rctx team ~combine payload =
+(* What the message-level references below share: the physical rank of a
+   team index, and a span that counts the bytes of its payload
+   argument. *)
+let reference_tools rctx team =
   let eng = Rt.Rctx.engine rctx in
   let grid = Rt.Rctx.grid rctx in
   let phys i = F90d_dist.Grid.phys_of_rank grid team.(i) in
   let tr = Engine.trace eng in
-  (* the span of a primitive counts the bytes of its payload argument *)
   let spanned name arg f =
     F90d_trace.Trace.span_begin tr ~t:(Engine.time eng) name ~cat:"collective";
     let r = f () in
     F90d_trace.Trace.span_end tr ~t:(Engine.time eng) ~bytes:(Message.payload_bytes arg);
     r
   in
-  let m = Array.length team in
-  let vr = Rt.Collectives.index_in team (Rt.Rctx.me rctx) in
+  (eng, phys, spanned, Array.length team, Rt.Collectives.index_in team (Rt.Rctx.me rctx))
+
+(* The message-level binomial broadcast from team index 0 that both
+   references end with. *)
+let reference_broadcast eng ~phys ~m ~vr payload =
+  let p = ref payload and k = ref 1 in
+  while !k < m do
+    if vr < !k then begin
+      if vr + !k < m then Engine.send eng ~dest:(phys (vr + !k)) ~tag:Rt.Tags.broadcast !p
+    end
+    else if vr < 2 * !k then
+      p := (Engine.recv eng ~src:(phys (vr - !k)) ~tag:Rt.Tags.broadcast).Message.payload;
+    k := 2 * !k
+  done;
+  !p
+
+(* The message-level binomial allreduce the rendezvous replays: a
+   reduction to team index 0, then a broadcast from it, every edge a real
+   send and receive through the mailboxes. *)
+let reference_allreduce rctx team ~combine payload =
+  let eng, phys, spanned, m, vr = reference_tools rctx team in
   spanned "allreduce" payload @@ fun () ->
   let reduced =
     spanned "reduce" payload @@ fun () ->
@@ -450,17 +468,34 @@ let reference_allreduce rctx team ~combine payload =
     done;
     if vr = 0 then !acc else Message.Empty
   in
-  spanned "broadcast" reduced @@ fun () ->
-  let p = ref reduced and k = ref 1 in
-  while !k < m do
-    if vr < !k then begin
-      if vr + !k < m then Engine.send eng ~dest:(phys (vr + !k)) ~tag:Rt.Tags.broadcast !p
-    end
-    else if vr < 2 * !k then
-      p := (Engine.recv eng ~src:(phys (vr - !k)) ~tag:Rt.Tags.broadcast).Message.payload;
-    k := 2 * !k
-  done;
-  !p
+  spanned "broadcast" reduced @@ fun () -> reference_broadcast eng ~phys ~m ~vr reduced
+
+(* The message-level allgather the rendezvous replays: a binomial gather
+   of team-ordered segments to team index 0, each edge a [Message.List]
+   of the segment gathered so far, then a broadcast of every part; each
+   member assembles the parts itself. *)
+let reference_allgather rctx team ~assemble payload =
+  let eng, phys, spanned, m, vr = reference_tools rctx team in
+  spanned "allgather" payload @@ fun () ->
+  let gathered =
+    spanned "gather" payload @@ fun () ->
+    let acc = ref [ payload ] and k = ref 1 and sent = ref false in
+    while !k < m && not !sent do
+      if vr mod (2 * !k) = 0 then begin
+        if vr + !k < m then
+          acc := !acc @ Message.list (Engine.recv eng ~src:(phys (vr + !k)) ~tag:Rt.Tags.gatherv)
+      end
+      else begin
+        Engine.send eng ~dest:(phys (vr - !k)) ~tag:Rt.Tags.gatherv (Message.List !acc);
+        sent := true
+      end;
+      k := 2 * !k
+    done;
+    if vr = 0 then Message.List !acc else Message.Empty
+  in
+  match spanned "broadcast" gathered @@ fun () -> reference_broadcast eng ~phys ~m ~vr gathered with
+  | Message.List parts -> assemble (Array.of_list parts)
+  | _ -> Alcotest.fail "reference allgather: expected the list of parts"
 
 let floats_of = function
   | Message.Arr a -> List.init (Ndarray.size a) (fun i -> Scalar.to_real (Ndarray.get_flat a i))
@@ -468,7 +503,7 @@ let floats_of = function
 
 (* Rank-skewed compute around a scalar SUM and an elementwise MAX of
    arrays over each of [teams] in turn, under statement provenance. *)
-let allreduce_program ~allreduce ~dims ~teams ?(before = fun _ -> ()) ctx =
+let allreduce_program allreduce ~dims ~teams ?(before = fun _ -> ()) ctx =
   let rctx = Rt.Rctx.make ctx (F90d_dist.Grid.make dims) in
   let me = Engine.rank ctx in
   before ctx;
@@ -489,6 +524,30 @@ let allreduce_program ~allreduce ~dims ~teams ?(before = fun _ -> ()) ctx =
       let x = allreduce rctx team ~combine:(Rt.Redop.payload Rt.Redop.Max) (Message.Arr a) in
       float_of_int (payload_int s) :: floats_of x)
     teams
+
+(* The same skew around allgathers of a scalar and of arrays whose
+   length varies with the rank, so gathered segments differ in size. *)
+let allgather_program allgather ~dims ~teams ?(before = fun _ -> ()) ctx =
+  let rctx = Rt.Rctx.make ctx (F90d_dist.Grid.make dims) in
+  let me = Engine.rank ctx in
+  let assemble parts = Message.List (Array.to_list parts) in
+  before ctx;
+  List.concat_map
+    (fun team_of ->
+      let team = team_of rctx in
+      Engine.set_stmt ctx ~sid:(3 + me mod 2) ~loc:(Loc.make ~file:"rv.f90d" ~line:7 ~col:1);
+      Engine.charge_flops ctx (7 * (me mod 13));
+      let s = allgather rctx team ~assemble (Message.Scalar (Scalar.Int (me + 1))) in
+      Engine.charge_flops ctx (3 * (me mod 5));
+      let a = Ndarray.create Scalar.Kreal [| me mod 3 |] in
+      for i = 0 to (me mod 3) - 1 do
+        Ndarray.set_flat a i (Scalar.Real (float_of_int (((me * 37) + (i * 11)) mod 101)))
+      done;
+      [ s; allgather rctx team ~assemble (Message.Arr a) ])
+    teams
+
+let allreduces = (Rt.Collectives.allreduce, reference_allreduce)
+let allgathers = (Rt.Collectives.allgather, reference_allgather)
 
 let check_same_run name (a : _ Engine.report) (b : _ Engine.report) =
   checkb (name ^ ": results") true (a.Engine.results = b.Engine.results);
@@ -514,15 +573,17 @@ let check_same_run name (a : _ Engine.report) (b : _ Engine.report) =
       done
   | _ -> Alcotest.fail "expected traces"
 
-let against_reference name ~p ~dims ~teams ?before () =
+(* Run [program] over the rendezvous collective and over its
+   message-level reference, and check the two runs are the same. *)
+let against_reference name ~p ~dims ~teams ?before program (rendezvous, reference) =
   let topology = if Util.is_pow2 p then Topology.Hypercube else Topology.Full in
-  let run allreduce =
+  let run collective =
     Engine.run
       (Engine.config ~model:Model.ipsc860 ~topology ~tracing:true p)
-      (allreduce_program ~allreduce ~dims ~teams ?before)
+      (program collective ~dims ~teams ?before)
   in
-  let rv = run Rt.Collectives.allreduce and reference = run reference_allreduce in
-  check_same_run name rv reference;
+  let rv = run rendezvous in
+  check_same_run name rv (run reference);
   rv
 
 let test_rendezvous_matches_tree () =
@@ -530,11 +591,26 @@ let test_rendezvous_matches_tree () =
     (fun p ->
       let r =
         against_reference (Printf.sprintf "P=%d" p) ~p ~dims:[| p |]
-          ~teams:[ Rt.Collectives.team_all ] ()
+          ~teams:[ Rt.Collectives.team_all ] allreduce_program allreduces
       in
       Array.iter
         (fun xs ->
           checkf (Printf.sprintf "sum at P=%d" p) (float_of_int (p * (p + 1) / 2)) (List.hd xs))
+        r.Engine.results)
+    [ 1; 2; 3; 7; 16; 64; 1024 ]
+
+let test_allgather_matches_tree () =
+  List.iter
+    (fun p ->
+      let r =
+        against_reference (Printf.sprintf "allgather P=%d" p) ~p ~dims:[| p |]
+          ~teams:[ Rt.Collectives.team_all ] allgather_program allgathers
+      in
+      let scalars = Message.List (List.init p (fun i -> Message.Scalar (Scalar.Int (i + 1)))) in
+      Array.iter
+        (function
+          | [ s; _ ] -> checkb (Printf.sprintf "team order at P=%d" p) true (s = scalars)
+          | _ -> Alcotest.fail "expected two allgathers")
         r.Engine.results)
     [ 1; 2; 3; 7; 16; 64; 1024 ]
 
@@ -554,28 +630,41 @@ let test_rendezvous_grid_lines () =
     | 7 -> ignore (Engine.recv ctx ~src:63 ~tag:77)
     | _ -> ()
   in
-  let dims = [| 8; 8 |] in
-  ignore
-    (against_reference "8x8 lines" ~p:64 ~dims ~teams:(lines @ [ Rt.Collectives.team_all ]) ~before
-       ());
-  ignore (against_reference "8x8 lines, undelayed" ~p:64 ~dims ~teams:(List.rev lines) ())
+  let dims = [| 8; 8 |] and all = Rt.Collectives.team_all in
+  let delayed name = against_reference name ~p:64 ~dims ~teams:(lines @ [ all ]) ~before in
+  let undelayed name = against_reference name ~p:64 ~dims ~teams:(List.rev lines) in
+  ignore (delayed "8x8 lines" allreduce_program allreduces);
+  ignore (undelayed "8x8 lines, undelayed" allreduce_program allreduces);
+  ignore (delayed "8x8 lines, allgather" allgather_program allgathers);
+  ignore (undelayed "8x8 lines, allgather, undelayed" allgather_program allgathers)
 
 let test_rendezvous_deadlock () =
-  (* rank 2 skips the allreduce: the other three park for good *)
+  (* rank 2 skips the allreduce, or the concatenation of a BLOCK array:
+     the other three park for good *)
   let p = 4 in
-  match
-    Engine.run (Engine.config p) (fun ctx ->
-        if Engine.rank ctx <> 2 then begin
-          Engine.set_stmt ctx ~sid:9 ~loc:(Loc.make ~file:"skip.f90d" ~line:12 ~col:7);
-          ignore (collective_program p ctx)
-        end)
-  with
-  | _ -> Alcotest.fail "expected deadlock"
-  | exception Engine.Deadlock msg ->
-      checkb "names a parked rank" true
-        (contains_sub msg
-           "p0 parked in a rendezvous of 4 ranks, 3 arrived at skip.f90d:12 (stmt 9)");
-      checkb "skipping rank not listed" false (contains_sub msg "p2 ")
+  let concatenation ctx =
+    let grid = F90d_dist.Grid.make [| p |] in
+    let rctx = Rt.Rctx.make ctx grid in
+    let dim = F90d_dist.Dad.block_dim ~flb:1 ~extent:8 ~pdim:0 ~p () in
+    let dad = F90d_dist.Dad.make ~name:"A" ~kind:Scalar.Kreal ~grid [| dim |] in
+    ignore (Rt.Darray.gather_global rctx (Rt.Darray.create rctx dad))
+  in
+  List.iter
+    (fun (what, program) ->
+      match
+        Engine.run (Engine.config p) (fun ctx ->
+            if Engine.rank ctx <> 2 then begin
+              Engine.set_stmt ctx ~sid:9 ~loc:(Loc.make ~file:"skip.f90d" ~line:12 ~col:7);
+              program ctx
+            end)
+      with
+      | _ -> Alcotest.fail (what ^ ": expected deadlock")
+      | exception Engine.Deadlock msg ->
+          checkb (what ^ ": names a parked rank") true
+            (contains_sub msg
+               "p0 parked in a rendezvous of 4 ranks, 3 arrived at skip.f90d:12 (stmt 9)");
+          checkb (what ^ ": skipping rank not listed") false (contains_sub msg "p2 "))
+    [ ("allreduce", fun ctx -> ignore (collective_program p ctx)); ("gather_global", concatenation) ]
 
 let test_rendezvous_slot_taken () =
   (* two ranks claiming one team index is a protocol bug, not a hang *)
@@ -664,6 +753,8 @@ let () =
         [
           Alcotest.test_case "allreduce equals the message tree" `Quick
             test_rendezvous_matches_tree;
+          Alcotest.test_case "allgather equals the message tree" `Quick
+            test_allgather_matches_tree;
           Alcotest.test_case "concurrent grid lines" `Quick test_rendezvous_grid_lines;
           Alcotest.test_case "deadlock names parked ranks" `Quick test_rendezvous_deadlock;
           Alcotest.test_case "slot taken twice" `Quick test_rendezvous_slot_taken;

@@ -15,6 +15,16 @@ let run_grid ?(model = Model.ideal) dims f =
 
 let results r = r.Engine.results
 
+(* Every member's payload, in team order, over the whole grid. *)
+let allgather_all ctx payload =
+  match
+    Collectives.allgather ctx (Collectives.team_all ctx)
+      ~assemble:(fun parts -> Message.List (Array.to_list parts))
+      payload
+  with
+  | Message.List l -> Array.of_list l
+  | _ -> Alcotest.fail "allgather: expected the list of parts"
+
 (* A distributed 1-D real array over a [p] grid. *)
 let dad1 ?(name = "A") ?(form = `Block) ~n ~p () =
   let grid = Grid.make [| p |] in
@@ -98,8 +108,7 @@ let test_reduce_allreduce () =
 let test_allgather_order () =
   let r =
     run_grid [| 5 |] (fun ctx ->
-        let team = Collectives.team_all ctx in
-        Collectives.allgather ctx team (Message.Scalar (Scalar.Int (Rctx.me ctx * 7)))
+        allgather_all ctx (Message.Scalar (Scalar.Int (Rctx.me ctx * 7)))
         |> Array.map (function Message.Scalar v -> Scalar.to_int v | _ -> -1))
   in
   Array.iter
@@ -288,7 +297,7 @@ let test_precomp_read () =
         let sched = Schedule.build_read_local ctx ix in
         let tmp = Schedule.read ctx sched b in
         (* allgather the tmps to verify the full fetched sequence *)
-        Collectives.allgather ctx (Collectives.team_all ctx) (Message.Arr tmp))
+        allgather_all ctx (Message.Arr tmp))
   in
   let whole =
     Array.concat
@@ -305,7 +314,7 @@ let test_gather_schedule_equivalent () =
         let b = Darray.init_global ctx dad_b init1 in
         let sched = Schedule.build_read_comm ctx ~needs:(needs_for (Rctx.me ctx)) in
         let tmp = Schedule.read ctx sched b in
-        Collectives.allgather ctx (Collectives.team_all ctx) (Message.Arr tmp))
+        allgather_all ctx (Message.Arr tmp))
   in
   let whole =
     Array.concat
@@ -539,8 +548,7 @@ let test_temporary_shift () =
     run_grid [| 3 |] (fun ctx ->
         let a = Darray.init_global ctx dad init1 in
         let tmp = Structured.temporary_shift ctx a ~dim:0 ~amount:shift in
-        Collectives.allgather ctx (Collectives.team_all ctx)
-          (Message.Arr tmp))
+        allgather_all ctx (Message.Arr tmp))
   in
   let whole =
     Array.concat
@@ -588,10 +596,46 @@ let test_concat () =
   let r =
     run_grid [| 3 |] (fun ctx ->
         let a = Darray.init_global ctx dad init1 in
-        Structured.concat ctx a)
+        Darray.gather_global ctx a)
   in
   let expected = Ndarray.init Scalar.Kreal [| 9 |] init1 in
   Array.iter (fun got -> checkb "concat" true (Ndarray.approx_equal got expected)) (results r)
+
+let test_concat_built_once () =
+  (* the global array is rank-invariant: every rank gets the one copy the
+     rendezvous built, equal to the sequential array *)
+  List.iter
+    (fun p ->
+      let n = (3 * p) + 1 in
+      (* a 2-D grid with more processors than elements along a dimension,
+         so some ranks own nothing (none can at P=1) *)
+      let gp, gq = match p with 64 -> (8, 8) | _ -> (p, 1) in
+      let rows = max 1 (gp - 2) in
+      List.iter
+        (fun (what, dims, dad, init, expected) ->
+          let r =
+            run_grid dims (fun ctx -> Darray.gather_global ctx (Darray.init_global ctx dad init))
+          in
+          let first = (results r).(0) in
+          Array.iteri
+            (fun rank got ->
+              checkb (Printf.sprintf "%s P=%d: shared on rank %d" what p rank) true (got == first))
+            (results r);
+          checkb (Printf.sprintf "%s P=%d: sequential" what p) true (Ndarray.equal first expected))
+        [
+          ("BLOCK", [| p |], dad1 ~n ~p (), init1, Ndarray.init Scalar.Kreal [| n |] init1);
+          ( "CYCLIC",
+            [| p |],
+            dad1 ~form:`Cyclic ~n ~p (),
+            init1,
+            Ndarray.init Scalar.Kreal [| n |] init1 );
+          ( "2-D",
+            [| gp; gq |],
+            dad2 ~n:rows ~m:5 ~p:gp ~q:gq ~forms:(`Block, `Block) (),
+            init2,
+            Ndarray.init Scalar.Kreal [| rows; 5 |] init2 );
+        ])
+    [ 1; 5; 64 ]
 
 (* ------------------------------------------------------------------ *)
 (* Intrinsics                                                          *)
@@ -1130,6 +1174,7 @@ let () =
           Alcotest.test_case "temporary_shift" `Quick test_temporary_shift;
           Alcotest.test_case "multicast_shift" `Quick test_multicast_shift;
           Alcotest.test_case "concat" `Quick test_concat;
+          Alcotest.test_case "concat built once" `Quick test_concat_built_once;
         ] );
       ( "intrinsics",
         [
