@@ -270,7 +270,8 @@ let source =
 let demo =
   let doc =
     "Compile a built-in demo program: gauss, gauss-cyclic, jacobi, jacobi2d, irregular, \
-     fft.  The F90D_DEMO_N environment variable overrides the problem size (default 64)."
+     fft.  The F90D_DEMO_N environment variable overrides the problem size (default 64) of \
+     every demo but jacobi2d, which always solves N=30."
   in
   Arg.(value & opt (some string) None & info [ "demo" ] ~docv:"NAME" ~doc)
 

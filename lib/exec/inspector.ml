@@ -7,8 +7,13 @@ type sub = Lin of Kernel.lin | Vals of int array | Fn of (int array -> int -> in
 
 type pass = { owners : int array; flats : int array; starts : int array }
 
+(* A stride is only known at run time; a zero one is the program's
+   error, located at its statement, on every path to the iteration
+   space. *)
+let nonzero stp = if stp = 0 then Diag.error "zero FORALL stride" else stp
+
 let count (lo, hi, stp) =
-  if stp = 0 then Diag.error "zero FORALL stride";
+  let stp = nonzero stp in
   if stp > 0 then Int.max 0 (((hi - lo) / stp) + 1) else Int.max 0 (((lo - hi) / -stp) + 1)
 
 let progression ((lo, _, stp) as r) = Layout.Prog { first = lo; step = stp; count = count r }
@@ -28,7 +33,10 @@ let even ~nprocs ~rank = function
    Fortran indices *)
 let owned dad ~dim ~rank (lo, hi, stp) =
   let flb = (Dad.dims dad).(dim).Dad.flb in
-  match Layout.set_bound (Dad.layout_at dad ~dim ~rank) ~glb:(lo - flb) ~gub:(hi - flb) ~gst:stp with
+  match
+    Layout.set_bound (Dad.layout_at dad ~dim ~rank) ~glb:(lo - flb) ~gub:(hi - flb)
+      ~gst:(nonzero stp)
+  with
   | Layout.Prog p -> Layout.Prog { p with first = p.first + flb }
   | Layout.Explicit a -> Layout.Explicit (Array.map (( + ) flb) a)
 

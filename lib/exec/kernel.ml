@@ -221,8 +221,14 @@ type 'n expr_plan = {
   x_work : work;
 }
 
+(* What a nest stores, by the declared kinds of its two sides: a REAL
+   left-hand side takes the float tree; an INTEGER one takes the int
+   tree of an INTEGER right-hand side, or a REAL one truncated by
+   [int_of_float], as [Scalar.to_int] stores it. *)
+type body = Breal of tnode | Bint of inode | Btrunc of tnode
+
 type compiled = {
-  p_rhs : tnode expr_plan;
+  p_rhs : body expr_plan;
   p_fmu : fmu;
   p_lhs : int;  (* the left-hand side's array slot *)
   p_lhs_reads : bool array;
@@ -522,19 +528,28 @@ let plan sc ~(f : Ir.forall) =
        identity subscript or provably separated from every write, so the
        nest's iterations are independent and may run in any order.  An
        even iteration partition (the only one with a write-back phase)
-       computes into a value buffer, so only its REAL stores compile. *)
+       computes into a value buffer of the left-hand side's kind.  A
+       LOGICAL store, and an INTEGER one whose value may be of either
+       kind, are the interpreter's. *)
     if f.Ir.f_mask <> None || f.Ir.f_snapshot then raise Ineligible;
     let scatter =
       match f.Ir.f_iter with
-      | Ir.It_even -> (
-          match Sema.array_spec env f.Ir.f_lhs.Ast.base with
-          | Some spec when spec.Sema.skind = Ast.Real -> true
-          | _ -> raise Ineligible)
+      | Ir.It_even -> true
       | Ir.It_canonical _ | Ir.It_replicated -> false
     in
     let nvars = List.length f.Ir.f_vars in
     if nvars = 0 || nvars > 3 then raise Ineligible;
     let var_index = make_var_index f in
+    let root =
+      match Sema.array_spec env f.Ir.f_lhs.Ast.base with
+      | Some { Sema.skind = Ast.Real; _ } -> fun compile _ e -> Breal (compile e)
+      | Some { Sema.skind = Ast.Integer; _ } -> (
+          match kind_of ~env ~scalar_kind:sc.scalar_kind ~var_index f.Ir.f_rhs with
+          | `Ki -> fun _ icompile e -> Bint (icompile e)
+          | `Kr -> fun compile _ e -> Btrunc (compile e)
+          | `Kmix -> raise Ineligible)
+      | _ -> raise Ineligible
+    in
     let store =
       if scatter then None
       else
@@ -543,12 +558,12 @@ let plan sc ~(f : Ir.forall) =
              (fun e -> match aff_of sc ~var_index e with Some a -> a | None -> raise Ineligible)
              (subscripts f.Ir.f_lhs))
     in
-    let rhs = compile_plan sc ~f (fun compile _ -> compile) f.Ir.f_rhs in
+    let rhs = compile_plan sc ~f root f.Ir.f_rhs in
     let lhs = sc.array_slot f.Ir.f_lhs.Ast.base in
     Some
       {
         p_rhs = rhs;
-        p_fmu = fmu_of rhs.x_template;
+        p_fmu = (match rhs.x_template with Breal t -> fmu_of t | Bint _ | Btrunc _ -> Fnone);
         p_lhs = lhs;
         p_lhs_reads = Array.map (fun o -> o.temp < 0 && o.arr = lhs) rhs.x_refs;
         p_store = Option.map (fun subs -> direct lhs (Array.of_list subs)) store;
@@ -561,7 +576,7 @@ let plan sc ~(f : Ir.forall) =
    interpreter. *)
 type index_plan =
   | Xaffine of int * aff  (* with the number of FORALL variables *)
-  | Xstrips of inode expr_plan
+  | Xstrips of body expr_plan  (* a [Bint] *)
   | Xinterp
 
 let plan_index sc ~(f : Ir.forall) e =
@@ -572,7 +587,8 @@ let plan_index sc ~(f : Ir.forall) e =
   | None ->
       let kind = kind_of ~env:sc.env ~scalar_kind:sc.scalar_kind ~var_index e in
       if nvars >= 1 && nvars <= 3 && kind = `Ki then
-        try Xstrips (compile_plan sc ~f (fun _ icompile -> icompile) e) with Ineligible -> Xinterp
+        try Xstrips (compile_plan sc ~f (fun _ icompile e -> Bint (icompile e)) e)
+        with Ineligible -> Xinterp
       else Xinterp
 
 (* ------------------------------------------------------------------ *)
@@ -836,25 +852,14 @@ let identity ws s ~store ~(sflat : lin) =
       && l.coefs.(2) = sflat.coefs.(2)
   | _ -> false
 
-(* Run the nest into [store].  Any order is legal: the store map is
-   injective and every read of the store's storage is a direct read of
-   the lhs array, which Lower proved to be the identity subscript or
-   separated from every write. *)
-let exec_strips ws ~store ~(sflat : lin) ~fmu body =
-  strips ws ~sflat;
-  let lens = ws.lens and o1 = ws.o1 and o2 = ws.o2 in
-  let ss = sflat.coefs and sb = sflat.base and cs = ws.cs and len = ws.len in
-  let ssk = ss.(ws.k) in
-  let fmu =
-    match fmu with
-    | (Fsub (s, _, _) | Fadd_r (s, _, _) | Fadd_l (s, _, _)) when identity ws s ~store ~sflat -> fmu
-    | _ -> Fnone
-  in
-  for a = 0 to lens.(o1) - 1 do
-    cs.(o1) <- a;
-    for b = 0 to lens.(o2) - 1 do
-      cs.(o2) <- b;
-      let sbase = sb + (ss.(0) * cs.(0)) + (ss.(1) * cs.(1)) + (ss.(2) * cs.(2)) in
+(* One strip of [body] into [store] at [sbase + ssk * i]: a REAL store
+   through the fused update [fmu] or one copy loop (a plain REAL load is
+   a zero-copy view), an INTEGER store from an int strip or a truncated
+   float strip. *)
+let store_row ws (store : Ndarray.data) ~sbase ~ssk ~fmu body =
+  let len = ws.len in
+  match (body, store) with
+  | Breal body, Ndarray.Reals store -> (
       match fmu with
       | Fsub (_, x, y) ->
           let xs = strip_eval ws 1 x in
@@ -890,12 +895,49 @@ let exec_strips ws ~store ~(sflat : lin) ~fmu body =
               +. Array.unsafe_get store o)
           done
       | Fnone ->
-          (* a plain REAL load is a zero-copy view: one copy loop *)
           let r = strip_eval ws 0 body in
           let ra = r.sa and ro = r.so and rst = r.st in
           for i = 0 to len - 1 do
             Array.unsafe_set store (sbase + (ssk * i)) (Array.unsafe_get ra (ro + (rst * i)))
-          done
+          done)
+  | Bint body, Ndarray.Ints store ->
+      let r = istrip_eval ws 0 body in
+      let ra = r.ia and ro = r.io and rst = r.ist in
+      for i = 0 to len - 1 do
+        Array.unsafe_set store (sbase + (ssk * i)) (Array.unsafe_get ra (ro + (rst * i)))
+      done
+  | Btrunc body, Ndarray.Ints store ->
+      let r = strip_eval ws 0 body in
+      let ra = r.sa and ro = r.so and rst = r.st in
+      for i = 0 to len - 1 do
+        Array.unsafe_set store
+          (sbase + (ssk * i))
+          (int_of_float (Array.unsafe_get ra (ro + (rst * i))))
+      done
+  | _ -> assert false (* [plan] chose the body by the left-hand side's declared kind *)
+
+(* Run the nest into [store].  Any order is legal: the store map is
+   injective and every read of the store's storage is a direct read of
+   the lhs array, which Lower proved to be the identity subscript or
+   separated from every write. *)
+let exec_strips ws ~(store : Ndarray.data) ~(sflat : lin) ~fmu body =
+  strips ws ~sflat;
+  let lens = ws.lens and o1 = ws.o1 and o2 = ws.o2 in
+  let ss = sflat.coefs and sb = sflat.base and cs = ws.cs in
+  let ssk = ss.(ws.k) in
+  let fmu =
+    match (fmu, store) with
+    | (Fsub (s, _, _) | Fadd_r (s, _, _) | Fadd_l (s, _, _)), Ndarray.Reals store
+      when identity ws s ~store ~sflat ->
+        fmu
+    | _ -> Fnone
+  in
+  for a = 0 to lens.(o1) - 1 do
+    cs.(o1) <- a;
+    for b = 0 to lens.(o2) - 1 do
+      cs.(o2) <- b;
+      let sbase = sb + (ss.(0) * cs.(0)) + (ss.(1) * cs.(1)) + (ss.(2) * cs.(2)) in
+      store_row ws store ~sbase ~ssk ~fmu body
     done
   done
 
@@ -1007,21 +1049,23 @@ let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~space =
       let points = lens.(0) * lens.(1) * lens.(2) in
       scalar_values ws x ~scalars;
       resolve ws x.x_refs ~me ~arrays ~scalars ~temps;
-      let buf = Array.make (points * copies) 0. in
+      let buf = Ndarray.create (Darray.kind lhs_darr) [| points * copies |] in
       counter_lin ws.sflat ~lens copies;
-      exec_strips ws ~store:buf ~sflat:ws.sflat ~fmu:p.p_fmu x.x_template;
-      for i = 0 to points - 1 do
-        for j = 1 to copies - 1 do
-          buf.((i * copies) + j) <- buf.(i * copies)
+      exec_strips ws ~store:buf.Ndarray.data ~sflat:ws.sflat ~fmu:p.p_fmu x.x_template;
+      let spread a =
+        for i = 0 to points - 1 do
+          for j = 1 to copies - 1 do
+            a.((i * copies) + j) <- a.(i * copies)
+          done
         done
-      done;
-      Scattered (Ndarray.of_reals [| points * copies |] buf)
-  | Some lhs ->
-      let store =
-        match lhs_darr.Darray.local.Ndarray.data with
-        | Ndarray.Reals d -> d
-        | _ -> raise (Decline Stats.Int_store)
       in
+      (match buf.Ndarray.data with
+      | Ndarray.Reals a -> spread a
+      | Ndarray.Ints a -> spread a
+      | Ndarray.Logs _ -> assert false (* [plan] stores no LOGICAL array *));
+      Scattered buf
+  | Some lhs ->
+      let store = lhs_darr.Darray.local.Ndarray.data in
       scalar_values ws x ~scalars;
       resolve ws x.x_refs ~me ~arrays ~scalars ~temps;
       let sflat = ws.sflat in
@@ -1031,8 +1075,10 @@ let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~space =
          operand sharing the store's storage would be an alias it never saw
          (none arises today: dummies are copied in, temporaries are fresh) *)
       for s = 0 to Array.length x.x_refs - 1 do
-        match ws.nds.(s).Ndarray.data with
-        | Ndarray.Reals d when d == store && not p.p_lhs_reads.(s) ->
+        match (ws.nds.(s).Ndarray.data, store) with
+        | Ndarray.Reals d, Ndarray.Reals st when d == st && not p.p_lhs_reads.(s) ->
+            raise (Decline Stats.Storage_alias)
+        | Ndarray.Ints d, Ndarray.Ints st when d == st && not p.p_lhs_reads.(s) ->
             raise (Decline Stats.Storage_alias)
         | _ -> ()
       done;
@@ -1083,21 +1129,8 @@ let index (x : index_plan) ~me ~arrays ~scalars ~temps ~space =
         resolve ws xp.x_refs ~me ~arrays ~scalars ~temps;
         let lens = ws.lens in
         let buf = Array.make (lens.(0) * lens.(1) * lens.(2)) 0 in
-        let sflat = ws.sflat in
-        counter_lin sflat ~lens 1;
-        strips ws ~sflat;
-        let ss = sflat.coefs and cs = ws.cs and o1 = ws.o1 and o2 = ws.o2 in
-        for a = 0 to lens.(o1) - 1 do
-          cs.(o1) <- a;
-          for b = 0 to lens.(o2) - 1 do
-            cs.(o2) <- b;
-            let sbase = (ss.(0) * cs.(0)) + (ss.(1) * cs.(1)) + (ss.(2) * cs.(2)) in
-            let r = istrip_eval ws 0 xp.x_template in
-            for i = 0 to ws.len - 1 do
-              buf.(sbase + (ss.(ws.k) * i)) <- r.ia.(r.io + (r.ist * i))
-            done
-          done
-        done;
+        counter_lin ws.sflat ~lens 1;
+        exec_strips ws ~store:(Ndarray.Ints buf) ~sflat:ws.sflat ~fmu:Fnone xp.x_template;
         release ws;
         Ivalues buf
       with Decline _ ->

@@ -4,15 +4,19 @@
     A FORALL whose iteration sets are arithmetic progressions (the
     [set_BOUND] ranges of {!F90d_dist.Layout.set_bound}), whose
     references all resolve to flat offsets affine in the loop counters,
-    and whose body is arithmetic into a REAL array, runs in two halves:
+    and whose body is arithmetic into a REAL or INTEGER array, runs in
+    two halves:
 
     - {!plan} decides everything value-independent once per statement —
       eligibility, the operator tree, which references and scalars feed
       which leaves, integer-vs-real division — before the run starts, and
       resolves every array, scalar and temporary name to its slot; every
       rank and every execution under a DO loop shares the one plan.
-      Masks, snapshots and non-REAL stores of a write-back phase are
-      ineligible here and nowhere else;
+      Masks, snapshots, LOGICAL stores and INTEGER stores of a value
+      whose kind is only known at run time are ineligible here and
+      nowhere else.  An INTEGER store takes an INTEGER value from an int
+      tree and truncates a REAL one by [int_of_float], as
+      [Scalar.to_int] does;
     - {!execute} reads the slots once against the current layouts,
       scalars and iteration sets, then runs the whole local nest as row
       strips (fused multiply-update loops for gauss's rank-1 body).  Row
@@ -73,9 +77,10 @@ val plan : scope -> f:F90d_ir.Ir.forall -> plan
 type stored =
   | Stored  (** the nest stored into the left-hand side's local section *)
   | Scattered of F90d_base.Ndarray.t
-      (** a scatter plan's values: entry [i * c + j] is iteration [i]'s
-          value (nest order) for the [j]th of the [c] ranks holding its
-          element, in {!F90d_dist.Dad.owning_ranks} order *)
+      (** a scatter plan's values, of the left-hand side's kind: entry
+          [i * c + j] is iteration [i]'s value (nest order) for the
+          [j]th of the [c] ranks holding its element, in
+          {!F90d_dist.Dad.owning_ranks} order *)
 
 val execute :
   plan ->

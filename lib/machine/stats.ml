@@ -9,7 +9,6 @@ type kernel_fallback =
   | Explicit_layout
   | Out_of_bounds
   | Not_injective
-  | Int_store
   | Missing_temp
   | Zero_divisor
   | Storage_alias
@@ -21,7 +20,6 @@ let reasons =
     (Explicit_layout, "explicit_layout");
     (Out_of_bounds, "out_of_bounds");
     (Not_injective, "store_not_injective");
-    (Int_store, "integer_store");
     (Missing_temp, "missing_temporary");
     (Zero_divisor, "zero_divisor");
     (Storage_alias, "storage_alias");

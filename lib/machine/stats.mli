@@ -21,7 +21,6 @@ type kernel_fallback =
       (** a dimension's local layout or iteration set is an explicit index list *)
   | Out_of_bounds  (** a reference reaches outside the local storage *)
   | Not_injective  (** several iterations store to one element *)
-  | Int_store  (** the left-hand side is not a REAL array *)
   | Missing_temp  (** a communication temporary is absent or of another shape *)
   | Zero_divisor  (** an integer division, MOD or MODULO by zero *)
   | Storage_alias

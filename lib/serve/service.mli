@@ -14,7 +14,8 @@
     request can not take the service down.
 
     Request fields (all optional unless noted):
-    - [op] (required), [source] or [demo] (+[demo_n]) for program ops;
+    - [op] (required), [source] or [demo] (+[demo_n], the problem size,
+      default 64; [jacobi2d] is always N=30) for program ops;
     - [nprocs] (default 4), [machine] ("ipsc860");
     - [no_opt] (false), [fno] (list of pass names as in [f90dc --fno-*]);
     - [cache] (true) — set false to bypass all three cache levels;
@@ -84,7 +85,9 @@ val strip_volatile : Json.t -> Json.t
 
 val demo_source : string -> nprocs:int -> n:int -> string
 (** The built-in demo programs ([gauss], [gauss-cyclic], [jacobi],
-    [jacobi2d], [irregular], [fft]) shared with the CLI.
+    [jacobi2d], [irregular], [fft]) shared with the CLI, of problem size
+    [n] (at least 4), except [jacobi2d], whose grid is always N=30 on
+    the most nearly square [p x q = nprocs].
     @raise Invalid_argument on an unknown name. *)
 
 val model_of_name : string -> F90d_machine.Model.t

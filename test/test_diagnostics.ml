@@ -506,18 +506,35 @@ let test_array_dummy_non_array_actual () =
 
 (* Repros in corpus/errors/ that used to end in an internal error (or,
    for the alignment, in a silently wrong SUM): each is now the located
-   compile-time error of its declaration, directive or statement. *)
+   error of its declaration, directive or statement, at compile time or,
+   for a stride only known at run time, on every machine size it runs
+   on. *)
 let test_corpus_errors () =
+  let read file =
+    In_channel.with_open_bin (Filename.concat "corpus/errors" file) In_channel.input_all
+  in
+  let expect name ~line expected f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no error" name
+    | exception Diag.Error (loc, msg) ->
+        Alcotest.(check string) (name ^ ": message") expected msg;
+        Alcotest.(check int) (name ^ ": line") line loc.Loc.line
+  in
+  List.iter
+    (fun (file, nprocs, line, expected) ->
+      let c = Driver.compile ~file (read file) in
+      List.iter
+        (fun p ->
+          expect (Printf.sprintf "%s at P=%d" file p) ~line expected (fun () ->
+              Driver.run ~nprocs:p c))
+        nprocs)
+    [
+      ("zero_stride.f90d", [ 1; 4 ], 11, "zero FORALL stride");
+      ("zero_stride_2d.f90d", [ 4 ], 15, "zero FORALL stride");
+    ];
   List.iter
     (fun (file, line, expected) ->
-      let src =
-        In_channel.with_open_bin (Filename.concat "corpus/errors" file) In_channel.input_all
-      in
-      match Driver.compile ~file src with
-      | _ -> Alcotest.failf "%s compiled without an error" file
-      | exception Diag.Error (loc, msg) ->
-          Alcotest.(check string) (file ^ ": message") expected msg;
-          Alcotest.(check int) (file ^ ": line") line loc.Loc.line)
+      expect file ~line expected (fun () -> Driver.compile ~file (read file)))
     [
       ("negative_extent.f90d", 5, "array 'B1' dimension 1 has bounds 1:-6, a negative extent");
       ( "align_outside_template.f90d",
