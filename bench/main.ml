@@ -518,18 +518,12 @@ type ab_row = {
   ab_hidden : float;
 }
 
-let json_pass_flags (f : F90d_opt.Passes.flags) =
+let json_pass_flags f =
   Json.Obj
-    [
-      ("shift_union", Json.Bool f.F90d_opt.Passes.shift_union);
-      ("fuse_mshift", Json.Bool f.F90d_opt.Passes.fuse_mshift);
-      ("schedule_reuse", Json.Bool f.F90d_opt.Passes.schedule_reuse);
-      ("hoist_comm", Json.Bool f.F90d_opt.Passes.hoist_comm);
-      ("coalesce", Json.Bool f.F90d_opt.Passes.coalesce);
-      ("split_comm", Json.Bool f.F90d_opt.Passes.split_comm);
-      ("lookahead", Json.Bool f.F90d_opt.Passes.lookahead);
-      ("blocked_kernels", Json.Bool f.F90d_opt.Passes.blocked_kernels);
-    ]
+    (List.map
+       (fun (p : F90d_opt.Passes.pass) ->
+         (String.map (function '-' -> '_' | c -> c) p.name, Json.Bool (p.get f)))
+       F90d_opt.Passes.passes)
 
 (* Each pass alone on top of all_off, bracketed by all_off and all_on, so
    a row's delta against the first row is that pass's lone contribution

@@ -7,10 +7,6 @@
 
 open Cmdliner
 
-let read_source = function
-  | "-" -> In_channel.input_all stdin
-  | path -> In_channel.with_open_text path In_channel.input_all
-
 let demo_source name nprocs =
   let n =
     match Sys.getenv_opt "F90D_DEMO_N" with
@@ -106,7 +102,7 @@ let metrics_cmd sock =
 (* ------------------------------------------------------------------ *)
 
 let run_cmd source demo nprocs machine emit explain explain_json profile_json no_opt
-    no_passes show_finals trace profile log_comm serve client cache_dir no_cache
+    no_passes show_finals trace profile serve client cache_dir no_cache
     request_timeout serve_workers metrics_sock metrics_out log_file log_level log_slow =
   try
     (match log_file with Some path -> Log.set_file path | None -> ());
@@ -128,19 +124,15 @@ let run_cmd source demo nprocs machine emit explain explain_json profile_json no
         `Ok ()
     | None, None, None ->
         let t_start = Unix.gettimeofday () in
-        if log_comm then begin
-          Logs.set_reporter (Logs.format_reporter ());
-          Logs.Src.set_level F90d_exec.Interp.log_src (Some Logs.Debug)
-        end;
         let nprocs = max 1 nprocs in
-        let src =
+        let file, src =
           match (demo, source) with
-          | Some d, _ -> demo_source d nprocs
-          | None, Some path -> read_source path
-          | None, None -> read_source "-"
+          | Some d, _ -> (None, demo_source d nprocs)
+          | None, (None | Some "-") -> (None, In_channel.input_all stdin)
+          | None, Some path -> (Some path, In_channel.with_open_text path In_channel.input_all)
         in
         let flags = F90d_serve.Service.flags_of_names ~no_opt no_passes in
-        let compiled = F90d.Driver.compile ~flags src in
+        let compiled = F90d.Driver.compile ~flags ?file src in
         let metrics_store = ref None in
         let metrics_run = ref None in
         if emit then print_string (F90d_ir.Emit_f77.emit_program compiled.F90d.Driver.c_ir)
@@ -312,37 +304,19 @@ let no_opt =
   Arg.(value & flag & info [ "no-opt" ] ~doc)
 
 (* Per-pass disables in the familiar -fno-<pass> spelling.  Cmdliner has
-   no single-dash long options, so each is declared as its own flag and
-   folded into a list of pass names to turn off. *)
+   no single-dash long options, so each pass of the table is its own flag,
+   folded into the list of pass names to turn off. *)
 let no_passes =
-  let pass name doc =
-    Arg.(
-      value & flag
-      & info [ "fno-" ^ name ] ~doc:(Printf.sprintf "Disable the %s optimization pass." doc))
-  in
-  let combine su fm sr hc co sp la bk =
-    List.concat
-      [
-        (if su then [ "shift-union" ] else []);
-        (if fm then [ "fuse-mshift" ] else []);
-        (if sr then [ "schedule-reuse" ] else []);
-        (if hc then [ "hoist-comm" ] else []);
-        (if co then [ "coalesce" ] else []);
-        (if sp then [ "split-comm" ] else []);
-        (if la then [ "lookahead" ] else []);
-        (if bk then [ "blocked-kernels" ] else []);
-      ]
-  in
-  Term.(
-    const combine
-    $ pass "shift-union" "shift-union (merge opposite-direction overlap shifts)"
-    $ pass "fuse-mshift" "multicast-shift fusion"
-    $ pass "schedule-reuse" "inspector schedule reuse"
-    $ pass "hoist-comm" "loop-invariant communication hoisting"
-    $ pass "coalesce" "cross-statement message coalescing (and its replica cache)"
-    $ pass "split-comm" "split-phase communication (issue/wait overlap)"
-    $ pass "lookahead" "loop-carried multicast lookahead pipelining"
-    $ pass "blocked-kernels" "blocked node-kernel execution layer (plan cache, fused updates)")
+  List.fold_right
+    (fun (p : F90d_opt.Passes.pass) rest ->
+      let off =
+        Arg.(
+          value & flag
+          & info [ "fno-" ^ p.name ]
+              ~doc:(Printf.sprintf "Disable the %s optimization pass." p.doc))
+      in
+      Term.(const (fun off names -> if off then p.name :: names else names) $ off $ rest))
+    F90d_opt.Passes.passes (Term.const [])
 
 let show_finals =
   let doc = "Print the final contents of every array of the main program." in
@@ -361,10 +335,6 @@ let profile =
      after the run."
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
-
-let log_comm =
-  let doc = "Log every communication primitive to stderr as the node programs execute." in
-  Arg.(value & flag & info [ "log-comm" ] ~doc)
 
 let serve =
   let doc =
@@ -453,7 +423,7 @@ let cmd =
       ret
         (const run_cmd $ source $ demo $ nprocs $ machine $ emit $ explain
        $ explain_json $ profile_json $ no_opt $ no_passes $ show_finals $ trace $ profile
-       $ log_comm $ serve $ client $ cache_dir $ no_cache $ request_timeout $ serve_workers
+       $ serve $ client $ cache_dir $ no_cache $ request_timeout $ serve_workers
        $ metrics_sock $ metrics_out $ log_file $ log_level $ log_slow))
 
 let () = exit (Cmd.eval cmd)

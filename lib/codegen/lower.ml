@@ -27,8 +27,7 @@ let new_sid acc ~loc ~desc =
   acc.prov <- { Ir.pv_sid = sid; pv_loc = loc; pv_unit = acc.uname; pv_desc = desc } :: acc.prov;
   sid
 
-let render_expr e = Format.asprintf "%a" Ast.pp_expr e
-let render_ref (r : Ast.ref_) = render_expr (Ast.mk (Ast.Ref r))
+let render_ref (r : Ast.ref_) = Ast.expr_str (Ast.mk (Ast.Ref r))
 
 let truncate n s = if String.length s <= n then s else String.sub s 0 (n - 3) ^ "..."
 
@@ -214,49 +213,6 @@ let same_subscripts (a : Ast.ref_) (b : Ast.ref_) =
   List.length a.Ast.args = List.length b.Ast.args
   && List.for_all2 same_section a.Ast.args b.Ast.args
 
-(* Affine view of a subscript as constant + integer combination of
-   variables, for proving two subscripts never meet.  [const_diff e1 e2]
-   is [Some d] when e1 - e2 normalizes to the constant d (all variable
-   terms cancel symbolically). *)
-let rec affine (e : Ast.expr) : (int * (string * int) list) option =
-  let add_term vs (v, k) =
-    let k = k + Option.value (List.assoc_opt v vs) ~default:0 in
-    (v, k) :: List.remove_assoc v vs
-  in
-  let combine sign a b =
-    match (affine a, affine b) with
-    | Some (ca, va), Some (cb, vb) ->
-        Some
-          ( ca + (sign * cb),
-            List.fold_left add_term va (List.map (fun (v, k) -> (v, sign * k)) vb) )
-    | _ -> None
-  in
-  match e.Ast.e with
-  | Ast.Int_lit n -> Some (n, [])
-  | Ast.Var v -> Some (0, [ (v, 1) ])
-  | Ast.Bin (Ast.Add, a, b) -> combine 1 a b
-  | Ast.Bin (Ast.Sub, a, b) -> combine (-1) a b
-  | Ast.Bin (Ast.Mul, { Ast.e = Ast.Int_lit n; _ }, b) | Ast.Bin (Ast.Mul, b, { Ast.e = Ast.Int_lit n; _ })
-    -> (
-      match affine b with
-      | Some (c, vs) -> Some (n * c, List.map (fun (v, k) -> (v, n * k)) vs)
-      | None -> None)
-  | _ -> None
-
-let const_diff e1 e2 =
-  match (affine e1, affine e2) with
-  | Some (c1, v1), Some (c2, v2) ->
-      let keys = List.sort_uniq compare (List.map fst v1 @ List.map fst v2) in
-      if
-        List.for_all
-          (fun v ->
-            Option.value (List.assoc_opt v v1) ~default:0
-            = Option.value (List.assoc_opt v v2) ~default:0)
-          keys
-      then Some (c1 - c2)
-      else None
-  | _ -> None
-
 (* Does the loop need a pre-loop snapshot of the lhs local section?  Only
    Acc_direct reads are hazardous: every other access path reads a
    temporary filled during pre-communication, i.e. before any store.
@@ -289,7 +245,7 @@ let needs_snapshot (f : Ir.forall) =
     let descending =
       match ri.Ast.st with Some { Ast.e = Ast.Int_lit n; _ } -> n < 0 | _ -> false
     in
-    let lo = const_diff ri.Ast.lo e and hi = const_diff ri.Ast.hi e in
+    let lo = Linear.const_diff ri.Ast.lo e and hi = Linear.const_diff ri.Ast.hi e in
     let gt = function Some d -> d > 0 | None -> false in
     let lt = function Some d -> d < 0 | None -> false in
     (ascending && (gt lo || lt hi)) || (descending && (lt lo || gt hi))
@@ -396,7 +352,7 @@ let explain_forall acc env ~sid ~loc ~vars (f : Ir.forall) (plan : Pattern.plan)
         Printf.sprintf "FORALL (%s) %s = %s"
           (String.concat "," (List.map fst vars))
           (render_ref f.Ir.f_lhs)
-          (truncate 60 (render_expr f.Ir.f_rhs));
+          (truncate 60 (Ast.expr_str f.Ir.f_rhs));
       x_lhs = f.Ir.f_lhs.Ast.base;
       x_iter = iter_name f.Ir.f_iter;
       x_iter_why = plan.Pattern.lhs_why;
@@ -447,12 +403,6 @@ let explain_mover acc env ~sid ~loc ~target (call : Ast.ref_) =
   in
   acc.explain <- x :: acc.explain
 
-let is_mover_call (e : Ast.expr) =
-  match e.Ast.e with
-  | Ast.Ref r when Intrinsic_names.returns_array ~nargs:(List.length r.Ast.args) r.Ast.base ->
-      Some r
-  | _ -> None
-
 let rec lower_stmt env acc ghosts (st : Ast.stmt) : Ir.stmt list =
   let loc = st.Ast.sloc in
   (* Allocate the statement's sid before lowering any nested body so sids
@@ -460,7 +410,7 @@ let rec lower_stmt env acc ghosts (st : Ast.stmt) : Ir.stmt list =
   let stmt ~desc node = { Ir.sid = new_sid acc ~loc ~desc; sloc = loc; s = node } in
   match st.Ast.s with
   | Ast.Assign (({ Ast.e = Ast.Var v; _ } as _lhs), rhs) -> (
-      match is_mover_call rhs with
+      match Normalize.mover_call rhs with
       | Some call ->
           if Sema.array_spec env v = None then
             Diag.error ~loc:st.Ast.sloc "intrinsic '%s' must be assigned to an array"
@@ -475,7 +425,7 @@ let rec lower_stmt env acc ghosts (st : Ast.stmt) : Ir.stmt list =
   | Ast.Assign (({ Ast.e = Ast.Ref r; _ } as _lhs), rhs) ->
       if Sema.array_spec env r.Ast.base = None then
         Diag.error ~loc:st.Ast.sloc "assignment to undeclared array '%s'" r.Ast.base;
-      if is_mover_call rhs <> None then
+      if Option.is_some (Normalize.mover_call rhs) then
         Diag.error ~loc:st.Ast.sloc "movement intrinsics must target a whole array";
       [ stmt ~desc:(render_ref r ^ " = ...") (Ir.Element_assign { lhs = r; rhs }) ]
   | Ast.Assign _ -> Diag.error ~loc:st.Ast.sloc "invalid assignment target"

@@ -7,12 +7,6 @@ open F90d_ir
 
 exception Return_unwind
 
-(* communication tracing: enable with Logs.Src.set_level src (Some Debug),
-   or f90dc --trace *)
-let log_src = Logs.Src.create "f90d.exec" ~doc:"SPMD interpreter communication trace"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 (* One rank's copy of the last multicast slab of an array: the slice
    [rv_dim = rv_g0] (zero-based) as broadcast when the array's write
    version was [rv_version].  While the version is unchanged the slab
@@ -706,11 +700,6 @@ let csub cx arr ~dim e =
   let c = cint cx e and flb = (Dad.dims (cdad cx arr)).(dim).Dad.flb in
   fun st -> c st no_frame - flb
 
-let log_comm st (c : Ir.comm) =
-  Log.debug (fun m ->
-      m "p%d t=%.6f %s(%s)" (me st) (Rctx.time st.ctx) (Ir.comm_name c)
-        (match Ir.comm_source c with Some a -> a | None -> "<batch>"))
-
 (* The multicast slab, through the replica cache when the coalesce pass is
    on: a repeat of the same (array, dim, slice) broadcast while the array
    is unmodified is served from the cached slab with no messages. *)
@@ -735,7 +724,6 @@ let compile_split cx ~issue hid (c : Ir.comm) =
   | Ir.Multicast { arr; dim; g; _ } when issue -> (
       let g0 = csub cx arr ~dim g and k = caslot cx arr in
       fun st ->
-        log_comm st c;
         if Option.is_some st.pending.(hid) then
           Diag.bug "interp: double issue on split slot %d" hid;
         let g0 = g0 st in
@@ -766,87 +754,82 @@ let compile_split cx ~issue hid (c : Ir.comm) =
 (* Comms that do not need the FORALL frame (everything but the inspector
    ops) — executable from a loop pre-header too. *)
 let compile_comm cx (c : Ir.comm) =
-  let run =
-    match c with
-    | Ir.Multicast { arr; dim; g; temp } ->
-        let g0 = csub cx arr ~dim g and k = caslot cx arr in
-        fun st -> set_temp st temp (multicast_slab st k ~dim ~g0:(g0 st))
-    | Ir.Transfer { arr; dim; src; dest; temp } -> (
-        let s0 = csub cx arr ~dim src and d0 = csub cx arr ~dim dest and k = caslot cx arr in
-        fun st ->
-          let s0 = s0 st in
-          let d0 = d0 st in
-          match Structured.transfer st.ctx st.arrays.(k) ~dim ~gsrc:s0 ~gdest:d0 with
-          | Some slab -> set_temp st temp slab
-          | None -> ())
-    | Ir.Overlap_shift { arr; dim; amount } ->
-        let k = caslot cx arr in
-        fun st -> Structured.overlap_shift st.ctx st.arrays.(k) ~dim ~amount
-    | Ir.Temp_shift { arr; dim; amount; temp } ->
-        let amount = cint cx amount and k = caslot cx arr in
-        fun st ->
-          let a = amount st no_frame in
-          let slab = Structured.temporary_shift st.ctx st.arrays.(k) ~dim ~amount:a in
-          set_temp st temp slab
-    | Ir.Multicast_shift { ms_arr; mdim; ms_g; sdim; ms_amount; ms_temp; fused } ->
-        let g0 = csub cx ms_arr ~dim:mdim ms_g and amount = cint cx ms_amount in
-        let k = caslot cx ms_arr in
-        fun st ->
-          let g0 = g0 st in
-          let a = amount st no_frame in
-          let slab =
-            Structured.multicast_shift st.ctx st.arrays.(k) ~fused ~mdim ~g:g0 ~sdim ~amount:a
+  match c with
+  | Ir.Multicast { arr; dim; g; temp } ->
+      let g0 = csub cx arr ~dim g and k = caslot cx arr in
+      fun st -> set_temp st temp (multicast_slab st k ~dim ~g0:(g0 st))
+  | Ir.Transfer { arr; dim; src; dest; temp } -> (
+      let s0 = csub cx arr ~dim src and d0 = csub cx arr ~dim dest and k = caslot cx arr in
+      fun st ->
+        let s0 = s0 st in
+        let d0 = d0 st in
+        match Structured.transfer st.ctx st.arrays.(k) ~dim ~gsrc:s0 ~gdest:d0 with
+        | Some slab -> set_temp st temp slab
+        | None -> ())
+  | Ir.Overlap_shift { arr; dim; amount } ->
+      let k = caslot cx arr in
+      fun st -> Structured.overlap_shift st.ctx st.arrays.(k) ~dim ~amount
+  | Ir.Temp_shift { arr; dim; amount; temp } ->
+      let amount = cint cx amount and k = caslot cx arr in
+      fun st ->
+        let a = amount st no_frame in
+        let slab = Structured.temporary_shift st.ctx st.arrays.(k) ~dim ~amount:a in
+        set_temp st temp slab
+  | Ir.Multicast_shift { ms_arr; mdim; ms_g; sdim; ms_amount; ms_temp; fused } ->
+      let g0 = csub cx ms_arr ~dim:mdim ms_g and amount = cint cx ms_amount in
+      let k = caslot cx ms_arr in
+      fun st ->
+        let g0 = g0 st in
+        let a = amount st no_frame in
+        let slab =
+          Structured.multicast_shift st.ctx st.arrays.(k) ~fused ~mdim ~g:g0 ~sdim ~amount:a
+        in
+        set_temp st ms_temp slab
+  | Ir.Concat { arr; temp } ->
+      let k = caslot cx arr in
+      fun st -> set_temp st temp (Darray.gather_global st.ctx st.arrays.(k))
+  | Ir.Comm_batch members -> (
+      (* one packed message per rank pair; members were proven homogeneous
+         by the coalescing pass *)
+      match members with
+      | [] -> fun _ -> ()
+      | { Ir.hc = Ir.Overlap_shift _; _ } :: _ ->
+          let members =
+            List.map
+              (function
+                | { Ir.hc = Ir.Overlap_shift { arr; dim; amount }; hc_sid; _ } ->
+                    (caslot cx arr, dim, amount, hc_sid)
+                | _ -> Diag.bug "interp: mixed comm batch")
+              members
           in
-          set_temp st ms_temp slab
-    | Ir.Concat { arr; temp } ->
-        let k = caslot cx arr in
-        fun st -> set_temp st temp (Darray.gather_global st.ctx st.arrays.(k))
-    | Ir.Comm_batch members -> (
-        (* one packed message per rank pair; members were proven homogeneous
-           by the coalescing pass *)
-        match members with
-        | [] -> fun _ -> ()
-        | { Ir.hc = Ir.Overlap_shift _; _ } :: _ ->
-            let members =
-              List.map
-                (function
-                  | { Ir.hc = Ir.Overlap_shift { arr; dim; amount }; hc_sid; _ } ->
-                      (caslot cx arr, dim, amount, hc_sid)
-                  | _ -> Diag.bug "interp: mixed comm batch")
-                members
-            in
-            fun st ->
-              Structured.overlap_shift_batch st.ctx
-                (List.map (fun (k, dim, amount, sid) -> (st.arrays.(k), dim, amount, sid)) members)
-        | { Ir.hc = Ir.Transfer _; _ } :: _ ->
-            let members =
-              List.map
-                (function
-                  | { Ir.hc = Ir.Transfer { arr; dim; src; dest; temp }; hc_sid = sid; hc_loc } ->
-                      let k = caslot cx arr and s0 = csub cx arr ~dim src in
-                      let d0 = csub cx arr ~dim dest in
-                      (* the member's slices belong to its own statement *)
-                      let plan st =
-                        Rctx.at_stmt st.ctx ~sid ~loc:hc_loc (fun () ->
-                            Structured.transfer_member st.ctx st.arrays.(k) ~dim ~gsrc:(s0 st)
-                              ~gdest:(d0 st) ~sid)
-                      in
-                      (plan, temp)
-                  | _ -> Diag.bug "interp: mixed comm batch")
-                members
-            in
-            fun st ->
-              Structured.transfer_batch st.ctx (List.map (fun (plan, _) -> plan st) members)
-              |> List.iter2
-                   (fun (_, temp) -> Option.iter (set_temp st temp))
-                   members
-        | _ -> fun _ -> Diag.bug "interp: unsupported comm batch")
-    | Ir.Precomp_read _ | Ir.Gather_read _ ->
-        fun _ -> Diag.bug "interp: inspector comm outside a FORALL frame"
-  in
-  fun st ->
-    log_comm st c;
-    run st
+          fun st ->
+            Structured.overlap_shift_batch st.ctx
+              (List.map (fun (k, dim, amount, sid) -> (st.arrays.(k), dim, amount, sid)) members)
+      | { Ir.hc = Ir.Transfer _; _ } :: _ ->
+          let members =
+            List.map
+              (function
+                | { Ir.hc = Ir.Transfer { arr; dim; src; dest; temp }; hc_sid = sid; hc_loc } ->
+                    let k = caslot cx arr and s0 = csub cx arr ~dim src in
+                    let d0 = csub cx arr ~dim dest in
+                    (* the member's slices belong to its own statement *)
+                    let plan st =
+                      Rctx.at_stmt st.ctx ~sid ~loc:hc_loc (fun () ->
+                          Structured.transfer_member st.ctx st.arrays.(k) ~dim ~gsrc:(s0 st)
+                            ~gdest:(d0 st) ~sid)
+                    in
+                    (plan, temp)
+                | _ -> Diag.bug "interp: mixed comm batch")
+              members
+          in
+          fun st ->
+            Structured.transfer_batch st.ctx (List.map (fun (plan, _) -> plan st) members)
+            |> List.iter2
+                 (fun (_, temp) -> Option.iter (set_temp st temp))
+                 members
+      | _ -> fun _ -> Diag.bug "interp: unsupported comm batch")
+  | Ir.Precomp_read _ | Ir.Gather_read _ ->
+      fun _ -> Diag.bug "interp: inspector comm outside a FORALL frame"
 
 (* A keyed schedule is reused while the index arrays its reference's
    subscripts read keep their write versions ([vsig], from
@@ -926,7 +909,6 @@ let compile_forall cx ~sid (f : Ir.forall) =
             let ins = inspected r and vsig = version_sig cx r and k = caslot cx r.Ast.base in
             let local = match c with Ir.Precomp_read _ -> Some (once ()) | _ -> None in
             fun st ~space ->
-              log_comm st c;
               let sched =
                 cached_schedule st key vsig (fun () ->
                     match local with

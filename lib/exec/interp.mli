@@ -14,10 +14,6 @@ type outcome = {
   final_scalars : (string * F90d_base.Scalar.t) list;
 }
 
-val log_src : Logs.src
-(** Communication trace: set to [Debug] to log every collective primitive
-    with its processor and virtual time ([f90dc --trace]). *)
-
 type prepared
 (** The rank-invariant state of one run: each unit's statements compiled
     to closures (FORALLs with their kernel plans), its scalar and array

@@ -148,26 +148,43 @@ let binop_name = function
   | Eq -> ".EQ." | Ne -> ".NE." | Lt -> ".LT." | Le -> ".LE." | Gt -> ".GT." | Ge -> ".GE."
   | And -> ".AND." | Or -> ".OR."
 
-let rec pp_expr ppf expr =
+(* The one printer of expressions (F77 text, explain reports, coalescing
+   keys).  A buffer, not [Format]: lowering renders every FORALL, and a
+   [Format.asprintf] allocates about 300 words. *)
+let rec add_expr buf expr =
+  let put = Buffer.add_string buf in
   match expr.e with
-  | Int_lit n -> Format.pp_print_int ppf n
-  | Real_lit r -> Format.fprintf ppf "%g" r
-  | Log_lit b -> Format.pp_print_string ppf (if b then ".TRUE." else ".FALSE.")
-  | Str_lit s -> Format.fprintf ppf "'%s'" s
-  | Var v -> Format.pp_print_string ppf v
+  | Int_lit n -> put (string_of_int n)
+  | Real_lit r -> put (Printf.sprintf "%g" r)
+  | Log_lit b -> put (if b then ".TRUE." else ".FALSE.")
+  | Str_lit s -> put "'"; put s; put "'"
+  | Var v -> put v
   | Ref r ->
-      Format.fprintf ppf "%s(%a)" r.base
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",") pp_section)
-        r.args
-  | Bin (op, a, b) -> Format.fprintf ppf "(%a %s %a)" pp_expr a (binop_name op) pp_expr b
-  | Un (Neg, a) -> Format.fprintf ppf "(-%a)" pp_expr a
-  | Un (Not, a) -> Format.fprintf ppf "(.NOT. %a)" pp_expr a
+      put r.base;
+      put "(";
+      List.iteri (fun i s -> if i > 0 then put ","; add_section buf s) r.args;
+      put ")"
+  | Bin (op, a, b) ->
+      put "(";
+      add_expr buf a;
+      put (" " ^ binop_name op ^ " ");
+      add_expr buf b;
+      put ")"
+  | Un (Neg, a) -> put "(-"; add_expr buf a; put ")"
+  | Un (Not, a) -> put "(.NOT. "; add_expr buf a; put ")"
 
-and pp_section ppf = function
-  | Elem e -> pp_expr ppf e
+and add_section buf = function
+  | Elem e -> add_expr buf e
   | Range (a, b, c) ->
-      let pp_opt ppf = function Some e -> pp_expr ppf e | None -> () in
-      Format.fprintf ppf "%a:%a" pp_opt a pp_opt b;
-      match c with Some e -> Format.fprintf ppf ":%a" pp_expr e | None -> ()
+      let opt = function Some e -> add_expr buf e | None -> () in
+      opt a;
+      Buffer.add_char buf ':';
+      opt b;
+      Option.iter (fun e -> Buffer.add_char buf ':'; add_expr buf e) c
+
+let expr_str e =
+  let buf = Buffer.create 32 in
+  add_expr buf e;
+  Buffer.contents buf
 
 let kind_name = function Integer -> "INTEGER" | Real -> "REAL" | Logical -> "LOGICAL"

@@ -124,10 +124,11 @@ let rec has_array_context env (e : Ast.expr) =
         (function Ast.Range _ -> true | Ast.Elem x -> has_array_context env x)
         r.Ast.args
 
-let is_mover_call (e : Ast.expr) =
+let mover_call (e : Ast.expr) =
   match e.Ast.e with
-  | Ast.Ref r -> Intrinsic_names.returns_array ~nargs:(List.length r.Ast.args) r.Ast.base
-  | _ -> false
+  | Ast.Ref r when Intrinsic_names.returns_array ~nargs:(List.length r.Ast.args) r.Ast.base ->
+      Some r
+  | _ -> None
 
 (* Build the FORALL for an array assignment.  Returns None when the
    statement is already elemental/scalar. *)
@@ -186,7 +187,7 @@ let rec normalize_stmt env vars (st : Ast.stmt) : Ast.stmt list =
   match st.Ast.s with
   | Ast.Assign (lhs, rhs) ->
       (* whole-array intrinsic movement stays a single statement *)
-      if is_mover_call rhs then [ st ]
+      if Option.is_some (mover_call rhs) then [ st ]
       else (
         match forallize env ~vars ~loc:st.Ast.sloc lhs rhs with
         | Some f -> [ f ]

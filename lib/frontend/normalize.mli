@@ -13,3 +13,7 @@
 
 val normalize_unit : Sema.unit_env -> Ast.stmt list -> Ast.stmt list
 (** @raise F90d_base.Diag.Error on non-conforming array expressions. *)
+
+val mover_call : Ast.expr -> Ast.ref_ option
+(** The call when the expression is a whole-array movement intrinsic
+    (CSHIFT, TRANSPOSE, ...), which stays a statement of its own. *)

@@ -65,29 +65,17 @@ let eval_int lookup e = Scalar.to_int (eval_const lookup e)
 (* Affine recognition: a*var + b                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* [var] stays symbolic and every other name must be an INTEGER
+   PARAMETER: any other scalar makes the subscript non-affine, even where
+   it would cancel out. *)
 let affine_of ~var ~lookup e =
-  let rec go (e : Ast.expr) =
-    match e.Ast.e with
-    | Ast.Int_lit n -> Some (0, n)
-    | Ast.Var v when v = var -> Some (1, 0)
-    | Ast.Var v -> (
-        match lookup v with Some (Scalar.Int n) -> Some (0, n) | _ -> None)
-    | Ast.Un (Ast.Neg, a) -> Option.map (fun (x, y) -> (-x, -y)) (go a)
-    | Ast.Bin (Ast.Add, a, b) -> (
-        match (go a, go b) with
-        | Some (a1, b1), Some (a2, b2) -> Some (a1 + a2, b1 + b2)
-        | _ -> None)
-    | Ast.Bin (Ast.Sub, a, b) -> (
-        match (go a, go b) with
-        | Some (a1, b1), Some (a2, b2) -> Some (a1 - a2, b1 - b2)
-        | _ -> None)
-    | Ast.Bin (Ast.Mul, a, b) -> (
-        match (go a, go b) with
-        | Some (0, c), Some (x, y) | Some (x, y), Some (0, c) -> Some (c * x, c * y)
-        | _ -> None)
-    | _ -> None
+  let fold v =
+    if v = var then None
+    else match lookup v with Some (Scalar.Int n) -> Some n | _ -> raise_notrace Exit
   in
-  Option.map (fun (a, b) -> Affine.make ~a ~b) (go e)
+  match Linear.of_expr ~lookup:fold e with
+  | Some l -> Some (Affine.make ~a:(Linear.coeff var l) ~b:(Linear.const l))
+  | None | (exception Exit) -> None
 
 (* ------------------------------------------------------------------ *)
 (* Unit analysis                                                       *)
@@ -142,7 +130,7 @@ let extents_checked lookup ~loc ~what name dims =
       (lo, hi))
     dims
 
-let analyze_unit (sub : Ast.subprogram) =
+let analyze_unit ?main (sub : Ast.subprogram) =
   let params = Hashtbl.create 8 in
   let lookup v = Hashtbl.find_opt params v in
   (* declarations: parameters first (they appear before use in source order) *)
@@ -199,7 +187,11 @@ let analyze_unit (sub : Ast.subprogram) =
           | None -> ())
       | _ -> ())
     sub.Ast.directives;
-  (* resolve DISTRIBUTE onto grid dimensions, in directive order *)
+  (* resolve DISTRIBUTE onto grid dimensions, in directive order.  Every
+     unit runs on the main unit's grid: its PROCESSORS, or a 1-D grid of
+     the whole machine. *)
+  let on_grid = match main with Some m -> m.ugrid | None -> !grid in
+  let rank = match on_grid with Some dims -> Array.length dims | None -> 1 in
   let next_pdim = ref 0 in
   List.iter
     (fun (dir, loc) ->
@@ -217,6 +209,12 @@ let analyze_unit (sub : Ast.subprogram) =
                   match form with
                   | Ast.Dstar -> ()
                   | Ast.Dblock | Ast.Dcyclic | Ast.Dcyclic_k _ ->
+                      if !next_pdim >= rank then
+                        Diag.error ~loc
+                          "DISTRIBUTE %s: dimension %d needs processor-grid dimension %d, but \
+                           the grid has rank %d%s"
+                          template (d + 1) (!next_pdim + 1) rank
+                          (if Option.is_none on_grid then " (no PROCESSORS directive)" else "");
                       t.tpdims.(d) <- Some !next_pdim;
                       incr next_pdim)
                 forms)
@@ -337,10 +335,9 @@ let analyze_unit (sub : Ast.subprogram) =
   }
 
 let analyze (prog : Ast.program) =
-  let units =
-    List.map (fun u -> (u.Ast.pname, analyze_unit u)) (prog.Ast.main :: prog.Ast.subs)
-  in
-  { uprog = prog; uunits = units }
+  let main = analyze_unit prog.Ast.main in
+  let subs = List.map (fun u -> (u.Ast.pname, analyze_unit ~main u)) prog.Ast.subs in
+  { uprog = prog; uunits = (prog.Ast.main.Ast.pname, main) :: subs }
 
 let main_env env =
   match env.uunits with

@@ -2,8 +2,6 @@ open F90d_frontend
 
 let buf_add = Buffer.add_string
 
-let expr_str e = Format.asprintf "%a" Ast.pp_expr e
-
 (* Substitute communicated references by their temporaries so loop bodies
    read the way the paper's generated code does. *)
 let substitute_temps (f : Ir.forall) (e : Ast.expr) =
@@ -35,32 +33,33 @@ let rec emit_comm b ind (c : Ir.comm) =
       line (Printf.sprintf "call set_DAD(%s_DAD, ...)" arr);
       line
         (Printf.sprintf "call multicast(%s, %s_DAD, TMP%d, source_proc=global_to_proc(%s), dim=%d)"
-           arr arr temp (expr_str g) (dim + 1))
+           arr arr temp (Ast.expr_str g) (dim + 1))
   | Ir.Transfer { arr; dim; src; dest; temp } ->
       line (Printf.sprintf "call set_DAD(%s_DAD, ...)" arr);
       line
         (Printf.sprintf
            "call transfer(%s, %s_DAD, TMP%d, source=global_to_proc(%s), dest=global_to_proc(%s), dim=%d)"
-           arr arr temp (expr_str src) (expr_str dest) (dim + 1))
+           arr arr temp (Ast.expr_str src) (Ast.expr_str dest) (dim + 1))
   | Ir.Overlap_shift { arr; dim; amount } ->
       line (Printf.sprintf "call overlap_shift(%s, %s_DAD, width=%d, dim=%d)" arr arr amount (dim + 1))
   | Ir.Temp_shift { arr; dim; amount; temp } ->
       line
         (Printf.sprintf "call temporary_shift(%s, %s_DAD, TMP%d, shift=%s, dim=%d)" arr arr temp
-           (expr_str amount) (dim + 1))
+           (Ast.expr_str amount) (dim + 1))
   | Ir.Multicast_shift { ms_arr; mdim; ms_g; sdim; ms_amount; ms_temp; fused } ->
       if fused then
         line
           (Printf.sprintf
              "call multicast_shift(%s, %s_DAD, TMP%d, source=global_to_proc(%s), shift=%s, multicast_dim=%d, shift_dim=%d)"
-             ms_arr ms_arr ms_temp (expr_str ms_g) (expr_str ms_amount) (mdim + 1) (sdim + 1))
+             ms_arr ms_arr ms_temp (Ast.expr_str ms_g) (Ast.expr_str ms_amount) (mdim + 1)
+             (sdim + 1))
       else begin
         line
           (Printf.sprintf "call temporary_shift(%s, %s_DAD, TMPS, shift=%s, dim=%d)" ms_arr ms_arr
-             (expr_str ms_amount) (sdim + 1));
+             (Ast.expr_str ms_amount) (sdim + 1));
         line
           (Printf.sprintf "call multicast(TMPS, %s_DAD, TMP%d, source_proc=global_to_proc(%s), dim=%d)"
-             ms_arr ms_temp (expr_str ms_g) (mdim + 1))
+             ms_arr ms_temp (Ast.expr_str ms_g) (mdim + 1))
       end
   | Ir.Concat { arr; temp } ->
       line (Printf.sprintf "call concatenation(%s, %s_DAD, TMP%d)" arr arr temp)
@@ -71,7 +70,9 @@ let rec emit_comm b ind (c : Ir.comm) =
         (fun i s ->
           match s with
           | Ast.Elem e ->
-              line (Printf.sprintf "C       dim %d subscript: %s (invertible)" (i + 1) (expr_str e))
+              line
+                (Printf.sprintf "C       dim %d subscript: %s (invertible)" (i + 1)
+                   (Ast.expr_str e))
           | Ast.Range _ -> ())
         r.Ast.args;
       (match key with
@@ -103,8 +104,8 @@ let emit_forall b labels ind (f : Ir.forall) =
        (String.concat ", "
           (List.map
              (fun (v, (r : Ast.range)) ->
-               Printf.sprintf "%s=%s:%s%s" v (expr_str r.Ast.lo) (expr_str r.Ast.hi)
-                 (match r.Ast.st with Some s -> ":" ^ expr_str s | None -> ""))
+               Printf.sprintf "%s=%s:%s%s" v (Ast.expr_str r.Ast.lo) (Ast.expr_str r.Ast.hi)
+                 (match r.Ast.st with Some s -> ":" ^ Ast.expr_str s | None -> ""))
              vars))
        f.Ir.f_lhs.Ast.base);
   (* communication phase *)
@@ -123,8 +124,8 @@ let emit_forall b labels ind (f : Ir.forall) =
       in
       line
         (Printf.sprintf "call set_BOUND(lb%d, ub%d, st%d, %s, %s, %s, %s)" (k + 1) (k + 1) (k + 1)
-           (expr_str r.Ast.lo) (expr_str r.Ast.hi)
-           (match r.Ast.st with Some s -> expr_str s | None -> "1")
+           (Ast.expr_str r.Ast.lo) (Ast.expr_str r.Ast.hi)
+           (match r.Ast.st with Some s -> Ast.expr_str s | None -> "1")
            dist))
     vars;
   (match f.Ir.f_iter with
@@ -133,7 +134,7 @@ let emit_forall b labels ind (f : Ir.forall) =
         (fun (d, e) ->
           line
             (Printf.sprintf "if (.not. my_proc_owns(%s, dim=%d, %s)) goto %d" f.Ir.f_lhs.Ast.base
-               (d + 1) (expr_str e) label))
+               (d + 1) (Ast.expr_str e) label))
         guards
   | _ -> ());
   (if f.Ir.f_post <> None then line "COUNT = 1");
@@ -149,7 +150,7 @@ let emit_forall b labels ind (f : Ir.forall) =
   let body_line s = line (inner ^ s) in
   let rhs = substitute_temps f f.Ir.f_rhs in
   (match f.Ir.f_mask with
-  | Some m -> body_line (Printf.sprintf "if (%s) then" (expr_str (substitute_temps f m)))
+  | Some m -> body_line (Printf.sprintf "if (%s) then" (Ast.expr_str (substitute_temps f m)))
   | None -> ());
   (match f.Ir.f_post with
   | None ->
@@ -157,16 +158,16 @@ let emit_forall b labels ind (f : Ir.forall) =
         (Printf.sprintf "%s(%s) = %s" f.Ir.f_lhs.Ast.base
            (String.concat ","
               (List.map
-                 (function Ast.Elem e -> expr_str e | Ast.Range _ -> ":")
+                 (function Ast.Elem e -> Ast.expr_str e | Ast.Range _ -> ":")
                  f.Ir.f_lhs.Ast.args))
-           (expr_str rhs))
+           (Ast.expr_str rhs))
   | Some _ ->
-      body_line (Printf.sprintf "values(COUNT) = %s" (expr_str rhs));
+      body_line (Printf.sprintf "values(COUNT) = %s" (Ast.expr_str rhs));
       body_line
         (Printf.sprintf "send_list(COUNT) = global_to_proc(%s)"
            (String.concat ","
               (List.map
-                 (function Ast.Elem e -> expr_str e | Ast.Range _ -> ":")
+                 (function Ast.Elem e -> Ast.expr_str e | Ast.Range _ -> ":")
                  f.Ir.f_lhs.Ast.args))));
   if uses_count || f.Ir.f_post <> None then body_line "COUNT = COUNT + 1";
   (match f.Ir.f_mask with Some _ -> body_line "end if" | None -> ());
@@ -189,32 +190,35 @@ let rec emit_stmt b labels ind (s : Ir.stmt) =
   let line str = buf_add b (ind ^ str ^ "\n") in
   match s.Ir.s with
   | Ir.Forall f -> emit_forall b labels ind f
-  | Ir.Scalar_assign { name; rhs } -> line (Printf.sprintf "%s = %s" name (expr_str rhs))
+  | Ir.Scalar_assign { name; rhs } -> line (Printf.sprintf "%s = %s" name (Ast.expr_str rhs))
   | Ir.Element_assign { lhs; rhs } ->
       line
         (Printf.sprintf "if (my_proc_owns(%s)) %s(%s) = %s" lhs.Ast.base lhs.Ast.base
            (String.concat ","
-              (List.map (function Ast.Elem e -> expr_str e | Ast.Range _ -> ":") lhs.Ast.args))
-           (expr_str rhs))
+              (List.map (function Ast.Elem e -> Ast.expr_str e | Ast.Range _ -> ":") lhs.Ast.args))
+           (Ast.expr_str rhs))
   | Ir.Mover { target; call } ->
       line
         (Printf.sprintf "call rt_%s(%s, %s)" (String.lowercase_ascii call.Ast.base) target
            (String.concat ","
-              (List.map (function Ast.Elem e -> expr_str e | Ast.Range _ -> ":") call.Ast.args)))
+              (List.map
+                 (function Ast.Elem e -> Ast.expr_str e | Ast.Range _ -> ":")
+                 call.Ast.args)))
   | Ir.Do_loop { var; range; body } ->
       line
-        (Printf.sprintf "DO %s = %s, %s%s" var (expr_str range.Ast.lo) (expr_str range.Ast.hi)
-           (match range.Ast.st with Some s -> ", " ^ expr_str s | None -> ""));
+        (Printf.sprintf "DO %s = %s, %s%s" var (Ast.expr_str range.Ast.lo)
+           (Ast.expr_str range.Ast.hi)
+           (match range.Ast.st with Some s -> ", " ^ Ast.expr_str s | None -> ""));
       List.iter (emit_stmt b labels (ind ^ "  ")) body;
       line "END DO"
   | Ir.While_loop { cond; body } ->
-      line (Printf.sprintf "DO WHILE (%s)" (expr_str cond));
+      line (Printf.sprintf "DO WHILE (%s)" (Ast.expr_str cond));
       List.iter (emit_stmt b labels (ind ^ "  ")) body;
       line "END DO"
   | Ir.If_block { arms; els } ->
       List.iteri
         (fun i (c, body) ->
-          line (Printf.sprintf "%sIF (%s) THEN" (if i = 0 then "" else "ELSE ") (expr_str c));
+          line (Printf.sprintf "%sIF (%s) THEN" (if i = 0 then "" else "ELSE ") (Ast.expr_str c));
           List.iter (emit_stmt b labels (ind ^ "  ")) body)
         arms;
       if els <> [] then begin
@@ -225,18 +229,19 @@ let rec emit_stmt b labels ind (s : Ir.stmt) =
   | Ir.Call_sub { sub; args } ->
       line "C     dummy/actual distributions may differ: redistribute on entry/exit";
       line
-        (Printf.sprintf "call %s(%s)" sub (String.concat ", " (List.map expr_str args)))
-  | Ir.Print_stmt args -> line (Printf.sprintf "print *, %s" (String.concat ", " (List.map expr_str args)))
+        (Printf.sprintf "call %s(%s)" sub (String.concat ", " (List.map Ast.expr_str args)))
+  | Ir.Print_stmt args ->
+      line (Printf.sprintf "print *, %s" (String.concat ", " (List.map Ast.expr_str args)))
   | Ir.Return_stmt -> line "return"
   | Ir.Comm_block { cb_members; cb_guard; cb_loop } ->
       line (Printf.sprintf "C --- loop-invariant communication hoisted out of %s ---" cb_loop);
       let guard =
         match cb_guard with
         | Ir.Guard_do (r : Ast.range) ->
-            Printf.sprintf "trip_count(%s, %s, %s) .gt. 0" (expr_str r.Ast.lo)
-              (expr_str r.Ast.hi)
-              (match r.Ast.st with Some s -> expr_str s | None -> "1")
-        | Ir.Guard_while cond -> expr_str cond
+            Printf.sprintf "trip_count(%s, %s, %s) .gt. 0" (Ast.expr_str r.Ast.lo)
+              (Ast.expr_str r.Ast.hi)
+              (match r.Ast.st with Some s -> Ast.expr_str s | None -> "1")
+        | Ir.Guard_while cond -> Ast.expr_str cond
       in
       line (Printf.sprintf "if (%s) then" guard);
       List.iter (fun { Ir.hc; _ } -> emit_comm b (ind ^ "  ") hc) cb_members;
@@ -250,7 +255,7 @@ let rec emit_stmt b labels ind (s : Ir.stmt) =
               line
                 (Printf.sprintf
                    "call multicast_issue(H%d, %s, %s_DAD, TMP%d, source_proc=global_to_proc(%s), dim=%d)"
-                   sp_hid arr arr temp (expr_str g) (dim + 1))
+                   sp_hid arr arr temp (Ast.expr_str g) (dim + 1))
           | c -> emit_comm b ind c))
   | Ir.Comm_wait { sp_hid; sp_comm = _; sp_guard } ->
       line "C --- split-phase: wait (completion) half ---";
@@ -264,14 +269,14 @@ and emit_split_guarded b ind guard body =
   | Ir.Sg_always -> body ind
   | Ir.Sg_trip (r : Ast.range) ->
       line
-        (Printf.sprintf "if (trip_count(%s, %s, %s) .gt. 0) then" (expr_str r.Ast.lo)
-           (expr_str r.Ast.hi)
-           (match r.Ast.st with Some s -> expr_str s | None -> "1"));
+        (Printf.sprintf "if (trip_count(%s, %s, %s) .gt. 0) then" (Ast.expr_str r.Ast.lo)
+           (Ast.expr_str r.Ast.hi)
+           (match r.Ast.st with Some s -> Ast.expr_str s | None -> "1"));
       body (ind ^ "  ");
       line "end if"
   | Ir.Sg_next { var; range = (r : Ast.range) } ->
-      let st = match r.Ast.st with Some s -> expr_str s | None -> "1" in
-      line (Printf.sprintf "if (has_next(%s, %s, %s)) then" var (expr_str r.Ast.hi) st);
+      let st = match r.Ast.st with Some s -> Ast.expr_str s | None -> "1" in
+      line (Printf.sprintf "if (has_next(%s, %s, %s)) then" var (Ast.expr_str r.Ast.hi) st);
       body (ind ^ "  ");
       line "end if"
 

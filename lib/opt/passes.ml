@@ -41,6 +41,35 @@ let all_off =
     blocked_kernels = true;
   }
 
+type pass = {
+  name : string;
+  tag : string;
+  doc : string;
+  get : flags -> bool;
+  set : bool -> flags -> flags;
+}
+
+let passes =
+  let pass name tag doc get set = { name; tag; doc; get; set } in
+  [
+    pass "shift-union" "su" "shift-union (merge opposite-direction overlap shifts)"
+      (fun f -> f.shift_union) (fun v f -> { f with shift_union = v });
+    pass "fuse-mshift" "fm" "multicast-shift fusion"
+      (fun f -> f.fuse_mshift) (fun v f -> { f with fuse_mshift = v });
+    pass "schedule-reuse" "sr" "inspector schedule reuse"
+      (fun f -> f.schedule_reuse) (fun v f -> { f with schedule_reuse = v });
+    pass "hoist-comm" "hc" "loop-invariant communication hoisting"
+      (fun f -> f.hoist_comm) (fun v f -> { f with hoist_comm = v });
+    pass "coalesce" "co" "cross-statement message coalescing (and its replica cache)"
+      (fun f -> f.coalesce) (fun v f -> { f with coalesce = v });
+    pass "split-comm" "sp" "split-phase communication (issue/wait overlap)"
+      (fun f -> f.split_comm) (fun v f -> { f with split_comm = v });
+    pass "lookahead" "la" "loop-carried multicast lookahead pipelining"
+      (fun f -> f.lookahead) (fun v f -> { f with lookahead = v });
+    pass "blocked-kernels" "bk" "blocked node-kernel execution layer (plan cache, fused updates)"
+      (fun f -> f.blocked_kernels) (fun v f -> { f with blocked_kernels = v });
+  ]
+
 module S = Set.Make (String)
 
 (* ------------------------------------------------------------------ *)
@@ -265,83 +294,71 @@ and hoist_stmt st =
 (* Cross-statement message coalescing                                  *)
 (* ------------------------------------------------------------------ *)
 
-let expr_str e = Format.asprintf "%a" Ast.pp_expr e
-
 (* Comms that may join a batch, keyed so members of one batch target the
    same communicating rank pairs: overlap shifts by (dim, direction),
-   transfers by (dim, src, dest). *)
+   transfers by (dim, src, dest).  With the key come the names whose
+   write would stop the comm moving up: its source array, and every
+   array or scalar its subscript expressions read. *)
 let batch_key = function
-  | Ir.Overlap_shift { dim; amount; _ } when amount <> 0 ->
-      Some (Printf.sprintf "shift:d%d:%c" dim (if amount > 0 then '+' else '-'))
-  | Ir.Transfer { dim; src; dest; _ } ->
-      Some (Printf.sprintf "transfer:d%d:%s:%s" dim (expr_str src) (expr_str dest))
+  | Ir.Overlap_shift { arr; dim; amount } when amount <> 0 ->
+      Some (`Shift (dim, amount > 0), [ arr ])
+  | Ir.Transfer { arr; dim; src; dest; _ } ->
+      let reads e = Ast.vars_of e @ List.map (fun (r : Ast.ref_) -> r.Ast.base) (Ast.refs_of e) in
+      Some (`Transfer (dim, Ast.expr_str src, Ast.expr_str dest), (arr :: reads src) @ reads dest)
   | _ -> None
 
-(* Batch compatible comms within one maximal run of consecutive
-   FORALLs.  A later member may move up to the anchor statement when no
-   statement in between (the anchor included — its store phase runs
-   after its pre-comms) writes the member's source array or an array its
-   subscript expressions read.  Scalars cannot change inside a FORALL
-   run, so lhs arrays are the only hazard. *)
+(* Batch compatible comms within one maximal run of consecutive FORALLs,
+   in one forward sweep.  The first comm of each key anchors its batch; a
+   later one joins when no statement from the anchor on (the anchor
+   included — its store phase runs after its pre-comms) writes a name it
+   reads.  Scalars cannot change inside a FORALL run, so lhs arrays are
+   the only hazard: [last_write] maps each array to its latest writer
+   before the current statement. *)
 let batch_run (run : Ir.stmt list) =
   let stmts = Array.of_list run in
-  let n = Array.length stmts in
   let foralls =
     Array.map (fun st -> match st.Ir.s with Ir.Forall f -> f | _ -> assert false) stmts
   in
   let pres = Array.map (fun f -> Array.map Option.some (Array.of_list f.Ir.f_pre)) foralls in
-  let cands = ref [] in
+  let last_write = Hashtbl.create 16 in
+  let anchors = Hashtbl.create 8 (* key -> anchor (i, j), later members reversed *) in
   Array.iteri
     (fun i pre ->
       Array.iteri
         (fun j c ->
-          match c with
-          | Some c -> (
-              match batch_key c with Some k -> cands := (k, i, j) :: !cands | None -> ())
-          | None -> ())
-        pre)
+          match batch_key (Option.get c) with
+          | None -> ()
+          | Some (key, reads) -> (
+              match Hashtbl.find_opt anchors key with
+              | None -> Hashtbl.replace anchors key ((i, j), ref [])
+              | Some ((i0, _), members) ->
+                  let written a =
+                    match Hashtbl.find_opt last_write a with Some w -> w >= i0 | None -> false
+                  in
+                  if not (List.exists written reads) then members := (i, j) :: !members))
+        pre;
+      Hashtbl.replace last_write foralls.(i).Ir.f_lhs.Ast.base i)
     pres;
-  let cands = List.rev !cands in
-  let keys =
-    List.sort_uniq compare (List.map (fun (k, _, _) -> k) cands)
-  in
-  List.iter
-    (fun key ->
-      match List.filter (fun (k, _, _) -> k = key) cands with
-      | [] | [ _ ] -> ()
-      | (_, i0, j0) :: rest ->
-          let written_upto i =
-            let s = ref S.empty in
-            for k = i0 to i - 1 do
-              s := S.add foralls.(k).Ir.f_lhs.Ast.base !s
-            done;
-            !s
-          in
-          let ok (_, i, j) =
-            let c = Option.get pres.(i).(j) in
-            let w = written_upto i in
-            (match Ir.comm_source c with Some a -> not (S.mem a w) | None -> false)
-            && (match c with
-               | Ir.Transfer { src; dest; _ } -> invariant_expr w src && invariant_expr w dest
-               | _ -> true)
-          in
-          let eligible = List.filter ok rest in
-          if eligible <> [] then begin
-            let all = (key, i0, j0) :: eligible in
-            let batch =
-              List.map
-                (fun (_, i, j) ->
-                  { Ir.hc = Option.get pres.(i).(j); hc_sid = stmts.(i).Ir.sid;
-                    hc_loc = stmts.(i).Ir.sloc })
-                all
-            in
-            List.iter (fun (_, i, j) -> pres.(i).(j) <- None) all;
-            pres.(i0).(j0) <- Some (Ir.Comm_batch batch)
-          end)
-    keys;
-  List.init n (fun i ->
+  Hashtbl.iter
+    (fun _ (((i0, j0) as anchor), members) ->
+      if !members <> [] then begin
+        let all = anchor :: List.rev !members in
+        let batch =
+          List.map
+            (fun (i, j) ->
+              { Ir.hc = Option.get pres.(i).(j); hc_sid = stmts.(i).Ir.sid;
+                hc_loc = stmts.(i).Ir.sloc })
+            all
+        in
+        List.iter (fun (i, j) -> pres.(i).(j) <- None) all;
+        pres.(i0).(j0) <- Some (Ir.Comm_batch batch)
+      end)
+    anchors;
+  List.mapi
+    (fun i st ->
       let pre = Array.to_list pres.(i) |> List.filter_map Fun.id in
-      { (stmts.(i)) with Ir.s = Ir.Forall { (foralls.(i)) with Ir.f_pre = pre } })
+      { st with Ir.s = Ir.Forall { (foralls.(i)) with Ir.f_pre = pre } })
+    run
 
 let rec coalesce_stmts stmts =
   let stmts = List.map coalesce_stmt stmts in
@@ -388,47 +405,6 @@ and coalesce_stmt st =
 
 let subst_var v repl =
   Ast.map_expr (fun x -> match x.Ast.e with Ast.Var n when n = v -> repl | _ -> x)
-
-(* Affine view of a subscript: integer constant + sum of coeff * var.
-   [None] for anything non-affine; all disjointness questions below are
-   answered [false] (= "may overlap") in that case. *)
-module Aff = struct
-  module M = Map.Make (String)
-
-  type t = { c : int; vs : int M.t }
-
-  let norm a = { a with vs = M.filter (fun _ k -> k <> 0) a.vs }
-  let add a b = norm { c = a.c + b.c; vs = M.union (fun _ x y -> Some (x + y)) a.vs b.vs }
-  let neg a = { c = -a.c; vs = M.map (fun k -> -k) a.vs }
-  let sub a b = add a (neg b)
-  let scale n a = norm { c = n * a.c; vs = M.map (fun k -> n * k) a.vs }
-
-  let rec of_expr (e : Ast.expr) =
-    match e.Ast.e with
-    | Ast.Int_lit n -> Some { c = n; vs = M.empty }
-    | Ast.Var v -> Some { c = 0; vs = M.singleton v 1 }
-    | Ast.Bin (Ast.Add, a, b) -> (
-        match (of_expr a, of_expr b) with Some a, Some b -> Some (add a b) | _ -> None)
-    | Ast.Bin (Ast.Sub, a, b) -> (
-        match (of_expr a, of_expr b) with Some a, Some b -> Some (sub a b) | _ -> None)
-    | Ast.Bin (Ast.Mul, a, b) -> (
-        match (of_expr a, of_expr b) with
-        | Some { c = n; vs }, Some x when M.is_empty vs -> Some (scale n x)
-        | Some x, Some { c = n; vs } when M.is_empty vs -> Some (scale n x)
-        | _ -> None)
-    | _ -> None
-
-  (* [e1 - e2] when it folds to a plain integer. *)
-  let const_diff e1 e2 =
-    match (of_expr e1, of_expr e2) with
-    | Some a, Some b ->
-        let d = sub a b in
-        if M.is_empty d.vs then Some d.c else None
-    | _ -> None
-
-  let coeff v a = Option.value (M.find_opt v a.vs) ~default:0
-  let vars a = List.map fst (M.bindings a.vs)
-end
 
 let range_pure (r : Ast.range) =
   Ast.refs_of r.Ast.lo = [] && Ast.refs_of r.Ast.hi = []
@@ -592,33 +568,36 @@ and refuse_stmt st =
 (* Lookahead pipelining                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* How subscript [e] moves with the FORALL variables [fvars], read off
+   its affine form: [`Fixed] when it names none of them, [`Unit (j, r)]
+   when it is one variable [j] with coefficient 1 over a step-1 range
+   [r], and [`Other] for any other shape or a non-affine subscript. *)
+let forall_motion ~fvars e =
+  match Linear.of_expr e with
+  | None -> `Other
+  | Some ae -> (
+      match List.filter (fun v -> List.mem_assoc v fvars) (Linear.vars ae) with
+      | [] -> `Fixed
+      | [ j ] when Linear.coeff j ae = 1 -> (
+          let rj : Ast.range = List.assoc j fvars in
+          match rj.Ast.st with
+          | None | Some { Ast.e = Ast.Int_lit 1; _ } -> `Unit (j, rj)
+          | Some _ -> `Other)
+      | _ -> `Other)
+
 (* Is the value set of subscript [e] — with the FORALL variables
    [fvars] ranging over their bounds — provably disjoint from the
    single index [gn]?  Handles a subscript with no FORALL variable
    (constant distance test) and a unit-coefficient, step-1 variable
    (compare [gn] against the substituted range ends). *)
 let subscript_disjoint ~fvars e gn =
-  match Aff.of_expr e with
-  | None -> false
-  | Some ae -> (
-      match List.filter (fun v -> List.mem_assoc v fvars) (Aff.vars ae) with
-      | [] -> ( match Aff.const_diff e gn with Some d -> d <> 0 | None -> false)
-      | [ j ] when Aff.coeff j ae = 1 ->
-          let rj : Ast.range = List.assoc j fvars in
-          let step_one =
-            match rj.Ast.st with
-            | None -> true
-            | Some s -> ( match s.Ast.e with Ast.Int_lit 1 -> true | _ -> false)
-          in
-          step_one
-          && ((match Aff.const_diff (subst_var j rj.Ast.hi e) gn with
-              | Some d -> d < 0
-              | None -> false)
-             ||
-             match Aff.const_diff (subst_var j rj.Ast.lo e) gn with
-             | Some d -> d > 0
-             | None -> false)
-      | _ -> false)
+  let diff e = Linear.const_diff e gn in
+  match forall_motion ~fvars e with
+  | `Fixed -> ( match diff e with Some d -> d <> 0 | None -> false)
+  | `Unit (j, rj) -> (
+      (match diff (subst_var j rj.Ast.hi e) with Some d -> d < 0 | None -> false)
+      || match diff (subst_var j rj.Ast.lo e) with Some d -> d > 0 | None -> false)
+  | `Other -> false
 
 (* Does [st] possibly write the slice [dim = gn] of [arr]?  [false]
    means provably not: either [arr] is untouched or every write lands
@@ -667,51 +646,36 @@ let try_fission ~arr ~dim ~gn st =
          && List.for_all (fun (_, r) -> range_pure r) f.Ir.f_vars -> (
       match List.nth_opt f.Ir.f_lhs.Ast.args dim with
       | Some (Ast.Elem e) -> (
-          match Aff.of_expr e with
-          | Some ae -> (
-              match List.filter (fun v -> List.mem_assoc v f.Ir.f_vars) (Aff.vars ae) with
-              | [ j ] when Aff.coeff j ae = 1 -> (
-                  let rj = List.assoc j f.Ir.f_vars in
-                  let step_one =
-                    match rj.Ast.st with
-                    | None -> true
-                    | Some s -> ( match s.Ast.e with Ast.Int_lit 1 -> true | _ -> false)
+          match forall_motion ~fvars:f.Ir.f_vars e with
+          | `Unit (j, rj) -> (
+              let same_dim_sub (r : Ast.ref_) =
+                r.Ast.base <> arr
+                || (match List.nth_opt r.Ast.args dim with
+                   | Some (Ast.Elem e') -> Linear.const_diff e' e = Some 0
+                   | _ -> false)
+              in
+              match Linear.const_diff (subst_var j rj.Ast.lo e) gn with
+              | Some 0 when List.for_all same_dim_sub (Ast.refs_of f.Ir.f_rhs) ->
+                  let with_range r =
+                    {
+                      st with
+                      Ir.s =
+                        Ir.Forall
+                          {
+                            f with
+                            Ir.f_vars =
+                              List.map
+                                (fun (v, r0) -> if v = j then (v, r) else (v, r0))
+                                f.Ir.f_vars;
+                          };
+                    }
                   in
-                  let same_dim_sub (r : Ast.ref_) =
-                    r.Ast.base <> arr
-                    || (match List.nth_opt r.Ast.args dim with
-                       | Some (Ast.Elem e') -> Aff.const_diff e' e = Some 0
-                       | _ -> false)
-                  in
-                  match Aff.const_diff (subst_var j rj.Ast.lo e) gn with
-                  | Some 0
-                    when step_one
-                         && List.for_all same_dim_sub (Ast.refs_of f.Ir.f_rhs) ->
-                      let with_range r =
-                        {
-                          st with
-                          Ir.s =
-                            Ir.Forall
-                              {
-                                f with
-                                Ir.f_vars =
-                                  List.map
-                                    (fun (v, r0) -> if v = j then (v, r) else (v, r0))
-                                    f.Ir.f_vars;
-                              };
-                        }
-                      in
-                      Some
-                        ( with_range { rj with Ast.hi = rj.Ast.lo; st = None },
-                          with_range
-                            {
-                              rj with
-                              Ast.lo = Ast.bin Ast.Add rj.Ast.lo (Ast.int_lit 1);
-                              st = None;
-                            } )
-                  | _ -> None)
+                  Some
+                    ( with_range { rj with Ast.hi = rj.Ast.lo; st = None },
+                      with_range
+                        { rj with Ast.lo = Ast.bin Ast.Add rj.Ast.lo (Ast.int_lit 1); st = None } )
               | _ -> None)
-          | None -> None)
+          | `Fixed | `Other -> None)
       | _ -> None)
   | _ -> None
 

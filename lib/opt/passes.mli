@@ -54,6 +54,19 @@ type flags = {
 val all_on : flags
 val all_off : flags
 
+type pass = {
+  name : string;  (** [--fno-NAME] and the daemon's ["fno"] spelling *)
+  tag : string;  (** the pass's part of the compile-cache fingerprint *)
+  doc : string;  (** what [--fno-NAME] disables, for its help text *)
+  get : flags -> bool;
+  set : bool -> flags -> flags;
+}
+
+val passes : pass list
+(** One entry per field of {!flags}, in the order the cache fingerprint
+    lists them: the command line, the daemon, the compile caches and the
+    bench reports all read the set of passes from here. *)
+
 val union_shifts : F90d_ir.Ir.comm list -> F90d_ir.Ir.comm list
 (** Keep only the widest overlap shift per (array, dim, direction);
     zero-amount shifts are no-ops and are dropped.  Exposed for unit

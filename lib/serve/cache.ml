@@ -21,19 +21,12 @@ let create () =
 
 let source_digest source = Digest.to_hex (Digest.string source)
 
-let flags_fp (f : F90d_opt.Passes.flags) =
-  let b tag v = Printf.sprintf "%s%d" tag (if v then 1 else 0) in
+let flags_fp flags =
   String.concat ""
-    [
-      b "su" f.F90d_opt.Passes.shift_union;
-      b "fm" f.F90d_opt.Passes.fuse_mshift;
-      b "sr" f.F90d_opt.Passes.schedule_reuse;
-      b "hc" f.F90d_opt.Passes.hoist_comm;
-      b "co" f.F90d_opt.Passes.coalesce;
-      b "sp" f.F90d_opt.Passes.split_comm;
-      b "la" f.F90d_opt.Passes.lookahead;
-      b "bk" f.F90d_opt.Passes.blocked_kernels;
-    ]
+    (List.map
+       (fun (p : F90d_opt.Passes.pass) ->
+         Printf.sprintf "%s%d" p.tag (if p.get flags then 1 else 0))
+       F90d_opt.Passes.passes)
 
 type temp = Hit | Miss
 

@@ -106,20 +106,14 @@ let model_of_name = function
   | other -> raise (Invalid_argument ("unknown machine model: " ^ other))
 
 let flags_of_names ~no_opt names =
-  let base = if no_opt then F90d_opt.Passes.all_off else F90d_opt.Passes.all_on in
+  let open F90d_opt.Passes in
   List.fold_left
-    (fun (f : F90d_opt.Passes.flags) name ->
-      match name with
-      | "shift-union" -> { f with F90d_opt.Passes.shift_union = false }
-      | "fuse-mshift" -> { f with F90d_opt.Passes.fuse_mshift = false }
-      | "schedule-reuse" -> { f with F90d_opt.Passes.schedule_reuse = false }
-      | "hoist-comm" -> { f with F90d_opt.Passes.hoist_comm = false }
-      | "coalesce" -> { f with F90d_opt.Passes.coalesce = false }
-      | "split-comm" -> { f with F90d_opt.Passes.split_comm = false }
-      | "lookahead" -> { f with F90d_opt.Passes.lookahead = false }
-      | "blocked-kernels" -> { f with F90d_opt.Passes.blocked_kernels = false }
-      | other -> raise (Invalid_argument ("unknown optimization pass: " ^ other)))
-    base names
+    (fun f name ->
+      match List.find_opt (fun p -> p.name = name) passes with
+      | Some p -> p.set false f
+      | None -> raise (Invalid_argument ("unknown optimization pass: " ^ name)))
+    (if no_opt then all_off else all_on)
+    names
 
 let source_of req ~nprocs =
   match (field_str req "source", field_str req "demo") with

@@ -1,11 +1,13 @@
 (** The compile-and-simulate service: one JSON request in, one JSON
     response out, independent of any transport.
 
-    The daemon ({!Server}) calls {!handle} from its domain workers; the
-    CLI's one-shot cache mode and the benches call it in-process — both
-    paths share every cache level, which is what makes "daemon response
-    = one-shot response at equal cache temperature" a checkable
-    property.
+    The daemon ({!Server}) calls {!handle} from its domain workers, and
+    the serve bench and tests call it in-process.  The CLI's one-shot
+    mode does not call {!handle}: it compiles and runs directly, and
+    with [--cache-dir] it shares only the level-3 schedule store, through
+    {!sched_io}, keyed as the daemon keys it.  That is what makes
+    "daemon response = one-shot response at equal cache temperature" a
+    checkable property.
 
     Supported [op] values: [compile], [run], [trace], [explain],
     [profile], [stats], [metrics], [shutdown].  Every response carries
@@ -94,7 +96,8 @@ val model_of_name : string -> F90d_machine.Model.t
 (** [ipsc860], [ncube2] or [ideal]; @raise Invalid_argument otherwise. *)
 
 val flags_of_names : no_opt:bool -> string list -> F90d_opt.Passes.flags
-(** Fold [--fno-*]-style pass names over the base flag set.
+(** Clear each named pass ({!F90d_opt.Passes.passes} names, as in
+    [--fno-*]) in [all_on], or in [all_off] when [no_opt].
     @raise Invalid_argument on an unknown pass name. *)
 
 (** {2 Level-3 plumbing shared with [f90dc --cache-dir] and the bench} *)

@@ -543,6 +543,17 @@ let test_corpus_errors () =
       ( "forall_section.f90d",
         12,
         "array section of 'A2' where a FORALL assignment needs one element" );
+      ( "dist_noproc.f90d",
+        6,
+        "DISTRIBUTE B: dimension 2 needs processor-grid dimension 2, but the grid has rank 1 \
+         (no PROCESSORS directive)" );
+      ( "dist_template_noproc.f90d",
+        8,
+        "DISTRIBUTE T: dimension 2 needs processor-grid dimension 2, but the grid has rank 1 \
+         (no PROCESSORS directive)" );
+      ( "dist_onto_1d.f90d",
+        6,
+        "DISTRIBUTE B: dimension 2 needs processor-grid dimension 2, but the grid has rank 1" );
     ]
 
 let test_located_syntax_error () =

@@ -76,7 +76,7 @@ let test_lex_errors () =
 (* ------------------------------------------------------------------ *)
 
 let expr s = Parser.parse_expr_string s
-let expr_str s = Format.asprintf "%a" Ast.pp_expr (expr s)
+let expr_str s = Ast.expr_str (expr s)
 
 let test_parse_precedence () =
   checks "mul binds tighter" "(1 + (2 * 3))" (expr_str "1 + 2*3");
@@ -342,6 +342,71 @@ let test_affine_of () =
   checkb "i*i rejected" true (aff "I*I" = (min_int, min_int));
   checkb "unknown var rejected" true (aff "I + Z" = (min_int, min_int))
 
+(* Whenever [Linear] gives a form, the form evaluates like the
+   expression, and a proven constant difference is the difference of the
+   two values.  [K] is a PARAMETER, folded through [lookup]. *)
+let prop_linear =
+  let open QCheck.Gen in
+  let lit n = Ast.int_lit n in
+  let expr =
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof [ map lit (int_range (-5) 5); map Ast.var (oneofl [ "I"; "J"; "K" ]) ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 (1, map (fun a -> Ast.mk (Ast.Un (Ast.Neg, a))) (self (n - 1)));
+                 ( 4,
+                   map3 Ast.bin
+                     (oneofl [ Ast.Add; Ast.Sub; Ast.Mul; Ast.Div ])
+                     (self (n - 1))
+                     (self (n - 1)) );
+               ])
+  in
+  (* the second expression is often the first shifted, so that
+     [const_diff] has differences to prove *)
+  let case =
+    expr >>= fun e1 ->
+    int_range (-5) 5 >>= fun c ->
+    let j = Ast.var "J" in
+    let shifted = Ast.bin Ast.Add (Ast.bin Ast.Sub e1 j) (Ast.bin Ast.Add j (lit c)) in
+    oneof [ expr; return (Ast.bin Ast.Add e1 (lit c)); return shifted ] >>= fun e2 ->
+    pair (int_range (-50) 50) (int_range (-50) 50) >|= fun ij -> (e1, e2, ij)
+  in
+  let print (e1, e2, (i, j)) =
+    Printf.sprintf "%s | %s | I=%d J=%d" (Ast.expr_str e1) (Ast.expr_str e2) i j
+  in
+  QCheck.Test.make ~name:"linear form agrees with evaluation" ~count:1000 (QCheck.make ~print case)
+    (fun (e1, e2, (i, j)) ->
+      let value = function "I" -> i | "J" -> j | _ -> 7 in
+      let lookup = function "K" -> Some 7 | _ -> None in
+      let rec eval (e : Ast.expr) =
+        match e.Ast.e with
+        | Ast.Int_lit n -> n
+        | Ast.Var v -> value v
+        | Ast.Un (Ast.Neg, a) -> -eval a
+        | Ast.Bin (Ast.Add, a, b) -> eval a + eval b
+        | Ast.Bin (Ast.Sub, a, b) -> eval a - eval b
+        | Ast.Bin (Ast.Mul, a, b) -> eval a * eval b
+        | _ -> failwith "evaluated an expression with no linear form"
+      in
+      let form_ok ?lookup e =
+        match Linear.of_expr ?lookup e with
+        | None -> true
+        | Some l ->
+            (lookup = None || not (List.mem "K" (Linear.vars l)))
+            && eval e
+               = List.fold_left
+                   (fun acc v -> acc + (Linear.coeff v l * value v))
+                   (Linear.const l) (Linear.vars l)
+      in
+      form_ok e1 && form_ok ~lookup e1
+      && match Linear.const_diff e1 e2 with None -> true | Some d -> eval e1 - eval e2 = d)
+
 (* ------------------------------------------------------------------ *)
 (* Normalizer                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -386,10 +451,10 @@ let test_normalize_section_offsets () =
   in
   match (List.hd body).Ast.s with
   | Ast.Forall ([ (v, r) ], None, [ { Ast.s = Ast.Assign (_, rhs); _ } ]) ->
-      checks "range lo" "2" (Format.asprintf "%a" Ast.pp_expr r.Ast.lo);
-      checks "range hi" "9" (Format.asprintf "%a" Ast.pp_expr r.Ast.hi);
+      checks "range lo" "2" (Ast.expr_str r.Ast.lo);
+      checks "range hi" "9" (Ast.expr_str r.Ast.hi);
       (* B's index must be v + 2 *)
-      let s = Format.asprintf "%a" Ast.pp_expr rhs in
+      let s = Ast.expr_str rhs in
       checkb "shifted subscript" true (s = Printf.sprintf "B((%s + 2))" v)
   | _ -> Alcotest.fail "expected single-var forall"
 
@@ -455,7 +520,7 @@ let test_normalize_transformational_arg_kept () =
   in
   match (List.hd body).Ast.s with
   | Ast.Assign (_, rhs) ->
-      let s = Format.asprintf "%a" Ast.pp_expr rhs in
+      let s = Ast.expr_str rhs in
       checkb "SUM arg stays whole" true (s = "(SUM(A) + 1)")
   | _ -> Alcotest.fail "expected scalar assignment"
 
@@ -488,6 +553,7 @@ let () =
           Alcotest.test_case "grid/instantiate" `Quick test_sema_grid_and_instantiate;
           Alcotest.test_case "errors" `Quick test_sema_errors;
           Alcotest.test_case "affine recognition" `Quick test_affine_of;
+          QCheck_alcotest.to_alcotest prop_linear;
         ] );
       ( "normalize",
         [

@@ -8,6 +8,30 @@
 open F90d_serve
 
 (* ------------------------------------------------------------------ *)
+(* Pass table                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The fingerprint is part of every L2/L3 key: pinning it keeps stored
+   schedules valid across releases without a [cache_version] bump. *)
+let test_flags_fingerprint () =
+  let open F90d_opt.Passes in
+  Alcotest.(check string) "all_on" "su1fm1sr1hc1co1sp1la1bk1" (Cache.flags_fp all_on);
+  Alcotest.(check string) "all_off" "su0fm0sr0hc0co0sp0la0bk1" (Cache.flags_fp all_off)
+
+let test_flags_of_names () =
+  let open F90d_opt.Passes in
+  List.iter
+    (fun p ->
+      let f = Service.flags_of_names ~no_opt:false [ p.name ] in
+      List.iter
+        (fun q ->
+          Alcotest.(check bool) (p.name ^ " clears " ^ q.name) (q.name <> p.name) (q.get f))
+        passes)
+    passes;
+  Alcotest.check_raises "unknown pass" (Invalid_argument "unknown optimization pass: nope")
+    (fun () -> ignore (Service.flags_of_names ~no_opt:false [ "nope" ]))
+
+(* ------------------------------------------------------------------ *)
 (* JSON codec                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -593,6 +617,11 @@ let test_daemon_timeout_isolation () =
 let () =
   Alcotest.run "serve"
     [
+      ( "pass table",
+        [
+          Alcotest.test_case "cache fingerprint pinned" `Quick test_flags_fingerprint;
+          Alcotest.test_case "flags_of_names clears one pass" `Quick test_flags_of_names;
+        ] );
       ( "json",
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
