@@ -617,7 +617,7 @@ let test_daemon_timeout_isolation () =
 let () =
   Alcotest.run "serve"
     [
-      ( "pass table",
+      ( "passes",
         [
           Alcotest.test_case "cache fingerprint pinned" `Quick test_flags_fingerprint;
           Alcotest.test_case "flags_of_names clears one pass" `Quick test_flags_of_names;
