@@ -30,6 +30,11 @@ let create k ?lb extents =
   in
   { lb; extents; data }
 
+let reuse into k n =
+  match into with
+  | Some t when kind t = k && rank t = 1 && size t = n -> t
+  | _ -> create k [| n |]
+
 let of_reals ?lb extents a =
   let lb = match lb with Some l -> l | None -> default_lb extents in
   check_shape lb extents;
@@ -167,35 +172,67 @@ let slice_flat t ~pos ~len =
   { lb = [| 1 |]; extents = [| len |]; data }
 
 (* Kind-matched unboxed index-list copies: the executor's pack/unpack and
-   the kernel layer move whole segments through these, so no Scalar boxes
-   are allocated per element. *)
+   the kernel layer move whole segments through these.  Plain loops, and
+   a REAL gather fills an unboxed float array, so no [Scalar] or float box
+   is allocated per element. *)
 let gather_flat src positions =
   let n = Array.length positions in
   let data =
     match src.data with
-    | Reals a -> Reals (Array.init n (fun i -> a.(positions.(i))))
-    | Ints a -> Ints (Array.init n (fun i -> a.(positions.(i))))
-    | Logs a -> Logs (Array.init n (fun i -> a.(positions.(i))))
+    | Reals a ->
+        let d = Array.create_float n in
+        for i = 0 to n - 1 do
+          d.(i) <- a.(positions.(i))
+        done;
+        Reals d
+    | Ints a ->
+        let d = Array.make n 0 in
+        for i = 0 to n - 1 do
+          d.(i) <- a.(positions.(i))
+        done;
+        Ints d
+    | Logs a ->
+        let d = Array.make n false in
+        for i = 0 to n - 1 do
+          d.(i) <- a.(positions.(i))
+        done;
+        Logs d
   in
   { lb = [| 1 |]; extents = [| n |]; data }
 
 let scatter_flat dst positions values =
+  let n = Array.length positions in
   match (dst.data, values.data) with
-  | Reals d, Reals v -> Array.iteri (fun i p -> d.(p) <- v.(i)) positions
-  | Ints d, Ints v -> Array.iteri (fun i p -> d.(p) <- v.(i)) positions
-  | Logs d, Logs v -> Array.iteri (fun i p -> d.(p) <- v.(i)) positions
+  | Reals d, Reals v ->
+      for i = 0 to n - 1 do
+        d.(positions.(i)) <- v.(i)
+      done
+  | Ints d, Ints v ->
+      for i = 0 to n - 1 do
+        d.(positions.(i)) <- v.(i)
+      done
+  | Logs d, Logs v ->
+      for i = 0 to n - 1 do
+        d.(positions.(i)) <- v.(i)
+      done
   | _ -> Diag.bug "ndarray: scatter between different kinds"
 
 let copy_flat ~src ~src_positions ~dst ~dst_positions =
-  if Array.length src_positions <> Array.length dst_positions then
-    Diag.bug "ndarray: copy_flat length mismatch";
+  let n = Array.length src_positions in
+  if Array.length dst_positions <> n then Diag.bug "ndarray: copy_flat length mismatch";
   match (src.data, dst.data) with
   | Reals s, Reals d ->
-      Array.iteri (fun i p -> d.(dst_positions.(i)) <- s.(p)) src_positions
+      for i = 0 to n - 1 do
+        d.(dst_positions.(i)) <- s.(src_positions.(i))
+      done
   | Ints s, Ints d ->
-      Array.iteri (fun i p -> d.(dst_positions.(i)) <- s.(p)) src_positions
+      for i = 0 to n - 1 do
+        d.(dst_positions.(i)) <- s.(src_positions.(i))
+      done
   | Logs s, Logs d ->
-      Array.iteri (fun i p -> d.(dst_positions.(i)) <- s.(p)) src_positions
+      for i = 0 to n - 1 do
+        d.(dst_positions.(i)) <- s.(src_positions.(i))
+      done
   | _ -> Diag.bug "ndarray: copy_flat between different kinds"
 
 let blit_flat ~src ~src_pos ~dst ~dst_pos ~len =

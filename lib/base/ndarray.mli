@@ -27,6 +27,12 @@ val create : Scalar.kind -> ?lb:int array -> int array -> t
 (** [create kind ~lb extents]; [lb] defaults to all-ones.  Elements are
     zero-initialised. *)
 
+val reuse : t option -> Scalar.kind -> int -> t
+(** [reuse into k n] is [into] when it is a rank-1 array of kind [k] and
+    [n] elements, with its contents as they are, and a fresh
+    [create k [| n |]] otherwise: a buffer kept between executions is
+    used again while it still fits. *)
+
 val of_reals : ?lb:int array -> int array -> float array -> t
 
 val strides : t -> int array
@@ -70,7 +76,7 @@ val blit_flat : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 val gather_flat : t -> int array -> t
 (** [gather_flat src positions] is the rank-1 array whose element [i] is
     [src]'s flat element [positions.(i)] — the executor's message-pack
-    primitive, copying without per-element {!Scalar} boxing. *)
+    primitive, copying without a {!Scalar} or float box per element. *)
 
 val scatter_flat : t -> int array -> t -> unit
 (** [scatter_flat dst positions values] writes rank-1 [values] element

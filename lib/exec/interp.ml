@@ -64,6 +64,7 @@ type prepared_unit = {
       (** every array in declaration order, ghost widths applied; the
           index is the array's slot in [arrays] *)
   pu_nsplits : int;  (** one more than the largest split-phase slot id *)
+  pu_nspares : int;  (** the number of executor buffer slots ([spares]) *)
   pu_planned : int list;  (** the FORALL sids [compile_forall] built a kernel plan for *)
   pu_regions : region once list;  (** the cells of its shared regions *)
 }
@@ -87,6 +88,12 @@ and ustate = {
       (** communication temporaries by id: a FORALL's own, until it
           finishes, and those of loop pre-headers, cross-statement
           batches and split-phase waits *)
+  spares : Ndarray.t option array;
+      (** the executor's buffers by slot, kept for the statement's next
+          execution on this rank: a FORALL's inspector-read temporaries
+          and its kernel scatter buffer.  Per rank, never in the shared
+          kernel plan: a read or a write-back suspends with its buffer
+          half filled, and another rank can run the statement meanwhile *)
   pending : pending_comm option array;
       (** split-phase comms issued but not yet waited, by the
           pass-assigned slot id ([Ir.split.sp_hid]); empty between any
@@ -329,8 +336,20 @@ type cctx = {
   c_f : Ir.forall option;
   c_planned : int list ref;  (** the FORALL sids compiled with a kernel plan *)
   c_nsplits : int ref;  (** one more than the largest split-phase slot id *)
+  c_nspares : int ref;  (** the executor buffer slots allocated so far *)
   c_regions : region once list ref;  (** the cells of the unit's shared regions *)
 }
+
+(* A new slot in [spares].  A slot's buffer is handed to the statement's
+   next execution on the same rank, which overwrites all of it; it is
+   free by then, since a rank finishes a statement before it runs the
+   statement again and no reader keeps a temporary past its statement:
+   compiled reads copy elements out, and the kernel drops its operands
+   when a call returns ([Kernel.release]). *)
+let spare_slot cx =
+  let k = !(cx.c_nspares) in
+  cx.c_nspares := k + 1;
+  k
 
 let slot cx v =
   match Hashtbl.find_opt cx.c_slots v with
@@ -850,12 +869,13 @@ let cached_schedule st key vsig build =
    against.  Counts a run or a fallback (by reason) in this rank's
    collector; an ineligible plan counts as neither.  [None]: the
    interpreter must run the nest. *)
-let run_kernel st plan space =
+let run_kernel ?scatter st plan space =
   if not (Rctx.kernels st.ctx) then None
   else
     let rs = Engine.rank_stats (Rctx.engine st.ctx) in
     match
-      Kernel.execute plan ~me:(me st) ~arrays:st.arrays ~scalars:st.vals ~temps:st.temps ~space
+      Kernel.execute ?scatter plan ~me:(me st) ~arrays:st.arrays ~scalars:st.vals
+        ~temps:st.temps ~space
     with
     | None -> None
     | Some (Ok out) ->
@@ -908,6 +928,7 @@ let compile_forall cx ~sid (f : Ir.forall) =
         | Ir.Precomp_read { r; itemp; key } | Ir.Gather_read { r; itemp; key } ->
             let ins = inspected r and vsig = version_sig cx r and k = caslot cx r.Ast.base in
             let local = match c with Ir.Precomp_read _ -> Some (once ()) | _ -> None in
+            let spare = spare_slot cx in
             fun st ~space ->
               let sched =
                 cached_schedule st key vsig (fun () ->
@@ -920,7 +941,9 @@ let compile_forall cx ~sid (f : Ir.forall) =
                         Schedule.build_gather st.ctx ~owners:p.Inspector.owners
                           ~flats:p.Inspector.flats)
               in
-              set_temp st itemp (Schedule.read st.ctx sched st.arrays.(k))
+              let tmp = Schedule.read st.ctx ?into:st.spares.(spare) sched st.arrays.(k) in
+              st.spares.(spare) <- Some tmp;
+              set_temp st itemp tmp
         | c ->
             let run = compile_comm cx c in
             fun st ~space:_ -> run st)
@@ -937,6 +960,8 @@ let compile_forall cx ~sid (f : Ir.forall) =
   in
   let plan = Kernel.plan scope ~f in
   cx.c_planned := sid :: !(cx.c_planned);
+  (* only a FORALL with a write-back phase can scatter *)
+  let scatter_spare = Option.map (fun _ -> spare_slot cx) f.Ir.f_post in
   let lk = caslot cx f.Ir.f_lhs.Ast.base in
   let lhs_dad = snd cx.c_dads.(lk) in
   let canonical_store = match f.Ir.f_iter with Ir.It_even -> false | _ -> true in
@@ -978,11 +1003,16 @@ let compile_forall cx ~sid (f : Ir.forall) =
              kernel nor the interpreter has anything to run *)
           ()
       | Some sp -> (
-          match run_kernel st plan sp with
-          | Some out ->
+          let scatter = match scatter_spare with Some k -> st.spares.(k) | None -> None in
+          match run_kernel ?scatter st plan sp with
+          | Some out -> (
               (* the kernel ran the whole nest *)
               iters := Inspector.points sp;
-              (match out with Kernel.Scattered tmp -> scattered := Some tmp | Kernel.Stored -> ())
+              match out with
+              | Kernel.Scattered tmp ->
+                  (match scatter_spare with Some k -> st.spares.(k) <- Some tmp | None -> ());
+                  scattered := Some tmp
+              | Kernel.Stored -> ())
           | None ->
               let copies = if canonical_store then 0 else Dad.copies lhs_dad in
               let owners = Array.make copies 0 and flats = Array.make copies 0 in
@@ -1159,7 +1189,7 @@ let unit_state ~ctx ~prog ~coalesce ~out ~unit_versions (u : prepared_unit) ~bou
   in
   { ctx; prog; u; vals = Array.copy u.pu_vals; arrays; versions; unit_versions; out; coalesce;
     replicas = Array.make (Array.length arrays) None; temps = Array.make u.pu_ir.Ir.u_ntemps None;
-    pending = Array.make u.pu_nsplits None }
+    spares = Array.make u.pu_nspares None; pending = Array.make u.pu_nsplits None }
 
 let in_flight st = Array.exists Option.is_some st.pending
 
@@ -1497,7 +1527,8 @@ let unit_scope ~grid (u : Ir.unit_ir) =
   in
   let cx =
     { c_env = env; c_kind; c_slots = Hashtbl.create 16; c_aslots = aslots; c_dads = arrays;
-      c_units = [||]; c_f = None; c_planned = ref []; c_nsplits = ref 0; c_regions = ref [] }
+      c_units = [||]; c_f = None; c_planned = ref []; c_nsplits = ref 0; c_nspares = ref 0;
+      c_regions = ref [] }
   in
   List.iter (fun (n, _) -> ignore (slot cx n)) env.Sema.uscalars;
   List.iter (fun n -> if not (Hashtbl.mem aslots n) then ignore (slot cx n)) env.Sema.usub.Ast.args;
@@ -1515,8 +1546,8 @@ let prepare ~grid (prog : Ir.program_ir) =
         (fun (n, k) -> vals.(Hashtbl.find cx.c_slots n) <- Scalar.zero (kind_of_decl k))
         u.Ir.u_env.Sema.uscalars;
       { pu_ir = u; pu_index = i; pu_body = body; pu_slots = cx.c_slots; pu_vals = vals;
-        pu_arrays = cx.c_dads; pu_nsplits = !(cx.c_nsplits); pu_planned = !(cx.c_planned);
-        pu_regions = !(cx.c_regions) })
+        pu_arrays = cx.c_dads; pu_nsplits = !(cx.c_nsplits); pu_nspares = !(cx.c_nspares);
+        pu_planned = !(cx.c_planned); pu_regions = !(cx.c_regions) })
     units
 
 let planned_sids (prog : prepared) =

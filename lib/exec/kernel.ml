@@ -1035,7 +1035,7 @@ type stored = Stored | Scattered of Ndarray.t
 (* Resolve the slots and scalars against this execution's values, then
    run the nest; raises [Decline] before any store for every reason but a
    zero divisor. *)
-let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~space =
+let run_nest ?scatter (p : compiled) ~me ~arrays ~scalars ~temps ~space =
   let x = p.p_rhs in
   let ws = x.x_work in
   nest ws 0 space;
@@ -1049,7 +1049,10 @@ let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~space =
       let points = lens.(0) * lens.(1) * lens.(2) in
       scalar_values ws x ~scalars;
       resolve ws x.x_refs ~me ~arrays ~scalars ~temps;
-      let buf = Ndarray.create (Darray.kind lhs_darr) [| points * copies |] in
+      (* a reused buffer is not cleared: the strips write entry
+         [i * copies] of every point [i] and [spread] the other copies,
+         so each entry is written once *)
+      let buf = Ndarray.reuse scatter (Darray.kind lhs_darr) (points * copies) in
       counter_lin ws.sflat ~lens copies;
       exec_strips ws ~store:buf.Ndarray.data ~sflat:ws.sflat ~fmu:p.p_fmu x.x_template;
       let spread a =
@@ -1073,7 +1076,8 @@ let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~space =
       if not (store_injective ~lens sflat) then raise (Decline Stats.Not_injective);
       (* Lower vouches for direct reads of the lhs array by name; any other
          operand sharing the store's storage would be an alias it never saw
-         (none arises today: dummies are copied in, temporaries are fresh) *)
+         (none arises today: dummies are copied in, and a temporary is
+         never an array's storage) *)
       for s = 0 to Array.length x.x_refs - 1 do
         match (ws.nds.(s).Ndarray.data, store) with
         | Ndarray.Reals d, Ndarray.Reals st when d == st && not p.p_lhs_reads.(s) ->
@@ -1089,11 +1093,11 @@ let run_nest (p : compiled) ~me ~arrays ~scalars ~temps ~space =
    temporaries, so that between calls it keeps none of them alive. *)
 let release ws = Array.fill ws.nds 0 (Array.length ws.nds) no_nd
 
-let execute (p : plan) ~me ~arrays ~scalars ~temps ~space =
+let execute ?scatter (p : plan) ~me ~arrays ~scalars ~temps ~space =
   match p with
   | None -> None
   | Some p -> (
-      match run_nest p ~me ~arrays ~scalars ~temps ~space with
+      match run_nest ?scatter p ~me ~arrays ~scalars ~temps ~space with
       | out ->
           release p.p_rhs.x_work;
           Some (Ok out)

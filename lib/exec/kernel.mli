@@ -30,7 +30,8 @@
     calls share it: a call never suspends and one domain runs a run's
     fibers, so no two calls interleave.  It is never module-level:
     concurrent runs on other domains each have their own plans.  What a
-    call returns is freshly allocated.
+    call returns is freshly allocated, or is the caller's own [scatter]
+    buffer, never part of the workspace.
 
     Strips may run the nest in any order because {!F90d_codegen.Lower}
     alone decides read/write hazards: [f_snapshot = false] guarantees
@@ -83,6 +84,7 @@ type stored =
           {!F90d_dist.Dad.owning_ranks} order *)
 
 val execute :
+  ?scatter:F90d_base.Ndarray.t ->
   plan ->
   me:int ->
   arrays:F90d_runtime.Darray.t array ->
@@ -97,7 +99,16 @@ val execute :
     (a CYCLIC(k) dimension) declines as [Explicit_layout].  A zero divisor is
     found while the strips run, after earlier strips were stored; the
     interpreter then reports the division as an error, so those stores
-    are never observed. *)
+    are never observed.
+
+    A scatter plan fills [scatter] when it is a rank-1 array of the
+    left-hand side's kind and the result's size, and a fresh array
+    otherwise, and returns it as [Scattered]; every entry is written, so
+    [scatter] need not be cleared.  The caller keeps one such buffer per
+    rank, never one per plan: between this call and the write-back's
+    exchange the rank can suspend (a communicating schedule build), and
+    another rank's call on the same plan would overwrite a shared
+    buffer. *)
 
 (** {2 Inspector subscripts} *)
 

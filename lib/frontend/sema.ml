@@ -17,7 +17,7 @@ type unit_env = {
   uparams : (string * Scalar.t) list;
   uscalars : (string * Ast.kind) list;
   uarrays : (string * array_spec) list;
-  ugrid : int array option;
+  ugrid : (int array * Loc.t) option;
 }
 
 type program_env = { uprog : Ast.program; uunits : (string * unit_env) list }
@@ -155,7 +155,7 @@ let analyze_unit ?main (sub : Ast.subprogram) =
       match dir with
       | Ast.Processors { pdims; _ } ->
           if !grid <> None then Diag.error ~loc "duplicate PROCESSORS directive";
-          grid := Some (Array.of_list (List.map (eval_int lookup) pdims))
+          grid := Some (Array.of_list (List.map (eval_int lookup) pdims), loc)
       | Ast.Template { tname; tdims } ->
           let bounds = extents_checked lookup ~loc ~what:"template" tname tdims in
           let flbs = Array.of_list (List.map fst bounds) in
@@ -191,7 +191,7 @@ let analyze_unit ?main (sub : Ast.subprogram) =
      unit runs on the main unit's grid: its PROCESSORS, or a 1-D grid of
      the whole machine. *)
   let on_grid = match main with Some m -> m.ugrid | None -> !grid in
-  let rank = match on_grid with Some dims -> Array.length dims | None -> 1 in
+  let rank = match on_grid with Some (dims, _) -> Array.length dims | None -> 1 in
   let next_pdim = ref 0 in
   List.iter
     (fun (dir, loc) ->
@@ -347,10 +347,10 @@ let main_env env =
 let grid_dims env ~nprocs =
   match (main_env env).ugrid with
   | None -> [| nprocs |]
-  | Some dims ->
+  | Some (dims, loc) ->
       let total = Array.fold_left ( * ) 1 dims in
       if total <> nprocs then
-        Diag.error "PROCESSORS grid (%d) does not match the machine size (%d)" total nprocs;
+        Diag.error ~loc "PROCESSORS grid (%d) does not match the machine size (%d)" total nprocs;
       dims
 
 let instantiate ~ghosts uenv ~grid =

@@ -27,7 +27,8 @@ type unit_env = {
   uparams : (string * Scalar.t) list;
   uscalars : (string * Ast.kind) list;
   uarrays : (string * array_spec) list;
-  ugrid : int array option;  (** evaluated PROCESSORS extents *)
+  ugrid : (int array * Loc.t) option;
+      (** evaluated PROCESSORS extents, and the directive's location *)
 }
 
 type program_env = { uprog : Ast.program; uunits : (string * unit_env) list }
@@ -40,8 +41,8 @@ val main_env : program_env -> unit_env
 
 val grid_dims : program_env -> nprocs:int -> int array
 (** The main program's PROCESSORS extents; a 1-D grid covering the whole
-    machine when the directive is absent.  Errors if the product does not
-    equal [nprocs]. *)
+    machine when the directive is absent.  Errors, at the directive, if
+    the product does not equal [nprocs]. *)
 
 val instantiate :
   ghosts:(string * int * int * int) list ->

@@ -19,21 +19,24 @@ type t = {
 type index = { starts : int array; bstart : int array; bseq : int array; bflat : int array }
 
 let owner_index ~nprocs ~owners ~flats ~starts =
+  let n = Array.length owners in
   let bstart = Array.make (nprocs + 1) 0 in
-  Array.iter (fun q -> bstart.(q + 1) <- bstart.(q + 1) + 1) owners;
+  for i = 0 to n - 1 do
+    let q = owners.(i) in
+    bstart.(q + 1) <- bstart.(q + 1) + 1
+  done;
   for q = 1 to nprocs do
     bstart.(q) <- bstart.(q) + bstart.(q - 1)
   done;
   let fill = Array.sub bstart 0 nprocs in
-  let n = Array.length owners in
   let bseq = Array.make n 0 and bflat = Array.make n 0 in
-  Array.iteri
-    (fun i q ->
-      let k = fill.(q) in
-      bseq.(k) <- i;
-      bflat.(k) <- flats.(i);
-      fill.(q) <- k + 1)
-    owners;
+  for i = 0 to n - 1 do
+    let q = owners.(i) in
+    let k = fill.(q) in
+    bseq.(k) <- i;
+    bflat.(k) <- flats.(i);
+    fill.(q) <- k + 1
+  done;
   { starts; bstart; bseq; bflat }
 
 let entries ix s = ix.starts.(s + 1) - ix.starts.(s)
@@ -53,7 +56,10 @@ let cell ix ~slot:s ~owner:q = (lower_bound ix q ix.starts.(s), lower_bound ix q
 let flats_of ix (a, b) = Array.sub ix.bflat a (b - a)
 let positions_of ix ~slot:s (a, b) =
   let p = Array.sub ix.bseq a (b - a) and base = ix.starts.(s) in
-  if base <> 0 then Array.iteri (fun i e -> p.(i) <- e - base) p;
+  if base <> 0 then
+    for i = 0 to b - a - 1 do
+      p.(i) <- p.(i) - base
+    done;
   p
 
 (* One segment per peer other than me whose array is not empty, in
@@ -172,8 +178,13 @@ let exchange ctx sched ~src ~dst =
       unpack ctx dst s.positions (Message.arr msg))
     sched.in_segs
 
-let read ctx sched (darr : Darray.t) =
-  let tmp = Ndarray.create (Darray.kind darr) [| sched.tmp_size |] in
+(* A reused [into] is not cleared first: every position of the
+   temporary belongs to exactly one entry, and every entry has exactly
+   one owner, so the exchange writes each position once, through
+   [self_dst] when I own the entry or through the owner's incoming
+   segment otherwise. *)
+let read ?into ctx sched (darr : Darray.t) =
+  let tmp = Ndarray.reuse into (Darray.kind darr) sched.tmp_size in
   exchange ctx sched ~src:darr.Darray.local ~dst:tmp;
   tmp
 

@@ -58,9 +58,16 @@ val build_write_local : Rctx.t -> index -> t
 val build_scatter : Rctx.t -> owners:int array -> flats:int array -> t
 (** schedule3 for scatter. *)
 
-val read : Rctx.t -> t -> Darray.t -> F90d_base.Ndarray.t
+val read : ?into:F90d_base.Ndarray.t -> Rctx.t -> t -> Darray.t -> F90d_base.Ndarray.t
 (** Executor: fetch every needed element into a flat tmp buffer ordered
-    like [needs]. *)
+    like [needs].  The buffer is [into] when it is a rank-1 array of the
+    array's kind and the schedule's size, and a fresh array otherwise
+    ({!F90d_base.Ndarray.reuse}); every element is overwritten, so
+    [into] need not be cleared.  Keep [into] per rank: the exchange
+    suspends in its receives with the buffer half filled, and another
+    rank writing the same buffer meanwhile would corrupt it.  A read
+    into a fitting [into] allocates the payloads it sends and a
+    constant. *)
 
 val write : Rctx.t -> t -> Darray.t -> F90d_base.Ndarray.t -> unit
 (** Executor: store tmp values (ordered like [writes]) into their owners'

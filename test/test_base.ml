@@ -159,6 +159,89 @@ let prop_nd_roundtrip =
       Ndarray.set a [| i; j |] (Int seed);
       Scalar.to_int (Ndarray.get a [| i; j |]) = seed)
 
+(* An [n]-element rank-1 array of kind [k] whose elements tell their
+   positions and [tag] apart. *)
+let flat_array k n ~tag =
+  let a = Ndarray.create k [| n |] in
+  for i = 0 to n - 1 do
+    Ndarray.set_flat a i
+      (match k with
+      | Scalar.Kreal -> Scalar.Real (float_of_int ((5 * i) + tag) /. 4.)
+      | Scalar.Kint -> Scalar.Int ((7 * i) + tag)
+      | _ -> Scalar.Log ((i + tag) mod 3 = 0))
+  done;
+  a
+
+(* The flat copies, element by element through [get_flat]/[set_flat]. *)
+let ref_gather src pos =
+  let g = Ndarray.create (Ndarray.kind src) [| Array.length pos |] in
+  Array.iteri (fun i p -> Ndarray.set_flat g i (Ndarray.get_flat src p)) pos;
+  g
+
+let ref_copy ~src ~src_positions ~dst ~dst_positions =
+  Array.iteri
+    (fun i p -> Ndarray.set_flat dst dst_positions.(i) (Ndarray.get_flat src p))
+    src_positions
+
+(* Gather, scatter and copy on every kind equal their element-by-element
+   references, on position lists that may be empty and usually repeat a
+   position (the last write to it wins). *)
+let prop_flat_copies =
+  QCheck.Test.make ~name:"gather/scatter/copy_flat equal element-by-element copies" ~count:300
+    QCheck.(
+      quad (int_range 0 2) (int_range 0 9) (int_range 1 9) (small_list (pair small_nat small_nat)))
+    (fun (ki, n, m, raw) ->
+      let k = [| Scalar.Kreal; Scalar.Kint; Scalar.Klog |].(ki) in
+      let raw = Array.of_list (if n = 0 then [] else raw) in
+      let src_positions = Array.map (fun (a, _) -> a mod n) raw
+      and dst_positions = Array.map (fun (_, b) -> b mod m) raw in
+      let src = flat_array k n ~tag:1 in
+      let gather =
+        Ndarray.equal (Ndarray.gather_flat src src_positions) (ref_gather src src_positions)
+      in
+      let values = flat_array k (Array.length raw) ~tag:2 in
+      let dst = flat_array k m ~tag:3 and want = flat_array k m ~tag:3 in
+      Ndarray.scatter_flat dst dst_positions values;
+      ref_copy ~src:values ~src_positions:(Array.init (Array.length raw) Fun.id) ~dst:want
+        ~dst_positions;
+      let scatter = Ndarray.equal dst want in
+      let dst = flat_array k m ~tag:3 and want = flat_array k m ~tag:3 in
+      Ndarray.copy_flat ~src ~src_positions ~dst ~dst_positions;
+      ref_copy ~src ~src_positions ~dst:want ~dst_positions;
+      gather && scatter && Ndarray.equal dst want)
+
+let test_nd_flat_edges () =
+  let src = Ndarray.of_reals [| 3 |] [| 1.; 2.; 3. |] in
+  check "empty gather" 0 (Ndarray.size (Ndarray.gather_flat src [||]));
+  let dst = Ndarray.of_reals [| 3 |] [| 0.; 0.; 0. |] in
+  Ndarray.scatter_flat dst [| 1; 1 |] (Ndarray.of_reals [| 2 |] [| 5.; 6. |]);
+  Alcotest.(check (array (float 0.))) "repeated scatter: last wins" [| 0.; 6.; 0. |]
+    (Ndarray.reals dst);
+  Ndarray.copy_flat ~src ~src_positions:[| 0; 2 |] ~dst ~dst_positions:[| 2; 2 |];
+  Alcotest.(check (array (float 0.))) "repeated copy: last wins" [| 0.; 6.; 3. |]
+    (Ndarray.reals dst)
+
+(* Minor words per warm [gather_flat] of [n] REALs, [n] small enough for
+   the result to stay in the minor heap: the unboxed payload's [n] words
+   and 11 more (its header, the result record, its two shape arrays and
+   the payload's constructor).  A float boxed per element, as an
+   [Array.init] closure returns it, made it [3n + 16]. *)
+let test_gather_flat_allocation () =
+  List.iter
+    (fun n ->
+      let src = Ndarray.of_reals [| n |] (Array.init n float_of_int) in
+      let positions = Array.init n (fun i -> (7 * i) mod n) in
+      ignore (Ndarray.gather_flat src positions);
+      let calls = 50 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (Ndarray.gather_flat src positions))
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+      if words > float_of_int (n + 12) then
+        Alcotest.failf "gather_flat of %d REALs: %.1f words, bound %d" n words (n + 12))
+    [ 16; 200 ]
+
 (* ------------------------------------------------------------------ *)
 (* Affine                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -189,7 +272,15 @@ let prop_affine_inverse =
       Affine.apply_inverse f (Affine.eval f i) = Some i)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
-  [ prop_crt; prop_gray; prop_gray_inv; prop_nd_roundtrip; prop_affine_compose; prop_affine_inverse ]
+    [
+      prop_crt;
+      prop_gray;
+      prop_gray_inv;
+      prop_nd_roundtrip;
+      prop_flat_copies;
+      prop_affine_compose;
+      prop_affine_inverse;
+    ]
 
 let () =
   Alcotest.run "f90d_base"
@@ -217,6 +308,10 @@ let () =
           Alcotest.test_case "iteri order" `Quick test_nd_iteri_order;
           Alcotest.test_case "blit/slice" `Quick test_nd_blit;
           Alcotest.test_case "bytes" `Quick test_nd_bytes;
+          Alcotest.test_case "flat copies: empty and repeated positions" `Quick
+            test_nd_flat_edges;
+          Alcotest.test_case "warm gather_flat allocates its payload" `Quick
+            test_gather_flat_allocation;
         ] );
       ("affine", [ Alcotest.test_case "basics" `Quick test_affine_basic ]);
       ("properties", qsuite);

@@ -505,10 +505,11 @@ let test_array_dummy_non_array_actual () =
     [ "2.0"; "X + 1.0" ]
 
 (* Repros in corpus/errors/ that used to end in an internal error (or,
-   for the alignment, in a silently wrong SUM): each is now the located
-   error of its declaration, directive or statement, at compile time or,
-   for a stride only known at run time, on every machine size it runs
-   on. *)
+   for the alignment, in a silently wrong SUM, and for the PROCESSORS
+   size, in an error with no location): each is now the located error of
+   its declaration, directive or statement, at compile time or, for a
+   stride or a machine size only known at run time, on every machine
+   size listed. *)
 let test_corpus_errors () =
   let read file =
     In_channel.with_open_bin (Filename.concat "corpus/errors" file) In_channel.input_all
@@ -531,6 +532,7 @@ let test_corpus_errors () =
     [
       ("zero_stride.f90d", [ 1; 4 ], 11, "zero FORALL stride");
       ("zero_stride_2d.f90d", [ 4 ], 15, "zero FORALL stride");
+      ("processors_size.f90d", [ 2 ], 5, "PROCESSORS grid (4) does not match the machine size (2)");
     ];
   List.iter
     (fun (file, line, expected) ->

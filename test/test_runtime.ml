@@ -406,6 +406,84 @@ let test_schedule_cache () =
   check "one build per proc" 3 r.Engine.stats.Stats.sched_builds;
   check "three hits per proc" 9 r.Engine.stats.Stats.sched_hits
 
+(* The (owner, flat) entry of element [g] of [dad]. *)
+let entry dad g =
+  let owner = Dad.home_rank dad g in
+  (owner, Dad.storage_flat dad ~rank:owner (Option.get (Dad.local_indices dad ~rank:owner g)))
+
+(* [count] random entries of rank [rank] into a BLOCK B(1..n), repeats
+   allowed: with 3 ranks the blocks are uneven unless 3 divides [n]. *)
+let random_needs dad_b ~n ~count ~seed rank =
+  let rs = Random.State.make [| seed; rank |] in
+  Array.init count (fun _ -> entry dad_b [| 1 + Random.State.int rs n |])
+
+(* At P=3, a read into a buffer filled with a sentinel is that buffer
+   and equals a read into a fresh one, for a communicating and a local
+   build; a buffer of another size or kind is left alone. *)
+let prop_read_into =
+  QCheck.Test.make ~name:"read into a sentinel buffer equals a fresh read" ~count:40
+    QCheck.(triple (int_range 1 40) (int_range 0 30) (int_range 0 10_000))
+    (fun (n, count, seed) ->
+      let p = 3 in
+      let dad_b = dad1 ~name:"B" ~n ~p () in
+      let needs = random_needs dad_b ~n ~count ~seed in
+      let r =
+        run_grid [| p |] (fun ctx ->
+            let b = Darray.init_global ctx dad_b init1 in
+            let owners, flats, starts = pass_of p needs in
+            let scheds =
+              [
+                Schedule.build_read_comm ctx ~needs:(needs (Rctx.me ctx));
+                Schedule.build_read_local ctx
+                  (Schedule.owner_index ~nprocs:p ~owners ~flats ~starts);
+              ]
+            in
+            List.for_all
+              (fun sched ->
+                let fresh = Schedule.read ctx sched b in
+                let into = Ndarray.of_reals [| count |] (Array.make count (-999.)) in
+                let reused = Schedule.read ~into ctx sched b in
+                let longer = Ndarray.of_reals [| count + 1 |] (Array.make (count + 1) (-999.)) in
+                let ints = Ndarray.create Scalar.Kint [| count |] in
+                reused == into && Ndarray.equal reused fresh
+                && Schedule.read ~into:longer ctx sched b != longer
+                && Schedule.read ~into:ints ctx sched b != ints)
+              scheds)
+      in
+      Array.for_all Fun.id (results r))
+
+(* Minor words per warm read into a fitting buffer, per rank: each of 3
+   ranks reads all of a BLOCK B(1..240), so it receives two payloads of
+   80 REALs, 91 words each with their record.  The bound is those
+   payloads and 64 words per message and per read (the message
+   envelope, the exchange's closures and charges); measured at 311 words
+   with OCaml 5.1.  A fresh temporary (251 words) or a float boxed per
+   packed element (2 words each) breaks it.  The engine's fixed cost
+   cancels between a run of [1 + reads] reads and a run of one. *)
+let test_warm_read_allocation () =
+  let p = 3 and n = 240 in
+  let dad_b = dad1 ~name:"B" ~n ~p () in
+  let needs = Array.init n (fun i -> entry dad_b [| i + 1 |]) in
+  let words reads =
+    let w0 = Gc.minor_words () in
+    ignore
+      (run_grid [| p |] (fun ctx ->
+           let b = Darray.init_global ctx dad_b init1 in
+           let sched = Schedule.build_read_comm ctx ~needs in
+           let into = Schedule.read ctx sched b in
+           for _ = 1 to reads do
+             if Schedule.read ~into ctx sched b != into then
+               Alcotest.fail "the buffer was not reused"
+           done));
+    Gc.minor_words () -. w0
+  in
+  let reads = 40 in
+  let per_read = (words (1 + reads) -. words 1) /. float_of_int (reads * p) in
+  let messages = p - 1 in
+  let bound = float_of_int ((messages * ((n / p) + 11)) + (64 * (messages + 1))) in
+  if per_read > bound then
+    Alcotest.failf "%.1f minor words per warm read, bound %.0f" per_read bound
+
 (* The executor charges memcpy per byte moved; the charge must use the
    array's element size (8 B reals, 4 B integers), not a hard-coded 4*n.
    With a model where only memcpy costs time, the elapsed clock pins the
@@ -1132,6 +1210,7 @@ let qsuite =
       prop_cshift_inverse;
       prop_reduce_matches_fold;
       prop_ghost_plan_matches_team_scan;
+      prop_read_into;
     ]
 
 let () =
@@ -1163,6 +1242,7 @@ let () =
           Alcotest.test_case "schedule cache" `Quick test_schedule_cache;
           Alcotest.test_case "charged bytes use element size" `Quick
             test_exchange_charged_bytes;
+          Alcotest.test_case "warm read allocates its payloads" `Quick test_warm_read_allocation;
         ] );
       ( "structured",
         [
